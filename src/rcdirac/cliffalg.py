@@ -1,4 +1,4 @@
-"""The Clifford algebra Cl(1,3) of multivectors over a generic scalar ring.
+"""The Clifford algebra Cl(1,3) of multivectors with order-2 jet coefficients.
 
 Basis and conventions
 ---------------------
@@ -22,10 +22,16 @@ the left mask is a subset of the right mask).
 
 Scalar ring
 -----------
-Coefficients may be floats, ``Jet2`` values, or any ring with +, -, *
-(e.g. ``fractions.Fraction`` for exact checks).  Float and jet coefficients
-take vectorized numpy kernels; anything else falls back to a generic loop
-with identical semantics.
+Coefficients are order-2 jets (``jets.Jet2``); a plain number is a jet with
+zero derivatives.  A multivector stores them as one float64 array ``data``
+of shape (16, 15), blade by jet slot, with one jet ``order`` for the whole
+array.  Constant coefficients give the order ``jets.CONSTANT``, which no
+derivative uses up.  Each product type is one kernel: its sign table,
+rearranged so that row (k, j) holds the signs of the left blades paired with
+right blade j in output blade k, gathers the signed left factors in one
+matmul, and two more matmuls take the jet products through ``jets.MUL`` and
+sum them.  The commutator has its own table, GP[k, i, j] - GP[k, j, i], so
+blades that commute cancel exactly instead of leaving rounding residue.
 
 The Hodge dual used throughout is ``hodge(A) = reversion(A) * e0123``; with
 this convention the codifferential is a plain star-d-star sandwich on every
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import HESS_I, HESS_J, JET_LEN, Jet2
+from .jets import CONSTANT, JET_LEN, Jet2, mul_matrix
 
 N_GENERATORS = 4
 N_BLADES = 16
@@ -110,42 +116,70 @@ PAIR_I, PAIR_J, GP_SIGN, WEDGE_SIGN, LC_SIGN = _build_tables()
 REVERSION_SIGN = np.array([(-1.0) ** (k * (k - 1) // 2) for k in GRADES])
 INVOLUTION_SIGN = np.array([(-1.0) ** k for k in GRADES])
 
-# Exact float fast-path types; other rings (Fraction, ...) take the generic loop.
 _NUMERIC = (int, float, np.floating, np.integer)
 
+_PLANE_A, _PLANE_B = np.array(
+    [[a, b] for a in range(N_GENERATORS) for b in range(a + 1, N_GENERATORS)]
+).T
 
-def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise packed-jet product, a and b of shape (n, 15)."""
-    out = np.empty_like(a)
-    av, bv = a[:, :1], b[:, :1]
-    ag, bg = a[:, 1:5], b[:, 1:5]
-    out[:, :1] = av * bv
-    out[:, 1:5] = av * bg + bv * ag
-    out[:, 5:15] = (
-        av * b[:, 5:15]
-        + bv * a[:, 5:15]
-        + ag[:, HESS_I] * bg[:, HESS_J]
-        + ag[:, HESS_J] * bg[:, HESS_I]
-    )
+
+def _dense(sign: np.ndarray) -> np.ndarray:
+    """S[k, i, j]: the coefficient of blade k in blade(i) * blade(j)."""
+    out = np.zeros((N_BLADES, N_BLADES, N_BLADES))
+    out[np.repeat(np.arange(N_BLADES), N_BLADES), PAIR_I, PAIR_J] = sign
     return out
 
 
-class Multivector:
-    """A 16-coefficient element of Cl(1,3) over a generic scalar ring."""
+def _kernel_table(dense: np.ndarray) -> np.ndarray:
+    """G[(k, j), i] = S[k, i, j]: ``G @ A`` holds, in row (k, j), the signed
+    left factor that multiplies right blade j into output blade k."""
+    return dense.transpose(0, 2, 1).reshape(N_BLADES * N_BLADES, N_BLADES)
 
-    __slots__ = ("coeffs",)
+
+_GP_DENSE = _dense(GP_SIGN)
+GP_TABLE = _kernel_table(_GP_DENSE)
+WEDGE_TABLE = _kernel_table(_dense(WEDGE_SIGN))
+LC_TABLE = _kernel_table(_dense(LC_SIGN))
+COMMUTATOR_TABLE = _kernel_table(_GP_DENSE - _GP_DENSE.transpose(0, 2, 1))
+
+
+class Multivector:
+    """A 16-coefficient element of Cl(1,3) with order-2 jet coefficients."""
+
+    __slots__ = ("data", "order")
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
         if len(coeffs) != N_BLADES:
             raise ValueError(f"need {N_BLADES} coefficients, got {len(coeffs)}")
-        self.coeffs = coeffs
+        data = np.zeros((N_BLADES, JET_LEN))
+        order = CONSTANT
+        for i, c in enumerate(coeffs):
+            if isinstance(c, Jet2):
+                data[i] = c.data
+                order = min(order, c.order)
+            elif isinstance(c, _NUMERIC):
+                data[i, 0] = c
+            else:
+                raise TypeError(f"coefficient {i} is {type(c).__name__}, not a number or Jet2")
+        self.data = data
+        self.order = order
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def from_array(cls, data: np.ndarray, order) -> "Multivector":
+        """Wrap a (16, 15) blade-by-jet-slot array (not copied)."""
+        if data.shape != (N_BLADES, JET_LEN):
+            raise ValueError(f"multivector data must have shape ({N_BLADES}, {JET_LEN})")
+        mv = cls.__new__(cls)
+        mv.data = data
+        mv.order = order
+        return mv
+
+    @classmethod
     def zero(cls) -> "Multivector":
-        return cls([0.0] * N_BLADES)
+        return cls.from_array(np.zeros((N_BLADES, JET_LEN)), CONSTANT)
 
     @classmethod
     def scalar(cls, value) -> "Multivector":
@@ -187,20 +221,21 @@ class Multivector:
 
     # -- structure queries ------------------------------------------------
 
-    def is_numeric(self) -> bool:
-        return all(isinstance(c, _NUMERIC) for c in self.coeffs)
+    @property
+    def coeffs(self) -> "Coefficients":
+        """The 16 coefficients as ``Jet2`` values, a read-only view of ``data``."""
+        return Coefficients(self)
 
-    def has_jets(self) -> bool:
-        return any(isinstance(c, Jet2) for c in self.coeffs)
+    def is_numeric(self) -> bool:
+        """True when every coefficient is a constant."""
+        return self.order == CONSTANT
 
     def values(self) -> np.ndarray:
         """Coefficient values (jets collapsed to their value part)."""
-        return np.array(
-            [c.value if isinstance(c, Jet2) else float(c) for c in self.coeffs]
-        )
+        return self.data[:, 0].copy()
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values())))
+        return float(np.max(np.abs(self.data[:, 0])))
 
     def grade1_components(self):
         for i, c in enumerate(self.coeffs):
@@ -223,25 +258,34 @@ class Multivector:
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Multivector.from_array(self.data + other.data, min(self.order, other.order))
+
+    def __radd__(self, other):
+        # 0 + A, so that the builtin sum() adds multivectors
+        if isinstance(other, int) and other == 0:
+            return self
+        return NotImplemented
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Multivector.from_array(self.data - other.data, min(self.order, other.order))
 
     def __neg__(self):
-        return Multivector([-c for c in self.coeffs])
+        return Multivector.from_array(-self.data, self.order)
 
     def scale(self, s) -> "Multivector":
-        if isinstance(s, Jet2) and all(
-            isinstance(c, (Jet2, *_NUMERIC)) for c in self.coeffs
-        ):
-            arr, order = self._pack()
-            rows = _mul_rows(np.broadcast_to(s.data, arr.shape), arr)
-            order = min(order, s.order)
-            return Multivector([Jet2(rows[i].copy(), order) for i in range(N_BLADES)])
-        return Multivector([s * c for c in self.coeffs])
+        """Multiply every coefficient by a number, a ``Jet2``, or a bare
+        (15,) jet array, which counts as an order-2 jet."""
+        if isinstance(s, _NUMERIC):
+            return Multivector.from_array(self.data * s, self.order)
+        if isinstance(s, Jet2):
+            jet, order = s.data, s.order
+        else:
+            jet, order = np.asarray(s, dtype=np.float64), 2
+            if jet.shape != (JET_LEN,):
+                raise TypeError(f"cannot scale a multivector by {type(s).__name__}")
+        return Multivector.from_array(self.data @ mul_matrix(jet), min(self.order, order))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -253,86 +297,67 @@ class Multivector:
             return NotImplemented
         return self.scale(other)
 
-    def __xor__(self, other):
-        return wedge(self, other)
 
-    def __lshift__(self, other):
-        return left_contraction(self, other)
-
-    # -- packing for the vectorized kernels --------------------------------
-
-    def _pack(self):
-        arr = np.zeros((N_BLADES, JET_LEN))
-        order = 2
-        for i, c in enumerate(self.coeffs):
-            if isinstance(c, Jet2):
-                arr[i] = c.data
-                order = min(order, c.order)
-            else:
-                arr[i, 0] = float(c)
-        return arr, order
+_NOT_GRADE = tuple(np.array(GRADES) != k for k in range(5))
 
 
-def _product(a: Multivector, b: Multivector, sign: np.ndarray) -> Multivector:
-    a_num, b_num = a.is_numeric(), b.is_numeric()
-    if a_num and b_num:
-        va = a.values()[PAIR_I]
-        vb = b.values()[PAIR_J]
-        out = (sign * va * vb).reshape(N_BLADES, N_BLADES).sum(axis=1)
-        return Multivector(out.tolist())
-    if (a_num or a.has_jets()) and (b_num or b.has_jets()):
-        pa, oa = a._pack()
-        pb, ob = b._pack()
-        rows = _mul_rows(pa[PAIR_I], pb[PAIR_J])
-        packed = (sign[:, None] * rows).reshape(N_BLADES, N_BLADES, JET_LEN).sum(axis=1)
-        order = min(oa, ob)
-        return Multivector([Jet2(packed[i].copy(), order) for i in range(N_BLADES)])
-    # Generic ring fallback (exact arithmetic, arbitrary scalar types).
-    out = [None] * N_BLADES
-    for k, i, j, s in zip(
-        np.arange(N_BLADES).repeat(N_BLADES), PAIR_I, PAIR_J, sign
-    ):
-        if s == 0.0:
-            continue
-        term = a.coeffs[i] * b.coeffs[j]
-        if s < 0:
-            term = -term
-        out[k] = term if out[k] is None else out[k] + term
-    return Multivector([0.0 if c is None else c for c in out])
+class Coefficients:
+    """Read-only sequence of a multivector's coefficients; each item is a
+    ``Jet2`` whose data is a row of the multivector's array."""
+
+    __slots__ = ("_rows", "_order")
+
+    def __init__(self, mv: Multivector):
+        self._rows = mv.data.view()
+        self._rows.flags.writeable = False
+        self._order = min(mv.order, 2)
+
+    def __len__(self):
+        return N_BLADES
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(N_BLADES))]
+        return Jet2(self._rows[i], self._order)
+
+
+def _product(a: Multivector, b: Multivector, table: np.ndarray) -> Multivector:
+    left = (table @ a.data).reshape(N_BLADES, N_BLADES * JET_LEN)
+    right = mul_matrix(b.data).reshape(N_BLADES * JET_LEN, JET_LEN)
+    return Multivector.from_array(left @ right, min(a.order, b.order))
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return _product(a, b, GP_SIGN)
+    return _product(a, b, GP_TABLE)
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
-    return _product(a, b, WEDGE_SIGN)
+    return _product(a, b, WEDGE_TABLE)
 
 
 def left_contraction(a: Multivector, b: Multivector) -> Multivector:
-    return _product(a, b, LC_SIGN)
+    return _product(a, b, LC_TABLE)
 
 
-def _blade_signs(a: Multivector, signs: np.ndarray) -> Multivector:
-    return Multivector(
-        [c if s > 0 else -c for c, s in zip(a.coeffs, signs)]
-    )
+def commutator(a: Multivector, b: Multivector) -> Multivector:
+    """Half-free bracket [a, b] = ab - ba."""
+    return _product(a, b, COMMUTATOR_TABLE)
 
 
 def reversion(a: Multivector) -> Multivector:
-    return _blade_signs(a, REVERSION_SIGN)
+    return Multivector.from_array(a.data * REVERSION_SIGN[:, None], a.order)
 
 
 def grade_involution(a: Multivector) -> Multivector:
-    return _blade_signs(a, INVOLUTION_SIGN)
+    return Multivector.from_array(a.data * INVOLUTION_SIGN[:, None], a.order)
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= 4:
         raise GradeError(f"grade {k} outside 0..4")
-    return Multivector(
-        [c if GRADES[i] == k else 0.0 for i, c in enumerate(a.coeffs)]
-    )
+    data = a.data.copy()
+    data[_NOT_GRADE[k]] = 0.0
+    return Multivector.from_array(data, a.order)
 
 
 _PSEUDO = Multivector.pseudoscalar()
@@ -343,9 +368,12 @@ def hodge_dual(a: Multivector) -> Multivector:
     return geometric_product(reversion(a), _PSEUDO)
 
 
-def commutator(a: Multivector, b: Multivector) -> Multivector:
-    """Half-free bracket [a, b] = ab - ba."""
-    return geometric_product(a, b) - geometric_product(b, a)
+def bivector_array(pairs: np.ndarray) -> np.ndarray:
+    """Multivector arrays (..., 16, 15) whose bivector coefficients are
+    ``pairs[..., a, b, :]`` for a < b, from jet tables (..., 4, 4, 15)."""
+    out = np.zeros(pairs.shape[:-3] + (N_BLADES, JET_LEN))
+    out[..., 5:11, :] = pairs[..., _PLANE_A, _PLANE_B, :]
+    return out
 
 
 def pair_blade(a: int, b: int):

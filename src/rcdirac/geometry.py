@@ -15,6 +15,12 @@ torsion: Levi-Civita coefficients from the structure-coefficient closed form
 plus the contorsion built from ``T``.  Connection biforms are calibrated so
 that ``pfaff_a theta^b + [omega_a, theta^b]/2 = -conn[a][b][c] theta^c``
 holds identically (checked at build time).
+
+Every table is a float64 array of jets with the jet slot last (the layout of
+``jets``): ``tetrad`` and ``frame_vectors`` are (4, 4, 15), connection-like
+tables and the torsion (4, 4, 4, 15), curvature components (4, 4, 4, 4, 15).
+Products of tables are index contractions through ``jets.jet_einsum``, and a
+directional derivative is one matmul, ``e_a(f) = f @ derivations[a]``.
 """
 
 from __future__ import annotations
@@ -22,16 +28,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .cliffalg import Multivector, commutator, geometric_product, grade_project, pair_blade, wedge
+import numpy as np
+
+from .cliffalg import Multivector, bivector_array, commutator, geometric_product, grade_project, wedge
 from .fieldspec import Scenario, eval_expr
-from .jets import ChartPoint, Jet2, partial
+from .jets import (
+    HESS_I,
+    HESS_J,
+    JET_LEN,
+    ChartPoint,
+    Jet2,
+    JetOrderError,
+    derivation_matrices,
+    jet_einsum,
+)
 
 ETA = (1.0, -1.0, -1.0, -1.0)
+_ETA = np.array(ETA)
 _DET_TOL = 1e-8
 _CALIBRATION_TOL = 1e-9
 
+# Jet orders: the tetrad and torsion come straight from scenario expressions,
+# connection tables hold one derivative of the tetrad and curvature two.
+FRAME_ORDER = 2
+CONN_ORDER = 1
+CURV_ORDER = 0
+
 # Permutation signs epsilon^{abcd} with epsilon^{0123} = +1.
-EPSILON = {}
+EPSILON = np.zeros((4, 4, 4, 4))
 for perm in permutations(range(4)):
     sign = 1
     p = list(perm)
@@ -40,6 +64,12 @@ for perm in permutations(range(4)):
             if p[i] > p[j]:
                 sign = -sign
     EPSILON[perm] = float(sign)
+
+# The coordinate planes theta^a ^ theta^b, a != b.
+PLANES = {
+    (a, b): wedge(Multivector.basis(a), Multivector.basis(b))
+    for a in range(4) for b in range(4) if a != b
+}
 
 
 class DegenerateFrameError(ValueError):
@@ -54,25 +84,20 @@ class GeometryError(RuntimeError):
     """Internal consistency failure while assembling the connection."""
 
 
-def _zeros(*shape):
-    if len(shape) == 1:
-        return [Jet2.const(0.0) for _ in range(shape[0])]
-    return [_zeros(*shape[1:]) for _ in range(shape[0])]
-
-
 @dataclass
 class FrameGeometry:
     """All connection-level data of one scenario at one chart point."""
 
     point: ChartPoint
-    tetrad: list                 # theta^a_mu jets, rows a
-    frame_vectors: list          # e_a^mu jets, rows a
+    tetrad: np.ndarray           # theta^a_mu, (4, 4, 15), rows a
+    frame_vectors: np.ndarray    # e_a^mu, (4, 4, 15), rows a
+    derivations: np.ndarray      # (4, 15, 15): e_a(f) = f @ derivations[a]
     det: Jet2
-    c: list                      # structure coefficients c[c][a][b]
-    T: list                      # torsion T[c][a][b]
-    lc: list                     # Levi-Civita conn[a][b][c]
-    K: list                      # contorsion conn[a][b][c]
-    full: list                   # full connection conn[a][b][c]
+    c: np.ndarray                # structure coefficients c[c][a][b]
+    T: np.ndarray                # torsion T[c][a][b]
+    lc: np.ndarray               # Levi-Civita conn[a][b][c]
+    K: np.ndarray                # contorsion conn[a][b][c]
+    full: np.ndarray             # full connection conn[a][b][c]
     theta: list                  # coframe one-forms as multivectors
     omega_biform: list           # full-connection biforms omega_{e_a}
     lc_biform: list              # Levi-Civita biforms
@@ -80,11 +105,9 @@ class FrameGeometry:
 
     def e(self, a: int, f: Jet2) -> Jet2:
         """Directional derivative e_a(f) = e_a^mu d_mu f."""
-        out = None
-        for mu in range(4):
-            term = self.frame_vectors[a][mu] * partial(f, mu)
-            out = term if out is None else out + term
-        return out
+        if f.order < 1:
+            raise JetOrderError("cannot differentiate an order-0 jet")
+        return Jet2(f.data @ self.derivations[a], min(f.order - 1, FRAME_ORDER))
 
     def theta_down(self, a: int) -> Multivector:
         return self.theta[a].scale(ETA[a])
@@ -95,91 +118,85 @@ class CurvatureData:
     """Curvature of the full connection plus its Levi-Civita part and the
     contorsion-induced difference."""
 
-    components: list             # R^a_{bcd}, full connection
-    lc_components: list          # same for Levi-Civita
+    components: np.ndarray       # R^a_{bcd}, full connection
+    lc_components: np.ndarray    # same for Levi-Civita
     biforms: list                # biforms[c][d], plane indices lowered
     scalar: Jet2                 # grade-0 part of the biform contraction
     contraction_grade2: Multivector
     contraction_grade4: Multivector
-    j_components: list           # J^a_{bcd} = (R - R_lc)^a_{bcd}, from contorsion
+    j_components: np.ndarray     # J^a_{bcd} = (R - R_lc)^a_{bcd}, from contorsion
     j_form: Multivector          # grade-4 term as it enters the squared operator
+
+
+def _derive(derivations: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """e_c of every entry of a jet table, c on a new leading axis."""
+    return (table.reshape(-1, JET_LEN) @ derivations).reshape((4,) + table.shape)
 
 
 # -- tetrad ---------------------------------------------------------------
 
 
-def _det3(m, r, c):
-    rows = [i for i in range(4) if i != r]
-    cols = [j for j in range(4) if j != c]
-    a, b, cc = rows
-    x, y, z = cols
-    return (
-        m[a][x] * (m[b][y] * m[cc][z] - m[b][z] * m[cc][y])
-        - m[a][y] * (m[b][x] * m[cc][z] - m[b][z] * m[cc][x])
-        + m[a][z] * (m[b][x] * m[cc][y] - m[b][y] * m[cc][x])
-    )
-
-
-def invert_tetrad(theta_mat, point: ChartPoint):
-    """Inverse of the 4x4 jet matrix theta^a_mu via the adjugate.
+def invert_tetrad(theta_mat: np.ndarray, point: ChartPoint):
+    """Inverse of the 4x4 jet matrix theta^a_mu.
 
     Returns (frame_vectors, det) with frame_vectors[a][mu] = e_a^mu such
-    that theta^a_mu e_b^mu = delta^a_b.
+    that theta^a_mu e_b^mu = delta^a_b.  The jets of the inverse E of a
+    matrix A follow from E A = 1: d_m E = -E A_m E and
+    d_m d_n E = -E A_mn E + E A_m E A_n E + E A_n E A_m E.
     """
-    cof = [[None] * 4 for _ in range(4)]
-    for r in range(4):
-        for c in range(4):
-            d3 = _det3(theta_mat, r, c)
-            cof[r][c] = d3 if (r + c) % 2 == 0 else -d3
-    det = None
-    for c in range(4):
-        term = theta_mat[0][c] * cof[0][c]
-        det = term if det is None else det + term
-    if abs(det.value) <= _DET_TOL:
-        raise DegenerateFrameError(point, det.value)
-    inv_det = 1.0 / det
-    # adj = cof^T; (theta^-1)[mu][a] = adj[mu][a]/det; e_a^mu = that entry.
-    frame_vectors = [[cof[a][mu] * inv_det for mu in range(4)] for a in range(4)]
-    return frame_vectors, det
+    value = theta_mat[..., 0]
+    det = float(np.linalg.det(value))
+    if abs(det) <= _DET_TOL:
+        raise DegenerateFrameError(point, det)
+    inv = np.linalg.inv(value)                          # inv[mu][a] = e_a^mu
+    grad = np.moveaxis(theta_mat[..., 1:5], -1, 0)      # d_m theta, (4, 4, 4)
+    hess = np.moveaxis(theta_mat[..., 5:], -1, 0)       # d_m d_n theta, (10, 4, 4)
+    ig = inv @ grad
+    igig = ig[HESS_I] @ ig[HESS_J]
+    d2 = (ig[HESS_J] @ ig[HESS_I] + igig - inv @ hess) @ inv
+    jets = np.concatenate((inv[None], -ig @ inv, d2))   # (15, mu, a)
+    frame_vectors = jets.transpose(2, 1, 0)
+
+    # d ln det = tr(E dA)
+    tr_g = np.trace(ig, axis1=1, axis2=2)
+    tr_h = np.trace(inv @ hess, axis1=1, axis2=2) - np.trace(igig, axis1=1, axis2=2)
+    det_jet = det * np.concatenate(([1.0], tr_g, tr_g[HESS_I] * tr_g[HESS_J] + tr_h))
+    return frame_vectors, Jet2(det_jet, FRAME_ORDER)
 
 
 def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
     """Evaluate the scenario's tetrad and torsion at a point and assemble
     every connection-level object."""
-    theta_mat = [
-        [eval_expr(scenario.tetrad[a][mu], point) for mu in range(4)]
+    theta_mat = np.array([
+        [eval_expr(scenario.tetrad[a][mu], point).data for mu in range(4)]
         for a in range(4)
-    ]
+    ])
     frame_vectors, det = invert_tetrad(theta_mat, point)
 
-    T = _zeros(4, 4, 4)
+    T = np.zeros((4, 4, 4, JET_LEN))
     for c in range(4):
         for a in range(4):
             for b in range(a + 1, 4):
-                val = eval_expr(scenario.torsion_expr(c, a, b), point)
-                T[c][a][b] = val
-                T[c][b][a] = -val
+                T[c, a, b] = eval_expr(scenario.torsion_expr(c, a, b), point).data
+                T[c, b, a] = -T[c, a, b]
 
     c_t = structure_coefficients(theta_mat, frame_vectors)
     lc = levi_civita(c_t)
     K = contorsion(T)
-    full = [
-        [[lc[a][b][c] + K[a][b][c] for c in range(4)] for b in range(4)]
-        for a in range(4)
-    ]
+    full = lc + K
 
-    theta = [Multivector.basis(a) for a in range(4)]
     geom = FrameGeometry(
         point=point,
         tetrad=theta_mat,
         frame_vectors=frame_vectors,
+        derivations=derivation_matrices(frame_vectors),
         det=det,
         c=c_t,
         T=T,
         lc=lc,
         K=K,
         full=full,
-        theta=theta,
+        theta=[Multivector.basis(a) for a in range(4)],
         omega_biform=connection_biforms(full),
         lc_biform=connection_biforms(lc),
         contorsion_biform=connection_biforms(K),
@@ -190,42 +207,19 @@ def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
 
 def structure_coefficients(theta_mat, frame_vectors):
     """c^c_{ab} = theta^c([e_a, e_b]) from jets of the inverse tetrad."""
-    out = _zeros(4, 4, 4)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            bracket = []
-            for mu in range(4):
-                acc = None
-                for nu in range(4):
-                    term = frame_vectors[a][nu] * partial(frame_vectors[b][mu], nu)
-                    term = term - frame_vectors[b][nu] * partial(frame_vectors[a][mu], nu)
-                    acc = term if acc is None else acc + term
-                bracket.append(acc)
-            for c in range(4):
-                acc = None
-                for mu in range(4):
-                    term = theta_mat[c][mu] * bracket[mu]
-                    acc = term if acc is None else acc + term
-                out[c][a][b] = acc
-                out[c][b][a] = -acc
-    return out
+    # de[a, b, mu] = e_a(e_b^mu); the bracket is de[a, b] - de[b, a]
+    de = _derive(derivation_matrices(frame_vectors), frame_vectors)
+    half = jet_einsum("cm,abm->cab", theta_mat, de)
+    return half - half.transpose(0, 2, 1, 3)
 
 
 def levi_civita(c_t):
     """Unique zero-torsion metric-compatible coefficients from the structure
     coefficients: lowered form L_abc = (g_abc + g_bca - g_cab)/2 with
     g_abc = eta_bm c^m_{ac}."""
-
-    def g(a, b, c):
-        return ETA[b] * c_t[b][a][c]
-
-    lc = _zeros(4, 4, 4)
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                low = 0.5 * (g(a, b, c) + g(b, c, a) - g(c, a, b))
-                lc[a][b][c] = ETA[b] * low
-    return lc
+    g = np.einsum("bac...->abc...", _ETA[:, None, None, None] * c_t)
+    low = 0.5 * (g + np.einsum("bca...->abc...", g) - np.einsum("cab...->abc...", g))
+    return _ETA[None, :, None, None] * low
 
 
 def contorsion(T):
@@ -235,33 +229,21 @@ def contorsion(T):
     K^al_{be,rh} = -eta^{al,al} (eta_be T^be_{rh,al} + eta_rh T^rh_{be,al}
     - eta_al T^al_{be,rh}) / 2, stored as conn[be][al][rh].
     """
-    K = _zeros(4, 4, 4)
-    for be in range(4):
-        for al in range(4):
-            for rh in range(4):
-                s = (
-                    ETA[be] * T[be][rh][al]
-                    + ETA[rh] * T[rh][be][al]
-                    - ETA[al] * T[al][be][rh]
-                )
-                K[be][al][rh] = (-0.5 * ETA[al]) * s
-    return K
+    low = _ETA[:, None, None, None] * T          # low[x, y, z] = eta_x T^x_{yz}
+    s = (
+        np.einsum("bra...->bar...", low)
+        + np.einsum("rba...->bar...", low)
+        - np.einsum("abr...->bar...", low)
+    )
+    return (-0.5 * _ETA[None, :, None, None]) * s
 
 
 def connection_biforms(conn):
     """Biforms omega_{e_a} = L_abc theta^b ^ theta^c / 2 with L the lowered
     (antisymmetric-pair) coefficients."""
-    out = []
-    for a in range(4):
-        coeffs = [0.0] * 16
-        for b in range(4):
-            for c in range(b + 1, 4):
-                idx, _ = pair_blade(b, c)
-                low_bc = ETA[b] * conn[a][b][c]
-                low_cb = ETA[c] * conn[a][c][b]
-                coeffs[idx] = 0.5 * (low_bc - low_cb)
-        out.append(Multivector(coeffs))
-    return out
+    low = _ETA[None, :, None, None] * conn
+    biforms = bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3)))
+    return [Multivector.from_array(b, CONN_ORDER) for b in biforms]
 
 
 def _calibrate_biforms(geom: FrameGeometry):
@@ -269,13 +251,9 @@ def _calibrate_biforms(geom: FrameGeometry):
     worst = 0.0
     for a in range(4):
         for b in range(4):
-            resid = commutator(geom.omega_biform[a], geom.theta[b]).scale(0.5)
-            for c in range(4):
-                resid = resid + geom.theta[c].scale(geom.full[a][b][c])
-            for coeff in resid.coeffs:
-                data = coeff.data if isinstance(coeff, Jet2) else None
-                mag = float(max(abs(x) for x in data)) if data is not None else abs(coeff)
-                worst = max(worst, mag)
+            resid = 0.5 * commutator(geom.omega_biform[a], geom.theta[b]).data
+            resid[1:5] += geom.full[a, b]
+            worst = max(worst, np.max(np.abs(resid)))
     if worst > _CALIBRATION_TOL:
         raise GeometryError(
             f"connection biform calibration failed at {geom.point.x}: "
@@ -285,15 +263,7 @@ def _calibrate_biforms(geom: FrameGeometry):
 
 def torsion_two_forms(geom: FrameGeometry):
     """The four torsion 2-forms Theta^rho = T^rho_{ab} theta^a ^ theta^b / 2."""
-    out = []
-    for rho in range(4):
-        coeffs = [0.0] * 16
-        for a in range(4):
-            for b in range(a + 1, 4):
-                idx, _ = pair_blade(a, b)
-                coeffs[idx] = geom.T[rho][a][b]
-        out.append(Multivector(coeffs))
-    return out
+    return [Multivector.from_array(t, FRAME_ORDER) for t in bivector_array(geom.T)]
 
 
 # -- curvature -------------------------------------------------------------
@@ -303,72 +273,41 @@ def _riemann_components(geom: FrameGeometry, conn):
     """R^a_{bcd} = e_c conn[d][a][b] - e_d conn[c][a][b]
     + conn[c][a][k] conn[d][k][b] - conn[d][a][k] conn[c][k][b]
     - c^k_{cd} conn[k][a][b]."""
-    dconn = [
-        [[[geom.e(c, conn[d][a][b]) for d in range(4)] for b in range(4)]
-         for a in range(4)]
-        for c in range(4)
-    ]
-    R = _zeros(4, 4, 4, 4)
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(c + 1, 4):
-                    acc = dconn[c][a][b][d] - dconn[d][a][b][c]
-                    for k in range(4):
-                        acc = acc + conn[c][a][k] * conn[d][k][b]
-                        acc = acc - conn[d][a][k] * conn[c][k][b]
-                        acc = acc - geom.c[k][c][d] * conn[k][a][b]
-                    R[a][b][c][d] = acc
-                    R[a][b][d][c] = -acc
-    return R
-
-
-def _cov_deriv_contorsion(geom: FrameGeometry, c: int, a: int, d: int, b: int):
-    """Full-connection covariant derivative of the contorsion tensor,
-    nabla_c K^a_{db}, acting on all three slots."""
-    K, full = geom.K, geom.full
-    acc = geom.e(c, K[d][a][b])
-    for k in range(4):
-        acc = acc + full[c][a][k] * K[d][k][b]
-        acc = acc - full[c][k][d] * K[k][a][b]
-        acc = acc - full[c][k][b] * K[d][a][k]
-    return acc
+    # antisymmetrizing the half in (c, d) keeps R exactly antisymmetric
+    half = (
+        np.einsum("cdab...->abcd...", _derive(geom.derivations, conn))
+        + jet_einsum("cak,dkb->abcd", conn, conn)
+        - 0.5 * jet_einsum("kcd,kab->abcd", geom.c, conn)
+    )
+    return half - half.transpose(0, 1, 3, 2, 4)
 
 
 def j_components(geom: FrameGeometry):
     """The contorsion-induced curvature difference J^a_{bcd}, already
-    antisymmetrized in its last index pair; satisfies R = R_lc + J."""
-    K = geom.K
-    cand = _zeros(4, 4, 4, 4)
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    acc = _cov_deriv_contorsion(geom, c, a, d, b)
-                    for k in range(4):
-                        acc = acc - K[c][a][k] * K[d][k][b]
-                        acc = acc + K[c][k][d] * K[k][a][b]
-                    cand[a][b][c][d] = acc
-    J = _zeros(4, 4, 4, 4)
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    J[a][b][c][d] = cand[a][b][c][d] - cand[a][b][d][c]
-    return J
+    antisymmetrized in its last index pair; satisfies R = R_lc + J.
+
+    J is the antisymmetrized nabla_c K^a_{db} - K^a_{ck} K^k_{db}
+    + K^k_{cd} K^a_{kb}, the full-connection covariant derivative acting on
+    all three slots of K."""
+    K, full = geom.K, geom.full
+    # the K K terms share index patterns with two of the connection terms
+    lc_part = full - K
+    cand = (
+        np.einsum("cdab...->abcd...", _derive(geom.derivations, K))
+        + jet_einsum("cak,dkb->abcd", lc_part, K)
+        - jet_einsum("ckd,kab->abcd", lc_part, K)
+        - jet_einsum("ckb,dak->abcd", full, K)
+    )
+    return cand - cand.transpose(0, 1, 3, 2, 4)
 
 
 def j_quadriform(J) -> Multivector:
     """Grade-4 torsion-curvature term, normalized as it enters the squared
     spin-Dirac identity: (1/8) sum J_{abcd} eps^{abcd} e0123 with the first
     index lowered."""
-    acc = None
-    for (a, b, c, d), eps in EPSILON.items():
-        term = (0.125 * eps * ETA[a]) * J[a][b][c][d]
-        acc = term if acc is None else acc + term
-    coeffs = [0.0] * 16
-    coeffs[15] = acc if acc is not None else Jet2.const(0.0)
-    return Multivector(coeffs)
+    data = np.zeros((16, JET_LEN))
+    data[15] = np.einsum("abcd,abcd...->...", 0.125 * _ETA[:, None, None, None] * EPSILON, J)
+    return Multivector.from_array(data, CONN_ORDER)
 
 
 def curvature(geom: FrameGeometry) -> CurvatureData:
@@ -376,36 +315,24 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
     R = _riemann_components(geom, geom.full)
     R_lc = _riemann_components(geom, geom.lc)
 
-    biforms = [[None] * 4 for _ in range(4)]
-    for c in range(4):
-        for d in range(4):
-            coeffs = [0.0] * 16
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    idx, _ = pair_blade(a, b)
-                    low_ab = ETA[a] * R[a][b][c][d]
-                    low_ba = ETA[b] * R[b][a][c][d]
-                    coeffs[idx] = 0.5 * (low_ab - low_ba)
-            biforms[c][d] = Multivector(coeffs)
+    low = _ETA[:, None, None, None, None] * R
+    pairs = 0.5 * (low - low.transpose(1, 0, 2, 3, 4))          # [a, b, c, d]
+    planes = bivector_array(np.moveaxis(pairs, (0, 1), (2, 3)))  # [c, d, blade]
+    biforms = [
+        [Multivector.from_array(planes[c, d], CURV_ORDER) for d in range(4)]
+        for c in range(4)
+    ]
 
-    contraction = None
-    for a in range(4):
-        for b in range(4):
-            if a == b:
-                continue
-            plane = wedge(geom.theta[a], geom.theta[b])
-            term = geometric_product(plane, biforms[a][b])
-            contraction = term if contraction is None else contraction + term
-    scalar = contraction.coeffs[0]
-    if not isinstance(scalar, Jet2):
-        scalar = Jet2.const(float(scalar))
+    contraction = Multivector.zero()
+    for (a, b), plane in PLANES.items():
+        contraction = contraction + geometric_product(plane, biforms[a][b])
 
     J = j_components(geom)
     return CurvatureData(
         components=R,
         lc_components=R_lc,
         biforms=biforms,
-        scalar=scalar,
+        scalar=Jet2(contraction.data[0], CURV_ORDER),
         contraction_grade2=grade_project(contraction, 2),
         contraction_grade4=grade_project(contraction, 4),
         j_components=J,
@@ -416,104 +343,58 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
 # -- residual helpers (used by the harness geometry checks) -----------------
 
 
-def _max_value(entries) -> float:
-    worst = 0.0
-    for x in entries:
-        worst = max(worst, abs(x.value if isinstance(x, Jet2) else float(x)))
-    return worst
+def _max_value(table) -> float:
+    return float(np.max(np.abs(table[..., 0])))
 
 
 def metricity_residual(conn) -> float:
     """max |eta_bm conn[a][m][c] + eta_cm conn[a][m][b]|."""
-    vals = []
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                vals.append(ETA[b] * conn[a][b][c] + ETA[c] * conn[a][c][b])
-    return _max_value(vals)
+    low = _ETA[None, :, None, None] * conn
+    return _max_value(low + low.transpose(0, 2, 1, 3))
 
 
 def torsion_recovery_residual(geom: FrameGeometry) -> float:
     """Antisymmetrized full connection minus structure coefficients must
     reproduce the input torsion."""
-    vals = []
-    for c in range(4):
-        for a in range(4):
-            for b in range(4):
-                vals.append(
-                    geom.full[a][c][b]
-                    - geom.full[b][c][a]
-                    - geom.c[c][a][b]
-                    - geom.T[c][a][b]
-                )
-    return _max_value(vals)
+    full = geom.full
+    return _max_value(
+        np.einsum("acb...->cab...", full)
+        - np.einsum("bca...->cab...", full)
+        - geom.c
+        - geom.T
+    )
 
 
 def levi_civita_residual(geom: FrameGeometry) -> float:
     """Zero-torsion and metricity defining residuals of the Levi-Civita
     coefficients."""
-    vals = []
-    for c in range(4):
-        for a in range(4):
-            for b in range(4):
-                vals.append(geom.lc[a][c][b] - geom.lc[b][c][a] - geom.c[c][a][b])
-    return max(_max_value(vals), metricity_residual(geom.lc))
+    lc = geom.lc
+    zero_torsion = (
+        np.einsum("acb...->cab...", lc) - np.einsum("bca...->cab...", lc) - geom.c
+    )
+    return max(_max_value(zero_torsion), metricity_residual(lc))
 
 
 def contorsion_trace_residual(geom: FrameGeometry) -> float:
     """Trace identity: eta^{br} K^a_{br} + eta^{sa} T^r_{rs} = 0."""
-    vals = []
-    for al in range(4):
-        lhs = None
-        for b in range(4):
-            term = ETA[b] * geom.K[b][al][b]
-            lhs = term if lhs is None else lhs + term
-        rhs = None
-        for rho in range(4):
-            term = ETA[al] * geom.T[rho][rho][al]
-            rhs = term if rhs is None else rhs + term
-        vals.append(lhs + rhs)
-    return _max_value(vals)
+    lhs = np.einsum("b,bab...->a...", _ETA, geom.K)
+    rhs = _ETA[:, None] * np.einsum("rra...->a...", geom.T)
+    return _max_value(lhs + rhs)
 
 
 def first_bianchi_residual(curv: CurvatureData) -> float:
     """Cyclic sum of the lowered Levi-Civita curvature over the last three
     indices."""
     R = curv.lc_components
-    vals = []
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    vals.append(
-                        ETA[a]
-                        * (R[a][b][c][d] + R[a][c][d][b] + R[a][d][b][c])
-                    )
-    return _max_value(vals)
+    cyclic = R + np.einsum("acdb...->abcd...", R) + np.einsum("adbc...->abcd...", R)
+    return _max_value(_ETA[:, None, None, None, None] * cyclic)
 
 
 def decomposition_residual(curv: CurvatureData) -> float:
     """Componentwise residual of R = R_levi_civita + J."""
-    vals = []
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    vals.append(
-                        curv.components[a][b][c][d]
-                        - curv.lc_components[a][b][c][d]
-                        - curv.j_components[a][b][c][d]
-                    )
-    return _max_value(vals)
+    return _max_value(curv.components - curv.lc_components - curv.j_components)
 
 
 def torsion_trace(geom: FrameGeometry):
     """Q_b = T^a_{ab}, the torsion trace entering scalar square formulas."""
-    out = []
-    for b in range(4):
-        acc = None
-        for a in range(4):
-            term = geom.T[a][a][b]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return [Jet2(q, FRAME_ORDER) for q in np.einsum("aab...->b...", geom.T)]

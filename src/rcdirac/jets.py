@@ -14,6 +14,15 @@ differencing happens anywhere in the engine.  The ``order`` tag tracks how
 many derivative extractions the jet can still support: seeded jets start at
 order 2, each ``partial`` lowers the order by one, and extracting from an
 order-0 jet is an error.
+
+The same slot layout is the last axis of every array in the engine: a
+multivector is a (16, 15) array (blade x slot), and the geometry tables are
+(4, 4, 15), (4, 4, 4, 15) or (4, 4, 4, 4, 15) arrays.  Whole arrays multiply
+through one bilinear table, ``MUL``: the jet product is
+``(a * b)[u] = sum_{s,t} a[s] b[t] MUL[s, t, u]``, so ``a @ mul_matrix(b)``
+multiplies any stack of jets ``a`` by the jet ``b``, and ``jet_einsum``
+contracts jet tables over named indices.  ``Jet2`` stays the scalar type
+that expressions evaluate to.
 """
 
 from __future__ import annotations
@@ -44,6 +53,32 @@ HESS_I = np.array([p[0] for p in HESS_PAIRS])
 HESS_J = np.array([p[1] for p in HESS_PAIRS])
 
 _SINGULAR_TOL = 1e-12
+
+# Jet order of constants: differentiating one gives zero and uses up no order.
+CONSTANT = math.inf
+
+
+def _mul_tensor() -> np.ndarray:
+    """MUL[s, t, u]: the coefficient of a[s] * b[t] in slot u of a * b."""
+    m = np.zeros((JET_LEN, JET_LEN, JET_LEN))
+    m[0] = np.eye(JET_LEN)         # value(a) * b
+    m[:, 0] += np.eye(JET_LEN)     # value(b) * a
+    m[0, 0, 0] = 1.0
+    for p, (mu, nu) in enumerate(HESS_PAIRS):
+        m[1 + mu, 1 + nu, 5 + p] += 1.0
+        m[1 + nu, 1 + mu, 5 + p] += 1.0
+    return m
+
+
+MUL = _mul_tensor()
+_MUL_RIGHT = MUL.transpose(1, 0, 2).reshape(JET_LEN, JET_LEN * JET_LEN)
+
+# PARTIALS[s, (mu, t)] = 1 where slot t of d/dx^mu f is slot s of f.
+PARTIALS = np.zeros((JET_LEN, NVARS, JET_LEN))
+for _mu in range(NVARS):
+    PARTIALS[1 + _mu, _mu, 0] = 1.0
+    PARTIALS[5 + HESS_ROW[_mu], _mu, 1:5] = np.eye(NVARS)
+PARTIALS = PARTIALS.reshape(JET_LEN, NVARS * JET_LEN)
 
 
 class JetOrderError(ValueError):
@@ -169,6 +204,32 @@ def mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[1:5] = av * bg + bv * ag
     out[5:15] = av * b[5:15] + bv * a[5:15] + ag[HESS_I] * bg[HESS_J] + ag[HESS_J] * bg[HESS_I]
     return out
+
+
+def mul_matrix(b: np.ndarray) -> np.ndarray:
+    """Jets (..., 15) -> matrices (..., 15, 15) with ``a * b == a @ mul_matrix(b)``."""
+    return (b @ _MUL_RIGHT).reshape(b.shape[:-1] + (JET_LEN, JET_LEN))
+
+
+def jet_einsum(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Index contraction of two jet arrays with jet products, e.g.
+    ``jet_einsum("cak,dkb->abcd", X, Y)[a, b, c, d] = sum_k X[c, a, k] * Y[d, k, b]``.
+
+    ``spec`` names the leading axes only, with any letters but ``y`` and
+    ``z``; the trailing jet axis of both operands and of the result is
+    implied.
+    """
+    inputs, out = spec.split("->")
+    xs, ys = inputs.split(",")
+    return np.einsum(f"{xs}y,{ys}yz->{out}z", x, mul_matrix(y), optimize=True)
+
+
+def derivation_matrices(frame_vectors: np.ndarray) -> np.ndarray:
+    """Frame-vector components e_a^mu, jets of shape (..., 4, 15) -> matrices
+    (..., 15, 15) with ``e_a(f) = f @ D[a]``: the jet of e_a^mu d_mu f, one
+    order lower than f."""
+    m = mul_matrix(frame_vectors)
+    return PARTIALS @ m.reshape(m.shape[:-3] + (NVARS * JET_LEN, JET_LEN))
 
 
 def seed_coordinate(mu: int, point: ChartPoint) -> Jet2:

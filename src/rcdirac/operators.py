@@ -23,20 +23,27 @@ from typing import Callable
 import numpy as np
 
 from .cliffalg import (
-    BLADE_MASKS,
     GRADES,
     GradeError,
     Multivector,
-    _mul_rows,
+    bivector_array,
     commutator,
     geometric_product,
     hodge_dual,
     left_contraction,
-    pair_blade,
     wedge,
 )
-from .geometry import ETA, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms
-from .jets import HESS_ROW, JET_LEN, ChartPoint, Jet2, JetOrderError
+from .geometry import (
+    CONN_ORDER,
+    ETA,
+    FRAME_ORDER,
+    PLANES,
+    CurvatureData,
+    FrameGeometry,
+    torsion_trace,
+    torsion_two_forms,
+)
+from .jets import ChartPoint, Jet2, JetOrderError, jet_einsum
 
 Connection = str  # "lc" | "full"
 
@@ -61,18 +68,13 @@ class OperatorResult:
     provenance: str
 
 
-def _sum(terms):
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc if acc is not None else Multivector.zero()
+_ETA = np.array(ETA)
+_GRADES = np.array(GRADES)
 
 
 def _require_grade(A: Multivector, k: int, what: str):
-    vals = A.values()
-    for i, v in enumerate(vals):
-        if GRADES[i] != k and v != 0.0:
-            raise GradeError(f"{what} must be pure grade {k}")
+    if np.any(A.data[_GRADES != k, 0] != 0.0):
+        raise GradeError(f"{what} must be pure grade {k}")
 
 
 def _biform(geom: FrameGeometry, conn: Connection):
@@ -88,20 +90,11 @@ def _conn_table(geom: FrameGeometry, conn: Connection):
 
 def pfaff(geom: FrameGeometry, A: Multivector, a: int) -> Multivector:
     """Componentwise directional derivative e_a(A^I) theta_I."""
-    if not A.has_jets():
+    if A.is_numeric():
         return Multivector.zero()
-    arr, order = A._pack()
-    if order < 1:
+    if A.order < 1:
         raise JetOrderError("directional derivative of an order-exhausted field")
-    out = None
-    for mu in range(4):
-        part = np.zeros((16, JET_LEN))
-        part[:, 0] = arr[:, 1 + mu]
-        part[:, 1:5] = arr[:, 5 + HESS_ROW[mu]]
-        e_mu = geom.frame_vectors[a][mu]
-        rows = _mul_rows(np.broadcast_to(e_mu.data, part.shape), part)
-        out = rows if out is None else out + rows
-    return Multivector([Jet2(out[i].copy(), order - 1) for i in range(16)])
+    return Multivector.from_array(A.data @ geom.derivations[a], min(A.order - 1, FRAME_ORDER))
 
 
 def cov_deriv(geom: FrameGeometry, A: Multivector, a: int, conn: Connection = "full") -> Multivector:
@@ -124,55 +117,42 @@ def right_rep_deriv(geom: FrameGeometry, phi: Multivector, a: int) -> Multivecto
 
 
 def dirac(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
-    return _sum(
+    return sum(
         geometric_product(geom.theta[a], cov_deriv(geom, A, a, conn)) for a in range(4)
     )
 
 
 def dirac_contract(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
-    return _sum(
+    return sum(
         left_contraction(geom.theta[a], cov_deriv(geom, A, a, conn)) for a in range(4)
     )
 
 
 def dirac_wedge(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
-    return _sum(
+    return sum(
         wedge(geom.theta[a], cov_deriv(geom, A, a, conn)) for a in range(4)
     )
 
 
 def _dtheta(geom: FrameGeometry):
     """dtheta^g = -c^g_{bc} theta^b ^ theta^c summed over b < c."""
-    out = []
-    for g in range(4):
-        coeffs = [0.0] * 16
-        for b in range(4):
-            for c in range(b + 1, 4):
-                idx, _ = pair_blade(b, c)
-                coeffs[idx] = -geom.c[g][b][c]
-        out.append(Multivector(coeffs))
-    return out
+    return [Multivector.from_array(d, CONN_ORDER) for d in bivector_array(-geom.c)]
 
 
 def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Exterior derivative from antisymmetrized frame derivatives plus
-    structure-coefficient terms; no connection involved."""
-    out = _sum(wedge(geom.theta[b], pfaff(geom, A, b)) for b in range(4))
+    structure-coefficient terms; no connection involved.
+
+    d(A^I theta_I) = theta^b ^ e_b(A^I) theta_I + A^I d(theta_I), and d acts
+    on a coframe blade as a derivation: d(theta_I) = dtheta^g ^ (i_{e_g}
+    theta_I), the interior product i_{e_g} being the left contraction by the
+    lowered theta_g (the even dtheta^g commutes into first place)."""
     dthetas = _dtheta(geom)
-    for i, coeff in enumerate(A.coeffs):
-        if not isinstance(coeff, Jet2) and coeff == 0.0:
-            continue
-        bits = [g for g in range(4) if BLADE_MASKS[i] >> g & 1]
-        for pos, gen in enumerate(bits):
-            prefix = bits[:pos]
-            suffix = bits[pos + 1 :]
-            term = dthetas[gen]
-            if prefix:
-                term = wedge(Multivector.blade(prefix), term)
-            if suffix:
-                term = wedge(term, Multivector.blade(suffix))
-            out = out + term.scale(coeff if pos % 2 == 0 else -coeff)
-    return out
+    return sum(
+        wedge(geom.theta[b], pfaff(geom, A, b))
+        + wedge(dthetas[b], left_contraction(geom.theta_down(b), A))
+        for b in range(4)
+    )
 
 
 def codifferential(geom: FrameGeometry, A: Multivector) -> Multivector:
@@ -184,21 +164,10 @@ def codifferential(geom: FrameGeometry, A: Multivector) -> Multivector:
 def torsion_operator(geom: FrameGeometry, a: int, V: Multivector) -> Multivector:
     """tau(e_a, V)^rho = V^beta T^rho_{a beta} on grade-1 arguments."""
     _require_grade(V, 1, "torsion operator argument")
-    comps = V.coeffs[1:5]
-    out = []
-    for rho in range(4):
-        acc = _sum_scalar(
-            (ETA[beta] * comps[beta]) * geom.T[rho][a][beta] for beta in range(4)
-        )
-        out.append(ETA[rho] * acc)
-    return Multivector.from_grade1(out)
-
-
-def _sum_scalar(terms):
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc if acc is not None else 0.0
+    data = np.zeros_like(V.data)
+    lowered = _ETA[:, None] * V.data[1:5]
+    data[1:5] = _ETA[:, None] * jet_einsum("rb,b->r", geom.T[:, a], lowered)
+    return Multivector.from_array(data, min(V.order, FRAME_ORDER))
 
 
 # -- squares on scalars -------------------------------------------------------
@@ -223,12 +192,12 @@ def dirac_square_assembled(
             for c in range(4):
                 term = term - cov1[c].scale(table[a][c][b])
             inner[a][b] = term
-    out = _sum(inner[a][a].scale(ETA[a]) for a in range(4))
+    out = sum(inner[a][a].scale(ETA[a]) for a in range(4))
     for a in range(4):
         for b in range(4):
             if a == b:
                 continue
-            plane = wedge(geom.theta[a], geom.theta[b])
+            plane = PLANES[a, b]
             if antisymmetrized:
                 half = (inner[a][b] - inner[b][a]).scale(0.5)
                 out = out + geometric_product(plane, half)
@@ -237,52 +206,49 @@ def dirac_square_assembled(
     return out
 
 
+def frame_wave(geom: FrameGeometry, f: Jet2, conn, trace=None) -> Jet2:
+    """eta^{bb} e_b e_b f - eta^{bb} conn^a_{bb} e_a f, plus
+    eta^{aa} trace_a e_a f when a (4, 15) torsion trace is given."""
+    if f.order < 2:
+        raise JetOrderError("the frame wave operator needs an order-2 jet")
+    df = f.data @ geom.derivations                      # df[a] = e_a f
+    weight = -np.einsum("b,bab...->a...", _ETA, conn)
+    if trace is not None:
+        weight = weight + _ETA[:, None] * trace
+    second = np.einsum("b,bs,bsu->u", _ETA, df, geom.derivations)
+    return Jet2(second + jet_einsum("a,a->", weight, df), f.order - 2)
+
+
 def scalar_wave_part(geom: FrameGeometry, f: Jet2) -> Jet2:
     """Grade-0 part of the scalar square: the torsionful wave operator
     eta^{ba} e_b e_a f - eta^{br} lc^a_{br} e_a f + Q_b e^b f."""
-    Q = torsion_trace(geom)
-    acc = None
-    for b in range(4):
-        term = ETA[b] * geom.e(b, geom.e(b, f))
-        acc = term if acc is None else acc + term
-    for b in range(4):
-        for a in range(4):
-            acc = acc - (ETA[b] * geom.lc[b][a][b]) * geom.e(a, f)
-    for b in range(4):
-        acc = acc + (ETA[b] * Q[b]) * geom.e(b, f)
-    return acc
+    Q = np.array([q.data for q in torsion_trace(geom)])
+    return frame_wave(geom, f, geom.lc, Q)
 
 
 def scalar_square_biform_part(geom: FrameGeometry, f: Jet2) -> Multivector:
     """Grade-2 part of the scalar square: -Theta^a e_a(f)."""
     thetas = torsion_two_forms(geom)
-    return _sum(thetas[a].scale(geom.e(a, f)).scale(-1.0) for a in range(4))
+    return sum(thetas[a].scale(geom.e(a, f)).scale(-1.0) for a in range(4))
+
+
+def _with_scalar(A: Multivector, s: Jet2) -> Multivector:
+    data = A.data.copy()
+    data[0] = s.data
+    return Multivector.from_array(data, min(A.order, s.order))
 
 
 def scalar_square_standard_form(geom: FrameGeometry, f: Jet2) -> Multivector:
     """Scalar square built from the standard (Levi-Civita) pieces plus
     torsion-trace and torsion-2-form corrections."""
-    out = scalar_square_biform_part(geom, f)
-    coeffs = list(out.coeffs)
-    coeffs[0] = scalar_wave_part(geom, f)
-    return Multivector(coeffs)
+    return _with_scalar(scalar_square_biform_part(geom, f), scalar_wave_part(geom, f))
 
 
 def scalar_square_connection_form(geom: FrameGeometry, f: Jet2) -> Multivector:
     """Scalar square written through the full connection contraction:
     eta^{br} e_b e_r f - eta^{br} Gamma^a_{br} e_a f
     - T^a_{br} (theta^b ^ theta^r) e_a f / 2."""
-    acc = None
-    for b in range(4):
-        term = ETA[b] * geom.e(b, geom.e(b, f))
-        acc = term if acc is None else acc + term
-    for b in range(4):
-        for a in range(4):
-            acc = acc - (ETA[b] * geom.full[b][a][b]) * geom.e(a, f)
-    out = scalar_square_biform_part(geom, f)
-    coeffs = list(out.coeffs)
-    coeffs[0] = acc
-    return Multivector(coeffs)
+    return _with_scalar(scalar_square_biform_part(geom, f), frame_wave(geom, f, geom.full))
 
 
 # -- vector-level torsion correction ------------------------------------------
@@ -335,13 +301,12 @@ def covariant_pair_expansion_residual(geom: FrameGeometry, A: Multivector) -> fl
 
 def _pair_sum(geom: FrameGeometry, term_fn) -> Multivector:
     """eta^{ab} term(a,b) + (theta^a ^ theta^b) term(a,b), geometric product."""
-    out = _sum(term_fn(a, a).scale(ETA[a]) for a in range(4))
+    out = sum(term_fn(a, a).scale(ETA[a]) for a in range(4))
     for a in range(4):
         for b in range(4):
             if a == b:
                 continue
-            plane = wedge(geom.theta[a], geom.theta[b])
-            out = out + geometric_product(plane, term_fn(a, b))
+            out = out + geometric_product(PLANES[a, b], term_fn(a, b))
     return out
 
 
@@ -363,7 +328,7 @@ def vector_square_relation_residual(geom: FrameGeometry, A: Multivector) -> floa
 
 
 def spin_dirac(geom: FrameGeometry, psi: Multivector) -> Multivector:
-    return _sum(
+    return sum(
         geometric_product(geom.theta[a], spin_cov_deriv(geom, psi, a)) for a in range(4)
     )
 
@@ -498,10 +463,10 @@ def spin_commutator_residuals(
         for b in range(a + 1, 4):
             lhs = spin_cov_deriv(geom, spin1[b], a) - spin_cov_deriv(geom, spin1[a], b)
             curv_action = geometric_product(curv.biforms[a][b], psi).scale(0.5)
-            bracket = curv_action + _sum(
+            bracket = curv_action + sum(
                 spin1[c].scale(geom.c[c][a][b]) for c in range(4)
             )
-            expanded = curv_action - _sum(
+            expanded = curv_action - sum(
                 spin1[c].scale(
                     geom.T[c][a][b] - geom.full[a][c][b] + geom.full[b][c][a]
                 )
@@ -518,7 +483,7 @@ def lichnerowicz_rhs(
     """Four-term right side of the generalized Lichnerowicz identity:
     generalized spin Dalembertian + R psi / 4 + J psi - Theta^c spin_c psi."""
     spin1 = [spin_cov_deriv(geom, psi, c) for c in range(4)]
-    out = _sum(spin_cov_deriv(geom, spin1[a], a).scale(ETA[a]) for a in range(4))
+    out = sum(spin_cov_deriv(geom, spin1[a], a).scale(ETA[a]) for a in range(4))
     for a in range(4):
         for b in range(4):
             out = out - spin1[b].scale(ETA[a] * geom.full[a][b][a])
@@ -549,7 +514,7 @@ def maxwell_residuals(
     _require_grade(F, 2, "field strength")
     _require_grade(J_e, 1, "current")
     clifford = dirac(geom, F, "full") - J_e
-    spin = _sum(
+    spin = sum(
         geometric_product(geom.theta[a], right_rep_deriv(geom, F, a)) for a in range(4)
     )
     for a in range(4):

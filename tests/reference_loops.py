@@ -1,0 +1,145 @@
+"""Slow reference implementations that share no code with the array kernels.
+
+Products loop over the 256-entry sign tables one coefficient pair at a
+time, in any ring with +, - and * (floats, ``fractions.Fraction``, ``Jet2``);
+geometry loops over indices with ``Jet2`` scalars.  Tests compare the array
+kernels of ``cliffalg``, ``operators`` and ``geometry`` against them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rcdirac import cliffalg as ca
+from rcdirac.jets import Jet2, partial
+
+
+class RefMV:
+    """16 coefficients of any ring, multiplied by the generic pair loop."""
+
+    def __init__(self, coeffs):
+        self.coeffs = list(coeffs)
+
+    @classmethod
+    def of(cls, mv: ca.Multivector) -> "RefMV":
+        return cls(Jet2(row.copy(), min(mv.order, 2)) for row in mv.data)
+
+    def product(self, other: "RefMV", sign: np.ndarray) -> "RefMV":
+        out = [None] * ca.N_BLADES
+        for k, i, j, s in zip(
+            np.arange(ca.N_BLADES).repeat(ca.N_BLADES), ca.PAIR_I, ca.PAIR_J, sign
+        ):
+            if s == 0.0:
+                continue
+            term = self.coeffs[i] * other.coeffs[j]
+            if s < 0:
+                term = -term
+            out[k] = term if out[k] is None else out[k] + term
+        return RefMV(0.0 if c is None else c for c in out)
+
+    def __mul__(self, other):
+        return self.product(other, ca.GP_SIGN)
+
+    def __sub__(self, other):
+        return RefMV(a - b for a, b in zip(self.coeffs, other.coeffs))
+
+    def values(self) -> np.ndarray:
+        return np.array([c.value if isinstance(c, Jet2) else float(c) for c in self.coeffs])
+
+    def data(self) -> np.ndarray:
+        """(16, 15) jet array of the coefficients."""
+        return np.array([
+            c.data if isinstance(c, Jet2) else Jet2.const(float(c)).data
+            for c in self.coeffs
+        ])
+
+
+def ref_e(geom, a: int, f: Jet2) -> Jet2:
+    """e_a(f) = e_a^mu d_mu f, one Jet2 product per chart direction."""
+    acc = Jet2.const(0.0)
+    for mu in range(4):
+        acc = acc + Jet2(geom.frame_vectors[a, mu]) * partial(f, mu)
+    return acc
+
+
+def ref_pfaff(geom, A: RefMV, a: int) -> RefMV:
+    return RefMV(ref_e(geom, a, c) for c in A.coeffs)
+
+
+def ref_exterior_d(geom, A: RefMV) -> RefMV:
+    """theta^b ^ e_b(A^I) theta_I + A^I d(theta_I), expanding d(theta_I) over
+    the generators of each blade."""
+    theta = [RefMV(1.0 if i == 1 + b else 0.0 for i in range(16)) for b in range(4)]
+    dtheta = []
+    for g in range(4):
+        coeffs = [0.0] * 16
+        for b in range(4):
+            for c in range(b + 1, 4):
+                coeffs[ca.pair_blade(b, c)[0]] = -Jet2(geom.c[g, b, c])
+        dtheta.append(RefMV(coeffs))
+    out = [Jet2.const(0.0)] * 16
+    for b in range(4):
+        term = theta[b].product(ref_pfaff(geom, A, b), ca.WEDGE_SIGN)
+        out = [x + y for x, y in zip(out, term.coeffs)]
+    for i, coeff in enumerate(A.coeffs):
+        bits = [g for g in range(4) if ca.BLADE_MASKS[i] >> g & 1]
+        for pos, gen in enumerate(bits):
+            term = dtheta[gen]
+            if bits[:pos]:
+                prefix = RefMV(ca.Multivector.blade(bits[:pos]).values())
+                term = prefix.product(term, ca.WEDGE_SIGN)
+            if bits[pos + 1:]:
+                suffix = RefMV(ca.Multivector.blade(bits[pos + 1:]).values())
+                term = term.product(suffix, ca.WEDGE_SIGN)
+            sign = 1.0 if pos % 2 == 0 else -1.0
+            out = [x + sign * coeff * y for x, y in zip(out, term.coeffs)]
+    return RefMV(out)
+
+
+def _jets(table: np.ndarray):
+    """Nested lists of Jet2 from a jet table (..., 15)."""
+    if table.ndim == 1:
+        return Jet2(table)
+    return [_jets(t) for t in table]
+
+
+def ref_riemann_components(geom, conn_table: np.ndarray) -> np.ndarray:
+    """R^a_{bcd} = e_c conn[d][a][b] - e_d conn[c][a][b]
+    + conn[c][a][k] conn[d][k][b] - conn[d][a][k] conn[c][k][b]
+    - c^k_{cd} conn[k][a][b]."""
+    conn = _jets(conn_table)
+    c_t = _jets(geom.c)
+    R = np.zeros((4, 4, 4, 4, 15))
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                for d in range(c + 1, 4):
+                    acc = ref_e(geom, c, conn[d][a][b]) - ref_e(geom, d, conn[c][a][b])
+                    for k in range(4):
+                        acc = acc + conn[c][a][k] * conn[d][k][b]
+                        acc = acc - conn[d][a][k] * conn[c][k][b]
+                        acc = acc - c_t[k][c][d] * conn[k][a][b]
+                    R[a, b, c, d] = acc.data
+                    R[a, b, d, c] = -acc.data
+    return R
+
+
+def ref_j_components(geom) -> np.ndarray:
+    """J^a_{bcd}: nabla_c K^a_{db} (full connection on all three slots)
+    - K^a_{ck} K^k_{db} + K^k_{cd} K^a_{kb}, antisymmetrized in c, d."""
+    K = _jets(geom.K)
+    full = _jets(geom.full)
+    cand = np.zeros((4, 4, 4, 4, 15))
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                for d in range(4):
+                    acc = ref_e(geom, c, K[d][a][b])
+                    for k in range(4):
+                        acc = acc + full[c][a][k] * K[d][k][b]
+                        acc = acc - full[c][k][d] * K[k][a][b]
+                        acc = acc - full[c][k][b] * K[d][a][k]
+                        acc = acc - K[c][a][k] * K[d][k][b]
+                        acc = acc + K[c][k][d] * K[k][a][b]
+                    cand[a, b, c, d] = acc.data
+    return cand - cand.transpose(0, 1, 3, 2, 4)

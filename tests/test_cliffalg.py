@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_float_mv
+from conftest import load_bundled, rand_float_mv, rand_mv
+from reference_loops import RefMV, ref_pfaff
 from rcdirac import cliffalg as ca
 from rcdirac.cliffalg import (
     GradeError,
@@ -19,6 +20,7 @@ from rcdirac.cliffalg import (
     reversion,
     wedge,
 )
+from rcdirac.jets import Jet2
 
 E = [Multivector.basis(a) for a in range(4)]
 TAU = Multivector.pseudoscalar()
@@ -154,7 +156,7 @@ def test_associativity_exact_arithmetic():
         for _ in range(3):
             coeffs = [Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 9)))
                       for _ in range(16)]
-            mvs.append(Multivector(coeffs))
+            mvs.append(RefMV(coeffs))
         A, B, C = mvs
         lhs = (A * B) * C
         rhs = A * (B * C)
@@ -166,9 +168,9 @@ def test_float_path_matches_generic_path():
     A = rand_float_mv(rng)
     B = rand_float_mv(rng)
     fast = geometric_product(A, B)
-    exact = geometric_product(
-        Multivector([Fraction(c).limit_denominator(10**12) for c in A.coeffs]),
-        Multivector([Fraction(c).limit_denominator(10**12) for c in B.coeffs]),
+    exact = (
+        RefMV([Fraction(c).limit_denominator(10**12) for c in A.values()])
+        * RefMV([Fraction(c).limit_denominator(10**12) for c in B.values()])
     )
     assert np.max(np.abs(fast.values() - exact.values())) <= 1e-9
 
@@ -225,3 +227,97 @@ def test_jet_coefficient_product_matches_generic_loop():
     for got, want in zip(fast.coeffs, ref):
         want_data = want.data if isinstance(want, Jet2) else Jet2.const(float(want)).data
         assert np.allclose(got.data, want_data)
+
+
+def test_fraction_coefficients_rejected():
+    with pytest.raises(TypeError):
+        Multivector([Fraction(1, 3)] * 16)
+
+
+def _dense_jet_mv(rng):
+    return Multivector.from_array(rng.uniform(-1.0, 1.0, (16, 15)), 2)
+
+
+def _assert_matches(got, want, scale):
+    assert np.max(np.abs(got.data - want.data())) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_product_kernels_match_coefficient_loop(seed):
+    rng = np.random.default_rng(seed)
+    A, B = _dense_jet_mv(rng), _dense_jet_mv(rng)
+    ref_a, ref_b = RefMV.of(A), RefMV.of(B)
+    scale = np.max(np.abs(A.data)) * np.max(np.abs(B.data))
+    for kernel, sign in (
+        (geometric_product, ca.GP_SIGN),
+        (wedge, ca.WEDGE_SIGN),
+        (left_contraction, ca.LC_SIGN),
+    ):
+        _assert_matches(kernel(A, B), ref_a.product(ref_b, sign), scale)
+    _assert_matches(commutator(A, B), ref_a * ref_b - ref_b * ref_a, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_scale_matches_coefficient_loop(seed):
+    rng = np.random.default_rng(seed)
+    A = _dense_jet_mv(rng)
+    s = Jet2(rng.uniform(-1.0, 1.0, 15), 1)
+    f = float(rng.uniform(-1.0, 1.0))
+    scale = np.max(np.abs(A.data))
+    _assert_matches(A.scale(f), RefMV(f * c for c in RefMV.of(A).coeffs), scale)
+    got = A.scale(s)
+    _assert_matches(got, RefMV(s * c for c in RefMV.of(A).coeffs), scale * np.max(np.abs(s.data)))
+    assert got.order == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pfaff_matches_coefficient_loop(frames, seed):
+    from rcdirac import operators
+
+    g = frames["curved_torsion"][0]
+    rng = np.random.default_rng(seed)
+    A = _dense_jet_mv(rng)
+    a = int(rng.integers(0, 4))
+    got = operators.pfaff(g, A, a)
+    want = ref_pfaff(g, RefMV.of(A), a)
+    scale = np.max(np.abs(A.data)) * np.max(np.abs(g.frame_vectors))
+    _assert_matches(got, want, scale)
+    assert got.order == 1
+
+
+def test_commutator_structural_zeros_exact():
+    # ab - ba as two products leaves FMA residue where blades commute; the
+    # antisymmetrised table cancels them exactly
+    from rcdirac import operators
+    from rcdirac.geometry import build_frame
+    from rcdirac.harness import sample_points
+
+    rng = np.random.default_rng(6)
+    sc = load_bundled("curved_torsion")
+    p = sample_points(sc, points=1, seed=3)[0]
+    g = build_frame(sc, p)
+    B = rand_mv(rng, p, grade=2)
+    v = rand_mv(rng, p, grade=1)
+    for got in (commutator(B, v), commutator(g.omega_biform[1], v)):
+        assert np.all(got.data[list(ca.GRADE_INDICES[3])] == 0.0)
+    for a in range(4):
+        for conn in ("lc", "full"):
+            d = operators.cov_deriv(g, v, a, conn)
+            assert np.all(d.data[list(ca.GRADE_INDICES[3])] == 0.0)
+            assert np.max(np.abs(d.data[list(ca.GRADE_INDICES[1])])) > 0.0
+
+
+def test_constant_multivector_order():
+    from rcdirac.jets import CONSTANT
+
+    A = rand_float_mv(np.random.default_rng(7))
+    assert A.order == CONSTANT and A.is_numeric()
+    assert (A * A).order == CONSTANT
+    assert (A * Multivector.scalar(Jet2.const(1.0, order=1))).order == 1
+    coeffs = A.coeffs
+    assert [c.value for c in coeffs] == A.values().tolist()
+    with pytest.raises(ValueError):
+        coeffs[0].data[0] = 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import BUNDLED, rand_scalar_jet
+from reference_loops import ref_j_components, ref_riemann_components
 from rcdirac import fieldspec as fs
 from rcdirac import geometry as geo
 from rcdirac.cliffalg import pair_blade
@@ -12,7 +13,7 @@ from rcdirac.geometry import (
     curvature,
     torsion_two_forms,
 )
-from rcdirac.jets import ChartPoint, Jet2
+from rcdirac.jets import ChartPoint
 
 IDENTITY = "[tetrad]\ne0_0 = 1\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n"
 
@@ -40,10 +41,8 @@ e3_3 = "x0"
 """
 
 
-def jet_table_max(entries):
-    return max(
-        abs(x.value if isinstance(x, Jet2) else float(x)) for x in entries
-    )
+def jet_table_max(table):
+    return float(np.max(np.abs(table[..., 0])))
 
 
 def test_identity_tetrad_directional_derivative():
@@ -60,13 +59,13 @@ def test_diagonal_tetrad_inverse_against_matrix_oracle():
     sc = fs.load_scenario(DIAG_A)
     p = ChartPoint((0.7, 0.3, 0.2, 0.9))
     g = build_frame(sc, p)
-    theta_vals = np.array([[g.tetrad[a][mu].value for mu in range(4)] for a in range(4)])
+    theta_vals = np.array([[g.tetrad[a, mu, 0] for mu in range(4)] for a in range(4)])
     inv = np.linalg.inv(theta_vals)
     for a in range(4):
         for mu in range(4):
-            assert g.frame_vectors[a][mu].value == pytest.approx(inv[mu, a], rel=1e-12)
+            assert g.frame_vectors[a, mu, 0] == pytest.approx(inv[mu, a], rel=1e-12)
     # e_1 = (1/a) d_1 with a = 1 + 0.5 x0^2
-    assert g.frame_vectors[1][1].value == pytest.approx(1.0 / (1 + 0.5 * 0.7**2))
+    assert g.frame_vectors[1, 1, 0] == pytest.approx(1.0 / (1 + 0.5 * 0.7**2))
 
 
 def test_singular_tetrad_raises():
@@ -78,9 +77,7 @@ def test_singular_tetrad_raises():
 def test_structure_coefficients_identity_frame_vanish():
     sc = fs.load_scenario(IDENTITY)
     g = build_frame(sc, ChartPoint((0.1, 0.2, 0.3, 0.4)))
-    assert jet_table_max(
-        g.c[c][a][b] for c in range(4) for a in range(4) for b in range(4)
-    ) == 0.0
+    assert jet_table_max(g.c) == 0.0
 
 
 def test_structure_coefficients_against_fd_commutator(scenarios):
@@ -109,9 +106,9 @@ def test_structure_coefficients_against_fd_commutator(scenarios):
                 e_b = inverse_at(base)[:, b]
                 bracket += e_a[nu] * d_nu[:, b] - e_b[nu] * d_nu[:, a]
             for c in range(4):
-                theta_c = np.array([g.tetrad[c][mu].value for mu in range(4)])
+                theta_c = np.array([g.tetrad[c, mu, 0] for mu in range(4)])
                 want = float(theta_c @ bracket)
-                assert g.c[c][a][b].value == pytest.approx(want, abs=1e-6)
+                assert g.c[c, a, b, 0] == pytest.approx(want, abs=1e-6)
 
 
 def test_structure_coefficients_antisymmetry(frames):
@@ -120,16 +117,14 @@ def test_structure_coefficients_antisymmetry(frames):
             for c in range(4):
                 for a in range(4):
                     for b in range(4):
-                        s = g.c[c][a][b] + g.c[c][b][a]
-                        assert abs(s.value) == 0.0
+                        s = g.c[c, a, b] + g.c[c, b, a]
+                        assert abs(s[0]) == 0.0
 
 
 def test_levi_civita_identity_frame_vanishes():
     sc = fs.load_scenario(IDENTITY)
     g = build_frame(sc, ChartPoint((0.1, 0.2, 0.3, 0.4)))
-    assert jet_table_max(
-        g.lc[a][b][c] for a in range(4) for b in range(4) for c in range(4)
-    ) == 0.0
+    assert jet_table_max(g.lc) == 0.0
 
 
 def test_levi_civita_defining_residuals(frames):
@@ -189,14 +184,12 @@ def test_levi_civita_against_coordinate_christoffel_oracle():
                             gamma[lam, mu, nu] * einv[nu, c] for nu in range(4)
                         )
                         want += theta[b, lam] * einv[mu, a] * cov
-                assert g.lc[a][b][c].value == pytest.approx(want, abs=2e-5)
+                assert g.lc[a, b, c, 0] == pytest.approx(want, abs=2e-5)
 
 
 def test_contorsion_zero_for_zero_torsion(frames):
     for g in frames["minkowski"] + frames["curved_diag"]:
-        assert jet_table_max(
-            g.K[a][b][c] for a in range(4) for b in range(4) for c in range(4)
-        ) == 0.0
+        assert jet_table_max(g.K) == 0.0
 
 
 def test_contorsion_half_torsion_for_totally_antisymmetric(frames):
@@ -205,8 +198,8 @@ def test_contorsion_half_torsion_for_totally_antisymmetric(frames):
         for be in range(4):
             for al in range(4):
                 for rh in range(4):
-                    diff = g.K[be][al][rh] - 0.5 * g.T[al][be][rh]
-                    worst = max(worst, abs(diff.value))
+                    diff = g.K[be, al, rh] - 0.5 * g.T[al, be, rh]
+                    worst = max(worst, abs(diff[0]))
         assert worst <= 1e-14
 
 
@@ -221,7 +214,7 @@ def test_contorsion_trace_identity(frames, general_torsion):
 def test_full_connection_reduces_to_levi_civita_without_torsion(frames):
     for g in frames["curved_diag"]:
         diff = max(
-            abs((g.full[a][b][c] - g.lc[a][b][c]).value)
+            abs((g.full[a, b, c] - g.lc[a, b, c])[0])
             for a in range(4) for b in range(4) for c in range(4)
         )
         assert diff == 0.0
@@ -252,10 +245,7 @@ def test_torsion_two_forms(frames):
 def test_curvature_minkowski_vanishes(frames):
     g = frames["minkowski"][0]
     curv = curvature(g)
-    assert jet_table_max(
-        curv.components[a][b][c][d]
-        for a in range(4) for b in range(4) for c in range(4) for d in range(4)
-    ) == 0.0
+    assert jet_table_max(curv.components) == 0.0
     assert curv.scalar.value == 0.0
 
 
@@ -267,8 +257,8 @@ def test_curvature_antisymmetries(frames):
                 for b in range(4):
                     for c in range(4):
                         for d in range(4):
-                            s = curv.components[a][b][c][d] + curv.components[a][b][d][c]
-                            assert abs(s.value) == 0.0
+                            s = curv.components[a, b, c, d] + curv.components[a, b, d, c]
+                            assert abs(s[0]) == 0.0
 
 
 def test_first_bianchi(frames):
@@ -289,10 +279,7 @@ def test_flat_torsion_curvature_is_pure_contorsion(frames):
     # full curvature must equal the contorsion-induced difference
     for g in frames["flat_torsion"]:
         curv = curvature(g)
-        assert jet_table_max(
-            curv.lc_components[a][b][c][d]
-            for a in range(4) for b in range(4) for c in range(4) for d in range(4)
-        ) == 0.0
+        assert jet_table_max(curv.lc_components) == 0.0
         assert geo.decomposition_residual(curv) <= 1e-14
 
 
@@ -300,10 +287,7 @@ def test_quadriform_zero_without_torsion(frames):
     for g in frames["minkowski"] + frames["curved_diag"]:
         curv = curvature(g)
         assert curv.j_form.max_abs() == 0.0
-        assert jet_table_max(
-            curv.j_components[a][b][c][d]
-            for a in range(4) for b in range(4) for c in range(4) for d in range(4)
-        ) == 0.0
+        assert jet_table_max(curv.j_components) == 0.0
 
 
 def test_quadriform_is_pure_grade4(frames):
@@ -326,12 +310,10 @@ def test_quadriform_matches_curvature_contraction(frames):
 
 
 def test_eta_trace_of_biforms_vanishes(frames):
-    from rcdirac.operators import _sum
-
     for geoms in frames.values():
         for g in geoms:
             curv = curvature(g)
-            trace = _sum(curv.biforms[a][a].scale(geo.ETA[a]) for a in range(4))
+            trace = sum(curv.biforms[a][a].scale(geo.ETA[a]) for a in range(4))
             assert trace.max_abs() == 0.0
             worst = max(
                 (curv.biforms[a][b] + curv.biforms[b][a]).max_abs()
@@ -348,3 +330,16 @@ def test_ricci_antisymmetry_condition(frames, general_torsion):
             assert curvature(g).contraction_grade2.max_abs() <= 1e-12
     g = build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8)))
     assert curvature(g).contraction_grade2.max_abs() > 1e-3
+
+
+def test_curvature_tables_match_index_loops(frames, general_torsion):
+    geoms = [g for gs in frames.values() for g in gs]
+    geoms.append(build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8))))
+    for g in geoms:
+        curv = curvature(g)
+        for got, want in (
+            (curv.components, ref_riemann_components(g, g.full)),
+            (curv.lc_components, ref_riemann_components(g, g.lc)),
+            (curv.j_components, ref_j_components(g)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))

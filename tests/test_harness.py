@@ -287,3 +287,80 @@ def test_cli_explain(capsys):
 def test_bundled_names():
     names = harness.bundled_scenario_names()
     assert names == ["curved_diag", "curved_torsion", "flat_torsion", "minkowski"]
+
+
+# -- non-finite values ------------------------------------------------------------
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_nan_residual_fails_with_point_error(capsys, tmp_path):
+    # the scalar field overflows to infinity at x0 > 0.507, so its sup-norm
+    # scale is 0 and it is NaN there; the NaN point is not the first one
+    text = (
+        "[chart]\nx0_min = 0.3\nx0_max = 0.6\n" + IDENTITY
+        + '[fields]\nf.scalar = "exp(700*x0)*exp(700*x0)"\n'
+        + "[sampling]\nseed = 0\npoints = 6\n"
+    )
+    names = ["scalar-laplacian", "double-contraction", "scalar-square-forms"]
+    report = run_suite(fs.load_scenario(text), only=names)
+    assert not report.all_passed()
+    for c in report.checks:
+        assert not c.passed
+        assert c.max is not None  # the finite points were evaluated
+        assert [msg for _, msg in c.errors] == ["non-finite residual nan"]
+    assert "ERROR scalar-laplacian point=(" in report.to_text()
+    blob = _strict_json(report.to_json())
+    assert [e["pass"] for e in blob["checks"]] == [False] * 3
+
+    path = tmp_path / "nan.scn"
+    path.write_text(text)
+    rc = cli_main(["run", str(path), "--only", ",".join(names), "--format", "json"])
+    assert rc == 1
+    _strict_json(capsys.readouterr().out)
+
+
+def test_overflow_is_a_point_error(capsys, tmp_path):
+    # exp(800*x1) overflows a float for x1 > 0.887; seed 1 samples x1 = 0.923
+    text = '[tetrad]\ne0_0 = "exp(800*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+    report = run_suite(fs.load_scenario(text), points=6, seed=1, only=["metricity"])
+    (check,) = report.checks
+    assert len(check.errors) == 1
+    assert check.errors[0][1].startswith("OverflowError")
+    assert check.max is not None
+    path = tmp_path / "overflow.scn"
+    path.write_text(text)
+    rc = cli_main(["run", str(path), "--points", "6", "--seed", "1", "--only", "metricity"])
+    assert rc == 0
+    assert "ERROR metricity" in capsys.readouterr().out
+
+
+def test_json_writes_non_finite_as_null():
+    check = harness.CheckResult(
+        name="metricity", max=float("inf"), mean=float("nan"), worst_point=(0.1, 0.2, 0.3, 0.4),
+        passed=False, anchor="",
+    )
+    report = harness.ResidualReport("digest", 0, 1, float("inf"), [check])
+    blob = _strict_json(report.to_json())
+    assert blob["tol"] is None
+    assert blob["checks"][0]["max"] is None and blob["checks"][0]["mean"] is None
+
+
+def test_monomial_jets_match_jet_products():
+    from rcdirac.jets import ChartPoint, Jet2, seed_coordinate
+
+    p = ChartPoint((0.3, -0.7, 1.2, 0.45))
+    xs = [seed_coordinate(mu, p) for mu in range(4)]
+    got = harness.monomial_jets(p)
+    for m, exps in enumerate(harness.MONOMIALS):
+        want = Jet2.const(1.0)
+        for mu, e in enumerate(exps):
+            for _ in range(e):
+                want = want * xs[mu]
+        assert np.max(np.abs(got[m] - want.data)) <= 1e-14

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_mv, rand_scalar_jet
+from reference_loops import RefMV, ref_exterior_d
 from rcdirac import fieldspec as fs
 from rcdirac import geometry as geo
 from rcdirac import operators as ops
@@ -59,7 +60,7 @@ def test_cov_deriv_of_coframe_reproduces_connection(frames):
             for a in range(4):
                 for b in range(4):
                     got = ops.cov_deriv(g, g.theta[b], a, "full")
-                    want = ops._sum(
+                    want = sum(
                         g.theta[c].scale(-g.full[a][b][c]) for c in range(4)
                     )
                     assert (got - want).max_abs() <= 1e-12
@@ -109,6 +110,17 @@ def test_exterior_derivative_of_scalar_twice_vanishes(frames):
             assert ddf.max_abs() <= 1e-9
 
 
+def test_exterior_derivative_matches_blade_expansion(frames, general_torsion):
+    rng = np.random.default_rng(33)
+    geoms = [g for gs in frames.values() for g in gs]
+    geoms.append(build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8))))
+    for g in geoms:
+        A = rand_mv(rng, g.point)
+        want = ref_exterior_d(g, RefMV.of(A)).data()
+        got = ops.exterior_d(g, A).data
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
 def test_codifferential_on_scalar_vanishes(frames):
     rng = np.random.default_rng(5)
     for geoms in frames.values():
@@ -137,10 +149,10 @@ def test_torsion_splits_general_grade(frames, general_torsion):
     for g in geoms:
         A = rand_mv(rng, g.point)
         thetas = torsion_two_forms(g)
-        wedge_corr = ops._sum(
+        wedge_corr = sum(
             wedge(thetas[r], left_contraction(g.theta_down(r), A)) for r in range(4)
         )
-        contract_corr = ops._sum(
+        contract_corr = sum(
             left_contraction(thetas[r], wedge(g.theta_down(r), A)) for r in range(4)
         )
         w = ops.dirac_wedge(g, A) - ops.dirac_wedge(g, A, "lc") + wedge_corr
@@ -158,10 +170,10 @@ def test_torsion_trace_contraction_with_nonzero_trace(general_torsion):
     f = rand_scalar_jet(rng, p)
     df = ops.dirac(g, scalar_mv(f), "lc")
     thetas = torsion_two_forms(g)
-    lhs = ops._sum(
+    lhs = sum(
         left_contraction(thetas[r], wedge(g.theta_down(r), df)) for r in range(4)
     )
-    rhs = ops._sum_scalar(-(ETA[b] * Q[b]) * g.e(b, f) for b in range(4))
+    rhs = sum(-(ETA[b] * Q[b]) * g.e(b, f) for b in range(4))
     assert (lhs - Multivector.scalar(rhs)).max_abs() <= 1e-9
 
 
@@ -177,7 +189,7 @@ def test_r5_r6_on_totally_antisymmetric_scenarios(frames):
                     - ops.torsion_operator(g, a, v).scale(0.5)
                 )
                 assert resid.max_abs() <= 1e-9
-            corr = ops._sum(
+            corr = sum(
                 geometric_product(
                     g.theta[a], ops.torsion_operator(g, a, v)
                 ).scale(0.5)
@@ -341,7 +353,7 @@ def test_lichnerowicz_minkowski_reduces_to_wave_operator(frames, curvatures):
     curv = curvatures["minkowski"][0]
     psi = rand_mv(rng, g.point, even=True)
     rhs = ops.lichnerowicz_rhs(g, curv, psi)
-    wave = ops._sum(
+    wave = sum(
         ops.pfaff(g, ops.pfaff(g, psi, a), a).scale(ETA[a]) for a in range(4)
     )
     assert curv.scalar.value == 0.0
