@@ -20,18 +20,34 @@ flat 256-entry tables.  The same pair table drives the geometric product,
 the wedge (pairs with disjoint masks) and the left contraction (pairs where
 the left mask is a subset of the right mask).
 
-Scalar ring
------------
+Scalar ring and stacks
+----------------------
 Coefficients are order-2 jets (``jets.Jet2``); a plain number is a jet with
 zero derivatives.  A multivector stores them as one float64 array ``data``
-of shape (16, 15), blade by jet slot, with one jet ``order`` for the whole
-array.  Constant coefficients give the order ``jets.CONSTANT``, which no
-derivative uses up.  Each product type is one kernel: its sign table,
-rearranged so that row (k, j) holds the signs of the left blades paired with
-right blade j in output blade k, gathers the signed left factors in one
-matmul, and two more matmuls take the jet products through ``jets.MUL`` and
-sum them.  The commutator has its own table, GP[k, i, j] - GP[k, j, i], so
-blades that commute cancel exactly instead of leaving rounding residue.
+of shape (..., 16, 15), blade by jet slot, with one jet ``order`` for the
+whole array.  Leading axes, when present, are stack axes: a (4, 16, 15)
+multivector holds one item per frame direction, a (4, 4, 16, 15) one per
+direction pair, and indexing (``X[a]``, ``grid[a, b]``) picks items.
+Constant coefficients give the order ``jets.CONSTANT``, which no derivative
+uses up.
+
+Each product type is one kernel: its sign table, rearranged so that row
+(k, j) holds the signs of the left blades paired with right blade j in
+output blade k, gathers the signed left factors in one matmul, and two more
+matmuls take the jet products through ``jets.MUL`` and sum them.  Stack
+axes broadcast like numpy's, so ``geometric_product(X[:, None], Y[None])``
+is the whole (a, b) grid of products, each operand expanded once.  The
+commutator has its own table, GP[k, i, j] - GP[k, j, i], so blades that
+commute cancel exactly instead of leaving rounding residue.
+
+A product with a constant blade is a 16 x 16 signed permutation of the
+other operand's rows.  These matrices are built at import time for the
+coframe theta^a (``THETA_GP``, ``THETA_WEDGE``, ``THETA_LC``), the pairs
+theta^a theta^b = eta^ab + theta^a ^ theta^b (``THETA_PAIR``), the planes
+theta^a ^ theta^b (``PLANE_GP``) and the Hodge dual (``HODGE``), so a frame
+sum such as sum_a theta^a X[a] is one (16, 64) @ (64, 15) matmul
+(``blade_sum``).  ``product_sum`` does the same for a sum of products of
+two jet stacks, sum_i A[i] B[i].
 
 The Hodge dual used throughout is ``hodge(A) = reversion(A) * e0123``; with
 this convention the codifferential is a plain star-d-star sandwich on every
@@ -137,14 +153,33 @@ def _kernel_table(dense: np.ndarray) -> np.ndarray:
 
 
 _GP_DENSE = _dense(GP_SIGN)
+_WEDGE_DENSE = _dense(WEDGE_SIGN)
 GP_TABLE = _kernel_table(_GP_DENSE)
-WEDGE_TABLE = _kernel_table(_dense(WEDGE_SIGN))
+WEDGE_TABLE = _kernel_table(_WEDGE_DENSE)
 LC_TABLE = _kernel_table(_dense(LC_SIGN))
 COMMUTATOR_TABLE = _kernel_table(_GP_DENSE - _GP_DENSE.transpose(0, 2, 1))
 
 
+def _left_matrices(dense: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """L[..., k, j]: the matrix of left multiplication by constant
+    multivectors with coefficient values (..., 16), ``B A = L @ A.data``."""
+    return np.einsum("kij,...i->...kj", dense, values)
+
+
+_THETA = np.eye(N_BLADES)[1:5]  # values of theta^0..theta^3
+THETA_GP = _left_matrices(_GP_DENSE, _THETA)                   # theta^a A
+THETA_WEDGE = _left_matrices(_WEDGE_DENSE, _THETA)             # theta^a ^ A
+THETA_LC = _left_matrices(_dense(LC_SIGN), _THETA)             # theta^a _| A
+# values of theta^a o theta^b: column 1 + b of the matrix of theta^a o
+THETA_PAIR = _left_matrices(_GP_DENSE, THETA_GP[..., 1:5].swapaxes(1, 2))      # theta^a theta^b A
+PLANE_GP = _left_matrices(_GP_DENSE, THETA_WEDGE[..., 1:5].swapaxes(1, 2))     # (theta^a ^ theta^b) A
+# hodge(A) = reversion(A) e0123 = HODGE @ A.data
+HODGE = _GP_DENSE[:, :, 15] * REVERSION_SIGN
+
+
 class Multivector:
-    """A 16-coefficient element of Cl(1,3) with order-2 jet coefficients."""
+    """A 16-coefficient element of Cl(1,3) with order-2 jet coefficients,
+    or a stack of them along leading axes of ``data``."""
 
     __slots__ = ("data", "order")
 
@@ -169,9 +204,9 @@ class Multivector:
 
     @classmethod
     def from_array(cls, data: np.ndarray, order) -> "Multivector":
-        """Wrap a (16, 15) blade-by-jet-slot array (not copied)."""
-        if data.shape != (N_BLADES, JET_LEN):
-            raise ValueError(f"multivector data must have shape ({N_BLADES}, {JET_LEN})")
+        """Wrap a (..., 16, 15) blade-by-jet-slot array (not copied)."""
+        if data.shape[-2:] != (N_BLADES, JET_LEN):
+            raise ValueError(f"multivector data must have shape (..., {N_BLADES}, {JET_LEN})")
         mv = cls.__new__(cls)
         mv.data = data
         mv.order = order
@@ -183,16 +218,12 @@ class Multivector:
 
     @classmethod
     def scalar(cls, value) -> "Multivector":
-        c = [0.0] * N_BLADES
-        c[0] = value
-        return cls(c)
+        return cls.blade((), value)
 
     @classmethod
     def basis(cls, a: int) -> "Multivector":
         """The coframe one-form e_a."""
-        c = [0.0] * N_BLADES
-        c[1 + a] = 1.0
-        return cls(c)
+        return cls.blade((a,))
 
     @classmethod
     def blade(cls, indices, coeff=1.0) -> "Multivector":
@@ -208,16 +239,7 @@ class Multivector:
 
     @classmethod
     def pseudoscalar(cls) -> "Multivector":
-        c = [0.0] * N_BLADES
-        c[15] = 1.0
-        return cls(c)
-
-    @classmethod
-    def from_grade1(cls, components) -> "Multivector":
-        """One-form with coframe components (v_0, v_1, v_2, v_3)."""
-        c = [0.0] * N_BLADES
-        c[1:5] = list(components)
-        return cls(c)
+        return cls.blade(range(N_GENERATORS))
 
     # -- structure queries ------------------------------------------------
 
@@ -232,19 +254,28 @@ class Multivector:
 
     def values(self) -> np.ndarray:
         """Coefficient values (jets collapsed to their value part)."""
-        return self.data[:, 0].copy()
+        return self.data[..., 0].copy()
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.data[:, 0])))
+        """Largest coefficient value over every blade and stack item; NaN
+        if any value is NaN."""
+        return float(np.max(np.abs(self.data[..., 0])))
 
-    def grade1_components(self):
-        for i, c in enumerate(self.coeffs):
-            v = c.value if isinstance(c, Jet2) else float(c)
-            if GRADES[i] != 1 and v != 0.0:
-                raise GradeError("multivector is not pure grade 1")
-        return list(self.coeffs[1:5])
+    def __getitem__(self, index) -> "Multivector":
+        """Item or sub-stack of the leading stack axes."""
+        data = self.data[index]
+        if data.shape[-2:] != (N_BLADES, JET_LEN):
+            raise IndexError("index reaches past the stack axes of a multivector")
+        return Multivector.from_array(data, self.order)
+
+    def swapaxes(self, i: int, j: int) -> "Multivector":
+        """The stack with stack axes i and j exchanged, e.g. ``grid[b, a]``
+        at ``[a, b]``."""
+        return Multivector.from_array(self.data.swapaxes(i, j), self.order)
 
     def __repr__(self):
+        if self.data.ndim > 2:
+            return f"Multivector(stack of shape {self.data.shape[:-2]})"
         vals = self.values()
         parts = [
             f"{vals[i]:+.4g}*{BLADE_NAMES[i]}"
@@ -275,15 +306,16 @@ class Multivector:
         return Multivector.from_array(-self.data, self.order)
 
     def scale(self, s) -> "Multivector":
-        """Multiply every coefficient by a number, a ``Jet2``, or a bare
-        (15,) jet array, which counts as an order-2 jet."""
+        """Multiply every coefficient by a number, a ``Jet2``, or a bare jet
+        array (..., 15), which counts as order 2 and whose leading axes
+        broadcast against the stack axes."""
         if isinstance(s, _NUMERIC):
             return Multivector.from_array(self.data * s, self.order)
         if isinstance(s, Jet2):
             jet, order = s.data, s.order
         else:
             jet, order = np.asarray(s, dtype=np.float64), 2
-            if jet.shape != (JET_LEN,):
+            if jet.shape[-1:] != (JET_LEN,):
                 raise TypeError(f"cannot scale a multivector by {type(s).__name__}")
         return Multivector.from_array(self.data @ mul_matrix(jet), min(self.order, order))
 
@@ -322,8 +354,8 @@ class Coefficients:
 
 
 def _product(a: Multivector, b: Multivector, table: np.ndarray) -> Multivector:
-    left = (table @ a.data).reshape(N_BLADES, N_BLADES * JET_LEN)
-    right = mul_matrix(b.data).reshape(N_BLADES * JET_LEN, JET_LEN)
+    left = (table @ a.data).reshape(a.data.shape[:-2] + (N_BLADES, N_BLADES * JET_LEN))
+    right = mul_matrix(b.data).reshape(b.data.shape[:-2] + (N_BLADES * JET_LEN, JET_LEN))
     return Multivector.from_array(left @ right, min(a.order, b.order))
 
 
@@ -344,6 +376,33 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
     return _product(a, b, COMMUTATOR_TABLE)
 
 
+def product_sum(a: Multivector, b: Multivector, table: np.ndarray = GP_TABLE) -> Multivector:
+    """sum_i a[i] o b[i] over the leading stack axis of both operands, as
+    one matmul; ``table`` picks the product (GP_TABLE, WEDGE_TABLE, ...)."""
+    n = a.data.shape[0]
+    left = (table @ a.data).reshape(n, N_BLADES, N_BLADES * JET_LEN).transpose(1, 0, 2)
+    right = mul_matrix(b.data).reshape(n * N_BLADES * JET_LEN, JET_LEN)
+    return Multivector.from_array(
+        left.reshape(N_BLADES, -1) @ right, min(a.order, b.order)
+    )
+
+
+def blade_sum(matrices: np.ndarray, x: Multivector) -> Multivector:
+    """sum_i B_i x[i], the products of constant blades B_i with the items of
+    a stack, as one matmul; ``matrices`` (n..., 16, 16) holds the product
+    matrix of each B_i (e.g. ``THETA_GP``) and its leading axes are all of
+    x's stack axes."""
+    rows = np.moveaxis(matrices, -2, 0).reshape(N_BLADES, -1)
+    return Multivector.from_array(rows @ x.data.reshape(-1, JET_LEN), x.order)
+
+
+def blade_products(matrices: np.ndarray, x: Multivector) -> Multivector:
+    """The stack [i] of products B_i x of constant blades with one
+    multivector, one matmul; ``matrices`` (n..., 16, 16) as for
+    ``blade_sum``."""
+    return Multivector.from_array(matrices @ x.data, x.order)
+
+
 def reversion(a: Multivector) -> Multivector:
     return Multivector.from_array(a.data * REVERSION_SIGN[:, None], a.order)
 
@@ -356,16 +415,13 @@ def grade_project(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= 4:
         raise GradeError(f"grade {k} outside 0..4")
     data = a.data.copy()
-    data[_NOT_GRADE[k]] = 0.0
+    data[..., _NOT_GRADE[k], :] = 0.0
     return Multivector.from_array(data, a.order)
-
-
-_PSEUDO = Multivector.pseudoscalar()
 
 
 def hodge_dual(a: Multivector) -> Multivector:
     """Dual through the unit pseudoscalar: reversion(a) * e0123."""
-    return geometric_product(reversion(a), _PSEUDO)
+    return Multivector.from_array(HODGE @ a.data, a.order)
 
 
 def bivector_array(pairs: np.ndarray) -> np.ndarray:
@@ -375,11 +431,3 @@ def bivector_array(pairs: np.ndarray) -> np.ndarray:
     out[..., 5:11, :] = pairs[..., _PLANE_A, _PLANE_B, :]
     return out
 
-
-def pair_blade(a: int, b: int):
-    """(index, sign) of e_a ^ e_b in the canonical order; sign 0 if a == b."""
-    if a == b:
-        return 0, 0.0
-    if a < b:
-        return MASK_TO_INDEX[(1 << a) | (1 << b)], 1.0
-    return MASK_TO_INDEX[(1 << a) | (1 << b)], -1.0

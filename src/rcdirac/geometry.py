@@ -21,6 +21,10 @@ Every table is a float64 array of jets with the jet slot last (the layout of
 tables and the torsion (4, 4, 4, 15), curvature components (4, 4, 4, 4, 15).
 Products of tables are index contractions through ``jets.jet_einsum``, and a
 directional derivative is one matmul, ``e_a(f) = f @ derivations[a]``.
+Multivector-valued data are direction stacks: the coframe and the
+connection biforms are (4, 16, 15) multivectors indexed by a, the curvature
+biforms a (4, 4, 16, 15) grid, and the torsion operator tau(e_a, .) is one
+(16, 60) jet matrix ``tau`` acting on the four vector coefficients.
 """
 
 from __future__ import annotations
@@ -30,17 +34,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .cliffalg import Multivector, bivector_array, commutator, geometric_product, grade_project, wedge
+from .cliffalg import PLANE_GP, Multivector, bivector_array, blade_sum, commutator, grade_project
 from .fieldspec import Scenario, eval_expr
 from .jets import (
-    HESS_I,
-    HESS_J,
-    JET_LEN,
-    ChartPoint,
-    Jet2,
-    JetOrderError,
-    derivation_matrices,
-    jet_einsum,
+    CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, Jet2, JetOrderError, derivation_matrices, jet_einsum,
 )
 
 ETA = (1.0, -1.0, -1.0, -1.0)
@@ -65,11 +62,9 @@ for perm in permutations(range(4)):
                 sign = -sign
     EPSILON[perm] = float(sign)
 
-# The coordinate planes theta^a ^ theta^b, a != b.
-PLANES = {
-    (a, b): wedge(Multivector.basis(a), Multivector.basis(b))
-    for a in range(4) for b in range(4) if a != b
-}
+# The coframe theta^a as a direction stack of constant one-forms.
+THETA = Multivector.from_array(np.stack([Multivector.basis(a).data for a in range(4)]), CONSTANT)
+THETA.data.flags.writeable = False  # shared by every frame
 
 
 class DegenerateFrameError(ValueError):
@@ -78,6 +73,10 @@ class DegenerateFrameError(ValueError):
         super().__init__(
             f"tetrad is singular at point {point.x} (|det| = {abs(det):.3e})"
         )
+
+
+class NonFiniteFrameError(ValueError):
+    """The tetrad, torsion or frame-vector jets at a point are not finite."""
 
 
 class GeometryError(RuntimeError):
@@ -98,10 +97,11 @@ class FrameGeometry:
     lc: np.ndarray               # Levi-Civita conn[a][b][c]
     K: np.ndarray                # contorsion conn[a][b][c]
     full: np.ndarray             # full connection conn[a][b][c]
-    theta: list                  # coframe one-forms as multivectors
-    omega_biform: list           # full-connection biforms omega_{e_a}
-    lc_biform: list              # Levi-Civita biforms
-    contorsion_biform: list      # omega - lc biforms
+    tau: np.ndarray              # (16, 60): tau(e_a, V)^r from V's vector jets
+    theta: Multivector           # coframe one-forms, (4, 16, 15) stack
+    omega_biform: Multivector    # full-connection biforms omega_{e_a}, stack
+    lc_biform: Multivector       # Levi-Civita biforms, stack
+    contorsion_biform: Multivector  # omega - lc biforms, stack
 
     def e(self, a: int, f: Jet2) -> Jet2:
         """Directional derivative e_a(f) = e_a^mu d_mu f."""
@@ -120,7 +120,7 @@ class CurvatureData:
 
     components: np.ndarray       # R^a_{bcd}, full connection
     lc_components: np.ndarray    # same for Levi-Civita
-    biforms: list                # biforms[c][d], plane indices lowered
+    biforms: Multivector         # (4, 4, 16, 15) grid [c, d], plane indices lowered
     scalar: Jet2                 # grade-0 part of the biform contraction
     contraction_grade2: Multivector
     contraction_grade4: Multivector
@@ -171,7 +171,9 @@ def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
         [eval_expr(scenario.tetrad[a][mu], point).data for mu in range(4)]
         for a in range(4)
     ])
+    _require_finite(theta_mat, "the tetrad", point)
     frame_vectors, det = invert_tetrad(theta_mat, point)
+    _require_finite(frame_vectors, "the inverse tetrad", point)
 
     T = np.zeros((4, 4, 4, JET_LEN))
     for c in range(4):
@@ -179,6 +181,7 @@ def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
             for b in range(a + 1, 4):
                 T[c, a, b] = eval_expr(scenario.torsion_expr(c, a, b), point).data
                 T[c, b, a] = -T[c, a, b]
+    _require_finite(T, "the torsion", point)
 
     c_t = structure_coefficients(theta_mat, frame_vectors)
     lc = levi_civita(c_t)
@@ -196,13 +199,26 @@ def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
         lc=lc,
         K=K,
         full=full,
-        theta=[Multivector.basis(a) for a in range(4)],
+        tau=torsion_matrix(T),
+        theta=THETA,
         omega_biform=connection_biforms(full),
         lc_biform=connection_biforms(lc),
         contorsion_biform=connection_biforms(K),
     )
     _calibrate_biforms(geom)
     return geom
+
+
+def _require_finite(table: np.ndarray, what: str, point: ChartPoint):
+    if not np.all(np.isfinite(table)):
+        raise NonFiniteFrameError(f"{what} is not finite at point {point.x}")
+
+
+def torsion_matrix(T) -> np.ndarray:
+    """tau[(a, r), (b, s)] = eta_r eta_b T^r_{ab}[s]: with V's vector jets v
+    (4, 15), row (a, r) of ``tau @ mul_matrix(v).reshape(60, 15)`` is the
+    theta^r coefficient of the torsion operator tau(e_a, V)^r = V^b T^r_{ab}."""
+    return np.einsum("r,b,rabs->arbs", _ETA, _ETA, T).reshape(16, 4 * JET_LEN)
 
 
 def structure_coefficients(theta_mat, frame_vectors):
@@ -242,19 +258,15 @@ def connection_biforms(conn):
     """Biforms omega_{e_a} = L_abc theta^b ^ theta^c / 2 with L the lowered
     (antisymmetric-pair) coefficients."""
     low = _ETA[None, :, None, None] * conn
-    biforms = bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3)))
-    return [Multivector.from_array(b, CONN_ORDER) for b in biforms]
+    return Multivector.from_array(bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3))), CONN_ORDER)
 
 
 def _calibrate_biforms(geom: FrameGeometry):
     """Abort if [omega_a, theta^b]/2 fails to reproduce -conn[a][b][c] theta^c."""
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            resid = 0.5 * commutator(geom.omega_biform[a], geom.theta[b]).data
-            resid[1:5] += geom.full[a, b]
-            worst = max(worst, np.max(np.abs(resid)))
-    if worst > _CALIBRATION_TOL:
+    resid = 0.5 * commutator(geom.omega_biform[:, None], geom.theta[None]).data   # [a, b]
+    resid[..., 1:5, :] += geom.full
+    worst = np.max(np.abs(resid))
+    if not worst <= _CALIBRATION_TOL:
         raise GeometryError(
             f"connection biform calibration failed at {geom.point.x}: "
             f"residual {worst:.3e}"
@@ -262,8 +274,9 @@ def _calibrate_biforms(geom: FrameGeometry):
 
 
 def torsion_two_forms(geom: FrameGeometry):
-    """The four torsion 2-forms Theta^rho = T^rho_{ab} theta^a ^ theta^b / 2."""
-    return [Multivector.from_array(t, FRAME_ORDER) for t in bivector_array(geom.T)]
+    """The four torsion 2-forms Theta^rho = T^rho_{ab} theta^a ^ theta^b / 2,
+    as a (4, 16, 15) stack indexed by rho."""
+    return Multivector.from_array(bivector_array(geom.T), FRAME_ORDER)
 
 
 # -- curvature -------------------------------------------------------------
@@ -317,15 +330,11 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
 
     low = _ETA[:, None, None, None, None] * R
     pairs = 0.5 * (low - low.transpose(1, 0, 2, 3, 4))          # [a, b, c, d]
-    planes = bivector_array(np.moveaxis(pairs, (0, 1), (2, 3)))  # [c, d, blade]
-    biforms = [
-        [Multivector.from_array(planes[c, d], CURV_ORDER) for d in range(4)]
-        for c in range(4)
-    ]
-
-    contraction = Multivector.zero()
-    for (a, b), plane in PLANES.items():
-        contraction = contraction + geometric_product(plane, biforms[a][b])
+    biforms = Multivector.from_array(
+        bivector_array(np.moveaxis(pairs, (0, 1), (2, 3))), CURV_ORDER   # [c, d]
+    )
+    # sum over planes (theta^a ^ theta^b) biforms[a, b]
+    contraction = blade_sum(PLANE_GP, biforms)
 
     J = j_components(geom)
     return CurvatureData(
@@ -372,7 +381,7 @@ def levi_civita_residual(geom: FrameGeometry) -> float:
     zero_torsion = (
         np.einsum("acb...->cab...", lc) - np.einsum("bca...->cab...", lc) - geom.c
     )
-    return max(_max_value(zero_torsion), metricity_residual(lc))
+    return float(np.max([_max_value(zero_torsion), metricity_residual(lc)]))
 
 
 def contorsion_trace_residual(geom: FrameGeometry) -> float:

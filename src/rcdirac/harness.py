@@ -27,9 +27,12 @@ from importlib import resources
 import numpy as np
 
 from . import fieldspec, geometry, operators
-from .cliffalg import GRADES, Multivector, geometric_product, grade_involution, wedge
+from .cliffalg import (
+    GRADES, LC_TABLE, THETA_GP, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
+    geometric_product, grade_involution, product_sum, wedge,
+)
 from .fieldspec import Scenario, ScenarioError, eval_expr
-from .geometry import ETA, DegenerateFrameError
+from .geometry import ETA, DegenerateFrameError, NonFiniteFrameError
 from .jets import HESS_PAIRS, JET_LEN, NVARS, ChartPoint, Jet2, JetDomainError, JetOrderError
 
 MARGIN = 0.05
@@ -217,7 +220,6 @@ class PointContext:
         self._values: dict[str, Multivector] = {}
         self._geom = None
         self._curv = None
-        self._thetas = None
 
     @property
     def geom(self):
@@ -231,12 +233,6 @@ class PointContext:
             self._curv = geometry.curvature(self.geom)
         return self._curv
 
-    @property
-    def torsion_forms(self):
-        if self._thetas is None:
-            self._thetas = geometry.torsion_two_forms(self.geom)
-        return self._thetas
-
     def field(self, kind: str) -> Multivector:
         if kind not in self._values:
             self._values[kind] = self._fields[kind].at(self.point)
@@ -247,6 +243,11 @@ class PointContext:
 
     def scalar_mv(self) -> Multivector:
         return Multivector([self.scalar()] + [0.0] * 15)
+
+
+def _worst(*residuals) -> float:
+    """The largest residual, NaN if any is NaN (Python's max drops them)."""
+    return float(np.max(residuals))
 
 
 _TOT_ANTISYM_NOTE = "valid for totally antisymmetric (zero-strain) torsion"
@@ -306,13 +307,9 @@ def _c_decomposition(ctx):
     "curvature biforms are antisymmetric in the plane pair and eta-traceless",
 )
 def _c_curvature_traces(ctx):
-    curv = ctx.curv
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            worst = max(worst, (curv.biforms[a][b] + curv.biforms[b][a]).max_abs())
-    trace = sum(curv.biforms[a][a].scale(ETA[a]) for a in range(4))
-    return max(worst, trace.max_abs())
+    biforms = ctx.curv.biforms
+    trace = np.einsum("a,aa...->...", np.array(ETA), biforms.data[..., 0])
+    return _worst((biforms + biforms.swapaxes(0, 1)).max_abs(), np.max(np.abs(trace)))
 
 
 @_check(
@@ -333,15 +330,14 @@ def _c_ricci_antisymmetry(ctx):
 )
 def _c_dirac_split(ctx):
     A = ctx.field("general")
-    worst = 0.0
-    for conn in ("lc", "full"):
-        resid = (
+    return _worst(*(
+        (
             operators.dirac(ctx.geom, A, conn)
             - operators.dirac_contract(ctx.geom, A, conn)
             - operators.dirac_wedge(ctx.geom, A, conn)
-        )
-        worst = max(worst, resid.max_abs())
-    return worst
+        ).max_abs()
+        for conn in ("lc", "full")
+    ))
 
 
 @_check(
@@ -374,22 +370,17 @@ def _c_codifferential(ctx):
     fields=("general",),
 )
 def _c_torsion_splits(ctx):
-    from .cliffalg import left_contraction
-
     A = ctx.field("general")
     geom = ctx.geom
-    thetas = ctx.torsion_forms
-    wedge_corr = sum(
-        wedge(thetas[r], left_contraction(geom.theta_down(r), A)) for r in range(4)
-    )
-    contract_corr = sum(
-        left_contraction(thetas[r], wedge(geom.theta_down(r), A)) for r in range(4)
-    )
+    thetas = geometry.torsion_two_forms(geom)
+    # sum_r Theta^r ^ (theta_r _| A) and sum_r Theta^r _| (theta_r ^ A)
+    wedge_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_LC, A), WEDGE_TABLE)
+    contract_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_WEDGE, A), LC_TABLE)
     w = operators.dirac_wedge(geom, A) - (operators.dirac_wedge(geom, A, "lc") - wedge_corr)
     c = operators.dirac_contract(geom, A) - (
         operators.dirac_contract(geom, A, "lc") - contract_corr
     )
-    return max(w.max_abs(), c.max_abs())
+    return _worst(w.max_abs(), c.max_abs())
 
 
 @_check(
@@ -398,15 +389,11 @@ def _c_torsion_splits(ctx):
     fields=("scalar",),
 )
 def _c_torsion_trace_contraction(ctx):
-    from .cliffalg import left_contraction
-
     geom = ctx.geom
     f = ctx.scalar()
     df = operators.dirac(geom, ctx.scalar_mv(), "lc")
-    lhs = sum(
-        left_contraction(ctx.torsion_forms[r], wedge(geom.theta_down(r), df))
-        for r in range(4)
-    )
+    lowered = blade_products(operators.THETA_DOWN_WEDGE, df)      # [r]: theta_r ^ df
+    lhs = product_sum(geometry.torsion_two_forms(geom), lowered, LC_TABLE)
     Q = geometry.torsion_trace(geom)
     rhs_scalar = sum(-(ETA[b] * Q[b]) * geom.e(b, f) for b in range(4))
     return (lhs - Multivector.scalar(rhs_scalar)).max_abs()
@@ -433,15 +420,11 @@ def _c_scalar_laplacian(ctx):
 def _c_cov_deriv_torsion(ctx):
     geom = ctx.geom
     v = ctx.field("vector")
-    worst = 0.0
-    for a in range(4):
-        resid = (
-            operators.cov_deriv(geom, v, a, "full")
-            - operators.cov_deriv(geom, v, a, "lc")
-            - operators.torsion_operator(geom, a, v).scale(0.5)
-        )
-        worst = max(worst, resid.max_abs())
-    return worst
+    return (
+        operators.cov_derivs(geom, v, "full")
+        - operators.cov_derivs(geom, v, "lc")
+        - operators.torsion_operators(geom, v).scale(0.5)
+    ).max_abs()
 
 
 @_check(
@@ -453,10 +436,7 @@ def _c_cov_deriv_torsion(ctx):
 def _c_dirac_torsion(ctx):
     geom = ctx.geom
     v = ctx.field("vector")
-    corr = sum(
-        geometric_product(geom.theta[a], operators.torsion_operator(geom, a, v)).scale(0.5)
-        for a in range(4)
-    )
+    corr = blade_sum(THETA_GP, operators.torsion_operators(geom, v)).scale(0.5)
     return (
         operators.dirac(geom, v, "full") - operators.dirac(geom, v, "lc") - corr
     ).max_abs()
@@ -472,16 +452,14 @@ def _c_leibniz(ctx):
     A = ctx.field("general")
     B = ctx.field("general2")
     AB = geometric_product(A, B)
-    worst = 0.0
-    for conn in ("lc", "full"):
-        for a in range(4):
-            resid = (
-                operators.cov_deriv(geom, AB, a, conn)
-                - geometric_product(operators.cov_deriv(geom, A, a, conn), B)
-                - geometric_product(A, operators.cov_deriv(geom, B, a, conn))
-            )
-            worst = max(worst, resid.max_abs())
-    return worst
+    return _worst(*(
+        (
+            operators.cov_derivs(geom, AB, conn)
+            - geometric_product(operators.cov_derivs(geom, A, conn), B)
+            - geometric_product(A, operators.cov_derivs(geom, B, conn))
+        ).max_abs()
+        for conn in ("lc", "full")
+    ))
 
 
 @_check(
@@ -494,15 +472,14 @@ def _c_antiderivation(ctx):
     A = ctx.field("general")
     B = ctx.field("general2")
     AB = wedge(A, B)
-    worst = 0.0
-    for conn in ("lc", "full"):
-        resid = (
+    return _worst(*(
+        (
             operators.dirac_wedge(geom, AB, conn)
             - wedge(operators.dirac_wedge(geom, A, conn), B)
             - wedge(grade_involution(A), operators.dirac_wedge(geom, B, conn))
-        )
-        worst = max(worst, resid.max_abs())
-    return worst
+        ).max_abs()
+        for conn in ("lc", "full")
+    ))
 
 
 @_check(
@@ -514,15 +491,11 @@ def _c_spin_module(ctx):
     geom = ctx.geom
     C = ctx.field("general")
     psi = ctx.field("even")
-    worst = 0.0
-    for a in range(4):
-        resid = (
-            operators.spin_cov_deriv(geom, geometric_product(C, psi), a)
-            - geometric_product(operators.cov_deriv(geom, C, a, "full"), psi)
-            - geometric_product(C, operators.spin_cov_deriv(geom, psi, a))
-        )
-        worst = max(worst, resid.max_abs())
-    return worst
+    return (
+        operators.spin_cov_derivs(geom, geometric_product(C, psi))
+        - geometric_product(operators.cov_derivs(geom, C, "full"), psi)
+        - geometric_product(C, operators.spin_cov_derivs(geom, psi))
+    ).max_abs()
 
 
 @_check(
@@ -533,15 +506,11 @@ def _c_spin_module(ctx):
 def _c_spin_left_form(ctx):
     geom = ctx.geom
     psi = ctx.field("even")
-    worst = 0.0
-    for a in range(4):
-        resid = (
-            operators.spin_cov_deriv(geom, psi, a)
-            - operators.cov_deriv(geom, psi, a, "full")
-            - geometric_product(psi, geom.omega_biform[a]).scale(0.5)
-        )
-        worst = max(worst, resid.max_abs())
-    return worst
+    return (
+        operators.spin_cov_derivs(geom, psi)
+        - operators.cov_derivs(geom, psi, "full")
+        - geometric_product(psi, geom.omega_biform).scale(0.5)
+    ).max_abs()
 
 
 @_check("d-squared", "the exterior derivative squares to zero", fields=("general",))
@@ -577,7 +546,7 @@ def _c_scalar_square_forms(ctx):
     direct = operators.dirac_square_direct(geom, ctx.scalar_mv(), "full")
     std = operators.scalar_square_standard_form(geom, f)
     conn = operators.scalar_square_connection_form(geom, f)
-    return max(
+    return _worst(
         (std - conn).max_abs(), (std - direct).max_abs(), (conn - direct).max_abs()
     )
 
@@ -593,7 +562,7 @@ def _c_square_assembly(ctx):
     direct = operators.dirac_square_direct(geom, A, "full")
     plain = operators.dirac_square_assembled(geom, A, "full")
     anti = operators.dirac_square_assembled(geom, A, "full", antisymmetrized=True)
-    return max((plain - direct).max_abs(), (anti - direct).max_abs())
+    return _worst((plain - direct).max_abs(), (anti - direct).max_abs())
 
 
 @_check(
@@ -623,8 +592,7 @@ def _c_square_torsion_relation(ctx):
     fields=("even",),
 )
 def _c_spin_commutator(ctx):
-    br, ex = operators.spin_commutator_residuals(ctx.geom, ctx.curv, ctx.field("even"))
-    return max(br, ex)
+    return _worst(*operators.spin_commutator_residuals(ctx.geom, ctx.curv, ctx.field("even")))
 
 
 @_check(
@@ -693,13 +661,14 @@ def _c_maxwell_equivalence(ctx):
 
 def evaluate_point(scenario, fields, names, point):
     """All selected checks at one point; errors are captured per check."""
-    from .cliffalg import GradeError
-
     ctx = PointContext(scenario, fields, point)
     out = {}
     for name in names:
         try:
             out[name] = float(CHECKS[name].fn(ctx))
+        except NonFiniteFrameError as err:
+            # like a non-finite residual, this fails the check
+            out[name] = ("non-finite", f"{type(err).__name__}: {err}")
         except (DegenerateFrameError, JetDomainError, JetOrderError,
                 GradeError, fieldspec.ExprDomainError, OverflowError) as err:
             out[name] = ("error", f"{type(err).__name__}: {err}")
@@ -831,6 +800,7 @@ def run_suite(
             r = results[i][name]
             if isinstance(r, tuple):
                 errors.append((pts[i].x, r[1]))
+                nonfinite = nonfinite or r[0] == "non-finite"
             elif not np.isfinite(r):
                 # max() would hide a NaN, and a residual that is not a
                 # number proves nothing: the check fails

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -211,17 +212,37 @@ def mul_matrix(b: np.ndarray) -> np.ndarray:
     return (b @ _MUL_RIGHT).reshape(b.shape[:-1] + (JET_LEN, JET_LEN))
 
 
+@lru_cache(maxsize=None)
+def _einsum_plan(spec: str):
+    """Axis permutations that make ``jet_einsum(spec, x, y)`` one matmul: x
+    to (kept, summed, slot), mul_matrix(y) to (summed, slot, kept, slot),
+    the product to the output order."""
+    inputs, out = spec.split("->")
+    xs, ys = inputs.split(",")
+    summed = [c for c in xs if c in ys]
+    keep_x = [c for c in xs if c not in ys]
+    keep_y = [c for c in ys if c not in xs]
+    x_perm = [xs.index(c) for c in keep_x + summed] + [len(xs)]
+    y_perm = [ys.index(c) for c in summed] + [len(ys)] + [ys.index(c) for c in keep_y] + [len(ys) + 1]
+    out_perm = [(keep_x + keep_y).index(c) for c in out] + [len(keep_x + keep_y)]
+    return x_perm, y_perm, out_perm, len(keep_x), len(summed)
+
+
 def jet_einsum(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Index contraction of two jet arrays with jet products, e.g.
     ``jet_einsum("cak,dkb->abcd", X, Y)[a, b, c, d] = sum_k X[c, a, k] * Y[d, k, b]``.
 
-    ``spec`` names the leading axes only, with any letters but ``y`` and
-    ``z``; the trailing jet axis of both operands and of the result is
-    implied.
+    ``spec`` names the leading axes only; the trailing jet axis of both
+    operands and of the result is implied.  A letter in both operands is
+    summed (no batch axes).  The contraction is one matmul of ``x`` against
+    ``mul_matrix(y)``, its axis permutations planned once per spec.
     """
-    inputs, out = spec.split("->")
-    xs, ys = inputs.split(",")
-    return np.einsum(f"{xs}y,{ys}yz->{out}z", x, mul_matrix(y), optimize=True)
+    x_perm, y_perm, out_perm, n_keep_x, n_summed = _einsum_plan(spec)
+    xt = x.transpose(x_perm)
+    m = mul_matrix(y).transpose(y_perm)
+    keep_x, keep_y = xt.shape[:n_keep_x], m.shape[n_summed + 1:-1]
+    prod = xt.reshape(math.prod(keep_x), -1) @ m.reshape(math.prod(m.shape[:n_summed + 1]), -1)
+    return prod.reshape(keep_x + keep_y + (JET_LEN,)).transpose(out_perm)
 
 
 def derivation_matrices(frame_vectors: np.ndarray) -> np.ndarray:

@@ -5,7 +5,24 @@ order-2 jets: the jets carry the exact derivatives, so a squared operator is
 literally two applications, each consuming one jet order.  Each identity the
 engine verifies is available in at least two independently computed forms;
 the ``*_residual`` functions return the max absolute coefficient value of
-the difference.
+the difference, NaN if any coefficient is NaN.
+
+Direction stacks: the paper builds every operator from sums over frame
+indices, and each such family is one array kernel, not a loop over a, b, c.
+Derivatives along all four e_a are one call returning a stack with the
+direction axis first (``cov_derivs(geom, A)[a]`` is nabla_a A); applied to a
+stack they prepend the new axis, so ``cov_derivs(geom, cov_derivs(geom,
+A))[a, b]`` is nabla_a nabla_b A.  The same holds for ``pfaffs``,
+``spin_cov_derivs``, ``right_rep_derivs`` and ``torsion_operators`` (one jet
+matrix, ``FrameGeometry.tau``); ``pfaff``, ``cov_deriv``, ``spin_cov_deriv``,
+``right_rep_deriv`` and ``torsion_operator`` are their per-direction
+indexers.  A frame sum sum_a theta^a X[a] is one matmul with a
+constant-blade matrix (``cliffalg.blade_sum``), the pair sum eta^ab X[a, b]
++ (theta^a ^ theta^b) X[a, b] the same with theta^a theta^b, and a
+connection term sum_c Gamma^c_ab X[c] one ``jets.jet_einsum``.  The per-pair
+corrections of the squared operators are (4, 4, 16, 15) grids whose
+products broadcast one operand along a and the other along b, so each
+operand is expanded once.
 
 Connection selection: ``conn="lc"`` is the Levi-Civita (standard) operator
 family, ``conn="full"`` the torsionful metric-compatible one.  The covariant
@@ -23,27 +40,14 @@ from typing import Callable
 import numpy as np
 
 from .cliffalg import (
-    GRADES,
-    GradeError,
-    Multivector,
-    bivector_array,
-    commutator,
-    geometric_product,
-    hodge_dual,
-    left_contraction,
-    wedge,
+    GRADES, N_BLADES, PLANE_GP, THETA_GP, THETA_LC, THETA_PAIR, THETA_WEDGE, WEDGE_TABLE,
+    GradeError, Multivector, bivector_array, blade_products, blade_sum, commutator,
+    geometric_product, hodge_dual, product_sum,
 )
 from .geometry import (
-    CONN_ORDER,
-    ETA,
-    FRAME_ORDER,
-    PLANES,
-    CurvatureData,
-    FrameGeometry,
-    torsion_trace,
-    torsion_two_forms,
+    CONN_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms,
 )
-from .jets import ChartPoint, Jet2, JetOrderError, jet_einsum
+from .jets import CONSTANT, JET_LEN, ChartPoint, Jet2, JetOrderError, jet_einsum, mul_matrix
 
 Connection = str  # "lc" | "full"
 
@@ -70,14 +74,18 @@ class OperatorResult:
 
 _ETA = np.array(ETA)
 _GRADES = np.array(GRADES)
+# product matrices of the lowered coframe theta_a = eta_a theta^a
+THETA_DOWN_LC = _ETA[:, None, None] * THETA_LC
+THETA_DOWN_WEDGE = _ETA[:, None, None] * THETA_WEDGE
 
 
 def _require_grade(A: Multivector, k: int, what: str):
-    if np.any(A.data[_GRADES != k, 0] != 0.0):
+    # a NaN is not a grade error: it reaches the residual, which reports it
+    if np.any(np.abs(A.data[..., _GRADES != k, 0]) > 0.0):
         raise GradeError(f"{what} must be pure grade {k}")
 
 
-def _biform(geom: FrameGeometry, conn: Connection):
+def _biform(geom: FrameGeometry, conn: Connection) -> Multivector:
     return geom.omega_biform if conn == "full" else geom.lc_biform
 
 
@@ -85,58 +93,115 @@ def _conn_table(geom: FrameGeometry, conn: Connection):
     return geom.full if conn == "full" else geom.lc
 
 
+def _along_directions(stack: Multivector, A: Multivector) -> Multivector:
+    """A (4, 16, 15) stack shaped to broadcast, direction axis first, with A."""
+    shape = (4,) + (1,) * (A.data.ndim - 2) + (N_BLADES, JET_LEN)
+    return Multivector.from_array(stack.data.reshape(shape), stack.order)
+
+
+def _combine(spec: str, X: Multivector, table: np.ndarray, order=CONN_ORDER) -> Multivector:
+    """Multivector stack from ``jet_einsum(spec, X.data, table)``, blade axis
+    k; e.g. spec "ck,acb->abk" gives [a, b] = sum_c table[a][c][b] X[c]."""
+    return Multivector.from_array(jet_einsum(spec, X.data, table), min(X.order, order))
+
+
+def _eta_trace(grid: Multivector) -> Multivector:
+    """eta^{ab} grid[a, b] (the metric is diagonal)."""
+    return Multivector.from_array(np.einsum("a,aa...->...", _ETA, grid.data), grid.order)
+
+
+def _pair_sum(grid: Multivector) -> Multivector:
+    """eta^{ab} grid[a, b] + (theta^a ^ theta^b) grid[a, b] = theta^a theta^b grid[a, b]."""
+    return blade_sum(THETA_PAIR, grid)
+
+
 # -- first order -------------------------------------------------------------
 
 
-def pfaff(geom: FrameGeometry, A: Multivector, a: int) -> Multivector:
-    """Componentwise directional derivative e_a(A^I) theta_I."""
+def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
+    """Componentwise directional derivatives e_a(A^I) theta_I along all
+    four frame vectors, direction axis first."""
     if A.is_numeric():
-        return Multivector.zero()
+        return Multivector.from_array(np.zeros((4,) + A.data.shape), CONSTANT)
     if A.order < 1:
         raise JetOrderError("directional derivative of an order-exhausted field")
-    return Multivector.from_array(A.data @ geom.derivations[a], min(A.order - 1, FRAME_ORDER))
+    derivations = geom.derivations.reshape((4,) + (1,) * (A.data.ndim - 2) + (JET_LEN, JET_LEN))
+    return Multivector.from_array(A.data @ derivations, min(A.order - 1, FRAME_ORDER))
+
+
+def cov_derivs(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
+    """Covariant derivatives of a Clifford field along all e_a:
+    pfaff_a(A) + [omega_a, A] / 2."""
+    omega = _along_directions(_biform(geom, conn), A)
+    return pfaffs(geom, A) + commutator(omega, A).scale(0.5)
+
+
+def spin_cov_derivs(geom: FrameGeometry, psi: Multivector) -> Multivector:
+    """Representative spinor derivatives: pfaff_a(psi) + omega_a psi / 2."""
+    omega = _along_directions(geom.omega_biform, psi)
+    return pfaffs(geom, psi) + geometric_product(omega, psi).scale(0.5)
+
+
+def right_rep_derivs(geom: FrameGeometry, phi: Multivector) -> Multivector:
+    """Right-representative derivatives: pfaff_a(phi) - phi omega_a / 2."""
+    omega = _along_directions(geom.omega_biform, phi)
+    return pfaffs(geom, phi) - geometric_product(phi, omega).scale(0.5)
+
+
+def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
+    """tau(e_a, V)^rho = V^beta T^rho_{a beta} for all a, direction axis
+    first, on grade-1 arguments: one matmul with ``geom.tau``."""
+    _require_grade(V, 1, "torsion operator argument")
+    stack = V.data.shape[:-2]
+    vec = mul_matrix(V.data[..., 1:5, :]).reshape(stack + (4 * JET_LEN, JET_LEN))
+    data = np.zeros((4,) + V.data.shape)
+    data[..., 1:5, :] = np.moveaxis((geom.tau @ vec).reshape(stack + (4, 4, JET_LEN)), -3, 0)
+    return Multivector.from_array(data, min(V.order, FRAME_ORDER))
+
+
+def pfaff(geom: FrameGeometry, A: Multivector, a: int) -> Multivector:
+    """e_a(A^I) theta_I, the direction-a item of ``pfaffs``."""
+    return pfaffs(geom, A)[a]
 
 
 def cov_deriv(geom: FrameGeometry, A: Multivector, a: int, conn: Connection = "full") -> Multivector:
-    """Covariant derivative of a Clifford field:
-    pfaff_a(A) + [omega_a, A] / 2."""
-    omega = _biform(geom, conn)[a]
-    return pfaff(geom, A, a) + commutator(omega, A).scale(0.5)
+    """nabla_a A, the direction-a item of ``cov_derivs``."""
+    return cov_derivs(geom, A, conn)[a]
 
 
 def spin_cov_deriv(geom: FrameGeometry, psi: Multivector, a: int) -> Multivector:
-    """Representative spinor derivative: pfaff_a(psi) + omega_a psi / 2."""
-    omega = geom.omega_biform[a]
-    return pfaff(geom, psi, a) + geometric_product(omega, psi).scale(0.5)
+    """The direction-a item of ``spin_cov_derivs``."""
+    return spin_cov_derivs(geom, psi)[a]
 
 
 def right_rep_deriv(geom: FrameGeometry, phi: Multivector, a: int) -> Multivector:
-    """Right-representative derivative: pfaff_a(phi) - phi omega_a / 2."""
-    omega = geom.omega_biform[a]
-    return pfaff(geom, phi, a) - geometric_product(phi, omega).scale(0.5)
+    """The direction-a item of ``right_rep_derivs``."""
+    return right_rep_derivs(geom, phi)[a]
+
+
+def torsion_operator(geom: FrameGeometry, a: int, V: Multivector) -> Multivector:
+    """tau(e_a, V), the direction-a item of ``torsion_operators``."""
+    return torsion_operators(geom, V)[a]
 
 
 def dirac(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
-    return sum(
-        geometric_product(geom.theta[a], cov_deriv(geom, A, a, conn)) for a in range(4)
-    )
+    """theta^a nabla_a A."""
+    return blade_sum(THETA_GP, cov_derivs(geom, A, conn))
 
 
 def dirac_contract(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
-    return sum(
-        left_contraction(geom.theta[a], cov_deriv(geom, A, a, conn)) for a in range(4)
-    )
+    """theta^a _| nabla_a A."""
+    return blade_sum(THETA_LC, cov_derivs(geom, A, conn))
 
 
 def dirac_wedge(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
-    return sum(
-        wedge(geom.theta[a], cov_deriv(geom, A, a, conn)) for a in range(4)
-    )
+    """theta^a ^ nabla_a A."""
+    return blade_sum(THETA_WEDGE, cov_derivs(geom, A, conn))
 
 
-def _dtheta(geom: FrameGeometry):
-    """dtheta^g = -c^g_{bc} theta^b ^ theta^c summed over b < c."""
-    return [Multivector.from_array(d, CONN_ORDER) for d in bivector_array(-geom.c)]
+def _dtheta(geom: FrameGeometry) -> Multivector:
+    """dtheta^g = -c^g_{bc} theta^b ^ theta^c summed over b < c, a stack."""
+    return Multivector.from_array(bivector_array(-geom.c), CONN_ORDER)
 
 
 def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
@@ -147,11 +212,9 @@ def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     on a coframe blade as a derivation: d(theta_I) = dtheta^g ^ (i_{e_g}
     theta_I), the interior product i_{e_g} being the left contraction by the
     lowered theta_g (the even dtheta^g commutes into first place)."""
-    dthetas = _dtheta(geom)
-    return sum(
-        wedge(geom.theta[b], pfaff(geom, A, b))
-        + wedge(dthetas[b], left_contraction(geom.theta_down(b), A))
-        for b in range(4)
+    interior = blade_products(THETA_DOWN_LC, A)   # [g]: theta_g _| A
+    return blade_sum(THETA_WEDGE, pfaffs(geom, A)) + product_sum(
+        _dtheta(geom), interior, WEDGE_TABLE
     )
 
 
@@ -159,15 +222,6 @@ def codifferential(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Hodge codifferential as a star-d-star sandwich (sign-free in this
     engine's dual convention)."""
     return hodge_dual(exterior_d(geom, hodge_dual(A)))
-
-
-def torsion_operator(geom: FrameGeometry, a: int, V: Multivector) -> Multivector:
-    """tau(e_a, V)^rho = V^beta T^rho_{a beta} on grade-1 arguments."""
-    _require_grade(V, 1, "torsion operator argument")
-    data = np.zeros_like(V.data)
-    lowered = _ETA[:, None] * V.data[1:5]
-    data[1:5] = _ETA[:, None] * jet_einsum("rb,b->r", geom.T[:, a], lowered)
-    return Multivector.from_array(data, min(V.order, FRAME_ORDER))
 
 
 # -- squares on scalars -------------------------------------------------------
@@ -181,29 +235,15 @@ def dirac_square_assembled(
     geom: FrameGeometry, A: Multivector, conn: Connection = "full", antisymmetrized: bool = False
 ) -> Multivector:
     """Square assembled from eta^{ab}[...] plus theta^a ^ theta^b (Clifford)
-    acting on cov_a cov_b A - Gamma^c_{ab} cov_c A; the antisymmetrized flag
-    switches the bivector half to its explicitly antisymmetrized form."""
-    table = _conn_table(geom, conn)
-    cov1 = [cov_deriv(geom, A, a, conn) for a in range(4)]
-    inner = [[None] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            term = cov_deriv(geom, cov1[b], a, conn)
-            for c in range(4):
-                term = term - cov1[c].scale(table[a][c][b])
-            inner[a][b] = term
-    out = sum(inner[a][a].scale(ETA[a]) for a in range(4))
-    for a in range(4):
-        for b in range(4):
-            if a == b:
-                continue
-            plane = PLANES[a, b]
-            if antisymmetrized:
-                half = (inner[a][b] - inner[b][a]).scale(0.5)
-                out = out + geometric_product(plane, half)
-            else:
-                out = out + geometric_product(plane, inner[a][b])
-    return out
+    acting on the grid nabla_a nabla_b A - Gamma^c_{ab} nabla_c A; the
+    antisymmetrized flag switches the bivector half to its explicitly
+    antisymmetrized form."""
+    cov1 = cov_derivs(geom, A, conn)
+    inner = cov_derivs(geom, cov1, conn) - _combine("ck,acb->abk", cov1, _conn_table(geom, conn))
+    if not antisymmetrized:
+        return _pair_sum(inner)
+    half = (inner - inner.swapaxes(0, 1)).scale(0.5)
+    return _eta_trace(inner) + blade_sum(PLANE_GP, half)
 
 
 def frame_wave(geom: FrameGeometry, f: Jet2, conn, trace=None) -> Jet2:
@@ -228,8 +268,10 @@ def scalar_wave_part(geom: FrameGeometry, f: Jet2) -> Jet2:
 
 def scalar_square_biform_part(geom: FrameGeometry, f: Jet2) -> Multivector:
     """Grade-2 part of the scalar square: -Theta^a e_a(f)."""
-    thetas = torsion_two_forms(geom)
-    return sum(thetas[a].scale(geom.e(a, f)).scale(-1.0) for a in range(4))
+    if f.order < 1:
+        raise JetOrderError("cannot differentiate an order-0 jet")
+    df = f.data @ geom.derivations                      # df[a] = e_a f
+    return _combine("ak,a->k", torsion_two_forms(geom), -df, min(f.order - 1, FRAME_ORDER))
 
 
 def _with_scalar(A: Multivector, s: Jet2) -> Multivector:
@@ -254,73 +296,44 @@ def scalar_square_connection_form(geom: FrameGeometry, f: Jet2) -> Multivector:
 # -- vector-level torsion correction ------------------------------------------
 
 
-def _vector_cache(geom: FrameGeometry, A: Multivector):
-    """Shared first-derivative data for the grade-1 correction terms."""
+def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Multivector:
+    """Grid [a, b] of the per-direction-pair correction relating the
+    torsionful square to the standard square on grade-1 fields (six tau/T
+    terms, D the standard derivative):
+    tau_a(D_b A)/2 + D_a(tau_b A)/2 - T^c_ab D_c A/2 - lc^c_ab tau_c A/2
+    - T^c_ab tau_c A/4 + tau_a(tau_b A)/4."""
     _require_grade(A, 1, "torsion square correction argument")
-    return {
-        "D": [cov_deriv(geom, A, c, "lc") for c in range(4)],
-        "tau": [torsion_operator(geom, c, A) for c in range(4)],
-    }
-
-
-def vector_square_torsion_correction(
-    geom: FrameGeometry, A: Multivector, a: int, b: int, cache=None
-) -> Multivector:
-    """Per-direction-pair correction relating the torsionful square to the
-    standard square on grade-1 fields (six tau/T terms)."""
-    if cache is None:
-        cache = _vector_cache(geom, A)
-    DbA = cache["D"][b]
-    tau_bA = cache["tau"][b]
-    out = torsion_operator(geom, a, DbA).scale(0.5)
-    out = out + cov_deriv(geom, tau_bA, a, "lc").scale(0.5)
-    for c in range(4):
-        out = out - cache["D"][c].scale(0.5 * geom.T[c][a][b])
-        out = out - cache["tau"][c].scale(0.5 * geom.lc[a][c][b])
-        out = out - cache["tau"][c].scale(0.25 * geom.T[c][a][b])
-    out = out + torsion_operator(geom, a, tau_bA).scale(0.25)
-    return out
+    D = cov_derivs(geom, A, "lc")
+    tau = torsion_operators(geom, A)
+    return (
+        torsion_operators(geom, D).scale(0.5)
+        + cov_derivs(geom, tau, "lc").scale(0.5)
+        - _combine("ck,cab->abk", D.scale(0.5) + tau.scale(0.25), geom.T, FRAME_ORDER)
+        - _combine("ck,acb->abk", tau, geom.lc).scale(0.5)
+        + torsion_operators(geom, tau).scale(0.25)
+    )
 
 
 def covariant_pair_expansion_residual(geom: FrameGeometry, A: Multivector) -> float:
     """Second covariant derivative of a grade-1 field expanded through the
-    standard derivative and the torsion operator."""
-    cache = _vector_cache(geom, A)
-    cov1 = [cov_deriv(geom, A, c, "full") for c in range(4)]
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            lhs = cov_deriv(geom, cov1[b], a, "full")
-            rhs = cov_deriv(geom, cache["D"][b], a, "lc")
-            rhs = rhs + torsion_operator(geom, a, cache["D"][b]).scale(0.5)
-            rhs = rhs + cov_deriv(geom, cache["tau"][b], a, "lc").scale(0.5)
-            rhs = rhs + torsion_operator(geom, a, cache["tau"][b]).scale(0.25)
-            worst = max(worst, (lhs - rhs).max_abs())
-    return worst
-
-
-def _pair_sum(geom: FrameGeometry, term_fn) -> Multivector:
-    """eta^{ab} term(a,b) + (theta^a ^ theta^b) term(a,b), geometric product."""
-    out = sum(term_fn(a, a).scale(ETA[a]) for a in range(4))
-    for a in range(4):
-        for b in range(4):
-            if a == b:
-                continue
-            out = out + geometric_product(PLANES[a, b], term_fn(a, b))
-    return out
+    standard derivative and the torsion operator, over the (a, b) grid."""
+    D = cov_derivs(geom, A, "lc")
+    tau = torsion_operators(geom, A)
+    lhs = cov_derivs(geom, cov_derivs(geom, A, "full"), "full")
+    rhs = (
+        cov_derivs(geom, D, "lc")
+        + torsion_operators(geom, D).scale(0.5)
+        + cov_derivs(geom, tau, "lc").scale(0.5)
+        + torsion_operators(geom, tau).scale(0.25)
+    )
+    return (lhs - rhs).max_abs()
 
 
 def vector_square_relation_residual(geom: FrameGeometry, A: Multivector) -> float:
     """Torsionful square minus standard square minus the paired torsion
     correction, on a grade-1 field."""
     lhs = dirac_square_direct(geom, A, "full")
-    rhs = dirac_square_direct(geom, A, "lc")
-    cache = _vector_cache(geom, A)
-    corr = {}
-    for a in range(4):
-        for b in range(4):
-            corr[(a, b)] = vector_square_torsion_correction(geom, A, a, b, cache=cache)
-    rhs = rhs + _pair_sum(geom, lambda a, b: corr[(a, b)])
+    rhs = dirac_square_direct(geom, A, "lc") + _pair_sum(vector_square_torsion_correction(geom, A))
     return (lhs - rhs).max_abs()
 
 
@@ -328,60 +341,46 @@ def vector_square_relation_residual(geom: FrameGeometry, A: Multivector) -> floa
 
 
 def spin_dirac(geom: FrameGeometry, psi: Multivector) -> Multivector:
-    return sum(
-        geometric_product(geom.theta[a], spin_cov_deriv(geom, psi, a)) for a in range(4)
-    )
+    return blade_sum(THETA_GP, spin_cov_derivs(geom, psi))
 
 
 def spin_dirac_square_direct(geom: FrameGeometry, psi: Multivector) -> Multivector:
     return spin_dirac(geom, spin_dirac(geom, psi))
 
 
-def _cov_omega(geom: FrameGeometry, a: int, b: int) -> Multivector:
-    """nabla_a omega_b as a Clifford field (Pfaff plus half commutator)."""
-    return pfaff(geom, geom.omega_biform[b], a) + commutator(
-        geom.omega_biform[a], geom.omega_biform[b]
-    ).scale(0.5)
-
-
-def spin_square_right_correction(
-    geom: FrameGeometry,
-    A: Multivector,
-    a: int,
-    b: int,
-    cov1=None,
-    a_omega=None,
+def _right_correction(
+    geom: FrameGeometry, A: Multivector, first: Multivector, d_omega: Multivector
 ) -> Multivector:
-    """Per-direction-pair right-action correction relating the squared spin
-    operator on a representative to the squared torsionful operator."""
+    """Grid [a, b] of the right-action correction, from the first
+    derivatives first[c] of A and the biform derivatives d_omega[a, b] of
+    omega_b along e_a:
+    first_b omega_a/2 + first_a omega_b/2 + A d_omega_ab/2
+    + (A omega_b) omega_a/4 - Gamma^c_ab (A omega_c)/2."""
     omega = geom.omega_biform
-    if cov1 is None:
-        cov1 = [cov_deriv(geom, A, c, "full") for c in range(4)]
-    if a_omega is None:
-        a_omega = [geometric_product(A, omega[c]) for c in range(4)]
-    dab = _cov_omega(geom, a, b)
-    out = geometric_product(cov1[b], omega[a]).scale(0.5)
-    out = out + geometric_product(cov1[a], omega[b]).scale(0.5)
-    out = out + geometric_product(A, dab).scale(0.5)
-    out = out + geometric_product(a_omega[b], omega[a]).scale(0.25)
-    for c in range(4):
-        out = out - a_omega[c].scale(0.5 * geom.full[a][c][b])
-    return out
+    a_omega = geometric_product(A, omega)                              # [c]
+    first_omega = geometric_product(first[None], omega[:, None])       # [a, b]: first_b omega_a
+    return (
+        (first_omega + first_omega.swapaxes(0, 1)).scale(0.5)
+        + geometric_product(A, d_omega).scale(0.5)
+        + geometric_product(a_omega[None], omega[:, None]).scale(0.25)
+        - _combine("ck,acb->abk", a_omega, geom.full).scale(0.5)
+    )
+
+
+def spin_square_right_correction(geom: FrameGeometry, A: Multivector) -> Multivector:
+    """Grid [a, b] of the per-direction-pair right-action correction
+    relating the squared spin operator on a representative to the squared
+    torsionful operator."""
+    return _right_correction(
+        geom, A, cov_derivs(geom, A, "full"), cov_derivs(geom, geom.omega_biform, "full")
+    )
 
 
 def spin_square_relation_residual(geom: FrameGeometry, A: Multivector) -> float:
     """Squared spin operator vs torsionful square plus the paired
     right-action correction (any grade)."""
     lhs = spin_dirac_square_direct(geom, A)
-    cov1 = [cov_deriv(geom, A, c, "full") for c in range(4)]
-    a_omega = [geometric_product(A, geom.omega_biform[c]) for c in range(4)]
-    corr = {}
-    for a in range(4):
-        for b in range(4):
-            corr[(a, b)] = spin_square_right_correction(
-                geom, A, a, b, cov1=cov1, a_omega=a_omega
-            )
-    rhs = dirac_square_direct(geom, A, "full") + _pair_sum(geom, lambda a, b: corr[(a, b)])
+    rhs = dirac_square_direct(geom, A, "full") + _pair_sum(spin_square_right_correction(geom, A))
     return (lhs - rhs).max_abs()
 
 
@@ -390,16 +389,8 @@ def spin_standard_square_residual(geom: FrameGeometry, A: Multivector) -> float:
     (grade-1 fields)."""
     _require_grade(A, 1, "spin standard square argument")
     lhs = spin_dirac_square_direct(geom, A)
-    cov1 = [cov_deriv(geom, A, c, "full") for c in range(4)]
-    a_omega = [geometric_product(A, geom.omega_biform[c]) for c in range(4)]
-    cache = _vector_cache(geom, A)
-    corr = {}
-    for a in range(4):
-        for b in range(4):
-            corr[(a, b)] = spin_square_right_correction(
-                geom, A, a, b, cov1=cov1, a_omega=a_omega
-            ) + vector_square_torsion_correction(geom, A, a, b, cache=cache)
-    rhs = dirac_square_direct(geom, A, "lc") + _pair_sum(geom, lambda a, b: corr[(a, b)])
+    corr = spin_square_right_correction(geom, A) + vector_square_torsion_correction(geom, A)
+    rhs = dirac_square_direct(geom, A, "lc") + _pair_sum(corr)
     return (lhs - rhs).max_abs()
 
 
@@ -410,44 +401,22 @@ def s2_levi_civita_residual(geom: FrameGeometry, A: Multivector) -> float:
     correction, which has no vector-level torsion-operator form."""
     _require_grade(A, 1, "right-action correction argument")
     omega = geom.omega_biform
-    kappa = geom.contorsion_biform
-    cov1 = [cov_deriv(geom, A, c, "full") for c in range(4)]
-    nabla = [
-        cov_deriv(geom, A, c, "lc") + torsion_operator(geom, c, A).scale(0.5)
-        for c in range(4)
-    ]
-    a_omega = [geometric_product(A, omega[c]) for c in range(4)]
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            direct = spin_square_right_correction(
-                geom, A, a, b, cov1=cov1, a_omega=a_omega
-            )
-            d_omega = pfaff(geom, omega[b], a) + commutator(
-                geom.lc_biform[a], omega[b]
-            ).scale(0.5) + commutator(kappa[a], omega[b]).scale(0.5)
-            lc_form = geometric_product(nabla[b], omega[a]).scale(0.5)
-            lc_form = lc_form + geometric_product(nabla[a], omega[b]).scale(0.5)
-            lc_form = lc_form + geometric_product(A, d_omega).scale(0.5)
-            lc_form = lc_form + geometric_product(a_omega[b], omega[a]).scale(0.25)
-            for c in range(4):
-                lc_form = lc_form - a_omega[c].scale(0.5 * geom.full[a][c][b])
-            worst = max(worst, (direct - lc_form).max_abs())
-    return worst
+    nabla = cov_derivs(geom, A, "lc") + torsion_operators(geom, A).scale(0.5)
+    d_omega = (
+        pfaffs(geom, omega)
+        + commutator(geom.lc_biform[:, None], omega[None]).scale(0.5)
+        + commutator(geom.contorsion_biform[:, None], omega[None]).scale(0.5)
+    )
+    direct = spin_square_right_correction(geom, A)
+    return (direct - _right_correction(geom, A, nabla, d_omega)).max_abs()
 
 
 def spin_square_assembly_residual(geom: FrameGeometry, psi: Multivector) -> float:
     """Direct squared spin operator vs the eta / bivector assembly."""
-    spin1 = [spin_cov_deriv(geom, psi, c) for c in range(4)]
-
-    def term(a, b):
-        out = spin_cov_deriv(geom, spin1[b], a)
-        for c in range(4):
-            out = out - spin1[c].scale(geom.full[a][c][b])
-        return out
-
+    spin1 = spin_cov_derivs(geom, psi)
+    term = spin_cov_derivs(geom, spin1) - _combine("ck,acb->abk", spin1, geom.full)
     direct = spin_dirac_square_direct(geom, psi)
-    return (direct - _pair_sum(geom, term)).max_abs()
+    return (direct - _pair_sum(term)).max_abs()
 
 
 def spin_commutator_residuals(
@@ -455,26 +424,20 @@ def spin_commutator_residuals(
 ) -> tuple[float, float]:
     """Commutator of spin derivatives vs the curvature biform action, in the
     bracket form (structure-coefficient term) and the expanded form
-    (torsion-minus-connection coefficients)."""
-    spin1 = [spin_cov_deriv(geom, psi, c) for c in range(4)]
-    worst_bracket = 0.0
-    worst_expanded = 0.0
-    for a in range(4):
-        for b in range(a + 1, 4):
-            lhs = spin_cov_deriv(geom, spin1[b], a) - spin_cov_deriv(geom, spin1[a], b)
-            curv_action = geometric_product(curv.biforms[a][b], psi).scale(0.5)
-            bracket = curv_action + sum(
-                spin1[c].scale(geom.c[c][a][b]) for c in range(4)
-            )
-            expanded = curv_action - sum(
-                spin1[c].scale(
-                    geom.T[c][a][b] - geom.full[a][c][b] + geom.full[b][c][a]
-                )
-                for c in range(4)
-            )
-            worst_bracket = max(worst_bracket, (lhs - bracket).max_abs())
-            worst_expanded = max(worst_expanded, (lhs - expanded).max_abs())
-    return worst_bracket, worst_expanded
+    (torsion-minus-connection coefficients), over the (a, b) grid."""
+    spin1 = spin_cov_derivs(geom, psi)
+    spin2 = spin_cov_derivs(geom, spin1)                   # [a, b]: S_a S_b psi
+    lhs = spin2 - spin2.swapaxes(0, 1)
+    curv_action = geometric_product(curv.biforms, psi).scale(0.5)
+    bracket = curv_action + _combine("ck,cab->abk", spin1, geom.c)
+    # T^c_ab - Gamma^c_ab + Gamma^c_ba at [c, a, b]
+    coeff = (
+        geom.T
+        - np.einsum("acb...->cab...", geom.full)
+        + np.einsum("bca...->cab...", geom.full)
+    )
+    expanded = curv_action - _combine("ck,cab->abk", spin1, coeff)
+    return (lhs - bracket).max_abs(), (lhs - expanded).max_abs()
 
 
 def lichnerowicz_rhs(
@@ -482,17 +445,12 @@ def lichnerowicz_rhs(
 ) -> Multivector:
     """Four-term right side of the generalized Lichnerowicz identity:
     generalized spin Dalembertian + R psi / 4 + J psi - Theta^c spin_c psi."""
-    spin1 = [spin_cov_deriv(geom, psi, c) for c in range(4)]
-    out = sum(spin_cov_deriv(geom, spin1[a], a).scale(ETA[a]) for a in range(4))
-    for a in range(4):
-        for b in range(4):
-            out = out - spin1[b].scale(ETA[a] * geom.full[a][b][a])
+    spin1 = spin_cov_derivs(geom, psi)
+    weight = np.einsum("a,aba...->b...", _ETA, geom.full)  # eta^aa Gamma^b_aa
+    out = _eta_trace(spin_cov_derivs(geom, spin1)) - _combine("bk,b->k", spin1, weight)
     out = out + psi.scale(curv.scalar).scale(0.25)
     out = out + geometric_product(curv.j_form, psi)
-    thetas = torsion_two_forms(geom)
-    for c in range(4):
-        out = out - geometric_product(thetas[c], spin1[c])
-    return out
+    return out - product_sum(torsion_two_forms(geom), spin1)
 
 
 def lichnerowicz_residual(
@@ -514,12 +472,6 @@ def maxwell_residuals(
     _require_grade(F, 2, "field strength")
     _require_grade(J_e, 1, "current")
     clifford = dirac(geom, F, "full") - J_e
-    spin = sum(
-        geometric_product(geom.theta[a], right_rep_deriv(geom, F, a)) for a in range(4)
-    )
-    for a in range(4):
-        spin = spin + geometric_product(
-            geom.theta[a], geometric_product(geom.omega_biform[a], F)
-        ).scale(0.5)
-    spin = spin - J_e
+    spin = right_rep_derivs(geom, F) + geometric_product(geom.omega_biform, F).scale(0.5)
+    spin = blade_sum(THETA_GP, spin) - J_e
     return clifford, spin, clifford - spin

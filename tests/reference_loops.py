@@ -1,8 +1,12 @@
-"""Slow reference implementations that share no code with the array kernels.
+"""Slow reference implementations of the engine's array kernels.
 
 Products loop over the 256-entry sign tables one coefficient pair at a
 time, in any ring with +, - and * (floats, ``fractions.Fraction``, ``Jet2``);
-geometry loops over indices with ``Jet2`` scalars.  Tests compare the array
+geometry loops over indices with ``Jet2`` scalars.  Neither shares code with
+the array kernels.  The per-direction operator loops below are the engine's
+operators as they were before direction stacks: one frame direction, one
+direction pair and one single-multivector product at a time, with the
+planes theta^a ^ theta^b as wedge products.  Tests compare the array
 kernels of ``cliffalg``, ``operators`` and ``geometry`` against them.
 """
 
@@ -75,7 +79,7 @@ def ref_exterior_d(geom, A: RefMV) -> RefMV:
         coeffs = [0.0] * 16
         for b in range(4):
             for c in range(b + 1, 4):
-                coeffs[ca.pair_blade(b, c)[0]] = -Jet2(geom.c[g, b, c])
+                coeffs[pair_blade(b, c)[0]] = -Jet2(geom.c[g, b, c])
         dtheta.append(RefMV(coeffs))
     out = [Jet2.const(0.0)] * 16
     for b in range(4):
@@ -94,6 +98,14 @@ def ref_exterior_d(geom, A: RefMV) -> RefMV:
             sign = 1.0 if pos % 2 == 0 else -1.0
             out = [x + sign * coeff * y for x, y in zip(out, term.coeffs)]
     return RefMV(out)
+
+
+def pair_blade(a: int, b: int):
+    """(index, sign) of e_a ^ e_b in the canonical order; sign 0 if a == b."""
+    if a == b:
+        return 0, 0.0
+    mask = (1 << a) | (1 << b)
+    return ca.MASK_TO_INDEX[mask], 1.0 if a < b else -1.0
 
 
 def _jets(table: np.ndarray):
@@ -143,3 +155,85 @@ def ref_j_components(geom) -> np.ndarray:
                         acc = acc + K[c][k][d] * K[k][a][b]
                     cand[a, b, c, d] = acc.data
     return cand - cand.transpose(0, 1, 3, 2, 4)
+
+
+# -- per-direction operator loops ----------------------------------------------
+
+ETA = (1.0, -1.0, -1.0, -1.0)
+
+
+def _omega(geom, conn):
+    return geom.omega_biform if conn == "full" else geom.lc_biform
+
+
+def ref_pfaff_mv(geom, A: ca.Multivector, a: int) -> ca.Multivector:
+    if A.is_numeric():
+        return ca.Multivector.zero()
+    return ca.Multivector.from_array(A.data @ geom.derivations[a], min(A.order - 1, 2))
+
+
+def ref_cov_deriv(geom, A, a, conn="full"):
+    return ref_pfaff_mv(geom, A, a) + ca.commutator(_omega(geom, conn)[a], A).scale(0.5)
+
+
+def ref_spin_cov_deriv(geom, psi, a):
+    return ref_pfaff_mv(geom, psi, a) + ca.geometric_product(geom.omega_biform[a], psi).scale(0.5)
+
+
+def ref_right_rep_deriv(geom, phi, a):
+    return ref_pfaff_mv(geom, phi, a) - ca.geometric_product(phi, geom.omega_biform[a]).scale(0.5)
+
+
+def ref_torsion_operator(geom, a, V):
+    """tau(e_a, V)^r = eta_r sum_b T^r_{ab} eta_b V_b, one Jet2 product at a time."""
+    data = np.zeros_like(V.data)
+    for r in range(4):
+        acc = Jet2.const(0.0)
+        for b in range(4):
+            acc = acc + Jet2(geom.T[r, a, b]) * Jet2(V.data[1 + b]) * (ETA[r] * ETA[b])
+        data[1 + r] = acc.data
+    return ca.Multivector.from_array(data, min(V.order, 2))
+
+
+def ref_frame_sum(geom, product, stack):
+    """sum_a product(theta^a, stack[a])."""
+    return sum(product(geom.theta[a], stack[a]) for a in range(4))
+
+
+def ref_pair_sum(term_fn):
+    """eta^{ab} term(a, b) + (theta^a ^ theta^b) term(a, b), geometric product."""
+    out = sum(term_fn(a, a).scale(ETA[a]) for a in range(4))
+    for a in range(4):
+        for b in range(4):
+            if a != b:
+                plane = ca.wedge(ca.Multivector.basis(a), ca.Multivector.basis(b))
+                out = out + ca.geometric_product(plane, term_fn(a, b))
+    return out
+
+
+def ref_vector_correction(geom, A, a, b):
+    """Torsion correction of the squared operator on a vector, pair (a, b)."""
+    D = [ref_cov_deriv(geom, A, c, "lc") for c in range(4)]
+    tau = [ref_torsion_operator(geom, c, A) for c in range(4)]
+    out = ref_torsion_operator(geom, a, D[b]).scale(0.5)
+    out = out + ref_cov_deriv(geom, tau[b], a, "lc").scale(0.5)
+    for c in range(4):
+        out = out - D[c].scale(0.5 * geom.T[c][a][b])
+        out = out - tau[c].scale(0.5 * geom.lc[a][c][b])
+        out = out - tau[c].scale(0.25 * geom.T[c][a][b])
+    return out + ref_torsion_operator(geom, a, tau[b]).scale(0.25)
+
+
+def ref_right_correction(geom, A, a, b):
+    """Right-action correction of the squared spin operator, pair (a, b)."""
+    omega = geom.omega_biform
+    cov1 = [ref_cov_deriv(geom, A, c) for c in range(4)]
+    a_omega = [ca.geometric_product(A, omega[c]) for c in range(4)]
+    d_omega = ref_pfaff_mv(geom, omega[b], a) + ca.commutator(omega[a], omega[b]).scale(0.5)
+    out = ca.geometric_product(cov1[b], omega[a]).scale(0.5)
+    out = out + ca.geometric_product(cov1[a], omega[b]).scale(0.5)
+    out = out + ca.geometric_product(A, d_omega).scale(0.5)
+    out = out + ca.geometric_product(a_omega[b], omega[a]).scale(0.25)
+    for c in range(4):
+        out = out - a_omega[c].scale(0.5 * geom.full[a][c][b])
+    return out

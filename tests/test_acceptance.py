@@ -168,11 +168,12 @@ def test_criterion_6_degenerate_limits():
         assert curv.j_form.max_abs() <= 1e-12
         v = rand_mv(rng, p, grade=1)
         A = rand_mv(rng, p)
-        cache = ops._vector_cache(g, v)
+        s1_grid = ops.vector_square_torsion_correction(g, v)
+        s2_grid = ops.spin_square_right_correction(g, A)
         for a in range(4):
             for b in range(4):
-                s1 = ops.vector_square_torsion_correction(g, v, a, b, cache=cache)
-                s2 = ops.spin_square_right_correction(g, A, a, b)
+                s1 = s1_grid[a, b]
+                s2 = s2_grid[a, b]
                 assert s1.max_abs() <= 1e-12
                 assert s2.max_abs() <= 1e-12
         psi = rand_mv(rng, p, even=True)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import BUNDLED, rand_scalar_jet
-from reference_loops import ref_j_components, ref_riemann_components
+from reference_loops import pair_blade, ref_j_components, ref_riemann_components
 from rcdirac import fieldspec as fs
 from rcdirac import geometry as geo
-from rcdirac.cliffalg import pair_blade
 from rcdirac.geometry import (
     DegenerateFrameError,
     build_frame,

@@ -364,3 +364,48 @@ def test_monomial_jets_match_jet_products():
             for _ in range(e):
                 want = want * xs[mu]
         assert np.max(np.abs(got[m] - want.data)) <= 1e-14
+
+
+# checks whose bodies reduced residuals with Python's max, which drops a NaN
+HIDDEN_NAN_CHECKS = [
+    "dirac-split", "leibniz", "spin-module", "spin-left-form", "cov-deriv-torsion",
+    "pair-expansion", "s2-levi-civita", "spin-commutator", "antiderivation",
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_nan_inside_check_body_fails(capsys, tmp_path):
+    # the fields overflow to infinity at x0 > 0.507, so their sup-norm scale
+    # is 0 and they are NaN there; the NaN point is not the first one
+    big = '"exp(700*x0)*exp(700*x0)"'
+    text = (
+        "[chart]\nx0_min = 0.3\nx0_max = 0.6\n" + IDENTITY
+        + f"[fields]\nA.general.1 = {big}\nA.vector.1 = {big}\nA.even.0 = {big}\n"
+        + "[sampling]\nseed = 0\npoints = 6\n"
+    )
+    report = run_suite(fs.load_scenario(text), only=HIDDEN_NAN_CHECKS)
+    for c in report.checks:
+        assert not c.passed, c.name
+        assert c.max is not None  # the finite points were evaluated
+        assert [msg for _, msg in c.errors] == ["non-finite residual nan"], c.name
+    path = tmp_path / "nan.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--only", ",".join(HIDDEN_NAN_CHECKS)]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_tetrad_is_a_failing_point_error(capsys, tmp_path):
+    # the tetrad overflows to infinity at the x1 ~ 0.65 sample point
+    text = '[tetrad]\ne0_0 = "exp(700*x1)*exp(700*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+    report = run_suite(fs.load_scenario(text), points=3)
+    bad = [p for p in sample_points(fs.load_scenario(text), points=3) if p.x[1] > 0.6]
+    assert len(bad) == 1
+    for c in report.checks:
+        assert not c.passed, c.name
+        assert [point for point, _ in c.errors] == [bad[0].x], c.name
+        assert c.errors[0][1].startswith("NonFiniteFrameError: the tetrad is not finite")
+    path = tmp_path / "inf.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--points", "3"]) == 1
+    assert "ERROR metricity point=(" in capsys.readouterr().out

@@ -282,7 +282,7 @@ def test_scalar_form_rejects_nothing_but_scalars():
     g = build_frame(sc, p)
     rng = np.random.default_rng(13)
     with pytest.raises(GradeError):
-        ops.vector_square_torsion_correction(g, rand_mv(rng, p, grade=2), 0, 1)
+        ops.vector_square_torsion_correction(g, rand_mv(rng, p, grade=2))
 
 
 # -- second-order relations -------------------------------------------------------
@@ -399,19 +399,20 @@ def test_right_action_correction_zero_when_flat():
     g = build_frame(sc, p)
     rng = np.random.default_rng(24)
     A = rand_mv(rng, p)
+    grid = ops.spin_square_right_correction(g, A)
     for a in range(4):
         for b in range(4):
-            assert ops.spin_square_right_correction(g, A, a, b).max_abs() == 0.0
+            assert grid[a, b].max_abs() == 0.0
 
 
 def test_torsion_corrections_zero_without_torsion(frames):
     rng = np.random.default_rng(25)
     for g in frames["curved_diag"]:
         v = rand_mv(rng, g.point, grade=1)
-        cache = ops._vector_cache(g, v)
+        grid = ops.vector_square_torsion_correction(g, v)
         for a in range(4):
             for b in range(4):
-                corr = ops.vector_square_torsion_correction(g, v, a, b, cache=cache)
+                corr = grid[a, b]
                 assert corr.max_abs() == 0.0
 
 

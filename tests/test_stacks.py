@@ -1,0 +1,206 @@
+"""Direction-stacked operators against the per-direction reference loops,
+and negative controls for the checks built on the (a, b) grids."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from conftest import load_bundled, rand_mv
+from reference_loops import (
+    ref_cov_deriv,
+    ref_frame_sum,
+    ref_pair_sum,
+    ref_pfaff_mv,
+    ref_right_correction,
+    ref_right_rep_deriv,
+    ref_spin_cov_deriv,
+    ref_torsion_operator,
+    ref_vector_correction,
+)
+from rcdirac import geometry, harness
+from rcdirac import operators as ops
+from rcdirac.cliffalg import Multivector, geometric_product, left_contraction, wedge
+from rcdirac.geometry import build_frame, curvature
+from rcdirac.jets import ChartPoint
+
+
+@pytest.fixture(scope="module")
+def geoms(frames, general_torsion):
+    """Two points of each bundled scenario plus one of general torsion."""
+    out = [g for gs in frames.values() for g in gs]
+    out.append(build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8))))
+    return out
+
+
+def _close(got: Multivector, want: Multivector) -> bool:
+    scale = max(1.0, np.max(np.abs(want.data)))
+    return np.max(np.abs(got.data - want.data)) <= 1e-13 * scale
+
+
+def assert_stack(got: Multivector, want_fn):
+    """Every item got[idx] matches want_fn(*idx), all jet slots, within
+    1e-13 x the scale of the reference."""
+    assert got.data.ndim > 2
+    for idx in np.ndindex(got.data.shape[:-2]):
+        assert _close(got[idx], want_fn(*idx)), idx
+
+
+def test_derivative_stacks_match_loops(geoms):
+    rng = np.random.default_rng(40)
+    for g in geoms:
+        A = rand_mv(rng, g.point)
+        psi = rand_mv(rng, g.point, even=True)
+        assert_stack(ops.pfaffs(g, A), lambda a: ref_pfaff_mv(g, A, a))
+        for conn in ("lc", "full"):
+            assert_stack(ops.cov_derivs(g, A, conn), lambda a: ref_cov_deriv(g, A, a, conn))
+        assert_stack(ops.spin_cov_derivs(g, psi), lambda a: ref_spin_cov_deriv(g, psi, a))
+        assert_stack(ops.right_rep_derivs(g, A), lambda a: ref_right_rep_deriv(g, A, a))
+        for a in range(4):
+            assert _close(ops.cov_deriv(g, A, a), ref_cov_deriv(g, A, a))
+            assert _close(ops.pfaff(g, A, a), ref_pfaff_mv(g, A, a))
+
+
+def test_second_derivative_grids_match_loops(geoms):
+    rng = np.random.default_rng(41)
+    for g in geoms:
+        A = rand_mv(rng, g.point)
+        for conn in ("lc", "full"):
+            grid = ops.cov_derivs(g, ops.cov_derivs(g, A, conn), conn)
+            assert_stack(grid, lambda a, b: ref_cov_deriv(
+                g, ref_cov_deriv(g, A, b, conn), a, conn))
+        grid = ops.spin_cov_derivs(g, ops.spin_cov_derivs(g, A))
+        assert_stack(grid, lambda a, b: ref_spin_cov_deriv(g, ref_spin_cov_deriv(g, A, b), a))
+
+
+def test_torsion_operator_stacks_match_loops(geoms):
+    rng = np.random.default_rng(42)
+    for g in geoms:
+        v = rand_mv(rng, g.point, grade=1)
+        assert_stack(ops.torsion_operators(g, v), lambda a: ref_torsion_operator(g, a, v))
+        D = ops.cov_derivs(g, v, "lc")
+        assert_stack(ops.torsion_operators(g, D), lambda a, b: ref_torsion_operator(
+            g, a, ref_cov_deriv(g, v, b, "lc")))
+
+
+def test_frame_sums_match_loops(geoms):
+    rng = np.random.default_rng(43)
+    for g in geoms:
+        A = rand_mv(rng, g.point)
+        for conn in ("lc", "full"):
+            cov = [ref_cov_deriv(g, A, a, conn) for a in range(4)]
+            for got, product in (
+                (ops.dirac(g, A, conn), geometric_product),
+                (ops.dirac_contract(g, A, conn), left_contraction),
+                (ops.dirac_wedge(g, A, conn), wedge),
+            ):
+                assert _close(got, ref_frame_sum(g, product, cov))
+        spin = [ref_spin_cov_deriv(g, A, a) for a in range(4)]
+        assert _close(ops.spin_dirac(g, A), ref_frame_sum(g, geometric_product, spin))
+
+
+def test_correction_grids_match_loops(geoms):
+    rng = np.random.default_rng(44)
+    for g in geoms:
+        v = rand_mv(rng, g.point, grade=1)
+        A = rand_mv(rng, g.point)
+        assert_stack(ops.vector_square_torsion_correction(g, v),
+                     lambda a, b: ref_vector_correction(g, v, a, b))
+        assert_stack(ops.spin_square_right_correction(g, A),
+                     lambda a, b: ref_right_correction(g, A, a, b))
+
+
+def test_pair_sums_match_loops(geoms):
+    rng = np.random.default_rng(45)
+    for g in geoms:
+        A = rand_mv(rng, g.point)
+        grid = ops.spin_square_right_correction(g, A)
+        assert _close(ops._pair_sum(grid), ref_pair_sum(lambda a, b: grid[a, b]))
+        # the curvature contraction is the plane half of a pair sum
+        curv = curvature(g)
+        want = ref_pair_sum(
+            lambda a, b: curv.biforms[a, b] if a != b else Multivector.zero()
+        )
+        got = Multivector.scalar(curv.scalar) + curv.contraction_grade2 + curv.contraction_grade4
+        assert _close(got, want)
+
+
+def test_grids_are_indexed_a_then_b(frames):
+    # grid[a, b] is the (a, b) term, not its transpose
+    rng = np.random.default_rng(46)
+    g = frames["curved_torsion"][0]
+    v = rand_mv(rng, g.point, grade=1)
+    A = rand_mv(rng, g.point)
+    second = ops.cov_derivs(g, ops.cov_derivs(g, v))
+    for grid, ref in (
+        (second, lambda a, b: ref_cov_deriv(g, ref_cov_deriv(g, v, b), a)),
+        (ops.vector_square_torsion_correction(g, v), lambda a, b: ref_vector_correction(g, v, a, b)),
+        (ops.spin_square_right_correction(g, A), lambda a, b: ref_right_correction(g, A, a, b)),
+        (ops.torsion_operators(g, ops.cov_derivs(g, v, "lc")),
+         lambda a, b: ref_torsion_operator(g, a, ref_cov_deriv(g, v, b, "lc"))),
+    ):
+        assert _close(grid[0, 1], ref(0, 1))
+        assert not _close(grid[0, 1], ref(1, 0))
+
+
+# -- negative controls -------------------------------------------------------------
+
+
+def _transposed(fn):
+    """The (a, b) grid comes back transposed."""
+    return lambda *args: fn(*args).swapaxes(0, 1)
+
+
+def _second_transposed(fn):
+    """A derivative stack whose second application is transposed."""
+    def wrapped(geom, A, *rest):
+        out = fn(geom, A, *rest)
+        return out.swapaxes(0, 1) if A.data.ndim > 2 else out
+    return wrapped
+
+
+def _without_tau_d(fn):
+    """The vector correction without its tau_a(D_b A)/2 term.  (Its
+    tau_a(tau_b A)/4 term is no control: for totally antisymmetric torsion
+    its pair sum vanishes.)"""
+    def wrapped(geom, A):
+        tau_d = ops.torsion_operators(geom, ops.cov_derivs(geom, A, "lc"))
+        return fn(geom, A) - tau_d.scale(0.5)
+    return wrapped
+
+
+def _frame_with(change):
+    """build_frame followed by a change of one field of the geometry."""
+    return lambda fn: lambda scenario, point: change(fn(scenario, point))
+
+
+# check -> (module, attribute, replacement built from the original)
+PERTURBATIONS = {
+    "pair-expansion": (ops, "cov_derivs", _second_transposed),
+    "square-torsion-relation": (ops, "vector_square_torsion_correction", _transposed),
+    "spin-square-relation": (ops, "spin_square_right_correction", _transposed),
+    "spin-standard-square": (ops, "vector_square_torsion_correction", _without_tau_d),
+    "s2-levi-civita": (geometry, "build_frame", _frame_with(lambda g: dataclasses.replace(
+        g, contorsion_biform=g.contorsion_biform.scale(0.0)))),
+    "square-assembly": (geometry, "build_frame", _frame_with(
+        lambda g: dataclasses.replace(g, full=g.lc))),
+    "spin-square-assembly": (ops, "spin_cov_derivs", _second_transposed),
+    "lichnerowicz": (ops, "torsion_two_forms", lambda fn: lambda geom: fn(geom).scale(0.0)),
+    "spin-commutator": (ops, "spin_cov_derivs", _second_transposed),
+}
+
+
+@pytest.fixture(scope="module")
+def curved_torsion():
+    return load_bundled("curved_torsion")
+
+
+@pytest.mark.parametrize("check", sorted(PERTURBATIONS))
+def test_perturbed_ingredient_fails(check, curved_torsion, monkeypatch):
+    (control,) = harness.run_suite(curved_torsion, points=2, only=[check]).checks
+    assert control.passed
+    module, attr, perturb = PERTURBATIONS[check]
+    monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
+    (c,) = harness.run_suite(curved_torsion, points=2, only=[check]).checks
+    assert not c.passed
+    assert c.max > 1e-6 and not c.errors
