@@ -29,7 +29,7 @@ biforms a (4, 4, 16, 15) grid, and the torsion operator tau(e_a, .) is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -102,6 +102,8 @@ class FrameGeometry:
     omega_biform: Multivector    # full-connection biforms omega_{e_a}, stack
     lc_biform: Multivector       # Levi-Civita biforms, stack
     contorsion_biform: Multivector  # omega - lc biforms, stack
+    # operator results shared by the checks at this point (see operators)
+    shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def e(self, a: int, f: Jet2) -> Jet2:
         """Directional derivative e_a(f) = e_a^mu d_mu f."""

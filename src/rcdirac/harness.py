@@ -12,12 +12,18 @@ coefficients, normalized to unit sup-norm over the sampled points.  A
 scenario may override any of them by defining fields with the reserved
 names ``f.scalar`` and ``A.vector``, ``A.bivector``, ``A.even``,
 ``A.general``, ``A.general2``, ``A.current``.
+
+The seeded draws (the Halton shift of the sample points and the polynomial
+coefficients) come from ``UniformStream``, which reproduces numpy's
+``default_rng`` PCG64 stream bit for bit without importing ``numpy.random``,
+whose import would cost more than the draws.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -70,6 +76,84 @@ class UsageError(ValueError):
     """Bad command-line arguments."""
 
 
+# -- seeded streams -------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# SeedSequence hash constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+
+class UniformStream:
+    """numpy's ``default_rng(entropy)`` stream, drawn without importing
+    ``numpy.random``: SeedSequence mixing of the entropy words into a
+    4-word pool, PCG64 (XSL-RR 128/64) seeded from it, and doubles
+    ``(x >> 11) * 2**-53``.  ``uniform(lo, hi, n)`` equals numpy's
+    ``Generator.uniform(lo, hi, n)`` bit for bit over consecutive calls."""
+
+    def __init__(self, entropy):
+        words = []
+        for n in entropy:
+            n = operator.index(n)
+            if n < 0:
+                raise ValueError("expected non-negative integer")
+            words.append(n & _MASK32)
+            while n >> 32:
+                n >>= 32
+                words.append(n & _MASK32)
+        const = _INIT_A
+
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * _MULT_A & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+
+        # generate_state(4, uint64): 8 words, paired little-endian
+        state, hash_b = [], _INIT_B
+        for i in range(8):
+            value = pool[i % _POOL_SIZE] ^ hash_b
+            hash_b = hash_b * _MULT_B & _MASK32
+            value = value * hash_b & _MASK32
+            state.append(value ^ value >> 16)
+        w = [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+        seed, inc = w[0] << 64 | w[1], w[2] << 64 | w[3]
+        # PCG64 srandom: state 0, step, add the seed, step
+        self._inc = (inc << 1 | 1) & _MASK128
+        self._state = ((self._inc + seed) * _PCG_MULT + self._inc) & _MASK128
+
+    def uniform(self, lo: float, hi: float, n: int) -> list[float]:
+        span, state, inc = hi - lo, self._state, self._inc
+        out = []
+        for _ in range(n):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & _MASK64          # rotate right
+            out.append(lo + span * ((x >> 11) * _DOUBLE_UNIT))
+        self._state = state
+        return out
+
+
 # -- test fields --------------------------------------------------------------
 
 
@@ -108,7 +192,7 @@ def monomial_jets(point: ChartPoint) -> np.ndarray:
 def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunField]:
     """Assemble all test fields for a run and normalize them to unit
     sup-norm over the sampled points."""
-    rng = np.random.default_rng([seed, 0xF1E1D])
+    rng = UniformStream([seed, 0xF1E1D])
     fields: dict[str, RunField] = {}
     for kind, grades in FIELD_KINDS.items():
         override = None
@@ -170,7 +254,7 @@ def sample_points(scenario: Scenario, points: int | None = None, seed: int | Non
     for lo, hi in scenario.chart_box:
         if not hi > lo:
             raise ValueError(f"empty chart box interval ({lo}, {hi})")
-    shift = np.random.default_rng([s, 0x5A11]).uniform(0.0, 1.0, 4)
+    shift = UniformStream([s, 0x5A11]).uniform(0.0, 1.0, 4)
     out = []
     for k in range(n):
         coords = []
@@ -191,19 +275,15 @@ class CheckDescriptor:
     anchor: str                       # identity statement, for explain/JSON
     fields: tuple[str, ...]
     fn: object
-    jet_order: int = 2
     note: str = ""
 
 
 CHECKS: dict[str, CheckDescriptor] = {}
 
 
-def _check(name, anchor, fields=(), jet_order=2, note=""):
+def _check(name, anchor, fields=(), note=""):
     def deco(fn):
-        CHECKS[name] = CheckDescriptor(
-            name=name, anchor=anchor, fields=tuple(fields), fn=fn,
-            jet_order=jet_order, note=note,
-        )
+        CHECKS[name] = CheckDescriptor(name=name, anchor=anchor, fields=tuple(fields), fn=fn, note=note)
         return fn
 
     return deco
@@ -242,7 +322,11 @@ class PointContext:
         return self.field("scalar").coeffs[0]
 
     def scalar_mv(self) -> Multivector:
-        return Multivector([self.scalar()] + [0.0] * 15)
+        """The scalar field as a multivector, one object per point so that
+        the checks share the operator results on it."""
+        if "scalar_mv" not in self._values:
+            self._values["scalar_mv"] = Multivector([self.scalar()] + [0.0] * 15)
+        return self._values["scalar_mv"]
 
 
 def _worst(*residuals) -> float:
@@ -906,7 +990,7 @@ def cli_main(argv) -> int:
         print(f"name:     {desc.name}")
         print(f"identity: {desc.anchor}")
         print(f"fields:   {', '.join(desc.fields) if desc.fields else 'none'}")
-        print(f"order:    needs jets of order {desc.jet_order}")
+        print("order:    needs jets of order 2")
         if desc.note:
             print(f"note:     {desc.note}")
         return 0

@@ -24,6 +24,18 @@ corrections of the squared operators are (4, 4, 16, 15) grids whose
 products broadcast one operand along a and the other along b, so each
 operand is expanded once.
 
+Sharing: the checks at a point compare forms built from the same
+ingredients, so each pure operator family (``pfaffs``, ``cov_derivs``,
+``spin_cov_derivs``, ``right_rep_derivs``, ``torsion_operators``, the three
+Dirac parts, ``exterior_d``, ``codifferential``, both direct squares,
+``spin_dirac`` and the two correction grids) is computed once per frame and
+argument.  Its result lives in ``geom.shared``, keyed by the function and
+the identity of its multivector arguments, and goes away with the frame;
+each pool worker builds its own frames.  Shared results are read-only:
+writing into one raises ``ValueError``, and arithmetic on them returns new
+arrays.  Passing the same multivector object again reuses the result, so
+an argument must not be modified in place after a call.
+
 Connection selection: ``conn="lc"`` is the Levi-Civita (standard) operator
 family, ``conn="full"`` the torsionful metric-compatible one.  The covariant
 derivative on Clifford fields is the Pfaff derivative plus half the
@@ -34,8 +46,8 @@ right-representative derivative the one-sided right action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import functools
+import inspect
 
 import numpy as np
 
@@ -47,29 +59,9 @@ from .cliffalg import (
 from .geometry import (
     CONN_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms,
 )
-from .jets import CONSTANT, JET_LEN, ChartPoint, Jet2, JetOrderError, jet_einsum, mul_matrix
+from .jets import CONSTANT, JET_LEN, Jet2, JetOrderError, jet_einsum, mul_matrix
 
 Connection = str  # "lc" | "full"
-
-
-@dataclass(frozen=True)
-class MvField:
-    """A rule point -> Multivector with jet coefficients of a known order."""
-
-    label: str
-    fn: Callable[[ChartPoint], Multivector]
-    order: int = 2
-
-    def at(self, point: ChartPoint) -> Multivector:
-        return self.fn(point)
-
-
-@dataclass(frozen=True)
-class OperatorResult:
-    """An operator output together with the formula that produced it."""
-
-    value: Multivector
-    provenance: str
 
 
 _ETA = np.array(ETA)
@@ -77,6 +69,31 @@ _GRADES = np.array(GRADES)
 # product matrices of the lowered coframe theta_a = eta_a theta^a
 THETA_DOWN_LC = _ETA[:, None, None] * THETA_LC
 THETA_DOWN_WEDGE = _ETA[:, None, None] * THETA_WEDGE
+
+
+def _per_frame(fn):
+    """Share fn's result per frame: the first call for a set of arguments
+    stores it, read-only, in ``geom.shared``; later calls return it.  The
+    key is fn plus the identity of each Multivector argument, with defaults
+    filled in; the entry holds those arguments, so their ids stay theirs."""
+    sig = inspect.signature(fn)
+    n_params = len(sig.parameters)
+
+    @functools.wraps(fn)
+    def shared(geom, *args, **kwargs):
+        if kwargs or len(args) + 1 != n_params:
+            bound = sig.bind(geom, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (fn,) + tuple(id(x) if isinstance(x, Multivector) else x for x in args)
+        hit = geom.shared.get(key)
+        if hit is None:
+            out = fn(geom, *args)
+            out.data.flags.writeable = False
+            hit = geom.shared[key] = (args, out)
+        return hit[1]
+
+    return shared
 
 
 def _require_grade(A: Multivector, k: int, what: str):
@@ -118,6 +135,7 @@ def _pair_sum(grid: Multivector) -> Multivector:
 # -- first order -------------------------------------------------------------
 
 
+@_per_frame
 def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Componentwise directional derivatives e_a(A^I) theta_I along all
     four frame vectors, direction axis first."""
@@ -129,6 +147,7 @@ def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
     return Multivector.from_array(A.data @ derivations, min(A.order - 1, FRAME_ORDER))
 
 
+@_per_frame
 def cov_derivs(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """Covariant derivatives of a Clifford field along all e_a:
     pfaff_a(A) + [omega_a, A] / 2."""
@@ -136,18 +155,21 @@ def cov_derivs(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -
     return pfaffs(geom, A) + commutator(omega, A).scale(0.5)
 
 
+@_per_frame
 def spin_cov_derivs(geom: FrameGeometry, psi: Multivector) -> Multivector:
     """Representative spinor derivatives: pfaff_a(psi) + omega_a psi / 2."""
     omega = _along_directions(geom.omega_biform, psi)
     return pfaffs(geom, psi) + geometric_product(omega, psi).scale(0.5)
 
 
+@_per_frame
 def right_rep_derivs(geom: FrameGeometry, phi: Multivector) -> Multivector:
     """Right-representative derivatives: pfaff_a(phi) - phi omega_a / 2."""
     omega = _along_directions(geom.omega_biform, phi)
     return pfaffs(geom, phi) - geometric_product(phi, omega).scale(0.5)
 
 
+@_per_frame
 def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     """tau(e_a, V)^rho = V^beta T^rho_{a beta} for all a, direction axis
     first, on grade-1 arguments: one matmul with ``geom.tau``."""
@@ -184,16 +206,19 @@ def torsion_operator(geom: FrameGeometry, a: int, V: Multivector) -> Multivector
     return torsion_operators(geom, V)[a]
 
 
+@_per_frame
 def dirac(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a nabla_a A."""
     return blade_sum(THETA_GP, cov_derivs(geom, A, conn))
 
 
+@_per_frame
 def dirac_contract(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a _| nabla_a A."""
     return blade_sum(THETA_LC, cov_derivs(geom, A, conn))
 
 
+@_per_frame
 def dirac_wedge(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a ^ nabla_a A."""
     return blade_sum(THETA_WEDGE, cov_derivs(geom, A, conn))
@@ -204,6 +229,7 @@ def _dtheta(geom: FrameGeometry) -> Multivector:
     return Multivector.from_array(bivector_array(-geom.c), CONN_ORDER)
 
 
+@_per_frame
 def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Exterior derivative from antisymmetrized frame derivatives plus
     structure-coefficient terms; no connection involved.
@@ -218,6 +244,7 @@ def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     )
 
 
+@_per_frame
 def codifferential(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Hodge codifferential as a star-d-star sandwich (sign-free in this
     engine's dual convention)."""
@@ -227,6 +254,7 @@ def codifferential(geom: FrameGeometry, A: Multivector) -> Multivector:
 # -- squares on scalars -------------------------------------------------------
 
 
+@_per_frame
 def dirac_square_direct(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     return dirac(geom, dirac(geom, A, conn), conn)
 
@@ -296,6 +324,7 @@ def scalar_square_connection_form(geom: FrameGeometry, f: Jet2) -> Multivector:
 # -- vector-level torsion correction ------------------------------------------
 
 
+@_per_frame
 def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Grid [a, b] of the per-direction-pair correction relating the
     torsionful square to the standard square on grade-1 fields (six tau/T
@@ -340,10 +369,12 @@ def vector_square_relation_residual(geom: FrameGeometry, A: Multivector) -> floa
 # -- spin operators ------------------------------------------------------------
 
 
+@_per_frame
 def spin_dirac(geom: FrameGeometry, psi: Multivector) -> Multivector:
     return blade_sum(THETA_GP, spin_cov_derivs(geom, psi))
 
 
+@_per_frame
 def spin_dirac_square_direct(geom: FrameGeometry, psi: Multivector) -> Multivector:
     return spin_dirac(geom, spin_dirac(geom, psi))
 
@@ -367,6 +398,7 @@ def _right_correction(
     )
 
 
+@_per_frame
 def spin_square_right_correction(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Grid [a, b] of the per-direction-pair right-action correction
     relating the squared spin operator on a representative to the squared

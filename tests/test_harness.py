@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import GENERAL_TORSION_TEXT, load_bundled
+import rcdirac
 from rcdirac import fieldspec as fs
 from rcdirac import harness
 from rcdirac.harness import (
     CHECKS,
+    UniformStream,
     UsageError,
     build_run_fields,
     cli_main,
@@ -55,6 +61,42 @@ def test_sampling_errors():
     bad = fs.load_scenario("[chart]\nx0_min = 1\nx0_max = 1\n" + IDENTITY)
     with pytest.raises(ValueError):
         sample_points(bad, points=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "entropy", [[0, 0], [4, 0x5A11], [4, 0xF1E1D], [2**40 + 5, 7], [2**70, 0xF1E1D]]
+)
+def test_uniform_stream_is_numpys_stream(entropy):
+    ours = UniformStream(entropy)
+    theirs = np.random.default_rng(entropy)
+    for lo, hi, n in ((0.0, 1.0, 4), (-1.0, 1.0, 35), (-1.0, 1.0, 35), (-1.0, 1.0, 1), (0.0, 1.0, 100)):
+        got = np.array(ours.uniform(lo, hi, n))
+        assert got.view(np.uint64).tolist() == theirs.uniform(lo, hi, n).view(np.uint64).tolist()
+
+
+def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        UniformStream([-1, 0x5A11])
+    path = tmp_path / "negative.scn"
+    path.write_text(IDENTITY + "[sampling]\nseed = -1\n")
+    for argv in (["run", "minkowski", "--seed", "-1"], ["run", str(path)]):
+        assert cli_main(argv + ["--points", "1"]) == 3
+        assert capsys.readouterr().err == "scenario error: expected non-negative integer\n"
+
+
+def test_run_does_not_import_numpy_random():
+    code = (
+        "import sys, rcdirac\n"
+        "sc = rcdirac.load_scenario_file(rcdirac.harness.resolve_scenario_path('curved_torsion'))\n"
+        "rcdirac.run_suite(sc, points=1, only=['dirac-split', 'lichnerowicz'])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(rcdirac.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_field_generation_normalized_and_seeded():
@@ -279,6 +321,7 @@ def test_cli_explain(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "generalized Dalembertian" in out
+    assert "\norder:    needs jets of order 2\n" in out
     rc = cli_main(["explain", "bogus"])
     assert rc == 2
     capsys.readouterr()

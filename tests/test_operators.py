@@ -518,18 +518,6 @@ def test_double_contraction_scalar(frames):
         assert ops.dirac_contract(g, inner, "full").max_abs() == 0.0
 
 
-def test_operator_result_and_field_wrappers(frames):
-    g = frames["minkowski"][0]
-    field = ops.MvField(
-        label="probe",
-        fn=lambda p: scalar_mv(seed_coordinate(0, p) * seed_coordinate(1, p)),
-    )
-    mv = field.at(g.point)
-    res = ops.OperatorResult(value=ops.dirac(g, mv, "lc"), provenance="dirac lc")
-    assert res.provenance == "dirac lc"
-    assert res.value.max_abs() > 0.0
-
-
 def test_pfaff_order_exhaustion(frames):
     from rcdirac.jets import JetOrderError
 
