@@ -34,7 +34,12 @@ uses up.
 Each product type is one kernel: its sign table, rearranged so that row
 (k, j) holds the signs of the left blades paired with right blade j in
 output blade k, gathers the signed left factors in one matmul, and two more
-matmuls take the jet products through ``jets.MUL`` and sum them.  Stack
+matmuls take the jet products through ``jets.MUL`` and sum them.  The
+kernels follow the slot contract of ``jets``: the result has the lower
+operand order, and below order 2 the matmuls run on the first 5 jet
+slots only, with exact zeros written above the result's slots; so do
+``product_sum`` and scaling by a jet.  A sum or difference of operands of
+different orders clears the slots above the lower one.  Stack
 axes broadcast like numpy's, so ``geometric_product(X[:, None], Y[None])``
 is the whole (a, b) grid of products, each operand expanded once.  The
 commutator has its own table, GP[k, i, j] - GP[k, j, i], so blades that
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import CONSTANT, JET_LEN, Jet2, mul_matrix
+from .jets import CONSTANT, JET_LEN, Jet2, clear_above, mul_matrix, padded, width
 
 N_GENERATORS = 4
 N_BLADES = 16
@@ -197,7 +202,7 @@ class Multivector:
                 data[i, 0] = c
             else:
                 raise TypeError(f"coefficient {i} is {type(c).__name__}, not a number or Jet2")
-        self.data = data
+        self.data = clear_above(data, order)
         self.order = order
 
     # -- constructors ---------------------------------------------------
@@ -289,7 +294,7 @@ class Multivector:
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector.from_array(self.data + other.data, min(self.order, other.order))
+        return _linear(self.data + other.data, self.order, other.order)
 
     def __radd__(self, other):
         # 0 + A, so that the builtin sum() adds multivectors
@@ -300,7 +305,7 @@ class Multivector:
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector.from_array(self.data - other.data, min(self.order, other.order))
+        return _linear(self.data - other.data, self.order, other.order)
 
     def __neg__(self):
         return Multivector.from_array(-self.data, self.order)
@@ -317,7 +322,9 @@ class Multivector:
             jet, order = np.asarray(s, dtype=np.float64), 2
             if jet.shape[-1:] != (JET_LEN,):
                 raise TypeError(f"cannot scale a multivector by {type(s).__name__}")
-        return Multivector.from_array(self.data @ mul_matrix(jet), min(self.order, order))
+        order = min(self.order, order)
+        n = width(order)
+        return Multivector.from_array(padded(self.data[..., :n] @ mul_matrix(jet, n), order), order)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -328,6 +335,15 @@ class Multivector:
         if isinstance(other, Multivector):
             return NotImplemented
         return self.scale(other)
+
+
+def _linear(data: np.ndarray, order_a, order_b) -> Multivector:
+    """A sum or difference of two operands: the higher-order one may fill
+    slots above the result's order, which are cleared."""
+    if order_a == order_b:
+        return Multivector.from_array(data, order_a)
+    order = min(order_a, order_b)
+    return Multivector.from_array(clear_above(data, order), order)
 
 
 _NOT_GRADE = tuple(np.array(GRADES) != k for k in range(5))
@@ -354,9 +370,11 @@ class Coefficients:
 
 
 def _product(a: Multivector, b: Multivector, table: np.ndarray) -> Multivector:
-    left = (table @ a.data).reshape(a.data.shape[:-2] + (N_BLADES, N_BLADES * JET_LEN))
-    right = mul_matrix(b.data).reshape(b.data.shape[:-2] + (N_BLADES * JET_LEN, JET_LEN))
-    return Multivector.from_array(left @ right, min(a.order, b.order))
+    order = min(a.order, b.order)
+    n = width(order)
+    left = (table @ a.data[..., :n]).reshape(a.data.shape[:-2] + (N_BLADES, N_BLADES * n))
+    right = mul_matrix(b.data, n).reshape(b.data.shape[:-2] + (N_BLADES * n, n))
+    return Multivector.from_array(padded(left @ right, order), order)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -379,12 +397,11 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
 def product_sum(a: Multivector, b: Multivector, table: np.ndarray = GP_TABLE) -> Multivector:
     """sum_i a[i] o b[i] over the leading stack axis of both operands, as
     one matmul; ``table`` picks the product (GP_TABLE, WEDGE_TABLE, ...)."""
-    n = a.data.shape[0]
-    left = (table @ a.data).reshape(n, N_BLADES, N_BLADES * JET_LEN).transpose(1, 0, 2)
-    right = mul_matrix(b.data).reshape(n * N_BLADES * JET_LEN, JET_LEN)
-    return Multivector.from_array(
-        left.reshape(N_BLADES, -1) @ right, min(a.order, b.order)
-    )
+    order = min(a.order, b.order)
+    n, items = width(order), a.data.shape[0]
+    left = (table @ a.data[..., :n]).reshape(items, N_BLADES, N_BLADES * n).transpose(1, 0, 2)
+    right = mul_matrix(b.data, n).reshape(items * N_BLADES * n, n)
+    return Multivector.from_array(padded(left.reshape(N_BLADES, -1) @ right, order), order)
 
 
 def blade_sum(matrices: np.ndarray, x: Multivector) -> Multivector:

@@ -32,6 +32,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import jets
 from .jets import ChartPoint, Jet2, JetDomainError
 
@@ -295,13 +297,27 @@ def has_division(e: Expr) -> bool:
 # -- evaluation ------------------------------------------------------------
 
 
-def eval_expr(e: Expr, p: ChartPoint) -> Jet2:
-    """Order-2 jet of the expression at p; division/sqrt guard the domain."""
-    coords = [jets.seed_coordinate(mu, p) for mu in range(4)]
+def eval_expr(e: Expr, p: ChartPoint, coords=None) -> Jet2:
+    """Order-2 jet of the expression at p; division/sqrt guard the domain.
+    ``coords``, the four coordinate jets at p, can be passed in when several
+    expressions are evaluated at one point."""
+    if coords is None:
+        coords = [jets.seed_coordinate(mu, p) for mu in range(4)]
     try:
         return _eval(e, coords)
     except JetDomainError as err:
         raise ExprDomainError(p, str(err)) from err
+
+
+def eval_exprs(exprs, p: ChartPoint) -> np.ndarray:
+    """Jets (n, 15) of n expressions at p, the coordinate jets seeded once;
+    a ``Const(0)`` entry is a zero row and is not evaluated."""
+    coords = [jets.seed_coordinate(mu, p) for mu in range(4)]
+    out = np.zeros((len(exprs), jets.JET_LEN))
+    for i, e in enumerate(exprs):
+        if e != ZERO_EXPR:
+            out[i] = eval_expr(e, p, coords).data
+    return out
 
 
 def _eval(e: Expr, coords) -> Jet2:

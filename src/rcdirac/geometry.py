@@ -21,6 +21,10 @@ Every table is a float64 array of jets with the jet slot last (the layout of
 tables and the torsion (4, 4, 4, 15), curvature components (4, 4, 4, 4, 15).
 Products of tables are index contractions through ``jets.jet_einsum``, and a
 directional derivative is one matmul, ``e_a(f) = f @ derivations[a]``.
+Tables follow the slot contract of ``jets``: the structure coefficients,
+the Levi-Civita and full connections and the connection biforms have order
+``CONN_ORDER`` (1), the curvature tables ``CURV_ORDER`` (0), and each is
+computed on the slots its order defines, with zeros above.
 Multivector-valued data are direction stacks: the coframe and the
 connection biforms are (4, 16, 15) multivectors indexed by a, the curvature
 biforms a (4, 4, 16, 15) grid, and the torsion operator tau(e_a, .) is one
@@ -35,9 +39,10 @@ from itertools import permutations
 import numpy as np
 
 from .cliffalg import PLANE_GP, Multivector, bivector_array, blade_sum, commutator, grade_project
-from .fieldspec import Scenario, eval_expr
+from .fieldspec import Scenario, eval_exprs
 from .jets import (
-    CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, Jet2, JetOrderError, derivation_matrices, jet_einsum,
+    CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, Jet2, JetOrderError, clear_above, derivation_matrices,
+    derivative, jet_einsum, slots,
 )
 
 ETA = (1.0, -1.0, -1.0, -1.0)
@@ -61,6 +66,11 @@ for perm in permutations(range(4)):
             if p[i] > p[j]:
                 sign = -sign
     EPSILON[perm] = float(sign)
+
+# The torsion components T^c_ab with a < b, which a scenario sets; the
+# a > b half follows by antisymmetry.
+_TORSION_UPPER = [(c, a, b) for c in range(4) for a in range(4) for b in range(a + 1, 4)]
+_T_C, _T_A, _T_B = np.array(_TORSION_UPPER).T
 
 # The coframe theta^a as a direction stack of constant one-forms.
 THETA = Multivector.from_array(np.stack([Multivector.basis(a).data for a in range(4)]), CONSTANT)
@@ -109,7 +119,8 @@ class FrameGeometry:
         """Directional derivative e_a(f) = e_a^mu d_mu f."""
         if f.order < 1:
             raise JetOrderError("cannot differentiate an order-0 jet")
-        return Jet2(f.data @ self.derivations[a], min(f.order - 1, FRAME_ORDER))
+        order = min(f.order - 1, FRAME_ORDER)
+        return Jet2(derivative(f.data, self.derivations[a], order), order)
 
     def theta_down(self, a: int) -> Multivector:
         return self.theta[a].scale(ETA[a])
@@ -130,9 +141,10 @@ class CurvatureData:
     j_form: Multivector          # grade-4 term as it enters the squared operator
 
 
-def _derive(derivations: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """e_c of every entry of a jet table, c on a new leading axis."""
-    return (table.reshape(-1, JET_LEN) @ derivations).reshape((4,) + table.shape)
+def _derive(derivations: np.ndarray, table: np.ndarray, order) -> np.ndarray:
+    """e_c of every entry of a jet table, c on a new leading axis, at the
+    result order ``order``."""
+    return derivative(table.reshape(-1, JET_LEN), derivations, order).reshape((4,) + table.shape)
 
 
 # -- tetrad ---------------------------------------------------------------
@@ -169,26 +181,21 @@ def invert_tetrad(theta_mat: np.ndarray, point: ChartPoint):
 def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
     """Evaluate the scenario's tetrad and torsion at a point and assemble
     every connection-level object."""
-    theta_mat = np.array([
-        [eval_expr(scenario.tetrad[a][mu], point).data for mu in range(4)]
-        for a in range(4)
-    ])
+    theta_mat = eval_exprs([e for row in scenario.tetrad for e in row], point).reshape(4, 4, JET_LEN)
     _require_finite(theta_mat, "the tetrad", point)
     frame_vectors, det = invert_tetrad(theta_mat, point)
     _require_finite(frame_vectors, "the inverse tetrad", point)
 
     T = np.zeros((4, 4, 4, JET_LEN))
-    for c in range(4):
-        for a in range(4):
-            for b in range(a + 1, 4):
-                T[c, a, b] = eval_expr(scenario.torsion_expr(c, a, b), point).data
-                T[c, b, a] = -T[c, a, b]
+    upper = eval_exprs([scenario.torsion_expr(c, a, b) for c, a, b in _TORSION_UPPER], point)
+    T[_T_C, _T_A, _T_B] = upper
+    T[_T_C, _T_B, _T_A] = -upper
     _require_finite(T, "the torsion", point)
 
     c_t = structure_coefficients(theta_mat, frame_vectors)
     lc = levi_civita(c_t)
     K = contorsion(T)
-    full = lc + K
+    full = clear_above(lc + K, CONN_ORDER)
 
     geom = FrameGeometry(
         point=point,
@@ -226,8 +233,8 @@ def torsion_matrix(T) -> np.ndarray:
 def structure_coefficients(theta_mat, frame_vectors):
     """c^c_{ab} = theta^c([e_a, e_b]) from jets of the inverse tetrad."""
     # de[a, b, mu] = e_a(e_b^mu); the bracket is de[a, b] - de[b, a]
-    de = _derive(derivation_matrices(frame_vectors), frame_vectors)
-    half = jet_einsum("cm,abm->cab", theta_mat, de)
+    de = _derive(derivation_matrices(frame_vectors), frame_vectors, CONN_ORDER)
+    half = jet_einsum("cm,abm->cab", theta_mat, de, CONN_ORDER)
     return half - half.transpose(0, 2, 1, 3)
 
 
@@ -260,14 +267,15 @@ def connection_biforms(conn):
     """Biforms omega_{e_a} = L_abc theta^b ^ theta^c / 2 with L the lowered
     (antisymmetric-pair) coefficients."""
     low = _ETA[None, :, None, None] * conn
-    return Multivector.from_array(bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3))), CONN_ORDER)
+    pairs = bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3)))
+    return Multivector.from_array(clear_above(pairs, CONN_ORDER), CONN_ORDER)
 
 
 def _calibrate_biforms(geom: FrameGeometry):
     """Abort if [omega_a, theta^b]/2 fails to reproduce -conn[a][b][c] theta^c."""
     resid = 0.5 * commutator(geom.omega_biform[:, None], geom.theta[None]).data   # [a, b]
     resid[..., 1:5, :] += geom.full
-    worst = np.max(np.abs(resid))
+    worst = np.max(np.abs(resid[..., :slots(CONN_ORDER)]))
     if not worst <= _CALIBRATION_TOL:
         raise GeometryError(
             f"connection biform calibration failed at {geom.point.x}: "
@@ -290,9 +298,9 @@ def _riemann_components(geom: FrameGeometry, conn):
     - c^k_{cd} conn[k][a][b]."""
     # antisymmetrizing the half in (c, d) keeps R exactly antisymmetric
     half = (
-        np.einsum("cdab...->abcd...", _derive(geom.derivations, conn))
-        + jet_einsum("cak,dkb->abcd", conn, conn)
-        - 0.5 * jet_einsum("kcd,kab->abcd", geom.c, conn)
+        np.einsum("cdab...->abcd...", _derive(geom.derivations, conn, CURV_ORDER))
+        + jet_einsum("cak,dkb->abcd", conn, conn, CURV_ORDER)
+        - 0.5 * jet_einsum("kcd,kab->abcd", geom.c, conn, CURV_ORDER)
     )
     return half - half.transpose(0, 1, 3, 2, 4)
 
@@ -308,10 +316,10 @@ def j_components(geom: FrameGeometry):
     # the K K terms share index patterns with two of the connection terms
     lc_part = full - K
     cand = (
-        np.einsum("cdab...->abcd...", _derive(geom.derivations, K))
-        + jet_einsum("cak,dkb->abcd", lc_part, K)
-        - jet_einsum("ckd,kab->abcd", lc_part, K)
-        - jet_einsum("ckb,dak->abcd", full, K)
+        np.einsum("cdab...->abcd...", _derive(geom.derivations, K, CURV_ORDER))
+        + jet_einsum("cak,dkb->abcd", lc_part, K, CURV_ORDER)
+        - jet_einsum("ckd,kab->abcd", lc_part, K, CURV_ORDER)
+        - jet_einsum("ckb,dak->abcd", full, K, CURV_ORDER)
     )
     return cand - cand.transpose(0, 1, 3, 2, 4)
 
@@ -322,7 +330,7 @@ def j_quadriform(J) -> Multivector:
     index lowered."""
     data = np.zeros((16, JET_LEN))
     data[15] = np.einsum("abcd,abcd...->...", 0.125 * _ETA[:, None, None, None] * EPSILON, J)
-    return Multivector.from_array(data, CONN_ORDER)
+    return Multivector.from_array(data, CURV_ORDER)
 
 
 def curvature(geom: FrameGeometry) -> CurvatureData:

@@ -37,7 +37,7 @@ from .cliffalg import (
     GRADES, LC_TABLE, THETA_GP, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
     geometric_product, grade_involution, product_sum, wedge,
 )
-from .fieldspec import Scenario, ScenarioError, eval_expr
+from .fieldspec import Scenario, ScenarioError, eval_exprs
 from .geometry import ETA, DegenerateFrameError, NonFiniteFrameError
 from .jets import HESS_PAIRS, JET_LEN, NVARS, ChartPoint, Jet2, JetDomainError, JetOrderError
 
@@ -166,12 +166,25 @@ class RunField:
     polys: np.ndarray | None = None       # (16, 35) monomial coefficients
     exprs: tuple | None = None            # 16 expressions from the scenario
     scale: float = 1.0
+    # unscaled (16, 15) values at the run's points, filled by
+    # build_run_fields; not pickled, so a pool worker evaluates its own point
+    values: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "values": {}}
+
+    def raw(self, point: ChartPoint, monomials: np.ndarray | None = None) -> np.ndarray:
+        """Unscaled (16, 15) jets at a point; ``monomials`` are the point's
+        ``monomial_jets`` when already computed."""
+        if self.exprs is not None:
+            return eval_exprs(self.exprs, point)
+        return self.polys @ (monomial_jets(point) if monomials is None else monomials)
 
     def at(self, point: ChartPoint) -> Multivector:
-        if self.exprs is not None:
-            coeffs = [eval_expr(e, point) * self.scale for e in self.exprs]
-            return Multivector(coeffs)
-        return Multivector.from_array((self.polys @ monomial_jets(point)) * self.scale, 2)
+        data = self.values.get(point)
+        if data is None:
+            data = self.raw(point)
+        return Multivector.from_array(data * self.scale, 2)
 
 
 def monomial_jets(point: ChartPoint) -> np.ndarray:
@@ -217,10 +230,12 @@ def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunFiel
             fields[kind] = RunField(kind=kind, exprs=tuple(override))
         else:
             fields[kind] = RunField(kind=kind, polys=polys)
+    monomials = [monomial_jets(p) for p in points]
     for f in fields.values():
+        f.values = {p: f.raw(p, m) for p, m in zip(points, monomials)}
         sup = 0.0
-        for p in points:
-            sup = max(sup, f.at(p).max_abs())
+        for data in f.values.values():
+            sup = max(sup, float(np.max(np.abs(data[:, 0]))))
         if sup > 1e-12:
             f.scale = 1.0 / sup
     return fields

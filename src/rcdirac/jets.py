@@ -23,6 +23,18 @@ through one bilinear table, ``MUL``: the jet product is
 multiplies any stack of jets ``a`` by the jet ``b``, and ``jet_einsum``
 contracts jet tables over named indices.  ``Jet2`` stays the scalar type
 that expressions evaluate to.
+
+Slot contract: a jet of order r is defined by its slots of degree <= r,
+``slots(r)`` of them: slot 0 at order 0, slots 0-4 at order 1, all 15 at
+order 2 and for constants.  A slot of degree d of a product or a
+derivative takes only operand slots of degree <= d (the Leibniz rule), so
+a kernel whose result has order <= 1 reads only the operand slots that
+feed it, runs its dense matmuls on those (``width``: 5 slots below order 2,
+15 at order 2, with one ``MUL`` block per width) and writes exact zeros
+above its result's slots (``padded``).  ``mul_matrix``, ``jet_einsum`` and
+``derivative`` take the result's order or width; the Clifford products,
+``product_sum``, ``Multivector.scale``, ``operators.pfaffs``, the torsion
+operator and the geometry tables are built on them.
 """
 
 from __future__ import annotations
@@ -72,7 +84,31 @@ def _mul_tensor() -> np.ndarray:
 
 
 MUL = _mul_tensor()
-_MUL_RIGHT = MUL.transpose(1, 0, 2).reshape(JET_LEN, JET_LEN * JET_LEN)
+
+SLOTS = (1, NVARS + 1, JET_LEN)   # slots defined at orders 0, 1 and 2
+
+
+def slots(order) -> int:
+    """Number of jet slots an order defines: 1 at order 0, 5 at order 1,
+    all 15 at order 2 and for constants."""
+    return SLOTS[0] if order < 1 else SLOTS[1] if order < 2 else JET_LEN
+
+
+def width(order) -> int:
+    """Number of slots a kernel computes for a result of this order: 5 below
+    order 2, else 15.  An order-0 result is computed on 5 slots and cut to
+    1: at one slot the last contraction of a kernel would be a
+    matrix-vector product, which numpy hands to BLAS gemv or dot, and those
+    round differently from the gemm that the full-width kernels used."""
+    return SLOTS[1] if order < 2 else JET_LEN
+
+
+# The jet product restricted to the first n slots, one block per kernel
+# width: ``a[..., :n] @ mul_matrix(b, n)`` is slots :n of a * b, since a
+# slot of degree d takes only operand slots of degree <= d (Leibniz rule).
+_MUL_RIGHT = {
+    n: MUL[:n, :n, :n].transpose(1, 0, 2).reshape(n, n * n) for n in SLOTS[1:]
+}
 
 # PARTIALS[s, (mu, t)] = 1 where slot t of d/dx^mu f is slot s of f.
 PARTIALS = np.zeros((JET_LEN, NVARS, JET_LEN))
@@ -207,9 +243,36 @@ def mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def mul_matrix(b: np.ndarray) -> np.ndarray:
-    """Jets (..., 15) -> matrices (..., 15, 15) with ``a * b == a @ mul_matrix(b)``."""
-    return (b @ _MUL_RIGHT).reshape(b.shape[:-1] + (JET_LEN, JET_LEN))
+def mul_matrix(b: np.ndarray, n: int = JET_LEN) -> np.ndarray:
+    """Jets (..., 15) -> matrices (..., n, n) with ``a * b == a @ mul_matrix(b)``
+    on the first n slots, n a kernel width (5 or 15); only slots :n of ``b``
+    are read."""
+    return (b[..., :n] @ _MUL_RIGHT[n]).reshape(b.shape[:-1] + (n, n))
+
+
+def padded(x: np.ndarray, order) -> np.ndarray:
+    """Kernel output jets (..., n) -> (..., 15) holding the slots that
+    ``order`` defines; the slots above are exact zeros."""
+    n = slots(order)
+    if n == x.shape[-1] == JET_LEN:
+        return x
+    out = np.zeros(x.shape[:-1] + (JET_LEN,))
+    out[..., :n] = x[..., :n]
+    return out
+
+
+def clear_above(x: np.ndarray, order) -> np.ndarray:
+    """Zero the slots of the jets x above ``order``, in place; returns x."""
+    x[..., slots(order):] = 0.0
+    return x
+
+
+def derivative(f: np.ndarray, derivations: np.ndarray, order) -> np.ndarray:
+    """Jets e(f) = f @ derivations at a result order one below f's: only the
+    slots of f that feed the result's slots are read, and the slots above
+    ``order`` are zero."""
+    n_in, n = width(order + 1), width(order)
+    return padded(f[..., :n_in] @ derivations[..., :n_in, :n], order)
 
 
 @lru_cache(maxsize=None)
@@ -228,21 +291,24 @@ def _einsum_plan(spec: str):
     return x_perm, y_perm, out_perm, len(keep_x), len(summed)
 
 
-def jet_einsum(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def jet_einsum(spec: str, x: np.ndarray, y: np.ndarray, order=CONSTANT) -> np.ndarray:
     """Index contraction of two jet arrays with jet products, e.g.
     ``jet_einsum("cak,dkb->abcd", X, Y)[a, b, c, d] = sum_k X[c, a, k] * Y[d, k, b]``.
 
     ``spec`` names the leading axes only; the trailing jet axis of both
     operands and of the result is implied.  A letter in both operands is
-    summed (no batch axes).  The contraction is one matmul of ``x`` against
+    summed (no batch axes).  ``order`` is the result's jet order: the
+    contraction runs on ``width(order)`` slots and keeps the ones the order
+    defines; the slots above are zero.  It is one matmul of ``x`` against
     ``mul_matrix(y)``, its axis permutations planned once per spec.
     """
+    n = width(order)
     x_perm, y_perm, out_perm, n_keep_x, n_summed = _einsum_plan(spec)
-    xt = x.transpose(x_perm)
-    m = mul_matrix(y).transpose(y_perm)
+    xt = x[..., :n].transpose(x_perm)
+    m = mul_matrix(y, n).transpose(y_perm)
     keep_x, keep_y = xt.shape[:n_keep_x], m.shape[n_summed + 1:-1]
     prod = xt.reshape(math.prod(keep_x), -1) @ m.reshape(math.prod(m.shape[:n_summed + 1]), -1)
-    return prod.reshape(keep_x + keep_y + (JET_LEN,)).transpose(out_perm)
+    return padded(prod.reshape(keep_x + keep_y + (n,)).transpose(out_perm), order)
 
 
 def derivation_matrices(frame_vectors: np.ndarray) -> np.ndarray:

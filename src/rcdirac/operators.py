@@ -59,7 +59,9 @@ from .cliffalg import (
 from .geometry import (
     CONN_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms,
 )
-from .jets import CONSTANT, JET_LEN, Jet2, JetOrderError, jet_einsum, mul_matrix
+from .jets import (
+    CONSTANT, JET_LEN, Jet2, JetOrderError, clear_above, derivative, jet_einsum, mul_matrix, padded, slots, width,
+)
 
 Connection = str  # "lc" | "full"
 
@@ -119,7 +121,8 @@ def _along_directions(stack: Multivector, A: Multivector) -> Multivector:
 def _combine(spec: str, X: Multivector, table: np.ndarray, order=CONN_ORDER) -> Multivector:
     """Multivector stack from ``jet_einsum(spec, X.data, table)``, blade axis
     k; e.g. spec "ck,acb->abk" gives [a, b] = sum_c table[a][c][b] X[c]."""
-    return Multivector.from_array(jet_einsum(spec, X.data, table), min(X.order, order))
+    order = min(X.order, order)
+    return Multivector.from_array(jet_einsum(spec, X.data, table, order), order)
 
 
 def _eta_trace(grid: Multivector) -> Multivector:
@@ -143,8 +146,9 @@ def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
         return Multivector.from_array(np.zeros((4,) + A.data.shape), CONSTANT)
     if A.order < 1:
         raise JetOrderError("directional derivative of an order-exhausted field")
+    order = min(A.order - 1, FRAME_ORDER)
     derivations = geom.derivations.reshape((4,) + (1,) * (A.data.ndim - 2) + (JET_LEN, JET_LEN))
-    return Multivector.from_array(A.data @ derivations, min(A.order - 1, FRAME_ORDER))
+    return Multivector.from_array(derivative(A.data, derivations, order), order)
 
 
 @_per_frame
@@ -174,11 +178,14 @@ def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     """tau(e_a, V)^rho = V^beta T^rho_{a beta} for all a, direction axis
     first, on grade-1 arguments: one matmul with ``geom.tau``."""
     _require_grade(V, 1, "torsion operator argument")
-    stack = V.data.shape[:-2]
-    vec = mul_matrix(V.data[..., 1:5, :]).reshape(stack + (4 * JET_LEN, JET_LEN))
+    order = min(V.order, FRAME_ORDER)
+    n, stack = width(order), V.data.shape[:-2]
+    vec = mul_matrix(V.data[..., 1:5, :], n).reshape(stack + (4 * n, n))
+    tau = geom.tau if n == JET_LEN else geom.tau.reshape(16, 4, JET_LEN)[..., :n].reshape(16, 4 * n)
+    vectors = np.moveaxis((tau @ vec).reshape(stack + (4, 4, n)), -3, 0)
     data = np.zeros((4,) + V.data.shape)
-    data[..., 1:5, :] = np.moveaxis((geom.tau @ vec).reshape(stack + (4, 4, JET_LEN)), -3, 0)
-    return Multivector.from_array(data, min(V.order, FRAME_ORDER))
+    data[..., 1:5, :slots(order)] = vectors[..., :slots(order)]
+    return Multivector.from_array(data, order)
 
 
 def pfaff(geom: FrameGeometry, A: Multivector, a: int) -> Multivector:
@@ -279,12 +286,14 @@ def frame_wave(geom: FrameGeometry, f: Jet2, conn, trace=None) -> Jet2:
     eta^{aa} trace_a e_a f when a (4, 15) torsion trace is given."""
     if f.order < 2:
         raise JetOrderError("the frame wave operator needs an order-2 jet")
-    df = f.data @ geom.derivations                      # df[a] = e_a f
+    order = f.order - 2
+    n_in, n = width(order + 1), width(order)
+    df = derivative(f.data, geom.derivations, order + 1)    # df[a] = e_a f
     weight = -np.einsum("b,bab...->a...", _ETA, conn)
     if trace is not None:
         weight = weight + _ETA[:, None] * trace
-    second = np.einsum("b,bs,bsu->u", _ETA, df, geom.derivations)
-    return Jet2(second + jet_einsum("a,a->", weight, df), f.order - 2)
+    second = np.einsum("b,bs,bsu->u", _ETA, df[:, :n_in], geom.derivations[:, :n_in, :n])
+    return Jet2(padded(second, order) + jet_einsum("a,a->", weight, df, order), order)
 
 
 def scalar_wave_part(geom: FrameGeometry, f: Jet2) -> Jet2:
@@ -298,14 +307,16 @@ def scalar_square_biform_part(geom: FrameGeometry, f: Jet2) -> Multivector:
     """Grade-2 part of the scalar square: -Theta^a e_a(f)."""
     if f.order < 1:
         raise JetOrderError("cannot differentiate an order-0 jet")
-    df = f.data @ geom.derivations                      # df[a] = e_a f
-    return _combine("ak,a->k", torsion_two_forms(geom), -df, min(f.order - 1, FRAME_ORDER))
+    order = min(f.order - 1, FRAME_ORDER)
+    df = derivative(f.data, geom.derivations, order)       # df[a] = e_a f
+    return _combine("ak,a->k", torsion_two_forms(geom), -df, order)
 
 
 def _with_scalar(A: Multivector, s: Jet2) -> Multivector:
     data = A.data.copy()
     data[0] = s.data
-    return Multivector.from_array(data, min(A.order, s.order))
+    order = min(A.order, s.order)
+    return Multivector.from_array(clear_above(data, order), order)
 
 
 def scalar_square_standard_form(geom: FrameGeometry, f: Jet2) -> Multivector:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from rcdirac import cliffalg as ca
-from rcdirac.jets import Jet2, partial
+from rcdirac.jets import JET_LEN, MUL, Jet2, partial
 
 
 class RefMV:
@@ -237,3 +237,48 @@ def ref_right_correction(geom, A, a, b):
     for c in range(4):
         out = out - a_omega[c].scale(0.5 * geom.full[a][c][b])
     return out
+
+
+# -- full-width array kernels -------------------------------------------------------
+#
+# The product, scale, pfaff and jet-contraction kernels as they were before
+# the slot contract: all 15 jet slots computed, whatever the operands'
+# orders.  The order-truncated kernels must agree with them on the slots
+# that the result's order defines.
+
+_DENSE_MUL_RIGHT = MUL.transpose(1, 0, 2).reshape(JET_LEN, JET_LEN * JET_LEN)
+
+
+def dense_mul_matrix(b: np.ndarray) -> np.ndarray:
+    return (b @ _DENSE_MUL_RIGHT).reshape(b.shape[:-1] + (JET_LEN, JET_LEN))
+
+
+def dense_product(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Product of two multivector arrays (..., 16, 15) through a kernel table."""
+    left = (table @ a).reshape(a.shape[:-2] + (ca.N_BLADES, ca.N_BLADES * JET_LEN))
+    right = dense_mul_matrix(b).reshape(b.shape[:-2] + (ca.N_BLADES * JET_LEN, JET_LEN))
+    return left @ right
+
+
+def dense_product_sum(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_i a[i] o b[i] over the leading stack axis."""
+    n = a.shape[0]
+    left = (table @ a).reshape(n, ca.N_BLADES, ca.N_BLADES * JET_LEN).transpose(1, 0, 2)
+    right = dense_mul_matrix(b).reshape(n * ca.N_BLADES * JET_LEN, JET_LEN)
+    return left.reshape(ca.N_BLADES, -1) @ right
+
+
+def dense_scale(a: np.ndarray, jet: np.ndarray) -> np.ndarray:
+    return a @ dense_mul_matrix(jet)
+
+
+def dense_pfaffs(geom, a: np.ndarray) -> np.ndarray:
+    """e_c(A^I) along all four frame vectors, direction axis first."""
+    return a @ geom.derivations.reshape((4,) + (1,) * (a.ndim - 2) + (JET_LEN, JET_LEN))
+
+
+def dense_jet_einsum(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``jets.jet_einsum`` written as one np.einsum with the product table."""
+    inputs, out = spec.split("->")
+    xs, ys = inputs.split(",")
+    return np.einsum(f"{xs}S,{ys}T,STU->{out}U", x, y, MUL)

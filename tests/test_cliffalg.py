@@ -20,7 +20,7 @@ from rcdirac.cliffalg import (
     reversion,
     wedge,
 )
-from rcdirac.jets import Jet2
+from rcdirac.jets import Jet2, slots
 
 E = [Multivector.basis(a) for a in range(4)]
 TAU = Multivector.pseudoscalar()
@@ -239,7 +239,9 @@ def _dense_jet_mv(rng):
 
 
 def _assert_matches(got, want, scale):
-    assert np.max(np.abs(got.data - want.data())) <= 1e-13 * scale
+    """The jet slots valid at the result's order agree with the loop."""
+    n = slots(got.order)
+    assert np.max(np.abs(got.data[..., :n] - want.data()[..., :n])) <= 1e-13 * scale
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,13 +6,14 @@ from reference_loops import pair_blade, ref_j_components, ref_riemann_components
 from rcdirac import fieldspec as fs
 from rcdirac import geometry as geo
 from rcdirac.geometry import (
+    CURV_ORDER,
     DegenerateFrameError,
     build_frame,
     contorsion,
     curvature,
     torsion_two_forms,
 )
-from rcdirac.jets import ChartPoint
+from rcdirac.jets import ChartPoint, slots
 
 IDENTITY = "[tetrad]\ne0_0 = 1\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n"
 
@@ -341,4 +342,6 @@ def test_curvature_tables_match_index_loops(frames, general_torsion):
             (curv.lc_components, ref_riemann_components(g, g.lc)),
             (curv.j_components, ref_j_components(g)),
         ):
+            # the jet slots valid at the curvature's order
+            got, want = got[..., :slots(CURV_ORDER)], want[..., :slots(CURV_ORDER)]
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))

@@ -16,7 +16,7 @@ from rcdirac.cliffalg import (
     wedge,
 )
 from rcdirac.geometry import ETA, build_frame, curvature, torsion_two_forms
-from rcdirac.jets import ChartPoint, Jet2, seed_coordinate
+from rcdirac.jets import ChartPoint, Jet2, seed_coordinate, slots
 
 IDENTITY = "[tetrad]\ne0_0 = 1\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n"
 
@@ -116,9 +116,10 @@ def test_exterior_derivative_matches_blade_expansion(frames, general_torsion):
     geoms.append(build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8))))
     for g in geoms:
         A = rand_mv(rng, g.point)
-        want = ref_exterior_d(g, RefMV.of(A)).data()
-        got = ops.exterior_d(g, A).data
-        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+        got = ops.exterior_d(g, A)
+        n = slots(got.order)   # the jet slots valid at the result's order
+        want = ref_exterior_d(g, RefMV.of(A)).data()[..., :n]
+        assert np.max(np.abs(got.data[..., :n] - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 def test_codifferential_on_scalar_vanishes(frames):
