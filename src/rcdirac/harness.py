@@ -7,6 +7,13 @@ residuals against the tolerance.  Reports are byte-identical across runs
 with the same scenario bytes, seed and flags, at any worker count: work is
 keyed by point index and merged in index order, and timing goes to stderr.
 
+``workers`` counts processes in total, the calling one included.  The
+points are split into ``n = min(workers, points)`` static index shards
+``tasks[k::n]``: the calling process evaluates shard 0 and one child process
+each other shard.  On Linux the children are forked, so they inherit the
+scenario and the evaluated test fields; each sends its results back once,
+through a pipe.  With one shard nothing is forked.
+
 Auto-generated test fields are random degree-3 polynomials with seeded
 coefficients, normalized to unit sup-norm over the sampled points.  A
 scenario may override any of them by defining fields with the reserved
@@ -23,10 +30,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import operator
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -70,6 +77,10 @@ FIELD_KINDS = {
     "general2": (0, 1, 2, 3, 4),
     "current": (1,),
 }
+# the blades a generated field of each kind fills
+_FIELD_BLADES = {
+    kind: [i for i in range(16) if GRADES[i] in grades] for kind, grades in FIELD_KINDS.items()
+}
 
 
 class UsageError(ValueError):
@@ -79,7 +90,6 @@ class UsageError(ValueError):
 # -- seeded streams -------------------------------------------------------------
 
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 # SeedSequence hash constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -142,16 +152,18 @@ class UniformStream:
         self._inc = (inc << 1 | 1) & _MASK128
         self._state = ((self._inc + seed) * _PCG_MULT + self._inc) & _MASK128
 
-    def uniform(self, lo: float, hi: float, n: int) -> list[float]:
-        span, state, inc = hi - lo, self._state, self._inc
-        out = []
+    def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
+        # the 128-bit LCG steps in Python integers; the XSL-RR output and
+        # the double conversion run on the (low, high) uint64 halves
+        state, inc, states = self._state, self._inc, []
         for _ in range(n):
             state = (state * _PCG_MULT + inc) & _MASK128
-            x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
-            x = (x >> rot | x << (64 - rot)) & _MASK64          # rotate right
-            out.append(lo + span * ((x >> 11) * _DOUBLE_UNIT))
+            states.append(state.to_bytes(16, "little"))
         self._state = state
-        return out
+        low, high = np.frombuffer(b"".join(states), dtype=np.uint64).reshape(n, 2).T
+        x, rot = low ^ high, high >> np.uint64(58)
+        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))    # rotate right
+        return lo + (hi - lo) * ((x >> np.uint64(11)) * _DOUBLE_UNIT)
 
 
 # -- test fields --------------------------------------------------------------
@@ -167,7 +179,7 @@ class RunField:
     exprs: tuple | None = None            # 16 expressions from the scenario
     scale: float = 1.0
     # unscaled (16, 15) values at the run's points, filled by
-    # build_run_fields; not pickled, so a pool worker evaluates its own point
+    # build_run_fields; not pickled, so a spawned child evaluates its points
     values: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __getstate__(self):
@@ -205,9 +217,16 @@ def monomial_jets(point: ChartPoint) -> np.ndarray:
 def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunField]:
     """Assemble all test fields for a run and normalize them to unit
     sup-norm over the sampled points."""
-    rng = UniformStream([seed, 0xF1E1D])
+    # one draw of 35 coefficients per blade a kind fills, in FIELD_KINDS
+    # order; the draws are made for every kind regardless of overrides, so
+    # pinning one field never reshuffles the generated ones
+    n_rows = sum(map(len, _FIELD_BLADES.values()))
+    draws = UniformStream([seed, 0xF1E1D]).uniform(-1.0, 1.0, n_rows * len(MONOMIALS))
+    draws = draws.reshape(n_rows, len(MONOMIALS))
     fields: dict[str, RunField] = {}
     for kind, grades in FIELD_KINDS.items():
+        blades = _FIELD_BLADES[kind]
+        rows, draws = draws[:len(blades)], draws[len(blades):]
         override = None
         if kind == "scalar" and "scalar" in scenario.scalar_fields:
             override = (scenario.scalar_fields["scalar"],) + (fieldspec.ZERO_EXPR,) * 15
@@ -220,15 +239,11 @@ def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunFiel
                         f"(grade {GRADES[i]}), but this reserved name only "
                         f"allows grades {grades}"
                     )
-        # the rng stream is consumed for every kind regardless of overrides,
-        # so pinning one field never reshuffles the generated ones
-        polys = np.zeros((16, len(MONOMIALS)))
-        for i in range(16):
-            if GRADES[i] in grades:
-                polys[i] = rng.uniform(-1.0, 1.0, len(MONOMIALS))
         if override is not None:
             fields[kind] = RunField(kind=kind, exprs=tuple(override))
         else:
+            polys = np.zeros((16, len(MONOMIALS)))
+            polys[blades] = rows
             fields[kind] = RunField(kind=kind, polys=polys)
     monomials = [monomial_jets(p) for p in points]
     for f in fields.values():
@@ -269,7 +284,7 @@ def sample_points(scenario: Scenario, points: int | None = None, seed: int | Non
     for lo, hi in scenario.chart_box:
         if not hi > lo:
             raise ValueError(f"empty chart box interval ({lo}, {hi})")
-    shift = UniformStream([s, 0x5A11]).uniform(0.0, 1.0, 4)
+    shift = UniformStream([s, 0x5A11]).uniform(0.0, 1.0, 4).tolist()
     out = []
     for k in range(n):
         coords = []
@@ -779,6 +794,79 @@ def _eval_task(args):
     return idx, evaluate_point(scenario, fields, names, point)
 
 
+def _eval_shard(tasks) -> dict:
+    """{point index: check results} for one shard of the run's tasks."""
+    out = {}
+    for task in tasks:
+        # looked up at call time, so that a wrapper installed on the module
+        # (perfbench's tracer) sees every point, in any process
+        idx, res = _eval_task(task)
+        out[idx] = res
+    return out
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a shard's child process."""
+
+
+def _shard_child(conn, tasks) -> None:
+    """A child process's body: evaluate one shard and send back either
+    ``(True, results, None)`` or ``(False, exception, traceback text)``."""
+    try:
+        msg = (True, _eval_shard(tasks), None)
+    except BaseException as err:
+        import traceback
+
+        msg = (False, err, traceback.format_exc())
+    conn.send(msg)
+    conn.close()
+
+
+def _run_shards(tasks, n: int) -> dict:
+    """Evaluate the tasks in ``n`` static index shards ``tasks[k::n]``: this
+    process evaluates shard 0 and one child process each other shard.
+
+    Children come from the platform's default start method; with fork they
+    inherit the run's state, otherwise their arguments are pickled (without
+    the fields' evaluated values).  Each child sends its results through a
+    one-way pipe; its exception is re-raised here, and a child that dies
+    without sending raises ``RuntimeError``.  No child outlives the call."""
+    if n == 1:
+        return _eval_shard(tasks)
+    children = []
+    try:
+        for k in range(1, n):
+            recv_end, send_end = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_shard_child, args=(send_end, tasks[k::n]), daemon=True
+            )
+            child.start()
+            # only the child holds the send end now, so its death reads as EOF
+            send_end.close()
+            children.append((child, recv_end))
+        results = _eval_shard(tasks[0::n])
+        for child, recv_end in children:
+            try:
+                # read before joining: a child blocks on a large payload
+                ok, payload, child_tb = recv_end.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"worker process exited with code {child.exitcode}") from None
+            if not ok:
+                raise payload from _ChildTraceback(child_tb)
+            results.update(payload)
+        return results
+    except BaseException:
+        # this process or a child failed: stop the children still at work
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv_end in children:
+            recv_end.close()
+            child.join()
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -871,6 +959,10 @@ def run_suite(
     only=None,
     workers: int = 1,
 ) -> ResidualReport:
+    """Run the selected checks at the sampled points on ``workers``
+    processes in total, this one included."""
+    if workers < 1:
+        raise UsageError(f"worker count must be at least 1, got {workers}")
     names = select_checks(scenario, only)
     n_points = scenario.sampling.points if points is None else points
     run_seed = scenario.sampling.seed if seed is None else seed
@@ -880,15 +972,7 @@ def run_suite(
     fields = build_run_fields(scenario, run_seed, pts)
 
     tasks = [(scenario, fields, names, i, p) for i, p in enumerate(pts)]
-    results = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, res in pool.map(_eval_task, tasks):
-                results[idx] = res
-    else:
-        for task in tasks:
-            idx, res = _eval_task(task)
-            results[idx] = res
+    results = _run_shards(tasks, min(workers, len(tasks)))
 
     checks = []
     for name in names:
@@ -973,7 +1057,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol", type=float, default=None, help="pass/fail tolerance")
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--only", default=None, help="comma-separated check names")
-    run.add_argument("--workers", type=int, default=1, help="worker process count")
+    run.add_argument("--workers", type=int, default=1, help="process count, the calling one included")
     sub.add_parser("list-checks", help="list available identity checks")
     explain = sub.add_parser("explain", help="describe one check")
     explain.add_argument("check")

@@ -1,13 +1,17 @@
+import contextlib
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import GENERAL_TORSION_TEXT, load_bundled
+from conftest import BUNDLED, GENERAL_TORSION_TEXT, load_bundled
 import rcdirac
 from rcdirac import fieldspec as fs
 from rcdirac import harness
@@ -69,9 +73,20 @@ def test_sampling_errors():
 def test_uniform_stream_is_numpys_stream(entropy):
     ours = UniformStream(entropy)
     theirs = np.random.default_rng(entropy)
-    for lo, hi, n in ((0.0, 1.0, 4), (-1.0, 1.0, 35), (-1.0, 1.0, 35), (-1.0, 1.0, 1), (0.0, 1.0, 100)):
+    calls = (
+        (0.0, 1.0, 4), (-1.0, 1.0, 35), (-1.0, 1.0, 35), (-1.0, 1.0, 1), (0.0, 1.0, 100),
+        (-1.0, 1.0, 1960), (0.0, 1.0, 0), (-2.5, 3.0, 3), (-1.0, 1.0, 1925), (0.0, 1.0, 7),
+    )
+    for lo, hi, n in calls:
         got = np.array(ours.uniform(lo, hi, n))
         assert got.view(np.uint64).tolist() == theirs.uniform(lo, hi, n).view(np.uint64).tolist()
+    # one bulk call continues the stream exactly where single draws leave it
+    ours, theirs = UniformStream(entropy), np.random.default_rng(entropy)
+    singles = [ours.uniform(-1.0, 1.0, 1)[0] for _ in range(70)]
+    bulk = ours.uniform(-1.0, 1.0, 1960)
+    want = theirs.uniform(-1.0, 1.0, 2030)
+    assert np.array(singles).view(np.uint64).tolist() == want[:70].view(np.uint64).tolist()
+    assert bulk.view(np.uint64).tolist() == want[70:].view(np.uint64).tolist()
 
 
 def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
@@ -84,6 +99,14 @@ def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
         assert capsys.readouterr().err == "scenario error: expected non-negative integer\n"
 
 
+def _fresh_interpreter(code: str) -> str:
+    src = str(Path(rcdirac.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+
+
 def test_run_does_not_import_numpy_random():
     code = (
         "import sys, rcdirac\n"
@@ -91,12 +114,17 @@ def test_run_does_not_import_numpy_random():
         "rcdirac.run_suite(sc, points=1, only=['dirac-split', 'lichnerowicz'])\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    src = str(Path(rcdirac.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
+    assert _fresh_interpreter(code) == "False\n"
+
+
+def test_worker_run_imports_no_executor():
+    code = (
+        "import sys, rcdirac\n"
+        "sc = rcdirac.load_scenario_file(rcdirac.harness.resolve_scenario_path('curved_torsion'))\n"
+        "rcdirac.run_suite(sc, points=2, only=['metricity'], workers=2)\n"
+        "print('concurrent.futures' in sys.modules)\n"
     )
-    assert out.stdout == "False\n"
+    assert _fresh_interpreter(code) == "False\n"
 
 
 def test_field_generation_normalized_and_seeded():
@@ -369,9 +397,14 @@ def test_nan_residual_fails_with_point_error(capsys, tmp_path):
     _strict_json(capsys.readouterr().out)
 
 
+# exp(800*x1) overflows a float for x1 > 0.887; seed 1 samples x1 = 0.923
+OVERFLOW_TETRAD = '[tetrad]\ne0_0 = "exp(800*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+# the tetrad overflows to infinity at the x1 ~ 0.65 sample point
+INF_TETRAD = '[tetrad]\ne0_0 = "exp(700*x1)*exp(700*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+
+
 def test_overflow_is_a_point_error(capsys, tmp_path):
-    # exp(800*x1) overflows a float for x1 > 0.887; seed 1 samples x1 = 0.923
-    text = '[tetrad]\ne0_0 = "exp(800*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+    text = OVERFLOW_TETRAD
     report = run_suite(fs.load_scenario(text), points=6, seed=1, only=["metricity"])
     (check,) = report.checks
     assert len(check.errors) == 1
@@ -439,8 +472,7 @@ def test_nan_inside_check_body_fails(capsys, tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_tetrad_is_a_failing_point_error(capsys, tmp_path):
-    # the tetrad overflows to infinity at the x1 ~ 0.65 sample point
-    text = '[tetrad]\ne0_0 = "exp(700*x1)*exp(700*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+    text = INF_TETRAD
     report = run_suite(fs.load_scenario(text), points=3)
     bad = [p for p in sample_points(fs.load_scenario(text), points=3) if p.x[1] > 0.6]
     assert len(bad) == 1
@@ -452,3 +484,129 @@ def test_non_finite_tetrad_is_a_failing_point_error(capsys, tmp_path):
     path.write_text(text)
     assert cli_main(["run", str(path), "--points", "3"]) == 1
     assert "ERROR metricity point=(" in capsys.readouterr().out
+
+
+# -- worker shards ------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched check reaches the children only by fork",
+)
+
+
+# scenario text and seed; the error tuples of the last two come from child
+# processes at some of the worker counts
+SHARD_SCENARIOS = {
+    "general_torsion": (GENERAL_TORSION_TEXT, None),
+    "overflow": (OVERFLOW_TETRAD, 1),
+    "non_finite_tetrad": (INF_TETRAD, None),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("name", [*BUNDLED, *SHARD_SCENARIOS])
+def test_reports_identical_at_any_worker_count(name):
+    # 5 points give uneven shards
+    if name in SHARD_SCENARIOS:
+        text, seed = SHARD_SCENARIOS[name]
+        sc = fs.load_scenario(text)
+    else:
+        sc, seed = load_bundled(name), None
+    one = run_suite(sc, points=5, seed=seed)
+    if name in ("overflow", "non_finite_tetrad"):
+        assert any(c.errors for c in one.checks)
+    for workers in (2, 3, 7):
+        report = run_suite(sc, points=5, seed=seed, workers=workers)
+        assert report.to_json() == one.to_json(), workers
+        assert report.to_text() == one.to_text(), workers
+    assert multiprocessing.active_children() == []
+
+
+def _patched_check(monkeypatch, fn):
+    monkeypatch.setitem(CHECKS, "patched", harness.CheckDescriptor("patched", "", (), fn))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"run_suite did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_fork
+@pytest.mark.parametrize("shard", [0, 1])
+def test_exception_in_a_shard_is_reraised(monkeypatch, shard):
+    # shard 0 runs in this process, shard 1 in a child; when this process
+    # raises, the busy child is stopped, not waited for
+    sc = load_bundled("minkowski")
+    pts = sample_points(sc, 4)
+
+    def check(ctx):
+        if ctx.point == pts[shard]:
+            raise KeyError("no such blade")
+        if shard == 0 and ctx.point == pts[1]:
+            time.sleep(120)
+        return 0.0
+
+    _patched_check(monkeypatch, check)
+    with _deadline(60), pytest.raises(KeyError, match="no such blade"):
+        run_suite(sc, points=4, only=["metricity", "patched"], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_child_that_exits_raises_runtime_error(monkeypatch):
+    sc = load_bundled("minkowski")
+    target = sample_points(sc, 4)[1]
+
+    def check(ctx):
+        if ctx.point == target:
+            os._exit(7)
+        return 0.0
+
+    _patched_check(monkeypatch, check)
+    with _deadline(60), pytest.raises(RuntimeError, match="^worker process exited with code 7$"):
+        run_suite(sc, points=4, only=["patched"], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_shard_forks_nothing(monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a child process was started")
+
+    monkeypatch.setattr(multiprocessing, "Process", no_process)
+    sc = load_bundled("minkowski")
+    one = run_suite(sc, points=1, only=["metricity"]).to_json()
+    assert run_suite(sc, points=1, only=["metricity"], workers=3).to_json() == one
+
+
+def test_spawned_children_give_the_same_report():
+    # where the default start method is not fork, the children get the
+    # pickled tasks and evaluate the fields themselves
+    code = (
+        "import multiprocessing, rcdirac\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "sc = rcdirac.load_scenario_file(rcdirac.harness.resolve_scenario_path('curved_torsion'))\n"
+        "kw = dict(points=3, only=['metricity', 'lichnerowicz', 'spin-square-assembly'])\n"
+        "print(rcdirac.run_suite(sc, workers=2, **kw).to_json()"
+        " == rcdirac.run_suite(sc, **kw).to_json())\n"
+    )
+    assert _fresh_interpreter(code) == "True\n"
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_is_a_usage_error(capsys, workers):
+    sc = load_bundled("minkowski")
+    with pytest.raises(UsageError, match=f"^worker count must be at least 1, got {workers}$"):
+        run_suite(sc, points=1, workers=workers)
+    assert cli_main(["run", "minkowski", "--points", "1", "--workers", str(workers)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"usage error: worker count must be at least 1, got {workers}\n"
