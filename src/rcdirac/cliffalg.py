@@ -51,8 +51,9 @@ coframe theta^a (``THETA_GP``, ``THETA_WEDGE``, ``THETA_LC``), the pairs
 theta^a theta^b = eta^ab + theta^a ^ theta^b (``THETA_PAIR``), the planes
 theta^a ^ theta^b (``PLANE_GP``) and the Hodge dual (``HODGE``), so a frame
 sum such as sum_a theta^a X[a] is one (16, 64) @ (64, 15) matmul
-(``blade_sum``).  ``product_sum`` does the same for a sum of products of
-two jet stacks, sum_i A[i] B[i].
+(``blade_sum`` with a table's row form, e.g. ``THETA_GP_ROWS``).
+``product_sum`` does the same for a sum of products of two jet stacks,
+sum_i A[i] B[i].
 
 The Hodge dual used throughout is ``hodge(A) = reversion(A) * e0123``; with
 this convention the codifferential is a plain star-d-star sandwich on every
@@ -178,6 +179,10 @@ THETA_LC = _left_matrices(_dense(LC_SIGN), _THETA)             # theta^a _| A
 # values of theta^a o theta^b: column 1 + b of the matrix of theta^a o
 THETA_PAIR = _left_matrices(_GP_DENSE, THETA_GP[..., 1:5].swapaxes(1, 2))      # theta^a theta^b A
 PLANE_GP = _left_matrices(_GP_DENSE, THETA_WEDGE[..., 1:5].swapaxes(1, 2))     # (theta^a ^ theta^b) A
+# the same tables in blade_sum's row form, rows[k, (i..., j)] = L[i..., k, j]
+THETA_GP_ROWS, THETA_WEDGE_ROWS, THETA_LC_ROWS, THETA_PAIR_ROWS, PLANE_GP_ROWS = (
+    np.moveaxis(L, -2, 0).reshape(N_BLADES, -1) for L in (THETA_GP, THETA_WEDGE, THETA_LC, THETA_PAIR, PLANE_GP)
+)
 # hodge(A) = reversion(A) e0123 = HODGE @ A.data
 HODGE = _GP_DENSE[:, :, 15] * REVERSION_SIGN
 
@@ -264,7 +269,7 @@ class Multivector:
     def max_abs(self) -> float:
         """Largest coefficient value over every blade and stack item; NaN
         if any value is NaN."""
-        return float(np.max(np.abs(self.data[..., 0])))
+        return float(np.abs(self.data[..., 0]).max())
 
     def __getitem__(self, index) -> "Multivector":
         """Item or sub-stack of the leading stack axes."""
@@ -404,19 +409,18 @@ def product_sum(a: Multivector, b: Multivector, table: np.ndarray = GP_TABLE) ->
     return Multivector.from_array(padded(left.reshape(N_BLADES, -1) @ right, order), order)
 
 
-def blade_sum(matrices: np.ndarray, x: Multivector) -> Multivector:
+def blade_sum(rows: np.ndarray, x: Multivector) -> Multivector:
     """sum_i B_i x[i], the products of constant blades B_i with the items of
-    a stack, as one matmul; ``matrices`` (n..., 16, 16) holds the product
-    matrix of each B_i (e.g. ``THETA_GP``) and its leading axes are all of
-    x's stack axes."""
-    rows = np.moveaxis(matrices, -2, 0).reshape(N_BLADES, -1)
+    a stack, as one matmul; ``rows`` is the row form of the B_i's product
+    matrices (e.g. ``THETA_GP_ROWS``), whose items are all of x's stack
+    axes."""
     return Multivector.from_array(rows @ x.data.reshape(-1, JET_LEN), x.order)
 
 
 def blade_products(matrices: np.ndarray, x: Multivector) -> Multivector:
     """The stack [i] of products B_i x of constant blades with one
-    multivector, one matmul; ``matrices`` (n..., 16, 16) as for
-    ``blade_sum``."""
+    multivector, one matmul; ``matrices`` (n..., 16, 16) holds the product
+    matrix of each B_i (e.g. ``THETA_GP``)."""
     return Multivector.from_array(matrices @ x.data, x.order)
 
 

@@ -23,10 +23,17 @@ a comment.  Sections and keys::
                 idx 0..15 in canonical blade order; unset components 0)
     [checks]    <check-name> = on | off        (default: the full suite)
     [sampling]  seed = int, points = int, tol = float
+
+Evaluation: groups of expressions compile into a ``Program``, a flat list
+of jet operations over a point axis (see "evaluation" below); a
+``Scenario`` compiles its frame's Program on first use and keeps it.  Its
+jets are those of a ``Jet2`` walk of each tree, bit for bit up to the sign
+of a zero, and it raises the walk's errors in the walk's order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -295,53 +302,177 @@ def has_division(e: Expr) -> bool:
 
 
 # -- evaluation ------------------------------------------------------------
+#
+# Expressions compile once into a ``Program``: a straight-line list of jet
+# operations on registers, each a slot-major (15, P) array of the jets at
+# P points (the layout of ``jets.mul_packed``).
+# Registers 0-3 hold the coordinates; operation k writes register 4 + k.
+# The operations follow the depth-first order of the trees, an identical
+# subtree is emitted once, and a constant operand of * and / is applied as
+# a scalar; one of + and - is a constant register, emitted once per value.
+# While compiling, an operand is a register index (int) or the value of a
+# constant leaf (float).  Nothing is evaluated at compile time, so a
+# failing constant such as ``1/0`` fails per point.
 
 
-def eval_expr(e: Expr, p: ChartPoint, coords=None) -> Jet2:
-    """Order-2 jet of the expression at p; division/sqrt guard the domain.
-    ``coords``, the four coordinate jets at p, can be passed in when several
-    expressions are evaluated at one point."""
-    if coords is None:
-        coords = [jets.seed_coordinate(mu, p) for mu in range(4)]
-    try:
-        return _eval(e, coords)
-    except JetDomainError as err:
-        raise ExprDomainError(p, str(err)) from err
+def _neg(r, i, _):
+    return -r[i]
 
 
-def eval_exprs(exprs, p: ChartPoint) -> np.ndarray:
-    """Jets (n, 15) of n expressions at p, the coordinate jets seeded once;
-    a ``Const(0)`` entry is a zero row and is not evaluated."""
-    coords = [jets.seed_coordinate(mu, p) for mu in range(4)]
-    out = np.zeros((len(exprs), jets.JET_LEN))
-    for i, e in enumerate(exprs):
-        if e != ZERO_EXPR:
-            out[i] = eval_expr(e, p, coords).data
+def _add(r, i, j):
+    return r[i] + r[j]
+
+
+def _sub(r, i, j):
+    return r[i] - r[j]
+
+
+def _mul(r, i, j):
+    return jets.mul_packed(r[i], r[j])
+
+
+def _mul_const(r, i, c):
+    return jets.mul_const(r[i], c)
+
+
+def _div_const(r, i, c):
+    # the reciprocal of a constant jet is the constant jet of 1/c
+    return jets.mul_const(r[i], jets.recip_factors(c)[0])
+
+
+def _const(r, _, c):
+    out = np.zeros(r[0].shape)
+    out[0] = c
     return out
 
 
-def _eval(e: Expr, coords) -> Jet2:
-    if isinstance(e, Const):
-        return Jet2.const(e.value)
-    if isinstance(e, Coord):
-        return coords[e.index]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, coords)
-    if isinstance(e, Pow):
-        return jets.pow_int(_eval(e.base, coords), e.exponent)
-    if isinstance(e, Call):
-        return jets.ELEMENTARY[e.fn](_eval(e.arg, coords))
-    if isinstance(e, BinOp):
-        left = _eval(e.left, coords)
-        right = _eval(e.right, coords)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left * jets.recip(right)
-    raise TypeError(f"not an expression node: {e!r}")
+def _elementary(r, i, factors):
+    a = r[i]
+    f0, f1, f2 = np.array([factors(v) for v in a[0].tolist()]).T
+    return jets.compose(a, f0, f1, f2)
+
+
+# kernels of the binary operators by operand kinds; a quotient by a
+# register is a product with its reciprocal
+_REG_REG = {"+": _add, "-": _sub, "*": _mul}
+_REG_CONST = {"*": _mul_const, "/": _div_const}
+
+# the errors an operation can raise: domain, overflow and math domain errors
+_FAILURES = (ArithmeticError, ValueError)
+
+_MU = np.arange(jets.NVARS)
+
+
+def _is_plus_zero(a) -> bool:
+    return isinstance(a, float) and a == 0.0 and math.copysign(1.0, a) > 0
+
+
+class Program:
+    """Groups of expressions compiled into one jet program (see above);
+    ``stages`` evaluates it group by group at a list of points."""
+
+    def __init__(self, *groups):
+        self.ops = []              # (kernel, register, argument)
+        self._numbers = {}         # (kernel, register, key) -> register
+        self._groups = []          # (end of its ops, (output, register), size)
+        for exprs in groups:
+            outs = [self._compile(e) for e in exprs]
+            nonzero = [(k, self._register(o)) for k, o in enumerate(outs) if not _is_plus_zero(o)]
+            self._groups.append((len(self.ops), nonzero, len(exprs)))
+
+    def _emit(self, kernel, i, arg, key=None) -> int:
+        if key is None:
+            # a constant's key tells 0.0 from -0.0: both reach value slots
+            key = (arg, math.copysign(1.0, arg)) if isinstance(arg, float) else arg
+        key = (kernel, i, key)
+        reg = self._numbers.get(key)
+        if reg is None:
+            reg = self._numbers[key] = jets.NVARS + len(self.ops)
+            self.ops.append((kernel, i, arg))
+        return reg
+
+    def _register(self, a) -> int:
+        return self._emit(_const, 0, a) if isinstance(a, float) else a
+
+    def _compile(self, e: Expr):
+        if isinstance(e, Const):
+            return float(e.value)
+        if isinstance(e, Coord):
+            return e.index
+        if isinstance(e, Neg):
+            a = self._compile(e.arg)
+            return -a if isinstance(a, float) else self._emit(_neg, a, None)
+        if isinstance(e, Pow):
+            a = self._compile(e.base)
+            if e.exponent == 0:
+                return 1.0
+            factors = functools.partial(jets.pow_factors, n=e.exponent)
+            return self._emit(_elementary, self._register(a), factors, key=("^", e.exponent))
+        if isinstance(e, Call):
+            return self._emit(_elementary, self._register(self._compile(e.arg)), jets.FACTORS[e.fn])
+        if isinstance(e, BinOp):
+            left, right = self._compile(e.left), self._compile(e.right)
+            op = e.op
+            if op in "+-":
+                left, right = self._register(left), self._register(right)
+            elif isinstance(left, float) and isinstance(right, float):
+                left = self._register(left)
+            if op == "/" and not isinstance(right, float):
+                right, op = self._emit(_elementary, right, jets.FACTORS["recip"]), "*"
+            if isinstance(right, float):
+                return self._emit(_REG_CONST[op], left, right)
+            if isinstance(left, float):
+                return self._emit(_mul_const, right, left)
+            return self._emit(_REG_REG[op], left, right)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def stages(self, points):
+        """Yield the jets (P, n, 15) of each group's n expressions at the P
+        points, one group at a time.
+
+        At a point, the first failing operation in depth-first order raises
+        its error, a ``JetDomainError`` as ``ExprDomainError``; at several
+        points, the first failing point raises.  The error carries the
+        failing point as ``point``."""
+        x = np.array([p.x for p in points])
+        seeds = np.zeros((jets.NVARS, jets.JET_LEN, len(x)))
+        seeds[:, 0] = x.T
+        seeds[_MU, _MU + 1] = 1.0
+        regs = list(seeds)
+        start = 0
+        try:
+            for stop, outputs, n in self._groups:
+                for kernel, i, arg in self.ops[start:stop]:
+                    regs.append(kernel(regs, i, arg))
+                start = stop
+                out = np.zeros((len(x), n, jets.JET_LEN))
+                for k, reg in outputs:
+                    out[:, k] = regs[reg].T
+                yield out
+        except _FAILURES as err:
+            if len(points) > 1:     # the first failing point raises
+                for p in points:
+                    for _ in self.stages([p]):
+                        pass
+            if isinstance(err, JetDomainError):
+                raise ExprDomainError(points[0], str(err)) from err
+            err.point = points[0]
+            raise
+
+    def evaluate(self, points) -> np.ndarray:
+        """Jets (P, n, 15) of all n expressions at the P points; errors as
+        in ``stages``."""
+        return np.concatenate(list(self.stages(points)), axis=1)
+
+
+def eval_expr(e: Expr, p: ChartPoint) -> Jet2:
+    """Order-2 jet of the expression at p; division/sqrt guard the domain."""
+    return Jet2(Program([e]).evaluate([p])[0, 0])
+
+
+def eval_exprs(exprs, p: ChartPoint) -> np.ndarray:
+    """Jets (n, 15) of n expressions at p."""
+    return Program(exprs).evaluate([p])[0]
 
 
 # -- scenario ---------------------------------------------------------------
@@ -356,6 +487,10 @@ class Sampling:
     tol: float = 1e-8
 
 
+# the torsion entries T^c_ab a frame evaluates, a < b
+TORSION_UPPER = [(c, a, b) for c in range(4) for a in range(4) for b in range(a + 1, 4)]
+
+
 @dataclass
 class Scenario:
     """Parsed, validated scenario configuration."""
@@ -368,6 +503,23 @@ class Scenario:
     checks: tuple[str, ...] = ()                  # empty = full suite
     sampling: Sampling = field(default_factory=Sampling)
     digest: str = ""
+    # the frame Program, compiled on first use; not pickled, so a spawned
+    # child compiles its own
+    _frame_program: Program | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_frame_program": None}
+
+    def frame_program(self) -> Program:
+        """The Program of a frame's two stages: the tetrad entries
+        theta^a_mu, row by row, then the torsion entries ``TORSION_UPPER``;
+        compiled on the first call."""
+        if self._frame_program is None:
+            self._frame_program = Program(
+                [e for row in self.tetrad for e in row],
+                [self.torsion_expr(c, a, b) for c, a, b in TORSION_UPPER],
+            )
+        return self._frame_program
 
     def __eq__(self, other):
         if not isinstance(other, Scenario):

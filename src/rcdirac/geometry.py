@@ -38,8 +38,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .cliffalg import PLANE_GP, Multivector, bivector_array, blade_sum, commutator, grade_project
-from .fieldspec import Scenario, eval_exprs
+from .cliffalg import PLANE_GP_ROWS, Multivector, bivector_array, blade_sum, commutator, grade_project
+from .fieldspec import TORSION_UPPER, Scenario
 from .jets import (
     CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, Jet2, JetOrderError, clear_above, derivation_matrices,
     derivative, jet_einsum, slots,
@@ -69,8 +69,7 @@ for perm in permutations(range(4)):
 
 # The torsion components T^c_ab with a < b, which a scenario sets; the
 # a > b half follows by antisymmetry.
-_TORSION_UPPER = [(c, a, b) for c in range(4) for a in range(4) for b in range(a + 1, 4)]
-_T_C, _T_A, _T_B = np.array(_TORSION_UPPER).T
+_T_C, _T_A, _T_B = np.array(TORSION_UPPER).T
 
 # The coframe theta^a as a direction stack of constant one-forms.
 THETA = Multivector.from_array(np.stack([Multivector.basis(a).data for a in range(4)]), CONSTANT)
@@ -181,18 +180,21 @@ def invert_tetrad(theta_mat: np.ndarray, point: ChartPoint):
 def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
     """Evaluate the scenario's tetrad and torsion at a point and assemble
     every connection-level object."""
-    theta_mat = eval_exprs([e for row in scenario.tetrad for e in row], point).reshape(4, 4, JET_LEN)
+    # the torsion is evaluated only once the tetrad has passed its checks
+    stages = scenario.frame_program().stages([point])
+    theta_mat = next(stages).reshape(4, 4, JET_LEN)
     _require_finite(theta_mat, "the tetrad", point)
     frame_vectors, det = invert_tetrad(theta_mat, point)
     _require_finite(frame_vectors, "the inverse tetrad", point)
 
     T = np.zeros((4, 4, 4, JET_LEN))
-    upper = eval_exprs([scenario.torsion_expr(c, a, b) for c, a, b in _TORSION_UPPER], point)
+    upper = next(stages)[0]
     T[_T_C, _T_A, _T_B] = upper
     T[_T_C, _T_B, _T_A] = -upper
     _require_finite(T, "the torsion", point)
 
-    c_t = structure_coefficients(theta_mat, frame_vectors)
+    derivations = derivation_matrices(frame_vectors)
+    c_t = structure_coefficients(theta_mat, frame_vectors, derivations)
     lc = levi_civita(c_t)
     K = contorsion(T)
     full = clear_above(lc + K, CONN_ORDER)
@@ -201,7 +203,7 @@ def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
         point=point,
         tetrad=theta_mat,
         frame_vectors=frame_vectors,
-        derivations=derivation_matrices(frame_vectors),
+        derivations=derivations,
         det=det,
         c=c_t,
         T=T,
@@ -230,10 +232,11 @@ def torsion_matrix(T) -> np.ndarray:
     return np.einsum("r,b,rabs->arbs", _ETA, _ETA, T).reshape(16, 4 * JET_LEN)
 
 
-def structure_coefficients(theta_mat, frame_vectors):
-    """c^c_{ab} = theta^c([e_a, e_b]) from jets of the inverse tetrad."""
+def structure_coefficients(theta_mat, frame_vectors, derivations):
+    """c^c_{ab} = theta^c([e_a, e_b]) from jets of the inverse tetrad and
+    its ``derivation_matrices``."""
     # de[a, b, mu] = e_a(e_b^mu); the bracket is de[a, b] - de[b, a]
-    de = _derive(derivation_matrices(frame_vectors), frame_vectors, CONN_ORDER)
+    de = _derive(derivations, frame_vectors, CONN_ORDER)
     half = jet_einsum("cm,abm->cab", theta_mat, de, CONN_ORDER)
     return half - half.transpose(0, 2, 1, 3)
 
@@ -242,8 +245,8 @@ def levi_civita(c_t):
     """Unique zero-torsion metric-compatible coefficients from the structure
     coefficients: lowered form L_abc = (g_abc + g_bca - g_cab)/2 with
     g_abc = eta_bm c^m_{ac}."""
-    g = np.einsum("bac...->abc...", _ETA[:, None, None, None] * c_t)
-    low = 0.5 * (g + np.einsum("bca...->abc...", g) - np.einsum("cab...->abc...", g))
+    g = (_ETA[:, None, None, None] * c_t).transpose(1, 0, 2, 3)       # g[a, b, c]
+    low = 0.5 * (g + g.transpose(2, 0, 1, 3) - g.transpose(1, 2, 0, 3))
     return _ETA[None, :, None, None] * low
 
 
@@ -255,11 +258,8 @@ def contorsion(T):
     - eta_al T^al_{be,rh}) / 2, stored as conn[be][al][rh].
     """
     low = _ETA[:, None, None, None] * T          # low[x, y, z] = eta_x T^x_{yz}
-    s = (
-        np.einsum("bra...->bar...", low)
-        + np.einsum("rba...->bar...", low)
-        - np.einsum("abr...->bar...", low)
-    )
+    # s[b, a, r] = low[b, r, a] + low[r, b, a] - low[a, b, r]
+    s = low.transpose(0, 2, 1, 3) + low.transpose(1, 2, 0, 3) - low.transpose(1, 0, 2, 3)
     return (-0.5 * _ETA[None, :, None, None]) * s
 
 
@@ -275,7 +275,7 @@ def _calibrate_biforms(geom: FrameGeometry):
     """Abort if [omega_a, theta^b]/2 fails to reproduce -conn[a][b][c] theta^c."""
     resid = 0.5 * commutator(geom.omega_biform[:, None], geom.theta[None]).data   # [a, b]
     resid[..., 1:5, :] += geom.full
-    worst = np.max(np.abs(resid[..., :slots(CONN_ORDER)]))
+    worst = np.abs(resid[..., :slots(CONN_ORDER)]).max()
     if not worst <= _CALIBRATION_TOL:
         raise GeometryError(
             f"connection biform calibration failed at {geom.point.x}: "
@@ -344,7 +344,7 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
         bivector_array(np.moveaxis(pairs, (0, 1), (2, 3))), CURV_ORDER   # [c, d]
     )
     # sum over planes (theta^a ^ theta^b) biforms[a, b]
-    contraction = blade_sum(PLANE_GP, biforms)
+    contraction = blade_sum(PLANE_GP_ROWS, biforms)
 
     J = j_components(geom)
     return CurvatureData(
@@ -363,7 +363,7 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
 
 
 def _max_value(table) -> float:
-    return float(np.max(np.abs(table[..., 0])))
+    return float(np.abs(table[..., 0]).max())
 
 
 def metricity_residual(conn) -> float:

@@ -28,7 +28,6 @@ whose import would cost more than the draws.
 
 from __future__ import annotations
 
-import argparse
 import json
 import multiprocessing
 import operator
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import fieldspec, geometry, operators
 from .cliffalg import (
-    GRADES, LC_TABLE, THETA_GP, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
+    GRADES, LC_TABLE, THETA_GP_ROWS, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
     geometric_product, grade_involution, product_sum, wedge,
 )
 from .fieldspec import Scenario, ScenarioError, eval_exprs
@@ -246,14 +245,33 @@ def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunFiel
             polys[blades] = rows
             fields[kind] = RunField(kind=kind, polys=polys)
     monomials = [monomial_jets(p) for p in points]
-    for f in fields.values():
-        f.values = {p: f.raw(p, m) for p, m in zip(points, monomials)}
-        sup = 0.0
-        for data in f.values.values():
-            sup = max(sup, float(np.max(np.abs(data[:, 0]))))
-        if sup > 1e-12:
-            f.scale = 1.0 / sup
+    for kind, f in fields.items():
+        label = "f.scalar" if kind == "scalar" else f"A.{kind}"
+        if f.exprs is None:
+            f.values = {p: f.raw(p, m) for p, m in zip(points, monomials)}
+        else:
+            try:
+                f.values = dict(zip(points, fieldspec.Program(f.exprs).evaluate(points)))
+            except (ArithmeticError, ValueError) as err:
+                detail = err if isinstance(err, fieldspec.ExprDomainError) else (
+                    f"{type(err).__name__} at point {err.point.x}: {err}"
+                )
+                raise ScenarioError(f"test field {label}: {detail}") from err
+        f.scale = _unit_scale(label, f.values.values())
     return fields
+
+
+def _unit_scale(label: str, values) -> float:
+    """1 / the largest finite value of a field's (16, 15) jets at the run's
+    points, or 1 when that is tiny; non-finite values stay per-point
+    errors of the checks."""
+    v = np.abs([data[:, 0] for data in values])
+    sup = v[np.isfinite(v)].max(initial=0.0)
+    if sup == 0.0:
+        raise ScenarioError(
+            f"test field {label} has no finite non-zero value at the sampled points"
+        )
+    return 1.0 / sup if sup > 1e-12 else 1.0
 
 
 # -- sampling ------------------------------------------------------------------
@@ -361,7 +379,7 @@ class PointContext:
 
 def _worst(*residuals) -> float:
     """The largest residual, NaN if any is NaN (Python's max drops them)."""
-    return float(np.max(residuals))
+    return float(np.array(residuals).max())
 
 
 _TOT_ANTISYM_NOTE = "valid for totally antisymmetric (zero-strain) torsion"
@@ -423,7 +441,7 @@ def _c_decomposition(ctx):
 def _c_curvature_traces(ctx):
     biforms = ctx.curv.biforms
     trace = np.einsum("a,aa...->...", np.array(ETA), biforms.data[..., 0])
-    return _worst((biforms + biforms.swapaxes(0, 1)).max_abs(), np.max(np.abs(trace)))
+    return _worst((biforms + biforms.swapaxes(0, 1)).max_abs(), np.abs(trace).max())
 
 
 @_check(
@@ -550,7 +568,7 @@ def _c_cov_deriv_torsion(ctx):
 def _c_dirac_torsion(ctx):
     geom = ctx.geom
     v = ctx.field("vector")
-    corr = blade_sum(THETA_GP, operators.torsion_operators(geom, v)).scale(0.5)
+    corr = blade_sum(THETA_GP_ROWS, operators.torsion_operators(geom, v)).scale(0.5)
     return (
         operators.dirac(geom, v, "full") - operators.dirac(geom, v, "lc") - corr
     ).max_abs()
@@ -1044,7 +1062,9 @@ def bundled_scenario_names():
     return sorted(out)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rcdirac",
         description="Verify Dirac-operator identities on frame-based Riemann-Cartan geometries.",

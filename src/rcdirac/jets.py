@@ -21,8 +21,9 @@ multivector is a (16, 15) array (blade x slot), and the geometry tables are
 through one bilinear table, ``MUL``: the jet product is
 ``(a * b)[u] = sum_{s,t} a[s] b[t] MUL[s, t, u]``, so ``a @ mul_matrix(b)``
 multiplies any stack of jets ``a`` by the jet ``b``, and ``jet_einsum``
-contracts jet tables over named indices.  ``Jet2`` stays the scalar type
-that expressions evaluate to.
+contracts jet tables over named indices.  ``Jet2`` stays the scalar jet
+type; the expression programs of ``fieldspec`` evaluate on stacks of packed
+jets with ``mul_packed``, ``mul_const`` and ``compose``.
 
 Slot contract: a jet of order r is defined by its slots of degree <= r,
 ``slots(r)`` of them: slot 0 at order 0, slots 0-4 at order 1, all 15 at
@@ -233,13 +234,31 @@ class Jet2:
 
 
 def mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Leibniz product of two packed jet vectors (shape (15,) each)."""
-    out = np.empty(JET_LEN)
+    """Leibniz product of packed jets: vectors (15,), or slot-major stacks
+    (15, P) of P jets each."""
+    out = np.empty(a.shape)
     av, bv = a[0], b[0]
     ag, bg = a[1:5], b[1:5]
     out[0] = av * bv
     out[1:5] = av * bg + bv * ag
-    out[5:15] = av * b[5:15] + bv * a[5:15] + ag[HESS_I] * bg[HESS_J] + ag[HESS_J] * bg[HESS_I]
+    # take: a gather that is cheap on stacks too
+    out[5:15] = (
+        av * b[5:15] + bv * a[5:15]
+        + ag.take(HESS_I, 0) * bg.take(HESS_J, 0) + ag.take(HESS_J, 0) * bg.take(HESS_I, 0)
+    )
+    return out
+
+
+def mul_const(a: np.ndarray, c: float) -> np.ndarray:
+    """``mul_packed(a, b)`` for packed jets a and the constant jet b of
+    value c, as a scalar product.  mul_packed also adds a's value and
+    gradient times b's zero slots, which is NaN where those are not finite;
+    only then are these terms added."""
+    out = a * c
+    if not np.isfinite(a[:5]).all():
+        zero = a[:5] * 0.0
+        out[1:] += zero[0]
+        out[5:] += zero.take(1 + HESS_I, 0) + zero.take(1 + HESS_J, 0)
     return out
 
 
@@ -346,45 +365,77 @@ def partial(a: Jet2, mu: int) -> Jet2:
 # All follow the same order-2 chain rule: for f(a),
 #   grad  = f'(a0) * a.grad
 #   hess  = f'(a0) * a.hess + f''(a0) * (a.grad (x) a.grad)
+# The ``*_factors`` functions give (f(v), f'(v), f''(v)) at one value v,
+# with the domain check; ``compose`` applies them to jets.  ``Jet2`` and the
+# expression programs of ``fieldspec`` share both.
 
 
-def _compose(a: Jet2, f0: float, f1: float, f2: float) -> Jet2:
-    d = np.empty(JET_LEN)
-    g = a.data[1:5]
+def compose(a: np.ndarray, f0, f1, f2) -> np.ndarray:
+    """Packed jets of f(a), as in ``mul_packed``, from the factors of f at
+    a's values: floats, or arrays (P,) with one entry per jet."""
+    d = np.empty(a.shape)
+    g = a[1:5]
     d[0] = f0
     d[1:5] = f1 * g
-    d[5:15] = f1 * a.data[5:15] + f2 * g[HESS_I] * g[HESS_J]
-    return Jet2(d, a.order)
+    d[5:15] = f1 * a[5:15] + f2 * g.take(HESS_I, 0) * g.take(HESS_J, 0)
+    return d
 
 
-def sin(a: Jet2) -> Jet2:
-    s, c = math.sin(a.value), math.cos(a.value)
-    return _compose(a, s, c, -s)
+def sin_factors(v: float):
+    s, c = math.sin(v), math.cos(v)
+    return s, c, -s
 
 
-def cos(a: Jet2) -> Jet2:
-    s, c = math.sin(a.value), math.cos(a.value)
-    return _compose(a, c, -s, -c)
+def cos_factors(v: float):
+    s, c = math.sin(v), math.cos(v)
+    return c, -s, -c
 
 
-def exp(a: Jet2) -> Jet2:
-    e = math.exp(a.value)
-    return _compose(a, e, e, e)
+def exp_factors(v: float):
+    e = math.exp(v)
+    return e, e, e
 
 
-def sqrt(a: Jet2) -> Jet2:
-    v = a.value
+def sqrt_factors(v: float):
     if v <= _SINGULAR_TOL:
         raise JetDomainError(f"sqrt of non-positive or near-zero value {v!r}")
     r = math.sqrt(v)
-    return _compose(a, r, 0.5 / r, -0.25 / (r * v))
+    return r, 0.5 / r, -0.25 / (r * v)
 
 
-def recip(a: Jet2) -> Jet2:
-    v = a.value
+def recip_factors(v: float):
     if abs(v) <= _SINGULAR_TOL:
         raise JetDomainError(f"reciprocal of near-zero value {v!r}")
-    return _compose(a, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+    return 1.0 / v, -1.0 / v**2, 2.0 / v**3
+
+
+def pow_factors(v: float, n: int):
+    """Factors of the integer power v**n, n != 0; negative n requires a
+    value away from zero."""
+    if n < 0 and abs(v) <= _SINGULAR_TOL:
+        raise JetDomainError(f"negative power of near-zero value {v!r}")
+    f0 = v**n
+    f1 = n * v ** (n - 1)
+    f2 = n * (n - 1) * v ** (n - 2) if n != 1 else 0.0
+    return f0, f1, f2
+
+
+FACTORS = {
+    "sin": sin_factors,
+    "cos": cos_factors,
+    "exp": exp_factors,
+    "sqrt": sqrt_factors,
+    "recip": recip_factors,
+}
+
+
+def _jet_function(factors):
+    return lambda a: Jet2(compose(a.data, *factors(a.value)), a.order)
+
+
+# Jet2 -> Jet2 elementary functions
+ELEMENTARY = {name: _jet_function(factors) for name, factors in FACTORS.items()}
+sin, cos, exp, sqrt, recip = (ELEMENTARY[name] for name in ("sin", "cos", "exp", "sqrt", "recip"))
 
 
 def pow_int(a: Jet2, n: int) -> Jet2:
@@ -394,19 +445,4 @@ def pow_int(a: Jet2, n: int) -> Jet2:
     n = int(n)
     if n == 0:
         return Jet2.const(1.0, a.order)
-    v = a.value
-    if n < 0 and abs(v) <= _SINGULAR_TOL:
-        raise JetDomainError(f"negative power of near-zero value {v!r}")
-    f0 = v**n
-    f1 = n * v ** (n - 1)
-    f2 = n * (n - 1) * v ** (n - 2) if n != 1 else 0.0
-    return _compose(a, f0, f1, f2)
-
-
-ELEMENTARY = {
-    "sin": sin,
-    "cos": cos,
-    "exp": exp,
-    "sqrt": sqrt,
-    "recip": recip,
-}
+    return Jet2(compose(a.data, *pow_factors(a.value, n)), a.order)

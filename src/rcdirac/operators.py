@@ -52,8 +52,8 @@ import inspect
 import numpy as np
 
 from .cliffalg import (
-    GRADES, N_BLADES, PLANE_GP, THETA_GP, THETA_LC, THETA_PAIR, THETA_WEDGE, WEDGE_TABLE,
-    GradeError, Multivector, bivector_array, blade_products, blade_sum, commutator,
+    GRADES, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS, THETA_PAIR_ROWS, THETA_WEDGE,
+    THETA_WEDGE_ROWS, WEDGE_TABLE, GradeError, Multivector, bivector_array, blade_products, blade_sum, commutator,
     geometric_product, hodge_dual, product_sum,
 )
 from .geometry import (
@@ -132,7 +132,7 @@ def _eta_trace(grid: Multivector) -> Multivector:
 
 def _pair_sum(grid: Multivector) -> Multivector:
     """eta^{ab} grid[a, b] + (theta^a ^ theta^b) grid[a, b] = theta^a theta^b grid[a, b]."""
-    return blade_sum(THETA_PAIR, grid)
+    return blade_sum(THETA_PAIR_ROWS, grid)
 
 
 # -- first order -------------------------------------------------------------
@@ -216,19 +216,19 @@ def torsion_operator(geom: FrameGeometry, a: int, V: Multivector) -> Multivector
 @_per_frame
 def dirac(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a nabla_a A."""
-    return blade_sum(THETA_GP, cov_derivs(geom, A, conn))
+    return blade_sum(THETA_GP_ROWS, cov_derivs(geom, A, conn))
 
 
 @_per_frame
 def dirac_contract(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a _| nabla_a A."""
-    return blade_sum(THETA_LC, cov_derivs(geom, A, conn))
+    return blade_sum(THETA_LC_ROWS, cov_derivs(geom, A, conn))
 
 
 @_per_frame
 def dirac_wedge(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a ^ nabla_a A."""
-    return blade_sum(THETA_WEDGE, cov_derivs(geom, A, conn))
+    return blade_sum(THETA_WEDGE_ROWS, cov_derivs(geom, A, conn))
 
 
 def _dtheta(geom: FrameGeometry) -> Multivector:
@@ -246,7 +246,7 @@ def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     theta_I), the interior product i_{e_g} being the left contraction by the
     lowered theta_g (the even dtheta^g commutes into first place)."""
     interior = blade_products(THETA_DOWN_LC, A)   # [g]: theta_g _| A
-    return blade_sum(THETA_WEDGE, pfaffs(geom, A)) + product_sum(
+    return blade_sum(THETA_WEDGE_ROWS, pfaffs(geom, A)) + product_sum(
         _dtheta(geom), interior, WEDGE_TABLE
     )
 
@@ -278,7 +278,7 @@ def dirac_square_assembled(
     if not antisymmetrized:
         return _pair_sum(inner)
     half = (inner - inner.swapaxes(0, 1)).scale(0.5)
-    return _eta_trace(inner) + blade_sum(PLANE_GP, half)
+    return _eta_trace(inner) + blade_sum(PLANE_GP_ROWS, half)
 
 
 def frame_wave(geom: FrameGeometry, f: Jet2, conn, trace=None) -> Jet2:
@@ -382,7 +382,7 @@ def vector_square_relation_residual(geom: FrameGeometry, A: Multivector) -> floa
 
 @_per_frame
 def spin_dirac(geom: FrameGeometry, psi: Multivector) -> Multivector:
-    return blade_sum(THETA_GP, spin_cov_derivs(geom, psi))
+    return blade_sum(THETA_GP_ROWS, spin_cov_derivs(geom, psi))
 
 
 @_per_frame
@@ -516,5 +516,5 @@ def maxwell_residuals(
     _require_grade(J_e, 1, "current")
     clifford = dirac(geom, F, "full") - J_e
     spin = right_rep_derivs(geom, F) + geometric_product(geom.omega_biform, F).scale(0.5)
-    spin = blade_sum(THETA_GP, spin) - J_e
+    spin = blade_sum(THETA_GP_ROWS, spin) - J_e
     return clifford, spin, clifford - spin

@@ -7,7 +7,9 @@ the array kernels.  The per-direction operator loops below are the engine's
 operators as they were before direction stacks: one frame direction, one
 direction pair and one single-multivector product at a time, with the
 planes theta^a ^ theta^b as wedge products.  Tests compare the array
-kernels of ``cliffalg``, ``operators`` and ``geometry`` against them.
+kernels of ``cliffalg``, ``operators`` and ``geometry`` against them, and
+the compiled expression programs of ``fieldspec`` against ``ref_eval``,
+the ``Jet2`` tree walk that they replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from rcdirac import cliffalg as ca
-from rcdirac.jets import JET_LEN, MUL, Jet2, partial
+from rcdirac import fieldspec as fs
+from rcdirac import jets
+from rcdirac.jets import JET_LEN, MUL, ChartPoint, Jet2, JetDomainError, partial, seed_coordinate
 
 
 class RefMV:
@@ -282,3 +286,46 @@ def dense_jet_einsum(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     inputs, out = spec.split("->")
     xs, ys = inputs.split(",")
     return np.einsum(f"{xs}S,{ys}T,STU->{out}U", x, y, MUL)
+
+
+def ref_eval(e, p: ChartPoint) -> Jet2:
+    """Order-2 jet of an expression at p by a depth-first walk of its tree,
+    one ``Jet2`` per node (the evaluator before compiled programs); a
+    ``JetDomainError`` is raised as ``ExprDomainError``."""
+    coords = [seed_coordinate(mu, p) for mu in range(4)]
+    try:
+        return _walk(e, coords)
+    except JetDomainError as err:
+        raise fs.ExprDomainError(p, str(err)) from err
+
+
+def ref_eval_exprs(exprs, p: ChartPoint) -> np.ndarray:
+    """Jets (n, 15) of n expressions at p, walked one after another; a
+    ``Const(0)`` entry is a zero row and is not evaluated."""
+    out = np.zeros((len(exprs), JET_LEN))
+    for i, e in enumerate(exprs):
+        if e != fs.ZERO_EXPR:
+            out[i] = ref_eval(e, p).data
+    return out
+
+
+def _walk(e, coords) -> Jet2:
+    if isinstance(e, fs.Const):
+        return Jet2.const(e.value)
+    if isinstance(e, fs.Coord):
+        return coords[e.index]
+    if isinstance(e, fs.Neg):
+        return -_walk(e.arg, coords)
+    if isinstance(e, fs.Pow):
+        return jets.pow_int(_walk(e.base, coords), e.exponent)
+    if isinstance(e, fs.Call):
+        return jets.ELEMENTARY[e.fn](_walk(e.arg, coords))
+    left = _walk(e.left, coords)
+    right = _walk(e.right, coords)
+    if e.op == "+":
+        return left + right
+    if e.op == "-":
+        return left - right
+    if e.op == "*":
+        return left * right
+    return left * jets.recip(right)

@@ -1,9 +1,15 @@
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_loops import ref_eval, ref_eval_exprs
 
 from rcdirac import fieldspec as fs
+from rcdirac import geometry, harness
 from rcdirac.fieldspec import (
     BinOp,
     Call,
@@ -244,3 +250,132 @@ def test_crlf_and_comments():
 def test_quoted_expression_with_hash():
     sc = load_scenario(MINKOWSKI_TEXT + '[fields]\nf.g = "x0 + 2"  # comment\n')
     assert sc.scalar_fields["g"] == BinOp("+", Coord(0), Const(2.0))
+
+
+# -- compiled programs against the Jet2 tree walk -------------------------------
+
+# leaves include a near-zero divisor, values that overflow products and
+# powers, and infinity ("1e999" parses to it)
+_CONSTS = (0.0, 0.5, 1.0, 2.0, 3.0, 1e-13, 1e103, 1e200, 709.0, 800.0, math.inf)
+_EXPONENTS = (-40, -3, -2, -1, 0, 1, 2, 3, 40)
+_COORDS = st.floats(-3.0, 3.0) | st.sampled_from((0.0, 1e-7, 1.0, 300.0, -800.0))
+_POINTS = st.builds(lambda x: ChartPoint(tuple(x)), st.lists(_COORDS, min_size=4, max_size=4))
+
+_EXPRS = st.recursive(
+    st.builds(Const, st.sampled_from(_CONSTS)) | st.builds(Coord, st.integers(0, 3)),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, st.sampled_from(_EXPONENTS)),
+        st.builds(Call, st.sampled_from(fs.FUNCTIONS), sub),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
+def _outcome(fn):
+    """An evaluation's jets, or the type and message of its error."""
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+def _assert_same(got, want):
+    """Same error, or jets equal slot by slot with NaN and infinity at the
+    same places (the sign of a zero may differ)."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, np.ndarray), got
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.all((got == want) | np.isnan(want))
+
+
+def _walk_points(exprs, points):
+    """The walk at each point in turn: the first failing point raises."""
+    return np.stack([ref_eval_exprs(exprs, p) for p in points])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_EXPRS, min_size=1, max_size=4), st.lists(_POINTS, min_size=1, max_size=3))
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_program_matches_tree_walk(exprs, points):
+    # a shared subtree, emitted once by the program
+    exprs = exprs + [BinOp("*", exprs[0], exprs[-1])]
+    program = fs.Program(exprs)
+    for p in points:
+        _assert_same(_outcome(lambda: program.evaluate([p])[0]), _outcome(lambda: ref_eval_exprs(exprs, p)))
+    _assert_same(_outcome(lambda: program.evaluate(points)), _outcome(lambda: _walk_points(exprs, points)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_constant_products_propagate_nan():
+    # the walk's product with a constant jet turns a non-finite value or
+    # gradient into NaN derivative slots
+    # an infinite value at x2 = 1e300, an infinite gradient at x1 = 0
+    p = ChartPoint((0.6, 0.0, 1e300, 0.0))
+    for src in ("3*(x2*x2)", "(x2*x2)*0.5", "2*(1e200*x1*1e200)", "(1e200*x1*1e200)/4",
+                "exp(700*x0)*exp(700*x0)*2"):
+        e = parse_expr(src)
+        got = fs.Program([e]).evaluate([p])[0, 0]
+        want = ref_eval(e, p).data
+        assert np.isnan(want).any(), src
+        _assert_same(got, want)
+
+
+def test_failing_constant_raises_per_point():
+    pts = [ChartPoint((0.1, 0.2, 0.3, 0.4)), ChartPoint((0.5, 0.6, 0.7, 0.8))]
+    for src in ("x1/0", "x1/(1 - 1)", "2/0", "x0 + sqrt(0 - 1)", "(2 - 2)^-1"):
+        exprs = [parse_expr("x0 + 1"), parse_expr(src)]
+        program = fs.Program(exprs)        # compiles: nothing is evaluated yet
+        with pytest.raises(ExprDomainError) as exc:
+            program.evaluate(pts)
+        assert exc.value.point == pts[0]
+        assert str(exc.value) == _outcome(lambda: ref_eval_exprs(exprs, pts[0]))[1]
+    with pytest.raises(OverflowError) as exc:
+        fs.Program([parse_expr("x0/1e200")]).evaluate(pts[1:])
+    assert exc.value.point == pts[1]
+
+
+def test_first_failing_point_raises():
+    # the second point fails in the first expression, the first point only
+    # in the last one: the first point's error is raised
+    exprs = [parse_expr("1/(x0 - 0.5)"), parse_expr("sqrt(x1)")]
+    pts = [ChartPoint((0.1, -1.0, 0.0, 0.0)), ChartPoint((0.5, 1.0, 0.0, 0.0))]
+    with pytest.raises(ExprDomainError) as exc:
+        fs.Program(exprs).evaluate(pts)
+    assert exc.value.point == pts[0]
+    assert "sqrt" in str(exc.value)
+
+
+def test_bundled_frame_tables_match_tree_walk(scenarios):
+    for name, sc in scenarios.items():
+        tetrad = [e for row in sc.tetrad for e in row]
+        torsion = [sc.torsion_expr(*cab) for cab in itertools.product(range(4), repeat=3)]
+        for p in harness.sample_points(sc, points=3, seed=2):
+            geom = geometry.build_frame(sc, p)
+            assert np.array_equal(geom.tetrad, ref_eval_exprs(tetrad, p).reshape(4, 4, -1)), name
+            assert np.array_equal(geom.T, ref_eval_exprs(torsion, p).reshape(4, 4, 4, -1)), name
+
+
+def _tree_nodes(e) -> int:
+    return 1 + sum(_tree_nodes(c) for c in (getattr(e, a, None) for a in ("arg", "base", "left", "right")) if c is not None)
+
+
+def test_frame_program_shares_subexpressions(scenarios):
+    sc = scenarios["curved_torsion"]
+    exprs = [e for row in sc.tetrad for e in row] + [sc.torsion_expr(*cab) for cab in fs.TORSION_UPPER]
+    nodes = sum(_tree_nodes(e) for e in exprs if e != fs.ZERO_EXPR)
+    assert nodes == 168
+    program = sc.frame_program()
+    assert len(program.ops) < nodes
+    assert sc.frame_program() is program
+
+
+def test_program_cache_is_not_compared_or_pickled():
+    sc = load_scenario(MINKOWSKI_TEXT)
+    sc.frame_program()
+    assert sc == load_scenario(MINKOWSKI_TEXT)
+    assert pickle.loads(pickle.dumps(sc))._frame_program is None

@@ -127,6 +127,16 @@ def test_worker_run_imports_no_executor():
     assert _fresh_interpreter(code) == "False\n"
 
 
+def test_run_does_not_import_argparse():
+    code = (
+        "import sys, rcdirac\n"
+        "sc = rcdirac.load_scenario_file(rcdirac.harness.resolve_scenario_path('curved_torsion'))\n"
+        "rcdirac.run_suite(sc, points=1, only=['metricity'])\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code) == "False\n"
+
+
 def test_field_generation_normalized_and_seeded():
     sc = fs.load_scenario(IDENTITY)
     pts = sample_points(sc, points=6, seed=3)
@@ -372,8 +382,8 @@ def _strict_json(text):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_nan_residual_fails_with_point_error(capsys, tmp_path):
-    # the scalar field overflows to infinity at x0 > 0.507, so its sup-norm
-    # scale is 0 and it is NaN there; the NaN point is not the first one
+    # the scalar field overflows to infinity at x0 > 0.507, which makes the
+    # residuals NaN there; the NaN point is not the first one
     text = (
         "[chart]\nx0_min = 0.3\nx0_max = 0.6\n" + IDENTITY
         + '[fields]\nf.scalar = "exp(700*x0)*exp(700*x0)"\n'
@@ -395,6 +405,56 @@ def test_nan_residual_fails_with_point_error(capsys, tmp_path):
     rc = cli_main(["run", str(path), "--only", ",".join(names), "--format", "json"])
     assert rc == 1
     _strict_json(capsys.readouterr().out)
+
+
+# the scalar field overflows to infinity at x0 > 0.507, not at every point
+OVERFLOWING_SCALAR = (
+    "[chart]\nx0_min = 0.3\nx0_max = 0.6\n" + IDENTITY
+    + '[fields]\nf.scalar = "exp(700*x0)*exp(700*x0)"\n'
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_sup_norm_is_taken_over_finite_values():
+    sc = fs.load_scenario(OVERFLOWING_SCALAR)
+    pts = sample_points(sc, points=6, seed=0)
+    fields = build_run_fields(sc, 0, pts)
+    values = [fields["scalar"].at(p).coeffs[0].value for p in pts]
+    finite = [v for v in values if np.isfinite(v)]
+    assert 0 < len(finite) < len(values)
+    assert max(finite) == 1.0
+    assert all(v > 0.0 for v in finite)
+
+
+@pytest.mark.parametrize("expr", ["0*x0", "x0 + 1e999"], ids=["zero", "infinite"])
+def test_field_without_finite_nonzero_value_is_a_scenario_error(expr, capsys, tmp_path):
+    text = IDENTITY + f'[fields]\nf.scalar = "{expr}"\n'
+    with pytest.raises(fs.ScenarioError, match="test field f.scalar has no finite non-zero value"):
+        run_suite(fs.load_scenario(text), points=3)
+    path = tmp_path / "field.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--points", "3"]) == 3
+    assert "f.scalar" in capsys.readouterr().err
+
+
+def test_failing_test_field_is_a_scenario_error(capsys, tmp_path):
+    # exp(800*x0) overflows a float for x0 > 0.887, so at every point here
+    overflow = "[chart]\nx0_min = 0.9\nx0_max = 1.0\n" + IDENTITY + '[fields]\nf.scalar = "exp(800*x0)"\n'
+    domain = IDENTITY + '[fields]\nA.vector.1 = "1/(x0 - x0)"\n'
+    for text, what in ((overflow, "test field f.scalar: OverflowError at point ("),
+                       (domain, "test field A.vector: domain error at point (")):
+        sc = fs.load_scenario(text)
+        with pytest.raises(fs.ScenarioError) as exc:
+            run_suite(sc, points=3)
+        assert str(exc.value).startswith(what)
+        first = sample_points(sc, points=3)[0]
+        assert str(first.x) in str(exc.value)
+        path = tmp_path / "field.scn"
+        path.write_text(text)
+        assert cli_main(["run", str(path), "--points", "3"]) == 3
+        out = capsys.readouterr()
+        assert what in out.err
+        assert "Traceback" not in out.out + out.err
 
 
 # exp(800*x1) overflows a float for x1 > 0.887; seed 1 samples x1 = 0.923
@@ -451,8 +511,8 @@ HIDDEN_NAN_CHECKS = [
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_nan_inside_check_body_fails(capsys, tmp_path):
-    # the fields overflow to infinity at x0 > 0.507, so their sup-norm scale
-    # is 0 and they are NaN there; the NaN point is not the first one
+    # the fields overflow to infinity at x0 > 0.507, which makes the
+    # residuals NaN there; the NaN point is not the first one
     big = '"exp(700*x0)*exp(700*x0)"'
     text = (
         "[chart]\nx0_min = 0.3\nx0_max = 0.6\n" + IDENTITY
