@@ -266,10 +266,14 @@ class Multivector:
         """Coefficient values (jets collapsed to their value part)."""
         return self.data[..., 0].copy()
 
-    def max_abs(self) -> float:
-        """Largest coefficient value over every blade and stack item; NaN
-        if any value is NaN."""
-        return float(np.abs(self.data[..., 0]).max())
+    def max_abs(self):
+        """Largest coefficient value at each point, (P,): a NaN-propagating
+        max over every axis but the point axis, the innermost stack axis.
+        A single multivector (16, 15) gives one number."""
+        values = np.abs(self.data[..., 0])
+        if values.ndim == 1:
+            return values.max()
+        return values.max(axis=tuple(range(values.ndim - 2)) + (values.ndim - 1,))
 
     def __getitem__(self, index) -> "Multivector":
         """Item or sub-stack of the leading stack axes."""
@@ -315,16 +319,16 @@ class Multivector:
     def __neg__(self):
         return Multivector.from_array(-self.data, self.order)
 
-    def scale(self, s) -> "Multivector":
+    def scale(self, s, order=2) -> "Multivector":
         """Multiply every coefficient by a number, a ``Jet2``, or a bare jet
-        array (..., 15), which counts as order 2 and whose leading axes
-        broadcast against the stack axes."""
+        array (..., 15) of jet order ``order``, whose leading axes broadcast
+        against the stack axes: jets (P, 15) scale each point's items."""
         if isinstance(s, _NUMERIC):
             return Multivector.from_array(self.data * s, self.order)
         if isinstance(s, Jet2):
             jet, order = s.data, s.order
         else:
-            jet, order = np.asarray(s, dtype=np.float64), 2
+            jet = np.asarray(s, dtype=np.float64)
             if jet.shape[-1:] != (JET_LEN,):
                 raise TypeError(f"cannot scale a multivector by {type(s).__name__}")
         order = min(self.order, order)
@@ -401,27 +405,42 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
 
 def product_sum(a: Multivector, b: Multivector, table: np.ndarray = GP_TABLE) -> Multivector:
     """sum_i a[i] o b[i] over the leading stack axis of both operands, as
-    one matmul; ``table`` picks the product (GP_TABLE, WEDGE_TABLE, ...)."""
+    one matmul per point; ``table`` picks the product (GP_TABLE,
+    WEDGE_TABLE, ...).  The other stack axis, if any, is the point axis."""
     order = min(a.order, b.order)
-    n, items = width(order), a.data.shape[0]
-    left = (table @ a.data[..., :n]).reshape(items, N_BLADES, N_BLADES * n).transpose(1, 0, 2)
-    right = mul_matrix(b.data, n).reshape(items * N_BLADES * n, n)
-    return Multivector.from_array(padded(left.reshape(N_BLADES, -1) @ right, order), order)
+    n = width(order)
+    da, db = a.data, b.data
+    if da.ndim < db.ndim:       # a point axis on one operand only
+        da = da[:, None]
+    elif db.ndim < da.ndim:
+        db = db[:, None]
+    left = (table @ da[..., :n]).reshape(da.shape[:-2] + (N_BLADES, N_BLADES * n))
+    right = mul_matrix(db, n).reshape(db.shape[:-2] + (N_BLADES * n, n))
+    # items next to the contracted axis: (points, 16, (i, j, s)) @ (points, (i, j, s), n)
+    points = tuple(range(1, left.ndim - 2))
+    left = left.transpose(points + (left.ndim - 2, 0, left.ndim - 1))
+    right = right.transpose(points + (0, right.ndim - 2, right.ndim - 1))
+    prod = left.reshape(left.shape[:-2] + (-1,)) @ right.reshape(right.shape[:-3] + (-1, n))
+    return Multivector.from_array(padded(prod, order), order)
 
 
 def blade_sum(rows: np.ndarray, x: Multivector) -> Multivector:
     """sum_i B_i x[i], the products of constant blades B_i with the items of
-    a stack, as one matmul; ``rows`` is the row form of the B_i's product
-    matrices (e.g. ``THETA_GP_ROWS``), whose items are all of x's stack
-    axes."""
-    return Multivector.from_array(rows @ x.data.reshape(-1, JET_LEN), x.order)
+    a stack, as one matmul per point; ``rows`` is the row form of the B_i's
+    product matrices (e.g. ``THETA_GP_ROWS``), whose items are all of x's
+    stack axes but the point axis."""
+    points = x.data.shape[-3]
+    data = x.data.reshape(-1, points, N_BLADES * JET_LEN).swapaxes(0, 1)
+    return Multivector.from_array(rows @ data.reshape(points, -1, JET_LEN), x.order)
 
 
 def blade_products(matrices: np.ndarray, x: Multivector) -> Multivector:
-    """The stack [i] of products B_i x of constant blades with one
-    multivector, one matmul; ``matrices`` (n..., 16, 16) holds the product
-    matrix of each B_i (e.g. ``THETA_GP``)."""
-    return Multivector.from_array(matrices @ x.data, x.order)
+    """The stack [i] of products B_i x of constant blades with a
+    multivector or a point stack of them, one matmul; ``matrices``
+    (n..., 16, 16) holds the product matrix of each B_i (e.g.
+    ``THETA_GP``)."""
+    shape = matrices.shape[:-2] + (1,) * (x.data.ndim - 2) + (N_BLADES, N_BLADES)
+    return Multivector.from_array(matrices.reshape(shape) @ x.data, x.order)
 
 
 def reversion(a: Multivector) -> Multivector:
@@ -446,9 +465,9 @@ def hodge_dual(a: Multivector) -> Multivector:
 
 
 def bivector_array(pairs: np.ndarray) -> np.ndarray:
-    """Multivector arrays (..., 16, 15) whose bivector coefficients are
-    ``pairs[..., a, b, :]`` for a < b, from jet tables (..., 4, 4, 15)."""
-    out = np.zeros(pairs.shape[:-3] + (N_BLADES, JET_LEN))
-    out[..., 5:11, :] = pairs[..., _PLANE_A, _PLANE_B, :]
+    """Multivector arrays (..., P, 16, 15) whose bivector coefficients are
+    ``pairs[..., a, b, :, :]`` for a < b, from jet tables (..., 4, 4, P, 15)."""
+    out = np.zeros(pairs.shape[:-4] + pairs.shape[-2:-1] + (N_BLADES, JET_LEN))
+    out[..., 5:11, :] = pairs[..., _PLANE_A, _PLANE_B, :, :].swapaxes(-3, -2)
     return out
 

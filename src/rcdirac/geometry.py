@@ -16,19 +16,26 @@ plus the contorsion built from ``T``.  Connection biforms are calibrated so
 that ``pfaff_a theta^b + [omega_a, theta^b]/2 = -conn[a][b][c] theta^c``
 holds identically (checked at build time).
 
-Every table is a float64 array of jets with the jet slot last (the layout of
-``jets``): ``tetrad`` and ``frame_vectors`` are (4, 4, 15), connection-like
-tables and the torsion (4, 4, 4, 15), curvature components (4, 4, 4, 4, 15).
-Products of tables are index contractions through ``jets.jet_einsum``, and a
-directional derivative is one matmul, ``e_a(f) = f @ derivations[a]``.
+A frame is built at P chart points at once (``build_frame`` takes one point
+or a sequence of them).  Every table is a float64 array of jets with the
+jet slot last (the layout of ``jets``) and the point axis just before it:
+``tetrad`` and ``frame_vectors`` are (4, 4, P, 15), connection-like tables
+and the torsion (4, 4, 4, P, 15), curvature components (4, 4, 4, 4, P, 15),
+and ``derivations`` (4, P, 15, 15).  Products of tables are index
+contractions through ``jets.jet_einsum`` with the point axis as its batch
+axis, and a directional derivative is one matmul per point,
+``e_a(f) = f @ derivations[a]``.
 Tables follow the slot contract of ``jets``: the structure coefficients,
 the Levi-Civita and full connections and the connection biforms have order
 ``CONN_ORDER`` (1), the curvature tables ``CURV_ORDER`` (0), and each is
 computed on the slots its order defines, with zeros above.
-Multivector-valued data are direction stacks: the coframe and the
-connection biforms are (4, 16, 15) multivectors indexed by a, the curvature
-biforms a (4, 4, 16, 15) grid, and the torsion operator tau(e_a, .) is one
-(16, 60) jet matrix ``tau`` acting on the four vector coefficients.
+Multivector-valued data are direction stacks with the point axis
+innermost: the connection biforms are (4, P, 16, 15) multivectors indexed by
+a, the coframe a (4, 1, 16, 15) stack that broadcasts over the points, the
+curvature biforms a (4, 4, P, 16, 15) grid, and the torsion operator
+tau(e_a, .) is one (16, 60) jet matrix per point, ``tau`` (P, 16, 60),
+acting on the four vector coefficients.  The residual helpers return one
+value per point, (P,).
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ import numpy as np
 from .cliffalg import PLANE_GP_ROWS, Multivector, bivector_array, blade_sum, commutator, grade_project
 from .fieldspec import TORSION_UPPER, Scenario
 from .jets import (
-    CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, Jet2, JetOrderError, clear_above, derivation_matrices,
-    derivative, jet_einsum, slots,
+    CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, clear_above, derivation_matrices, derivative, jet_einsum,
+    slots,
 )
 
 ETA = (1.0, -1.0, -1.0, -1.0)
@@ -71,8 +78,9 @@ for perm in permutations(range(4)):
 # a > b half follows by antisymmetry.
 _T_C, _T_A, _T_B = np.array(TORSION_UPPER).T
 
-# The coframe theta^a as a direction stack of constant one-forms.
-THETA = Multivector.from_array(np.stack([Multivector.basis(a).data for a in range(4)]), CONSTANT)
+# The coframe theta^a as a direction stack of constant one-forms, with a
+# point axis of length 1 that broadcasts against any frame's points.
+THETA = Multivector.from_array(np.stack([Multivector.basis(a).data[None] for a in range(4)]), CONSTANT)
 THETA.data.flags.writeable = False  # shared by every frame
 
 
@@ -87,6 +95,10 @@ class DegenerateFrameError(ValueError):
 class NonFiniteFrameError(ValueError):
     """The tetrad, torsion or frame-vector jets at a point are not finite."""
 
+    def __init__(self, point: ChartPoint, what: str):
+        self.point = point
+        super().__init__(f"{what} is not finite at point {point.x}")
+
 
 class GeometryError(RuntimeError):
     """Internal consistency failure while assembling the connection."""
@@ -94,32 +106,32 @@ class GeometryError(RuntimeError):
 
 @dataclass
 class FrameGeometry:
-    """All connection-level data of one scenario at one chart point."""
+    """All connection-level data of one scenario at P chart points; every
+    table has the point axis just before its jet axis."""
 
-    point: ChartPoint
-    tetrad: np.ndarray           # theta^a_mu, (4, 4, 15), rows a
-    frame_vectors: np.ndarray    # e_a^mu, (4, 4, 15), rows a
-    derivations: np.ndarray      # (4, 15, 15): e_a(f) = f @ derivations[a]
-    det: Jet2
+    points: tuple                # the P chart points
+    tetrad: np.ndarray           # theta^a_mu, (4, 4, P, 15), rows a
+    frame_vectors: np.ndarray    # e_a^mu, (4, 4, P, 15), rows a
+    derivations: np.ndarray      # (4, P, 15, 15): e_a(f) = f @ derivations[a]
+    det: np.ndarray              # jets (P, 15) of det theta^a_mu
     c: np.ndarray                # structure coefficients c[c][a][b]
     T: np.ndarray                # torsion T[c][a][b]
     lc: np.ndarray               # Levi-Civita conn[a][b][c]
     K: np.ndarray                # contorsion conn[a][b][c]
     full: np.ndarray             # full connection conn[a][b][c]
-    tau: np.ndarray              # (16, 60): tau(e_a, V)^r from V's vector jets
-    theta: Multivector           # coframe one-forms, (4, 16, 15) stack
-    omega_biform: Multivector    # full-connection biforms omega_{e_a}, stack
+    tau: np.ndarray              # (P, 16, 60): tau(e_a, V)^r from V's vector jets
+    theta: Multivector           # coframe one-forms, (4, 1, 16, 15) stack
+    omega_biform: Multivector    # full-connection biforms omega_{e_a}, (4, P, 16, 15)
     lc_biform: Multivector       # Levi-Civita biforms, stack
     contorsion_biform: Multivector  # omega - lc biforms, stack
-    # operator results shared by the checks at this point (see operators)
+    # operator results shared by the checks at these points (see operators)
     shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def e(self, a: int, f: Jet2) -> Jet2:
-        """Directional derivative e_a(f) = e_a^mu d_mu f."""
-        if f.order < 1:
-            raise JetOrderError("cannot differentiate an order-0 jet")
-        order = min(f.order - 1, FRAME_ORDER)
-        return Jet2(derivative(f.data, self.derivations[a], order), order)
+    @property
+    def point(self) -> ChartPoint:
+        """The chart point of a one-point frame."""
+        (point,) = self.points
+        return point
 
     def theta_down(self, a: int) -> Multivector:
         return self.theta[a].scale(ETA[a])
@@ -128,12 +140,12 @@ class FrameGeometry:
 @dataclass
 class CurvatureData:
     """Curvature of the full connection plus its Levi-Civita part and the
-    contorsion-induced difference."""
+    contorsion-induced difference, at the points of a frame."""
 
-    components: np.ndarray       # R^a_{bcd}, full connection
+    components: np.ndarray       # R^a_{bcd}, full connection, (4, 4, 4, 4, P, 15)
     lc_components: np.ndarray    # same for Levi-Civita
-    biforms: Multivector         # (4, 4, 16, 15) grid [c, d], plane indices lowered
-    scalar: Jet2                 # grade-0 part of the biform contraction
+    biforms: Multivector         # (4, 4, P, 16, 15) grid [c, d], plane indices lowered
+    scalar: np.ndarray           # jets (P, 15), grade-0 part of the biform contraction
     contraction_grade2: Multivector
     contraction_grade4: Multivector
     j_components: np.ndarray     # J^a_{bcd} = (R - R_lc)^a_{bcd}, from contorsion
@@ -141,57 +153,74 @@ class CurvatureData:
 
 
 def _derive(derivations: np.ndarray, table: np.ndarray, order) -> np.ndarray:
-    """e_c of every entry of a jet table, c on a new leading axis, at the
-    result order ``order``."""
-    return derivative(table.reshape(-1, JET_LEN), derivations, order).reshape((4,) + table.shape)
+    """e_c of every entry of a jet table (..., P, 15), c on a new leading
+    axis, at the result order ``order``: one matmul per point."""
+    t = table.reshape(-1, table.shape[-2], JET_LEN).swapaxes(0, 1)
+    d = derivative(t, derivations, order)                       # (4, P, N, 15)
+    return d.swapaxes(1, 2).reshape((4,) + table.shape)
 
 
 # -- tetrad ---------------------------------------------------------------
 
 
-def invert_tetrad(theta_mat: np.ndarray, point: ChartPoint):
-    """Inverse of the 4x4 jet matrix theta^a_mu.
+def invert_tetrad(theta_mat: np.ndarray, points):
+    """Inverse of the 4x4 jet matrices theta^a_mu (4, 4, P, 15) at P points.
 
     Returns (frame_vectors, det) with frame_vectors[a][mu] = e_a^mu such
-    that theta^a_mu e_b^mu = delta^a_b.  The jets of the inverse E of a
-    matrix A follow from E A = 1: d_m E = -E A_m E and
+    that theta^a_mu e_b^mu = delta^a_b, and the jets (P, 15) of the
+    determinant; a point with a near-singular tetrad raises
+    ``DegenerateFrameError``.  The jets of the inverse E of a matrix A
+    follow from E A = 1: d_m E = -E A_m E and
     d_m d_n E = -E A_mn E + E A_m E A_n E + E A_n E A_m E.
     """
-    value = theta_mat[..., 0]
-    det = float(np.linalg.det(value))
-    if abs(det) <= _DET_TOL:
-        raise DegenerateFrameError(point, det)
-    inv = np.linalg.inv(value)                          # inv[mu][a] = e_a^mu
-    grad = np.moveaxis(theta_mat[..., 1:5], -1, 0)      # d_m theta, (4, 4, 4)
-    hess = np.moveaxis(theta_mat[..., 5:], -1, 0)       # d_m d_n theta, (10, 4, 4)
+    a = np.moveaxis(theta_mat, 2, 0)                        # (P, a, mu, 15)
+    value = a[..., 0]
+    det = np.linalg.det(value)
+    for point, d in zip(points, det.tolist()):
+        if abs(d) <= _DET_TOL:
+            raise DegenerateFrameError(point, d)
+    inv = np.linalg.inv(value)[:, None]                     # inv[p, 0, mu, a] = e_a^mu
+    grad = np.moveaxis(a[..., 1:5], -1, 1)                  # d_m theta, (P, 4, 4, 4)
+    hess = np.moveaxis(a[..., 5:], -1, 1)                   # d_m d_n theta, (P, 10, 4, 4)
     ig = inv @ grad
-    igig = ig[HESS_I] @ ig[HESS_J]
-    d2 = (ig[HESS_J] @ ig[HESS_I] + igig - inv @ hess) @ inv
-    jets = np.concatenate((inv[None], -ig @ inv, d2))   # (15, mu, a)
-    frame_vectors = jets.transpose(2, 1, 0)
+    igig = ig[:, HESS_I] @ ig[:, HESS_J]
+    d2 = (ig[:, HESS_J] @ ig[:, HESS_I] + igig - inv @ hess) @ inv
+    jets = np.concatenate((inv, -ig @ inv, d2), axis=1)     # (P, 15, mu, a)
+    frame_vectors = np.ascontiguousarray(jets.transpose(3, 2, 0, 1))
 
     # d ln det = tr(E dA)
-    tr_g = np.trace(ig, axis1=1, axis2=2)
-    tr_h = np.trace(inv @ hess, axis1=1, axis2=2) - np.trace(igig, axis1=1, axis2=2)
-    det_jet = det * np.concatenate(([1.0], tr_g, tr_g[HESS_I] * tr_g[HESS_J] + tr_h))
-    return frame_vectors, Jet2(det_jet, FRAME_ORDER)
+    tr_g = np.trace(ig, axis1=-2, axis2=-1)
+    tr_h = np.trace(inv @ hess, axis1=-2, axis2=-1) - np.trace(igig, axis1=-2, axis2=-1)
+    ones = np.ones((len(det), 1))
+    det_jet = det[:, None] * np.concatenate((ones, tr_g, tr_g[:, HESS_I] * tr_g[:, HESS_J] + tr_h), axis=1)
+    return frame_vectors, det_jet
 
 
-def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
-    """Evaluate the scenario's tetrad and torsion at a point and assemble
-    every connection-level object."""
+def build_frame(scenario: Scenario, points) -> FrameGeometry:
+    """Evaluate the scenario's tetrad and torsion at a chart point, or at a
+    sequence of P points in one batch, and assemble every
+    connection-level object.
+
+    A point whose frame cannot be built raises, naming it as the error's
+    ``point``: ``DegenerateFrameError``, ``NonFiniteFrameError``, or the
+    error of a failing frame expression.  The steps run in order at all
+    points, and the first step that fails raises for the first point it
+    fails at; dropping that point and building the rest gives each other
+    point the frame it has alone."""
+    points = (points,) if isinstance(points, ChartPoint) else tuple(points)
+    n = len(points)
     # the torsion is evaluated only once the tetrad has passed its checks
-    stages = scenario.frame_program().stages([point])
-    theta_mat = next(stages).reshape(4, 4, JET_LEN)
-    _require_finite(theta_mat, "the tetrad", point)
-    frame_vectors, det = invert_tetrad(theta_mat, point)
-    _require_finite(frame_vectors, "the inverse tetrad", point)
+    stages = scenario.frame_program().stages(points)
+    theta_mat = np.ascontiguousarray(np.moveaxis(next(stages).reshape(n, 4, 4, JET_LEN), 0, 2))
+    _require_finite(theta_mat, "the tetrad", points)
+    frame_vectors, det = invert_tetrad(theta_mat, points)
+    _require_finite(frame_vectors, "the inverse tetrad", points)
 
-    T = np.zeros((4, 4, 4, JET_LEN))
-    upper = next(stages)[0]
+    T = np.zeros((4, 4, 4, n, JET_LEN))
+    upper = next(stages).transpose(1, 0, 2)
     T[_T_C, _T_A, _T_B] = upper
     T[_T_C, _T_B, _T_A] = -upper
-    _require_finite(T, "the torsion", point)
+    _require_finite(T, "the torsion", points)
 
     derivations = derivation_matrices(frame_vectors)
     c_t = structure_coefficients(theta_mat, frame_vectors, derivations)
@@ -200,7 +229,7 @@ def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
     full = clear_above(lc + K, CONN_ORDER)
 
     geom = FrameGeometry(
-        point=point,
+        points=points,
         tetrad=theta_mat,
         frame_vectors=frame_vectors,
         derivations=derivations,
@@ -220,16 +249,20 @@ def build_frame(scenario: Scenario, point: ChartPoint) -> FrameGeometry:
     return geom
 
 
-def _require_finite(table: np.ndarray, what: str, point: ChartPoint):
-    if not np.all(np.isfinite(table)):
-        raise NonFiniteFrameError(f"{what} is not finite at point {point.x}")
+def _require_finite(table: np.ndarray, what: str, points):
+    """Raise for the first point at which the jet table (..., P, 15) is not finite."""
+    finite = np.isfinite(table).all(axis=tuple(range(table.ndim - 2)) + (table.ndim - 1,))
+    if not finite.all():
+        raise NonFiniteFrameError(points[int(np.argmin(finite))], what)
 
 
 def torsion_matrix(T) -> np.ndarray:
-    """tau[(a, r), (b, s)] = eta_r eta_b T^r_{ab}[s]: with V's vector jets v
-    (4, 15), row (a, r) of ``tau @ mul_matrix(v).reshape(60, 15)`` is the
-    theta^r coefficient of the torsion operator tau(e_a, V)^r = V^b T^r_{ab}."""
-    return np.einsum("r,b,rabs->arbs", _ETA, _ETA, T).reshape(16, 4 * JET_LEN)
+    """tau[p, (a, r), (b, s)] = eta_r eta_b T^r_{ab}[p, s]: with V's vector
+    jets v (P, 4, 15) at the P points, row (a, r) of
+    ``tau @ mul_matrix(v).reshape(P, 60, 15)`` is the theta^r coefficient
+    of the torsion operator tau(e_a, V)^r = V^b T^r_{ab}."""
+    tau = np.einsum("r,b,rabps->parbs", _ETA, _ETA, T)
+    return tau.reshape(tau.shape[0], 16, 4 * JET_LEN)
 
 
 def structure_coefficients(theta_mat, frame_vectors, derivations):
@@ -237,17 +270,17 @@ def structure_coefficients(theta_mat, frame_vectors, derivations):
     its ``derivation_matrices``."""
     # de[a, b, mu] = e_a(e_b^mu); the bracket is de[a, b] - de[b, a]
     de = _derive(derivations, frame_vectors, CONN_ORDER)
-    half = jet_einsum("cm,abm->cab", theta_mat, de, CONN_ORDER)
-    return half - half.transpose(0, 2, 1, 3)
+    half = jet_einsum("cmp,abmp->cabp", theta_mat, de, CONN_ORDER)
+    return half - half.transpose(0, 2, 1, 3, 4)
 
 
 def levi_civita(c_t):
     """Unique zero-torsion metric-compatible coefficients from the structure
     coefficients: lowered form L_abc = (g_abc + g_bca - g_cab)/2 with
     g_abc = eta_bm c^m_{ac}."""
-    g = (_ETA[:, None, None, None] * c_t).transpose(1, 0, 2, 3)       # g[a, b, c]
-    low = 0.5 * (g + g.transpose(2, 0, 1, 3) - g.transpose(1, 2, 0, 3))
-    return _ETA[None, :, None, None] * low
+    g = (_ETA[:, None, None, None, None] * c_t).transpose(1, 0, 2, 3, 4)      # g[a, b, c]
+    low = 0.5 * (g + g.transpose(2, 0, 1, 3, 4) - g.transpose(1, 2, 0, 3, 4))
+    return _ETA[None, :, None, None, None] * low
 
 
 def contorsion(T):
@@ -257,35 +290,35 @@ def contorsion(T):
     K^al_{be,rh} = -eta^{al,al} (eta_be T^be_{rh,al} + eta_rh T^rh_{be,al}
     - eta_al T^al_{be,rh}) / 2, stored as conn[be][al][rh].
     """
-    low = _ETA[:, None, None, None] * T          # low[x, y, z] = eta_x T^x_{yz}
+    low = _ETA[:, None, None, None, None] * T    # low[x, y, z] = eta_x T^x_{yz}
     # s[b, a, r] = low[b, r, a] + low[r, b, a] - low[a, b, r]
-    s = low.transpose(0, 2, 1, 3) + low.transpose(1, 2, 0, 3) - low.transpose(1, 0, 2, 3)
-    return (-0.5 * _ETA[None, :, None, None]) * s
+    s = low.transpose(0, 2, 1, 3, 4) + low.transpose(1, 2, 0, 3, 4) - low.transpose(1, 0, 2, 3, 4)
+    return (-0.5 * _ETA[None, :, None, None, None]) * s
 
 
 def connection_biforms(conn):
     """Biforms omega_{e_a} = L_abc theta^b ^ theta^c / 2 with L the lowered
-    (antisymmetric-pair) coefficients."""
-    low = _ETA[None, :, None, None] * conn
-    pairs = bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3)))
+    (antisymmetric-pair) coefficients, a (4, P, 16, 15) stack."""
+    low = _ETA[None, :, None, None, None] * conn
+    pairs = bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3, 4)))
     return Multivector.from_array(clear_above(pairs, CONN_ORDER), CONN_ORDER)
 
 
 def _calibrate_biforms(geom: FrameGeometry):
     """Abort if [omega_a, theta^b]/2 fails to reproduce -conn[a][b][c] theta^c."""
     resid = 0.5 * commutator(geom.omega_biform[:, None], geom.theta[None]).data   # [a, b]
-    resid[..., 1:5, :] += geom.full
-    worst = np.abs(resid[..., :slots(CONN_ORDER)]).max()
-    if not worst <= _CALIBRATION_TOL:
-        raise GeometryError(
-            f"connection biform calibration failed at {geom.point.x}: "
-            f"residual {worst:.3e}"
-        )
+    resid[..., 1:5, :] += np.moveaxis(geom.full, 2, 3)
+    worst = np.abs(resid[..., :slots(CONN_ORDER)]).max(axis=(0, 1, 3, 4))
+    for point, w in zip(geom.points, worst.tolist()):
+        if not w <= _CALIBRATION_TOL:
+            raise GeometryError(
+                f"connection biform calibration failed at {point.x}: residual {w:.3e}"
+            )
 
 
 def torsion_two_forms(geom: FrameGeometry):
     """The four torsion 2-forms Theta^rho = T^rho_{ab} theta^a ^ theta^b / 2,
-    as a (4, 16, 15) stack indexed by rho."""
+    as a (4, P, 16, 15) stack indexed by rho."""
     return Multivector.from_array(bivector_array(geom.T), FRAME_ORDER)
 
 
@@ -299,10 +332,10 @@ def _riemann_components(geom: FrameGeometry, conn):
     # antisymmetrizing the half in (c, d) keeps R exactly antisymmetric
     half = (
         np.einsum("cdab...->abcd...", _derive(geom.derivations, conn, CURV_ORDER))
-        + jet_einsum("cak,dkb->abcd", conn, conn, CURV_ORDER)
-        - 0.5 * jet_einsum("kcd,kab->abcd", geom.c, conn, CURV_ORDER)
+        + jet_einsum("cakp,dkbp->abcdp", conn, conn, CURV_ORDER)
+        - 0.5 * jet_einsum("kcdp,kabp->abcdp", geom.c, conn, CURV_ORDER)
     )
-    return half - half.transpose(0, 1, 3, 2, 4)
+    return half - half.transpose(0, 1, 3, 2, 4, 5)
 
 
 def j_components(geom: FrameGeometry):
@@ -317,19 +350,19 @@ def j_components(geom: FrameGeometry):
     lc_part = full - K
     cand = (
         np.einsum("cdab...->abcd...", _derive(geom.derivations, K, CURV_ORDER))
-        + jet_einsum("cak,dkb->abcd", lc_part, K, CURV_ORDER)
-        - jet_einsum("ckd,kab->abcd", lc_part, K, CURV_ORDER)
-        - jet_einsum("ckb,dak->abcd", full, K, CURV_ORDER)
+        + jet_einsum("cakp,dkbp->abcdp", lc_part, K, CURV_ORDER)
+        - jet_einsum("ckdp,kabp->abcdp", lc_part, K, CURV_ORDER)
+        - jet_einsum("ckbp,dakp->abcdp", full, K, CURV_ORDER)
     )
-    return cand - cand.transpose(0, 1, 3, 2, 4)
+    return cand - cand.transpose(0, 1, 3, 2, 4, 5)
 
 
 def j_quadriform(J) -> Multivector:
     """Grade-4 torsion-curvature term, normalized as it enters the squared
     spin-Dirac identity: (1/8) sum J_{abcd} eps^{abcd} e0123 with the first
-    index lowered."""
-    data = np.zeros((16, JET_LEN))
-    data[15] = np.einsum("abcd,abcd...->...", 0.125 * _ETA[:, None, None, None] * EPSILON, J)
+    index lowered; a (P, 16, 15) stack."""
+    data = np.zeros(J.shape[-2:-1] + (16, JET_LEN))
+    data[..., 15, :] = np.einsum("abcd,abcd...->...", 0.125 * _ETA[:, None, None, None] * EPSILON, J)
     return Multivector.from_array(data, CURV_ORDER)
 
 
@@ -338,8 +371,8 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
     R = _riemann_components(geom, geom.full)
     R_lc = _riemann_components(geom, geom.lc)
 
-    low = _ETA[:, None, None, None, None] * R
-    pairs = 0.5 * (low - low.transpose(1, 0, 2, 3, 4))          # [a, b, c, d]
+    low = _ETA[:, None, None, None, None, None] * R
+    pairs = 0.5 * (low - low.transpose(1, 0, 2, 3, 4, 5))          # [a, b, c, d]
     biforms = Multivector.from_array(
         bivector_array(np.moveaxis(pairs, (0, 1), (2, 3))), CURV_ORDER   # [c, d]
     )
@@ -351,7 +384,7 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
         components=R,
         lc_components=R_lc,
         biforms=biforms,
-        scalar=Jet2(contraction.data[0], CURV_ORDER),
+        scalar=contraction.data[..., 0, :],
         contraction_grade2=grade_project(contraction, 2),
         contraction_grade4=grade_project(contraction, 4),
         j_components=J,
@@ -360,19 +393,23 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
 
 
 # -- residual helpers (used by the harness geometry checks) -----------------
+#
+# Each returns the residual at each point of the frame, (P,): the largest
+# value over every other axis, NaN if any value is NaN.
 
 
-def _max_value(table) -> float:
-    return float(np.abs(table[..., 0]).max())
+def _max_value(table) -> np.ndarray:
+    values = np.abs(table[..., 0])
+    return values.max(axis=tuple(range(values.ndim - 1)))
 
 
-def metricity_residual(conn) -> float:
+def metricity_residual(conn) -> np.ndarray:
     """max |eta_bm conn[a][m][c] + eta_cm conn[a][m][b]|."""
-    low = _ETA[None, :, None, None] * conn
-    return _max_value(low + low.transpose(0, 2, 1, 3))
+    low = _ETA[None, :, None, None, None] * conn
+    return _max_value(low + low.transpose(0, 2, 1, 3, 4))
 
 
-def torsion_recovery_residual(geom: FrameGeometry) -> float:
+def torsion_recovery_residual(geom: FrameGeometry) -> np.ndarray:
     """Antisymmetrized full connection minus structure coefficients must
     reproduce the input torsion."""
     full = geom.full
@@ -384,36 +421,37 @@ def torsion_recovery_residual(geom: FrameGeometry) -> float:
     )
 
 
-def levi_civita_residual(geom: FrameGeometry) -> float:
+def levi_civita_residual(geom: FrameGeometry) -> np.ndarray:
     """Zero-torsion and metricity defining residuals of the Levi-Civita
     coefficients."""
     lc = geom.lc
     zero_torsion = (
         np.einsum("acb...->cab...", lc) - np.einsum("bca...->cab...", lc) - geom.c
     )
-    return float(np.max([_max_value(zero_torsion), metricity_residual(lc)]))
+    return np.maximum(_max_value(zero_torsion), metricity_residual(lc))
 
 
-def contorsion_trace_residual(geom: FrameGeometry) -> float:
+def contorsion_trace_residual(geom: FrameGeometry) -> np.ndarray:
     """Trace identity: eta^{br} K^a_{br} + eta^{sa} T^r_{rs} = 0."""
     lhs = np.einsum("b,bab...->a...", _ETA, geom.K)
-    rhs = _ETA[:, None] * np.einsum("rra...->a...", geom.T)
+    rhs = _ETA[:, None, None] * torsion_trace(geom)
     return _max_value(lhs + rhs)
 
 
-def first_bianchi_residual(curv: CurvatureData) -> float:
+def first_bianchi_residual(curv: CurvatureData) -> np.ndarray:
     """Cyclic sum of the lowered Levi-Civita curvature over the last three
     indices."""
     R = curv.lc_components
     cyclic = R + np.einsum("acdb...->abcd...", R) + np.einsum("adbc...->abcd...", R)
-    return _max_value(_ETA[:, None, None, None, None] * cyclic)
+    return _max_value(_ETA[:, None, None, None, None, None] * cyclic)
 
 
-def decomposition_residual(curv: CurvatureData) -> float:
+def decomposition_residual(curv: CurvatureData) -> np.ndarray:
     """Componentwise residual of R = R_levi_civita + J."""
     return _max_value(curv.components - curv.lc_components - curv.j_components)
 
 
-def torsion_trace(geom: FrameGeometry):
-    """Q_b = T^a_{ab}, the torsion trace entering scalar square formulas."""
-    return [Jet2(q, FRAME_ORDER) for q in np.einsum("aab...->b...", geom.T)]
+def torsion_trace(geom: FrameGeometry) -> np.ndarray:
+    """Q_b = T^a_{ab}, the torsion trace entering scalar square formulas:
+    jets (4, P, 15), indexed by b."""
+    return np.einsum("aab...->b...", geom.T)

@@ -7,9 +7,21 @@ residuals against the tolerance.  Reports are byte-identical across runs
 with the same scenario bytes, seed and flags, at any worker count: work is
 keyed by point index and merged in index order, and timing goes to stderr.
 
+A check runs on a batch of points at once: it receives a ``BatchContext``,
+whose frame, curvature and test fields carry a point axis (see
+``geometry``), and returns one residual per point.  A shard's points run in
+batches of at most ``BATCH_POINTS``.  The per-point seam stays:
+``_eval_shard`` calls ``_eval_task`` once per point, looked up at call
+time, and that calls ``evaluate_point`` for the point.  The first point of
+a batch computes each selected check for the whole batch, through
+``CHECKS[name].fn``; later points read their own results.  A point whose
+frame cannot be built leaves the batch and gets its frame error at every
+check, and a check that raises for a batch is rerun one point at a time,
+so no point's results depend on the others in its batch.
+
 ``workers`` counts processes in total, the calling one included.  The
 points are split into ``n = min(workers, points)`` static index shards
-``tasks[k::n]``: the calling process evaluates shard 0 and one child process
+``points[k::n]``: the calling process evaluates shard 0 and one child process
 each other shard.  On Linux the children are forked, so they inherit the
 scenario and the evaluated test fields; each sends its results back once,
 through a pipe.  With one shard nothing is forked.
@@ -44,8 +56,8 @@ from .cliffalg import (
     geometric_product, grade_involution, product_sum, wedge,
 )
 from .fieldspec import Scenario, ScenarioError, eval_exprs
-from .geometry import ETA, DegenerateFrameError, NonFiniteFrameError
-from .jets import HESS_PAIRS, JET_LEN, NVARS, ChartPoint, Jet2, JetDomainError, JetOrderError
+from .geometry import ETA, NonFiniteFrameError
+from .jets import HESS_PAIRS, JET_LEN, NVARS, ChartPoint, JetDomainError, JetOrderError, jet_einsum
 
 MARGIN = 0.05
 
@@ -191,11 +203,17 @@ class RunField:
             return eval_exprs(self.exprs, point)
         return self.polys @ (monomial_jets(point) if monomials is None else monomials)
 
-    def at(self, point: ChartPoint) -> Multivector:
-        data = self.values.get(point)
-        if data is None:
-            data = self.raw(point)
+    def at(self, points) -> Multivector:
+        """The field at a chart point, (16, 15), or at a sequence of P
+        points, a point stack (P, 16, 15)."""
+        if isinstance(points, ChartPoint):
+            return Multivector.from_array(self._raw_at(points) * self.scale, 2)
+        data = np.array([self._raw_at(p) for p in points]).reshape(-1, 16, JET_LEN)
         return Multivector.from_array(data * self.scale, 2)
+
+    def _raw_at(self, point: ChartPoint) -> np.ndarray:
+        data = self.values.get(point)
+        return self.raw(point) if data is None else data
 
 
 def monomial_jets(point: ChartPoint) -> np.ndarray:
@@ -337,22 +355,58 @@ def _check(name, anchor, fields=(), note=""):
     return deco
 
 
-class PointContext:
-    """Shared per-point state: frame geometry, curvature and test fields,
-    built lazily so cheap checks stay cheap."""
+class BatchContext:
+    """The shared state of one batch of a shard's points, each part built
+    on first use: the frames of its points in one pass, their curvature,
+    the test fields as point stacks, and each check's results at all of
+    them.
 
-    def __init__(self, scenario: Scenario, fields: dict[str, RunField], point: ChartPoint):
+    A point whose frame cannot be built leaves the batch: its frame error
+    is its result for every check, and the frames, fields and check
+    residuals are those of the other points, ``points``."""
+
+    def __init__(self, scenario: Scenario, fields: dict[str, RunField], points):
         self.scenario = scenario
-        self.point = point
-        self._fields = fields
-        self._values: dict[str, Multivector] = {}
+        self.fields = fields
+        self.all_points = tuple(points)
+        self.index = {p: k for k, p in enumerate(self.all_points)}
+        self._live = None           # indices of the points with frames
+        self._points = None         # those points
+        self._frame_errors = None   # per point: its frame error, or None
         self._geom = None
         self._curv = None
+        self._values: dict[str, Multivector] = {}
+        self._results: dict[str, list] = {}
+
+    def _build_frames(self):
+        if self._live is not None:
+            return
+        live = list(range(len(self.all_points)))
+        errors = [None] * len(live)
+        while live:
+            points = [self.all_points[k] for k in live]
+            try:
+                self._geom = geometry.build_frame(self.scenario, points)
+                break
+            except _FRAME_ERRORS as err:
+                # the error names its point: it leaves, the rest are rebuilt
+                point = getattr(err, "point", None)
+                if point not in points:
+                    raise
+                kind = "non-finite" if isinstance(err, NonFiniteFrameError) else "error"
+                errors[live.pop(points.index(point))] = (kind, f"{type(err).__name__}: {err}")
+        self._live, self._frame_errors = live, errors
+        self._points = tuple(self.all_points[k] for k in live)
+
+    @property
+    def points(self) -> tuple:
+        """The points whose frames were built, in batch order."""
+        self._build_frames()
+        return self._points
 
     @property
     def geom(self):
-        if self._geom is None:
-            self._geom = geometry.build_frame(self.scenario, self.point)
+        self._build_frames()
         return self._geom
 
     @property
@@ -362,24 +416,65 @@ class PointContext:
         return self._curv
 
     def field(self, kind: str) -> Multivector:
+        """The test field at ``points``, a (P, 16, 15) stack."""
         if kind not in self._values:
-            self._values[kind] = self._fields[kind].at(self.point)
+            self._values[kind] = self.fields[kind].at(self.points)
         return self._values[kind]
 
-    def scalar(self) -> Jet2:
-        return self.field("scalar").coeffs[0]
-
     def scalar_mv(self) -> Multivector:
-        """The scalar field as a multivector, one object per point so that
-        the checks share the operator results on it."""
+        """The scalar field as scalar multivectors, one object per batch so
+        that the checks share the operator results on it."""
         if "scalar_mv" not in self._values:
-            self._values["scalar_mv"] = Multivector([self.scalar()] + [0.0] * 15)
+            f = self.field("scalar")
+            data = np.zeros_like(f.data)
+            data[..., 0, :] = f.data[..., 0, :]
+            self._values["scalar_mv"] = Multivector.from_array(data, f.order)
         return self._values["scalar_mv"]
 
+    def results(self, name: str) -> list:
+        """One check's result at each point of the batch, in batch order: a
+        residual, or an error tuple ``(kind, message)``."""
+        if name not in self._results:
+            self._results[name] = self._run_check(name)
+        return self._results[name]
 
-def _worst(*residuals) -> float:
-    """The largest residual, NaN if any is NaN (Python's max drops them)."""
-    return float(np.array(residuals).max())
+    def _run_check(self, name: str) -> list:
+        self._build_frames()
+        live, out = self._live, list(self._frame_errors)
+        if not live:
+            return out
+        try:
+            # looked up at call time, so that a wrapper installed in the
+            # registry (perfbench's tracer) runs here
+            values = np.asarray(CHECKS[name].fn(self), dtype=np.float64)
+        except _CHECK_ERRORS as err:
+            if len(live) == 1:
+                out[live[0]] = ("error", f"{type(err).__name__}: {err}")
+            else:
+                # an error must not reach the other points: each runs as a
+                # one-point batch
+                for k in live:
+                    out[k] = BatchContext(self.scenario, self.fields, [self.all_points[k]]).results(name)[0]
+        else:
+            if values.shape != (len(live),):
+                values = np.broadcast_to(values, (len(live),))
+            for k, value in zip(live, values.tolist()):
+                out[k] = value
+        return out
+
+
+# the errors of a point whose frame cannot be built, which name it as
+# ``point``: DegenerateFrameError, NonFiniteFrameError and the
+# ArithmeticError or ValueError of a failing frame expression
+_FRAME_ERRORS = (ArithmeticError, ValueError)
+# the errors a check body reports per point instead of failing the run
+_CHECK_ERRORS = (JetDomainError, JetOrderError, GradeError)
+
+
+def _worst(*residuals) -> np.ndarray:
+    """The largest residual at each point, NaN if any is NaN (Python's max
+    drops them)."""
+    return np.max(residuals, axis=0)
 
 
 _TOT_ANTISYM_NOTE = "valid for totally antisymmetric (zero-strain) torsion"
@@ -441,7 +536,7 @@ def _c_decomposition(ctx):
 def _c_curvature_traces(ctx):
     biforms = ctx.curv.biforms
     trace = np.einsum("a,aa...->...", np.array(ETA), biforms.data[..., 0])
-    return _worst((biforms + biforms.swapaxes(0, 1)).max_abs(), np.abs(trace).max())
+    return _worst((biforms + biforms.swapaxes(0, 1)).max_abs(), np.abs(trace).max(axis=-1))
 
 
 @_check(
@@ -522,13 +617,14 @@ def _c_torsion_splits(ctx):
 )
 def _c_torsion_trace_contraction(ctx):
     geom = ctx.geom
-    f = ctx.scalar()
-    df = operators.dirac(geom, ctx.scalar_mv(), "lc")
+    f = ctx.scalar_mv()
+    df = operators.dirac(geom, f, "lc")
     lowered = blade_products(operators.THETA_DOWN_WEDGE, df)      # [r]: theta_r ^ df
     lhs = product_sum(geometry.torsion_two_forms(geom), lowered, LC_TABLE)
     Q = geometry.torsion_trace(geom)
-    rhs_scalar = sum(-(ETA[b] * Q[b]) * geom.e(b, f) for b in range(4))
-    return (lhs - Multivector.scalar(rhs_scalar)).max_abs()
+    e_f = operators.pfaffs(geom, f)                               # [b]: e_b(f)
+    rhs = jet_einsum("bp,bp->p", -np.array(ETA)[:, None, None] * Q, e_f.data[..., 0, :], e_f.order)
+    return (lhs - operators.scalar_multivector(rhs, e_f.order)).max_abs()
 
 
 @_check(
@@ -538,9 +634,9 @@ def _c_torsion_trace_contraction(ctx):
 )
 def _c_scalar_laplacian(ctx):
     geom = ctx.geom
-    f = ctx.scalar()
-    lhs = operators.codifferential(geom, operators.exterior_d(geom, ctx.scalar_mv())).scale(-1.0)
-    return (lhs - Multivector.scalar(operators.frame_wave(geom, f, geom.lc))).max_abs()
+    f = ctx.scalar_mv()
+    lhs = operators.codifferential(geom, operators.exterior_d(geom, f)).scale(-1.0)
+    return (lhs - operators.frame_wave(geom, f, geom.lc)).max_abs()
 
 
 @_check(
@@ -674,8 +770,8 @@ def _c_double_contraction(ctx):
 )
 def _c_scalar_square_forms(ctx):
     geom = ctx.geom
-    f = ctx.scalar()
-    direct = operators.dirac_square_direct(geom, ctx.scalar_mv(), "full")
+    f = ctx.scalar_mv()
+    direct = operators.dirac_square_direct(geom, f, "full")
     std = operators.scalar_square_standard_form(geom, f)
     conn = operators.scalar_square_connection_form(geom, f)
     return _worst(
@@ -791,35 +887,46 @@ def _c_maxwell_equivalence(ctx):
 # -- evaluation ------------------------------------------------------------------
 
 
-def evaluate_point(scenario, fields, names, point):
-    """All selected checks at one point; errors are captured per check."""
-    ctx = PointContext(scenario, fields, point)
-    out = {}
-    for name in names:
-        try:
-            out[name] = float(CHECKS[name].fn(ctx))
-        except NonFiniteFrameError as err:
-            # like a non-finite residual, this fails the check
-            out[name] = ("non-finite", f"{type(err).__name__}: {err}")
-        except (DegenerateFrameError, JetDomainError, JetOrderError,
-                GradeError, fieldspec.ExprDomainError, OverflowError) as err:
-            out[name] = ("error", f"{type(err).__name__}: {err}")
-    return out
+def evaluate_point(scenario, fields, names, point, batch: BatchContext | None = None):
+    """All selected checks at one point; errors are captured per check.
+
+    ``batch`` is the context of a batch that holds the point: the first
+    point's call computes each check at all of the batch's points, later
+    calls read their own results.  Without one, the point is a one-point
+    batch."""
+    if batch is None:
+        batch = BatchContext(scenario, fields, [point])
+    k = batch.index[point]
+    return {name: batch.results(name)[k] for name in names}
 
 
 def _eval_task(args):
-    scenario, fields, names, idx, point = args
-    return idx, evaluate_point(scenario, fields, names, point)
+    """One point of a batch: (its index in the run, its check results)."""
+    batch, names, idx, point = args
+    return idx, evaluate_point(batch.scenario, batch.fields, names, point, batch)
 
 
-def _eval_shard(tasks) -> dict:
-    """{point index: check results} for one shard of the run's tasks."""
+# The most points evaluated as one batch.  A batch keeps its operator
+# results until its last check has run, about 1.4 MB per point, and
+# batches above about 16 points run no faster per point.
+BATCH_POINTS = 32
+
+
+def _eval_shard(scenario, fields, names, indexed_points) -> dict:
+    """{point index: check results} for one shard, ``(index, point)``
+    pairs, evaluated in consecutive batches of equal size, up to one point,
+    and at most ``BATCH_POINTS`` points."""
     out = {}
-    for task in tasks:
-        # looked up at call time, so that a wrapper installed on the module
-        # (perfbench's tracer) sees every point, in any process
-        idx, res = _eval_task(task)
-        out[idx] = res
+    size, n = len(indexed_points), -(-len(indexed_points) // BATCH_POINTS)
+    for k in range(n):
+        batch = indexed_points[k * size // n:(k + 1) * size // n]
+        context = BatchContext(scenario, fields, [p for _, p in batch])
+        for idx, point in batch:
+            # one call per point, looked up at call time, so that a wrapper
+            # installed on the module (perfbench's tracer) sees every
+            # point, in any process
+            idx, res = _eval_task((context, names, idx, point))
+            out[idx] = res
     return out
 
 
@@ -827,11 +934,11 @@ class _ChildTraceback(Exception):
     """The traceback of an exception raised in a shard's child process."""
 
 
-def _shard_child(conn, tasks) -> None:
+def _shard_child(conn, *shard) -> None:
     """A child process's body: evaluate one shard and send back either
     ``(True, results, None)`` or ``(False, exception, traceback text)``."""
     try:
-        msg = (True, _eval_shard(tasks), None)
+        msg = (True, _eval_shard(*shard), None)
     except BaseException as err:
         import traceback
 
@@ -840,29 +947,31 @@ def _shard_child(conn, tasks) -> None:
     conn.close()
 
 
-def _run_shards(tasks, n: int) -> dict:
-    """Evaluate the tasks in ``n`` static index shards ``tasks[k::n]``: this
-    process evaluates shard 0 and one child process each other shard.
+def _run_shards(scenario, fields, names, points, n: int) -> dict:
+    """Evaluate the points in ``n`` static index shards ``points[k::n]``:
+    this process evaluates shard 0 and one child process each other shard.
 
     Children come from the platform's default start method; with fork they
     inherit the run's state, otherwise their arguments are pickled (without
     the fields' evaluated values).  Each child sends its results through a
     one-way pipe; its exception is re-raised here, and a child that dies
     without sending raises ``RuntimeError``.  No child outlives the call."""
+    indexed = list(enumerate(points))
+    shards = [(scenario, fields, names, indexed[k::n]) for k in range(n)]
     if n == 1:
-        return _eval_shard(tasks)
+        return _eval_shard(*shards[0])
     children = []
     try:
         for k in range(1, n):
             recv_end, send_end = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
-                target=_shard_child, args=(send_end, tasks[k::n]), daemon=True
+                target=_shard_child, args=(send_end, *shards[k]), daemon=True
             )
             child.start()
             # only the child holds the send end now, so its death reads as EOF
             send_end.close()
             children.append((child, recv_end))
-        results = _eval_shard(tasks[0::n])
+        results = _eval_shard(*shards[0])
         for child, recv_end in children:
             try:
                 # read before joining: a child blocks on a large payload
@@ -989,8 +1098,7 @@ def run_suite(
     pts = sample_points(scenario, n_points, run_seed)
     fields = build_run_fields(scenario, run_seed, pts)
 
-    tasks = [(scenario, fields, names, i, p) for i, p in enumerate(pts)]
-    results = _run_shards(tasks, min(workers, len(tasks)))
+    results = _run_shards(scenario, fields, names, pts, min(workers, len(pts)))
 
     checks = []
     for name in names:

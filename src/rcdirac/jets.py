@@ -15,13 +15,16 @@ many derivative extractions the jet can still support: seeded jets start at
 order 2, each ``partial`` lowers the order by one, and extracting from an
 order-0 jet is an error.
 
-The same slot layout is the last axis of every array in the engine: a
-multivector is a (16, 15) array (blade x slot), and the geometry tables are
-(4, 4, 15), (4, 4, 4, 15) or (4, 4, 4, 4, 15) arrays.  Whole arrays multiply
-through one bilinear table, ``MUL``: the jet product is
+The same slot layout is the last axis of every array in the engine, and
+the arrays of a frame hold P chart points with the point axis just before
+the slot axis: a multivector is a (P, 16, 15) array (point x blade x slot),
+and the geometry tables are (4, 4, P, 15), (4, 4, 4, P, 15) or
+(4, 4, 4, 4, P, 15) arrays.  Whole arrays multiply through one bilinear
+table, ``MUL``: the jet product is
 ``(a * b)[u] = sum_{s,t} a[s] b[t] MUL[s, t, u]``, so ``a @ mul_matrix(b)``
 multiplies any stack of jets ``a`` by the jet ``b``, and ``jet_einsum``
-contracts jet tables over named indices.  ``Jet2`` stays the scalar jet
+contracts jet tables over named indices, item by item along a batch axis
+such as the point axis.  ``Jet2`` stays the scalar jet
 type; the expression programs of ``fieldspec`` evaluate on stacks of packed
 jets with ``mul_packed``, ``mul_const`` and ``compose``.
 
@@ -296,45 +299,56 @@ def derivative(f: np.ndarray, derivations: np.ndarray, order) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _einsum_plan(spec: str):
-    """Axis permutations that make ``jet_einsum(spec, x, y)`` one matmul: x
-    to (kept, summed, slot), mul_matrix(y) to (summed, slot, kept, slot),
-    the product to the output order."""
+    """Axis permutations that make ``jet_einsum(spec, x, y)`` one matmul,
+    batched over the batch axis if the spec has one: x to (batch, kept,
+    summed, slot), mul_matrix(y) to (batch, summed, slot, kept, slot), the
+    product to the output order."""
     inputs, out = spec.split("->")
     xs, ys = inputs.split(",")
-    summed = [c for c in xs if c in ys]
+    batch = [c for c in xs if c in ys and c in out]
+    if len(batch) > 1:
+        raise ValueError(f"jet_einsum takes at most one batch axis: {spec!r}")
+    summed = [c for c in xs if c in ys and c not in out]
     keep_x = [c for c in xs if c not in ys]
     keep_y = [c for c in ys if c not in xs]
-    x_perm = [xs.index(c) for c in keep_x + summed] + [len(xs)]
-    y_perm = [ys.index(c) for c in summed] + [len(ys)] + [ys.index(c) for c in keep_y] + [len(ys) + 1]
-    out_perm = [(keep_x + keep_y).index(c) for c in out] + [len(keep_x + keep_y)]
-    return x_perm, y_perm, out_perm, len(keep_x), len(summed)
+    x_perm = [xs.index(c) for c in batch + keep_x + summed] + [len(xs)]
+    y_perm = [ys.index(c) for c in batch + summed] + [len(ys)] + [ys.index(c) for c in keep_y] + [len(ys) + 1]
+    kept = batch + keep_x + keep_y
+    out_perm = [kept.index(c) for c in out] + [len(kept)]
+    return x_perm, y_perm, out_perm, len(batch), len(keep_x), len(summed)
 
 
 def jet_einsum(spec: str, x: np.ndarray, y: np.ndarray, order=CONSTANT) -> np.ndarray:
     """Index contraction of two jet arrays with jet products, e.g.
-    ``jet_einsum("cak,dkb->abcd", X, Y)[a, b, c, d] = sum_k X[c, a, k] * Y[d, k, b]``.
+    ``jet_einsum("cakp,dkbp->abcdp", X, Y)[a, b, c, d, p] = sum_k X[c, a, k, p] * Y[d, k, b, p]``.
 
     ``spec`` names the leading axes only; the trailing jet axis of both
     operands and of the result is implied.  A letter in both operands is
-    summed (no batch axes).  ``order`` is the result's jet order: the
-    contraction runs on ``width(order)`` slots and keeps the ones the order
-    defines; the slots above are zero.  It is one matmul of ``x`` against
-    ``mul_matrix(y)``, its axis permutations planned once per spec.
+    summed, unless the output has it too: that one letter (at most) is a
+    batch axis, such as the point axis, and the contraction runs item by
+    item along it.  ``order`` is the result's jet order: the contraction
+    runs on ``width(order)`` slots and keeps the ones the order defines;
+    the slots above are zero.  It is one matmul of ``x`` against
+    ``mul_matrix(y)``, its axis permutations planned once per spec; the
+    matrices of a batch item have the same shapes at any batch size.
     """
     n = width(order)
-    x_perm, y_perm, out_perm, n_keep_x, n_summed = _einsum_plan(spec)
+    x_perm, y_perm, out_perm, n_batch, n_keep_x, n_summed = _einsum_plan(spec)
     xt = x[..., :n].transpose(x_perm)
     m = mul_matrix(y, n).transpose(y_perm)
-    keep_x, keep_y = xt.shape[:n_keep_x], m.shape[n_summed + 1:-1]
-    prod = xt.reshape(math.prod(keep_x), -1) @ m.reshape(math.prod(m.shape[:n_summed + 1]), -1)
-    return padded(prod.reshape(keep_x + keep_y + (n,)).transpose(out_perm), order)
+    keep_x = xt.shape[n_batch:n_batch + n_keep_x]
+    keep_y = m.shape[n_batch + n_summed + 1:-1]
+    rows = math.prod(m.shape[n_batch:n_batch + n_summed + 1])
+    prod = xt.reshape(xt.shape[:n_batch] + (math.prod(keep_x), -1)) @ m.reshape(m.shape[:n_batch] + (rows, -1))
+    return padded(prod.reshape(prod.shape[:n_batch] + keep_x + keep_y + (n,)).transpose(out_perm), order)
 
 
 def derivation_matrices(frame_vectors: np.ndarray) -> np.ndarray:
-    """Frame-vector components e_a^mu, jets of shape (..., 4, 15) -> matrices
-    (..., 15, 15) with ``e_a(f) = f @ D[a]``: the jet of e_a^mu d_mu f, one
-    order lower than f."""
-    m = mul_matrix(frame_vectors)
+    """Frame-vector components e_a^mu, jets of shape (..., 4, P, 15) with
+    the chart index mu before the point axis -> matrices (..., P, 15, 15)
+    with ``e_a(f) = f @ D[a]``: the jet of e_a^mu d_mu f, one order lower
+    than f."""
+    m = np.moveaxis(mul_matrix(frame_vectors), -4, -3)    # (..., P, mu, 15, 15)
     return PARTIALS @ m.reshape(m.shape[:-3] + (NVARS * JET_LEN, JET_LEN))
 
 

@@ -2,10 +2,14 @@
 
 Every operator acts pointwise on a ``Multivector`` whose coefficients are
 order-2 jets: the jets carry the exact derivatives, so a squared operator is
-literally two applications, each consuming one jet order.  Each identity the
-engine verifies is available in at least two independently computed forms;
-the ``*_residual`` functions return the max absolute coefficient value of
-the difference, NaN if any coefficient is NaN.
+literally two applications, each consuming one jet order.  The frame holds
+P points, and a field is a point stack (P, 16, 15), or one multivector
+(16, 15) that broadcasts over the points; every result keeps the point
+axis as its innermost stack axis.  Each identity the engine verifies is
+available in at least two independently computed forms; the ``*_residual``
+functions return the max absolute coefficient value of the difference at
+each point, (P,), NaN where any coefficient is NaN.  Scalar fields are
+scalar multivectors (``scalar_multivector``).
 
 Direction stacks: the paper builds every operator from sums over frame
 indices, and each such family is one array kernel, not a loop over a, b, c.
@@ -31,7 +35,7 @@ Dirac parts, ``exterior_d``, ``codifferential``, both direct squares,
 ``spin_dirac`` and the two correction grids) is computed once per frame and
 argument.  Its result lives in ``geom.shared``, keyed by the function and
 the identity of its multivector arguments, and goes away with the frame;
-each pool worker builds its own frames.  Shared results are read-only:
+each batch of points builds its own frame.  Shared results are read-only:
 writing into one raises ``ValueError``, and arithmetic on them returns new
 arrays.  Passing the same multivector object again reuses the result, so
 an argument must not be modified in place after a call.
@@ -57,10 +61,10 @@ from .cliffalg import (
     geometric_product, hodge_dual, product_sum,
 )
 from .geometry import (
-    CONN_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms,
+    CONN_ORDER, CURV_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms,
 )
 from .jets import (
-    CONSTANT, JET_LEN, Jet2, JetOrderError, clear_above, derivative, jet_einsum, mul_matrix, padded, slots, width,
+    CONSTANT, JET_LEN, JetOrderError, clear_above, derivative, jet_einsum, mul_matrix, padded, slots, width,
 )
 
 Connection = str  # "lc" | "full"
@@ -113,14 +117,15 @@ def _conn_table(geom: FrameGeometry, conn: Connection):
 
 
 def _along_directions(stack: Multivector, A: Multivector) -> Multivector:
-    """A (4, 16, 15) stack shaped to broadcast, direction axis first, with A."""
-    shape = (4,) + (1,) * (A.data.ndim - 2) + (N_BLADES, JET_LEN)
+    """A (4, P, 16, 15) stack shaped to broadcast, direction axis first, with A."""
+    shape = (4,) + (1,) * (A.data.ndim - 3) + stack.data.shape[1:]
     return Multivector.from_array(stack.data.reshape(shape), stack.order)
 
 
 def _combine(spec: str, X: Multivector, table: np.ndarray, order=CONN_ORDER) -> Multivector:
-    """Multivector stack from ``jet_einsum(spec, X.data, table)``, blade axis
-    k; e.g. spec "ck,acb->abk" gives [a, b] = sum_c table[a][c][b] X[c]."""
+    """Multivector stack from ``jet_einsum(spec, X.data, table)``, point
+    axis p, blade axis k; e.g. spec "cpk,acbp->abpk" gives
+    [a, b] = sum_c table[a][c][b] X[c] at each point."""
     order = min(X.order, order)
     return Multivector.from_array(jet_einsum(spec, X.data, table, order), order)
 
@@ -142,12 +147,16 @@ def _pair_sum(grid: Multivector) -> Multivector:
 def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Componentwise directional derivatives e_a(A^I) theta_I along all
     four frame vectors, direction axis first."""
+    # the point axis of the derivations meets A's point axis, or a single
+    # multivector (16, 15) broadcast over the points
+    shape = (4,) + (1,) * (A.data.ndim - 3) + geom.derivations.shape[1:]
+    derivations = geom.derivations.reshape(shape)
     if A.is_numeric():
-        return Multivector.from_array(np.zeros((4,) + A.data.shape), CONSTANT)
+        stack = np.broadcast_shapes(shape[:-2], A.data.shape[:-2])
+        return Multivector.from_array(np.zeros(stack + A.data.shape[-2:]), CONSTANT)
     if A.order < 1:
         raise JetOrderError("directional derivative of an order-exhausted field")
     order = min(A.order - 1, FRAME_ORDER)
-    derivations = geom.derivations.reshape((4,) + (1,) * (A.data.ndim - 2) + (JET_LEN, JET_LEN))
     return Multivector.from_array(derivative(A.data, derivations, order), order)
 
 
@@ -179,11 +188,13 @@ def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     first, on grade-1 arguments: one matmul with ``geom.tau``."""
     _require_grade(V, 1, "torsion operator argument")
     order = min(V.order, FRAME_ORDER)
-    n, stack = width(order), V.data.shape[:-2]
-    vec = mul_matrix(V.data[..., 1:5, :], n).reshape(stack + (4 * n, n))
-    tau = geom.tau if n == JET_LEN else geom.tau.reshape(16, 4, JET_LEN)[..., :n].reshape(16, 4 * n)
-    vectors = np.moveaxis((tau @ vec).reshape(stack + (4, 4, n)), -3, 0)
-    data = np.zeros((4,) + V.data.shape)
+    n, tau = width(order), geom.tau
+    vec = mul_matrix(V.data[..., 1:5, :], n).reshape(V.data.shape[:-2] + (4 * n, n))
+    if n < JET_LEN:
+        tau = tau.reshape(tau.shape[0], 16, 4, JET_LEN)[..., :n].reshape(tau.shape[0], 16, 4 * n)
+    prod = tau @ vec                                      # (..., P, (a, r), n)
+    vectors = np.moveaxis(prod.reshape(prod.shape[:-2] + (4, 4, n)), -3, 0)
+    data = np.zeros((4,) + prod.shape[:-2] + (N_BLADES, JET_LEN))
     data[..., 1:5, :slots(order)] = vectors[..., :slots(order)]
     return Multivector.from_array(data, order)
 
@@ -274,58 +285,72 @@ def dirac_square_assembled(
     antisymmetrized flag switches the bivector half to its explicitly
     antisymmetrized form."""
     cov1 = cov_derivs(geom, A, conn)
-    inner = cov_derivs(geom, cov1, conn) - _combine("ck,acb->abk", cov1, _conn_table(geom, conn))
+    inner = cov_derivs(geom, cov1, conn) - _combine("cpk,acbp->abpk", cov1, _conn_table(geom, conn))
     if not antisymmetrized:
         return _pair_sum(inner)
     half = (inner - inner.swapaxes(0, 1)).scale(0.5)
     return _eta_trace(inner) + blade_sum(PLANE_GP_ROWS, half)
 
 
-def frame_wave(geom: FrameGeometry, f: Jet2, conn, trace=None) -> Jet2:
+def _scalar_derivs(geom: FrameGeometry, f: Multivector, order) -> np.ndarray:
+    """Jets (4, P, 15) of e_a f for the scalar part of f, at result order
+    ``order``: one vector-matrix product per direction and point."""
+    return derivative(f.data[..., :1, :], geom.derivations, order)[..., 0, :]
+
+
+def scalar_multivector(jets: np.ndarray, order) -> Multivector:
+    """The scalar multivectors (P, 16, 15) with scalar parts ``jets``."""
+    data = np.zeros(jets.shape[:-1] + (N_BLADES, JET_LEN))
+    data[..., 0, :] = jets
+    return Multivector.from_array(data, order)
+
+
+def frame_wave(geom: FrameGeometry, f: Multivector, conn, trace=None) -> Multivector:
     """eta^{bb} e_b e_b f - eta^{bb} conn^a_{bb} e_a f, plus
-    eta^{aa} trace_a e_a f when a (4, 15) torsion trace is given."""
+    eta^{aa} trace_a e_a f when a (4, P, 15) torsion trace is given, on the
+    scalar part of f; a scalar multivector."""
     if f.order < 2:
         raise JetOrderError("the frame wave operator needs an order-2 jet")
     order = f.order - 2
     n_in, n = width(order + 1), width(order)
-    df = derivative(f.data, geom.derivations, order + 1)    # df[a] = e_a f
+    df = _scalar_derivs(geom, f, order + 1)                 # df[a] = e_a f
     weight = -np.einsum("b,bab...->a...", _ETA, conn)
     if trace is not None:
-        weight = weight + _ETA[:, None] * trace
-    second = np.einsum("b,bs,bsu->u", _ETA, df[:, :n_in], geom.derivations[:, :n_in, :n])
-    return Jet2(padded(second, order) + jet_einsum("a,a->", weight, df, order), order)
+        weight = weight + _ETA[:, None, None] * trace
+    second = np.einsum("b,bps,bpsu->pu", _ETA, df[..., :n_in], geom.derivations[..., :n_in, :n])
+    return scalar_multivector(padded(second, order) + jet_einsum("ap,ap->p", weight, df, order), order)
 
 
-def scalar_wave_part(geom: FrameGeometry, f: Jet2) -> Jet2:
+def scalar_wave_part(geom: FrameGeometry, f: Multivector) -> Multivector:
     """Grade-0 part of the scalar square: the torsionful wave operator
     eta^{ba} e_b e_a f - eta^{br} lc^a_{br} e_a f + Q_b e^b f."""
-    Q = np.array([q.data for q in torsion_trace(geom)])
-    return frame_wave(geom, f, geom.lc, Q)
+    return frame_wave(geom, f, geom.lc, torsion_trace(geom))
 
 
-def scalar_square_biform_part(geom: FrameGeometry, f: Jet2) -> Multivector:
+def scalar_square_biform_part(geom: FrameGeometry, f: Multivector) -> Multivector:
     """Grade-2 part of the scalar square: -Theta^a e_a(f)."""
     if f.order < 1:
         raise JetOrderError("cannot differentiate an order-0 jet")
     order = min(f.order - 1, FRAME_ORDER)
-    df = derivative(f.data, geom.derivations, order)       # df[a] = e_a f
-    return _combine("ak,a->k", torsion_two_forms(geom), -df, order)
+    df = _scalar_derivs(geom, f, order)                     # df[a] = e_a f
+    return _combine("apk,ap->pk", torsion_two_forms(geom), -df, order)
 
 
-def _with_scalar(A: Multivector, s: Jet2) -> Multivector:
+def _with_scalar(A: Multivector, s: Multivector) -> Multivector:
     data = A.data.copy()
-    data[0] = s.data
+    data[..., 0, :] = s.data[..., 0, :]
     order = min(A.order, s.order)
     return Multivector.from_array(clear_above(data, order), order)
 
 
-def scalar_square_standard_form(geom: FrameGeometry, f: Jet2) -> Multivector:
-    """Scalar square built from the standard (Levi-Civita) pieces plus
-    torsion-trace and torsion-2-form corrections."""
+def scalar_square_standard_form(geom: FrameGeometry, f: Multivector) -> Multivector:
+    """Scalar square of the scalar part of f, built from the standard
+    (Levi-Civita) pieces plus torsion-trace and torsion-2-form
+    corrections."""
     return _with_scalar(scalar_square_biform_part(geom, f), scalar_wave_part(geom, f))
 
 
-def scalar_square_connection_form(geom: FrameGeometry, f: Jet2) -> Multivector:
+def scalar_square_connection_form(geom: FrameGeometry, f: Multivector) -> Multivector:
     """Scalar square written through the full connection contraction:
     eta^{br} e_b e_r f - eta^{br} Gamma^a_{br} e_a f
     - T^a_{br} (theta^b ^ theta^r) e_a f / 2."""
@@ -348,13 +373,13 @@ def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Mul
     return (
         torsion_operators(geom, D).scale(0.5)
         + cov_derivs(geom, tau, "lc").scale(0.5)
-        - _combine("ck,cab->abk", D.scale(0.5) + tau.scale(0.25), geom.T, FRAME_ORDER)
-        - _combine("ck,acb->abk", tau, geom.lc).scale(0.5)
+        - _combine("cpk,cabp->abpk", D.scale(0.5) + tau.scale(0.25), geom.T, FRAME_ORDER)
+        - _combine("cpk,acbp->abpk", tau, geom.lc).scale(0.5)
         + torsion_operators(geom, tau).scale(0.25)
     )
 
 
-def covariant_pair_expansion_residual(geom: FrameGeometry, A: Multivector) -> float:
+def covariant_pair_expansion_residual(geom: FrameGeometry, A: Multivector) -> np.ndarray:
     """Second covariant derivative of a grade-1 field expanded through the
     standard derivative and the torsion operator, over the (a, b) grid."""
     D = cov_derivs(geom, A, "lc")
@@ -369,7 +394,7 @@ def covariant_pair_expansion_residual(geom: FrameGeometry, A: Multivector) -> fl
     return (lhs - rhs).max_abs()
 
 
-def vector_square_relation_residual(geom: FrameGeometry, A: Multivector) -> float:
+def vector_square_relation_residual(geom: FrameGeometry, A: Multivector) -> np.ndarray:
     """Torsionful square minus standard square minus the paired torsion
     correction, on a grade-1 field."""
     lhs = dirac_square_direct(geom, A, "full")
@@ -405,7 +430,7 @@ def _right_correction(
         (first_omega + first_omega.swapaxes(0, 1)).scale(0.5)
         + geometric_product(A, d_omega).scale(0.5)
         + geometric_product(a_omega[None], omega[:, None]).scale(0.25)
-        - _combine("ck,acb->abk", a_omega, geom.full).scale(0.5)
+        - _combine("cpk,acbp->abpk", a_omega, geom.full).scale(0.5)
     )
 
 
@@ -419,7 +444,7 @@ def spin_square_right_correction(geom: FrameGeometry, A: Multivector) -> Multive
     )
 
 
-def spin_square_relation_residual(geom: FrameGeometry, A: Multivector) -> float:
+def spin_square_relation_residual(geom: FrameGeometry, A: Multivector) -> np.ndarray:
     """Squared spin operator vs torsionful square plus the paired
     right-action correction (any grade)."""
     lhs = spin_dirac_square_direct(geom, A)
@@ -427,7 +452,7 @@ def spin_square_relation_residual(geom: FrameGeometry, A: Multivector) -> float:
     return (lhs - rhs).max_abs()
 
 
-def spin_standard_square_residual(geom: FrameGeometry, A: Multivector) -> float:
+def spin_standard_square_residual(geom: FrameGeometry, A: Multivector) -> np.ndarray:
     """Squared spin operator vs standard square plus both corrections
     (grade-1 fields)."""
     _require_grade(A, 1, "spin standard square argument")
@@ -454,17 +479,17 @@ def s2_levi_civita_residual(geom: FrameGeometry, A: Multivector) -> float:
     return (direct - _right_correction(geom, A, nabla, d_omega)).max_abs()
 
 
-def spin_square_assembly_residual(geom: FrameGeometry, psi: Multivector) -> float:
+def spin_square_assembly_residual(geom: FrameGeometry, psi: Multivector) -> np.ndarray:
     """Direct squared spin operator vs the eta / bivector assembly."""
     spin1 = spin_cov_derivs(geom, psi)
-    term = spin_cov_derivs(geom, spin1) - _combine("ck,acb->abk", spin1, geom.full)
+    term = spin_cov_derivs(geom, spin1) - _combine("cpk,acbp->abpk", spin1, geom.full)
     direct = spin_dirac_square_direct(geom, psi)
     return (direct - _pair_sum(term)).max_abs()
 
 
 def spin_commutator_residuals(
     geom: FrameGeometry, curv: CurvatureData, psi: Multivector
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Commutator of spin derivatives vs the curvature biform action, in the
     bracket form (structure-coefficient term) and the expanded form
     (torsion-minus-connection coefficients), over the (a, b) grid."""
@@ -472,14 +497,14 @@ def spin_commutator_residuals(
     spin2 = spin_cov_derivs(geom, spin1)                   # [a, b]: S_a S_b psi
     lhs = spin2 - spin2.swapaxes(0, 1)
     curv_action = geometric_product(curv.biforms, psi).scale(0.5)
-    bracket = curv_action + _combine("ck,cab->abk", spin1, geom.c)
+    bracket = curv_action + _combine("cpk,cabp->abpk", spin1, geom.c)
     # T^c_ab - Gamma^c_ab + Gamma^c_ba at [c, a, b]
     coeff = (
         geom.T
         - np.einsum("acb...->cab...", geom.full)
         + np.einsum("bca...->cab...", geom.full)
     )
-    expanded = curv_action - _combine("ck,cab->abk", spin1, coeff)
+    expanded = curv_action - _combine("cpk,cabp->abpk", spin1, coeff)
     return (lhs - bracket).max_abs(), (lhs - expanded).max_abs()
 
 
@@ -490,15 +515,15 @@ def lichnerowicz_rhs(
     generalized spin Dalembertian + R psi / 4 + J psi - Theta^c spin_c psi."""
     spin1 = spin_cov_derivs(geom, psi)
     weight = np.einsum("a,aba...->b...", _ETA, geom.full)  # eta^aa Gamma^b_aa
-    out = _eta_trace(spin_cov_derivs(geom, spin1)) - _combine("bk,b->k", spin1, weight)
-    out = out + psi.scale(curv.scalar).scale(0.25)
+    out = _eta_trace(spin_cov_derivs(geom, spin1)) - _combine("bpk,bp->pk", spin1, weight)
+    out = out + psi.scale(curv.scalar, CURV_ORDER).scale(0.25)
     out = out + geometric_product(curv.j_form, psi)
     return out - product_sum(torsion_two_forms(geom), spin1)
 
 
 def lichnerowicz_residual(
     geom: FrameGeometry, curv: CurvatureData, psi: Multivector
-) -> float:
+) -> np.ndarray:
     direct = spin_dirac_square_direct(geom, psi)
     return (direct - lichnerowicz_rhs(geom, curv, psi)).max_abs()
 

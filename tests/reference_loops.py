@@ -10,6 +10,10 @@ planes theta^a ^ theta^b as wedge products.  Tests compare the array
 kernels of ``cliffalg``, ``operators`` and ``geometry`` against them, and
 the compiled expression programs of ``fieldspec`` against ``ref_eval``,
 the ``Jet2`` tree walk that they replaced.
+
+The loops work on one-point frames: they read each geometry table at its
+single point, and their multivectors are single (16, 15) ones, which
+broadcast against the engine's (1, 16, 15) point stacks.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ class RefMV:
 
     @classmethod
     def of(cls, mv: ca.Multivector) -> "RefMV":
-        return cls(Jet2(row.copy(), min(mv.order, 2)) for row in mv.data)
+        """The coefficients of a single multivector, or of a one-point stack."""
+        return cls(Jet2(row.copy(), min(mv.order, 2)) for row in mv.data.reshape(ca.N_BLADES, JET_LEN))
 
     def product(self, other: "RefMV", sign: np.ndarray) -> "RefMV":
         out = [None] * ca.N_BLADES
@@ -66,7 +71,7 @@ def ref_e(geom, a: int, f: Jet2) -> Jet2:
     """e_a(f) = e_a^mu d_mu f, one Jet2 product per chart direction."""
     acc = Jet2.const(0.0)
     for mu in range(4):
-        acc = acc + Jet2(geom.frame_vectors[a, mu]) * partial(f, mu)
+        acc = acc + Jet2(geom.frame_vectors[a, mu, 0]) * partial(f, mu)
     return acc
 
 
@@ -83,7 +88,7 @@ def ref_exterior_d(geom, A: RefMV) -> RefMV:
         coeffs = [0.0] * 16
         for b in range(4):
             for c in range(b + 1, 4):
-                coeffs[pair_blade(b, c)[0]] = -Jet2(geom.c[g, b, c])
+                coeffs[pair_blade(b, c)[0]] = -Jet2(geom.c[g, b, c, 0])
         dtheta.append(RefMV(coeffs))
     out = [Jet2.const(0.0)] * 16
     for b in range(4):
@@ -119,12 +124,17 @@ def _jets(table: np.ndarray):
     return [_jets(t) for t in table]
 
 
+def _jets_at_point(table: np.ndarray):
+    """Nested lists of Jet2 from a one-point jet table (..., 1, 15)."""
+    return _jets(table[..., 0, :])
+
+
 def ref_riemann_components(geom, conn_table: np.ndarray) -> np.ndarray:
     """R^a_{bcd} = e_c conn[d][a][b] - e_d conn[c][a][b]
     + conn[c][a][k] conn[d][k][b] - conn[d][a][k] conn[c][k][b]
-    - c^k_{cd} conn[k][a][b]."""
-    conn = _jets(conn_table)
-    c_t = _jets(geom.c)
+    - c^k_{cd} conn[k][a][b], as a one-point table (4, 4, 4, 4, 1, 15)."""
+    conn = _jets_at_point(conn_table)
+    c_t = _jets_at_point(geom.c)
     R = np.zeros((4, 4, 4, 4, 15))
     for a in range(4):
         for b in range(4):
@@ -137,14 +147,15 @@ def ref_riemann_components(geom, conn_table: np.ndarray) -> np.ndarray:
                         acc = acc - c_t[k][c][d] * conn[k][a][b]
                     R[a, b, c, d] = acc.data
                     R[a, b, d, c] = -acc.data
-    return R
+    return R[..., None, :]
 
 
 def ref_j_components(geom) -> np.ndarray:
     """J^a_{bcd}: nabla_c K^a_{db} (full connection on all three slots)
-    - K^a_{ck} K^k_{db} + K^k_{cd} K^a_{kb}, antisymmetrized in c, d."""
-    K = _jets(geom.K)
-    full = _jets(geom.full)
+    - K^a_{ck} K^k_{db} + K^k_{cd} K^a_{kb}, antisymmetrized in c, d, as a
+    one-point table."""
+    K = _jets_at_point(geom.K)
+    full = _jets_at_point(geom.full)
     cand = np.zeros((4, 4, 4, 4, 15))
     for a in range(4):
         for b in range(4):
@@ -158,7 +169,7 @@ def ref_j_components(geom) -> np.ndarray:
                         acc = acc - K[c][a][k] * K[d][k][b]
                         acc = acc + K[c][k][d] * K[k][a][b]
                     cand[a, b, c, d] = acc.data
-    return cand - cand.transpose(0, 1, 3, 2, 4)
+    return (cand - cand.transpose(0, 1, 3, 2, 4))[..., None, :]
 
 
 # -- per-direction operator loops ----------------------------------------------
@@ -190,11 +201,12 @@ def ref_right_rep_deriv(geom, phi, a):
 
 def ref_torsion_operator(geom, a, V):
     """tau(e_a, V)^r = eta_r sum_b T^r_{ab} eta_b V_b, one Jet2 product at a time."""
-    data = np.zeros_like(V.data)
+    v = V.data.reshape(ca.N_BLADES, JET_LEN)
+    data = np.zeros_like(v)
     for r in range(4):
         acc = Jet2.const(0.0)
         for b in range(4):
-            acc = acc + Jet2(geom.T[r, a, b]) * Jet2(V.data[1 + b]) * (ETA[r] * ETA[b])
+            acc = acc + Jet2(geom.T[r, a, b, 0]) * Jet2(v[1 + b]) * (ETA[r] * ETA[b])
         data[1 + r] = acc.data
     return ca.Multivector.from_array(data, min(V.order, 2))
 
@@ -265,7 +277,7 @@ def dense_product(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray
 
 
 def dense_product_sum(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_i a[i] o b[i] over the leading stack axis."""
+    """sum_i a[i] o b[i] over the leading stack axis of two (n, 16, 15) stacks."""
     n = a.shape[0]
     left = (table @ a).reshape(n, ca.N_BLADES, ca.N_BLADES * JET_LEN).transpose(1, 0, 2)
     right = dense_mul_matrix(b).reshape(n * ca.N_BLADES * JET_LEN, JET_LEN)
@@ -277,8 +289,9 @@ def dense_scale(a: np.ndarray, jet: np.ndarray) -> np.ndarray:
 
 
 def dense_pfaffs(geom, a: np.ndarray) -> np.ndarray:
-    """e_c(A^I) along all four frame vectors, direction axis first."""
-    return a @ geom.derivations.reshape((4,) + (1,) * (a.ndim - 2) + (JET_LEN, JET_LEN))
+    """e_c(A^I) along all four frame vectors, direction axis first, for a
+    stack (..., P, 16, 15) with the frame's point axis."""
+    return a @ geom.derivations.reshape((4,) + (1,) * (a.ndim - 3) + geom.derivations.shape[1:])
 
 
 def dense_jet_einsum(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -161,7 +161,7 @@ def test_criterion_6_degenerate_limits():
         for theta in torsion_two_forms(g):
             assert theta.max_abs() <= 1e-12
         k_max = max(
-            abs(g.K[a, b, c, 0])
+            abs(g.K[a, b, c, 0, 0])
             for a in range(4) for b in range(4) for c in range(4)
         )
         assert k_max <= 1e-12
@@ -177,7 +177,7 @@ def test_criterion_6_degenerate_limits():
                 assert s1.max_abs() <= 1e-12
                 assert s2.max_abs() <= 1e-12
         psi = rand_mv(rng, p, even=True)
-        assert curv.scalar.value == 0.0
+        assert curv.scalar[0, 0] == 0.0
         rhs = ops.lichnerowicz_rhs(g, curv, psi)
         wave = sum(
             ops.pfaff(g, ops.pfaff(g, psi, a), a).scale(ETA[a]) for a in range(4)

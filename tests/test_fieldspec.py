@@ -356,8 +356,8 @@ def test_bundled_frame_tables_match_tree_walk(scenarios):
         torsion = [sc.torsion_expr(*cab) for cab in itertools.product(range(4), repeat=3)]
         for p in harness.sample_points(sc, points=3, seed=2):
             geom = geometry.build_frame(sc, p)
-            assert np.array_equal(geom.tetrad, ref_eval_exprs(tetrad, p).reshape(4, 4, -1)), name
-            assert np.array_equal(geom.T, ref_eval_exprs(torsion, p).reshape(4, 4, 4, -1)), name
+            assert np.array_equal(geom.tetrad[..., 0, :], ref_eval_exprs(tetrad, p).reshape(4, 4, -1)), name
+            assert np.array_equal(geom.T[..., 0, :], ref_eval_exprs(torsion, p).reshape(4, 4, 4, -1)), name
 
 
 def _tree_nodes(e) -> int:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ from conftest import BUNDLED, GENERAL_TORSION_TEXT, load_bundled
 import rcdirac
 from rcdirac import fieldspec as fs
 from rcdirac import harness
+from rcdirac.cliffalg import GradeError
 from rcdirac.harness import (
     CHECKS,
     UniformStream,
@@ -609,9 +611,9 @@ def test_exception_in_a_shard_is_reraised(monkeypatch, shard):
     pts = sample_points(sc, 4)
 
     def check(ctx):
-        if ctx.point == pts[shard]:
+        if pts[shard] in ctx.points:
             raise KeyError("no such blade")
-        if shard == 0 and ctx.point == pts[1]:
+        if shard == 0 and pts[1] in ctx.points:
             time.sleep(120)
         return 0.0
 
@@ -627,7 +629,7 @@ def test_child_that_exits_raises_runtime_error(monkeypatch):
     target = sample_points(sc, 4)[1]
 
     def check(ctx):
-        if ctx.point == target:
+        if target in ctx.points:
             os._exit(7)
         return 0.0
 
@@ -670,3 +672,82 @@ def test_workers_below_one_is_a_usage_error(capsys, workers):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"usage error: worker count must be at least 1, got {workers}\n"
+
+
+# sin and cos of an infinite value raise ValueError("math domain error");
+# the product overflows to infinity at x1 > 0.507, not at every point (its
+# jets overflow at smaller x1, which makes the tetrad non-finite there)
+SIN_OF_INF_TETRAD = (
+    '[tetrad]\ne0_0 = "1 + 0*sin(exp(700*x1)*exp(700*x1))"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_sin_of_infinity_is_a_point_error(capsys, tmp_path):
+    sc = fs.load_scenario(SIN_OF_INF_TETRAD)
+    pts = sample_points(sc, points=5)
+    bad = [p.x for p in pts if p.x[1] > 0.507]
+    assert 0 < len(bad) < len(pts)
+    one = run_suite(sc, points=5, only=["metricity"])
+    (check,) = one.checks
+    assert not check.passed and check.max is not None   # the other points ran
+    domain = [(x, msg) for x, msg in check.errors if msg.startswith("ValueError")]
+    assert domain == [(x, "ValueError: math domain error") for x in bad]
+    assert run_suite(sc, points=5, only=["metricity"], workers=2).to_text() == one.to_text()
+    path = tmp_path / "sin.scn"
+    path.write_text(SIN_OF_INF_TETRAD)
+    for workers in ("1", "2"):
+        assert cli_main(["run", str(path), "--points", "5", "--only", "metricity", "--workers", workers]) == 1
+        out = capsys.readouterr()
+        assert out.out == one.to_text()
+        assert "ERROR metricity point=(" in out.out and "scenario error" not in out.err
+
+
+def test_point_hooks_run_once_per_point(monkeypatch):
+    # the per-point surface that perfbench's tracer wraps: rebound on the
+    # module and in the registry, each hook is looked up at call time
+    calls = {"task": 0, "point": 0, "check": []}
+    eval_task, evaluate_point = harness._eval_task, harness.evaluate_point
+
+    def task(args):
+        calls["task"] += 1
+        return eval_task(args)
+
+    def point(*args, **kwargs):
+        calls["point"] += 1
+        return evaluate_point(*args, **kwargs)
+
+    desc = CHECKS["metricity"]
+
+    def check(ctx):
+        calls["check"].append(ctx.points)
+        return desc.fn(ctx)
+
+    monkeypatch.setattr(harness, "_eval_task", task)
+    monkeypatch.setattr(harness, "evaluate_point", point)
+    monkeypatch.setitem(CHECKS, "metricity", dataclasses.replace(desc, fn=check))
+    sc = load_bundled("curved_torsion")
+    report = run_suite(sc, points=3, only=["metricity", "bianchi"])
+    assert report.all_passed()
+    assert calls["task"] == 3 and calls["point"] == 3
+    # the check runs once, on the shard's three points
+    assert calls["check"] == [tuple(sample_points(sc, points=3))]
+
+
+def test_check_error_stays_at_its_point(monkeypatch):
+    # a check that fails on a batch holding one point is run point by
+    # point, so the error reaches only that point
+    sc = load_bundled("minkowski")
+    pts = sample_points(sc, 4)
+
+    def check(ctx):
+        if pts[2] in ctx.points:
+            raise GradeError("field must be pure grade 1")
+        return np.zeros(len(ctx.points))
+
+    _patched_check(monkeypatch, check)
+    one = run_suite(sc, points=4, only=["patched"])
+    (c,) = one.checks
+    assert c.errors == [(pts[2].x, "GradeError: field must be pure grade 1")]
+    assert c.max == 0.0
+    assert run_suite(sc, points=4, only=["patched"], workers=4).to_json() == one.to_json()

@@ -16,7 +16,7 @@ from rcdirac.cliffalg import (
     wedge,
 )
 from rcdirac.geometry import ETA, build_frame, curvature, torsion_two_forms
-from rcdirac.jets import ChartPoint, Jet2, seed_coordinate, slots
+from rcdirac.jets import ChartPoint, Jet2, partial, seed_coordinate, slots
 
 IDENTITY = "[tetrad]\ne0_0 = 1\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n"
 
@@ -39,7 +39,7 @@ def test_flat_dirac_of_coordinate():
     g = build_frame(sc, p)
     f = seed_coordinate(1, p)
     out = ops.dirac(g, scalar_mv(f), "lc")
-    vals = out.values()
+    vals = out[0].values()
     assert vals[2] == 1.0  # coefficient of e1
     vals[2] = 0.0
     assert np.all(vals == 0.0)
@@ -166,7 +166,7 @@ def test_torsion_trace_contraction_with_nonzero_trace(general_torsion):
     rng = np.random.default_rng(8)
     p = ChartPoint((0.5, 0.6, 0.7, 0.8))
     g = build_frame(general_torsion, p)
-    Q = geo.torsion_trace(g)
+    Q = [Jet2(q) for q in geo.torsion_trace(g)[:, 0]]
     assert max(abs(q.value) for q in Q) > 1e-3  # trace genuinely exercised
     f = rand_scalar_jet(rng, p)
     df = ops.dirac(g, scalar_mv(f), "lc")
@@ -174,7 +174,9 @@ def test_torsion_trace_contraction_with_nonzero_trace(general_torsion):
     lhs = sum(
         left_contraction(thetas[r], wedge(g.theta_down(r), df)) for r in range(4)
     )
-    rhs = sum(-(ETA[b] * Q[b]) * g.e(b, f) for b in range(4))
+    # e_b f = e_b^mu d_mu f, from the frame vectors of the one-point frame
+    e_f = [sum(Jet2(g.frame_vectors[b, mu, 0]) * partial(f, mu) for mu in range(4)) for b in range(4)]
+    rhs = sum(-(ETA[b] * Q[b]) * e_f[b] for b in range(4))
     assert (lhs - Multivector.scalar(rhs)).max_abs() <= 1e-9
 
 
@@ -209,7 +211,7 @@ def test_flat_wave_operator_on_squared_coordinate():
     g = build_frame(sc, p)
     x0 = seed_coordinate(0, p)
     out = ops.dirac_square_direct(g, scalar_mv(x0 * x0), "full")
-    vals = out.values()
+    vals = out[0].values()
     assert vals[0] == pytest.approx(2.0)
     vals[0] = 0.0
     assert np.max(np.abs(vals)) <= 1e-15
@@ -222,7 +224,7 @@ def test_flat_wave_operator_spatial_sign():
     g = build_frame(sc, p)
     x1 = seed_coordinate(1, p)
     out = ops.dirac_square_direct(g, scalar_mv(x1 * x1), "full")
-    assert out.values()[0] == pytest.approx(-2.0)
+    assert out[0].values()[0] == pytest.approx(-2.0)
 
 
 def test_dirac_defaults_to_full_connection(frames):
@@ -248,8 +250,8 @@ def test_scalar_square_forms_agree(frames, general_torsion):
     geoms = [g for gs in frames.values() for g in gs]
     geoms.append(build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8))))
     for g in geoms:
-        f = rand_scalar_jet(rng, g.point)
-        direct = ops.dirac_square_direct(g, scalar_mv(f), "full")
+        f = scalar_mv(rand_scalar_jet(rng, g.point))
+        direct = ops.dirac_square_direct(g, f, "full")
         std = ops.scalar_square_standard_form(g, f)
         conn = ops.scalar_square_connection_form(g, f)
         assert (std - conn).max_abs() <= 1e-9
@@ -260,22 +262,21 @@ def test_scalar_square_forms_agree(frames, general_torsion):
 def test_scalar_square_zero_torsion_reduces_to_laplacian(frames):
     rng = np.random.default_rng(11)
     for g in frames["curved_diag"]:
-        f = rand_scalar_jet(rng, g.point)
-        mdel = ops.codifferential(g, ops.exterior_d(g, scalar_mv(f))).scale(-1.0)
+        f = scalar_mv(rand_scalar_jet(rng, g.point))
+        mdel = ops.codifferential(g, ops.exterior_d(g, f)).scale(-1.0)
         assert (ops.scalar_square_standard_form(g, f) - mdel).max_abs() <= 1e-9
 
 
 def test_wave_part_plus_biform_part_is_standard_form(frames):
     rng = np.random.default_rng(12)
     for g in frames["flat_torsion"]:
-        f = rand_scalar_jet(rng, g.point)
-        assembled = Multivector.scalar(ops.scalar_wave_part(g, f)) + \
-            ops.scalar_square_biform_part(g, f)
+        f = scalar_mv(rand_scalar_jet(rng, g.point))
+        assembled = ops.scalar_wave_part(g, f) + ops.scalar_square_biform_part(g, f)
         assert (assembled - ops.scalar_square_standard_form(g, f)).max_abs() == 0.0
 
 
 def test_scalar_form_rejects_nothing_but_scalars():
-    # the scalar forms take a jet; grade gating happens in callers.  The
+    # the scalar forms take a scalar field; grade gating happens in callers.  The
     # direct square on a non-scalar is still fine (general multivector),
     # so only the torsion-operator path raises.
     sc = fs.load_scenario(IDENTITY)
@@ -357,7 +358,7 @@ def test_lichnerowicz_minkowski_reduces_to_wave_operator(frames, curvatures):
     wave = sum(
         ops.pfaff(g, ops.pfaff(g, psi, a), a).scale(ETA[a]) for a in range(4)
     )
-    assert curv.scalar.value == 0.0
+    assert curv.scalar[0, 0] == 0.0
     assert (rhs - wave).max_abs() <= 1e-12
 
 

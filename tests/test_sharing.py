@@ -1,4 +1,4 @@
-"""Operator results shared per frame: the checks of one point reuse them,
+"""Operator results shared per frame: the checks of one batch reuse them,
 and sharing changes no residual."""
 
 import dataclasses
@@ -10,7 +10,7 @@ from conftest import BUNDLED, load_bundled, rand_mv
 from rcdirac import cliffalg
 from rcdirac import operators as ops
 from rcdirac.geometry import build_frame
-from rcdirac.harness import CHECKS, PointContext, build_run_fields, evaluate_point, sample_points
+from rcdirac.harness import CHECKS, BatchContext, build_run_fields, evaluate_point, run_suite, sample_points
 
 
 def _run_inputs(scenario, points=2):
@@ -23,12 +23,13 @@ def test_check_alone_equals_full_suite(name, general_torsion):
     scenario = general_torsion if name == "general_torsion" else load_bundled(name)
     pts, fields = _run_inputs(scenario)
     names = list(CHECKS)
+    full = {p: evaluate_point(scenario, fields, names, p) for p in pts}
+    batch = BatchContext(scenario, fields, pts)
     for p in pts:
-        full = evaluate_point(scenario, fields, names, p)
-        assert evaluate_point(scenario, fields, names[::-1], p) == full
-        for check in names:
-            alone = CHECKS[check].fn(PointContext(scenario, fields, p))
-            assert float(alone) == full[check], check
+        assert evaluate_point(scenario, fields, names[::-1], p, batch) == full[p]
+    for check in names:
+        alone = CHECKS[check].fn(BatchContext(scenario, fields, pts))
+        assert np.broadcast_to(alone, (len(pts),)).tolist() == [full[p][check] for p in pts], check
 
 
 def test_full_suite_product_count(monkeypatch):
@@ -42,11 +43,16 @@ def test_full_suite_product_count(monkeypatch):
         return product(a, b, table)
 
     monkeypatch.setattr(cliffalg, "_product", counted)
-    evaluate_point(scenario, fields, list(CHECKS), pts[0])
-    assert 0 < len(orders) <= 66
-    # nearly every product has an operand of order <= 1 and runs on 5 jet
-    # slots; only products of two order-2 fields run on all 15
-    assert sum(order >= 2 for order in orders) <= 3
+    # one point, then a 5-point run: a batch of any size makes the products
+    # of one point, each one kernel call over the batch's points
+    for run in (lambda: evaluate_point(scenario, fields, list(CHECKS), pts[0]),
+                lambda: run_suite(scenario, points=5)):
+        orders.clear()
+        run()
+        assert 0 < len(orders) <= 66
+        # nearly every product has an operand of order <= 1 and runs on 5
+        # jet slots; only products of two order-2 fields run on all 15
+        assert sum(order >= 2 for order in orders) <= 3
 
 
 def test_shared_results_are_read_only(frames):
@@ -103,7 +109,9 @@ def test_each_frame_has_its_own_results():
 
 def test_scalar_multivector_built_once():
     scenario = load_bundled("minkowski")
-    pts, fields = _run_inputs(scenario, points=1)
-    ctx = PointContext(scenario, fields, pts[0])
+    pts, fields = _run_inputs(scenario, points=2)
+    ctx = BatchContext(scenario, fields, pts)
     assert ctx.scalar_mv() is ctx.scalar_mv()
-    assert np.array_equal(ctx.scalar_mv().data[0], ctx.scalar().data)
+    f = ctx.field("scalar").data
+    assert np.array_equal(ctx.scalar_mv().data[..., 0, :], f[..., 0, :])
+    assert not ctx.scalar_mv().data[..., 1:, :].any()

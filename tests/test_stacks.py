@@ -41,10 +41,11 @@ def _close(got: Multivector, want: Multivector) -> bool:
 
 
 def assert_stack(got: Multivector, want_fn):
-    """Every item got[idx] matches want_fn(*idx) in the jet slots valid at
-    its order, within 1e-13 x the scale of the reference."""
-    assert got.data.ndim > 2
-    for idx in np.ndindex(got.data.shape[:-2]):
+    """Every item got[idx] of a one-point stack matches want_fn(*idx) in the
+    jet slots valid at its order, within 1e-13 x the scale of the
+    reference; idx runs over the stack axes before the point axis."""
+    assert got.data.ndim > 3 and got.data.shape[-3] == 1
+    for idx in np.ndindex(got.data.shape[:-3]):
         assert _close(got[idx], want_fn(*idx)), idx
 
 
@@ -123,7 +124,8 @@ def test_pair_sums_match_loops(geoms):
         want = ref_pair_sum(
             lambda a, b: curv.biforms[a, b] if a != b else Multivector.zero()
         )
-        got = Multivector.scalar(curv.scalar) + curv.contraction_grade2 + curv.contraction_grade4
+        got = ops.scalar_multivector(curv.scalar, curv.contraction_grade2.order)
+        got = got + curv.contraction_grade2 + curv.contraction_grade4
         assert _close(got, want)
 
 
@@ -157,7 +159,7 @@ def _second_transposed(fn):
     """A derivative stack whose second application is transposed."""
     def wrapped(geom, A, *rest):
         out = fn(geom, A, *rest)
-        return out.swapaxes(0, 1) if A.data.ndim > 2 else out
+        return out.swapaxes(0, 1) if A.data.ndim > 3 else out
     return wrapped
 
 
