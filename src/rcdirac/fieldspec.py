@@ -503,8 +503,8 @@ class Scenario:
     checks: tuple[str, ...] = ()                  # empty = full suite
     sampling: Sampling = field(default_factory=Sampling)
     digest: str = ""
-    # the frame Program, compiled on first use; not pickled, so a spawned
-    # child compiles its own
+    # the frame Program, compiled on first use; a forked shard child
+    # inherits it, and a pickled copy leaves it out and compiles its own
     _frame_program: Program | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):

@@ -22,9 +22,13 @@ so no point's results depend on the others in its batch.
 ``workers`` counts processes in total, the calling one included.  The
 points are split into ``n = min(workers, points)`` static index shards
 ``points[k::n]``: the calling process evaluates shard 0 and one child process
-each other shard.  On Linux the children are forked, so they inherit the
-scenario and the evaluated test fields; each sends its results back once,
-through a pipe.  With one shard nothing is forked.
+each other shard.  The children are forked with ``os.fork``, so they inherit
+the scenario and the evaluated test fields; each sends its results back
+once, as one pickled message through an ``os.pipe``.  A child that dies,
+or exits without sending, raises ``WorkerError`` (exit code 4 on the
+command line).  With one shard nothing is forked.  Shards fork on Linux
+only (``FORK_SHARDS``); on other platforms the calling process evaluates
+every point, which gives the same report.
 
 Auto-generated test fields are random degree-3 polynomials with seeded
 coefficients, normalized to unit sup-norm over the sampled points.  A
@@ -41,8 +45,9 @@ whose import would cost more than the draws.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import operator
+import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, field
@@ -190,7 +195,8 @@ class RunField:
     exprs: tuple | None = None            # 16 expressions from the scenario
     scale: float = 1.0
     # unscaled (16, 15) values at the run's points, filled by
-    # build_run_fields; not pickled, so a spawned child evaluates its points
+    # build_run_fields; a forked shard child inherits them, and a pickled
+    # copy leaves them out and evaluates its points itself
     values: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __getstate__(self):
@@ -934,64 +940,74 @@ class _ChildTraceback(Exception):
     """The traceback of an exception raised in a shard's child process."""
 
 
-def _shard_child(conn, *shard) -> None:
-    """A child process's body: evaluate one shard and send back either
-    ``(True, results, None)`` or ``(False, exception, traceback text)``."""
-    try:
-        msg = (True, _eval_shard(*shard), None)
-    except BaseException as err:
-        import traceback
+class WorkerError(RuntimeError):
+    """A shard's child process ended without sending its results."""
 
-        msg = (False, err, traceback.format_exc())
-    conn.send(msg)
-    conn.close()
+
+# Shards fork on Linux only.  Elsewhere fork is missing (Windows) or unsafe
+# with system frameworks such as Accelerate (macOS), and the calling process
+# evaluates every point itself.
+FORK_SHARDS = sys.platform == "linux"
+
+
+def _shard_child(write_fd: int, shard) -> None:
+    """A forked child: send one pickled ``(ok, results or exception, traceback
+    text)`` for a shard, then ``os._exit``: no exit handler, no stdio flush."""
+    try:
+        try:
+            msg = (True, _eval_shard(*shard), None)
+        except BaseException as err:
+            import traceback
+
+            msg = (False, err, traceback.format_exc())
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(msg))
+        os._exit(0)
+    finally:
+        os._exit(1)    # reached only when the message could not be sent
 
 
 def _run_shards(scenario, fields, names, points, n: int) -> dict:
     """Evaluate the points in ``n`` static index shards ``points[k::n]``:
-    this process evaluates shard 0 and one child process each other shard.
-
-    Children come from the platform's default start method; with fork they
-    inherit the run's state, otherwise their arguments are pickled (without
-    the fields' evaluated values).  Each child sends its results through a
-    one-way pipe; its exception is re-raised here, and a child that dies
-    without sending raises ``RuntimeError``.  No child outlives the call."""
+    this process evaluates shard 0 and a forked child each other shard,
+    sending back its results or exception through a pipe.  With one shard,
+    or where ``FORK_SHARDS`` is off, every point is evaluated here."""
     indexed = list(enumerate(points))
-    shards = [(scenario, fields, names, indexed[k::n]) for k in range(n)]
-    if n == 1:
-        return _eval_shard(*shards[0])
-    children = []
+    if n == 1 or not FORK_SHARDS:
+        return _eval_shard(scenario, fields, names, indexed)
+    running = {}    # pid: read end of its pipe, for each child not yet reaped
     try:
         for k in range(1, n):
-            recv_end, send_end = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(
-                target=_shard_child, args=(send_end, *shards[k]), daemon=True
-            )
-            child.start()
-            # only the child holds the send end now, so its death reads as EOF
-            send_end.close()
-            children.append((child, recv_end))
-        results = _eval_shard(*shards[0])
-        for child, recv_end in children:
-            try:
-                # read before joining: a child blocks on a large payload
-                ok, payload, child_tb = recv_end.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"worker process exited with code {child.exitcode}") from None
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                _shard_child(write_fd, (scenario, fields, names, indexed[k::n]))
+            os.close(write_fd)    # the child's end now: its exit reads as EOF
+            running[pid] = open(read_fd, "rb")
+        results = _eval_shard(scenario, fields, names, indexed[::n])
+        for pid, pipe in list(running.items()):
+            with pipe:    # read before reaping: a child blocks on a large payload
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            if code >= 0 and (code or not data):
+                raise WorkerError(f"worker process exited with code {code}")
+            if code < 0:    # killed, perhaps while writing: data may be cut short
+                import signal
+                raise WorkerError(f"worker process killed by signal {-code} ({signal.Signals(-code).name})")
+            ok, payload, child_tb = pickle.loads(data)
             if not ok:
                 raise payload from _ChildTraceback(child_tb)
             results.update(payload)
         return results
     except BaseException:
-        # this process or a child failed: stop the children still at work
-        for child, _ in children:
-            child.terminate()
+        # this process or a child failed: no child may outlive the call
+        import signal
+
+        for pid, pipe in running.items():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
         raise
-    finally:
-        for child, recv_end in children:
-            recv_end.close()
-            child.join()
 
 
 @dataclass
@@ -1149,8 +1165,6 @@ def run_suite(
 
 def resolve_scenario_path(name: str):
     """A filesystem path, or the name of a bundled scenario."""
-    import os
-
     if os.path.exists(name):
         return name
     base = name if name.endswith(".scn") else name + ".scn"
@@ -1248,6 +1262,9 @@ def cli_main(argv) -> int:
     except (ValueError, ScenarioError) as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return 3
+    except WorkerError as err:
+        print(f"run error: {err}", file=sys.stderr)
+        return 4
 
     if args.format == "json":
         sys.stdout.write(report.to_json() + "\n")

@@ -1,8 +1,8 @@
 import contextlib
 import dataclasses
 import json
-import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -103,8 +103,11 @@ def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
 
 def _fresh_interpreter(code: str) -> str:
     src = str(Path(rcdirac.__file__).resolve().parents[1])
+    # stdout stays buffered, so a forked child that flushed the buffer it
+    # inherited would print the lines before the fork twice
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code], env={**env, "PYTHONPATH": src},
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
 
@@ -551,9 +554,14 @@ def test_non_finite_tetrad_is_a_failing_point_error(capsys, tmp_path):
 # -- worker shards ------------------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched check reaches the children only by fork",
+    not harness.FORK_SHARDS,
+    reason="shards fork on Linux only; the patched check reaches the children by fork",
 )
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # scenario text and seed; the error tuples of the last two come from child
@@ -581,7 +589,7 @@ def test_reports_identical_at_any_worker_count(name):
         report = run_suite(sc, points=5, seed=seed, workers=workers)
         assert report.to_json() == one.to_json(), workers
         assert report.to_text() == one.to_text(), workers
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def _patched_check(monkeypatch, fn):
@@ -620,7 +628,7 @@ def test_exception_in_a_shard_is_reraised(monkeypatch, shard):
     _patched_check(monkeypatch, check)
     with _deadline(60), pytest.raises(KeyError, match="no such blade"):
         run_suite(sc, points=4, only=["metricity", "patched"], workers=2)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 @needs_fork
@@ -634,33 +642,83 @@ def test_child_that_exits_raises_runtime_error(monkeypatch):
         return 0.0
 
     _patched_check(monkeypatch, check)
-    with _deadline(60), pytest.raises(RuntimeError, match="^worker process exited with code 7$"):
+    with _deadline(60), pytest.raises(harness.WorkerError, match="^worker process exited with code 7$"):
         run_suite(sc, points=4, only=["patched"], workers=2)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_killed_child_is_a_run_error(monkeypatch, capsys):
+    # a worker that dies to a signal (the OOM killer sends SIGKILL) ends
+    # the run with one stderr line and exit code 4, not a traceback
+    sc = load_bundled("minkowski")
+    target = sample_points(sc, 4)[1]
+    parent = os.getpid()
+
+    def check(ctx):
+        if target in ctx.points and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 0.0
+
+    _patched_check(monkeypatch, check)
+    with _deadline(60):
+        code = cli_main(["run", "minkowski", "--points", "4", "--only", "patched", "--workers", "2"])
+    out = capsys.readouterr()
+    assert code == 4
+    assert out.out == ""
+    assert out.err == "run error: worker process killed by signal 9 (SIGKILL)\n"
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_child_killed_while_sending_is_a_worker_error(monkeypatch):
+    # a child killed partway through its message leaves a cut-short pickle
+    def child(write_fd, shard):
+        os.write(write_fd, pickle.dumps((True, harness._eval_shard(*shard), None))[:20])
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(harness, "_shard_child", child)
+    sc = load_bundled("minkowski")
+    with _deadline(60), pytest.raises(
+        harness.WorkerError, match=r"^worker process killed by signal 9 \(SIGKILL\)$"
+    ):
+        run_suite(sc, points=4, only=["metricity"], workers=3)
+    _assert_no_child_left()
+
+
+def _no_fork():
+    raise AssertionError("a child process was forked")
 
 
 def test_one_shard_forks_nothing(monkeypatch):
-    def no_process(*args, **kwargs):
-        raise AssertionError("a child process was started")
-
-    monkeypatch.setattr(multiprocessing, "Process", no_process)
+    monkeypatch.setattr(os, "fork", _no_fork)
     sc = load_bundled("minkowski")
     one = run_suite(sc, points=1, only=["metricity"]).to_json()
     assert run_suite(sc, points=1, only=["metricity"], workers=3).to_json() == one
 
 
-def test_spawned_children_give_the_same_report():
-    # where the default start method is not fork, the children get the
-    # pickled tasks and evaluate the fields themselves
+def test_shards_run_here_where_fork_is_off(monkeypatch):
+    # off Linux the calling process evaluates every point itself
+    sc = load_bundled("curved_torsion")
+    one = run_suite(sc, points=5)
+    monkeypatch.setattr(harness, "FORK_SHARDS", False)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    report = run_suite(sc, points=5, workers=3)
+    assert report.to_json() == one.to_json()
+    assert report.to_text() == one.to_text()
+
+
+def test_sharded_run_imports_no_multiprocessing():
     code = (
-        "import multiprocessing, rcdirac\n"
-        "multiprocessing.set_start_method('spawn')\n"
+        "import sys, rcdirac\n"
+        "print('multiprocessing' in sys.modules)\n"
         "sc = rcdirac.load_scenario_file(rcdirac.harness.resolve_scenario_path('curved_torsion'))\n"
         "kw = dict(points=3, only=['metricity', 'lichnerowicz', 'spin-square-assembly'])\n"
-        "print(rcdirac.run_suite(sc, workers=2, **kw).to_json()"
-        " == rcdirac.run_suite(sc, **kw).to_json())\n"
+        "two = rcdirac.run_suite(sc, workers=2, **kw).to_json()\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "print(two == rcdirac.run_suite(sc, **kw).to_json())\n"
     )
-    assert _fresh_interpreter(code) == "True\n"
+    assert _fresh_interpreter(code) == "False\nFalse\nTrue\n"
 
 
 @pytest.mark.parametrize("workers", [0, -2])
