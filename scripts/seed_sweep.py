@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Sweep sampling seeds on one scenario and report worst residual per seed.
+"""Sweep sampling seeds on one scenario and report worst residual per seed;
+exit 1 if any seed's report has a failing check.
 
 Residuals should be seed-independent up to rounding noise: the identities
 hold for arbitrary smooth fields, so fresh random fields and points must not
@@ -21,17 +22,21 @@ def main():
 
     path = harness.resolve_scenario_path(args.scenario)
     scenario = fieldspec.load_scenario_file(path, valid_checks=set(harness.CHECKS))
-    worst_overall = 0.0
+    worst_overall = None
+    failed = False
     for seed in range(args.seeds):
         report = harness.run_suite(scenario, points=args.points, seed=seed)
-        worst = max((c.max for c in report.checks if c.max is not None), default=0.0)
-        culprit = max(
-            (c for c in report.checks if c.max is not None), key=lambda c: c.max
-        )
-        print(f"seed {seed:3d}  worst {worst:.3e}  ({culprit.name})")
-        worst_overall = max(worst_overall, worst)
-    print(f"worst over all seeds: {worst_overall:.3e}")
-    return 0 if worst_overall <= scenario.sampling.tol else 1
+        finite = [c for c in report.checks if c.max is not None]
+        failing = sum(not c.passed for c in report.checks)
+        line = f"seed {seed:3d}  worst n/a"
+        if finite:
+            culprit = max(finite, key=lambda c: c.max)
+            line = f"seed {seed:3d}  worst {culprit.max:.3e}  ({culprit.name})"
+            worst_overall = max(culprit.max, worst_overall or 0.0)
+        print(line + (f"  {failing} failing" if failing else ""))
+        failed = failed or failing > 0
+    print("worst over all seeds: " + ("n/a" if worst_overall is None else f"{worst_overall:.3e}"))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

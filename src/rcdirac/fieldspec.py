@@ -470,11 +470,6 @@ def eval_expr(e: Expr, p: ChartPoint) -> Jet2:
     return Jet2(Program([e]).evaluate([p])[0, 0])
 
 
-def eval_exprs(exprs, p: ChartPoint) -> np.ndarray:
-    """Jets (n, 15) of n expressions at p."""
-    return Program(exprs).evaluate([p])[0]
-
-
 # -- scenario ---------------------------------------------------------------
 
 ZERO_EXPR = Const(0.0)
@@ -760,6 +755,8 @@ def _load_sampling(entries) -> Sampling:
             points = int(_parse_number(value, lineno))
         elif key == "tol":
             tol = _parse_number(value, lineno)
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise ScenarioError(f"line {lineno}: tol must be finite and non-negative, got {value!r}")
         else:
             raise ScenarioError(
                 f"line {lineno}: bad [sampling] key {key!r} (seed, points, tol)"

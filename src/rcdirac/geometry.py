@@ -34,8 +34,7 @@ innermost: the connection biforms are (4, P, 16, 15) multivectors indexed by
 a, the coframe a (4, 1, 16, 15) stack that broadcasts over the points, the
 curvature biforms a (4, 4, P, 16, 15) grid, and the torsion operator
 tau(e_a, .) is one (16, 60) jet matrix per point, ``tau`` (P, 16, 60),
-acting on the four vector coefficients.  The residual helpers return one
-value per point, (P,).
+acting on the four vector coefficients.
 """
 
 from __future__ import annotations
@@ -392,63 +391,16 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
     )
 
 
-# -- residual helpers (used by the harness geometry checks) -----------------
-#
-# Each returns the residual at each point of the frame, (P,): the largest
-# value over every other axis, NaN if any value is NaN.
+def connection_torsion(geom: FrameGeometry, conn) -> np.ndarray:
+    """conn[a][c][b] - conn[b][c][a] - c^c_{ab} at [c, a, b]: the torsion of
+    the connection coefficients ``conn``."""
+    return np.einsum("acb...->cab...", conn) - np.einsum("bca...->cab...", conn) - geom.c
 
 
-def _max_value(table) -> np.ndarray:
-    values = np.abs(table[..., 0])
-    return values.max(axis=tuple(range(values.ndim - 1)))
-
-
-def metricity_residual(conn) -> np.ndarray:
-    """max |eta_bm conn[a][m][c] + eta_cm conn[a][m][b]|."""
-    low = _ETA[None, :, None, None, None] * conn
-    return _max_value(low + low.transpose(0, 2, 1, 3, 4))
-
-
-def torsion_recovery_residual(geom: FrameGeometry) -> np.ndarray:
-    """Antisymmetrized full connection minus structure coefficients must
-    reproduce the input torsion."""
-    full = geom.full
-    return _max_value(
-        np.einsum("acb...->cab...", full)
-        - np.einsum("bca...->cab...", full)
-        - geom.c
-        - geom.T
-    )
-
-
-def levi_civita_residual(geom: FrameGeometry) -> np.ndarray:
-    """Zero-torsion and metricity defining residuals of the Levi-Civita
-    coefficients."""
-    lc = geom.lc
-    zero_torsion = (
-        np.einsum("acb...->cab...", lc) - np.einsum("bca...->cab...", lc) - geom.c
-    )
-    return np.maximum(_max_value(zero_torsion), metricity_residual(lc))
-
-
-def contorsion_trace_residual(geom: FrameGeometry) -> np.ndarray:
-    """Trace identity: eta^{br} K^a_{br} + eta^{sa} T^r_{rs} = 0."""
-    lhs = np.einsum("b,bab...->a...", _ETA, geom.K)
-    rhs = _ETA[:, None, None] * torsion_trace(geom)
-    return _max_value(lhs + rhs)
-
-
-def first_bianchi_residual(curv: CurvatureData) -> np.ndarray:
-    """Cyclic sum of the lowered Levi-Civita curvature over the last three
-    indices."""
-    R = curv.lc_components
-    cyclic = R + np.einsum("acdb...->abcd...", R) + np.einsum("adbc...->abcd...", R)
-    return _max_value(_ETA[:, None, None, None, None, None] * cyclic)
-
-
-def decomposition_residual(curv: CurvatureData) -> np.ndarray:
-    """Componentwise residual of R = R_levi_civita + J."""
-    return _max_value(curv.components - curv.lc_components - curv.j_components)
+def lowered(conn) -> np.ndarray:
+    """eta_bm conn[a][m][c], antisymmetric in (b, c) for a metric-compatible
+    connection."""
+    return _ETA[None, :, None, None, None] * conn
 
 
 def torsion_trace(geom: FrameGeometry) -> np.ndarray:

@@ -9,15 +9,16 @@ keyed by point index and merged in index order, and timing goes to stderr.
 
 A check runs on a batch of points at once: it receives a ``BatchContext``,
 whose frame, curvature and test fields carry a point axis (see
-``geometry``), and returns one residual per point.  A shard's points run in
-batches of at most ``BATCH_POINTS``.  The per-point seam stays:
-``_eval_shard`` calls ``_eval_task`` once per point, looked up at call
-time, and that calls ``evaluate_point`` for the point.  The first point of
-a batch computes each selected check for the whole batch, through
-``CHECKS[name].fn``; later points read their own results.  A point whose
-frame cannot be built leaves the batch and gets its frame error at every
-check, and a check that raises for a batch is rerun one point at a time,
-so no point's results depend on the others in its batch.
+``geometry``), and returns the two sides of its identity as ``(lhs, rhs)``
+pairs, which ``point_residuals`` alone reduces to one residual per point.
+A shard's points run in batches of at most ``BATCH_POINTS``.  The
+per-point seam stays: ``_eval_shard`` calls ``_eval_task`` once per point,
+looked up at call time, and that calls ``evaluate_point`` for the point.
+The first point of a batch computes each selected check for the whole
+batch, through ``CHECKS[name].fn``; later points read their own results.
+A point whose frame cannot be built leaves the batch and gets its frame
+error at every check, and a check that raises for a batch is rerun one
+point at a time, so no point's results depend on the others in its batch.
 
 ``workers`` counts processes in total, the calling one included.  The
 points are split into ``n = min(workers, points)`` static index shards
@@ -44,6 +45,7 @@ whose import would cost more than the draws.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import os
@@ -60,7 +62,7 @@ from .cliffalg import (
     GRADES, LC_TABLE, THETA_GP_ROWS, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
     geometric_product, grade_involution, product_sum, wedge,
 )
-from .fieldspec import Scenario, ScenarioError, eval_exprs
+from .fieldspec import Scenario, ScenarioError
 from .geometry import ETA, NonFiniteFrameError
 from .jets import HESS_PAIRS, JET_LEN, NVARS, ChartPoint, JetDomainError, JetOrderError, jet_einsum
 
@@ -195,31 +197,16 @@ class RunField:
     exprs: tuple | None = None            # 16 expressions from the scenario
     scale: float = 1.0
     # unscaled (16, 15) values at the run's points, filled by
-    # build_run_fields; a forked shard child inherits them, and a pickled
-    # copy leaves them out and evaluates its points itself
+    # build_run_fields; a forked shard child inherits them
     values: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __getstate__(self):
-        return {**self.__dict__, "values": {}}
-
-    def raw(self, point: ChartPoint, monomials: np.ndarray | None = None) -> np.ndarray:
-        """Unscaled (16, 15) jets at a point; ``monomials`` are the point's
-        ``monomial_jets`` when already computed."""
-        if self.exprs is not None:
-            return eval_exprs(self.exprs, point)
-        return self.polys @ (monomial_jets(point) if monomials is None else monomials)
-
     def at(self, points) -> Multivector:
-        """The field at a chart point, (16, 15), or at a sequence of P
-        points, a point stack (P, 16, 15)."""
+        """The field at one of the run's chart points, (16, 15), or at a
+        sequence of P of them, a point stack (P, 16, 15)."""
         if isinstance(points, ChartPoint):
-            return Multivector.from_array(self._raw_at(points) * self.scale, 2)
-        data = np.array([self._raw_at(p) for p in points]).reshape(-1, 16, JET_LEN)
+            return Multivector.from_array(self.values[points] * self.scale, 2)
+        data = np.array([self.values[p] for p in points]).reshape(-1, 16, JET_LEN)
         return Multivector.from_array(data * self.scale, 2)
-
-    def _raw_at(self, point: ChartPoint) -> np.ndarray:
-        data = self.values.get(point)
-        return self.raw(point) if data is None else data
 
 
 def monomial_jets(point: ChartPoint) -> np.ndarray:
@@ -272,7 +259,7 @@ def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunFiel
     for kind, f in fields.items():
         label = "f.scalar" if kind == "scalar" else f"A.{kind}"
         if f.exprs is None:
-            f.values = {p: f.raw(p, m) for p, m in zip(points, monomials)}
+            f.values = {p: f.polys @ m for p, m in zip(points, monomials)}
         else:
             try:
                 f.values = dict(zip(points, fieldspec.Program(f.exprs).evaluate(points)))
@@ -452,7 +439,7 @@ class BatchContext:
         try:
             # looked up at call time, so that a wrapper installed in the
             # registry (perfbench's tracer) runs here
-            values = np.asarray(CHECKS[name].fn(self), dtype=np.float64)
+            values = point_residuals(CHECKS[name].fn(self))
         except _CHECK_ERRORS as err:
             if len(live) == 1:
                 out[live[0]] = ("error", f"{type(err).__name__}: {err}")
@@ -462,9 +449,7 @@ class BatchContext:
                 for k in live:
                     out[k] = BatchContext(self.scenario, self.fields, [self.all_points[k]]).results(name)[0]
         else:
-            if values.shape != (len(live),):
-                values = np.broadcast_to(values, (len(live),))
-            for k, value in zip(live, values.tolist()):
+            for k, value in zip(live, values.tolist(), strict=True):
                 out[k] = value
         return out
 
@@ -477,10 +462,20 @@ _FRAME_ERRORS = (ArithmeticError, ValueError)
 _CHECK_ERRORS = (JetDomainError, JetOrderError, GradeError)
 
 
-def _worst(*residuals) -> np.ndarray:
-    """The largest residual at each point, NaN if any is NaN (Python's max
-    drops them)."""
-    return np.max(residuals, axis=0)
+def point_residuals(pairs) -> np.ndarray:
+    """Each point's residual of a check's ``(lhs, rhs)`` pairs, (P,): the
+    largest |lhs - rhs| over the value slot and every axis but the point
+    axis, then over the pairs; NaN if any value is NaN (Python's max drops
+    them).  A side is a ``Multivector``, whose point axis is its innermost
+    stack axis, or a jet table (..., P, 15); ``rhs`` None stands for zero."""
+    worst = []
+    for lhs, rhs in pairs:
+        diff = lhs if rhs is None else lhs - rhs
+        # (..., P, k): the values of a multivector's k = 16 blades, or of a
+        # jet table with k = 1
+        values = np.abs(diff.data[..., 0] if isinstance(diff, Multivector) else diff[..., None, 0])
+        worst.append(values.max(axis=tuple(range(values.ndim - 2)) + (values.ndim - 1,)))
+    return functools.reduce(np.maximum, worst)
 
 
 _TOT_ANTISYM_NOTE = "valid for totally antisymmetric (zero-strain) torsion"
@@ -492,7 +487,8 @@ _COCLOSED_NOTE = "needs co-closed totally antisymmetric torsion"
     "eta-lowered full connection coefficients are antisymmetric in the rotation pair",
 )
 def _c_metricity(ctx):
-    return geometry.metricity_residual(ctx.geom.full)
+    low = geometry.lowered(ctx.geom.full)
+    return [(low, -low.swapaxes(1, 2))]
 
 
 @_check(
@@ -500,7 +496,7 @@ def _c_metricity(ctx):
     "antisymmetrized connection minus frame structure coefficients reproduces the torsion input",
 )
 def _c_torsion_recovery(ctx):
-    return geometry.torsion_recovery_residual(ctx.geom)
+    return [(geometry.connection_torsion(ctx.geom, ctx.geom.full), ctx.geom.T)]
 
 
 @_check(
@@ -508,7 +504,8 @@ def _c_torsion_recovery(ctx):
     "torsion-free and metricity defining residuals of the Levi-Civita coefficients",
 )
 def _c_levi_civita(ctx):
-    return geometry.levi_civita_residual(ctx.geom)
+    low = geometry.lowered(ctx.geom.lc)
+    return [(geometry.connection_torsion(ctx.geom, ctx.geom.lc), None), (low, -low.swapaxes(1, 2))]
 
 
 @_check(
@@ -516,7 +513,8 @@ def _c_levi_civita(ctx):
     "contorsion trace identity: eta^{br} K^a_{br} + eta^{sa} T^r_{rs} = 0",
 )
 def _c_contorsion_trace(ctx):
-    return geometry.contorsion_trace_residual(ctx.geom)
+    trace = np.einsum("b,bab...->a...", np.array(ETA), ctx.geom.K)
+    return [(trace, -np.array(ETA)[:, None, None] * geometry.torsion_trace(ctx.geom))]
 
 
 @_check(
@@ -524,7 +522,8 @@ def _c_contorsion_trace(ctx):
     "first Bianchi identity: cyclic sum of the lowered torsion-free curvature vanishes",
 )
 def _c_bianchi(ctx):
-    return geometry.first_bianchi_residual(ctx.curv)
+    R = ctx.curv.lc_components
+    return [(R + np.einsum("acdb...->abcd...", R) + np.einsum("adbc...->abcd...", R), None)]
 
 
 @_check(
@@ -532,7 +531,8 @@ def _c_bianchi(ctx):
     "curvature equals torsion-free curvature plus the contorsion-induced difference, componentwise",
 )
 def _c_decomposition(ctx):
-    return geometry.decomposition_residual(ctx.curv)
+    curv = ctx.curv
+    return [(curv.components - curv.lc_components, curv.j_components)]
 
 
 @_check(
@@ -541,8 +541,8 @@ def _c_decomposition(ctx):
 )
 def _c_curvature_traces(ctx):
     biforms = ctx.curv.biforms
-    trace = np.einsum("a,aa...->...", np.array(ETA), biforms.data[..., 0])
-    return _worst((biforms + biforms.swapaxes(0, 1)).max_abs(), np.abs(trace).max(axis=-1))
+    trace = Multivector.from_array(np.einsum("a,aa...->...", np.array(ETA), biforms.data), biforms.order)
+    return [(biforms, -biforms.swapaxes(0, 1)), (trace, None)]
 
 
 @_check(
@@ -553,7 +553,7 @@ def _c_curvature_traces(ctx):
     note=_COCLOSED_NOTE,
 )
 def _c_ricci_antisymmetry(ctx):
-    return ctx.curv.contraction_grade2.max_abs()
+    return [(ctx.curv.contraction_grade2, None)]
 
 
 @_check(
@@ -563,14 +563,13 @@ def _c_ricci_antisymmetry(ctx):
 )
 def _c_dirac_split(ctx):
     A = ctx.field("general")
-    return _worst(*(
+    return [
         (
-            operators.dirac(ctx.geom, A, conn)
-            - operators.dirac_contract(ctx.geom, A, conn)
-            - operators.dirac_wedge(ctx.geom, A, conn)
-        ).max_abs()
+            operators.dirac(ctx.geom, A, conn) - operators.dirac_contract(ctx.geom, A, conn),
+            operators.dirac_wedge(ctx.geom, A, conn),
+        )
         for conn in ("lc", "full")
-    ))
+    ]
 
 
 @_check(
@@ -580,9 +579,7 @@ def _c_dirac_split(ctx):
 )
 def _c_exterior_derivative(ctx):
     A = ctx.field("general")
-    return (
-        operators.dirac_wedge(ctx.geom, A, "lc") - operators.exterior_d(ctx.geom, A)
-    ).max_abs()
+    return [(operators.dirac_wedge(ctx.geom, A, "lc"), operators.exterior_d(ctx.geom, A))]
 
 
 @_check(
@@ -592,9 +589,7 @@ def _c_exterior_derivative(ctx):
 )
 def _c_codifferential(ctx):
     A = ctx.field("general")
-    return (
-        operators.dirac_contract(ctx.geom, A, "lc") + operators.codifferential(ctx.geom, A)
-    ).max_abs()
+    return [(operators.dirac_contract(ctx.geom, A, "lc"), -operators.codifferential(ctx.geom, A))]
 
 
 @_check(
@@ -609,11 +604,10 @@ def _c_torsion_splits(ctx):
     # sum_r Theta^r ^ (theta_r _| A) and sum_r Theta^r _| (theta_r ^ A)
     wedge_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_LC, A), WEDGE_TABLE)
     contract_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_WEDGE, A), LC_TABLE)
-    w = operators.dirac_wedge(geom, A) - (operators.dirac_wedge(geom, A, "lc") - wedge_corr)
-    c = operators.dirac_contract(geom, A) - (
-        operators.dirac_contract(geom, A, "lc") - contract_corr
-    )
-    return _worst(w.max_abs(), c.max_abs())
+    return [
+        (operators.dirac_wedge(geom, A), operators.dirac_wedge(geom, A, "lc") - wedge_corr),
+        (operators.dirac_contract(geom, A), operators.dirac_contract(geom, A, "lc") - contract_corr),
+    ]
 
 
 @_check(
@@ -630,7 +624,7 @@ def _c_torsion_trace_contraction(ctx):
     Q = geometry.torsion_trace(geom)
     e_f = operators.pfaffs(geom, f)                               # [b]: e_b(f)
     rhs = jet_einsum("bp,bp->p", -np.array(ETA)[:, None, None] * Q, e_f.data[..., 0, :], e_f.order)
-    return (lhs - operators.scalar_multivector(rhs, e_f.order)).max_abs()
+    return [(lhs, operators.scalar_multivector(rhs, e_f.order))]
 
 
 @_check(
@@ -642,7 +636,7 @@ def _c_scalar_laplacian(ctx):
     geom = ctx.geom
     f = ctx.scalar_mv()
     lhs = operators.codifferential(geom, operators.exterior_d(geom, f)).scale(-1.0)
-    return (lhs - operators.frame_wave(geom, f, geom.lc)).max_abs()
+    return [(lhs, operators.frame_wave(geom, f, geom.lc))]
 
 
 @_check(
@@ -654,11 +648,10 @@ def _c_scalar_laplacian(ctx):
 def _c_cov_deriv_torsion(ctx):
     geom = ctx.geom
     v = ctx.field("vector")
-    return (
-        operators.cov_derivs(geom, v, "full")
-        - operators.cov_derivs(geom, v, "lc")
-        - operators.torsion_operators(geom, v).scale(0.5)
-    ).max_abs()
+    return [(
+        operators.cov_derivs(geom, v, "full") - operators.cov_derivs(geom, v, "lc"),
+        operators.torsion_operators(geom, v).scale(0.5),
+    )]
 
 
 @_check(
@@ -671,9 +664,7 @@ def _c_dirac_torsion(ctx):
     geom = ctx.geom
     v = ctx.field("vector")
     corr = blade_sum(THETA_GP_ROWS, operators.torsion_operators(geom, v)).scale(0.5)
-    return (
-        operators.dirac(geom, v, "full") - operators.dirac(geom, v, "lc") - corr
-    ).max_abs()
+    return [(operators.dirac(geom, v, "full") - operators.dirac(geom, v, "lc"), corr)]
 
 
 @_check(
@@ -686,14 +677,13 @@ def _c_leibniz(ctx):
     A = ctx.field("general")
     B = ctx.field("general2")
     AB = geometric_product(A, B)
-    return _worst(*(
+    return [
         (
-            operators.cov_derivs(geom, AB, conn)
-            - geometric_product(operators.cov_derivs(geom, A, conn), B)
-            - geometric_product(A, operators.cov_derivs(geom, B, conn))
-        ).max_abs()
+            operators.cov_derivs(geom, AB, conn) - geometric_product(operators.cov_derivs(geom, A, conn), B),
+            geometric_product(A, operators.cov_derivs(geom, B, conn)),
+        )
         for conn in ("lc", "full")
-    ))
+    ]
 
 
 @_check(
@@ -706,14 +696,13 @@ def _c_antiderivation(ctx):
     A = ctx.field("general")
     B = ctx.field("general2")
     AB = wedge(A, B)
-    return _worst(*(
+    return [
         (
-            operators.dirac_wedge(geom, AB, conn)
-            - wedge(operators.dirac_wedge(geom, A, conn), B)
-            - wedge(grade_involution(A), operators.dirac_wedge(geom, B, conn))
-        ).max_abs()
+            operators.dirac_wedge(geom, AB, conn) - wedge(operators.dirac_wedge(geom, A, conn), B),
+            wedge(grade_involution(A), operators.dirac_wedge(geom, B, conn)),
+        )
         for conn in ("lc", "full")
-    ))
+    ]
 
 
 @_check(
@@ -725,11 +714,11 @@ def _c_spin_module(ctx):
     geom = ctx.geom
     C = ctx.field("general")
     psi = ctx.field("even")
-    return (
+    return [(
         operators.spin_cov_derivs(geom, geometric_product(C, psi))
-        - geometric_product(operators.cov_derivs(geom, C, "full"), psi)
-        - geometric_product(C, operators.spin_cov_derivs(geom, psi))
-    ).max_abs()
+        - geometric_product(operators.cov_derivs(geom, C, "full"), psi),
+        geometric_product(C, operators.spin_cov_derivs(geom, psi)),
+    )]
 
 
 @_check(
@@ -740,23 +729,22 @@ def _c_spin_module(ctx):
 def _c_spin_left_form(ctx):
     geom = ctx.geom
     psi = ctx.field("even")
-    return (
-        operators.spin_cov_derivs(geom, psi)
-        - operators.cov_derivs(geom, psi, "full")
-        - geometric_product(psi, geom.omega_biform).scale(0.5)
-    ).max_abs()
+    return [(
+        operators.spin_cov_derivs(geom, psi) - operators.cov_derivs(geom, psi, "full"),
+        geometric_product(psi, geom.omega_biform).scale(0.5),
+    )]
 
 
 @_check("d-squared", "the exterior derivative squares to zero", fields=("general",))
 def _c_d_squared(ctx):
     A = ctx.field("general")
-    return operators.exterior_d(ctx.geom, operators.exterior_d(ctx.geom, A)).max_abs()
+    return [(operators.exterior_d(ctx.geom, operators.exterior_d(ctx.geom, A)), None)]
 
 
 @_check("delta-squared", "the codifferential squares to zero", fields=("general",))
 def _c_delta_squared(ctx):
     A = ctx.field("general")
-    return operators.codifferential(ctx.geom, operators.codifferential(ctx.geom, A)).max_abs()
+    return [(operators.codifferential(ctx.geom, operators.codifferential(ctx.geom, A)), None)]
 
 
 @_check(
@@ -766,7 +754,7 @@ def _c_delta_squared(ctx):
 )
 def _c_double_contraction(ctx):
     inner = operators.dirac_contract(ctx.geom, ctx.scalar_mv(), "full")
-    return operators.dirac_contract(ctx.geom, inner, "full").max_abs()
+    return [(operators.dirac_contract(ctx.geom, inner, "full"), None)]
 
 
 @_check(
@@ -780,9 +768,7 @@ def _c_scalar_square_forms(ctx):
     direct = operators.dirac_square_direct(geom, f, "full")
     std = operators.scalar_square_standard_form(geom, f)
     conn = operators.scalar_square_connection_form(geom, f)
-    return _worst(
-        (std - conn).max_abs(), (std - direct).max_abs(), (conn - direct).max_abs()
-    )
+    return [(std, conn), (std, direct), (conn, direct)]
 
 
 @_check(
@@ -796,7 +782,7 @@ def _c_square_assembly(ctx):
     direct = operators.dirac_square_direct(geom, A, "full")
     plain = operators.dirac_square_assembled(geom, A, "full")
     anti = operators.dirac_square_assembled(geom, A, "full", antisymmetrized=True)
-    return _worst((plain - direct).max_abs(), (anti - direct).max_abs())
+    return [(plain, direct), (anti, direct)]
 
 
 @_check(
@@ -806,7 +792,9 @@ def _c_square_assembly(ctx):
     note=_TOT_ANTISYM_NOTE,
 )
 def _c_pair_expansion(ctx):
-    return operators.covariant_pair_expansion_residual(ctx.geom, ctx.field("vector"))
+    geom, v = ctx.geom, ctx.field("vector")
+    lhs = operators.cov_derivs(geom, operators.cov_derivs(geom, v, "full"), "full")
+    return [(lhs, operators.pair_expansion_rhs(geom, v))]
 
 
 @_check(
@@ -816,7 +804,8 @@ def _c_pair_expansion(ctx):
     note=_TOT_ANTISYM_NOTE,
 )
 def _c_square_torsion_relation(ctx):
-    return operators.vector_square_relation_residual(ctx.geom, ctx.field("vector"))
+    geom, v = ctx.geom, ctx.field("vector")
+    return [(operators.dirac_square_direct(geom, v, "full"), operators.square_torsion_relation_rhs(geom, v))]
 
 
 @_check(
@@ -826,7 +815,8 @@ def _c_square_torsion_relation(ctx):
     fields=("even",),
 )
 def _c_spin_commutator(ctx):
-    return _worst(*operators.spin_commutator_residuals(ctx.geom, ctx.curv, ctx.field("even")))
+    commutator, bracket, expanded = operators.spin_commutator_forms(ctx.geom, ctx.curv, ctx.field("even"))
+    return [(commutator, bracket), (commutator, expanded)]
 
 
 @_check(
@@ -837,7 +827,8 @@ def _c_spin_commutator(ctx):
     note=_COCLOSED_NOTE,
 )
 def _c_lichnerowicz(ctx):
-    return operators.lichnerowicz_residual(ctx.geom, ctx.curv, ctx.field("even"))
+    geom, psi = ctx.geom, ctx.field("even")
+    return [(operators.spin_dirac_square_direct(geom, psi), operators.lichnerowicz_rhs(geom, ctx.curv, psi))]
 
 
 @_check(
@@ -846,7 +837,8 @@ def _c_lichnerowicz(ctx):
     fields=("general",),
 )
 def _c_spin_square_relation(ctx):
-    return operators.spin_square_relation_residual(ctx.geom, ctx.field("general"))
+    geom, A = ctx.geom, ctx.field("general")
+    return [(operators.spin_dirac_square_direct(geom, A), operators.spin_square_relation_rhs(geom, A))]
 
 
 @_check(
@@ -856,7 +848,8 @@ def _c_spin_square_relation(ctx):
     note=_TOT_ANTISYM_NOTE,
 )
 def _c_spin_standard_square(ctx):
-    return operators.spin_standard_square_residual(ctx.geom, ctx.field("vector"))
+    geom, v = ctx.geom, ctx.field("vector")
+    return [(operators.spin_dirac_square_direct(geom, v), operators.spin_standard_square_rhs(geom, v))]
 
 
 @_check(
@@ -866,7 +859,8 @@ def _c_spin_standard_square(ctx):
     note=_TOT_ANTISYM_NOTE,
 )
 def _c_s2_levi_civita(ctx):
-    return operators.s2_levi_civita_residual(ctx.geom, ctx.field("vector"))
+    geom, v = ctx.geom, ctx.field("vector")
+    return [(operators.spin_square_right_correction(geom, v), operators.s2_levi_civita_rhs(geom, v))]
 
 
 @_check(
@@ -875,7 +869,8 @@ def _c_s2_levi_civita(ctx):
     fields=("even",),
 )
 def _c_spin_square_assembly(ctx):
-    return operators.spin_square_assembly_residual(ctx.geom, ctx.field("even"))
+    geom, psi = ctx.geom, ctx.field("even")
+    return [(operators.spin_dirac_square_direct(geom, psi), operators.spin_square_assembly_rhs(geom, psi))]
 
 
 @_check(
@@ -884,10 +879,7 @@ def _c_spin_square_assembly(ctx):
     fields=("bivector", "current"),
 )
 def _c_maxwell_equivalence(ctx):
-    _, _, eq = operators.maxwell_residuals(
-        ctx.geom, ctx.field("bivector"), ctx.field("current")
-    )
-    return eq.max_abs()
+    return [operators.maxwell_residuals(ctx.geom, ctx.field("bivector"), ctx.field("current"))]
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -1075,14 +1067,13 @@ class ResidualReport:
 
 
 def select_checks(scenario: Scenario, only=None):
-    if only:
+    if only is not None:
+        only = list(dict.fromkeys(only))    # a repeated name runs once
         unknown = [n for n in only if n not in CHECKS]
-        if unknown:
-            raise UsageError(
-                f"unknown check name(s) {', '.join(unknown)}; "
-                f"valid names: {', '.join(CHECKS)}"
-            )
-        return list(only)
+        if unknown or not only:
+            what = f"unknown check name(s) {', '.join(unknown)}" if unknown else "no check name given"
+            raise UsageError(f"{what}; valid names: {', '.join(CHECKS)}")
+        return only
     if scenario.checks:
         unknown = [n for n in scenario.checks if n not in CHECKS]
         if unknown:
@@ -1106,6 +1097,12 @@ def run_suite(
     processes in total, this one included."""
     if workers < 1:
         raise UsageError(f"worker count must be at least 1, got {workers}")
+    if points is not None and points < 1:
+        raise UsageError(f"point count must be at least 1, got {points}")
+    if seed is not None and seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
+    if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"tolerance must be finite and non-negative, got {tol}")
     names = select_checks(scenario, only)
     n_points = scenario.sampling.points if points is None else points
     run_seed = scenario.sampling.seed if seed is None else seed
@@ -1236,9 +1233,7 @@ def cli_main(argv) -> int:
             print(f"note:     {desc.note}")
         return 0
 
-    only = None
-    if args.only:
-        only = [n.strip() for n in args.only.split(",") if n.strip()]
+    only = None if args.only is None else [n.strip() for n in args.only.split(",") if n.strip()]
     try:
         path = resolve_scenario_path(args.scenario)
         scenario = fieldspec.load_scenario_file(path, valid_checks=set(CHECKS))

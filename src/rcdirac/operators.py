@@ -1,4 +1,4 @@
-"""First- and second-order Dirac-type operators and their identity residuals.
+"""First- and second-order Dirac-type operators and the forms of their identities.
 
 Every operator acts pointwise on a ``Multivector`` whose coefficients are
 order-2 jets: the jets carry the exact derivatives, so a squared operator is
@@ -6,9 +6,11 @@ literally two applications, each consuming one jet order.  The frame holds
 P points, and a field is a point stack (P, 16, 15), or one multivector
 (16, 15) that broadcasts over the points; every result keeps the point
 axis as its innermost stack axis.  Each identity the engine verifies is
-available in at least two independently computed forms; the ``*_residual``
-functions return the max absolute coefficient value of the difference at
-each point, (P,), NaN where any coefficient is NaN.  Scalar fields are
+available in at least two independently computed forms.  A form that is
+more than one operator call is a function here: the ``*_rhs`` functions
+build the right side of the check of the same name, ``spin_commutator_forms``
+and ``maxwell_residuals`` all the forms of theirs.  The harness compares
+the forms; nothing here reduces them to residuals.  Scalar fields are
 scalar multivectors (``scalar_multivector``).
 
 Direction stacks: the paper builds every operator from sums over frame
@@ -379,27 +381,24 @@ def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Mul
     )
 
 
-def covariant_pair_expansion_residual(geom: FrameGeometry, A: Multivector) -> np.ndarray:
-    """Second covariant derivative of a grade-1 field expanded through the
-    standard derivative and the torsion operator, over the (a, b) grid."""
+def pair_expansion_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
+    """The second covariant derivatives nabla_a nabla_b of a grade-1 field
+    expanded through the standard derivative and the torsion operator, the
+    (a, b) grid."""
     D = cov_derivs(geom, A, "lc")
     tau = torsion_operators(geom, A)
-    lhs = cov_derivs(geom, cov_derivs(geom, A, "full"), "full")
-    rhs = (
+    return (
         cov_derivs(geom, D, "lc")
         + torsion_operators(geom, D).scale(0.5)
         + cov_derivs(geom, tau, "lc").scale(0.5)
         + torsion_operators(geom, tau).scale(0.25)
     )
-    return (lhs - rhs).max_abs()
 
 
-def vector_square_relation_residual(geom: FrameGeometry, A: Multivector) -> np.ndarray:
-    """Torsionful square minus standard square minus the paired torsion
-    correction, on a grade-1 field."""
-    lhs = dirac_square_direct(geom, A, "full")
-    rhs = dirac_square_direct(geom, A, "lc") + _pair_sum(vector_square_torsion_correction(geom, A))
-    return (lhs - rhs).max_abs()
+def square_torsion_relation_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
+    """The torsionful square of a grade-1 field as the standard square plus
+    the paired torsion correction."""
+    return dirac_square_direct(geom, A, "lc") + _pair_sum(vector_square_torsion_correction(geom, A))
 
 
 # -- spin operators ------------------------------------------------------------
@@ -444,29 +443,26 @@ def spin_square_right_correction(geom: FrameGeometry, A: Multivector) -> Multive
     )
 
 
-def spin_square_relation_residual(geom: FrameGeometry, A: Multivector) -> np.ndarray:
-    """Squared spin operator vs torsionful square plus the paired
+def spin_square_relation_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
+    """The squared spin operator as the torsionful square plus the paired
     right-action correction (any grade)."""
-    lhs = spin_dirac_square_direct(geom, A)
-    rhs = dirac_square_direct(geom, A, "full") + _pair_sum(spin_square_right_correction(geom, A))
-    return (lhs - rhs).max_abs()
+    return dirac_square_direct(geom, A, "full") + _pair_sum(spin_square_right_correction(geom, A))
 
 
-def spin_standard_square_residual(geom: FrameGeometry, A: Multivector) -> np.ndarray:
-    """Squared spin operator vs standard square plus both corrections
-    (grade-1 fields)."""
+def spin_standard_square_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
+    """The squared spin operator as the standard square plus both
+    corrections (grade-1 fields)."""
     _require_grade(A, 1, "spin standard square argument")
-    lhs = spin_dirac_square_direct(geom, A)
     corr = spin_square_right_correction(geom, A) + vector_square_torsion_correction(geom, A)
-    rhs = dirac_square_direct(geom, A, "lc") + _pair_sum(corr)
-    return (lhs - rhs).max_abs()
+    return dirac_square_direct(geom, A, "lc") + _pair_sum(corr)
 
 
-def s2_levi_civita_residual(geom: FrameGeometry, A: Multivector) -> float:
-    """Right-action correction rewritten through the standard derivative and
-    the torsion operator (grade-1 fields, totally antisymmetric torsion);
-    the derivative of the connection biform keeps its contorsion-commutator
-    correction, which has no vector-level torsion-operator form."""
+def s2_levi_civita_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
+    """The right-action correction ``spin_square_right_correction`` rewritten
+    through the standard derivative and the torsion operator (grade-1
+    fields, totally antisymmetric torsion); the derivative of the connection
+    biform keeps its contorsion-commutator correction, which has no
+    vector-level torsion-operator form."""
     _require_grade(A, 1, "right-action correction argument")
     omega = geom.omega_biform
     nabla = cov_derivs(geom, A, "lc") + torsion_operators(geom, A).scale(0.5)
@@ -475,24 +471,22 @@ def s2_levi_civita_residual(geom: FrameGeometry, A: Multivector) -> float:
         + commutator(geom.lc_biform[:, None], omega[None]).scale(0.5)
         + commutator(geom.contorsion_biform[:, None], omega[None]).scale(0.5)
     )
-    direct = spin_square_right_correction(geom, A)
-    return (direct - _right_correction(geom, A, nabla, d_omega)).max_abs()
+    return _right_correction(geom, A, nabla, d_omega)
 
 
-def spin_square_assembly_residual(geom: FrameGeometry, psi: Multivector) -> np.ndarray:
-    """Direct squared spin operator vs the eta / bivector assembly."""
+def spin_square_assembly_rhs(geom: FrameGeometry, psi: Multivector) -> Multivector:
+    """The squared spin operator as its eta / bivector assembly."""
     spin1 = spin_cov_derivs(geom, psi)
-    term = spin_cov_derivs(geom, spin1) - _combine("cpk,acbp->abpk", spin1, geom.full)
-    direct = spin_dirac_square_direct(geom, psi)
-    return (direct - _pair_sum(term)).max_abs()
+    return _pair_sum(spin_cov_derivs(geom, spin1) - _combine("cpk,acbp->abpk", spin1, geom.full))
 
 
-def spin_commutator_residuals(
+def spin_commutator_forms(
     geom: FrameGeometry, curv: CurvatureData, psi: Multivector
-) -> tuple[np.ndarray, np.ndarray]:
-    """Commutator of spin derivatives vs the curvature biform action, in the
-    bracket form (structure-coefficient term) and the expanded form
-    (torsion-minus-connection coefficients), over the (a, b) grid."""
+) -> tuple[Multivector, Multivector, Multivector]:
+    """The commutator of spin derivatives and the curvature biform action
+    it equals, in the bracket form (structure-coefficient term) and the
+    expanded form (torsion-minus-connection coefficients), each an (a, b)
+    grid."""
     spin1 = spin_cov_derivs(geom, psi)
     spin2 = spin_cov_derivs(geom, spin1)                   # [a, b]: S_a S_b psi
     lhs = spin2 - spin2.swapaxes(0, 1)
@@ -505,7 +499,7 @@ def spin_commutator_residuals(
         + np.einsum("bca...->cab...", geom.full)
     )
     expanded = curv_action - _combine("cpk,cabp->abpk", spin1, coeff)
-    return (lhs - bracket).max_abs(), (lhs - expanded).max_abs()
+    return lhs, bracket, expanded
 
 
 def lichnerowicz_rhs(
@@ -521,25 +515,18 @@ def lichnerowicz_rhs(
     return out - product_sum(torsion_two_forms(geom), spin1)
 
 
-def lichnerowicz_residual(
-    geom: FrameGeometry, curv: CurvatureData, psi: Multivector
-) -> np.ndarray:
-    direct = spin_dirac_square_direct(geom, psi)
-    return (direct - lichnerowicz_rhs(geom, curv, psi)).max_abs()
-
-
 # -- Maxwell forms --------------------------------------------------------------
 
 
 def maxwell_residuals(
     geom: FrameGeometry, F: Multivector, J_e: Multivector
-) -> tuple[Multivector, Multivector, Multivector]:
+) -> tuple[Multivector, Multivector]:
     """Field-equation residuals in Clifford form and in right-representative
-    spin form, plus their difference (an algebraic identity, zero for any F,
-    whether or not F solves the equation)."""
+    spin form, which coincide for any F, whether or not F solves the
+    equation."""
     _require_grade(F, 2, "field strength")
     _require_grade(J_e, 1, "current")
     clifford = dirac(geom, F, "full") - J_e
     spin = right_rep_derivs(geom, F) + geometric_product(geom.omega_biform, F).scale(0.5)
     spin = blade_sum(THETA_GP_ROWS, spin) - J_e
-    return clifford, spin, clifford - spin
+    return clifford, spin

@@ -95,3 +95,31 @@ def rand_float_mv(rng, grade=None) -> Multivector:
         keep = grade is None or GRADES[i] == grade
         coeffs.append(float(rng.uniform(-1, 1)) if keep else 0.0)
     return Multivector(coeffs)
+
+
+class FrameContext:
+    """The part of a ``harness.BatchContext`` that a check reads: a given
+    frame, its curvature, and given test fields by kind."""
+
+    def __init__(self, geom, curv=None, **fields):
+        self.geom = geom
+        self._curv = curv
+        self._fields = fields
+
+    @property
+    def curv(self):
+        if self._curv is None:
+            self._curv = geometry.curvature(self.geom)
+        return self._curv
+
+    def field(self, kind: str) -> Multivector:
+        return self._fields[kind]
+
+    def scalar_mv(self) -> Multivector:
+        return self._fields["scalar"]
+
+
+def check_residual(name: str, geom, curv=None, **fields):
+    """The residual of the registered check ``name`` at each point of the
+    frame, (P,), reduced from its pairs by the harness."""
+    return harness.point_residuals(harness.CHECKS[name].fn(FrameContext(geom, curv, **fields)))

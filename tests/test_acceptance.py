@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BUNDLED, load_bundled, rand_float_mv, rand_mv
+from conftest import BUNDLED, check_residual, load_bundled, rand_float_mv, rand_mv
 from rcdirac import geometry as geo
 from rcdirac import harness, jets, operators as ops
 from rcdirac.cliffalg import (
@@ -196,9 +196,9 @@ def test_criterion_7_maxwell_equivalence(reports):
         g = build_frame(sc, p)
         F = rand_mv(rng, p, grade=2)
         Je = rand_mv(rng, p, grade=1)
-        clifford, spin, equiv = ops.maxwell_residuals(g, F, Je)
+        clifford, _ = ops.maxwell_residuals(g, F, Je)
         assert clifford.max_abs() > 1e-3
-        assert equiv.max_abs() <= 1e-9
+        assert check_residual("maxwell-equivalence", g, bivector=F, current=Je) <= 1e-9
     print("ACCEPTANCE 7 Maxwell equivalence: PASS")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import BUNDLED, rand_scalar_jet
+from conftest import BUNDLED, check_residual, rand_scalar_jet
 from reference_loops import pair_blade, ref_j_components, ref_riemann_components
 from rcdirac import fieldspec as fs
 from rcdirac import geometry as geo
@@ -130,7 +130,7 @@ def test_levi_civita_identity_frame_vanishes():
 def test_levi_civita_defining_residuals(frames):
     for geoms in frames.values():
         for g in geoms:
-            assert geo.levi_civita_residual(g) <= 1e-9
+            assert check_residual("levi-civita", g) <= 1e-9
 
 
 def test_levi_civita_against_coordinate_christoffel_oracle():
@@ -206,9 +206,9 @@ def test_contorsion_half_torsion_for_totally_antisymmetric(frames):
 def test_contorsion_trace_identity(frames, general_torsion):
     for geoms in frames.values():
         for g in geoms:
-            assert geo.contorsion_trace_residual(g) <= 1e-12
+            assert check_residual("contorsion-trace", g) <= 1e-12
     g = build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8)))
-    assert geo.contorsion_trace_residual(g) <= 1e-12
+    assert check_residual("contorsion-trace", g) <= 1e-12
 
 
 def test_full_connection_reduces_to_levi_civita_without_torsion(frames):
@@ -224,8 +224,8 @@ def test_metricity_and_torsion_recovery(frames, general_torsion):
     geoms = [g for gs in frames.values() for g in gs]
     geoms.append(build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8))))
     for g in geoms:
-        assert geo.metricity_residual(g.full) <= 1e-9
-        assert geo.torsion_recovery_residual(g) <= 1e-9
+        assert check_residual("metricity", g) <= 1e-9
+        assert check_residual("torsion-recovery", g) <= 1e-9
 
 
 def test_torsion_two_forms(frames):
@@ -264,14 +264,14 @@ def test_curvature_antisymmetries(frames):
 def test_first_bianchi(frames):
     for geoms in frames.values():
         for g in geoms:
-            assert geo.first_bianchi_residual(curvature(g)) <= 1e-8
+            assert check_residual("bianchi", g) <= 1e-8
 
 
 def test_decomposition(frames, general_torsion):
     geoms = [g for gs in frames.values() for g in gs]
     geoms.append(build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8))))
     for g in geoms:
-        assert geo.decomposition_residual(curvature(g)) <= 1e-8
+        assert check_residual("curvature-decomposition", g) <= 1e-8
 
 
 def test_flat_torsion_curvature_is_pure_contorsion(frames):
@@ -280,7 +280,7 @@ def test_flat_torsion_curvature_is_pure_contorsion(frames):
     for g in frames["flat_torsion"]:
         curv = curvature(g)
         assert jet_table_max(curv.lc_components) == 0.0
-        assert geo.decomposition_residual(curv) <= 1e-14
+        assert check_residual("curvature-decomposition", g, curv) <= 1e-14
 
 
 def test_quadriform_zero_without_torsion(frames):

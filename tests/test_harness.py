@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import pickle
+import runpy
 import signal
 import subprocess
 import sys
@@ -16,13 +17,16 @@ from conftest import BUNDLED, GENERAL_TORSION_TEXT, load_bundled
 import rcdirac
 from rcdirac import fieldspec as fs
 from rcdirac import harness
-from rcdirac.cliffalg import GradeError
+from rcdirac.cliffalg import GradeError, Multivector
+from rcdirac.jets import JET_LEN
 from rcdirac.harness import (
     CHECKS,
+    BatchContext,
     UniformStream,
     UsageError,
     build_run_fields,
     cli_main,
+    point_residuals,
     run_suite,
     sample_points,
     select_checks,
@@ -96,9 +100,48 @@ def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
         UniformStream([-1, 0x5A11])
     path = tmp_path / "negative.scn"
     path.write_text(IDENTITY + "[sampling]\nseed = -1\n")
-    for argv in (["run", "minkowski", "--seed", "-1"], ["run", str(path)]):
-        assert cli_main(argv + ["--points", "1"]) == 3
-        assert capsys.readouterr().err == "scenario error: expected non-negative integer\n"
+    assert cli_main(["run", str(path), "--points", "1"]) == 3
+    assert capsys.readouterr().err == "scenario error: expected non-negative integer\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--points", "0"], "point count must be at least 1, got 0"),
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--tol", "inf"], "tolerance must be finite and non-negative, got inf"),
+    (["--tol", "nan"], "tolerance must be finite and non-negative, got nan"),
+    (["--tol=-1e-8"], "tolerance must be finite and non-negative, got -1e-08"),
+    (["--only", ","], "no check name given; valid names: " + ", ".join(CHECKS)),
+    (["--only="], "no check name given; valid names: " + ", ".join(CHECKS)),
+])
+def test_bad_command_line_value_is_a_usage_error(capsys, argv, message):
+    assert cli_main(["run", "curved_torsion", "--points", "2", "--format", "json", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("kwargs", [{"points": 0}, {"seed": -1}, {"tol": float("inf")}, {"tol": float("nan")},
+                                    {"tol": -1.0}, {"only": []}])
+def test_run_suite_rejects_bad_arguments(kwargs):
+    with pytest.raises(UsageError):
+        run_suite(load_bundled("minkowski"), **{"points": 1, **kwargs})
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_bad_scenario_tolerance_is_a_scenario_error(tmp_path, capsys, tol):
+    path = tmp_path / "tol.scn"
+    path.write_text(IDENTITY + f"[sampling]\ntol = {tol}\n")
+    with pytest.raises(fs.ScenarioError, match=f"^line 7: tol must be finite and non-negative, got '{tol}'$"):
+        fs.load_scenario(path.read_text())
+    assert cli_main(["run", str(path), "--points", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"scenario error: line 7: tol must be finite and non-negative, got '{tol}'\n"
+
+
+def test_repeated_only_name_runs_once(capsys):
+    assert cli_main(["run", "minkowski", "--points", "1", "--only", "metricity,bianchi,metricity"]) == 0
+    assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == ["metricity", "bianchi"]
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -596,6 +639,11 @@ def _patched_check(monkeypatch, fn):
     monkeypatch.setitem(CHECKS, "patched", harness.CheckDescriptor("patched", "", (), fn))
 
 
+def _zero_pairs(ctx):
+    """A check's pairs whose residual is 0 at every point of the batch."""
+    return [(np.zeros((len(ctx.points), JET_LEN)), None)]
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     def expire(signum, frame):
@@ -623,7 +671,7 @@ def test_exception_in_a_shard_is_reraised(monkeypatch, shard):
             raise KeyError("no such blade")
         if shard == 0 and pts[1] in ctx.points:
             time.sleep(120)
-        return 0.0
+        return _zero_pairs(ctx)
 
     _patched_check(monkeypatch, check)
     with _deadline(60), pytest.raises(KeyError, match="no such blade"):
@@ -639,7 +687,7 @@ def test_child_that_exits_raises_runtime_error(monkeypatch):
     def check(ctx):
         if target in ctx.points:
             os._exit(7)
-        return 0.0
+        return _zero_pairs(ctx)
 
     _patched_check(monkeypatch, check)
     with _deadline(60), pytest.raises(harness.WorkerError, match="^worker process exited with code 7$"):
@@ -658,7 +706,7 @@ def test_killed_child_is_a_run_error(monkeypatch, capsys):
     def check(ctx):
         if target in ctx.points and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return 0.0
+        return _zero_pairs(ctx)
 
     _patched_check(monkeypatch, check)
     with _deadline(60):
@@ -801,7 +849,7 @@ def test_check_error_stays_at_its_point(monkeypatch):
     def check(ctx):
         if pts[2] in ctx.points:
             raise GradeError("field must be pure grade 1")
-        return np.zeros(len(ctx.points))
+        return _zero_pairs(ctx)
 
     _patched_check(monkeypatch, check)
     one = run_suite(sc, points=4, only=["patched"])
@@ -809,3 +857,74 @@ def test_check_error_stays_at_its_point(monkeypatch):
     assert c.errors == [(pts[2].x, "GradeError: field must be pure grade 1")]
     assert c.max == 0.0
     assert run_suite(sc, points=4, only=["patched"], workers=4).to_json() == one.to_json()
+
+
+def test_point_residuals_reduce_each_point_over_every_pair():
+    table = np.zeros((2, 3, JET_LEN))
+    table[1, 2, 0] = -4.0
+    table[0, 0, 5] = 9.0                  # a derivative slot, not a value
+    lhs = Multivector.from_array(np.zeros((4, 3, 16, JET_LEN)), 2)
+    rhs = Multivector.from_array(np.zeros((4, 3, 16, JET_LEN)), 2)
+    rhs.data[2, 0, 7, 0] = 0.5
+    rhs.data[3, 2, 1, 0] = 1.0
+    rhs.data[0, 1, 3, 0] = np.nan
+    got = point_residuals([(table, None), (lhs, rhs)])
+    assert got.shape == (3,)
+    assert got[0] == 0.5 and np.isnan(got[1]) and got[2] == 4.0
+
+
+@pytest.fixture(scope="module")
+def three_point_batch():
+    sc = load_bundled("curved_torsion")
+    pts = sample_points(sc, points=3)
+    return BatchContext(sc, build_run_fields(sc, sc.sampling.seed, pts), pts)
+
+
+def _shape_and_points(side):
+    """A pair side's array shape and the length of its point axis."""
+    if isinstance(side, Multivector):
+        return side.data.shape, side.data.shape[-3]
+    assert isinstance(side, np.ndarray) and side.shape[-1] == JET_LEN
+    return side.shape, side.shape[-2]
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_check_returns_the_sides_of_its_identity(name, three_point_batch):
+    ctx = three_point_batch
+    pairs = CHECKS[name].fn(ctx)
+    assert isinstance(pairs, list) and pairs
+    for lhs, rhs in pairs:
+        shape, n_points = _shape_and_points(lhs)
+        assert n_points == 3
+        if rhs is not None:
+            assert type(rhs) is type(lhs)
+            assert _shape_and_points(rhs)[0] == shape
+    assert point_residuals(pairs).tobytes() == np.array(ctx.results(name)).tobytes()
+
+
+# exp(400*x0)^2 overflows for x0 above about 0.89: a chart reaching past it
+# has points with non-finite frames, one wholly above it has no other points
+OVERFLOWING_FRAME = (
+    "[chart]\nx0_min = {lo}\nx0_max = 1.7\n"
+    '[tetrad]\ne0_0 = "1 + 0*(exp(400*x0)*exp(400*x0))"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("text, code, finite", [
+    (IDENTITY, 0, True), (OVERFLOWING_FRAME.format(lo=0.0), 1, True), (OVERFLOWING_FRAME.format(lo=1.0), 1, False),
+])
+def test_seed_sweep_exits_with_the_reports_verdict(tmp_path, monkeypatch, capsys, text, code, finite):
+    path = tmp_path / "sweep.scn"
+    path.write_text(text)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
+    sweep = runpy.run_path(str(script))
+    monkeypatch.setattr(sys, "argv", ["seed_sweep.py", str(path), "--seeds", "2", "--points", "3"])
+    assert sweep["main"]() == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[-1].startswith("worst over all seeds: ")
+    assert lines[-1].endswith("n/a") == (not finite)
+    for line in lines[:2]:
+        assert (" worst n/a" in line) == (not finite)
+        assert line.endswith("  34 failing") == (code == 1)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import rand_mv, rand_scalar_jet
+from conftest import check_residual, rand_mv, rand_scalar_jet
 from reference_loops import RefMV, ref_exterior_d
 from rcdirac import fieldspec as fs
 from rcdirac import geometry as geo
+from rcdirac import harness
 from rcdirac import operators as ops
 from rcdirac.cliffalg import (
     GradeError,
@@ -307,8 +308,8 @@ def test_pair_expansion_and_square_relation(frames):
     for name in ("flat_torsion", "curved_torsion"):
         for g in frames[name]:
             v = rand_mv(rng, g.point, grade=1)
-            assert ops.covariant_pair_expansion_residual(g, v) <= 1e-8
-            assert ops.vector_square_relation_residual(g, v) <= 1e-8
+            assert check_residual("pair-expansion", g, vector=v) <= 1e-8
+            assert check_residual("square-torsion-relation", g, vector=v) <= 1e-8
 
 
 def test_spin_square_zero_for_flat_constant_field():
@@ -324,9 +325,9 @@ def test_spin_commutator_both_forms(frames, curvatures):
     for name, geoms in frames.items():
         for g, curv in zip(geoms, curvatures[name]):
             psi = rand_mv(rng, g.point, even=True)
-            br, ex = ops.spin_commutator_residuals(g, curv, psi)
-            assert br <= 1e-8
-            assert ex <= 1e-8
+            commutator, bracket, expanded = ops.spin_commutator_forms(g, curv, psi)
+            assert harness.point_residuals([(commutator, bracket)]) <= 1e-8
+            assert harness.point_residuals([(commutator, expanded)]) <= 1e-8
 
 
 def test_spin_commutator_diagonal_vanishes(frames, curvatures):
@@ -346,7 +347,7 @@ def test_lichnerowicz_on_bundled(frames, curvatures):
     for name, geoms in frames.items():
         for g, curv in zip(geoms, curvatures[name]):
             psi = rand_mv(rng, g.point, even=True)
-            assert ops.lichnerowicz_residual(g, curv, psi) <= 1e-8
+            assert check_residual("lichnerowicz", g, curv, even=psi) <= 1e-8
 
 
 def test_lichnerowicz_minkowski_reduces_to_wave_operator(frames, curvatures):
@@ -367,7 +368,7 @@ def test_spin_square_relation_per_grade(frames):
     g = frames["flat_torsion"][0]
     for grade in range(5):
         A = rand_mv(rng, g.point, grade=grade)
-        assert ops.spin_square_relation_residual(g, A) <= 1e-8
+        assert check_residual("spin-square-relation", g, general=A) <= 1e-8
 
 
 def test_spin_square_relation_general_torsion(general_torsion):
@@ -375,7 +376,7 @@ def test_spin_square_relation_general_torsion(general_torsion):
     p = ChartPoint((0.5, 0.6, 0.7, 0.8))
     g = build_frame(general_torsion, p)
     A = rand_mv(rng, p)
-    assert ops.spin_square_relation_residual(g, A) <= 1e-8
+    assert check_residual("spin-square-relation", g, general=A) <= 1e-8
 
 
 def test_spin_standard_square_and_lc_form(frames):
@@ -383,8 +384,8 @@ def test_spin_standard_square_and_lc_form(frames):
     for name in ("flat_torsion", "curved_torsion"):
         for g in frames[name]:
             v = rand_mv(rng, g.point, grade=1)
-            assert ops.spin_standard_square_residual(g, v) <= 1e-8
-            assert ops.s2_levi_civita_residual(g, v) <= 1e-8
+            assert check_residual("spin-standard-square", g, vector=v) <= 1e-8
+            assert check_residual("s2-levi-civita", g, vector=v) <= 1e-8
 
 
 def test_spin_square_assembly(frames):
@@ -392,7 +393,7 @@ def test_spin_square_assembly(frames):
     for geoms in frames.values():
         for g in geoms:
             psi = rand_mv(rng, g.point, even=True)
-            assert ops.spin_square_assembly_residual(g, psi) <= 1e-8
+            assert check_residual("spin-square-assembly", g, even=psi) <= 1e-8
 
 
 def test_right_action_correction_zero_when_flat():
@@ -428,8 +429,8 @@ def test_maxwell_equivalence(frames, general_torsion):
     for g in geoms:
         F = rand_mv(rng, g.point, grade=2)
         Je = rand_mv(rng, g.point, grade=1)
-        clifford, spin, equiv = ops.maxwell_residuals(g, F, Je)
-        assert equiv.max_abs() <= 1e-9
+        clifford, _ = ops.maxwell_residuals(g, F, Je)
+        assert check_residual("maxwell-equivalence", g, bivector=F, current=Je) <= 1e-9
         # residuals themselves are O(1): F does not solve the equation
         assert clifford.max_abs() > 1e-3
 
@@ -445,9 +446,9 @@ def test_maxwell_solution_by_construction(frames):
         F = ops.exterior_d(g, potential)
         Je = ops.dirac(g, F, "full")
         assert (Je - grade_project(Je, 1)).max_abs() <= 1e-9
-        clifford, _, equiv = ops.maxwell_residuals(g, F, grade_project(Je, 1))
+        clifford, _ = ops.maxwell_residuals(g, F, grade_project(Je, 1))
         assert clifford.max_abs() <= 1e-9
-        assert equiv.max_abs() <= 1e-9
+        assert check_residual("maxwell-equivalence", g, bivector=F, current=grade_project(Je, 1)) <= 1e-9
 
 
 def test_maxwell_flat_constant_field():
@@ -456,10 +457,10 @@ def test_maxwell_flat_constant_field():
     g = build_frame(sc, p)
     F = Multivector([Jet2.const(1.0) if i == 5 else 0.0 for i in range(16)])
     Je = Multivector([Jet2.const(0.0) if i in (1, 2, 3, 4) else 0.0 for i in range(16)])
-    clifford, spin, equiv = ops.maxwell_residuals(g, F, Je)
+    clifford, spin = ops.maxwell_residuals(g, F, Je)
     assert clifford.max_abs() == 0.0
     assert spin.max_abs() == 0.0
-    assert equiv.max_abs() == 0.0
+    assert check_residual("maxwell-equivalence", g, bivector=F, current=Je) == 0.0
 
 
 def test_maxwell_grade_errors(frames):
