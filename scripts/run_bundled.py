@@ -16,7 +16,11 @@ from rcdirac import fieldspec, harness
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--workers", type=int, default=1, help="process count, the calling one included")
+    ap.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="at most N processes, the calling one included: "
+        f"n = min(N, max(1, points // {harness.MIN_SHARD_POINTS})) shards",
+    )
     args = ap.parse_args()
 
     failures = 0

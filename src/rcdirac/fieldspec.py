@@ -569,6 +569,19 @@ def _parse_number(text: str, lineno: int) -> float:
         raise ScenarioError(f"line {lineno}: expected a number, got {text!r}") from None
 
 
+def _parse_integer(key: str, text: str, lineno: int) -> int:
+    """A number with an integer value, such as ``20`` or ``1e3``; integer
+    digits are read exactly, beyond the 53 bits of a float."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    number = _parse_number(text, lineno)
+    if not (math.isfinite(number) and number.is_integer()):
+        raise ScenarioError(f"line {lineno}: {key} must be an integer, got {text!r}")
+    return int(number)
+
+
 def _parse_value_expr(value: str, lineno: int) -> Expr:
     """Quoted string -> parsed expression; bare number -> constant."""
     if value.startswith('"'):
@@ -750,9 +763,9 @@ def _load_sampling(entries) -> Sampling:
     seed, points, tol = 0, 20, 1e-8
     for key, (value, lineno) in entries.items():
         if key == "seed":
-            seed = int(_parse_number(value, lineno))
+            seed = _parse_integer(key, value, lineno)
         elif key == "points":
-            points = int(_parse_number(value, lineno))
+            points = _parse_integer(key, value, lineno)
         elif key == "tol":
             tol = _parse_number(value, lineno)
             if not (math.isfinite(tol) and tol >= 0.0):

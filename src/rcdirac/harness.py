@@ -20,13 +20,15 @@ A point whose frame cannot be built leaves the batch and gets its frame
 error at every check, and a check that raises for a batch is rerun one
 point at a time, so no point's results depend on the others in its batch.
 
-``workers`` counts processes in total, the calling one included.  The
-points are split into ``n = min(workers, points)`` static index shards
-``points[k::n]``: the calling process evaluates shard 0 and one child process
-each other shard.  The children are forked with ``os.fork``, so they inherit
-the scenario and the evaluated test fields; each sends its results back
-once, as one pickled message through an ``os.pipe``.  A child that dies,
-or exits without sending, raises ``WorkerError`` (exit code 4 on the
+``workers`` is the most processes a run uses, the calling one included.
+The points are split into ``n = min(workers, max(1, points //
+MIN_SHARD_POINTS))`` static index shards ``points[k::n]``, so that no shard
+holds fewer than ``MIN_SHARD_POINTS`` points unless there is only one: the
+calling process evaluates shard 0 and one child process each other shard.
+The children are forked with ``os.fork``, so they inherit the scenario and
+the evaluated test fields; each sends its results back once, as one pickled
+message through an ``os.pipe``.  A child that dies, or exits without
+sending, or cannot be started, raises ``WorkerError`` (exit code 4 on the
 command line).  With one shard nothing is forked.  Shards fork on Linux
 only (``FORK_SHARDS``); on other platforms the calling process evaluates
 every point, which gives the same report.
@@ -909,6 +911,14 @@ def _eval_task(args):
 # batches above about 16 points run no faster per point.
 BATCH_POINTS = 32
 
+# The fewest points a forked shard is given.  Most of a batch's cost does
+# not depend on how many points it holds, and each process pays it in full,
+# plus the copy-on-write page faults that follow the fork.  On a 2-core host
+# (full suite, curved_torsion, medians of fresh interpreters) two processes
+# were slower than one on shards of 1 and 2 points, broke even on 3, and
+# won on every shard size from 4 points on.
+MIN_SHARD_POINTS = 4
+
 
 def _eval_shard(scenario, fields, names, indexed_points) -> dict:
     """{point index: check results} for one shard, ``(index, point)``
@@ -933,7 +943,8 @@ class _ChildTraceback(Exception):
 
 
 class WorkerError(RuntimeError):
-    """A shard's child process ended without sending its results."""
+    """A shard's child process could not be started, or ended without
+    sending its results."""
 
 
 # Shards fork on Linux only.  Elsewhere fork is missing (Windows) or unsafe
@@ -963,15 +974,25 @@ def _run_shards(scenario, fields, names, points, n: int) -> dict:
     """Evaluate the points in ``n`` static index shards ``points[k::n]``:
     this process evaluates shard 0 and a forked child each other shard,
     sending back its results or exception through a pipe.  With one shard,
-    or where ``FORK_SHARDS`` is off, every point is evaluated here."""
+    or where ``FORK_SHARDS`` is off, every point is evaluated here.  A pipe
+    or fork that fails raises ``WorkerError``, and on any error the children
+    already started are killed and reaped."""
     indexed = list(enumerate(points))
     if n == 1 or not FORK_SHARDS:
         return _eval_shard(scenario, fields, names, indexed)
     running = {}    # pid: read end of its pipe, for each child not yet reaped
     try:
         for k in range(1, n):
-            read_fd, write_fd = os.pipe()
-            if (pid := os.fork()) == 0:
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError as err:    # EAGAIN, ENOMEM, EMFILE: out of processes, memory or files
+                for fd in fds:
+                    os.close(fd)
+                raise WorkerError(f"cannot start worker process: {err}") from err
+            read_fd, write_fd = fds
+            if pid == 0:
                 _shard_child(write_fd, (scenario, fields, names, indexed[k::n]))
             os.close(write_fd)    # the child's end now: its exit reads as EOF
             running[pid] = open(read_fd, "rb")
@@ -1093,8 +1114,9 @@ def run_suite(
     only=None,
     workers: int = 1,
 ) -> ResidualReport:
-    """Run the selected checks at the sampled points on ``workers``
-    processes in total, this one included."""
+    """Run the selected checks at the sampled points on at most ``workers``
+    processes, this one included: ``min(workers, max(1, points //
+    MIN_SHARD_POINTS))`` static shards, one process each."""
     if workers < 1:
         raise UsageError(f"worker count must be at least 1, got {workers}")
     if points is not None and points < 1:
@@ -1111,7 +1133,8 @@ def run_suite(
     pts = sample_points(scenario, n_points, run_seed)
     fields = build_run_fields(scenario, run_seed, pts)
 
-    results = _run_shards(scenario, fields, names, pts, min(workers, len(pts)))
+    n = min(workers, max(1, len(pts) // MIN_SHARD_POINTS))
+    results = _run_shards(scenario, fields, names, pts, n)
 
     checks = []
     for name in names:
@@ -1196,7 +1219,10 @@ def _build_parser():
     run.add_argument("--tol", type=float, default=None, help="pass/fail tolerance")
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--only", default=None, help="comma-separated check names")
-    run.add_argument("--workers", type=int, default=1, help="process count, the calling one included")
+    run.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help=f"at most N processes, the calling one included: n = min(N, max(1, points // {MIN_SHARD_POINTS})) shards",
+    )
     sub.add_parser("list-checks", help="list available identity checks")
     explain = sub.add_parser("explain", help="describe one check")
     explain.add_argument("check")

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from rcdirac import fieldspec, geometry, harness
@@ -39,6 +41,27 @@ points = 4
 def load_bundled(name: str) -> fieldspec.Scenario:
     path = harness.resolve_scenario_path(name)
     return fieldspec.load_scenario_file(path, valid_checks=set(harness.CHECKS))
+
+
+def shard_children(shards: int) -> int:
+    """The child processes a run of ``shards`` shards forks: none where
+    shards do not fork (``harness.FORK_SHARDS``)."""
+    return shards - 1 if harness.FORK_SHARDS else 0
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls this process makes during the test, one list
+    entry per child forked; a run's shards still fork through it."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BUNDLED, check_residual, load_bundled, rand_float_mv, rand_mv
+from conftest import BUNDLED, check_residual, load_bundled, rand_float_mv, rand_mv, shard_children
 from rcdirac import geometry as geo
 from rcdirac import harness, jets, operators as ops
 from rcdirac.cliffalg import (
@@ -202,12 +202,16 @@ def test_criterion_7_maxwell_equivalence(reports):
     print("ACCEPTANCE 7 Maxwell equivalence: PASS")
 
 
-def test_criterion_8_determinism():
+def test_criterion_8_determinism(forks):
+    # 12 points: 3 workers get shards of MIN_SHARD_POINTS points, so they fork
     sc = load_bundled("flat_torsion")
-    first = harness.run_suite(sc, points=2).to_json()
-    second = harness.run_suite(sc, points=2).to_json()
-    third = harness.run_suite(sc, points=2, workers=2).to_json()
-    fourth = harness.run_suite(sc, points=2, workers=3).to_json()
+    first = harness.run_suite(sc, points=12).to_json()
+    second = harness.run_suite(sc, points=12).to_json()
+    assert not forks
+    third = harness.run_suite(sc, points=12, workers=2).to_json()
+    assert len(forks) == shard_children(2)
+    fourth = harness.run_suite(sc, points=12, workers=3).to_json()
+    assert len(forks) == shard_children(2) + shard_children(3)
     assert first == second == third == fourth
-    assert json.loads(first)["points"] == 2
+    assert json.loads(first)["points"] == 12
     print("ACCEPTANCE 8 determinism: PASS")

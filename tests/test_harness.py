@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import json
 import os
 import pickle
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BUNDLED, GENERAL_TORSION_TEXT, load_bundled
+from conftest import BUNDLED, GENERAL_TORSION_TEXT, load_bundled, shard_children
 import rcdirac
 from rcdirac import fieldspec as fs
 from rcdirac import harness
@@ -139,6 +140,34 @@ def test_bad_scenario_tolerance_is_a_scenario_error(tmp_path, capsys, tol):
     assert out.err == f"scenario error: line 7: tol must be finite and non-negative, got '{tol}'\n"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("points", "2.9"), ("seed", "1.7"), ("points", "inf"), ("points", "nan"), ("seed", "-inf"),
+])
+def test_fractional_or_non_finite_sampling_count_is_a_scenario_error(tmp_path, capsys, key, value):
+    path = tmp_path / "count.scn"
+    path.write_text(IDENTITY + f"[sampling]\n{key} = {value}\n")
+    with pytest.raises(fs.ScenarioError, match=f"^line 7: {key} must be an integer, got '{value}'$"):
+        fs.load_scenario(path.read_text())
+    assert cli_main(["run", str(path), "--points", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"scenario error: line 7: {key} must be an integer, got '{value}'\n"
+
+
+def test_integer_valued_sampling_count_is_accepted():
+    sc = fs.load_scenario(IDENTITY + "[sampling]\npoints = 3.0\nseed = 1e1\n")
+    assert (sc.sampling.points, sc.sampling.seed) == (3, 10)
+    # a float would round 2**53 + 1 to 2**53
+    assert fs.load_scenario(IDENTITY + "[sampling]\nseed = 9007199254740993\n").sampling.seed == 2**53 + 1
+
+
+def test_zero_scenario_points_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "zero.scn"
+    path.write_text(IDENTITY + "[sampling]\npoints = 0\n")
+    assert cli_main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == "scenario error: point count must be positive, got 0\n"
+
+
 def test_repeated_only_name_runs_once(capsys):
     assert cli_main(["run", "minkowski", "--points", "1", "--only", "metricity,bianchi,metricity"]) == 0
     assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == ["metricity", "bianchi"]
@@ -165,14 +194,18 @@ def test_run_does_not_import_numpy_random():
     assert _fresh_interpreter(code) == "False\n"
 
 
+# prepended to a fresh interpreter's code: counts its os.fork calls in FORKS
+_COUNT_FORKS = "import os\nFORKS, _fork = [], os.fork\nos.fork = lambda: FORKS.append(1) or _fork()\n"
+
+
 def test_worker_run_imports_no_executor():
-    code = (
+    code = _COUNT_FORKS + (
         "import sys, rcdirac\n"
         "sc = rcdirac.load_scenario_file(rcdirac.harness.resolve_scenario_path('curved_torsion'))\n"
-        "rcdirac.run_suite(sc, points=2, only=['metricity'], workers=2)\n"
-        "print('concurrent.futures' in sys.modules)\n"
+        "rcdirac.run_suite(sc, points=8, only=['metricity'], workers=2)\n"
+        "print('concurrent.futures' in sys.modules, len(FORKS))\n"
     )
-    assert _fresh_interpreter(code) == "False\n"
+    assert _fresh_interpreter(code) == f"False {shard_children(2)}\n"
 
 
 def test_run_does_not_import_argparse():
@@ -282,13 +315,14 @@ def test_json_round_trip():
     assert json.dumps(json.loads(s)) == s
 
 
-def test_run_determinism_and_worker_independence():
+def test_run_determinism_and_worker_independence(forks):
     sc = load_bundled("flat_torsion")
-    kwargs = dict(points=3, seed=5, only=["metricity", "lichnerowicz", "dirac-split"])
+    kwargs = dict(points=8, seed=5, only=["metricity", "lichnerowicz", "dirac-split"])
     a = run_suite(sc, **kwargs).to_json()
     b = run_suite(sc, **kwargs).to_json()
     assert a == b
     c = run_suite(sc, workers=2, **kwargs).to_json()
+    assert len(forks) == shard_children(2)
     assert a == c
 
 
@@ -618,18 +652,21 @@ SHARD_SCENARIOS = {
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("name", [*BUNDLED, *SHARD_SCENARIOS])
-def test_reports_identical_at_any_worker_count(name):
-    # 5 points give uneven shards
+def test_reports_identical_at_any_worker_count(name, forks):
+    # 29 points give uneven shards, and at each worker count one shard per
+    # worker: 29 // MIN_SHARD_POINTS = 7
     if name in SHARD_SCENARIOS:
         text, seed = SHARD_SCENARIOS[name]
         sc = fs.load_scenario(text)
     else:
         sc, seed = load_bundled(name), None
-    one = run_suite(sc, points=5, seed=seed)
+    one = run_suite(sc, points=29, seed=seed)
     if name in ("overflow", "non_finite_tetrad"):
         assert any(c.errors for c in one.checks)
     for workers in (2, 3, 7):
-        report = run_suite(sc, points=5, seed=seed, workers=workers)
+        forks.clear()
+        report = run_suite(sc, points=29, seed=seed, workers=workers)
+        assert len(forks) == shard_children(workers), workers
         assert report.to_json() == one.to_json(), workers
         assert report.to_text() == one.to_text(), workers
     _assert_no_child_left()
@@ -660,11 +697,11 @@ def _deadline(seconds):
 
 @needs_fork
 @pytest.mark.parametrize("shard", [0, 1])
-def test_exception_in_a_shard_is_reraised(monkeypatch, shard):
+def test_exception_in_a_shard_is_reraised(monkeypatch, forks, shard):
     # shard 0 runs in this process, shard 1 in a child; when this process
     # raises, the busy child is stopped, not waited for
     sc = load_bundled("minkowski")
-    pts = sample_points(sc, 4)
+    pts = sample_points(sc, 8)
 
     def check(ctx):
         if pts[shard] in ctx.points:
@@ -675,32 +712,36 @@ def test_exception_in_a_shard_is_reraised(monkeypatch, shard):
 
     _patched_check(monkeypatch, check)
     with _deadline(60), pytest.raises(KeyError, match="no such blade"):
-        run_suite(sc, points=4, only=["metricity", "patched"], workers=2)
+        run_suite(sc, points=8, only=["metricity", "patched"], workers=2)
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
 @needs_fork
-def test_child_that_exits_raises_runtime_error(monkeypatch):
+def test_child_that_exits_raises_runtime_error(monkeypatch, forks):
     sc = load_bundled("minkowski")
-    target = sample_points(sc, 4)[1]
+    target = sample_points(sc, 8)[1]
+    parent = os.getpid()
 
     def check(ctx):
-        if target in ctx.points:
+        # never in this process: os._exit would end the test session
+        if target in ctx.points and os.getpid() != parent:
             os._exit(7)
         return _zero_pairs(ctx)
 
     _patched_check(monkeypatch, check)
     with _deadline(60), pytest.raises(harness.WorkerError, match="^worker process exited with code 7$"):
-        run_suite(sc, points=4, only=["patched"], workers=2)
+        run_suite(sc, points=8, only=["patched"], workers=2)
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
 @needs_fork
-def test_killed_child_is_a_run_error(monkeypatch, capsys):
+def test_killed_child_is_a_run_error(monkeypatch, capsys, forks):
     # a worker that dies to a signal (the OOM killer sends SIGKILL) ends
     # the run with one stderr line and exit code 4, not a traceback
     sc = load_bundled("minkowski")
-    target = sample_points(sc, 4)[1]
+    target = sample_points(sc, 8)[1]
     parent = os.getpid()
 
     def check(ctx):
@@ -710,16 +751,17 @@ def test_killed_child_is_a_run_error(monkeypatch, capsys):
 
     _patched_check(monkeypatch, check)
     with _deadline(60):
-        code = cli_main(["run", "minkowski", "--points", "4", "--only", "patched", "--workers", "2"])
+        code = cli_main(["run", "minkowski", "--points", "8", "--only", "patched", "--workers", "2"])
     out = capsys.readouterr()
     assert code == 4
     assert out.out == ""
     assert out.err == "run error: worker process killed by signal 9 (SIGKILL)\n"
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
 @needs_fork
-def test_child_killed_while_sending_is_a_worker_error(monkeypatch):
+def test_child_killed_while_sending_is_a_worker_error(monkeypatch, forks):
     # a child killed partway through its message leaves a cut-short pickle
     def child(write_fd, shard):
         os.write(write_fd, pickle.dumps((True, harness._eval_shard(*shard), None))[:20])
@@ -730,7 +772,8 @@ def test_child_killed_while_sending_is_a_worker_error(monkeypatch):
     with _deadline(60), pytest.raises(
         harness.WorkerError, match=r"^worker process killed by signal 9 \(SIGKILL\)$"
     ):
-        run_suite(sc, points=4, only=["metricity"], workers=3)
+        run_suite(sc, points=12, only=["metricity"], workers=3)
+    assert len(forks) == 2
     _assert_no_child_left()
 
 
@@ -739,10 +782,52 @@ def _no_fork():
 
 
 def test_one_shard_forks_nothing(monkeypatch):
+    # below MIN_SHARD_POINTS points per worker, fewer shards than workers
     monkeypatch.setattr(os, "fork", _no_fork)
     sc = load_bundled("minkowski")
-    one = run_suite(sc, points=1, only=["metricity"]).to_json()
-    assert run_suite(sc, points=1, only=["metricity"], workers=3).to_json() == one
+    for points, workers in [(1, 3), (2, 2), (7, 2), (3, 7)]:
+        one = run_suite(sc, points=points, only=["metricity"]).to_json()
+        assert run_suite(sc, points=points, only=["metricity"], workers=workers).to_json() == one
+
+
+@needs_fork
+@pytest.mark.parametrize("points, workers, children", [(8, 2, 1), (12, 3, 2), (11, 7, 1), (29, 7, 6)])
+def test_shard_plan_forks_a_child_per_shard_after_the_first(forks, points, workers, children):
+    assert children == min(workers, max(1, points // harness.MIN_SHARD_POINTS)) - 1
+    sc = load_bundled("minkowski")
+    one = run_suite(sc, points=points, only=["metricity"]).to_json()
+    assert not forks
+    assert run_suite(sc, points=points, only=["metricity"], workers=workers).to_json() == one
+    assert len(forks) == children
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_worker_that_cannot_start_is_a_run_error(monkeypatch, capsys, call):
+    # the second of two children cannot be started (out of processes,
+    # memory or file descriptors): the first is killed and reaped, and no
+    # descriptor of the failed start is left open
+    real = getattr(os, call)
+    calls = []
+
+    def fails_second_time():
+        calls.append(call)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, call, fails_second_time)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    with _deadline(60):
+        code = cli_main(["run", "minkowski", "--points", "12", "--only", "metricity", "--workers", "3"])
+    out = capsys.readouterr()
+    assert code == 4
+    assert out.out == ""
+    assert out.err == f"run error: cannot start worker process: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+    assert calls == [call, call]
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    _assert_no_child_left()
 
 
 def test_shards_run_here_where_fork_is_off(monkeypatch):
@@ -757,16 +842,16 @@ def test_shards_run_here_where_fork_is_off(monkeypatch):
 
 
 def test_sharded_run_imports_no_multiprocessing():
-    code = (
+    code = _COUNT_FORKS + (
         "import sys, rcdirac\n"
         "print('multiprocessing' in sys.modules)\n"
         "sc = rcdirac.load_scenario_file(rcdirac.harness.resolve_scenario_path('curved_torsion'))\n"
-        "kw = dict(points=3, only=['metricity', 'lichnerowicz', 'spin-square-assembly'])\n"
+        "kw = dict(points=8, only=['metricity', 'lichnerowicz', 'spin-square-assembly'])\n"
         "two = rcdirac.run_suite(sc, workers=2, **kw).to_json()\n"
-        "print('multiprocessing' in sys.modules)\n"
+        "print('multiprocessing' in sys.modules, len(FORKS))\n"
         "print(two == rcdirac.run_suite(sc, **kw).to_json())\n"
     )
-    assert _fresh_interpreter(code) == "False\nFalse\nTrue\n"
+    assert _fresh_interpreter(code) == f"False\nFalse {shard_children(2)}\nTrue\n"
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -789,24 +874,26 @@ SIN_OF_INF_TETRAD = (
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_sin_of_infinity_is_a_point_error(capsys, tmp_path):
+def test_sin_of_infinity_is_a_point_error(capsys, tmp_path, forks):
     sc = fs.load_scenario(SIN_OF_INF_TETRAD)
-    pts = sample_points(sc, points=5)
+    pts = sample_points(sc, points=8)
     bad = [p.x for p in pts if p.x[1] > 0.507]
     assert 0 < len(bad) < len(pts)
-    one = run_suite(sc, points=5, only=["metricity"])
+    one = run_suite(sc, points=8, only=["metricity"])
     (check,) = one.checks
     assert not check.passed and check.max is not None   # the other points ran
     domain = [(x, msg) for x, msg in check.errors if msg.startswith("ValueError")]
     assert domain == [(x, "ValueError: math domain error") for x in bad]
-    assert run_suite(sc, points=5, only=["metricity"], workers=2).to_text() == one.to_text()
+    assert run_suite(sc, points=8, only=["metricity"], workers=2).to_text() == one.to_text()
+    assert len(forks) == shard_children(2)
     path = tmp_path / "sin.scn"
     path.write_text(SIN_OF_INF_TETRAD)
     for workers in ("1", "2"):
-        assert cli_main(["run", str(path), "--points", "5", "--only", "metricity", "--workers", workers]) == 1
+        assert cli_main(["run", str(path), "--points", "8", "--only", "metricity", "--workers", workers]) == 1
         out = capsys.readouterr()
         assert out.out == one.to_text()
         assert "ERROR metricity point=(" in out.out and "scenario error" not in out.err
+    assert len(forks) == 2 * shard_children(2)
 
 
 def test_point_hooks_run_once_per_point(monkeypatch):
@@ -840,11 +927,11 @@ def test_point_hooks_run_once_per_point(monkeypatch):
     assert calls["check"] == [tuple(sample_points(sc, points=3))]
 
 
-def test_check_error_stays_at_its_point(monkeypatch):
+def test_check_error_stays_at_its_point(monkeypatch, forks):
     # a check that fails on a batch holding one point is run point by
     # point, so the error reaches only that point
     sc = load_bundled("minkowski")
-    pts = sample_points(sc, 4)
+    pts = sample_points(sc, 16)
 
     def check(ctx):
         if pts[2] in ctx.points:
@@ -852,11 +939,12 @@ def test_check_error_stays_at_its_point(monkeypatch):
         return _zero_pairs(ctx)
 
     _patched_check(monkeypatch, check)
-    one = run_suite(sc, points=4, only=["patched"])
+    one = run_suite(sc, points=16, only=["patched"])
     (c,) = one.checks
     assert c.errors == [(pts[2].x, "GradeError: field must be pure grade 1")]
     assert c.max == 0.0
-    assert run_suite(sc, points=4, only=["patched"], workers=4).to_json() == one.to_json()
+    assert run_suite(sc, points=16, only=["patched"], workers=4).to_json() == one.to_json()
+    assert len(forks) == shard_children(4)
 
 
 def test_point_residuals_reduce_each_point_over_every_pair():
