@@ -24,22 +24,24 @@ Scalar ring and stacks
 ----------------------
 Coefficients are order-2 jets (``jets.Jet2``); a plain number is a jet with
 zero derivatives.  A multivector stores them as one float64 array ``data``
-of shape (..., 16, 15), blade by jet slot, with one jet ``order`` for the
-whole array.  Leading axes, when present, are stack axes: a (4, 16, 15)
-multivector holds one item per frame direction, a (4, 4, 16, 15) one per
-direction pair, and indexing (``X[a]``, ``grid[a, b]``) picks items.
-Constant coefficients give the order ``jets.CONSTANT``, which no derivative
-uses up.
+of shape (..., 16, w), blade by jet slot, with one jet ``order`` for the
+whole array, and stores ``w = jets.width(order)`` slots: 15 at order 2 and
+for constants, 5 below.  Leading axes, when present, are stack axes: a
+(4, 16, w) multivector holds one item per frame direction, a (4, 4, 16, w)
+one per direction pair, and indexing (``X[a]``, ``grid[a, b]``) picks
+items.  Constant coefficients give the order ``jets.CONSTANT``, which no
+derivative uses up.
 
 Each product type is one kernel: its sign table, rearranged so that row
 (k, j) holds the signs of the left blades paired with right blade j in
 output blade k, gathers the signed left factors in one matmul, and two more
 matmuls take the jet products through ``jets.MUL`` and sum them.  The
 kernels follow the slot contract of ``jets``: the result has the lower
-operand order, and below order 2 the matmuls run on the first 5 jet
-slots only, with exact zeros written above the result's slots; so do
+operand order and stores its width, the matmuls run on that width, and a
+15-slot operand (order 2 or constant) is cut to it where it meets one of
+lower order; so do
 ``product_sum`` and scaling by a jet.  A sum or difference of operands of
-different orders clears the slots above the lower one.  Stack
+different orders has the lower order's width.  Stack
 axes broadcast like numpy's, so ``geometric_product(X[:, None], Y[None])``
 is the whole (a, b) grid of products, each operand expanded once.  The
 commutator has its own table, GP[k, i, j] - GP[k, j, i], so blades that
@@ -50,7 +52,7 @@ other operand's rows.  These matrices are built at import time for the
 coframe theta^a (``THETA_GP``, ``THETA_WEDGE``, ``THETA_LC``), the pairs
 theta^a theta^b = eta^ab + theta^a ^ theta^b (``THETA_PAIR``), the planes
 theta^a ^ theta^b (``PLANE_GP``) and the Hodge dual (``HODGE``), so a frame
-sum such as sum_a theta^a X[a] is one (16, 64) @ (64, 15) matmul
+sum such as sum_a theta^a X[a] is one (16, 64) @ (64, w) matmul
 (``blade_sum`` with a table's row form, e.g. ``THETA_GP_ROWS``).
 ``product_sum`` does the same for a sum of products of two jet stacks,
 sum_i A[i] B[i].
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import CONSTANT, JET_LEN, Jet2, clear_above, mul_matrix, padded, width
+from .jets import CONSTANT, JET_LEN, Jet2, clear_above, mul_matrix, width
 
 N_GENERATORS = 4
 N_BLADES = 16
@@ -197,16 +199,19 @@ class Multivector:
         coeffs = list(coeffs)
         if len(coeffs) != N_BLADES:
             raise ValueError(f"need {N_BLADES} coefficients, got {len(coeffs)}")
-        data = np.zeros((N_BLADES, JET_LEN))
         order = CONSTANT
         for i, c in enumerate(coeffs):
             if isinstance(c, Jet2):
-                data[i] = c.data
                 order = min(order, c.order)
-            elif isinstance(c, _NUMERIC):
-                data[i, 0] = c
-            else:
+            elif not isinstance(c, _NUMERIC):
                 raise TypeError(f"coefficient {i} is {type(c).__name__}, not a number or Jet2")
+        n = width(order)
+        data = np.zeros((N_BLADES, n))
+        for i, c in enumerate(coeffs):
+            if isinstance(c, Jet2):
+                data[i] = c.data[:n]
+            else:
+                data[i, 0] = c
         self.data = clear_above(data, order)
         self.order = order
 
@@ -214,9 +219,12 @@ class Multivector:
 
     @classmethod
     def from_array(cls, data: np.ndarray, order) -> "Multivector":
-        """Wrap a (..., 16, 15) blade-by-jet-slot array (not copied)."""
-        if data.shape[-2:] != (N_BLADES, JET_LEN):
-            raise ValueError(f"multivector data must have shape (..., {N_BLADES}, {JET_LEN})")
+        """Wrap a (..., 16, width(order)) blade-by-jet-slot array (not copied)."""
+        if data.shape[-2:] != (N_BLADES, width(order)):
+            raise ValueError(
+                f"multivector data of order {order} must have shape (..., {N_BLADES}, {width(order)}), "
+                f"got {data.shape}"
+            )
         mv = cls.__new__(cls)
         mv.data = data
         mv.order = order
@@ -255,7 +263,8 @@ class Multivector:
 
     @property
     def coeffs(self) -> "Coefficients":
-        """The 16 coefficients as ``Jet2`` values, a read-only view of ``data``."""
+        """The 16 coefficients as ``Jet2`` values of 15 slots each, zero above
+        the order; read-only views of ``data`` at order 2 and for constants."""
         return Coefficients(self)
 
     def is_numeric(self) -> bool:
@@ -269,7 +278,7 @@ class Multivector:
     def max_abs(self):
         """Largest coefficient value at each point, (P,): a NaN-propagating
         max over every axis but the point axis, the innermost stack axis.
-        A single multivector (16, 15) gives one number."""
+        A single multivector (16, w) gives one number."""
         values = np.abs(self.data[..., 0])
         if values.ndim == 1:
             return values.max()
@@ -278,7 +287,7 @@ class Multivector:
     def __getitem__(self, index) -> "Multivector":
         """Item or sub-stack of the leading stack axes."""
         data = self.data[index]
-        if data.shape[-2:] != (N_BLADES, JET_LEN):
+        if data.shape[-2:] != self.data.shape[-2:]:
             raise IndexError("index reaches past the stack axes of a multivector")
         return Multivector.from_array(data, self.order)
 
@@ -303,7 +312,7 @@ class Multivector:
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return _linear(self.data + other.data, self.order, other.order)
+        return _linear(np.add, self, other)
 
     def __radd__(self, other):
         # 0 + A, so that the builtin sum() adds multivectors
@@ -314,26 +323,28 @@ class Multivector:
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return _linear(self.data - other.data, self.order, other.order)
+        return _linear(np.subtract, self, other)
 
     def __neg__(self):
         return Multivector.from_array(-self.data, self.order)
 
     def scale(self, s, order=2) -> "Multivector":
         """Multiply every coefficient by a number, a ``Jet2``, or a bare jet
-        array (..., 15) of jet order ``order``, whose leading axes broadcast
-        against the stack axes: jets (P, 15) scale each point's items."""
+        array (..., width(order)) of jet order ``order``, whose leading axes
+        broadcast against the stack axes: jets (P, w) scale each point's
+        items."""
         if isinstance(s, _NUMERIC):
             return Multivector.from_array(self.data * s, self.order)
         if isinstance(s, Jet2):
             jet, order = s.data, s.order
         else:
             jet = np.asarray(s, dtype=np.float64)
-            if jet.shape[-1:] != (JET_LEN,):
-                raise TypeError(f"cannot scale a multivector by {type(s).__name__}")
+            if jet.shape[-1:] != (width(order),):
+                raise TypeError(f"cannot scale a multivector by {type(s).__name__} of shape {jet.shape} "
+                                f"as jets of order {order}")
         order = min(self.order, order)
         n = width(order)
-        return Multivector.from_array(padded(self.data[..., :n] @ mul_matrix(jet, n), order), order)
+        return Multivector.from_array(clear_above(self.data[..., :n] @ mul_matrix(jet, n), order), order)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -346,13 +357,15 @@ class Multivector:
         return self.scale(other)
 
 
-def _linear(data: np.ndarray, order_a, order_b) -> Multivector:
-    """A sum or difference of two operands: the higher-order one may fill
-    slots above the result's order, which are cleared."""
-    if order_a == order_b:
-        return Multivector.from_array(data, order_a)
-    order = min(order_a, order_b)
-    return Multivector.from_array(clear_above(data, order), order)
+def _linear(op, a: Multivector, b: Multivector) -> Multivector:
+    """A sum or difference of two operands at the lower order's width: the
+    wider operand is cut to it, and the slots that an order-1 operand fills
+    above an order-0 result are cleared."""
+    if a.order == b.order:
+        return Multivector.from_array(op(a.data, b.data), a.order)
+    order = min(a.order, b.order)
+    n = width(order)
+    return Multivector.from_array(clear_above(op(a.data[..., :n], b.data[..., :n]), order), order)
 
 
 _NOT_GRADE = tuple(np.array(GRADES) != k for k in range(5))
@@ -360,7 +373,8 @@ _NOT_GRADE = tuple(np.array(GRADES) != k for k in range(5))
 
 class Coefficients:
     """Read-only sequence of a multivector's coefficients; each item is a
-    ``Jet2`` whose data is a row of the multivector's array."""
+    ``Jet2`` of 15 slots: a row of the multivector's array, or a copy of
+    a narrower row with zeros above it."""
 
     __slots__ = ("_rows", "_order")
 
@@ -375,7 +389,10 @@ class Coefficients:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(N_BLADES))]
-        return Jet2(self._rows[i], self._order)
+        row = self._rows[i]
+        if row.shape[-1] < JET_LEN:
+            row = np.concatenate((row, np.zeros(JET_LEN - row.shape[-1])))
+        return Jet2(row, self._order)
 
 
 def _product(a: Multivector, b: Multivector, table: np.ndarray) -> Multivector:
@@ -383,7 +400,7 @@ def _product(a: Multivector, b: Multivector, table: np.ndarray) -> Multivector:
     n = width(order)
     left = (table @ a.data[..., :n]).reshape(a.data.shape[:-2] + (N_BLADES, N_BLADES * n))
     right = mul_matrix(b.data, n).reshape(b.data.shape[:-2] + (N_BLADES * n, n))
-    return Multivector.from_array(padded(left @ right, order), order)
+    return Multivector.from_array(clear_above(left @ right, order), order)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -421,7 +438,7 @@ def product_sum(a: Multivector, b: Multivector, table: np.ndarray = GP_TABLE) ->
     left = left.transpose(points + (left.ndim - 2, 0, left.ndim - 1))
     right = right.transpose(points + (0, right.ndim - 2, right.ndim - 1))
     prod = left.reshape(left.shape[:-2] + (-1,)) @ right.reshape(right.shape[:-3] + (-1, n))
-    return Multivector.from_array(padded(prod, order), order)
+    return Multivector.from_array(clear_above(prod, order), order)
 
 
 def blade_sum(rows: np.ndarray, x: Multivector) -> Multivector:
@@ -429,9 +446,9 @@ def blade_sum(rows: np.ndarray, x: Multivector) -> Multivector:
     a stack, as one matmul per point; ``rows`` is the row form of the B_i's
     product matrices (e.g. ``THETA_GP_ROWS``), whose items are all of x's
     stack axes but the point axis."""
-    points = x.data.shape[-3]
-    data = x.data.reshape(-1, points, N_BLADES * JET_LEN).swapaxes(0, 1)
-    return Multivector.from_array(rows @ data.reshape(points, -1, JET_LEN), x.order)
+    points, n = x.data.shape[-3], x.data.shape[-1]
+    data = x.data.reshape(-1, points, N_BLADES * n).swapaxes(0, 1)
+    return Multivector.from_array(rows @ data.reshape(points, -1, n), x.order)
 
 
 def blade_products(matrices: np.ndarray, x: Multivector) -> Multivector:
@@ -465,9 +482,9 @@ def hodge_dual(a: Multivector) -> Multivector:
 
 
 def bivector_array(pairs: np.ndarray) -> np.ndarray:
-    """Multivector arrays (..., P, 16, 15) whose bivector coefficients are
-    ``pairs[..., a, b, :, :]`` for a < b, from jet tables (..., 4, 4, P, 15)."""
-    out = np.zeros(pairs.shape[:-4] + pairs.shape[-2:-1] + (N_BLADES, JET_LEN))
+    """Multivector arrays (..., P, 16, w) whose bivector coefficients are
+    ``pairs[..., a, b, :, :]`` for a < b, from jet tables (..., 4, 4, P, w)."""
+    out = np.zeros(pairs.shape[:-4] + pairs.shape[-2:-1] + (N_BLADES, pairs.shape[-1]))
     out[..., 5:11, :] = pairs[..., _PLANE_A, _PLANE_B, :, :].swapaxes(-3, -2)
     return out
 

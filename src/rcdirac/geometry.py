@@ -18,23 +18,24 @@ holds identically (checked at build time).
 
 A frame is built at P chart points at once (``build_frame`` takes one point
 or a sequence of them).  Every table is a float64 array of jets with the
-jet slot last (the layout of ``jets``) and the point axis just before it:
-``tetrad`` and ``frame_vectors`` are (4, 4, P, 15), connection-like tables
-and the torsion (4, 4, 4, P, 15), curvature components (4, 4, 4, 4, P, 15),
-and ``derivations`` (4, P, 15, 15).  Products of tables are index
-contractions through ``jets.jet_einsum`` with the point axis as its batch
-axis, and a directional derivative is one matmul per point,
-``e_a(f) = f @ derivations[a]``.
-Tables follow the slot contract of ``jets``: the structure coefficients,
-the Levi-Civita and full connections and the connection biforms have order
-``CONN_ORDER`` (1), the curvature tables ``CURV_ORDER`` (0), and each is
-computed on the slots its order defines, with zeros above.
+jet slot last (the layout of ``jets``) and the point axis just before it,
+and follows the slot contract of ``jets``: it stores the ``width`` of its
+jet order.  ``tetrad``, ``frame_vectors`` and the torsion ``T`` have order
+``FRAME_ORDER`` (2): (4, 4, P, 15) and (4, 4, 4, P, 15).  The structure
+coefficients, the contorsion, the Levi-Civita and full connections and the
+connection biforms have order ``CONN_ORDER`` (1), and the curvature tables
+``CURV_ORDER`` (0): connection-like tables are (4, 4, 4, P, 5), curvature
+components (4, 4, 4, 4, P, 5).  Products of tables are index contractions
+through ``jets.jet_einsum`` with the point axis as its batch axis, and a
+directional derivative is one matmul per point, ``e_a(f) = f @ D[a]``,
+with ``D = derivations[n]`` (4, P, n, 5) the contiguous block for jets f
+of width n.
 Multivector-valued data are direction stacks with the point axis
-innermost: the connection biforms are (4, P, 16, 15) multivectors indexed by
+innermost: the connection biforms are (4, P, 16, 5) multivectors indexed by
 a, the coframe a (4, 1, 16, 15) stack that broadcasts over the points, the
-curvature biforms a (4, 4, P, 16, 15) grid, and the torsion operator
-tau(e_a, .) is one (16, 60) jet matrix per point, ``tau`` (P, 16, 60),
-acting on the four vector coefficients.
+curvature biforms a (4, 4, P, 16, 5) grid, and the torsion operator
+tau(e_a, .) is one (16, 4 n) jet matrix per point for vector jets of width
+n, ``tau[n]`` (P, 16, 4 n), acting on the four vector coefficients.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ import numpy as np
 
 from .cliffalg import PLANE_GP_ROWS, Multivector, bivector_array, blade_sum, commutator, grade_project
 from .fieldspec import TORSION_UPPER, Scenario
-from .jets import (
-    CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, clear_above, derivation_matrices, derivative, jet_einsum,
-    slots,
-)
+from .jets import CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, derivation_matrices, derivative, jet_einsum, width
 
 ETA = (1.0, -1.0, -1.0, -1.0)
 _ETA = np.array(ETA)
@@ -111,16 +109,16 @@ class FrameGeometry:
     points: tuple                # the P chart points
     tetrad: np.ndarray           # theta^a_mu, (4, 4, P, 15), rows a
     frame_vectors: np.ndarray    # e_a^mu, (4, 4, P, 15), rows a
-    derivations: np.ndarray      # (4, P, 15, 15): e_a(f) = f @ derivations[a]
+    derivations: dict            # {n: (4, P, n, 5)}: e_a(f) = f @ derivations[n][a], f of width n
     det: np.ndarray              # jets (P, 15) of det theta^a_mu
-    c: np.ndarray                # structure coefficients c[c][a][b]
-    T: np.ndarray                # torsion T[c][a][b]
-    lc: np.ndarray               # Levi-Civita conn[a][b][c]
-    K: np.ndarray                # contorsion conn[a][b][c]
-    full: np.ndarray             # full connection conn[a][b][c]
-    tau: np.ndarray              # (P, 16, 60): tau(e_a, V)^r from V's vector jets
+    c: np.ndarray                # structure coefficients c[c][a][b], (4, 4, 4, P, 5)
+    T: np.ndarray                # torsion T[c][a][b], (4, 4, 4, P, 15)
+    lc: np.ndarray               # Levi-Civita conn[a][b][c], (4, 4, 4, P, 5)
+    K: np.ndarray                # contorsion conn[a][b][c], (4, 4, 4, P, 5)
+    full: np.ndarray             # full connection conn[a][b][c], (4, 4, 4, P, 5)
+    tau: dict                    # {n: (P, 16, 4 n)}: tau(e_a, V)^r from V's vector jets of width n
     theta: Multivector           # coframe one-forms, (4, 1, 16, 15) stack
-    omega_biform: Multivector    # full-connection biforms omega_{e_a}, (4, P, 16, 15)
+    omega_biform: Multivector    # full-connection biforms omega_{e_a}, (4, P, 16, 5)
     lc_biform: Multivector       # Levi-Civita biforms, stack
     contorsion_biform: Multivector  # omega - lc biforms, stack
     # operator results shared by the checks at these points (see operators)
@@ -141,22 +139,23 @@ class CurvatureData:
     """Curvature of the full connection plus its Levi-Civita part and the
     contorsion-induced difference, at the points of a frame."""
 
-    components: np.ndarray       # R^a_{bcd}, full connection, (4, 4, 4, 4, P, 15)
+    components: np.ndarray       # R^a_{bcd}, full connection, (4, 4, 4, 4, P, 5)
     lc_components: np.ndarray    # same for Levi-Civita
-    biforms: Multivector         # (4, 4, P, 16, 15) grid [c, d], plane indices lowered
-    scalar: np.ndarray           # jets (P, 15), grade-0 part of the biform contraction
+    biforms: Multivector         # (4, 4, P, 16, 5) grid [c, d], plane indices lowered
+    scalar: np.ndarray           # jets (P, 5), grade-0 part of the biform contraction
     contraction_grade2: Multivector
     contraction_grade4: Multivector
     j_components: np.ndarray     # J^a_{bcd} = (R - R_lc)^a_{bcd}, from contorsion
     j_form: Multivector          # grade-4 term as it enters the squared operator
 
 
-def _derive(derivations: np.ndarray, table: np.ndarray, order) -> np.ndarray:
-    """e_c of every entry of a jet table (..., P, 15), c on a new leading
-    axis, at the result order ``order``: one matmul per point."""
-    t = table.reshape(-1, table.shape[-2], JET_LEN).swapaxes(0, 1)
-    d = derivative(t, derivations, order)                       # (4, P, N, 15)
-    return d.swapaxes(1, 2).reshape((4,) + table.shape)
+def _derive(derivations: dict, table: np.ndarray, order) -> np.ndarray:
+    """e_c of every entry of a jet table (..., P, n), c on a new leading
+    axis, at the result order ``order`` <= 1: one matmul per point."""
+    n = table.shape[-1]
+    t = table.reshape(-1, table.shape[-2], n).swapaxes(0, 1)
+    d = derivative(t, derivations[width(order + 1)], order)      # (4, P, N, 5)
+    return d.swapaxes(1, 2).reshape((4,) + table.shape[:-1] + (d.shape[-1],))
 
 
 # -- tetrad ---------------------------------------------------------------
@@ -221,11 +220,14 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     T[_T_C, _T_B, _T_A] = -upper
     _require_finite(T, "the torsion", points)
 
-    derivations = derivation_matrices(frame_vectors)
+    # the derivative of an order-2 jet has order 1: its 5 slots take all
+    # 15 slots of the jet, those of an order-1 jet's derivative its 5
+    wide = derivation_matrices(frame_vectors, width(CONN_ORDER))
+    derivations = {JET_LEN: wide, width(CONN_ORDER): np.ascontiguousarray(wide[..., :width(CONN_ORDER), :])}
     c_t = structure_coefficients(theta_mat, frame_vectors, derivations)
     lc = levi_civita(c_t)
-    K = contorsion(T)
-    full = clear_above(lc + K, CONN_ORDER)
+    K = contorsion(T[..., :width(CONN_ORDER)])
+    full = lc + K
 
     geom = FrameGeometry(
         points=points,
@@ -255,13 +257,17 @@ def _require_finite(table: np.ndarray, what: str, points):
         raise NonFiniteFrameError(points[int(np.argmin(finite))], what)
 
 
-def torsion_matrix(T) -> np.ndarray:
-    """tau[p, (a, r), (b, s)] = eta_r eta_b T^r_{ab}[p, s]: with V's vector
-    jets v (P, 4, 15) at the P points, row (a, r) of
-    ``tau @ mul_matrix(v).reshape(P, 60, 15)`` is the theta^r coefficient
-    of the torsion operator tau(e_a, V)^r = V^b T^r_{ab}."""
+def torsion_matrix(T) -> dict:
+    """{n: tau[p, (a, r), (b, s)] = eta_r eta_b T^r_{ab}[p, s]} for the
+    kernel widths n, s < n: with V's vector jets v (P, 4, n) at the P
+    points, row (a, r) of ``tau[n] @ mul_matrix(v, n).reshape(P, 4 n, n)``
+    is the theta^r coefficient of the torsion operator
+    tau(e_a, V)^r = V^b T^r_{ab} on its first n slots."""
     tau = np.einsum("r,b,rabps->parbs", _ETA, _ETA, T)
-    return tau.reshape(tau.shape[0], 16, 4 * JET_LEN)
+    return {
+        n: np.ascontiguousarray(tau[..., :n]).reshape(tau.shape[0], 16, 4 * n)
+        for n in (JET_LEN, width(CONN_ORDER))
+    }
 
 
 def structure_coefficients(theta_mat, frame_vectors, derivations):
@@ -297,17 +303,16 @@ def contorsion(T):
 
 def connection_biforms(conn):
     """Biforms omega_{e_a} = L_abc theta^b ^ theta^c / 2 with L the lowered
-    (antisymmetric-pair) coefficients, a (4, P, 16, 15) stack."""
+    (antisymmetric-pair) coefficients, a (4, P, 16, 5) stack."""
     low = _ETA[None, :, None, None, None] * conn
-    pairs = bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3, 4)))
-    return Multivector.from_array(clear_above(pairs, CONN_ORDER), CONN_ORDER)
+    return Multivector.from_array(bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3, 4))), CONN_ORDER)
 
 
 def _calibrate_biforms(geom: FrameGeometry):
     """Abort if [omega_a, theta^b]/2 fails to reproduce -conn[a][b][c] theta^c."""
     resid = 0.5 * commutator(geom.omega_biform[:, None], geom.theta[None]).data   # [a, b]
     resid[..., 1:5, :] += np.moveaxis(geom.full, 2, 3)
-    worst = np.abs(resid[..., :slots(CONN_ORDER)]).max(axis=(0, 1, 3, 4))
+    worst = np.abs(resid).max(axis=(0, 1, 3, 4))
     for point, w in zip(geom.points, worst.tolist()):
         if not w <= _CALIBRATION_TOL:
             raise GeometryError(
@@ -317,8 +322,9 @@ def _calibrate_biforms(geom: FrameGeometry):
 
 def torsion_two_forms(geom: FrameGeometry):
     """The four torsion 2-forms Theta^rho = T^rho_{ab} theta^a ^ theta^b / 2,
-    as a (4, P, 16, 15) stack indexed by rho."""
-    return Multivector.from_array(bivector_array(geom.T), FRAME_ORDER)
+    as a (4, P, 16, 5) stack indexed by rho, at ``CONN_ORDER``: each of
+    their consumers pairs them with first derivatives, of order 1."""
+    return Multivector.from_array(bivector_array(geom.T[..., :width(CONN_ORDER)]), CONN_ORDER)
 
 
 # -- curvature -------------------------------------------------------------
@@ -359,8 +365,8 @@ def j_components(geom: FrameGeometry):
 def j_quadriform(J) -> Multivector:
     """Grade-4 torsion-curvature term, normalized as it enters the squared
     spin-Dirac identity: (1/8) sum J_{abcd} eps^{abcd} e0123 with the first
-    index lowered; a (P, 16, 15) stack."""
-    data = np.zeros(J.shape[-2:-1] + (16, JET_LEN))
+    index lowered; a (P, 16, 5) stack."""
+    data = np.zeros(J.shape[-2:-1] + (16, J.shape[-1]))
     data[..., 15, :] = np.einsum("abcd,abcd...->...", 0.125 * _ETA[:, None, None, None] * EPSILON, J)
     return Multivector.from_array(data, CURV_ORDER)
 
@@ -405,5 +411,6 @@ def lowered(conn) -> np.ndarray:
 
 def torsion_trace(geom: FrameGeometry) -> np.ndarray:
     """Q_b = T^a_{ab}, the torsion trace entering scalar square formulas:
-    jets (4, P, 15), indexed by b."""
-    return np.einsum("aab...->b...", geom.T)
+    jets (4, P, 5) at ``CONN_ORDER``, indexed by b; it meets connection
+    tables and first derivatives only."""
+    return np.einsum("aab...->b...", geom.T[..., :width(CONN_ORDER)])

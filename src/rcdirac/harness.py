@@ -498,7 +498,9 @@ def _c_metricity(ctx):
     "antisymmetrized connection minus frame structure coefficients reproduces the torsion input",
 )
 def _c_torsion_recovery(ctx):
-    return [(geometry.connection_torsion(ctx.geom, ctx.geom.full), ctx.geom.T)]
+    recovered = geometry.connection_torsion(ctx.geom, ctx.geom.full)
+    # the input torsion at the connection's width
+    return [(recovered, ctx.geom.T[..., :recovered.shape[-1]])]
 
 
 @_check(
@@ -907,8 +909,9 @@ def _eval_task(args):
 
 
 # The most points evaluated as one batch.  A batch keeps its operator
-# results until its last check has run, about 1.4 MB per point, and
-# batches above about 16 points run no faster per point.
+# results and tables until its last check has run, about 0.45 MB per point
+# (32-point batch of curved_torsion), and batches above about 16 points
+# run little faster per point.
 BATCH_POINTS = 32
 
 # The fewest points a forked shard is given.  Most of a batch's cost does
@@ -1229,10 +1232,32 @@ def _build_parser():
     return parser
 
 
+def _attach_tolerance(argv) -> list:
+    """argv with a number after ``--tol`` attached to it, ``--tol -1e-8`` as
+    ``--tol=-1e-8``: argparse takes a token that starts with '-' for an
+    option unless it is a plain negative number such as -1 or -0.5, so
+    ``-1e-8`` or ``-inf`` would not reach the tolerance check."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--tol" and _is_number(arg):
+            out[-1] = f"--tol={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def cli_main(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_attach_tolerance(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -15,12 +15,13 @@ many derivative extractions the jet can still support: seeded jets start at
 order 2, each ``partial`` lowers the order by one, and extracting from an
 order-0 jet is an error.
 
-The same slot layout is the last axis of every array in the engine, and
-the arrays of a frame hold P chart points with the point axis just before
-the slot axis: a multivector is a (P, 16, 15) array (point x blade x slot),
-and the geometry tables are (4, 4, P, 15), (4, 4, 4, P, 15) or
-(4, 4, 4, 4, P, 15) arrays.  Whole arrays multiply through one bilinear
-table, ``MUL``: the jet product is
+The same slot layout, cut to the width of the jets' order (see the slot
+contract below), is the last axis of every array in the engine, and the
+arrays of a frame hold P chart points with the point axis just before the
+slot axis: a multivector is a (P, 16, w) array (point x blade x slot), and
+the geometry tables are (4, 4, P, w), (4, 4, 4, P, w) or
+(4, 4, 4, 4, P, w) arrays, w = 15 or 5.  Whole arrays multiply through
+one bilinear table, ``MUL``: the jet product is
 ``(a * b)[u] = sum_{s,t} a[s] b[t] MUL[s, t, u]``, so ``a @ mul_matrix(b)``
 multiplies any stack of jets ``a`` by the jet ``b``, and ``jet_einsum``
 contracts jet tables over named indices, item by item along a batch axis
@@ -30,15 +31,17 @@ jets with ``mul_packed``, ``mul_const`` and ``compose``.
 
 Slot contract: a jet of order r is defined by its slots of degree <= r,
 ``slots(r)`` of them: slot 0 at order 0, slots 0-4 at order 1, all 15 at
-order 2 and for constants.  A slot of degree d of a product or a
-derivative takes only operand slots of degree <= d (the Leibniz rule), so
-a kernel whose result has order <= 1 reads only the operand slots that
-feed it, runs its dense matmuls on those (``width``: 5 slots below order 2,
-15 at order 2, with one ``MUL`` block per width) and writes exact zeros
-above its result's slots (``padded``).  ``mul_matrix``, ``jet_einsum`` and
-``derivative`` take the result's order or width; the Clifford products,
-``product_sum``, ``Multivector.scale``, ``operators.pfaffs``, the torsion
-operator and the geometry tables are built on them.
+order 2 and for constants.  A jet array stores ``width(r)`` slots: 5 below
+order 2 (an order-0 jet keeps slots 1-4 as exact zeros) and 15 at order 2
+and for constants, so the last axis of every array of jets is the width of
+its order.  A slot of degree d of a product or a derivative takes only
+operand slots of degree <= d (the Leibniz rule), so a kernel runs its dense
+matmuls on its result's width and returns an array of that width, with
+one ``MUL`` block per width; it reads a slice of an operand only where a
+15-slot operand (order 2 or constant) meets one of lower order.  ``mul_matrix``, ``jet_einsum``
+and ``derivative`` take the result's order or width; the Clifford
+products, ``product_sum``, ``Multivector.scale``, ``operators.pfaffs``, the
+torsion operator and the geometry tables are built on them.
 """
 
 from __future__ import annotations
@@ -99,11 +102,12 @@ def slots(order) -> int:
 
 
 def width(order) -> int:
-    """Number of slots a kernel computes for a result of this order: 5 below
-    order 2, else 15.  An order-0 result is computed on 5 slots and cut to
-    1: at one slot the last contraction of a kernel would be a
-    matrix-vector product, which numpy hands to BLAS gemv or dot, and those
-    round differently from the gemm that the full-width kernels used."""
+    """Number of slots a jet array of this order stores, and a kernel
+    computes: 5 below order 2, else 15.  An order-0 array keeps 5 slots,
+    with slots 1-4 exact zeros: at one slot the last contraction of a
+    kernel would be a matrix-vector product, which numpy hands to BLAS gemv
+    or dot, and those round differently from the gemm of the wider
+    kernels."""
     return SLOTS[1] if order < 2 else JET_LEN
 
 
@@ -120,6 +124,10 @@ for _mu in range(NVARS):
     PARTIALS[1 + _mu, _mu, 0] = 1.0
     PARTIALS[5 + HESS_ROW[_mu], _mu, 1:5] = np.eye(NVARS)
 PARTIALS = PARTIALS.reshape(JET_LEN, NVARS * JET_LEN)
+# the columns (mu, t < n) of PARTIALS, one block per kernel width
+_PARTIALS = {
+    n: PARTIALS.reshape(JET_LEN, NVARS, JET_LEN)[:, :, :n].reshape(JET_LEN, NVARS * n) for n in SLOTS[1:]
+}
 
 
 class JetOrderError(ValueError):
@@ -266,35 +274,27 @@ def mul_const(a: np.ndarray, c: float) -> np.ndarray:
 
 
 def mul_matrix(b: np.ndarray, n: int = JET_LEN) -> np.ndarray:
-    """Jets (..., 15) -> matrices (..., n, n) with ``a * b == a @ mul_matrix(b)``
-    on the first n slots, n a kernel width (5 or 15); only slots :n of ``b``
-    are read."""
+    """Jets (..., m) -> matrices (..., n, n) with ``a * b == a @ mul_matrix(b)``
+    on the first n slots, n a kernel width (5 or 15) and m >= n; only slots
+    :n of ``b`` are read."""
     return (b[..., :n] @ _MUL_RIGHT[n]).reshape(b.shape[:-1] + (n, n))
 
 
-def padded(x: np.ndarray, order) -> np.ndarray:
-    """Kernel output jets (..., n) -> (..., 15) holding the slots that
-    ``order`` defines; the slots above are exact zeros."""
-    n = slots(order)
-    if n == x.shape[-1] == JET_LEN:
-        return x
-    out = np.zeros(x.shape[:-1] + (JET_LEN,))
-    out[..., :n] = x[..., :n]
-    return out
-
-
 def clear_above(x: np.ndarray, order) -> np.ndarray:
-    """Zero the slots of the jets x above ``order``, in place; returns x."""
-    x[..., slots(order):] = 0.0
+    """Zero the slots of the jets x (..., width(order)) above the ones
+    ``order`` defines, in place, and return x: slots 1-4 at order 0, the
+    only order whose width holds more slots than it defines."""
+    if order < 1:
+        x[..., 1:] = 0.0
     return x
 
 
-def derivative(f: np.ndarray, derivations: np.ndarray, order) -> np.ndarray:
-    """Jets e(f) = f @ derivations at a result order one below f's: only the
-    slots of f that feed the result's slots are read, and the slots above
-    ``order`` are zero."""
-    n_in, n = width(order + 1), width(order)
-    return padded(f[..., :n_in] @ derivations[..., :n_in, :n], order)
+def derivative(f: np.ndarray, matrices: np.ndarray, order) -> np.ndarray:
+    """Jets e(f) = f @ matrices at a result order ``order`` <= 1, one below
+    f's: ``matrices`` (..., n, 5) is the block of ``derivation_matrices``
+    for input width n = width(order + 1), and only the first n slots of f
+    are read."""
+    return clear_above(f[..., :matrices.shape[-2]] @ matrices, order)
 
 
 @lru_cache(maxsize=None)
@@ -327,10 +327,10 @@ def jet_einsum(spec: str, x: np.ndarray, y: np.ndarray, order=CONSTANT) -> np.nd
     summed, unless the output has it too: that one letter (at most) is a
     batch axis, such as the point axis, and the contraction runs item by
     item along it.  ``order`` is the result's jet order: the contraction
-    runs on ``width(order)`` slots and keeps the ones the order defines;
-    the slots above are zero.  It is one matmul of ``x`` against
-    ``mul_matrix(y)``, its axis permutations planned once per spec; the
-    matrices of a batch item have the same shapes at any batch size.
+    runs on, and returns, ``width(order)`` slots.  It is one matmul of
+    ``x`` against ``mul_matrix(y)``, its axis permutations planned once per
+    spec; the matrices of a batch item have the same shapes at any batch
+    size.
     """
     n = width(order)
     x_perm, y_perm, out_perm, n_batch, n_keep_x, n_summed = _einsum_plan(spec)
@@ -340,16 +340,18 @@ def jet_einsum(spec: str, x: np.ndarray, y: np.ndarray, order=CONSTANT) -> np.nd
     keep_y = m.shape[n_batch + n_summed + 1:-1]
     rows = math.prod(m.shape[n_batch:n_batch + n_summed + 1])
     prod = xt.reshape(xt.shape[:n_batch] + (math.prod(keep_x), -1)) @ m.reshape(m.shape[:n_batch] + (rows, -1))
-    return padded(prod.reshape(prod.shape[:n_batch] + keep_x + keep_y + (n,)).transpose(out_perm), order)
+    return clear_above(prod.reshape(prod.shape[:n_batch] + keep_x + keep_y + (n,)).transpose(out_perm), order)
 
 
-def derivation_matrices(frame_vectors: np.ndarray) -> np.ndarray:
+def derivation_matrices(frame_vectors: np.ndarray, n: int = JET_LEN) -> np.ndarray:
     """Frame-vector components e_a^mu, jets of shape (..., 4, P, 15) with
-    the chart index mu before the point axis -> matrices (..., P, 15, 15)
-    with ``e_a(f) = f @ D[a]``: the jet of e_a^mu d_mu f, one order lower
-    than f."""
-    m = np.moveaxis(mul_matrix(frame_vectors), -4, -3)    # (..., P, mu, 15, 15)
-    return PARTIALS @ m.reshape(m.shape[:-3] + (NVARS * JET_LEN, JET_LEN))
+    the chart index mu before the point axis -> matrices (..., P, 15, n)
+    with ``e_a(f)[:n] = f @ D[a]``: the first n slots of the jet of
+    e_a^mu d_mu f, one order lower than f.  A derivative of an order-r jet
+    has order r - 1, so its slots of degree d take only slots of degree
+    <= d of e_a^mu and of d_mu f, whose slots 5-14 are zero."""
+    m = np.moveaxis(mul_matrix(frame_vectors, n), -4, -3)    # (..., P, mu, n, n)
+    return _PARTIALS[n] @ m.reshape(m.shape[:-3] + (NVARS * n, n))
 
 
 def seed_coordinate(mu: int, point: ChartPoint) -> Jet2:

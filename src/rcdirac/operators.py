@@ -5,13 +5,14 @@ order-2 jets: the jets carry the exact derivatives, so a squared operator is
 literally two applications, each consuming one jet order.  The frame holds
 P points, and a field is a point stack (P, 16, 15), or one multivector
 (16, 15) that broadcasts over the points; every result keeps the point
-axis as its innermost stack axis.  Each identity the engine verifies is
-available in at least two independently computed forms.  A form that is
-more than one operator call is a function here: the ``*_rhs`` functions
-build the right side of the check of the same name, ``spin_commutator_forms``
-and ``maxwell_residuals`` all the forms of theirs.  The harness compares
-the forms; nothing here reduces them to residuals.  Scalar fields are
-scalar multivectors (``scalar_multivector``).
+axis as its innermost stack axis, and stores the jet width of its order
+(``jets.width``): a first derivative is (..., P, 16, 5).  Each identity
+the engine verifies is available in at least two independently computed
+forms.  A form that is more than one operator call is a function here:
+the ``*_rhs`` functions build the right side of the check of the same
+name, ``spin_commutator_forms`` and ``maxwell_residuals`` all the forms of
+theirs.  The harness compares the forms; nothing here reduces them to
+residuals.  Scalar fields are scalar multivectors (``scalar_multivector``).
 
 Direction stacks: the paper builds every operator from sums over frame
 indices, and each such family is one array kernel, not a loop over a, b, c.
@@ -26,7 +27,7 @@ indexers.  A frame sum sum_a theta^a X[a] is one matmul with a
 constant-blade matrix (``cliffalg.blade_sum``), the pair sum eta^ab X[a, b]
 + (theta^a ^ theta^b) X[a, b] the same with theta^a theta^b, and a
 connection term sum_c Gamma^c_ab X[c] one ``jets.jet_einsum``.  The per-pair
-corrections of the squared operators are (4, 4, 16, 15) grids whose
+corrections of the squared operators are (4, 4, P, 16, w) grids whose
 products broadcast one operand along a and the other along b, so each
 operand is expanded once.
 
@@ -65,9 +66,7 @@ from .cliffalg import (
 from .geometry import (
     CONN_ORDER, CURV_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms,
 )
-from .jets import (
-    CONSTANT, JET_LEN, JetOrderError, clear_above, derivative, jet_einsum, mul_matrix, padded, slots, width,
-)
+from .jets import CONSTANT, JetOrderError, clear_above, derivative, jet_einsum, mul_matrix, slots, width
 
 Connection = str  # "lc" | "full"
 
@@ -119,7 +118,7 @@ def _conn_table(geom: FrameGeometry, conn: Connection):
 
 
 def _along_directions(stack: Multivector, A: Multivector) -> Multivector:
-    """A (4, P, 16, 15) stack shaped to broadcast, direction axis first, with A."""
+    """A (4, P, 16, w) stack shaped to broadcast, direction axis first, with A."""
     shape = (4,) + (1,) * (A.data.ndim - 3) + stack.data.shape[1:]
     return Multivector.from_array(stack.data.reshape(shape), stack.order)
 
@@ -150,16 +149,16 @@ def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Componentwise directional derivatives e_a(A^I) theta_I along all
     four frame vectors, direction axis first."""
     # the point axis of the derivations meets A's point axis, or a single
-    # multivector (16, 15) broadcast over the points
-    shape = (4,) + (1,) * (A.data.ndim - 3) + geom.derivations.shape[1:]
-    derivations = geom.derivations.reshape(shape)
+    # multivector (16, w) broadcast over the points
+    block = geom.derivations[A.data.shape[-1]]
+    shape = (4,) + (1,) * (A.data.ndim - 3) + block.shape[1:]
     if A.is_numeric():
         stack = np.broadcast_shapes(shape[:-2], A.data.shape[:-2])
         return Multivector.from_array(np.zeros(stack + A.data.shape[-2:]), CONSTANT)
     if A.order < 1:
         raise JetOrderError("directional derivative of an order-exhausted field")
-    order = min(A.order - 1, FRAME_ORDER)
-    return Multivector.from_array(derivative(A.data, derivations, order), order)
+    order = min(A.order, FRAME_ORDER) - 1
+    return Multivector.from_array(derivative(A.data, block.reshape(shape), order), order)
 
 
 @_per_frame
@@ -190,13 +189,11 @@ def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     first, on grade-1 arguments: one matmul with ``geom.tau``."""
     _require_grade(V, 1, "torsion operator argument")
     order = min(V.order, FRAME_ORDER)
-    n, tau = width(order), geom.tau
+    n = width(order)
     vec = mul_matrix(V.data[..., 1:5, :], n).reshape(V.data.shape[:-2] + (4 * n, n))
-    if n < JET_LEN:
-        tau = tau.reshape(tau.shape[0], 16, 4, JET_LEN)[..., :n].reshape(tau.shape[0], 16, 4 * n)
-    prod = tau @ vec                                      # (..., P, (a, r), n)
+    prod = geom.tau[n] @ vec                              # (..., P, (a, r), n)
     vectors = np.moveaxis(prod.reshape(prod.shape[:-2] + (4, 4, n)), -3, 0)
-    data = np.zeros((4,) + prod.shape[:-2] + (N_BLADES, JET_LEN))
+    data = np.zeros((4,) + prod.shape[:-2] + (N_BLADES, n))
     data[..., 1:5, :slots(order)] = vectors[..., :slots(order)]
     return Multivector.from_array(data, order)
 
@@ -295,32 +292,32 @@ def dirac_square_assembled(
 
 
 def _scalar_derivs(geom: FrameGeometry, f: Multivector, order) -> np.ndarray:
-    """Jets (4, P, 15) of e_a f for the scalar part of f, at result order
-    ``order``: one vector-matrix product per direction and point."""
-    return derivative(f.data[..., :1, :], geom.derivations, order)[..., 0, :]
+    """Jets (4, P, 5) of e_a f for the scalar part of f, at result order
+    ``order`` <= 1: one vector-matrix product per direction and point."""
+    return derivative(f.data[..., :1, :], geom.derivations[width(order + 1)], order)[..., 0, :]
 
 
 def scalar_multivector(jets: np.ndarray, order) -> Multivector:
-    """The scalar multivectors (P, 16, 15) with scalar parts ``jets``."""
-    data = np.zeros(jets.shape[:-1] + (N_BLADES, JET_LEN))
+    """The scalar multivectors (P, 16, w) with scalar parts ``jets``
+    (P, w), w = width(order)."""
+    data = np.zeros(jets.shape[:-1] + (N_BLADES, jets.shape[-1]))
     data[..., 0, :] = jets
     return Multivector.from_array(data, order)
 
 
 def frame_wave(geom: FrameGeometry, f: Multivector, conn, trace=None) -> Multivector:
     """eta^{bb} e_b e_b f - eta^{bb} conn^a_{bb} e_a f, plus
-    eta^{aa} trace_a e_a f when a (4, P, 15) torsion trace is given, on the
+    eta^{aa} trace_a e_a f when a (4, P, 5) torsion trace is given, on the
     scalar part of f; a scalar multivector."""
     if f.order < 2:
         raise JetOrderError("the frame wave operator needs an order-2 jet")
-    order = f.order - 2
-    n_in, n = width(order + 1), width(order)
+    order = min(f.order, FRAME_ORDER) - 2
     df = _scalar_derivs(geom, f, order + 1)                 # df[a] = e_a f
     weight = -np.einsum("b,bab...->a...", _ETA, conn)
     if trace is not None:
         weight = weight + _ETA[:, None, None] * trace
-    second = np.einsum("b,bps,bpsu->pu", _ETA, df[..., :n_in], geom.derivations[..., :n_in, :n])
-    return scalar_multivector(padded(second, order) + jet_einsum("ap,ap->p", weight, df, order), order)
+    second = np.einsum("b,bps,bpsu->pu", _ETA, df, geom.derivations[df.shape[-1]])
+    return scalar_multivector(clear_above(second, order) + jet_einsum("ap,ap->p", weight, df, order), order)
 
 
 def scalar_wave_part(geom: FrameGeometry, f: Multivector) -> Multivector:
@@ -333,15 +330,16 @@ def scalar_square_biform_part(geom: FrameGeometry, f: Multivector) -> Multivecto
     """Grade-2 part of the scalar square: -Theta^a e_a(f)."""
     if f.order < 1:
         raise JetOrderError("cannot differentiate an order-0 jet")
-    order = min(f.order - 1, FRAME_ORDER)
+    order = min(f.order, FRAME_ORDER) - 1
     df = _scalar_derivs(geom, f, order)                     # df[a] = e_a f
     return _combine("apk,ap->pk", torsion_two_forms(geom), -df, order)
 
 
 def _with_scalar(A: Multivector, s: Multivector) -> Multivector:
-    data = A.data.copy()
-    data[..., 0, :] = s.data[..., 0, :]
     order = min(A.order, s.order)
+    n = width(order)
+    data = A.data[..., :n].copy()
+    data[..., 0, :] = s.data[..., 0, :n]
     return Multivector.from_array(clear_above(data, order), order)
 
 
@@ -492,9 +490,9 @@ def spin_commutator_forms(
     lhs = spin2 - spin2.swapaxes(0, 1)
     curv_action = geometric_product(curv.biforms, psi).scale(0.5)
     bracket = curv_action + _combine("cpk,cabp->abpk", spin1, geom.c)
-    # T^c_ab - Gamma^c_ab + Gamma^c_ba at [c, a, b]
+    # T^c_ab - Gamma^c_ab + Gamma^c_ba at [c, a, b], at the connection's width
     coeff = (
-        geom.T
+        geom.T[..., :geom.full.shape[-1]]
         - np.einsum("acb...->cab...", geom.full)
         + np.einsum("bca...->cab...", geom.full)
     )

@@ -12,8 +12,10 @@ the compiled expression programs of ``fieldspec`` against ``ref_eval``,
 the ``Jet2`` tree walk that they replaced.
 
 The loops work on one-point frames: they read each geometry table at its
-single point, and their multivectors are single (16, 15) ones, which
-broadcast against the engine's (1, 16, 15) point stacks.
+single point, and their multivectors are single (16, w) ones, which
+broadcast against the engine's (1, 16, w) point stacks.  They compute on
+all 15 jet slots: ``full_width`` pads a narrower jet array with zeros, and
+``at_width`` cuts a result to the width of its order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,28 @@ import numpy as np
 from rcdirac import cliffalg as ca
 from rcdirac import fieldspec as fs
 from rcdirac import jets
-from rcdirac.jets import JET_LEN, MUL, ChartPoint, Jet2, JetDomainError, partial, seed_coordinate
+from rcdirac.geometry import CONN_ORDER
+from rcdirac.jets import (
+    JET_LEN, MUL, ChartPoint, Jet2, JetDomainError, derivation_matrices, partial, seed_coordinate, slots, width,
+)
+
+
+def full_width(data: np.ndarray) -> np.ndarray:
+    """Jets (..., w) padded with zeros to all 15 slots."""
+    return np.concatenate((data, np.zeros(data.shape[:-1] + (JET_LEN - data.shape[-1],))), axis=-1)
+
+
+def at_width(data: np.ndarray, order) -> np.ndarray:
+    """Full-width jets (..., 15) cut to ``width(order)`` slots, with the
+    slots above the ones the order defines set to zero; a copy."""
+    out = data[..., :width(order)].copy()
+    out[..., slots(order):] = 0.0
+    return out
+
+
+def full_derivations(geom) -> np.ndarray:
+    """The frame's derivation matrices on all 15 slots, (4, P, 15, 15)."""
+    return derivation_matrices(geom.frame_vectors)
 
 
 class RefMV:
@@ -35,7 +58,8 @@ class RefMV:
     @classmethod
     def of(cls, mv: ca.Multivector) -> "RefMV":
         """The coefficients of a single multivector, or of a one-point stack."""
-        return cls(Jet2(row.copy(), min(mv.order, 2)) for row in mv.data.reshape(ca.N_BLADES, JET_LEN))
+        rows = full_width(mv.data).reshape(ca.N_BLADES, JET_LEN)
+        return cls(Jet2(row, min(mv.order, 2)) for row in rows)
 
     def product(self, other: "RefMV", sign: np.ndarray) -> "RefMV":
         out = [None] * ca.N_BLADES
@@ -88,7 +112,7 @@ def ref_exterior_d(geom, A: RefMV) -> RefMV:
         coeffs = [0.0] * 16
         for b in range(4):
             for c in range(b + 1, 4):
-                coeffs[pair_blade(b, c)[0]] = -Jet2(geom.c[g, b, c, 0])
+                coeffs[pair_blade(b, c)[0]] = -Jet2(full_width(geom.c[g, b, c, 0]))
         dtheta.append(RefMV(coeffs))
     out = [Jet2.const(0.0)] * 16
     for b in range(4):
@@ -118,9 +142,9 @@ def pair_blade(a: int, b: int):
 
 
 def _jets(table: np.ndarray):
-    """Nested lists of Jet2 from a jet table (..., 15)."""
+    """Nested lists of Jet2 from a jet table (..., w)."""
     if table.ndim == 1:
-        return Jet2(table)
+        return Jet2(full_width(table))
     return [_jets(t) for t in table]
 
 
@@ -184,7 +208,8 @@ def _omega(geom, conn):
 def ref_pfaff_mv(geom, A: ca.Multivector, a: int) -> ca.Multivector:
     if A.is_numeric():
         return ca.Multivector.zero()
-    return ca.Multivector.from_array(A.data @ geom.derivations[a], min(A.order - 1, 2))
+    order = min(A.order - 1, 2)
+    return ca.Multivector.from_array(at_width(full_width(A.data) @ full_derivations(geom)[a], order), order)
 
 
 def ref_cov_deriv(geom, A, a, conn="full"):
@@ -201,14 +226,15 @@ def ref_right_rep_deriv(geom, phi, a):
 
 def ref_torsion_operator(geom, a, V):
     """tau(e_a, V)^r = eta_r sum_b T^r_{ab} eta_b V_b, one Jet2 product at a time."""
-    v = V.data.reshape(ca.N_BLADES, JET_LEN)
+    v = full_width(V.data).reshape(ca.N_BLADES, JET_LEN)
     data = np.zeros_like(v)
     for r in range(4):
         acc = Jet2.const(0.0)
         for b in range(4):
             acc = acc + Jet2(geom.T[r, a, b, 0]) * Jet2(v[1 + b]) * (ETA[r] * ETA[b])
         data[1 + r] = acc.data
-    return ca.Multivector.from_array(data, min(V.order, 2))
+    order = min(V.order, 2)
+    return ca.Multivector.from_array(at_width(data, order), order)
 
 
 def ref_frame_sum(geom, product, stack):
@@ -235,7 +261,7 @@ def ref_vector_correction(geom, A, a, b):
     out = out + ref_cov_deriv(geom, tau[b], a, "lc").scale(0.5)
     for c in range(4):
         out = out - D[c].scale(0.5 * geom.T[c][a][b])
-        out = out - tau[c].scale(0.5 * geom.lc[a][c][b])
+        out = out - tau[c].scale(0.5 * geom.lc[a][c][b], CONN_ORDER)
         out = out - tau[c].scale(0.25 * geom.T[c][a][b])
     return out + ref_torsion_operator(geom, a, tau[b]).scale(0.25)
 
@@ -251,7 +277,7 @@ def ref_right_correction(geom, A, a, b):
     out = out + ca.geometric_product(A, d_omega).scale(0.5)
     out = out + ca.geometric_product(a_omega[b], omega[a]).scale(0.25)
     for c in range(4):
-        out = out - a_omega[c].scale(0.5 * geom.full[a][c][b])
+        out = out - a_omega[c].scale(0.5 * geom.full[a][c][b], CONN_ORDER)
     return out
 
 
@@ -291,7 +317,8 @@ def dense_scale(a: np.ndarray, jet: np.ndarray) -> np.ndarray:
 def dense_pfaffs(geom, a: np.ndarray) -> np.ndarray:
     """e_c(A^I) along all four frame vectors, direction axis first, for a
     stack (..., P, 16, 15) with the frame's point axis."""
-    return a @ geom.derivations.reshape((4,) + (1,) * (a.ndim - 3) + geom.derivations.shape[1:])
+    derivations = full_derivations(geom)
+    return a @ derivations.reshape((4,) + (1,) * (a.ndim - 3) + derivations.shape[1:])
 
 
 def dense_jet_einsum(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from rcdirac.geometry import (
     curvature,
     torsion_two_forms,
 )
-from rcdirac.jets import ChartPoint, slots
+from rcdirac.jets import JET_LEN, ChartPoint, slots
 
 IDENTITY = "[tetrad]\ne0_0 = 1\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n"
 
@@ -52,7 +52,8 @@ def test_identity_tetrad_directional_derivative():
     rng = np.random.default_rng(0)
     f = rand_scalar_jet(rng, p)
     for a in range(4):
-        assert (f.data @ g.derivations[a, 0])[0] == pytest.approx(f.grad[a], abs=1e-14)
+        # the block for order-2 jets: 15 slots in, 5 out
+        assert (f.data @ g.derivations[JET_LEN][a, 0])[0] == pytest.approx(f.grad[a], abs=1e-14)
 
 
 def test_diagonal_tetrad_inverse_against_matrix_oracle():
@@ -198,8 +199,9 @@ def test_contorsion_half_torsion_for_totally_antisymmetric(frames):
         for be in range(4):
             for al in range(4):
                 for rh in range(4):
-                    diff = g.K[be, al, rh, 0] - 0.5 * g.T[al, be, rh, 0]
-                    worst = max(worst, abs(diff[0]))
+                    # the values: K stores 5 jet slots and T 15
+                    diff = g.K[be, al, rh, 0, 0] - 0.5 * g.T[al, be, rh, 0, 0]
+                    worst = max(worst, abs(diff))
         assert worst <= 1e-14
 
 

@@ -19,7 +19,8 @@ import rcdirac
 from rcdirac import fieldspec as fs
 from rcdirac import harness
 from rcdirac.cliffalg import GradeError, Multivector
-from rcdirac.jets import JET_LEN
+from rcdirac.geometry import CONN_ORDER
+from rcdirac.jets import JET_LEN, width
 from rcdirac.harness import (
     CHECKS,
     BatchContext,
@@ -113,6 +114,8 @@ def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
     (["--tol=-1e-8"], "tolerance must be finite and non-negative, got -1e-08"),
     (["--only", ","], "no check name given; valid names: " + ", ".join(CHECKS)),
     (["--only="], "no check name given; valid names: " + ", ".join(CHECKS)),
+    (["--tol", "-1e-8"], "tolerance must be finite and non-negative, got -1e-08"),
+    (["--tol", "-1E+3"], "tolerance must be finite and non-negative, got -1000.0"),
 ])
 def test_bad_command_line_value_is_a_usage_error(capsys, argv, message):
     assert cli_main(["run", "curved_torsion", "--points", "2", "--format", "json", *argv]) == 2
@@ -969,10 +972,14 @@ def three_point_batch():
 
 
 def _shape_and_points(side):
-    """A pair side's array shape and the length of its point axis."""
+    """A pair side's array shape and the length of its point axis.  A
+    multivector stores the jet width of its order, which two sides of
+    different orders do not share: its shape is given without the jet axis.
+    A jet table carries no order, and two tables are compared at one width."""
     if isinstance(side, Multivector):
-        return side.data.shape, side.data.shape[-3]
-    assert isinstance(side, np.ndarray) and side.shape[-1] == JET_LEN
+        assert side.data.shape[-1] == width(side.order)
+        return side.data.shape[:-1], side.data.shape[-3]
+    assert isinstance(side, np.ndarray) and side.shape[-1] in (width(CONN_ORDER), JET_LEN)
     return side.shape, side.shape[-2]
 
 

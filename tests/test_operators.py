@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import check_residual, rand_mv, rand_scalar_jet
-from reference_loops import RefMV, ref_exterior_d
+from reference_loops import RefMV, full_width, ref_exterior_d
 from rcdirac import fieldspec as fs
 from rcdirac import geometry as geo
 from rcdirac import harness
@@ -62,7 +62,7 @@ def test_cov_deriv_of_coframe_reproduces_connection(frames):
                 for b in range(4):
                     got = ops.cov_deriv(g, g.theta[b], a, "full")
                     want = sum(
-                        g.theta[c].scale(-g.full[a][b][c]) for c in range(4)
+                        g.theta[c].scale(-g.full[a][b][c], geo.CONN_ORDER) for c in range(4)
                     )
                     assert (got - want).max_abs() <= 1e-12
 
@@ -167,7 +167,7 @@ def test_torsion_trace_contraction_with_nonzero_trace(general_torsion):
     rng = np.random.default_rng(8)
     p = ChartPoint((0.5, 0.6, 0.7, 0.8))
     g = build_frame(general_torsion, p)
-    Q = [Jet2(q) for q in geo.torsion_trace(g)[:, 0]]
+    Q = [Jet2(full_width(q), geo.CONN_ORDER) for q in geo.torsion_trace(g)[:, 0]]
     assert max(abs(q.value) for q in Q) > 1e-3  # trace genuinely exercised
     f = rand_scalar_jet(rng, p)
     df = ops.dirac(g, scalar_mv(f), "lc")

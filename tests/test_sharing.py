@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import BUNDLED, load_bundled, rand_mv
-from rcdirac import cliffalg
+from rcdirac import cliffalg, geometry, harness
 from rcdirac import operators as ops
 from rcdirac.geometry import build_frame
 from rcdirac.harness import (
@@ -37,24 +37,36 @@ def test_check_alone_equals_full_suite(name, general_torsion):
 def test_full_suite_product_count(monkeypatch):
     scenario = load_bundled("curved_torsion")
     pts, fields = _run_inputs(scenario, points=1)
-    orders = []
-    product = cliffalg._product
+    orders, sum_orders = [], []
+    product, product_sum = cliffalg._product, cliffalg.product_sum
 
     def counted(a, b, table):
         orders.append(min(a.order, b.order))
         return product(a, b, table)
 
+    def counted_sum(a, b, table=cliffalg.GP_TABLE):
+        sum_orders.append(min(a.order, b.order))
+        return product_sum(a, b, table)
+
     monkeypatch.setattr(cliffalg, "_product", counted)
+    # product_sum is called through each module's own binding
+    for module in (cliffalg, geometry, ops, harness):
+        if getattr(module, "product_sum", None) is product_sum:
+            monkeypatch.setattr(module, "product_sum", counted_sum)
     # one point, then a 5-point run: a batch of any size makes the products
     # of one point, each one kernel call over the batch's points
     for run in (lambda: evaluate_point(scenario, fields, list(CHECKS), pts[0]),
                 lambda: run_suite(scenario, points=5)):
         orders.clear()
+        sum_orders.clear()
         run()
         assert 0 < len(orders) <= 66
         # nearly every product has an operand of order <= 1 and runs on 5
         # jet slots; only products of two order-2 fields run on all 15
         assert sum(order >= 2 for order in orders) <= 3
+        # every product sum meets a first derivative or a torsion 2-form,
+        # both of order 1
+        assert sum_orders and max(sum_orders) < 2
 
 
 def test_shared_results_are_read_only(frames):
