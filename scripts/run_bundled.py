@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full identity suite on every bundled scenario and print reports.
 
-Usage: run_bundled.py [--workers N]
+Usage: run_bundled.py [--workers N] [--points N]
 
 Stdout holds each scenario's header and report, and is the same at any
 worker count; each scenario's wall time goes to stderr.
@@ -21,6 +21,10 @@ def main():
         help="at most N processes, the calling one included: "
         f"n = min(N, max(1, points // {harness.MIN_SHARD_POINTS})) shards",
     )
+    ap.add_argument(
+        "--points", type=int, default=None, metavar="N",
+        help="sample N points in every scenario (default: each scenario's own count)",
+    )
     args = ap.parse_args()
 
     failures = 0
@@ -28,7 +32,7 @@ def main():
         path = harness.resolve_scenario_path(name)
         scenario = fieldspec.load_scenario_file(path, valid_checks=set(harness.CHECKS))
         t0 = time.perf_counter()
-        report = harness.run_suite(scenario, workers=args.workers)
+        report = harness.run_suite(scenario, points=args.points, workers=args.workers)
         dt = time.perf_counter() - t0
         print(f"=== {name} ({report.points} points, tol {report.tol:g})")
         sys.stdout.write(report.to_text())

@@ -35,17 +35,21 @@ derivative uses up.
 Each product type is one kernel: its sign table, rearranged so that row
 (k, j) holds the signs of the left blades paired with right blade j in
 output blade k, gathers the signed left factors in one matmul, and two more
-matmuls take the jet products through ``jets.MUL`` and sum them.  The
-kernels follow the slot contract of ``jets``: the result has the lower
-operand order and stores its width, the matmuls run on that width, and a
-15-slot operand (order 2 or constant) is cut to it where it meets one of
-lower order; so do
+matmuls take the jet products through ``jets.MUL`` and sum them.  These are
+the kernel's three steps: the left operand's expansion
+(``left_expansion``), the right operand's jet product matrices
+(``right_expansion``) and their matmul (``expanded_product``); a caller
+that meets an operand again may keep its expansion and run the last step
+alone, as ``operators`` does per frame.  The kernels follow the slot
+contract of ``jets``: the result has the lower operand order and stores its
+width, the matmuls run on that width, and a 15-slot operand (order 2 or
+constant) is cut to it where it meets one of lower order; so do
 ``product_sum`` and scaling by a jet.  A sum or difference of operands of
-different orders has the lower order's width.  Stack
-axes broadcast like numpy's, so ``geometric_product(X[:, None], Y[None])``
-is the whole (a, b) grid of products, each operand expanded once.  The
-commutator has its own table, GP[k, i, j] - GP[k, j, i], so blades that
-commute cancel exactly instead of leaving rounding residue.
+different orders has the lower order's width.  Stack axes broadcast like
+numpy's, so ``geometric_product(X[:, None], Y[None])`` is the whole
+(a, b) grid of products, each operand expanded once.  The commutator has
+its own table, GP[k, i, j] - GP[k, j, i], so blades that commute cancel
+exactly instead of leaving rounding residue.
 
 A product with a constant blade is a 16 x 16 signed permutation of the
 other operand's rows.  These matrices are built at import time for the
@@ -395,12 +399,34 @@ class Coefficients:
         return Jet2(row, self._order)
 
 
+def left_expansion(a: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """The first step of a product: the left operand's arrays (..., 16, w)
+    expanded through a kernel table into (..., 16, 16 n), row k holding
+    for each (j, s) the signed left factor that multiplies slot s of right
+    blade j into output blade k; only slots :n are read."""
+    return (table @ a[..., :n]).reshape(a.shape[:-2] + (N_BLADES, N_BLADES * n))
+
+
+def right_expansion(b: np.ndarray, n: int) -> np.ndarray:
+    """The second step: the right operand's arrays (..., 16, w) as jet
+    product matrices (..., 16 n, n), ``mul_matrix`` of each blade's jet."""
+    return mul_matrix(b, n).reshape(b.shape[:-2] + (N_BLADES * n, n))
+
+
+def expanded_product(left: np.ndarray, right: np.ndarray, order) -> Multivector:
+    """The last step: the product of order ``order`` from the two
+    expansions, one matmul whose stack axes broadcast."""
+    return Multivector.from_array(clear_above(left @ right, order), order)
+
+
 def _product(a: Multivector, b: Multivector, table: np.ndarray) -> Multivector:
+    """The one Clifford product kernel, in three steps at the width of the
+    lower operand order: the left operand's expansion through the table
+    (``left_expansion``), the right operand's jet product matrices
+    (``right_expansion``), and their matmul (``expanded_product``)."""
     order = min(a.order, b.order)
     n = width(order)
-    left = (table @ a.data[..., :n]).reshape(a.data.shape[:-2] + (N_BLADES, N_BLADES * n))
-    right = mul_matrix(b.data, n).reshape(b.data.shape[:-2] + (N_BLADES * n, n))
-    return Multivector.from_array(clear_above(left @ right, order), order)
+    return expanded_product(left_expansion(a.data, table, n), right_expansion(b.data, n), order)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -420,10 +446,26 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
     return _product(a, b, COMMUTATOR_TABLE)
 
 
+def sum_left_expansion(a: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """``left_expansion`` in the layout of ``product_sum``: the stack axis
+    i summed over moves into the row, (points..., 16, (i, j, s))."""
+    left = np.moveaxis(left_expansion(a, table, n), 0, -2)
+    return left.reshape(left.shape[:-2] + (-1,))
+
+
+def sum_right_expansion(b: np.ndarray, n: int) -> np.ndarray:
+    """``right_expansion`` in the layout of ``product_sum``,
+    (points..., (i, j, s), n)."""
+    right = np.moveaxis(right_expansion(b, n), 0, -3)
+    return right.reshape(right.shape[:-3] + (-1, n))
+
+
 def product_sum(a: Multivector, b: Multivector, table: np.ndarray = GP_TABLE) -> Multivector:
     """sum_i a[i] o b[i] over the leading stack axis of both operands, as
     one matmul per point; ``table`` picks the product (GP_TABLE,
-    WEDGE_TABLE, ...).  The other stack axis, if any, is the point axis."""
+    WEDGE_TABLE, ...).  The other stack axis, if any, is the point axis.
+    The same three steps as ``_product``, with the summed axis moved into
+    the contraction."""
     order = min(a.order, b.order)
     n = width(order)
     da, db = a.data, b.data
@@ -431,14 +473,7 @@ def product_sum(a: Multivector, b: Multivector, table: np.ndarray = GP_TABLE) ->
         da = da[:, None]
     elif db.ndim < da.ndim:
         db = db[:, None]
-    left = (table @ da[..., :n]).reshape(da.shape[:-2] + (N_BLADES, N_BLADES * n))
-    right = mul_matrix(db, n).reshape(db.shape[:-2] + (N_BLADES * n, n))
-    # items next to the contracted axis: (points, 16, (i, j, s)) @ (points, (i, j, s), n)
-    points = tuple(range(1, left.ndim - 2))
-    left = left.transpose(points + (left.ndim - 2, 0, left.ndim - 1))
-    right = right.transpose(points + (0, right.ndim - 2, right.ndim - 1))
-    prod = left.reshape(left.shape[:-2] + (-1,)) @ right.reshape(right.shape[:-3] + (-1, n))
-    return Multivector.from_array(clear_above(prod, order), order)
+    return expanded_product(sum_left_expansion(da, table, n), sum_right_expansion(db, n), order)
 
 
 def blade_sum(rows: np.ndarray, x: Multivector) -> Multivector:

@@ -45,7 +45,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .cliffalg import PLANE_GP_ROWS, Multivector, bivector_array, blade_sum, commutator, grade_project
+from .cliffalg import (
+    COMMUTATOR_TABLE, PLANE_GP_ROWS, Multivector, bivector_array, blade_sum, expanded_product, grade_project,
+    left_expansion, right_expansion,
+)
 from .fieldspec import TORSION_UPPER, Scenario
 from .jets import CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, derivation_matrices, derivative, jet_einsum, width
 
@@ -123,6 +126,8 @@ class FrameGeometry:
     contorsion_biform: Multivector  # omega - lc biforms, stack
     # operator results shared by the checks at these points (see operators)
     shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # product expansions of frame operands and reused arguments (``expansion``)
+    expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def point(self) -> ChartPoint:
@@ -132,6 +137,26 @@ class FrameGeometry:
 
     def theta_down(self, a: int) -> Multivector:
         return self.theta[a].scale(ETA[a])
+
+    def expansion(self, step, operand: Multivector, table=None, factor=1.0) -> np.ndarray:
+        """``step(factor * operand.data, [table,] n)`` for a product step of
+        ``cliffalg`` (``left_expansion`` and ``sum_left_expansion`` with a
+        table, ``right_expansion`` without), built on the first call for
+        this step, operand, table and factor and stored read-only in
+        ``expansions``.  It runs at the width n of ``CONN_ORDER``, the width
+        of every product with a frame operand.  The key holds the operand's
+        identity and the entry the operand, so that its id stays its own.
+        A factor that is a power of two changes no bit of a product: every
+        term and sum of the products and matmuls after it is scaled
+        exactly, so each rounds at the same place."""
+        key = (step, id(operand), id(table), factor)
+        hit = self.expansions.get(key)
+        if hit is None:
+            data, n = operand.data if factor == 1.0 else operand.data * factor, width(CONN_ORDER)
+            out = step(data, n) if table is None else step(data, table, n)
+            out.flags.writeable = False
+            hit = self.expansions[key] = (operand, out)
+        return hit[1]
 
 
 @dataclass
@@ -309,8 +334,12 @@ def connection_biforms(conn):
 
 
 def _calibrate_biforms(geom: FrameGeometry):
-    """Abort if [omega_a, theta^b]/2 fails to reproduce -conn[a][b][c] theta^c."""
-    resid = 0.5 * commutator(geom.omega_biform[:, None], geom.theta[None]).data   # [a, b]
+    """Abort if [omega_a, theta^b]/2 fails to reproduce -conn[a][b][c] theta^c.
+    The halved expansion of the biforms is the one ``operators.cov_derivs``
+    applies, so it is built here, once per frame."""
+    half = geom.expansion(left_expansion, geom.omega_biform, COMMUTATOR_TABLE, 0.5)
+    theta = right_expansion(geom.theta.data, width(CONN_ORDER))
+    resid = expanded_product(half[:, None], theta[None], CONN_ORDER).data    # [a, b]
     resid[..., 1:5, :] += np.moveaxis(geom.full, 2, 3)
     worst = np.abs(resid).max(axis=(0, 1, 3, 4))
     for point, w in zip(geom.points, worst.tolist()):

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 import os
 import pickle
@@ -62,7 +63,7 @@ import numpy as np
 from . import fieldspec, geometry, operators
 from .cliffalg import (
     GRADES, LC_TABLE, THETA_GP_ROWS, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
-    geometric_product, grade_involution, product_sum, wedge,
+    geometric_product, grade_involution, wedge,
 )
 from .fieldspec import Scenario, ScenarioError
 from .geometry import ETA, NonFiniteFrameError
@@ -120,6 +121,25 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 
 
+def _lcg_jump(k: int) -> tuple[int, int]:
+    """(A_k, S_k) with s_{j+k} = A_k s_j + S_k inc mod 2**128: k steps of
+    the PCG64 state update s -> s * _PCG_MULT + inc at once."""
+    a, s = 1, 0
+    for _ in range(k):
+        a, s = a * _PCG_MULT & _MASK128, (s * _PCG_MULT + 1) & _MASK128
+    return a, s
+
+
+# uniform() steps _LANES states at once, packed into one Python integer in
+# lanes of _LANE_BYTES bytes: room for a 128-bit state times a 128-bit
+# multiplier plus a 128-bit increment, so that no lane carries into the next
+_LANES = 64
+_LANE_BYTES = 33
+_JUMP_MULT, _JUMP_INC = _lcg_jump(_LANES)
+_LANE_ONES = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * _LANES, "little")
+_LANE_MASK = _MASK128 * _LANE_ONES
+
+
 class UniformStream:
     """numpy's ``default_rng(entropy)`` stream, drawn without importing
     ``numpy.random``: SeedSequence mixing of the entropy words into a
@@ -173,14 +193,25 @@ class UniformStream:
         self._state = ((self._inc + seed) * _PCG_MULT + self._inc) & _MASK128
 
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
-        # the 128-bit LCG steps in Python integers; the XSL-RR output and
-        # the double conversion run on the (low, high) uint64 halves
-        state, inc, states = self._state, self._inc, []
-        for _ in range(n):
+        # the 128-bit LCG steps in Python integers: the first _LANES states
+        # one by one, the rest _LANES at a time, each lane of the packed
+        # block jumping _LANES steps ahead of the lane below it; the
+        # XSL-RR output and the double conversion run on the (low, high)
+        # uint64 halves of the states
+        state, inc, first = self._state, self._inc, []
+        for _ in range(min(n, _LANES)):
             state = (state * _PCG_MULT + inc) & _MASK128
-            states.append(state.to_bytes(16, "little"))
-        self._state = state
-        low, high = np.frombuffer(b"".join(states), dtype=np.uint64).reshape(n, 2).T
+            first.append(state.to_bytes(_LANE_BYTES, "little"))
+        blocks = [b"".join(first)]
+        packed = int.from_bytes(blocks[0], "little")
+        jump_inc = (_JUMP_INC * inc & _MASK128) * _LANE_ONES
+        for _ in range((n - 1) // _LANES):
+            packed = (packed * _JUMP_MULT + jump_inc) & _LANE_MASK
+            blocks.append(packed.to_bytes(_LANE_BYTES * _LANES, "little"))
+        lanes = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, _LANE_BYTES)[:n, :16]
+        low, high = np.ascontiguousarray(lanes).view(np.uint64).T
+        if n:
+            self._state = int(high[-1]) << 64 | int(low[-1])
         x, rot = low ^ high, high >> np.uint64(58)
         x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))    # rotate right
         return lo + (hi - lo) * ((x >> np.uint64(11)) * _DOUBLE_UNIT)
@@ -469,15 +500,21 @@ def point_residuals(pairs) -> np.ndarray:
     largest |lhs - rhs| over the value slot and every axis but the point
     axis, then over the pairs; NaN if any value is NaN (Python's max drops
     them).  A side is a ``Multivector``, whose point axis is its innermost
-    stack axis, or a jet table (..., P, 15); ``rhs`` None stands for zero."""
+    stack axis, or a jet table (..., P, w); ``rhs`` None stands for zero.
+    Only the value slots are subtracted: the difference of two sides is
+    elementwise, so its value slot is the difference of theirs."""
     worst = []
     for lhs, rhs in pairs:
-        diff = lhs if rhs is None else lhs - rhs
-        # (..., P, k): the values of a multivector's k = 16 blades, or of a
-        # jet table with k = 1
-        values = np.abs(diff.data[..., 0] if isinstance(diff, Multivector) else diff[..., None, 0])
+        diff = _value_slots(lhs) if rhs is None else _value_slots(lhs) - _value_slots(rhs)
+        values = np.abs(diff)
         worst.append(values.max(axis=tuple(range(values.ndim - 2)) + (values.ndim - 1,)))
     return functools.reduce(np.maximum, worst)
+
+
+def _value_slots(side) -> np.ndarray:
+    """(..., P, k): the values of a multivector's k = 16 blades, or of a jet
+    table's entries with k = 1."""
+    return side.data[..., 0] if isinstance(side, Multivector) else side[..., None, 0]
 
 
 _TOT_ANTISYM_NOTE = "valid for totally antisymmetric (zero-strain) torsion"
@@ -604,10 +641,12 @@ def _c_codifferential(ctx):
 def _c_torsion_splits(ctx):
     A = ctx.field("general")
     geom = ctx.geom
-    thetas = geometry.torsion_two_forms(geom)
+    thetas = operators.torsion_forms(geom)
     # sum_r Theta^r ^ (theta_r _| A) and sum_r Theta^r _| (theta_r ^ A)
-    wedge_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_LC, A), WEDGE_TABLE)
-    contract_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_WEDGE, A), LC_TABLE)
+    wedge_corr = operators.frame_product_sum(geom, thetas, blade_products(operators.THETA_DOWN_LC, A), WEDGE_TABLE)
+    contract_corr = operators.frame_product_sum(
+        geom, thetas, blade_products(operators.THETA_DOWN_WEDGE, A), LC_TABLE
+    )
     return [
         (operators.dirac_wedge(geom, A), operators.dirac_wedge(geom, A, "lc") - wedge_corr),
         (operators.dirac_contract(geom, A), operators.dirac_contract(geom, A, "lc") - contract_corr),
@@ -624,7 +663,7 @@ def _c_torsion_trace_contraction(ctx):
     f = ctx.scalar_mv()
     df = operators.dirac(geom, f, "lc")
     lowered = blade_products(operators.THETA_DOWN_WEDGE, df)      # [r]: theta_r ^ df
-    lhs = product_sum(geometry.torsion_two_forms(geom), lowered, LC_TABLE)
+    lhs = operators.frame_product_sum(geom, operators.torsion_forms(geom), lowered, LC_TABLE)
     Q = geometry.torsion_trace(geom)
     e_f = operators.pfaffs(geom, f)                               # [b]: e_b(f)
     rhs = jet_einsum("bp,bp->p", -np.array(ETA)[:, None, None] * Q, e_f.data[..., 0, :], e_f.order)
@@ -735,7 +774,7 @@ def _c_spin_left_form(ctx):
     psi = ctx.field("even")
     return [(
         operators.spin_cov_derivs(geom, psi) - operators.cov_derivs(geom, psi, "full"),
-        geometric_product(psi, geom.omega_biform).scale(0.5),
+        operators.right_actions(geom, psi),
     )]
 
 
@@ -909,9 +948,10 @@ def _eval_task(args):
 
 
 # The most points evaluated as one batch.  A batch keeps its operator
-# results and tables until its last check has run, about 0.45 MB per point
-# (32-point batch of curved_torsion), and batches above about 16 points
-# run little faster per point.
+# results, tables and frame expansions until its last check has run, about
+# 0.95 MB per point (32-point batch of curved_torsion; 0.45 MB before the
+# expansions were kept), and batches above about 16 points run little
+# faster per point.
 BATCH_POINTS = 32
 
 # The fewest points a forked shard is given.  Most of a batch's cost does
@@ -1149,7 +1189,7 @@ def run_suite(
             if isinstance(r, tuple):
                 errors.append((pts[i].x, r[1]))
                 nonfinite = nonfinite or r[0] == "non-finite"
-            elif not np.isfinite(r):
+            elif not math.isfinite(r):
                 # max() would hide a NaN, and a residual that is not a
                 # number proves nothing: the check fails
                 errors.append((pts[i].x, f"non-finite residual {r!r}"))
@@ -1158,7 +1198,8 @@ def run_suite(
                 values.append((r, pts[i].x))
         if values:
             vmax, worst = max(values, key=lambda t: t[0])
-            vmean = float(np.mean([v for v, _ in values]))
+            # np.mean's sum and division, without its per-call overhead
+            vmean = float(np.add.reduce(np.array([v for v, _ in values])) / len(values))
             passed = vmax <= run_tol and not nonfinite
         else:
             vmax = vmean = worst = None

@@ -33,15 +33,30 @@ operand is expanded once.
 
 Sharing: the checks at a point compare forms built from the same
 ingredients, so each pure operator family (``pfaffs``, ``cov_derivs``,
-``spin_cov_derivs``, ``right_rep_derivs``, ``torsion_operators``, the three
-Dirac parts, ``exterior_d``, ``codifferential``, both direct squares,
-``spin_dirac`` and the two correction grids) is computed once per frame and
-argument.  Its result lives in ``geom.shared``, keyed by the function and
-the identity of its multivector arguments, and goes away with the frame;
-each batch of points builds its own frame.  Shared results are read-only:
-writing into one raises ``ValueError``, and arithmetic on them returns new
-arrays.  Passing the same multivector object again reuses the result, so
-an argument must not be modified in place after a call.
+``spin_cov_derivs``, ``right_rep_derivs``, ``torsion_operators`` and
+``torsion_operator_pairs``, the three Dirac parts, ``exterior_d``,
+``codifferential``, both direct squares, ``spin_dirac`` and the two
+correction grids), and the frame forms ``dtheta`` and ``torsion_forms``, are
+computed once per frame and argument.  Its result lives in ``geom.shared``,
+keyed by the function and the identity of its multivector arguments, and
+goes away with the frame; each batch of points builds its own frame.  Shared
+results are read-only: writing into one raises ``ValueError``, and
+arithmetic on them returns new arrays.  Passing the same multivector object
+again reuses the result, so an argument must not be modified in place after
+a call.
+
+Expansions: within a frame, every product with a frame operand (the
+connection biforms, ``dtheta``, the torsion 2-forms ``torsion_forms``) meets
+the same expansion of that operand, the first step of ``cliffalg._product``.
+``geom.expansion`` builds each once per frame, with its constant factor (1/2
+for the connection terms, 1/4 for the paired right action) folded in, and
+keeps it, read-only, in ``geom.expansions`` beside ``geom.shared``.  It keeps
+the jet product matrices of each argument of the covariant and spin
+derivatives there too, which both connections and the spin derivative share.
+The operators then run only the product's last step.  A power-of-two factor
+is exact in binary floating point, so the results are those of the plain
+products bit for bit.  Like shared results, the expansions go away with the
+frame.
 
 Connection selection: ``conn="lc"`` is the Levi-Civita (standard) operator
 family, ``conn="full"`` the torsionful metric-compatible one.  The covariant
@@ -59,9 +74,10 @@ import inspect
 import numpy as np
 
 from .cliffalg import (
-    GRADES, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS, THETA_PAIR_ROWS, THETA_WEDGE,
-    THETA_WEDGE_ROWS, WEDGE_TABLE, GradeError, Multivector, bivector_array, blade_products, blade_sum, commutator,
-    geometric_product, hodge_dual, product_sum,
+    COMMUTATOR_TABLE, GP_TABLE, GRADES, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS,
+    THETA_PAIR_ROWS, THETA_WEDGE, THETA_WEDGE_ROWS, WEDGE_TABLE, GradeError, Multivector, bivector_array,
+    blade_products, blade_sum, expanded_product, geometric_product, hodge_dual, left_expansion, right_expansion,
+    sum_left_expansion, sum_right_expansion,
 )
 from .geometry import (
     CONN_ORDER, CURV_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms,
@@ -117,10 +133,43 @@ def _conn_table(geom: FrameGeometry, conn: Connection):
     return geom.full if conn == "full" else geom.lc
 
 
-def _along_directions(stack: Multivector, A: Multivector) -> Multivector:
-    """A (4, P, 16, w) stack shaped to broadcast, direction axis first, with A."""
-    shape = (4,) + (1,) * (A.data.ndim - 3) + stack.data.shape[1:]
-    return Multivector.from_array(stack.data.reshape(shape), stack.order)
+# The kernel width of every product with a frame operand, which has order
+# CONN_ORDER, and so of every expansion ``geom.expansion`` keeps.
+_N = width(CONN_ORDER)
+
+
+def _along_directions(x: np.ndarray, A: Multivector) -> np.ndarray:
+    """The expansion x (4, P, ...) of a direction stack shaped to broadcast,
+    direction axis first, with A."""
+    return x.reshape((4,) + (1,) * (A.data.ndim - 3) + x.shape[1:])
+
+
+def _biform_actions(geom: FrameGeometry, table: np.ndarray, omega: Multivector, A: Multivector) -> Multivector:
+    """(omega_a o A) / 2 along all e_a, direction axis first, for a biform
+    stack omega of the frame: its halved expansion through ``table`` and
+    A's jet product matrices come from ``geom.expansion``."""
+    half = geom.expansion(left_expansion, omega, table, 0.5)
+    right = geom.expansion(right_expansion, A)
+    return expanded_product(_along_directions(half, A), right, min(omega.order, A.order))
+
+
+def right_actions(geom: FrameGeometry, phi: Multivector, factor=0.5) -> Multivector:
+    """phi omega_a * factor along all e_a, direction axis first: the right
+    action of the connection biforms, whose expansion times the factor, a
+    power of two, comes from ``geom.expansion``.  On a stack phi[b] the
+    result is the grid [a, b]."""
+    right = geom.expansion(right_expansion, geom.omega_biform, factor=factor)
+    left = left_expansion(phi.data, GP_TABLE, _N)
+    return expanded_product(left, _along_directions(right, phi), min(phi.order, CONN_ORDER))
+
+
+def frame_product_sum(geom: FrameGeometry, forms: Multivector, X: Multivector, table=GP_TABLE) -> Multivector:
+    """``product_sum(forms, X, table)``, sum_i forms[i] o X[i], for a stack
+    of frame forms (``dtheta``, ``torsion_forms``) whose expansion comes
+    from ``geom.expansion``."""
+    x = X.data if X.data.ndim == forms.data.ndim else X.data[:, None]    # a point axis on forms only
+    left = geom.expansion(sum_left_expansion, forms, table)
+    return expanded_product(left, sum_right_expansion(x, _N), min(forms.order, X.order))
 
 
 def _combine(spec: str, X: Multivector, table: np.ndarray, order=CONN_ORDER) -> Multivector:
@@ -165,22 +214,19 @@ def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
 def cov_derivs(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """Covariant derivatives of a Clifford field along all e_a:
     pfaff_a(A) + [omega_a, A] / 2."""
-    omega = _along_directions(_biform(geom, conn), A)
-    return pfaffs(geom, A) + commutator(omega, A).scale(0.5)
+    return pfaffs(geom, A) + _biform_actions(geom, COMMUTATOR_TABLE, _biform(geom, conn), A)
 
 
 @_per_frame
 def spin_cov_derivs(geom: FrameGeometry, psi: Multivector) -> Multivector:
     """Representative spinor derivatives: pfaff_a(psi) + omega_a psi / 2."""
-    omega = _along_directions(geom.omega_biform, psi)
-    return pfaffs(geom, psi) + geometric_product(omega, psi).scale(0.5)
+    return pfaffs(geom, psi) + _biform_actions(geom, GP_TABLE, geom.omega_biform, psi)
 
 
 @_per_frame
 def right_rep_derivs(geom: FrameGeometry, phi: Multivector) -> Multivector:
     """Right-representative derivatives: pfaff_a(phi) - phi omega_a / 2."""
-    omega = _along_directions(geom.omega_biform, phi)
-    return pfaffs(geom, phi) - geometric_product(phi, omega).scale(0.5)
+    return pfaffs(geom, phi) - right_actions(geom, phi)
 
 
 @_per_frame
@@ -196,6 +242,17 @@ def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     data = np.zeros((4,) + prod.shape[:-2] + (N_BLADES, n))
     data[..., 1:5, :slots(order)] = vectors[..., :slots(order)]
     return Multivector.from_array(data, order)
+
+
+@_per_frame
+def torsion_operator_pairs(geom: FrameGeometry, V: Multivector) -> Multivector:
+    """tau(e_a, tau(e_b, V)) for all a, b, the (a, b) grid, at order <= 1:
+    both sums it enters (``pair_expansion_rhs`` and
+    ``vector_square_torsion_correction``) have order 0, so the inner stack
+    is cut to its order-1 slots."""
+    tau = torsion_operators(geom, V)
+    order = min(tau.order, CONN_ORDER)
+    return torsion_operators(geom, Multivector.from_array(tau.data[..., :width(order)], order))
 
 
 def pfaff(geom: FrameGeometry, A: Multivector, a: int) -> Multivector:
@@ -241,9 +298,17 @@ def dirac_wedge(geom: FrameGeometry, A: Multivector, conn: Connection = "full") 
     return blade_sum(THETA_WEDGE_ROWS, cov_derivs(geom, A, conn))
 
 
-def _dtheta(geom: FrameGeometry) -> Multivector:
+@_per_frame
+def dtheta(geom: FrameGeometry) -> Multivector:
     """dtheta^g = -c^g_{bc} theta^b ^ theta^c summed over b < c, a stack."""
     return Multivector.from_array(bivector_array(-geom.c), CONN_ORDER)
+
+
+@_per_frame
+def torsion_forms(geom: FrameGeometry) -> Multivector:
+    """The torsion 2-forms ``geometry.torsion_two_forms``, built once per
+    frame, so that their expansions are too."""
+    return torsion_two_forms(geom)
 
 
 @_per_frame
@@ -256,9 +321,7 @@ def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     theta_I), the interior product i_{e_g} being the left contraction by the
     lowered theta_g (the even dtheta^g commutes into first place)."""
     interior = blade_products(THETA_DOWN_LC, A)   # [g]: theta_g _| A
-    return blade_sum(THETA_WEDGE_ROWS, pfaffs(geom, A)) + product_sum(
-        _dtheta(geom), interior, WEDGE_TABLE
-    )
+    return blade_sum(THETA_WEDGE_ROWS, pfaffs(geom, A)) + frame_product_sum(geom, dtheta(geom), interior, WEDGE_TABLE)
 
 
 @_per_frame
@@ -332,7 +395,7 @@ def scalar_square_biform_part(geom: FrameGeometry, f: Multivector) -> Multivecto
         raise JetOrderError("cannot differentiate an order-0 jet")
     order = min(f.order, FRAME_ORDER) - 1
     df = _scalar_derivs(geom, f, order)                     # df[a] = e_a f
-    return _combine("apk,ap->pk", torsion_two_forms(geom), -df, order)
+    return _combine("apk,ap->pk", torsion_forms(geom), -df, order)
 
 
 def _with_scalar(A: Multivector, s: Multivector) -> Multivector:
@@ -375,7 +438,7 @@ def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Mul
         + cov_derivs(geom, tau, "lc").scale(0.5)
         - _combine("cpk,cabp->abpk", D.scale(0.5) + tau.scale(0.25), geom.T, FRAME_ORDER)
         - _combine("cpk,acbp->abpk", tau, geom.lc).scale(0.5)
-        + torsion_operators(geom, tau).scale(0.25)
+        + torsion_operator_pairs(geom, A).scale(0.25)
     )
 
 
@@ -389,7 +452,7 @@ def pair_expansion_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
         cov_derivs(geom, D, "lc")
         + torsion_operators(geom, D).scale(0.5)
         + cov_derivs(geom, tau, "lc").scale(0.5)
-        + torsion_operators(geom, tau).scale(0.25)
+        + torsion_operator_pairs(geom, A).scale(0.25)
     )
 
 
@@ -420,13 +483,12 @@ def _right_correction(
     omega_b along e_a:
     first_b omega_a/2 + first_a omega_b/2 + A d_omega_ab/2
     + (A omega_b) omega_a/4 - Gamma^c_ab (A omega_c)/2."""
-    omega = geom.omega_biform
-    a_omega = geometric_product(A, omega)                              # [c]
-    first_omega = geometric_product(first[None], omega[:, None])       # [a, b]: first_b omega_a
+    a_omega = right_actions(geom, A, 1.0)              # [c]: A omega_c
+    half = right_actions(geom, first)                   # [a, b]: first_b omega_a / 2
     return (
-        (first_omega + first_omega.swapaxes(0, 1)).scale(0.5)
+        half + half.swapaxes(0, 1)
         + geometric_product(A, d_omega).scale(0.5)
-        + geometric_product(a_omega[None], omega[:, None]).scale(0.25)
+        + right_actions(geom, a_omega, 0.25)
         - _combine("cpk,acbp->abpk", a_omega, geom.full).scale(0.5)
     )
 
@@ -464,11 +526,7 @@ def s2_levi_civita_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
     _require_grade(A, 1, "right-action correction argument")
     omega = geom.omega_biform
     nabla = cov_derivs(geom, A, "lc") + torsion_operators(geom, A).scale(0.5)
-    d_omega = (
-        pfaffs(geom, omega)
-        + commutator(geom.lc_biform[:, None], omega[None]).scale(0.5)
-        + commutator(geom.contorsion_biform[:, None], omega[None]).scale(0.5)
-    )
+    d_omega = cov_derivs(geom, omega, "lc") + _biform_actions(geom, COMMUTATOR_TABLE, geom.contorsion_biform, omega)
     return _right_correction(geom, A, nabla, d_omega)
 
 
@@ -510,7 +568,7 @@ def lichnerowicz_rhs(
     out = _eta_trace(spin_cov_derivs(geom, spin1)) - _combine("bpk,bp->pk", spin1, weight)
     out = out + psi.scale(curv.scalar, CURV_ORDER).scale(0.25)
     out = out + geometric_product(curv.j_form, psi)
-    return out - product_sum(torsion_two_forms(geom), spin1)
+    return out - frame_product_sum(geom, torsion_forms(geom), spin1)
 
 
 # -- Maxwell forms --------------------------------------------------------------
@@ -525,6 +583,6 @@ def maxwell_residuals(
     _require_grade(F, 2, "field strength")
     _require_grade(J_e, 1, "current")
     clifford = dirac(geom, F, "full") - J_e
-    spin = right_rep_derivs(geom, F) + geometric_product(geom.omega_biform, F).scale(0.5)
+    spin = right_rep_derivs(geom, F) + _biform_actions(geom, GP_TABLE, geom.omega_biform, F)
     spin = blade_sum(THETA_GP_ROWS, spin) - J_e
     return clifford, spin

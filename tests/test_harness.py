@@ -76,7 +76,8 @@ def test_sampling_errors():
 
 
 @pytest.mark.parametrize(
-    "entropy", [[0, 0], [4, 0x5A11], [4, 0xF1E1D], [2**40 + 5, 7], [2**70, 0xF1E1D]]
+    "entropy",
+    [[0, 0], [4, 0x5A11], [4, 0xF1E1D], [2**40 + 5, 7], [2**70, 0xF1E1D], [11, 0xF1E1D], [2**40 + 3, 0x5A11]],
 )
 def test_uniform_stream_is_numpys_stream(entropy):
     ours = UniformStream(entropy)
@@ -95,6 +96,14 @@ def test_uniform_stream_is_numpys_stream(entropy):
     want = theirs.uniform(-1.0, 1.0, 2030)
     assert np.array(singles).view(np.uint64).tolist() == want[:70].view(np.uint64).tolist()
     assert bulk.view(np.uint64).tolist() == want[70:].view(np.uint64).tolist()
+    # uniform() steps harness._LANES states at a time: sizes around the lane
+    # count, and consecutive calls that end inside a block of lanes
+    lanes = harness._LANES
+    ours, theirs = UniformStream(entropy), np.random.default_rng(entropy)
+    for n in (0, 1, lanes - 1, lanes, lanes + 1, 1925, 2 * lanes + 3, lanes - 2, 5 * lanes, 1, 0, 3):
+        got = ours.uniform(-1.0, 1.0, n)
+        assert got.shape == (n,)
+        assert got.view(np.uint64).tolist() == theirs.uniform(-1.0, 1.0, n).view(np.uint64).tolist(), n
 
 
 def test_negative_seed_is_a_scenario_error(tmp_path, capsys):

@@ -1,17 +1,20 @@
 """Operator results shared per frame: the checks of one batch reuse them,
 and sharing changes no residual."""
 
+import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from conftest import BUNDLED, load_bundled, rand_mv
-from rcdirac import cliffalg, geometry, harness
+from rcdirac import cliffalg, geometry
 from rcdirac import operators as ops
 from rcdirac.geometry import build_frame
+from rcdirac.jets import width
 from rcdirac.harness import (
-    CHECKS, BatchContext, build_run_fields, evaluate_point, point_residuals, run_suite, sample_points,
+    CHECKS, BatchContext, build_run_fields, evaluate_point, point_residuals, sample_points,
 )
 
 
@@ -36,37 +39,59 @@ def test_check_alone_equals_full_suite(name, general_torsion):
 
 def test_full_suite_product_count(monkeypatch):
     scenario = load_bundled("curved_torsion")
-    pts, fields = _run_inputs(scenario, points=1)
-    orders, sum_orders = [], []
-    product, product_sum = cliffalg._product, cliffalg.product_sum
+    orders, expanded = [], []
+    product = cliffalg._product
 
     def counted(a, b, table):
         orders.append(min(a.order, b.order))
         return product(a, b, table)
 
-    def counted_sum(a, b, table=cliffalg.GP_TABLE):
-        sum_orders.append(min(a.order, b.order))
-        return product_sum(a, b, table)
-
     monkeypatch.setattr(cliffalg, "_product", counted)
-    # product_sum is called through each module's own binding
-    for module in (cliffalg, geometry, ops, harness):
-        if getattr(module, "product_sum", None) is product_sum:
-            monkeypatch.setattr(module, "product_sum", counted_sum)
-    # one point, then a 5-point run: a batch of any size makes the products
-    # of one point, each one kernel call over the batch's points
-    for run in (lambda: evaluate_point(scenario, fields, list(CHECKS), pts[0]),
-                lambda: run_suite(scenario, points=5)):
+    # the left expansions, table @ a, through each module's own binding
+    for step in ("left_expansion", "sum_left_expansion"):
+        orig = getattr(cliffalg, step)
+
+        def recorded(a, table, n, orig=orig, step=step):
+            expanded.append((step, id(table), a))
+            return orig(a, table, n)
+
+        for module in (cliffalg, geometry, ops):
+            if getattr(module, step, None) is orig:
+                monkeypatch.setattr(module, step, recorded)
+    # a batch of any size makes the products of one point, each one kernel
+    # call over the batch's points
+    for points in (1, 5):
         orders.clear()
-        sum_orders.clear()
-        run()
-        assert 0 < len(orders) <= 66
+        expanded.clear()
+        pts, fields = _run_inputs(scenario, points=points)
+        ctx = BatchContext(scenario, fields, pts)
+        for name in CHECKS:
+            ctx.results(name)
+        assert 0 < len(orders) <= 18
         # nearly every product has an operand of order <= 1 and runs on 5
         # jet slots; only products of two order-2 fields run on all 15
         assert sum(order >= 2 for order in orders) <= 3
-        # every product sum meets a first derivative or a torsion 2-form,
-        # both of order 1
-        assert sum_orders and max(sum_orders) < 2
+        # each frame operand is expanded at most once per product table
+        geom = ctx.geom
+        frame_operands = {
+            "omega": geom.omega_biform, "lc": geom.lc_biform, "contorsion": geom.contorsion_biform,
+            "dtheta": ops.dtheta(geom), "torsion": ops.torsion_forms(geom),
+        }
+        seen = collections.Counter(
+            (step, table, name)
+            for step, table, a in expanded
+            for name, x in frame_operands.items()
+            if _is_scaled(a, x.data)
+        )
+        assert seen and max(seen.values()) == 1, seen
+        names = {name for _, _, name in seen}
+        assert names == set(frame_operands), names
+
+
+def _is_scaled(a, x):
+    """a holds the values of x, or of x times a factor 1/2 or 1/4, in any
+    stack shape."""
+    return a.size == x.size and any(np.array_equal(a.ravel(), f * x.ravel()) for f in (1.0, 0.5, 0.25))
 
 
 def test_shared_results_are_read_only(frames):
@@ -129,3 +154,116 @@ def test_scalar_multivector_built_once():
     f = ctx.field("scalar").data
     assert np.array_equal(ctx.scalar_mv().data[..., 0, :], f[..., 0, :])
     assert not ctx.scalar_mv().data[..., 1:, :].any()
+
+
+# -- frame expansions -------------------------------------------------------------
+
+_TABLES = {id(t): t for t in (cliffalg.GP_TABLE, cliffalg.WEDGE_TABLE, cliffalg.LC_TABLE, cliffalg.COMMUTATOR_TABLE)}
+
+
+def _along(stack, A):
+    """A direction stack shaped to broadcast, direction axis first, with A."""
+    shape = (4,) + (1,) * (A.data.ndim - 3) + stack.data.shape[1:]
+    return cliffalg.Multivector.from_array(stack.data.reshape(shape), stack.order)
+
+
+# The operators written as products of multivectors, each operand expanded
+# on every call, and each factor 1/2 applied to the product.
+
+def _cov_derivs(geom, A, conn):
+    biform = geom.omega_biform if conn == "full" else geom.lc_biform
+    return ops.pfaffs(geom, A) + cliffalg.commutator(_along(biform, A), A).scale(0.5)
+
+
+def _spin_cov_derivs(geom, psi):
+    return ops.pfaffs(geom, psi) + cliffalg.geometric_product(_along(geom.omega_biform, psi), psi).scale(0.5)
+
+
+def _right_rep_derivs(geom, phi):
+    return ops.pfaffs(geom, phi) - cliffalg.geometric_product(phi, _along(geom.omega_biform, phi)).scale(0.5)
+
+
+def _exterior_d(geom, A):
+    dtheta = cliffalg.Multivector.from_array(cliffalg.bivector_array(-geom.c), geometry.CONN_ORDER)
+    interior = cliffalg.blade_products(ops.THETA_DOWN_LC, A)
+    return cliffalg.blade_sum(cliffalg.THETA_WEDGE_ROWS, ops.pfaffs(geom, A)) + cliffalg.product_sum(
+        dtheta, interior, cliffalg.WEDGE_TABLE
+    )
+
+
+def _maxwell_residuals(geom, F, J):
+    clifford = cliffalg.blade_sum(cliffalg.THETA_GP_ROWS, _cov_derivs(geom, F, "full")) - J
+    spin = _right_rep_derivs(geom, F) + cliffalg.geometric_product(geom.omega_biform, F).scale(0.5)
+    return clifford, cliffalg.blade_sum(cliffalg.THETA_GP_ROWS, spin) - J
+
+
+def _assert_same_bits(got, want):
+    assert got.order == want.order
+    x, y = got.data, want.data
+    assert x.shape == y.shape
+    nan = np.isnan(x)
+    assert np.array_equal(nan, np.isnan(y))
+    assert x[~nan].tobytes() == y[~nan].tobytes()
+
+
+def _with_nonfinite(A, blades):
+    """A copy of the field with NaN and infinite jet slots on some of the
+    given blades."""
+    data = A.data.copy()
+    data[0, blades[0], 0] = math.nan
+    data[-1, blades[-1], 2] = math.inf
+    data[..., blades[len(blades) // 2], 9] = -math.inf
+    return cliffalg.Multivector.from_array(data, A.order)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("points", (1, 3, 5))
+@pytest.mark.parametrize("name", ("curved_torsion", "general_torsion"))
+def test_frame_expansions_keep_every_bit(name, points, general_torsion):
+    scenario = general_torsion if name == "general_torsion" else load_bundled(name)
+    pts, fields = _run_inputs(scenario, points=points)
+    ctx = BatchContext(scenario, fields, pts)
+    geom = ctx.geom
+    A, F, J = ctx.field("general"), ctx.field("bivector"), ctx.field("current")
+    bad = _with_nonfinite(A, (0, 5, 15))
+    single = cliffalg.Multivector.from_array(A.data[0], A.order)    # broadcast over the points
+    stack = ops.cov_derivs(geom, A)                                 # (4, P, 16, 5)
+    for X in (A, bad, single, stack):
+        for conn in ("full", "lc"):
+            _assert_same_bits(ops.cov_derivs(geom, X, conn), _cov_derivs(geom, X, conn))
+        _assert_same_bits(ops.spin_cov_derivs(geom, X), _spin_cov_derivs(geom, X))
+        _assert_same_bits(ops.right_rep_derivs(geom, X), _right_rep_derivs(geom, X))
+    for X in (A, bad, single):     # exterior_d takes a field, not a stack
+        _assert_same_bits(ops.exterior_d(geom, X), _exterior_d(geom, X))
+    assert np.isnan(ops.cov_derivs(geom, bad).data).any()
+    for F, J in ((F, J), (_with_nonfinite(F, (5, 7, 10)), _with_nonfinite(J, (1, 2, 4)))):
+        for got, want in zip(ops.maxwell_residuals(geom, F, J), _maxwell_residuals(geom, F, J), strict=True):
+            _assert_same_bits(got, want)
+
+
+def test_expansions_are_read_only_per_frame_entries():
+    scenario = load_bundled("curved_torsion")
+    pts, fields = _run_inputs(scenario, points=3)
+    ctx = BatchContext(scenario, fields, pts)
+    for name in CHECKS:
+        ctx.results(name)
+    geom = ctx.geom
+    assert len(geom.expansions) > 5
+    for key, (operand, out) in geom.expansions.items():
+        # the entry holds its operand, whose id is in the key
+        assert isinstance(operand, cliffalg.Multivector) and key[1] == id(operand)
+        with pytest.raises(ValueError):
+            out.flat[0] = 0.0
+        step, _, table, factor = key
+        n = width(geometry.CONN_ORDER)
+        want = step(operand.data, n) if table == id(None) else step(operand.data, _TABLES[table], n)
+        assert np.array_equal(out, factor * want, equal_nan=True)   # a power of two: exact
+    # shared results are operator results, not expansions
+    assert all(isinstance(out, cliffalg.Multivector) for _, out in geom.shared.values())
+    # a new batch builds its own frame, which holds only the expansion its
+    # calibration built
+    fresh = BatchContext(scenario, fields, pts).geom
+    ((key, (operand, out)),) = fresh.expansions.items()
+    assert operand is fresh.omega_biform and key[2:] == (id(cliffalg.COMMUTATOR_TABLE), 0.5)
+    assert not any(np.shares_memory(out, old) for _, old in geom.expansions.values())
+    assert dataclasses.replace(geom).expansions == {}
