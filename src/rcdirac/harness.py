@@ -40,9 +40,9 @@ names ``f.scalar`` and ``A.vector``, ``A.bivector``, ``A.even``,
 ``A.general``, ``A.general2``, ``A.current``.
 
 The seeded draws (the Halton shift of the sample points and the polynomial
-coefficients) come from ``UniformStream``, which reproduces numpy's
-``default_rng`` PCG64 stream bit for bit without importing ``numpy.random``,
-whose import would cost more than the draws.
+coefficients) come from ``uniform_draws``: one standard-library
+``random.Random`` stream per seed and tag, so a run never imports
+``numpy.random``, whose import would cost more than the draws.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import os
 import pickle
+import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -110,111 +110,18 @@ class UsageError(ValueError):
 
 # -- seeded streams -------------------------------------------------------------
 
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-# SeedSequence hash constants
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 
-
-def _lcg_jump(k: int) -> tuple[int, int]:
-    """(A_k, S_k) with s_{j+k} = A_k s_j + S_k inc mod 2**128: k steps of
-    the PCG64 state update s -> s * _PCG_MULT + inc at once."""
-    a, s = 1, 0
-    for _ in range(k):
-        a, s = a * _PCG_MULT & _MASK128, (s * _PCG_MULT + 1) & _MASK128
-    return a, s
-
-
-# uniform() steps _LANES states at once, packed into one Python integer in
-# lanes of _LANE_BYTES bytes: room for a 128-bit state times a 128-bit
-# multiplier plus a 128-bit increment, so that no lane carries into the next
-_LANES = 64
-_LANE_BYTES = 33
-_JUMP_MULT, _JUMP_INC = _lcg_jump(_LANES)
-_LANE_ONES = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * _LANES, "little")
-_LANE_MASK = _MASK128 * _LANE_ONES
-
-
-class UniformStream:
-    """numpy's ``default_rng(entropy)`` stream, drawn without importing
-    ``numpy.random``: SeedSequence mixing of the entropy words into a
-    4-word pool, PCG64 (XSL-RR 128/64) seeded from it, and doubles
-    ``(x >> 11) * 2**-53``.  ``uniform(lo, hi, n)`` equals numpy's
-    ``Generator.uniform(lo, hi, n)`` bit for bit over consecutive calls."""
-
-    def __init__(self, entropy):
-        words = []
-        for n in entropy:
-            n = operator.index(n)
-            if n < 0:
-                raise ValueError("expected non-negative integer")
-            words.append(n & _MASK32)
-            while n >> 32:
-                n >>= 32
-                words.append(n & _MASK32)
-        const = _INIT_A
-
-        def hashmix(value):
-            nonlocal const
-            value ^= const
-            const = const * _MULT_A & _MASK32
-            value = value * const & _MASK32
-            return value ^ value >> 16
-
-        def mix(x, y):
-            r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-            return r ^ r >> 16
-
-        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in words[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = mix(pool[dst], hashmix(word))
-
-        # generate_state(4, uint64): 8 words, paired little-endian
-        state, hash_b = [], _INIT_B
-        for i in range(8):
-            value = pool[i % _POOL_SIZE] ^ hash_b
-            hash_b = hash_b * _MULT_B & _MASK32
-            value = value * hash_b & _MASK32
-            state.append(value ^ value >> 16)
-        w = [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
-        seed, inc = w[0] << 64 | w[1], w[2] << 64 | w[3]
-        # PCG64 srandom: state 0, step, add the seed, step
-        self._inc = (inc << 1 | 1) & _MASK128
-        self._state = ((self._inc + seed) * _PCG_MULT + self._inc) & _MASK128
-
-    def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
-        # the 128-bit LCG steps in Python integers: the first _LANES states
-        # one by one, the rest _LANES at a time, each lane of the packed
-        # block jumping _LANES steps ahead of the lane below it; the
-        # XSL-RR output and the double conversion run on the (low, high)
-        # uint64 halves of the states
-        state, inc, first = self._state, self._inc, []
-        for _ in range(min(n, _LANES)):
-            state = (state * _PCG_MULT + inc) & _MASK128
-            first.append(state.to_bytes(_LANE_BYTES, "little"))
-        blocks = [b"".join(first)]
-        packed = int.from_bytes(blocks[0], "little")
-        jump_inc = (_JUMP_INC * inc & _MASK128) * _LANE_ONES
-        for _ in range((n - 1) // _LANES):
-            packed = (packed * _JUMP_MULT + jump_inc) & _LANE_MASK
-            blocks.append(packed.to_bytes(_LANE_BYTES * _LANES, "little"))
-        lanes = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, _LANE_BYTES)[:n, :16]
-        low, high = np.ascontiguousarray(lanes).view(np.uint64).T
-        if n:
-            self._state = int(high[-1]) << 64 | int(low[-1])
-        x, rot = low ^ high, high >> np.uint64(58)
-        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))    # rotate right
-        return lo + (hi - lo) * ((x >> np.uint64(11)) * _DOUBLE_UNIT)
+def uniform_draws(seed: int, tag: int, lo: float, hi: float, n: int) -> np.ndarray:
+    """n doubles uniform in [lo, hi) from the stream of one tag (below
+    2**32) for a run seed: the Mersenne Twister of ``random.Random(seed <<
+    32 | tag)``, whose ``random()`` sequence for an integer seed Python
+    keeps the same across versions."""
+    if seed < 0:
+        # Random seeds from abs(seed), which would give -s the stream of s
+        raise ValueError("expected non-negative integer")
+    draw = random.Random(seed << 32 | tag).random
+    # iter(draw, None) calls draw() without end; fromiter stops after n
+    return lo + (hi - lo) * np.fromiter(iter(draw, None), np.float64, n)
 
 
 # -- test fields --------------------------------------------------------------
@@ -223,12 +130,14 @@ class UniformStream:
 @dataclass
 class RunField:
     """A test field: random polynomial coefficients or scenario expressions,
-    with a sup-norm scale applied at evaluation time."""
+    divided by its sup-norm at evaluation time, so that its largest finite
+    value is exactly 1 (x / x == 1 in floating point, x * (1 / x) not
+    always)."""
 
     kind: str
     polys: np.ndarray | None = None       # (16, 35) monomial coefficients
     exprs: tuple | None = None            # 16 expressions from the scenario
-    scale: float = 1.0
+    sup: float = 1.0
     # unscaled (16, 15) values at the run's points, filled by
     # build_run_fields; a forked shard child inherits them
     values: dict = field(default_factory=dict, repr=False, compare=False)
@@ -237,9 +146,9 @@ class RunField:
         """The field at one of the run's chart points, (16, 15), or at a
         sequence of P of them, a point stack (P, 16, 15)."""
         if isinstance(points, ChartPoint):
-            return Multivector.from_array(self.values[points] * self.scale, 2)
+            return Multivector.from_array(self.values[points] / self.sup, 2)
         data = np.array([self.values[p] for p in points]).reshape(-1, 16, JET_LEN)
-        return Multivector.from_array(data * self.scale, 2)
+        return Multivector.from_array(data / self.sup, 2)
 
 
 def monomial_jets(point: ChartPoint) -> np.ndarray:
@@ -264,7 +173,7 @@ def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunFiel
     # order; the draws are made for every kind regardless of overrides, so
     # pinning one field never reshuffles the generated ones
     n_rows = sum(map(len, _FIELD_BLADES.values()))
-    draws = UniformStream([seed, 0xF1E1D]).uniform(-1.0, 1.0, n_rows * len(MONOMIALS))
+    draws = uniform_draws(seed, 0xF1E1D, -1.0, 1.0, n_rows * len(MONOMIALS))
     draws = draws.reshape(n_rows, len(MONOMIALS))
     fields: dict[str, RunField] = {}
     for kind, grades in FIELD_KINDS.items():
@@ -301,12 +210,12 @@ def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunFiel
                     f"{type(err).__name__} at point {err.point.x}: {err}"
                 )
                 raise ScenarioError(f"test field {label}: {detail}") from err
-        f.scale = _unit_scale(label, f.values.values())
+        f.sup = _sup_norm(label, f.values.values())
     return fields
 
 
-def _unit_scale(label: str, values) -> float:
-    """1 / the largest finite value of a field's (16, 15) jets at the run's
+def _sup_norm(label: str, values) -> float:
+    """The largest finite value of a field's (16, 15) jets at the run's
     points, or 1 when that is tiny; non-finite values stay per-point
     errors of the checks."""
     v = np.abs([data[:, 0] for data in values])
@@ -315,7 +224,7 @@ def _unit_scale(label: str, values) -> float:
         raise ScenarioError(
             f"test field {label} has no finite non-zero value at the sampled points"
         )
-    return 1.0 / sup if sup > 1e-12 else 1.0
+    return sup if sup > 1e-12 else 1.0
 
 
 # -- sampling ------------------------------------------------------------------
@@ -346,7 +255,7 @@ def sample_points(scenario: Scenario, points: int | None = None, seed: int | Non
     for lo, hi in scenario.chart_box:
         if not hi > lo:
             raise ValueError(f"empty chart box interval ({lo}, {hi})")
-    shift = UniformStream([s, 0x5A11]).uniform(0.0, 1.0, 4).tolist()
+    shift = uniform_draws(s, 0x5A11, 0.0, 1.0, 4).tolist()
     out = []
     for k in range(n):
         coords = []

@@ -24,7 +24,6 @@ from rcdirac.jets import JET_LEN, width
 from rcdirac.harness import (
     CHECKS,
     BatchContext,
-    UniformStream,
     UsageError,
     build_run_fields,
     cli_main,
@@ -32,6 +31,7 @@ from rcdirac.harness import (
     run_suite,
     sample_points,
     select_checks,
+    uniform_draws,
 )
 IDENTITY = "[tetrad]\ne0_0 = 1\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n"
 
@@ -41,16 +41,16 @@ def test_sampling_determinism_golden():
     sc = fs.load_scenario(IDENTITY)
     pts = sample_points(sc, points=10, seed=42)
     assert pts[0].x == (
-        0.9244014809985147,
-        0.5730090486046107,
-        0.05609279594410917,
-        0.5442569841452533,
+        0.5622337165261854,
+        0.10671198489381573,
+        0.6982947639510312,
+        0.5962485625264781,
     )
     assert pts[1].x == (
-        0.6994014809985147,
-        0.8730090486046107,
-        0.23609279594410915,
-        0.6728284127166818,
+        0.33723371652618533,
+        0.40671198489381566,
+        0.8782947639510311,
+        0.7248199910979067,
     )
     assert pts == sample_points(sc, points=10, seed=42)
     assert pts != sample_points(sc, points=10, seed=43)
@@ -75,40 +75,31 @@ def test_sampling_errors():
         sample_points(bad, points=3, seed=0)
 
 
-@pytest.mark.parametrize(
-    "entropy",
-    [[0, 0], [4, 0x5A11], [4, 0xF1E1D], [2**40 + 5, 7], [2**70, 0xF1E1D], [11, 0xF1E1D], [2**40 + 3, 0x5A11]],
-)
-def test_uniform_stream_is_numpys_stream(entropy):
-    ours = UniformStream(entropy)
-    theirs = np.random.default_rng(entropy)
-    calls = (
-        (0.0, 1.0, 4), (-1.0, 1.0, 35), (-1.0, 1.0, 35), (-1.0, 1.0, 1), (0.0, 1.0, 100),
-        (-1.0, 1.0, 1960), (0.0, 1.0, 0), (-2.5, 3.0, 3), (-1.0, 1.0, 1925), (0.0, 1.0, 7),
-    )
-    for lo, hi, n in calls:
-        got = np.array(ours.uniform(lo, hi, n))
-        assert got.view(np.uint64).tolist() == theirs.uniform(lo, hi, n).view(np.uint64).tolist()
-    # one bulk call continues the stream exactly where single draws leave it
-    ours, theirs = UniformStream(entropy), np.random.default_rng(entropy)
-    singles = [ours.uniform(-1.0, 1.0, 1)[0] for _ in range(70)]
-    bulk = ours.uniform(-1.0, 1.0, 1960)
-    want = theirs.uniform(-1.0, 1.0, 2030)
-    assert np.array(singles).view(np.uint64).tolist() == want[:70].view(np.uint64).tolist()
-    assert bulk.view(np.uint64).tolist() == want[70:].view(np.uint64).tolist()
-    # uniform() steps harness._LANES states at a time: sizes around the lane
-    # count, and consecutive calls that end inside a block of lanes
-    lanes = harness._LANES
-    ours, theirs = UniformStream(entropy), np.random.default_rng(entropy)
-    for n in (0, 1, lanes - 1, lanes, lanes + 1, 1925, 2 * lanes + 3, lanes - 2, 5 * lanes, 1, 0, 3):
-        got = ours.uniform(-1.0, 1.0, n)
-        assert got.shape == (n,)
-        assert got.view(np.uint64).tolist() == theirs.uniform(-1.0, 1.0, n).view(np.uint64).tolist(), n
+@pytest.mark.parametrize("seed, tag, lo, hi, bits", [
+    (0, 0x5A11, 0.0, 1.0, [0x3FE07AEDAA386319, 0x3FCDD12D014E6C88, 0x3FDACB9A812548C6]),
+    (4, 0xF1E1D, -1.0, 1.0, [0xBFDBA179B8D8618C, 0x3FEAC734BD9E02DC, 0xBFEEDE48205483AE]),
+    (2**40 + 3, 0x5A11, 0.0, 1.0, [0x3FE406355278550E, 0x3FD40BED199E41F8, 0x3FE4BEC546A3348C]),
+    (11, 0xF1E1D, -2.5, 3.0, [0x3FE5E2736F40453C, 0xBFF6F768B459CD12, 0x3FFB8882357672C0]),
+], ids=["shift-seed0", "fields-seed4", "shift-seed2**40+3", "fields-seed11"])
+def test_uniform_draws_golden(seed, tag, lo, hi, bits):
+    # pinned float64 bit patterns: a change to Python's random() stream for
+    # an integer seed would change every sampled point and test field
+    got = uniform_draws(seed, tag, lo, hi, 3)
+    assert got.dtype == np.float64
+    assert got.view(np.uint64).tolist() == bits
+    assert uniform_draws(seed, tag, lo, hi, 0).shape == (0,)
+    # a longer draw starts with the shorter one, and stays in [lo, hi)
+    more = uniform_draws(seed, tag, lo, hi, 1000)
+    assert more[:3].view(np.uint64).tolist() == bits
+    assert lo <= more.min() and more.max() < hi
+    # other seeds and other tags give other streams
+    assert not np.array_equal(uniform_draws(seed + 1, tag, lo, hi, 3), got)
+    assert not np.array_equal(uniform_draws(seed, tag ^ 1, lo, hi, 3), got)
 
 
 def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
-        UniformStream([-1, 0x5A11])
+        uniform_draws(-1, 0x5A11, 0.0, 1.0, 4)
     path = tmp_path / "negative.scn"
     path.write_text(IDENTITY + "[sampling]\nseed = -1\n")
     assert cli_main(["run", str(path), "--points", "1"]) == 3
@@ -474,15 +465,38 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _top_split(coord: int, points: int, seed: int) -> float:
+    """The midpoint between the largest and the second-largest coordinate
+    x<coord> of the points sampled in the unit chart box at this count and
+    seed.  exp(710 x<coord> / split) overflows a float (log of the largest
+    is 709.78) just below the split, so at the point with the largest
+    coordinate only; its derivatives, up to 1e6 times larger, stay finite
+    at the others when the two coordinates are a few hundredths apart."""
+    pts = sample_points(fs.load_scenario(IDENTITY), points=points, seed=seed)
+    top, second = sorted(p.x[coord] for p in pts)[:-3:-1]
+    return (top + second) / 2
+
+
+def _assert_one_point_above(coord: int, split: float, points: int, seed: int) -> tuple:
+    """The coordinates of the one sampled point whose x<coord> passes the
+    split, asserting that there is one and that it is not the first: the
+    points evaluated before it and beside it show that it alone fails."""
+    pts = sample_points(fs.load_scenario(IDENTITY), points=points, seed=seed)
+    bad = [p.x for p in pts if p.x[coord] > split]
+    assert len(bad) == 1 and bad[0] != pts[0].x
+    return bad[0]
+
+
+# 6 points at seed 0: a product of two finite exponentials that overflows to
+# infinity above X0_SPLIT, at one point, which makes the residuals NaN there
+X0_SPLIT = _top_split(0, 6, 0)
+BIG_X0 = f'"exp({355 / X0_SPLIT!r}*x0)*exp({355 / X0_SPLIT!r}*x0)"'
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_nan_residual_fails_with_point_error(capsys, tmp_path):
-    # the scalar field overflows to infinity at x0 > 0.507, which makes the
-    # residuals NaN there; the NaN point is not the first one
-    text = (
-        "[chart]\nx0_min = 0.3\nx0_max = 0.6\n" + IDENTITY
-        + '[fields]\nf.scalar = "exp(700*x0)*exp(700*x0)"\n'
-        + "[sampling]\nseed = 0\npoints = 6\n"
-    )
+    bad = _assert_one_point_above(0, X0_SPLIT, 6, 0)
+    text = IDENTITY + f"[fields]\nf.scalar = {BIG_X0}\n" + "[sampling]\nseed = 0\npoints = 6\n"
     names = ["scalar-laplacian", "double-contraction", "scalar-square-forms"]
     report = run_suite(fs.load_scenario(text), only=names)
     assert not report.all_passed()
@@ -490,6 +504,7 @@ def test_nan_residual_fails_with_point_error(capsys, tmp_path):
         assert not c.passed
         assert c.max is not None  # the finite points were evaluated
         assert [msg for _, msg in c.errors] == ["non-finite residual nan"]
+        assert [x for x, _ in c.errors] == [bad]
     assert "ERROR scalar-laplacian point=(" in report.to_text()
     blob = _strict_json(report.to_json())
     assert [e["pass"] for e in blob["checks"]] == [False] * 3
@@ -501,16 +516,11 @@ def test_nan_residual_fails_with_point_error(capsys, tmp_path):
     _strict_json(capsys.readouterr().out)
 
 
-# the scalar field overflows to infinity at x0 > 0.507, not at every point
-OVERFLOWING_SCALAR = (
-    "[chart]\nx0_min = 0.3\nx0_max = 0.6\n" + IDENTITY
-    + '[fields]\nf.scalar = "exp(700*x0)*exp(700*x0)"\n'
-)
-
-
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_sup_norm_is_taken_over_finite_values():
-    sc = fs.load_scenario(OVERFLOWING_SCALAR)
+    _assert_one_point_above(0, X0_SPLIT, 6, 0)
+    # the scalar field overflows to infinity at one point, not at every point
+    sc = fs.load_scenario(IDENTITY + f"[fields]\nf.scalar = {BIG_X0}\n")
     pts = sample_points(sc, points=6, seed=0)
     fields = build_run_fields(sc, 0, pts)
     values = [fields["scalar"].at(p).coeffs[0].value for p in pts]
@@ -518,6 +528,10 @@ def test_sup_norm_is_taken_over_finite_values():
     assert 0 < len(finite) < len(values)
     assert max(finite) == 1.0
     assert all(v > 0.0 for v in finite)
+    # the field is divided by its sup: 49 * (1 / 49) is 0.9999999999999999
+    sc = fs.load_scenario(IDENTITY + '[fields]\nf.scalar = "49"\n')
+    fields = build_run_fields(sc, 0, pts)
+    assert [fields["scalar"].at(p).coeffs[0].value for p in pts] == [1.0] * len(pts)
 
 
 @pytest.mark.parametrize("expr", ["0*x0", "x0 + 1e999"], ids=["zero", "infinite"])
@@ -551,17 +565,24 @@ def test_failing_test_field_is_a_scenario_error(capsys, tmp_path):
         assert "Traceback" not in out.out + out.err
 
 
-# exp(800*x1) overflows a float for x1 > 0.887; seed 1 samples x1 = 0.923
-OVERFLOW_TETRAD = '[tetrad]\ne0_0 = "exp(800*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
-# the tetrad overflows to infinity at the x1 ~ 0.65 sample point
-INF_TETRAD = '[tetrad]\ne0_0 = "exp(700*x1)*exp(700*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+# 6 points at seed 1: exp overflows a float (OverflowError) above X0_SPLIT_1,
+# at one point; x0, as the largest x1 at seed 1 is the first point's
+X0_SPLIT_1 = _top_split(0, 6, 1)
+OVERFLOW_TETRAD = f'[tetrad]\ne0_0 = "exp({710 / X0_SPLIT_1!r}*x0)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+# 3 points at seed 0: the tetrad overflows to infinity above X1_SPLIT, at one point
+X1_SPLIT = _top_split(1, 3, 0)
+INF_TETRAD = (
+    f'[tetrad]\ne0_0 = "exp({355 / X1_SPLIT!r}*x1)*exp({355 / X1_SPLIT!r}*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n'
+)
 
 
 def test_overflow_is_a_point_error(capsys, tmp_path):
+    bad = _assert_one_point_above(0, X0_SPLIT_1, 6, 1)
     text = OVERFLOW_TETRAD
     report = run_suite(fs.load_scenario(text), points=6, seed=1, only=["metricity"])
     (check,) = report.checks
     assert len(check.errors) == 1
+    assert check.errors[0][0] == bad
     assert check.errors[0][1].startswith("OverflowError")
     assert check.max is not None
     path = tmp_path / "overflow.scn"
@@ -605,12 +626,12 @@ HIDDEN_NAN_CHECKS = [
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_nan_inside_check_body_fails(capsys, tmp_path):
-    # the fields overflow to infinity at x0 > 0.507, which makes the
-    # residuals NaN there; the NaN point is not the first one
-    big = '"exp(700*x0)*exp(700*x0)"'
+    # the fields overflow to infinity at one point, not the first, which
+    # makes the residuals NaN there
+    bad = _assert_one_point_above(0, X0_SPLIT, 6, 0)
     text = (
-        "[chart]\nx0_min = 0.3\nx0_max = 0.6\n" + IDENTITY
-        + f"[fields]\nA.general.1 = {big}\nA.vector.1 = {big}\nA.even.0 = {big}\n"
+        IDENTITY
+        + f"[fields]\nA.general.1 = {BIG_X0}\nA.vector.1 = {BIG_X0}\nA.even.0 = {BIG_X0}\n"
         + "[sampling]\nseed = 0\npoints = 6\n"
     )
     report = run_suite(fs.load_scenario(text), only=HIDDEN_NAN_CHECKS)
@@ -618,6 +639,7 @@ def test_nan_inside_check_body_fails(capsys, tmp_path):
         assert not c.passed, c.name
         assert c.max is not None  # the finite points were evaluated
         assert [msg for _, msg in c.errors] == ["non-finite residual nan"], c.name
+        assert [x for x, _ in c.errors] == [bad], c.name
     path = tmp_path / "nan.scn"
     path.write_text(text)
     assert cli_main(["run", str(path), "--only", ",".join(HIDDEN_NAN_CHECKS)]) == 1
@@ -628,11 +650,10 @@ def test_nan_inside_check_body_fails(capsys, tmp_path):
 def test_non_finite_tetrad_is_a_failing_point_error(capsys, tmp_path):
     text = INF_TETRAD
     report = run_suite(fs.load_scenario(text), points=3)
-    bad = [p for p in sample_points(fs.load_scenario(text), points=3) if p.x[1] > 0.6]
-    assert len(bad) == 1
+    bad = _assert_one_point_above(1, X1_SPLIT, 3, 0)
     for c in report.checks:
         assert not c.passed, c.name
-        assert [point for point, _ in c.errors] == [bad[0].x], c.name
+        assert [point for point, _ in c.errors] == [bad], c.name
         assert c.errors[0][1].startswith("NonFiniteFrameError: the tetrad is not finite")
     path = tmp_path / "inf.scn"
     path.write_text(text)
