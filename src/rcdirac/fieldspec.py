@@ -288,19 +288,6 @@ def print_expr(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def has_division(e: Expr) -> bool:
-    """True if any division node occurs (candidates for domain failures)."""
-    if isinstance(e, BinOp):
-        return e.op == "/" or has_division(e.left) or has_division(e.right)
-    if isinstance(e, Neg):
-        return has_division(e.arg)
-    if isinstance(e, Pow):
-        return e.exponent < 0 or has_division(e.base)
-    if isinstance(e, Call):
-        return has_division(e.arg)
-    return False
-
-
 # -- evaluation ------------------------------------------------------------
 #
 # Expressions compile once into a ``Program``: a straight-line list of jet

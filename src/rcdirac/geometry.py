@@ -113,7 +113,6 @@ class FrameGeometry:
     tetrad: np.ndarray           # theta^a_mu, (4, 4, P, 15), rows a
     frame_vectors: np.ndarray    # e_a^mu, (4, 4, P, 15), rows a
     derivations: dict            # {n: (4, P, n, 5)}: e_a(f) = f @ derivations[n][a], f of width n
-    det: np.ndarray              # jets (P, 15) of det theta^a_mu
     c: np.ndarray                # structure coefficients c[c][a][b], (4, 4, 4, P, 5)
     T: np.ndarray                # torsion T[c][a][b], (4, 4, 4, P, 15)
     lc: np.ndarray               # Levi-Civita conn[a][b][c], (4, 4, 4, P, 5)
@@ -187,12 +186,10 @@ def _derive(derivations: dict, table: np.ndarray, order) -> np.ndarray:
 
 
 def invert_tetrad(theta_mat: np.ndarray, points):
-    """Inverse of the 4x4 jet matrices theta^a_mu (4, 4, P, 15) at P points.
-
-    Returns (frame_vectors, det) with frame_vectors[a][mu] = e_a^mu such
-    that theta^a_mu e_b^mu = delta^a_b, and the jets (P, 15) of the
-    determinant; a point with a near-singular tetrad raises
-    ``DegenerateFrameError``.  The jets of the inverse E of a matrix A
+    """Inverse of the 4x4 jet matrices theta^a_mu (4, 4, P, 15) at P points:
+    the frame vectors, frame_vectors[a][mu] = e_a^mu such that
+    theta^a_mu e_b^mu = delta^a_b; a point with a near-singular tetrad
+    raises ``DegenerateFrameError``.  The jets of the inverse E of a matrix A
     follow from E A = 1: d_m E = -E A_m E and
     d_m d_n E = -E A_mn E + E A_m E A_n E + E A_n E A_m E.
     """
@@ -206,17 +203,9 @@ def invert_tetrad(theta_mat: np.ndarray, points):
     grad = np.moveaxis(a[..., 1:5], -1, 1)                  # d_m theta, (P, 4, 4, 4)
     hess = np.moveaxis(a[..., 5:], -1, 1)                   # d_m d_n theta, (P, 10, 4, 4)
     ig = inv @ grad
-    igig = ig[:, HESS_I] @ ig[:, HESS_J]
-    d2 = (ig[:, HESS_J] @ ig[:, HESS_I] + igig - inv @ hess) @ inv
+    d2 = (ig[:, HESS_J] @ ig[:, HESS_I] + ig[:, HESS_I] @ ig[:, HESS_J] - inv @ hess) @ inv
     jets = np.concatenate((inv, -ig @ inv, d2), axis=1)     # (P, 15, mu, a)
-    frame_vectors = np.ascontiguousarray(jets.transpose(3, 2, 0, 1))
-
-    # d ln det = tr(E dA)
-    tr_g = np.trace(ig, axis1=-2, axis2=-1)
-    tr_h = np.trace(inv @ hess, axis1=-2, axis2=-1) - np.trace(igig, axis1=-2, axis2=-1)
-    ones = np.ones((len(det), 1))
-    det_jet = det[:, None] * np.concatenate((ones, tr_g, tr_g[:, HESS_I] * tr_g[:, HESS_J] + tr_h), axis=1)
-    return frame_vectors, det_jet
+    return np.ascontiguousarray(jets.transpose(3, 2, 0, 1))
 
 
 def build_frame(scenario: Scenario, points) -> FrameGeometry:
@@ -236,7 +225,7 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     stages = scenario.frame_program().stages(points)
     theta_mat = np.ascontiguousarray(np.moveaxis(next(stages).reshape(n, 4, 4, JET_LEN), 0, 2))
     _require_finite(theta_mat, "the tetrad", points)
-    frame_vectors, det = invert_tetrad(theta_mat, points)
+    frame_vectors = invert_tetrad(theta_mat, points)
     _require_finite(frame_vectors, "the inverse tetrad", points)
 
     T = np.zeros((4, 4, 4, n, JET_LEN))
@@ -259,7 +248,6 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
         tetrad=theta_mat,
         frame_vectors=frame_vectors,
         derivations=derivations,
-        det=det,
         c=c_t,
         T=T,
         lc=lc,

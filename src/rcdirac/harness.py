@@ -63,7 +63,7 @@ import numpy as np
 from . import fieldspec, geometry, operators
 from .cliffalg import (
     GRADES, LC_TABLE, THETA_GP_ROWS, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
-    geometric_product, grade_involution, wedge,
+    geometric_product, grade_involution, product_sum, wedge,
 )
 from .fieldspec import Scenario, ScenarioError
 from .geometry import ETA, NonFiniteFrameError
@@ -552,7 +552,8 @@ def _c_torsion_splits(ctx):
     geom = ctx.geom
     thetas = operators.torsion_forms(geom)
     # sum_r Theta^r ^ (theta_r _| A) and sum_r Theta^r _| (theta_r ^ A)
-    wedge_corr = operators.frame_product_sum(geom, thetas, blade_products(operators.THETA_DOWN_LC, A), WEDGE_TABLE)
+    # (the wedge expansion of the torsion forms has no other use: not kept)
+    wedge_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_LC, A), WEDGE_TABLE)
     contract_corr = operators.frame_product_sum(
         geom, thetas, blade_products(operators.THETA_DOWN_WEDGE, A), LC_TABLE
     )

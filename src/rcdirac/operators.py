@@ -45,12 +45,16 @@ arithmetic on them returns new arrays.  Passing the same multivector object
 again reuses the result, so an argument must not be modified in place after
 a call.
 
-Expansions: within a frame, every product with a frame operand (the
-connection biforms, ``dtheta``, the torsion 2-forms ``torsion_forms``) meets
-the same expansion of that operand, the first step of ``cliffalg._product``.
-``geom.expansion`` builds each once per frame, with its constant factor (1/2
-for the connection terms, 1/4 for the paired right action) folded in, and
-keeps it, read-only, in ``geom.expansions`` beside ``geom.shared``.  It keeps
+Expansions: within a frame, the products with a frame operand (the
+connection biforms, ``dtheta``, the torsion 2-forms ``torsion_forms``) meet
+the same expansion of that operand, the first step of ``cliffalg._product``,
+again and again.  ``geom.expansion`` builds each such expansion once per
+frame, with its constant factor (1/2 for the connection terms, 1/4 for the
+paired right action) folded in, and keeps it, read-only, in
+``geom.expansions`` beside ``geom.shared``.  An expansion that only one
+product per frame uses (the wedge and geometric products with the torsion
+forms, the halved commutator with the contorsion biforms) is not kept: that
+product runs through the plain kernel, with the same bits.  It keeps
 the jet product matrices of each argument of the covariant and spin
 derivatives there too, which both connections and the spin derivative share.
 The operators then run only the product's last step.  A power-of-two factor
@@ -76,8 +80,8 @@ import numpy as np
 from .cliffalg import (
     COMMUTATOR_TABLE, GP_TABLE, GRADES, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS,
     THETA_PAIR_ROWS, THETA_WEDGE, THETA_WEDGE_ROWS, WEDGE_TABLE, GradeError, Multivector, bivector_array,
-    blade_products, blade_sum, expanded_product, geometric_product, hodge_dual, left_expansion, right_expansion,
-    sum_left_expansion, sum_right_expansion,
+    blade_products, blade_sum, commutator, expanded_product, geometric_product, hodge_dual, left_expansion,
+    product_sum, right_expansion, sum_left_expansion, sum_right_expansion,
 )
 from .geometry import (
     CONN_ORDER, CURV_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms,
@@ -526,7 +530,9 @@ def s2_levi_civita_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
     _require_grade(A, 1, "right-action correction argument")
     omega = geom.omega_biform
     nabla = cov_derivs(geom, A, "lc") + torsion_operators(geom, A).scale(0.5)
-    d_omega = cov_derivs(geom, omega, "lc") + _biform_actions(geom, COMMUTATOR_TABLE, geom.contorsion_biform, omega)
+    # [K_a, omega_b] / 2 on the grid [a, b]; this expansion of the contorsion
+    # biforms has no other use, so it is not kept
+    d_omega = cov_derivs(geom, omega, "lc") + commutator(geom.contorsion_biform[:, None], omega).scale(0.5)
     return _right_correction(geom, A, nabla, d_omega)
 
 
@@ -568,7 +574,7 @@ def lichnerowicz_rhs(
     out = _eta_trace(spin_cov_derivs(geom, spin1)) - _combine("bpk,bp->pk", spin1, weight)
     out = out + psi.scale(curv.scalar, CURV_ORDER).scale(0.25)
     out = out + geometric_product(curv.j_form, psi)
-    return out - frame_product_sum(geom, torsion_forms(geom), spin1)
+    return out - product_sum(torsion_forms(geom), spin1)
 
 
 # -- Maxwell forms --------------------------------------------------------------

@@ -153,12 +153,6 @@ def test_eval_examples():
         eval_expr(parse_expr("1/(x0-x0)"), ChartPoint((1.0, 0.0, 0.0, 0.0)))
 
 
-def test_has_division():
-    assert fs.has_division(parse_expr("x0/x1"))
-    assert fs.has_division(parse_expr("x0^-1"))
-    assert not fs.has_division(parse_expr("x0*x1 + sin(x2)"))
-
-
 def test_minkowski_scenario_defaults():
     sc = load_scenario(MINKOWSKI_TEXT)
     assert sc.torsion == {}

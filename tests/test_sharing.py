@@ -67,7 +67,9 @@ def test_full_suite_product_count(monkeypatch):
         ctx = BatchContext(scenario, fields, pts)
         for name in CHECKS:
             ctx.results(name)
-        assert 0 < len(orders) <= 18
+        # 19: three products with the only use of a frame operand's
+        # expansion run the whole kernel, one of them through _product
+        assert 0 < len(orders) <= 19
         # nearly every product has an operand of order <= 1 and runs on 5
         # jet slots; only products of two order-2 fields run on all 15
         assert sum(order >= 2 for order in orders) <= 3
