@@ -26,9 +26,10 @@ a comment.  Sections and keys::
 
 Evaluation: groups of expressions compile into a ``Program``, a flat list
 of jet operations over a point axis (see "evaluation" below); a
-``Scenario`` compiles its frame's Program on first use and keeps it.  Its
-jets are those of a ``Jet2`` walk of each tree, bit for bit up to the sign
-of a zero, and it raises the walk's errors in the walk's order.
+``Scenario`` compiles its frame's Program once, when it is built, into
+``frame_program``.  Its jets are those of a ``Jet2`` walk of each tree, bit
+for bit up to the sign of a zero, and it raises the walk's errors in the
+walk's order.
 """
 
 from __future__ import annotations
@@ -484,36 +485,15 @@ class Scenario:
     multivector_fields: dict[str, tuple[Expr, ...]]
     checks: tuple[str, ...] = ()                  # empty = full suite
     sampling: Sampling = field(default_factory=Sampling)
-    digest: str = ""
-    # the frame Program, compiled on first use; a forked shard child
-    # inherits it, and a pickled copy leaves it out and compiles its own
-    _frame_program: Program | None = field(default=None, init=False, repr=False, compare=False)
+    digest: str = field(default="", compare=False)
+    # the Program of a frame's two stages: the tetrad entries theta^a_mu,
+    # row by row, then the torsion entries ``TORSION_UPPER``
+    frame_program: Program = field(init=False, repr=False, compare=False)
 
-    def __getstate__(self):
-        return {**self.__dict__, "_frame_program": None}
-
-    def frame_program(self) -> Program:
-        """The Program of a frame's two stages: the tetrad entries
-        theta^a_mu, row by row, then the torsion entries ``TORSION_UPPER``;
-        compiled on the first call."""
-        if self._frame_program is None:
-            self._frame_program = Program(
-                [e for row in self.tetrad for e in row],
-                [self.torsion_expr(c, a, b) for c, a, b in TORSION_UPPER],
-            )
-        return self._frame_program
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.chart_box == other.chart_box
-            and self.tetrad == other.tetrad
-            and self.torsion == other.torsion
-            and self.scalar_fields == other.scalar_fields
-            and self.multivector_fields == other.multivector_fields
-            and self.checks == other.checks
-            and self.sampling == other.sampling
+    def __post_init__(self):
+        self.frame_program = Program(
+            [e for row in self.tetrad for e in row],
+            [self.torsion_expr(c, a, b) for c, a, b in TORSION_UPPER],
         )
 
     def torsion_expr(self, c: int, a: int, b: int) -> Expr:

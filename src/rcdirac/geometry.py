@@ -32,10 +32,18 @@ with ``D = derivations[n]`` (4, P, n, 5) the contiguous block for jets f
 of width n.
 Multivector-valued data are direction stacks with the point axis
 innermost: the connection biforms are (4, P, 16, 5) multivectors indexed by
-a, the coframe a (4, 1, 16, 15) stack that broadcasts over the points, the
-curvature biforms a (4, 4, P, 16, 5) grid, and the torsion operator
+a, dtheta^g and the torsion 2-forms Theta^r (4, P, 16, 5) stacks indexed
+by g and r, the coframe ``THETA`` one (4, 1, 16, 15) stack that every frame
+shares and that broadcasts over the points, the curvature biforms a
+(4, 4, P, 16, 5) grid, and the torsion operator
 tau(e_a, .) is one (16, 4 n) jet matrix per point for vector jets of width
 n, ``tau[n]`` (P, 16, 4 n), acting on the four vector coefficients.
+
+Ownership: each connection-level table, dtheta and the torsion 2-forms
+included, is built once, by ``build_frame``, as a field of the frame's
+``FrameGeometry``; what is the same in every frame (``THETA``, ``ETA``,
+``EPSILON``) is a module constant.  The frame's ``shared`` memo holds only
+operator results, which depend on their arguments (see ``operators``).
 """
 
 from __future__ import annotations
@@ -119,10 +127,11 @@ class FrameGeometry:
     K: np.ndarray                # contorsion conn[a][b][c], (4, 4, 4, P, 5)
     full: np.ndarray             # full connection conn[a][b][c], (4, 4, 4, P, 5)
     tau: dict                    # {n: (P, 16, 4 n)}: tau(e_a, V)^r from V's vector jets of width n
-    theta: Multivector           # coframe one-forms, (4, 1, 16, 15) stack
     omega_biform: Multivector    # full-connection biforms omega_{e_a}, (4, P, 16, 5)
     lc_biform: Multivector       # Levi-Civita biforms, stack
     contorsion_biform: Multivector  # omega - lc biforms, stack
+    dtheta: Multivector          # dtheta^g = -c^g_{bc} theta^b ^ theta^c over b < c, (4, P, 16, 5)
+    torsion_forms: Multivector   # torsion 2-forms Theta^r (``torsion_two_forms``), (4, P, 16, 5)
     # operator results shared by the checks at these points (see operators)
     shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # product expansions of frame operands and reused arguments (``expansion``)
@@ -133,9 +142,6 @@ class FrameGeometry:
         """The chart point of a one-point frame."""
         (point,) = self.points
         return point
-
-    def theta_down(self, a: int) -> Multivector:
-        return self.theta[a].scale(ETA[a])
 
     def expansion(self, step, operand: Multivector, table=None, factor=1.0) -> np.ndarray:
         """``step(factor * operand.data, [table,] n)`` for a product step of
@@ -222,7 +228,7 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     points = (points,) if isinstance(points, ChartPoint) else tuple(points)
     n = len(points)
     # the torsion is evaluated only once the tetrad has passed its checks
-    stages = scenario.frame_program().stages(points)
+    stages = scenario.frame_program.stages(points)
     theta_mat = np.ascontiguousarray(np.moveaxis(next(stages).reshape(n, 4, 4, JET_LEN), 0, 2))
     _require_finite(theta_mat, "the tetrad", points)
     frame_vectors = invert_tetrad(theta_mat, points)
@@ -254,10 +260,11 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
         K=K,
         full=full,
         tau=torsion_matrix(T),
-        theta=THETA,
         omega_biform=connection_biforms(full),
         lc_biform=connection_biforms(lc),
         contorsion_biform=connection_biforms(K),
+        dtheta=Multivector.from_array(bivector_array(-c_t), CONN_ORDER),
+        torsion_forms=torsion_two_forms(T),
     )
     _calibrate_biforms(geom)
     return geom
@@ -326,7 +333,7 @@ def _calibrate_biforms(geom: FrameGeometry):
     The halved expansion of the biforms is the one ``operators.cov_derivs``
     applies, so it is built here, once per frame."""
     half = geom.expansion(left_expansion, geom.omega_biform, COMMUTATOR_TABLE, 0.5)
-    theta = right_expansion(geom.theta.data, width(CONN_ORDER))
+    theta = right_expansion(THETA.data, width(CONN_ORDER))
     resid = expanded_product(half[:, None], theta[None], CONN_ORDER).data    # [a, b]
     resid[..., 1:5, :] += np.moveaxis(geom.full, 2, 3)
     worst = np.abs(resid).max(axis=(0, 1, 3, 4))
@@ -337,11 +344,12 @@ def _calibrate_biforms(geom: FrameGeometry):
             )
 
 
-def torsion_two_forms(geom: FrameGeometry):
-    """The four torsion 2-forms Theta^rho = T^rho_{ab} theta^a ^ theta^b / 2,
-    as a (4, P, 16, 5) stack indexed by rho, at ``CONN_ORDER``: each of
-    their consumers pairs them with first derivatives, of order 1."""
-    return Multivector.from_array(bivector_array(geom.T[..., :width(CONN_ORDER)]), CONN_ORDER)
+def torsion_two_forms(T):
+    """The four torsion 2-forms Theta^rho = T^rho_{ab} theta^a ^ theta^b / 2
+    of the torsion table T, as a (4, P, 16, 5) stack indexed by rho, at
+    ``CONN_ORDER``: each of their consumers pairs them with first
+    derivatives, of order 1."""
+    return Multivector.from_array(bivector_array(T[..., :width(CONN_ORDER)]), CONN_ORDER)
 
 
 # -- curvature -------------------------------------------------------------

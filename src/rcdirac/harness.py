@@ -550,7 +550,7 @@ def _c_codifferential(ctx):
 def _c_torsion_splits(ctx):
     A = ctx.field("general")
     geom = ctx.geom
-    thetas = operators.torsion_forms(geom)
+    thetas = geom.torsion_forms
     # sum_r Theta^r ^ (theta_r _| A) and sum_r Theta^r _| (theta_r ^ A)
     # (the wedge expansion of the torsion forms has no other use: not kept)
     wedge_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_LC, A), WEDGE_TABLE)
@@ -573,7 +573,7 @@ def _c_torsion_trace_contraction(ctx):
     f = ctx.scalar_mv()
     df = operators.dirac(geom, f, "lc")
     lowered = blade_products(operators.THETA_DOWN_WEDGE, df)      # [r]: theta_r ^ df
-    lhs = operators.frame_product_sum(geom, operators.torsion_forms(geom), lowered, LC_TABLE)
+    lhs = operators.frame_product_sum(geom, geom.torsion_forms, lowered, LC_TABLE)
     Q = geometry.torsion_trace(geom)
     e_f = operators.pfaffs(geom, f)                               # [b]: e_b(f)
     rhs = jet_einsum("bp,bp->p", -np.array(ETA)[:, None, None] * Q, e_f.data[..., 0, :], e_f.order)

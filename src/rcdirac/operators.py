@@ -36,17 +36,21 @@ ingredients, so each pure operator family (``pfaffs``, ``cov_derivs``,
 ``spin_cov_derivs``, ``right_rep_derivs``, ``torsion_operators`` and
 ``torsion_operator_pairs``, the three Dirac parts, ``exterior_d``,
 ``codifferential``, both direct squares, ``spin_dirac`` and the two
-correction grids), and the frame forms ``dtheta`` and ``torsion_forms``, are
-computed once per frame and argument.  Its result lives in ``geom.shared``,
-keyed by the function and the identity of its multivector arguments, and
-goes away with the frame; each batch of points builds its own frame.  Shared
+correction grids) is computed once per frame and argument.  Its result
+lives in ``geom.shared``, keyed by the function and the identity of its
+multivector arguments, and goes away with the frame; each batch of points
+builds its own frame.  Shared
 results are read-only: writing into one raises ``ValueError``, and
 arithmetic on them returns new arrays.  Passing the same multivector object
 again reuses the result, so an argument must not be modified in place after
 a call.
 
+The frame forms that take no argument, the coframe derivatives
+``geom.dtheta`` and the torsion 2-forms ``geom.torsion_forms``, are fields
+of the frame, built with it (see ``geometry``).
+
 Expansions: within a frame, the products with a frame operand (the
-connection biforms, ``dtheta``, the torsion 2-forms ``torsion_forms``) meet
+connection biforms, ``geom.dtheta``, ``geom.torsion_forms``) meet
 the same expansion of that operand, the first step of ``cliffalg._product``,
 again and again.  ``geom.expansion`` builds each such expansion once per
 frame, with its constant factor (1/2 for the connection terms, 1/4 for the
@@ -79,12 +83,12 @@ import numpy as np
 
 from .cliffalg import (
     COMMUTATOR_TABLE, GP_TABLE, GRADES, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS,
-    THETA_PAIR_ROWS, THETA_WEDGE, THETA_WEDGE_ROWS, WEDGE_TABLE, GradeError, Multivector, bivector_array,
+    THETA_PAIR_ROWS, THETA_WEDGE, THETA_WEDGE_ROWS, WEDGE_TABLE, GradeError, Multivector,
     blade_products, blade_sum, commutator, expanded_product, geometric_product, hodge_dual, left_expansion,
     product_sum, right_expansion, sum_left_expansion, sum_right_expansion,
 )
 from .geometry import (
-    CONN_ORDER, CURV_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace, torsion_two_forms,
+    CONN_ORDER, CURV_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace,
 )
 from .jets import CONSTANT, JetOrderError, clear_above, derivative, jet_einsum, mul_matrix, slots, width
 
@@ -169,8 +173,8 @@ def right_actions(geom: FrameGeometry, phi: Multivector, factor=0.5) -> Multivec
 
 def frame_product_sum(geom: FrameGeometry, forms: Multivector, X: Multivector, table=GP_TABLE) -> Multivector:
     """``product_sum(forms, X, table)``, sum_i forms[i] o X[i], for a stack
-    of frame forms (``dtheta``, ``torsion_forms``) whose expansion comes
-    from ``geom.expansion``."""
+    of frame forms (``geom.dtheta``, ``geom.torsion_forms``) whose
+    expansion comes from ``geom.expansion``."""
     x = X.data if X.data.ndim == forms.data.ndim else X.data[:, None]    # a point axis on forms only
     left = geom.expansion(sum_left_expansion, forms, table)
     return expanded_product(left, sum_right_expansion(x, _N), min(forms.order, X.order))
@@ -303,19 +307,6 @@ def dirac_wedge(geom: FrameGeometry, A: Multivector, conn: Connection = "full") 
 
 
 @_per_frame
-def dtheta(geom: FrameGeometry) -> Multivector:
-    """dtheta^g = -c^g_{bc} theta^b ^ theta^c summed over b < c, a stack."""
-    return Multivector.from_array(bivector_array(-geom.c), CONN_ORDER)
-
-
-@_per_frame
-def torsion_forms(geom: FrameGeometry) -> Multivector:
-    """The torsion 2-forms ``geometry.torsion_two_forms``, built once per
-    frame, so that their expansions are too."""
-    return torsion_two_forms(geom)
-
-
-@_per_frame
 def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Exterior derivative from antisymmetrized frame derivatives plus
     structure-coefficient terms; no connection involved.
@@ -325,7 +316,7 @@ def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     theta_I), the interior product i_{e_g} being the left contraction by the
     lowered theta_g (the even dtheta^g commutes into first place)."""
     interior = blade_products(THETA_DOWN_LC, A)   # [g]: theta_g _| A
-    return blade_sum(THETA_WEDGE_ROWS, pfaffs(geom, A)) + frame_product_sum(geom, dtheta(geom), interior, WEDGE_TABLE)
+    return blade_sum(THETA_WEDGE_ROWS, pfaffs(geom, A)) + frame_product_sum(geom, geom.dtheta, interior, WEDGE_TABLE)
 
 
 @_per_frame
@@ -399,7 +390,7 @@ def scalar_square_biform_part(geom: FrameGeometry, f: Multivector) -> Multivecto
         raise JetOrderError("cannot differentiate an order-0 jet")
     order = min(f.order, FRAME_ORDER) - 1
     df = _scalar_derivs(geom, f, order)                     # df[a] = e_a f
-    return _combine("apk,ap->pk", torsion_forms(geom), -df, order)
+    return _combine("apk,ap->pk", geom.torsion_forms, -df, order)
 
 
 def _with_scalar(A: Multivector, s: Multivector) -> Multivector:
@@ -574,7 +565,7 @@ def lichnerowicz_rhs(
     out = _eta_trace(spin_cov_derivs(geom, spin1)) - _combine("bpk,bp->pk", spin1, weight)
     out = out + psi.scale(curv.scalar, CURV_ORDER).scale(0.25)
     out = out + geometric_product(curv.j_form, psi)
-    return out - product_sum(torsion_forms(geom), spin1)
+    return out - product_sum(geom.torsion_forms, spin1)
 
 
 # -- Maxwell forms --------------------------------------------------------------

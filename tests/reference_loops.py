@@ -25,7 +25,7 @@ import numpy as np
 from rcdirac import cliffalg as ca
 from rcdirac import fieldspec as fs
 from rcdirac import jets
-from rcdirac.geometry import CONN_ORDER
+from rcdirac.geometry import CONN_ORDER, THETA
 from rcdirac.jets import (
     JET_LEN, MUL, ChartPoint, Jet2, JetDomainError, derivation_matrices, partial, seed_coordinate, slots, width,
 )
@@ -239,7 +239,7 @@ def ref_torsion_operator(geom, a, V):
 
 def ref_frame_sum(geom, product, stack):
     """sum_a product(theta^a, stack[a])."""
-    return sum(product(geom.theta[a], stack[a]) for a in range(4))
+    return sum(product(THETA[a], stack[a]) for a in range(4))
 
 
 def ref_pair_sum(term_fn):

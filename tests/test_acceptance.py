@@ -21,7 +21,7 @@ from rcdirac.cliffalg import (
     reversion,
     wedge,
 )
-from rcdirac.geometry import ETA, build_frame, curvature, torsion_two_forms
+from rcdirac.geometry import ETA, build_frame, curvature
 from rcdirac.jets import ChartPoint, seed_coordinate
 
 POINTS = 6
@@ -158,7 +158,7 @@ def test_criterion_6_degenerate_limits():
     for p in pts:
         g = build_frame(sc, p)
         curv = curvature(g)
-        for theta in torsion_two_forms(g):
+        for theta in g.torsion_forms:
             assert theta.max_abs() <= 1e-12
         k_max = max(
             abs(g.K[a, b, c, 0, 0])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import load_bundled
 from reference_loops import ref_eval, ref_eval_exprs
 
 from rcdirac import fieldspec as fs
@@ -363,13 +365,52 @@ def test_frame_program_shares_subexpressions(scenarios):
     exprs = [e for row in sc.tetrad for e in row] + [sc.torsion_expr(*cab) for cab in fs.TORSION_UPPER]
     nodes = sum(_tree_nodes(e) for e in exprs if e != fs.ZERO_EXPR)
     assert nodes == 168
-    program = sc.frame_program()
-    assert len(program.ops) < nodes
-    assert sc.frame_program() is program
+    assert len(sc.frame_program.ops) < nodes
 
 
-def test_program_cache_is_not_compared_or_pickled():
+def test_frame_program_is_built_once_per_scenario(monkeypatch):
+    compiled = []
+
+    class CountingProgram(fs.Program):
+        def __init__(self, *groups):
+            compiled.append(groups)
+            super().__init__(*groups)
+
+    monkeypatch.setattr(fs, "Program", CountingProgram)
+    sc = load_bundled("curved_torsion")
+    program = sc.frame_program
+    assert len(compiled) == 1 and isinstance(program, CountingProgram)
+    batches = []
+    evaluate = program.stages
+    monkeypatch.setattr(program, "stages", lambda points: batches.append(len(points)) or evaluate(points))
+    pts = harness.sample_points(sc, points=3, seed=2)
+    for p in pts:
+        geometry.build_frame(sc, p)
+    geometry.build_frame(sc, pts)
+    assert batches == [1, 1, 1, 3]
+    assert len(compiled) == 1 and sc.frame_program is program
+
+
+def _frame_arrays(geom) -> dict:
+    """Every array of a frame, by field name and key, as raw bytes."""
+    out = {}
+    for f in dataclasses.fields(geom):
+        if f.compare and f.name != "points":
+            value = getattr(geom, f.name)
+            for key, x in (value.items() if isinstance(value, dict) else [(None, value)]):
+                out[f.name, key] = getattr(x, "data", x).tobytes()
+    return out
+
+
+def test_program_is_not_compared_and_pickles_with_its_scenario(scenarios):
     sc = load_scenario(MINKOWSKI_TEXT)
-    sc.frame_program()
-    assert sc == load_scenario(MINKOWSKI_TEXT)
-    assert pickle.loads(pickle.dumps(sc))._frame_program is None
+    other = load_scenario(MINKOWSKI_TEXT)
+    assert sc.frame_program is not other.frame_program
+    assert sc == other
+    sc = scenarios["curved_torsion"]
+    copy = pickle.loads(pickle.dumps(sc))
+    assert copy == sc and copy.digest == sc.digest
+    pts = harness.sample_points(sc, points=3, seed=2)
+    want = _frame_arrays(geometry.build_frame(sc, pts))
+    assert _frame_arrays(geometry.build_frame(copy, pts)) == want
+    assert len(want) > 15

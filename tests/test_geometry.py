@@ -232,10 +232,11 @@ def test_metricity_and_torsion_recovery(frames, general_torsion):
 
 def test_torsion_two_forms(frames):
     for g in frames["minkowski"] + frames["curved_diag"]:
-        assert all(t.max_abs() == 0.0 for t in torsion_two_forms(g))
+        assert all(t.max_abs() == 0.0 for t in g.torsion_forms)
     sc = fs.load_scenario(IDENTITY + "[torsion]\nT2_01 = 0.3\n")
     g = build_frame(sc, ChartPoint((0.1, 0.2, 0.3, 0.4)))
-    thetas = torsion_two_forms(g)
+    thetas = g.torsion_forms
+    assert np.array_equal(torsion_two_forms(g.T).data, thetas.data)
     idx, _ = pair_blade(0, 1)
     vals = thetas[2, 0].values()
     assert vals[idx] == 0.3

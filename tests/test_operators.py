@@ -16,7 +16,7 @@ from rcdirac.cliffalg import (
     left_contraction,
     wedge,
 )
-from rcdirac.geometry import ETA, build_frame, curvature, torsion_two_forms
+from rcdirac.geometry import ETA, THETA, build_frame, curvature
 from rcdirac.jets import ChartPoint, Jet2, partial, seed_coordinate, slots
 
 IDENTITY = "[tetrad]\ne0_0 = 1\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n"
@@ -60,9 +60,9 @@ def test_cov_deriv_of_coframe_reproduces_connection(frames):
         for g in geoms:
             for a in range(4):
                 for b in range(4):
-                    got = ops.cov_deriv(g, g.theta[b], a, "full")
+                    got = ops.cov_deriv(g, THETA[b], a, "full")
                     want = sum(
-                        g.theta[c].scale(-g.full[a][b][c], geo.CONN_ORDER) for c in range(4)
+                        THETA[c].scale(-g.full[a][b][c], geo.CONN_ORDER) for c in range(4)
                     )
                     assert (got - want).max_abs() <= 1e-12
 
@@ -98,7 +98,7 @@ def test_torsion_operator_examples(frames):
             ops.torsion_operator(g, 0, rand_mv(rng, g.point, grade=2))
         # antisymmetry through the two slots: tau(e_a, theta-dual of e_a) has
         # no diagonal part: T^rho_{aa} = 0
-        got = ops.torsion_operator(g, 1, g.theta[1].scale(ETA[1]))
+        got = ops.torsion_operator(g, 1, THETA[1].scale(ETA[1]))
         assert got.max_abs() <= 1e-15
 
 
@@ -150,12 +150,12 @@ def test_torsion_splits_general_grade(frames, general_torsion):
     geoms.append(build_frame(general_torsion, ChartPoint((0.5, 0.6, 0.7, 0.8))))
     for g in geoms:
         A = rand_mv(rng, g.point)
-        thetas = torsion_two_forms(g)
+        thetas = g.torsion_forms
         wedge_corr = sum(
-            wedge(thetas[r], left_contraction(g.theta_down(r), A)) for r in range(4)
+            wedge(thetas[r], left_contraction(THETA[r].scale(ETA[r]), A)) for r in range(4)
         )
         contract_corr = sum(
-            left_contraction(thetas[r], wedge(g.theta_down(r), A)) for r in range(4)
+            left_contraction(thetas[r], wedge(THETA[r].scale(ETA[r]), A)) for r in range(4)
         )
         w = ops.dirac_wedge(g, A) - ops.dirac_wedge(g, A, "lc") + wedge_corr
         c = ops.dirac_contract(g, A) - ops.dirac_contract(g, A, "lc") + contract_corr
@@ -171,9 +171,9 @@ def test_torsion_trace_contraction_with_nonzero_trace(general_torsion):
     assert max(abs(q.value) for q in Q) > 1e-3  # trace genuinely exercised
     f = rand_scalar_jet(rng, p)
     df = ops.dirac(g, scalar_mv(f), "lc")
-    thetas = torsion_two_forms(g)
+    thetas = g.torsion_forms
     lhs = sum(
-        left_contraction(thetas[r], wedge(g.theta_down(r), df)) for r in range(4)
+        left_contraction(thetas[r], wedge(THETA[r].scale(ETA[r]), df)) for r in range(4)
     )
     # e_b f = e_b^mu d_mu f, from the frame vectors of the one-point frame
     e_f = [sum(Jet2(g.frame_vectors[b, mu, 0]) * partial(f, mu) for mu in range(4)) for b in range(4)]
@@ -195,7 +195,7 @@ def test_r5_r6_on_totally_antisymmetric_scenarios(frames):
                 assert resid.max_abs() <= 1e-9
             corr = sum(
                 geometric_product(
-                    g.theta[a], ops.torsion_operator(g, a, v)
+                    THETA[a], ops.torsion_operator(g, a, v)
                 ).scale(0.5)
                 for a in range(4)
             )

@@ -77,7 +77,7 @@ def test_full_suite_product_count(monkeypatch):
         geom = ctx.geom
         frame_operands = {
             "omega": geom.omega_biform, "lc": geom.lc_biform, "contorsion": geom.contorsion_biform,
-            "dtheta": ops.dtheta(geom), "torsion": ops.torsion_forms(geom),
+            "dtheta": geom.dtheta, "torsion": geom.torsion_forms,
         }
         seen = collections.Counter(
             (step, table, name)

@@ -189,7 +189,7 @@ PERTURBATIONS = {
     "square-assembly": (geometry, "build_frame", _frame_with(
         lambda g: dataclasses.replace(g, full=g.lc))),
     "spin-square-assembly": (ops, "spin_cov_derivs", _second_transposed),
-    "lichnerowicz": (ops, "torsion_two_forms", lambda fn: lambda geom: fn(geom).scale(0.0)),
+    "lichnerowicz": (geometry, "torsion_two_forms", lambda fn: lambda T: fn(T).scale(0.0)),
     "spin-commutator": (ops, "spin_cov_derivs", _second_transposed),
 }
 
