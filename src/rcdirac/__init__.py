@@ -7,6 +7,21 @@ second-order identities (through the generalized Lichnerowicz formula) as
 numerical residuals on sampled chart points.
 """
 
+import os
+import sys
+
+# The engine's parallel work runs in forked shards, and none of its BLAS
+# calls is large enough for OpenBLAS's thread pool, whose workers cost
+# start-up time.  Unless numpy is already imported or the user chose a
+# thread count, numpy is imported with one BLAS thread; the variable is
+# then removed, so that subprocesses see the user's environment.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .cliffalg import (
     Multivector,
     commutator,

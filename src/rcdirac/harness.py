@@ -328,7 +328,9 @@ class BatchContext:
                 point = getattr(err, "point", None)
                 if point not in points:
                     raise
-                kind = "non-finite" if isinstance(err, NonFiniteFrameError) else "error"
+                # an OverflowError is a frame value too large for a float:
+                # it fails the check like one that overflows to infinity
+                kind = "non-finite" if isinstance(err, (NonFiniteFrameError, OverflowError)) else "error"
                 errors[live.pop(points.index(point))] = (kind, f"{type(err).__name__}: {err}")
         self._live, self._frame_errors = live, errors
         self._points = tuple(self.all_points[k] for k in live)

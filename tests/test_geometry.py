@@ -5,6 +5,7 @@ from conftest import BUNDLED, check_residual, rand_scalar_jet
 from reference_loops import pair_blade, ref_j_components, ref_riemann_components
 from rcdirac import fieldspec as fs
 from rcdirac import geometry as geo
+from rcdirac import harness
 from rcdirac.geometry import (
     CURV_ORDER,
     DegenerateFrameError,
@@ -348,3 +349,39 @@ def test_curvature_tables_match_index_loops(frames, general_torsion):
             # the jet slots valid at the curvature's order
             got, want = got[..., :slots(CURV_ORDER)], want[..., :slots(CURV_ORDER)]
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+# R x S^3 with the round S^3 of radius 2 in Euler angles (x1, x2, x3) and the
+# torsion of the flat Cartan-Schouten connection that parallelizes it
+R_X_S3 = """
+[chart]
+x1_min = 0.4
+x1_max = 1.2
+[tetrad]
+e0_0 = 1
+e1_1 = "sin(x3)"
+e1_2 = "-cos(x3)*sin(x1)"
+e2_1 = "cos(x3)"
+e2_2 = "sin(x3)*sin(x1)"
+e3_2 = "cos(x1)"
+e3_3 = 1
+[torsion]
+T1_23 = -1
+T2_13 = 1
+T3_12 = -1
+"""
+
+
+def test_known_answer_r_x_s3_with_parallelizing_torsion():
+    sc = fs.load_scenario(R_X_S3, valid_checks=set(harness.CHECKS))
+    report = harness.run_suite(sc, points=10, seed=1)
+    assert len(report.checks) == len(harness.CHECKS)
+    # lichnerowicz and ricci-antisymmetry need co-closed torsion
+    assert all(c.passed and not c.errors for c in report.checks), report.to_text()
+    g = build_frame(sc, harness.sample_points(sc, 10, 1))
+    curv = curvature(g)
+    # the full connection and its curvature vanish: the frame is parallel
+    assert np.abs(g.full).max() <= 1e-13
+    assert np.abs(curv.components).max() <= 1e-13
+    # the Levi-Civita sectional curvature of a coordinate plane of S^3 is 1/r^2
+    assert np.abs(curv.lc_components[1, 2, 1, 2, :, 0] - 0.25).max() <= 1e-12

@@ -585,11 +585,28 @@ def test_overflow_is_a_point_error(capsys, tmp_path):
     assert check.errors[0][0] == bad
     assert check.errors[0][1].startswith("OverflowError")
     assert check.max is not None
+    # a frame value that overflows fails the check, like one whose jets do
+    assert not check.passed
     path = tmp_path / "overflow.scn"
     path.write_text(text)
     rc = cli_main(["run", str(path), "--points", "6", "--seed", "1", "--only", "metricity"])
-    assert rc == 0
+    assert rc == 1
     assert "ERROR metricity" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_both_overflow_routes_fail(capsys, tmp_path):
+    # exp(800 x1) overflows a float for x1 > 0.887 and 640000 exp(800 x1),
+    # its second derivative, for x1 > 0.871: at seed 1 one point falls in
+    # between, so only its jets overflow; at seed 6 the value itself does
+    path = tmp_path / "overflow.scn"
+    path.write_text('[tetrad]\ne0_0 = "exp(800*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n')
+    for seed, error in ((1, "NonFiniteFrameError: the tetrad is not finite"), (6, "OverflowError: math range error")):
+        rc = cli_main(["run", str(path), "--points", "6", "--seed", str(seed), "--only", "metricity"])
+        out = capsys.readouterr().out
+        assert rc == 1, seed
+        assert out.startswith("FAIL metricity"), seed
+        assert out.count("ERROR metricity point=(") == 1 and error in out, seed
 
 
 def test_json_writes_non_finite_as_null():

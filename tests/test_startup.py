@@ -1,0 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rcdirac
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# the threads of the importing process, and the BLAS variable it then sees
+PROBE = "import os, rcdirac; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+def _import_in_fresh_interpreter(**env) -> list[str]:
+    clean = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(rcdirac.__file__).resolve().parents[1])
+    clean["PYTHONPATH"] = os.pathsep.join([src] + ([clean["PYTHONPATH"]] if "PYTHONPATH" in clean else []))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE], env={**clean, **env}, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task (Linux)")
+def test_import_starts_no_blas_thread_pool():
+    # one thread, and the variable set for numpy's import is gone again
+    assert _import_in_fresh_interpreter() == ["1", "None"]
+    # a thread count the user chose is left as given
+    assert _import_in_fresh_interpreter(OPENBLAS_NUM_THREADS="2")[1] == "2"
+    assert _import_in_fresh_interpreter(OMP_NUM_THREADS="2")[1] == "None"
