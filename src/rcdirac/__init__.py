@@ -15,7 +15,8 @@ import sys
 # start-up time.  Unless numpy is already imported or the user chose a
 # thread count, numpy is imported with one BLAS thread; the variable is
 # then removed, so that subprocesses see the user's environment.
-if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in sys.modules and not _BLAS_THREAD_VARS & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy

@@ -39,11 +39,10 @@ ingredients, so each pure operator family (``pfaffs``, ``cov_derivs``,
 correction grids) is computed once per frame and argument.  Its result
 lives in ``geom.shared``, keyed by the function and the identity of its
 multivector arguments, and goes away with the frame; each batch of points
-builds its own frame.  Shared
-results are read-only: writing into one raises ``ValueError``, and
-arithmetic on them returns new arrays.  Passing the same multivector object
-again reuses the result, so an argument must not be modified in place after
-a call.
+builds its own frame.  Shared results are read-only: writing into one
+raises ``ValueError``, and arithmetic on them returns new arrays.  Passing
+the same multivector object again reuses the result, so an argument must
+not be modified in place after a call.
 
 The frame forms that take no argument, the coframe derivatives
 ``geom.dtheta`` and the torsion 2-forms ``geom.torsion_forms``, are fields

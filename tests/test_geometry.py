@@ -380,8 +380,10 @@ def test_known_answer_r_x_s3_with_parallelizing_torsion():
     assert all(c.passed and not c.errors for c in report.checks), report.to_text()
     g = build_frame(sc, harness.sample_points(sc, 10, 1))
     curv = curvature(g)
-    # the full connection and its curvature vanish: the frame is parallel
+    # the full connection and its curvature vanish: the frame is parallel,
+    # and so is the constant torsion
     assert np.abs(g.full).max() <= 1e-13
+    assert not g.T[..., 1:].any()
     assert np.abs(curv.components).max() <= 1e-13
     # the Levi-Civita sectional curvature of a coordinate plane of S^3 is 1/r^2
     assert np.abs(curv.lc_components[1, 2, 1, 2, :, 0] - 0.25).max() <= 1e-12
