@@ -170,6 +170,8 @@ GP_TABLE = _kernel_table(_GP_DENSE)
 WEDGE_TABLE = _kernel_table(_WEDGE_DENSE)
 LC_TABLE = _kernel_table(_dense(LC_SIGN))
 COMMUTATOR_TABLE = _kernel_table(_GP_DENSE - _GP_DENSE.transpose(0, 2, 1))
+# the kernel tables by name: a name can be part of a memo key, an array cannot
+KERNEL_TABLES = {"gp": GP_TABLE, "wedge": WEDGE_TABLE, "lc": LC_TABLE, "commutator": COMMUTATOR_TABLE}
 
 
 def _left_matrices(dense: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -42,19 +42,23 @@ n, ``tau[n]`` (P, 16, 4 n), acting on the four vector coefficients.
 Ownership: each connection-level table, dtheta and the torsion 2-forms
 included, is built once, by ``build_frame``, as a field of the frame's
 ``FrameGeometry``; what is the same in every frame (``THETA``, ``ETA``,
-``EPSILON``) is a module constant.  The frame's ``shared`` memo holds only
-operator results, which depend on their arguments (see ``operators``).
+``EPSILON``) is a module constant.  What depends on arguments, the
+operator results of ``operators`` and the product expansions of
+``expansion``, lives in the frame's one memo, ``shared`` (``per_frame``),
+and goes away with the frame.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
 
 from .cliffalg import (
-    COMMUTATOR_TABLE, PLANE_GP_ROWS, Multivector, bivector_array, blade_sum, expanded_product, grade_project,
+    KERNEL_TABLES, PLANE_GP_ROWS, Multivector, bivector_array, blade_sum, expanded_product, grade_project,
     left_expansion, right_expansion,
 )
 from .fieldspec import TORSION_UPPER, Scenario
@@ -132,10 +136,8 @@ class FrameGeometry:
     contorsion_biform: Multivector  # omega - lc biforms, stack
     dtheta: Multivector          # dtheta^g = -c^g_{bc} theta^b ^ theta^c over b < c, (4, P, 16, 5)
     torsion_forms: Multivector   # torsion 2-forms Theta^r (``torsion_two_forms``), (4, P, 16, 5)
-    # operator results shared by the checks at these points (see operators)
+    # results shared by the checks at these points (``per_frame``)
     shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # product expansions of frame operands and reused arguments (``expansion``)
-    expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def point(self) -> ChartPoint:
@@ -143,25 +145,44 @@ class FrameGeometry:
         (point,) = self.points
         return point
 
-    def expansion(self, step, operand: Multivector, table=None, factor=1.0) -> np.ndarray:
-        """``step(factor * operand.data, [table,] n)`` for a product step of
-        ``cliffalg`` (``left_expansion`` and ``sum_left_expansion`` with a
-        table, ``right_expansion`` without), built on the first call for
-        this step, operand, table and factor and stored read-only in
-        ``expansions``.  It runs at the width n of ``CONN_ORDER``, the width
-        of every product with a frame operand.  The key holds the operand's
-        identity and the entry the operand, so that its id stays its own.
-        A factor that is a power of two changes no bit of a product: every
-        term and sum of the products and matmuls after it is scaled
-        exactly, so each rounds at the same place."""
-        key = (step, id(operand), id(table), factor)
-        hit = self.expansions.get(key)
-        if hit is None:
-            data, n = operand.data if factor == 1.0 else operand.data * factor, width(CONN_ORDER)
-            out = step(data, n) if table is None else step(data, table, n)
-            out.flags.writeable = False
-            hit = self.expansions[key] = (operand, out)
-        return hit[1]
+
+def per_frame(fn):
+    """Share fn's result per frame: the first call for a set of arguments
+    stores it, read-only, in ``geom.shared``; later calls return it.  The
+    key is fn and the arguments, defaults filled in: it holds them, and a
+    ``Multivector`` compares by identity.  A call that gives every argument
+    by position skips the binding."""
+    sig = inspect.signature(fn)
+    n_params = len(sig.parameters)
+
+    @functools.wraps(fn)
+    def shared(geom, *args, **kwargs):
+        if kwargs or len(args) + 1 != n_params:
+            bound = sig.bind(geom, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (fn, *args)
+        out = geom.shared.get(key)
+        if out is None:
+            out = geom.shared[key] = fn(geom, *args)
+            (out.data if isinstance(out, Multivector) else out).flags.writeable = False
+        return out
+
+    return shared
+
+
+@per_frame
+def expansion(geom: FrameGeometry, step, operand: Multivector, table, factor) -> np.ndarray:
+    """``step(factor * operand.data, [table,] n)`` for a product step of
+    ``cliffalg`` (``left_expansion`` and ``sum_left_expansion`` with a
+    table, ``right_expansion`` with table None), kept per frame; ``table``
+    is a name in ``cliffalg.KERNEL_TABLES``.  It runs at the width n of
+    ``CONN_ORDER``, the width of every product with a frame operand.  A
+    factor that is a power of two changes no bit of a product: every term
+    and sum of the products and matmuls after it is scaled exactly, so each
+    rounds at the same place."""
+    data, n = operand.data if factor == 1.0 else operand.data * factor, width(CONN_ORDER)
+    return step(data, n) if table is None else step(data, KERNEL_TABLES[table], n)
 
 
 @dataclass
@@ -332,7 +353,7 @@ def _calibrate_biforms(geom: FrameGeometry):
     """Abort if [omega_a, theta^b]/2 fails to reproduce -conn[a][b][c] theta^c.
     The halved expansion of the biforms is the one ``operators.cov_derivs``
     applies, so it is built here, once per frame."""
-    half = geom.expansion(left_expansion, geom.omega_biform, COMMUTATOR_TABLE, 0.5)
+    half = expansion(geom, left_expansion, geom.omega_biform, "commutator", 0.5)
     theta = right_expansion(THETA.data, width(CONN_ORDER))
     resid = expanded_product(half[:, None], theta[None], CONN_ORDER).data    # [a, b]
     resid[..., 1:5, :] += np.moveaxis(geom.full, 2, 3)

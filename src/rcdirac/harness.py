@@ -12,8 +12,8 @@ whose frame, curvature and test fields carry a point axis (see
 ``geometry``), and returns the two sides of its identity as ``(lhs, rhs)``
 pairs, which ``point_residuals`` alone reduces to one residual per point.
 A shard's points run in batches of at most ``BATCH_POINTS``.  The
-per-point seam stays: ``_eval_shard`` calls ``_eval_task`` once per point,
-looked up at call time, and that calls ``evaluate_point`` for the point.
+per-point seam stays: ``_eval_shard`` calls ``evaluate_point`` once per
+point, looked up at call time.
 The first point of a batch computes each selected check for the whole
 batch, through ``CHECKS[name].fn``; later points read their own results.
 A point whose frame cannot be built leaves the batch and gets its frame
@@ -62,7 +62,7 @@ import numpy as np
 
 from . import fieldspec, geometry, operators
 from .cliffalg import (
-    GRADES, LC_TABLE, THETA_GP_ROWS, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
+    GRADES, THETA_GP_ROWS, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
     geometric_product, grade_involution, product_sum, wedge,
 )
 from .fieldspec import Scenario, ScenarioError
@@ -557,11 +557,11 @@ def _c_torsion_splits(ctx):
     # (the wedge expansion of the torsion forms has no other use: not kept)
     wedge_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_LC, A), WEDGE_TABLE)
     contract_corr = operators.frame_product_sum(
-        geom, thetas, blade_products(operators.THETA_DOWN_WEDGE, A), LC_TABLE
+        geom, thetas, blade_products(operators.THETA_DOWN_WEDGE, A), "lc"
     )
     return [
-        (operators.dirac_wedge(geom, A), operators.dirac_wedge(geom, A, "lc") - wedge_corr),
-        (operators.dirac_contract(geom, A), operators.dirac_contract(geom, A, "lc") - contract_corr),
+        (operators.dirac_wedge(geom, A, "full"), operators.dirac_wedge(geom, A, "lc") - wedge_corr),
+        (operators.dirac_contract(geom, A, "full"), operators.dirac_contract(geom, A, "lc") - contract_corr),
     ]
 
 
@@ -575,7 +575,7 @@ def _c_torsion_trace_contraction(ctx):
     f = ctx.scalar_mv()
     df = operators.dirac(geom, f, "lc")
     lowered = blade_products(operators.THETA_DOWN_WEDGE, df)      # [r]: theta_r ^ df
-    lhs = operators.frame_product_sum(geom, geom.torsion_forms, lowered, LC_TABLE)
+    lhs = operators.frame_product_sum(geom, geom.torsion_forms, lowered, "lc")
     Q = geometry.torsion_trace(geom)
     e_f = operators.pfaffs(geom, f)                               # [b]: e_b(f)
     rhs = jet_einsum("bp,bp->p", -np.array(ETA)[:, None, None] * Q, e_f.data[..., 0, :], e_f.order)
@@ -853,12 +853,6 @@ def evaluate_point(scenario, fields, names, point, batch: BatchContext | None = 
     return {name: batch.results(name)[k] for name in names}
 
 
-def _eval_task(args):
-    """One point of a batch: (its index in the run, its check results)."""
-    batch, names, idx, point = args
-    return idx, evaluate_point(batch.scenario, batch.fields, names, point, batch)
-
-
 # The most points evaluated as one batch.  A batch keeps its operator
 # results, tables and frame expansions until its last check has run, about
 # 0.95 MB per point (32-point batch of curved_torsion; 0.45 MB before the
@@ -888,8 +882,7 @@ def _eval_shard(scenario, fields, names, indexed_points) -> dict:
             # one call per point, looked up at call time, so that a wrapper
             # installed on the module (perfbench's tracer) sees every
             # point, in any process
-            idx, res = _eval_task((context, names, idx, point))
-            out[idx] = res
+            out[idx] = evaluate_point(scenario, fields, names, point, context)
     return out
 
 
@@ -1089,7 +1082,10 @@ def run_suite(
     fields = build_run_fields(scenario, run_seed, pts)
 
     n = min(workers, max(1, len(pts) // MIN_SHARD_POINTS))
-    results = _run_shards(scenario, fields, names, pts, n)
+    # a value that overflows, or is not a number, is a per-point error or
+    # FAIL in the report, not a warning; forked shards inherit the state
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        results = _run_shards(scenario, fields, names, pts, n)
 
     checks = []
     for name in names:

@@ -21,10 +21,10 @@ direction axis first (``cov_derivs(geom, A)[a]`` is nabla_a A); applied to a
 stack they prepend the new axis, so ``cov_derivs(geom, cov_derivs(geom,
 A))[a, b]`` is nabla_a nabla_b A.  The same holds for ``pfaffs``,
 ``spin_cov_derivs``, ``right_rep_derivs`` and ``torsion_operators`` (one jet
-matrix, ``FrameGeometry.tau``); ``pfaff``, ``cov_deriv``, ``spin_cov_deriv``,
-``right_rep_deriv`` and ``torsion_operator`` are their per-direction
-indexers.  A frame sum sum_a theta^a X[a] is one matmul with a
-constant-blade matrix (``cliffalg.blade_sum``), the pair sum eta^ab X[a, b]
+matrix, ``FrameGeometry.tau``); ``pfaff``, ``cov_deriv``, ``spin_cov_deriv``
+and ``torsion_operator`` are per-direction indexers.  A frame sum sum_a
+theta^a X[a] is one matmul with a constant-blade matrix
+(``cliffalg.blade_sum``), the pair sum eta^ab X[a, b]
 + (theta^a ^ theta^b) X[a, b] the same with theta^a theta^b, and a
 connection term sum_c Gamma^c_ab X[c] one ``jets.jet_einsum``.  The per-pair
 corrections of the squared operators are (4, 4, P, 16, w) grids whose
@@ -32,38 +32,26 @@ products broadcast one operand along a and the other along b, so each
 operand is expanded once.
 
 Sharing: the checks at a point compare forms built from the same
-ingredients, so each pure operator family (``pfaffs``, ``cov_derivs``,
+ingredients.  Each pure operator family (``pfaffs``, ``cov_derivs``,
 ``spin_cov_derivs``, ``right_rep_derivs``, ``torsion_operators`` and
 ``torsion_operator_pairs``, the three Dirac parts, ``exterior_d``,
 ``codifferential``, both direct squares, ``spin_dirac`` and the two
-correction grids) is computed once per frame and argument.  Its result
-lives in ``geom.shared``, keyed by the function and the identity of its
-multivector arguments, and goes away with the frame; each batch of points
-builds its own frame.  Shared results are read-only: writing into one
-raises ``ValueError``, and arithmetic on them returns new arrays.  Passing
-the same multivector object again reuses the result, so an argument must
-not be modified in place after a call.
-
-The frame forms that take no argument, the coframe derivatives
-``geom.dtheta`` and the torsion 2-forms ``geom.torsion_forms``, are fields
-of the frame, built with it (see ``geometry``).
-
-Expansions: within a frame, the products with a frame operand (the
-connection biforms, ``geom.dtheta``, ``geom.torsion_forms``) meet
-the same expansion of that operand, the first step of ``cliffalg._product``,
-again and again.  ``geom.expansion`` builds each such expansion once per
-frame, with its constant factor (1/2 for the connection terms, 1/4 for the
-paired right action) folded in, and keeps it, read-only, in
-``geom.expansions`` beside ``geom.shared``.  An expansion that only one
-product per frame uses (the wedge and geometric products with the torsion
+correction grids) is computed once per frame and argument, and so is each
+product expansion that several products meet: the first step of
+``cliffalg._product`` for a frame operand (the connection biforms,
+``geom.dtheta``, ``geom.torsion_forms``), its factor 1/2 or 1/4 folded in,
+and the jet product matrices of each argument of the covariant and spin
+derivatives.  Both live, read-only, in the frame's one memo,
+``geom.shared`` (``geometry.per_frame``, ``geometry.expansion``), keyed by
+the function and its arguments, and go away with the frame; each batch of
+points builds its own frame.  Writing into a shared result raises
+``ValueError``; arithmetic on one returns new arrays.  Passing the same
+multivector object again reuses the result, so an argument must not be
+modified in place after a call.  Engine code gives every argument by
+position, which skips the binding of defaults.  An expansion that only one
+product per frame meets (the wedge and geometric products with the torsion
 forms, the halved commutator with the contorsion biforms) is not kept: that
-product runs through the plain kernel, with the same bits.  It keeps
-the jet product matrices of each argument of the covariant and spin
-derivatives there too, which both connections and the spin derivative share.
-The operators then run only the product's last step.  A power-of-two factor
-is exact in binary floating point, so the results are those of the plain
-products bit for bit.  Like shared results, the expansions go away with the
-frame.
+product runs through the plain kernel, with the same bits.
 
 Connection selection: ``conn="lc"`` is the Levi-Civita (standard) operator
 family, ``conn="full"`` the torsionful metric-compatible one.  The covariant
@@ -75,19 +63,16 @@ right-representative derivative the one-sided right action.
 
 from __future__ import annotations
 
-import functools
-import inspect
-
 import numpy as np
 
 from .cliffalg import (
-    COMMUTATOR_TABLE, GP_TABLE, GRADES, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS,
-    THETA_PAIR_ROWS, THETA_WEDGE, THETA_WEDGE_ROWS, WEDGE_TABLE, GradeError, Multivector,
+    GP_TABLE, GRADES, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS,
+    THETA_PAIR_ROWS, THETA_WEDGE, THETA_WEDGE_ROWS, GradeError, Multivector,
     blade_products, blade_sum, commutator, expanded_product, geometric_product, hodge_dual, left_expansion,
     product_sum, right_expansion, sum_left_expansion, sum_right_expansion,
 )
 from .geometry import (
-    CONN_ORDER, CURV_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, torsion_trace,
+    CONN_ORDER, CURV_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, expansion, per_frame, torsion_trace,
 )
 from .jets import CONSTANT, JetOrderError, clear_above, derivative, jet_einsum, mul_matrix, slots, width
 
@@ -99,31 +84,6 @@ _GRADES = np.array(GRADES)
 # product matrices of the lowered coframe theta_a = eta_a theta^a
 THETA_DOWN_LC = _ETA[:, None, None] * THETA_LC
 THETA_DOWN_WEDGE = _ETA[:, None, None] * THETA_WEDGE
-
-
-def _per_frame(fn):
-    """Share fn's result per frame: the first call for a set of arguments
-    stores it, read-only, in ``geom.shared``; later calls return it.  The
-    key is fn plus the identity of each Multivector argument, with defaults
-    filled in; the entry holds those arguments, so their ids stay theirs."""
-    sig = inspect.signature(fn)
-    n_params = len(sig.parameters)
-
-    @functools.wraps(fn)
-    def shared(geom, *args, **kwargs):
-        if kwargs or len(args) + 1 != n_params:
-            bound = sig.bind(geom, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
-        key = (fn,) + tuple(id(x) if isinstance(x, Multivector) else x for x in args)
-        hit = geom.shared.get(key)
-        if hit is None:
-            out = fn(geom, *args)
-            out.data.flags.writeable = False
-            hit = geom.shared[key] = (args, out)
-        return hit[1]
-
-    return shared
 
 
 def _require_grade(A: Multivector, k: int, what: str):
@@ -141,7 +101,7 @@ def _conn_table(geom: FrameGeometry, conn: Connection):
 
 
 # The kernel width of every product with a frame operand, which has order
-# CONN_ORDER, and so of every expansion ``geom.expansion`` keeps.
+# CONN_ORDER, and so of every expansion ``expansion`` keeps.
 _N = width(CONN_ORDER)
 
 
@@ -151,31 +111,31 @@ def _along_directions(x: np.ndarray, A: Multivector) -> np.ndarray:
     return x.reshape((4,) + (1,) * (A.data.ndim - 3) + x.shape[1:])
 
 
-def _biform_actions(geom: FrameGeometry, table: np.ndarray, omega: Multivector, A: Multivector) -> Multivector:
+def _biform_actions(geom: FrameGeometry, table: str, omega: Multivector, A: Multivector) -> Multivector:
     """(omega_a o A) / 2 along all e_a, direction axis first, for a biform
-    stack omega of the frame: its halved expansion through ``table`` and
-    A's jet product matrices come from ``geom.expansion``."""
-    half = geom.expansion(left_expansion, omega, table, 0.5)
-    right = geom.expansion(right_expansion, A)
+    stack omega of the frame: its halved expansion through the kernel table
+    named ``table`` and A's jet product matrices come from ``expansion``."""
+    half = expansion(geom, left_expansion, omega, table, 0.5)
+    right = expansion(geom, right_expansion, A, None, 1.0)
     return expanded_product(_along_directions(half, A), right, min(omega.order, A.order))
 
 
 def right_actions(geom: FrameGeometry, phi: Multivector, factor=0.5) -> Multivector:
     """phi omega_a * factor along all e_a, direction axis first: the right
     action of the connection biforms, whose expansion times the factor, a
-    power of two, comes from ``geom.expansion``.  On a stack phi[b] the
-    result is the grid [a, b]."""
-    right = geom.expansion(right_expansion, geom.omega_biform, factor=factor)
+    power of two, comes from ``expansion``.  On a stack phi[b] the result
+    is the grid [a, b]."""
+    right = expansion(geom, right_expansion, geom.omega_biform, None, factor)
     left = left_expansion(phi.data, GP_TABLE, _N)
     return expanded_product(left, _along_directions(right, phi), min(phi.order, CONN_ORDER))
 
 
-def frame_product_sum(geom: FrameGeometry, forms: Multivector, X: Multivector, table=GP_TABLE) -> Multivector:
-    """``product_sum(forms, X, table)``, sum_i forms[i] o X[i], for a stack
-    of frame forms (``geom.dtheta``, ``geom.torsion_forms``) whose
-    expansion comes from ``geom.expansion``."""
+def frame_product_sum(geom: FrameGeometry, forms: Multivector, X: Multivector, table: str) -> Multivector:
+    """``product_sum`` of the kernel table named ``table``, sum_i forms[i]
+    o X[i], for a stack of frame forms (``geom.dtheta``,
+    ``geom.torsion_forms``) whose expansion comes from ``expansion``."""
     x = X.data if X.data.ndim == forms.data.ndim else X.data[:, None]    # a point axis on forms only
-    left = geom.expansion(sum_left_expansion, forms, table)
+    left = expansion(geom, sum_left_expansion, forms, table, 1.0)
     return expanded_product(left, sum_right_expansion(x, _N), min(forms.order, X.order))
 
 
@@ -200,7 +160,7 @@ def _pair_sum(grid: Multivector) -> Multivector:
 # -- first order -------------------------------------------------------------
 
 
-@_per_frame
+@per_frame
 def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Componentwise directional derivatives e_a(A^I) theta_I along all
     four frame vectors, direction axis first."""
@@ -217,26 +177,26 @@ def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
     return Multivector.from_array(derivative(A.data, block.reshape(shape), order), order)
 
 
-@_per_frame
+@per_frame
 def cov_derivs(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """Covariant derivatives of a Clifford field along all e_a:
     pfaff_a(A) + [omega_a, A] / 2."""
-    return pfaffs(geom, A) + _biform_actions(geom, COMMUTATOR_TABLE, _biform(geom, conn), A)
+    return pfaffs(geom, A) + _biform_actions(geom, "commutator", _biform(geom, conn), A)
 
 
-@_per_frame
+@per_frame
 def spin_cov_derivs(geom: FrameGeometry, psi: Multivector) -> Multivector:
     """Representative spinor derivatives: pfaff_a(psi) + omega_a psi / 2."""
-    return pfaffs(geom, psi) + _biform_actions(geom, GP_TABLE, geom.omega_biform, psi)
+    return pfaffs(geom, psi) + _biform_actions(geom, "gp", geom.omega_biform, psi)
 
 
-@_per_frame
+@per_frame
 def right_rep_derivs(geom: FrameGeometry, phi: Multivector) -> Multivector:
     """Right-representative derivatives: pfaff_a(phi) - phi omega_a / 2."""
     return pfaffs(geom, phi) - right_actions(geom, phi)
 
 
-@_per_frame
+@per_frame
 def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     """tau(e_a, V)^rho = V^beta T^rho_{a beta} for all a, direction axis
     first, on grade-1 arguments: one matmul with ``geom.tau``."""
@@ -251,7 +211,7 @@ def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     return Multivector.from_array(data, order)
 
 
-@_per_frame
+@per_frame
 def torsion_operator_pairs(geom: FrameGeometry, V: Multivector) -> Multivector:
     """tau(e_a, tau(e_b, V)) for all a, b, the (a, b) grid, at order <= 1:
     both sums it enters (``pair_expansion_rhs`` and
@@ -277,35 +237,30 @@ def spin_cov_deriv(geom: FrameGeometry, psi: Multivector, a: int) -> Multivector
     return spin_cov_derivs(geom, psi)[a]
 
 
-def right_rep_deriv(geom: FrameGeometry, phi: Multivector, a: int) -> Multivector:
-    """The direction-a item of ``right_rep_derivs``."""
-    return right_rep_derivs(geom, phi)[a]
-
-
 def torsion_operator(geom: FrameGeometry, a: int, V: Multivector) -> Multivector:
     """tau(e_a, V), the direction-a item of ``torsion_operators``."""
     return torsion_operators(geom, V)[a]
 
 
-@_per_frame
+@per_frame
 def dirac(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a nabla_a A."""
     return blade_sum(THETA_GP_ROWS, cov_derivs(geom, A, conn))
 
 
-@_per_frame
+@per_frame
 def dirac_contract(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a _| nabla_a A."""
     return blade_sum(THETA_LC_ROWS, cov_derivs(geom, A, conn))
 
 
-@_per_frame
+@per_frame
 def dirac_wedge(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a ^ nabla_a A."""
     return blade_sum(THETA_WEDGE_ROWS, cov_derivs(geom, A, conn))
 
 
-@_per_frame
+@per_frame
 def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Exterior derivative from antisymmetrized frame derivatives plus
     structure-coefficient terms; no connection involved.
@@ -315,10 +270,10 @@ def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     theta_I), the interior product i_{e_g} being the left contraction by the
     lowered theta_g (the even dtheta^g commutes into first place)."""
     interior = blade_products(THETA_DOWN_LC, A)   # [g]: theta_g _| A
-    return blade_sum(THETA_WEDGE_ROWS, pfaffs(geom, A)) + frame_product_sum(geom, geom.dtheta, interior, WEDGE_TABLE)
+    return blade_sum(THETA_WEDGE_ROWS, pfaffs(geom, A)) + frame_product_sum(geom, geom.dtheta, interior, "wedge")
 
 
-@_per_frame
+@per_frame
 def codifferential(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Hodge codifferential as a star-d-star sandwich (sign-free in this
     engine's dual convention)."""
@@ -328,7 +283,7 @@ def codifferential(geom: FrameGeometry, A: Multivector) -> Multivector:
 # -- squares on scalars -------------------------------------------------------
 
 
-@_per_frame
+@per_frame
 def dirac_square_direct(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     return dirac(geom, dirac(geom, A, conn), conn)
 
@@ -417,7 +372,7 @@ def scalar_square_connection_form(geom: FrameGeometry, f: Multivector) -> Multiv
 # -- vector-level torsion correction ------------------------------------------
 
 
-@_per_frame
+@per_frame
 def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Grid [a, b] of the per-direction-pair correction relating the
     torsionful square to the standard square on grade-1 fields (six tau/T
@@ -459,12 +414,12 @@ def square_torsion_relation_rhs(geom: FrameGeometry, A: Multivector) -> Multivec
 # -- spin operators ------------------------------------------------------------
 
 
-@_per_frame
+@per_frame
 def spin_dirac(geom: FrameGeometry, psi: Multivector) -> Multivector:
     return blade_sum(THETA_GP_ROWS, spin_cov_derivs(geom, psi))
 
 
-@_per_frame
+@per_frame
 def spin_dirac_square_direct(geom: FrameGeometry, psi: Multivector) -> Multivector:
     return spin_dirac(geom, spin_dirac(geom, psi))
 
@@ -487,7 +442,7 @@ def _right_correction(
     )
 
 
-@_per_frame
+@per_frame
 def spin_square_right_correction(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Grid [a, b] of the per-direction-pair right-action correction
     relating the squared spin operator on a representative to the squared
@@ -579,6 +534,6 @@ def maxwell_residuals(
     _require_grade(F, 2, "field strength")
     _require_grade(J_e, 1, "current")
     clifford = dirac(geom, F, "full") - J_e
-    spin = right_rep_derivs(geom, F) + _biform_actions(geom, GP_TABLE, geom.omega_biform, F)
+    spin = right_rep_derivs(geom, F) + _biform_actions(geom, "gp", geom.omega_biform, F)
     spin = blade_sum(THETA_GP_ROWS, spin) - J_e
     return clifford, spin

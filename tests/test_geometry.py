@@ -372,14 +372,22 @@ T3_12 = -1
 """
 
 
-def test_known_answer_r_x_s3_with_parallelizing_torsion():
-    sc = fs.load_scenario(R_X_S3, valid_checks=set(harness.CHECKS))
+def _known_answer(text):
+    """Run every check on a known-answer scenario at 10 points (seed 1),
+    assert that all of them pass, and return the frame and curvature at
+    those points."""
+    sc = fs.load_scenario(text, valid_checks=set(harness.CHECKS))
     report = harness.run_suite(sc, points=10, seed=1)
     assert len(report.checks) == len(harness.CHECKS)
-    # lichnerowicz and ricci-antisymmetry need co-closed torsion
     assert all(c.passed and not c.errors for c in report.checks), report.to_text()
     g = build_frame(sc, harness.sample_points(sc, 10, 1))
-    curv = curvature(g)
+    return g, curvature(g)
+
+
+def test_known_answer_r_x_s3_with_parallelizing_torsion():
+    # every check passes, lichnerowicz and ricci-antisymmetry too, which need
+    # co-closed torsion
+    g, curv = _known_answer(R_X_S3)
     # the full connection and its curvature vanish: the frame is parallel,
     # and so is the constant torsion
     assert np.abs(g.full).max() <= 1e-13
@@ -387,3 +395,55 @@ def test_known_answer_r_x_s3_with_parallelizing_torsion():
     assert np.abs(curv.components).max() <= 1e-13
     # the Levi-Civita sectional curvature of a coordinate plane of S^3 is 1/r^2
     assert np.abs(curv.lc_components[1, 2, 1, 2, :, 0] - 0.25).max() <= 1e-12
+
+
+# de Sitter space in flat slicing, e_i = exp(H x0) dx^i with H = 1/2
+DE_SITTER = """
+[tetrad]
+e0_0 = 1
+e1_1 = "exp(0.5*x0)"
+e2_2 = "exp(0.5*x0)"
+e3_3 = "exp(0.5*x0)"
+"""
+
+# Minkowski space in a frame rotated by 0.7 x0 x3 + x2 in the (1, 2) plane:
+# a connection that is pure gauge, with no curvature
+PURE_GAUGE = """
+[tetrad]
+e0_0 = 1
+e1_1 = "cos(0.7*x0*x3 + x2)"
+e1_2 = "sin(0.7*x0*x3 + x2)"
+e2_1 = "-sin(0.7*x0*x3 + x2)"
+e2_2 = "cos(0.7*x0*x3 + x2)"
+e3_3 = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "text, h2, conn, tol",
+    [
+        # the connection coefficients are 0 and +-H
+        pytest.param(DE_SITTER, 0.25, (0.5, 0.5), 1e-12, id="de_sitter"),
+        # only a connection term, which the curvature's derivative terms cancel
+        pytest.param(PURE_GAUGE, 0.0, (0.5, np.inf), 1e-13, id="pure_gauge"),
+    ],
+)
+def test_known_answer_torsion_free_constant_curvature(text, h2, conn, tol):
+    g, curv = _known_answer(text)
+    # without torsion the full connection is the Levi-Civita one
+    assert not g.T.any() and np.array_equal(g.full, g.lc)
+    assert conn[0] - tol <= np.abs(g.full).max() <= conn[1] + tol
+    # constant curvature h2 = H^2: R^a_{bcd} = -h2 (delta^a_c eta_bd -
+    # delta^a_d eta_bc), so R^0_{101} = R^1_{212} = h2 and 24 components
+    # per point are +-h2
+    eta = np.diag(geo.ETA)
+    want = -h2 * (np.einsum("ac,bd->abcd", np.eye(4), eta) - np.einsum("ad,bc->abcd", np.eye(4), eta))
+    got = curv.components[..., 0]
+    assert np.abs(got - want[..., None]).max() <= tol
+    assert np.count_nonzero(want) == (24 if h2 else 0)
+    assert np.abs(got[0, 1, 0, 1] - h2).max() <= tol and np.abs(got[1, 2, 1, 2] - h2).max() <= tol
+    assert not curv.components[..., 1:].any()
+    # the biform scalar is 12 H^2, the R of Lichnerowicz's D^2 = nabla* nabla + R / 4,
+    # which the lichnerowicz check has just confirmed
+    assert np.abs(curv.scalar[:, 0] - 12 * h2).max() <= tol
+    assert not curv.scalar[:, 1:].any()

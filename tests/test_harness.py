@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -609,6 +610,19 @@ def test_both_overflow_routes_fail(capsys, tmp_path):
         assert out.count("ERROR metricity point=(") == 1 and error in out, seed
 
 
+def test_overflow_warns_nothing(capsys, tmp_path):
+    # the frame's derivative jets overflow at one point (seed 1, as above):
+    # the report's ERROR line names it, and numpy prints no warning
+    path = tmp_path / "overflow.scn"
+    path.write_text('[tetrad]\ne0_0 = "exp(800*x1)"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli_main(["run", str(path), "--points", "6", "--seed", "1", "--only", "metricity"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
+    assert rc == 1
+    assert capsys.readouterr().out.count("ERROR metricity point=(") == 1
+
+
 def test_json_writes_non_finite_as_null():
     check = harness.CheckResult(
         name="metricity", max=float("inf"), mean=float("nan"), worst_point=(0.1, 0.2, 0.3, 0.4),
@@ -949,12 +963,8 @@ def test_sin_of_infinity_is_a_point_error(capsys, tmp_path, forks):
 def test_point_hooks_run_once_per_point(monkeypatch):
     # the per-point surface that perfbench's tracer wraps: rebound on the
     # module and in the registry, each hook is looked up at call time
-    calls = {"task": 0, "point": 0, "check": []}
-    eval_task, evaluate_point = harness._eval_task, harness.evaluate_point
-
-    def task(args):
-        calls["task"] += 1
-        return eval_task(args)
+    calls = {"point": 0, "check": []}
+    evaluate_point = harness.evaluate_point
 
     def point(*args, **kwargs):
         calls["point"] += 1
@@ -966,13 +976,12 @@ def test_point_hooks_run_once_per_point(monkeypatch):
         calls["check"].append(ctx.points)
         return desc.fn(ctx)
 
-    monkeypatch.setattr(harness, "_eval_task", task)
     monkeypatch.setattr(harness, "evaluate_point", point)
     monkeypatch.setitem(CHECKS, "metricity", dataclasses.replace(desc, fn=check))
     sc = load_bundled("curved_torsion")
     report = run_suite(sc, points=3, only=["metricity", "bianchi"])
     assert report.all_passed()
-    assert calls["task"] == 3 and calls["point"] == 3
+    assert calls["point"] == 3
     # the check runs once, on the shard's three points
     assert calls["check"] == [tuple(sample_points(sc, points=3))]
 

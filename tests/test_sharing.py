@@ -127,8 +127,8 @@ def test_sharing_key(frames):
 
 
 def test_entries_keep_their_arguments(frames):
-    # arguments dropped by the caller stay alive in the entry, so a new
-    # multivector never meets the result of an old one at a reused id
+    # arguments dropped by the caller stay alive in the entry's key, so a
+    # new multivector never meets the result of an old one at a reused id
     g = frames["flat_torsion"][0]
     rng = np.random.default_rng(52)
     for _ in range(4):
@@ -159,9 +159,6 @@ def test_scalar_multivector_built_once():
 
 
 # -- frame expansions -------------------------------------------------------------
-
-_TABLES = {id(t): t for t in (cliffalg.GP_TABLE, cliffalg.WEDGE_TABLE, cliffalg.LC_TABLE, cliffalg.COMMUTATOR_TABLE)}
-
 
 def _along(stack, A):
     """A direction stack shaped to broadcast, direction axis first, with A."""
@@ -250,22 +247,23 @@ def test_expansions_are_read_only_per_frame_entries():
     for name in CHECKS:
         ctx.results(name)
     geom = ctx.geom
-    assert len(geom.expansions) > 5
-    for key, (operand, out) in geom.expansions.items():
-        # the entry holds its operand, whose id is in the key
-        assert isinstance(operand, cliffalg.Multivector) and key[1] == id(operand)
+    kept = geometry.expansion.__wrapped__
+    expansions = {key[1:]: out for key, out in geom.shared.items() if key[0] is kept}
+    assert len(expansions) > 5
+    for (step, operand, table, factor), out in expansions.items():
+        # the key holds its operand
+        assert isinstance(operand, cliffalg.Multivector)
         with pytest.raises(ValueError):
             out.flat[0] = 0.0
-        step, _, table, factor = key
         n = width(geometry.CONN_ORDER)
-        want = step(operand.data, n) if table == id(None) else step(operand.data, _TABLES[table], n)
+        want = step(operand.data, n) if table is None else step(operand.data, cliffalg.KERNEL_TABLES[table], n)
         assert np.array_equal(out, factor * want, equal_nan=True)   # a power of two: exact
-    # shared results are operator results, not expansions
-    assert all(isinstance(out, cliffalg.Multivector) for _, out in geom.shared.values())
+    # every other shared entry is an operator result
+    assert all(isinstance(out, cliffalg.Multivector) for key, out in geom.shared.items() if key[0] is not kept)
     # a new batch builds its own frame, which holds only the expansion its
     # calibration built
     fresh = BatchContext(scenario, fields, pts).geom
-    ((key, (operand, out)),) = fresh.expansions.items()
-    assert operand is fresh.omega_biform and key[2:] == (id(cliffalg.COMMUTATOR_TABLE), 0.5)
-    assert not any(np.shares_memory(out, old) for _, old in geom.expansions.values())
-    assert dataclasses.replace(geom).expansions == {}
+    ((key, out),) = fresh.shared.items()
+    assert key[0] is kept and key[2] is fresh.omega_biform and key[3:] == ("commutator", 0.5)
+    assert not any(np.shares_memory(out, old) for old in expansions.values())
+    assert dataclasses.replace(geom).shared == {}
