@@ -101,40 +101,26 @@ class GradeError(ValueError):
     """Raised for grade projections outside 0..4 or wrong-grade operands."""
 
 
-def _mask_bits(m: int):
-    return [a for a in range(N_GENERATORS) if m >> a & 1]
-
-
-def _product_sign(mi: int, mj: int) -> float:
-    """Sign of blade(mi) * blade(mj), metric factors included."""
-    inv = 0
-    for b in _mask_bits(mj):
-        higher = mi & ~((1 << (b + 1)) - 1)
-        inv += bin(higher).count("1")
-    sign = -1.0 if inv % 2 else 1.0
-    for g in _mask_bits(mi & mj):
-        sign *= SIGNATURE[g]
-    return sign
-
-
 def _build_tables():
-    entries = []
-    for i, mi in enumerate(BLADE_MASKS):
-        for j, mj in enumerate(BLADE_MASKS):
-            k = MASK_TO_INDEX[mi ^ mj]
-            s = _product_sign(mi, mj)
-            w = s if (mi & mj) == 0 else 0.0
-            c = s if (mi & ~mj) == 0 else 0.0  # left mask subset of right
-            entries.append((k, i, j, s, w, c))
-    entries.sort()  # ascending k; exactly 16 pairs land on each k
-    k_idx = np.array([e[0] for e in entries])
-    assert (k_idx.reshape(N_BLADES, N_BLADES) == np.arange(N_BLADES)[:, None]).all()
+    """The 256 blade pairs (i, j) grouped by output blade k = mask(i) ^
+    mask(j), row k in order of i, with the signs of blade(i) * blade(j)
+    (metric factors included) in the geometric, wedge and left-contraction
+    products."""
+    masks = np.array(BLADE_MASKS)
+    index = np.empty(N_BLADES, dtype=int)
+    index[masks] = np.arange(N_BLADES)
+    gen = np.arange(N_GENERATORS)
+    mi = np.broadcast_to(masks, (N_BLADES, N_BLADES))          # [k, i]
+    mj = masks[:, None] ^ masks                                # [k, i]: the right blade's mask
+    bi, bj = mi[..., None] >> gen & 1, mj[..., None] >> gen & 1
+    # reordering swaps each generator a of the left blade past each b < a of the right
+    swaps = (bi[..., :, None] & bj[..., None, :] & (gen[:, None] > gen)).sum(axis=(-2, -1))
+    metric = np.where(bi & bj, SIGNATURE, 1.0).prod(axis=-1)  # e_g e_g = eta_g
+    gp = np.where(swaps % 2, -1.0, 1.0) * metric
+    wedge = np.where(mi & mj, 0.0, gp)
+    lc = np.where(mi & ~mj, 0.0, gp)      # left mask a subset of the right
     return (
-        np.array([e[1] for e in entries]),
-        np.array([e[2] for e in entries]),
-        np.array([e[3] for e in entries]),
-        np.array([e[4] for e in entries]),
-        np.array([e[5] for e in entries]),
+        np.tile(np.arange(N_BLADES), N_BLADES), index[mj].ravel(), gp.ravel(), wedge.ravel(), lc.ravel(),
     )
 
 
@@ -254,7 +240,7 @@ class Multivector:
         """Blade e_{i1} ^ ... ^ e_{ik} for strictly increasing indices."""
         mask = 0
         for a in indices:
-            if mask >> a & 1 or (mask and a <= max(_mask_bits(mask))):
+            if a < mask.bit_length():    # not above every index before it
                 raise ValueError(f"blade indices must be strictly increasing: {indices}")
             mask |= 1 << a
         c = [0.0] * N_BLADES

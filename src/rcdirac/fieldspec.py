@@ -22,7 +22,7 @@ a comment.  Sections and keys::
                 A.<name>.<idx> = "expr"        (multivector frame component,
                 idx 0..15 in canonical blade order; unset components 0)
     [checks]    <check-name> = on | off        (default: the full suite)
-    [sampling]  seed = int, points = int, tol = float
+    [sampling]  seed = int >= 0, points = int >= 1, tol = float >= 0
 
 Evaluation: groups of expressions compile into a ``Program``, a flat list
 of jet operations over a point axis (see "evaluation" below); a
@@ -39,6 +39,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,38 +83,87 @@ class ScenarioError(ValueError):
 # -- AST ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class _Node:
+    """An immutable expression node.  A subclass names its fields in
+    ``__slots__`` and sets them in ``__init__`` with ``_set``; a node equals
+    a node of the same type with equal fields, and hashes, prints and
+    pickles by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: expression nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: expression nodes are immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Coord:
-    index: int
+# sets a field of a new node past the node's read-only __setattr__
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Const(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Coord(_Node):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Neg(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+
+
+class Call(_Node):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Expr):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
 Expr = Const | Coord | Neg | BinOp | Pow | Call
@@ -463,8 +513,9 @@ def eval_expr(e: Expr, p: ChartPoint) -> Jet2:
 ZERO_EXPR = Const(0.0)
 
 
-@dataclass(frozen=True)
-class Sampling:
+class Sampling(NamedTuple):
+    """The [sampling] section: the run's seed, point count and tolerance."""
+
     seed: int = 0
     points: int = 20
     tol: float = 1e-8
@@ -484,7 +535,7 @@ class Scenario:
     scalar_fields: dict[str, Expr]
     multivector_fields: dict[str, tuple[Expr, ...]]
     checks: tuple[str, ...] = ()                  # empty = full suite
-    sampling: Sampling = field(default_factory=Sampling)
+    sampling: Sampling = Sampling()
     digest: str = field(default="", compare=False)
     # the Program of a frame's two stages: the tetrad entries theta^a_mu,
     # row by row, then the torsion entries ``TORSION_UPPER``
@@ -727,18 +778,22 @@ def _load_checks(entries, valid_checks) -> tuple[str, ...]:
 
 
 def _load_sampling(entries) -> Sampling:
-    seed, points, tol = 0, 20, 1e-8
+    values = {}     # the keys given; the others keep Sampling's defaults
     for key, (value, lineno) in entries.items():
         if key == "seed":
-            seed = _parse_integer(key, value, lineno)
+            values[key] = seed = _parse_integer(key, value, lineno)
+            if seed < 0:
+                raise ScenarioError(f"line {lineno}: seed must be non-negative, got {value!r}")
         elif key == "points":
-            points = _parse_integer(key, value, lineno)
+            values[key] = points = _parse_integer(key, value, lineno)
+            if points < 1:
+                raise ScenarioError(f"line {lineno}: points must be at least 1, got {value!r}")
         elif key == "tol":
-            tol = _parse_number(value, lineno)
+            values[key] = tol = _parse_number(value, lineno)
             if not (math.isfinite(tol) and tol >= 0.0):
                 raise ScenarioError(f"line {lineno}: tol must be finite and non-negative, got {value!r}")
         else:
             raise ScenarioError(
                 f"line {lineno}: bad [sampling] key {key!r} (seed, points, tol)"
             )
-    return Sampling(seed=seed, points=points, tol=tol)
+    return Sampling(**values)

@@ -42,10 +42,10 @@ n, ``tau[n]`` (P, 16, 4 n), acting on the four vector coefficients.
 Ownership: each connection-level table, dtheta and the torsion 2-forms
 included, is built once, by ``build_frame``, as a field of the frame's
 ``FrameGeometry``; what is the same in every frame (``THETA``, ``ETA``,
-``EPSILON``) is a module constant.  What depends on arguments, the
-operator results of ``operators`` and the product expansions of
-``expansion``, lives in the frame's one memo, ``shared`` (``per_frame``),
-and goes away with the frame.
+``ETA_DIAG``, ``EPSILON``) is a module constant.  What depends on
+arguments, the operator results of ``operators`` and the product
+expansions of ``expansion``, lives in the frame's one memo, ``shared``
+(``per_frame``), and goes away with the frame.
 """
 
 from __future__ import annotations
@@ -58,14 +58,17 @@ from itertools import permutations
 import numpy as np
 
 from .cliffalg import (
-    KERNEL_TABLES, PLANE_GP_ROWS, Multivector, bivector_array, blade_sum, expanded_product, grade_project,
+    KERNEL_TABLES, PLANE_GP_ROWS, SIGNATURE, Multivector, bivector_array, blade_sum, expanded_product, grade_project,
     left_expansion, right_expansion,
 )
 from .fieldspec import TORSION_UPPER, Scenario
 from .jets import CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, derivation_matrices, derivative, jet_einsum, width
 
-ETA = (1.0, -1.0, -1.0, -1.0)
-_ETA = np.array(ETA)
+# the metric eta = diag(ETA) is the signature of the Clifford algebra;
+# ETA_DIAG holds the same values as an array that every module shares
+ETA = SIGNATURE
+ETA_DIAG = np.array(ETA)
+ETA_DIAG.flags.writeable = False
 _DET_TOL = 1e-8
 _CALIBRATION_TOL = 1e-9
 
@@ -116,7 +119,7 @@ class GeometryError(RuntimeError):
     """Internal consistency failure while assembling the connection."""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FrameGeometry:
     """All connection-level data of one scenario at P chart points; every
     table has the point axis just before its jet axis."""
@@ -151,13 +154,17 @@ def per_frame(fn):
     stores it, read-only, in ``geom.shared``; later calls return it.  The
     key is fn and the arguments, defaults filled in: it holds them, and a
     ``Multivector`` compares by identity.  A call that gives every argument
-    by position skips the binding."""
-    sig = inspect.signature(fn)
-    n_params = len(sig.parameters)
+    by position skips the binding; the signature that binds the others is
+    built on the first such call."""
+    n_params = fn.__code__.co_argcount
+    sig = None
 
     @functools.wraps(fn)
     def shared(geom, *args, **kwargs):
+        nonlocal sig
         if kwargs or len(args) + 1 != n_params:
+            if sig is None:
+                sig = inspect.signature(fn)
             bound = sig.bind(geom, *args, **kwargs)
             bound.apply_defaults()
             args = bound.args[1:]
@@ -185,7 +192,7 @@ def expansion(geom: FrameGeometry, step, operand: Multivector, table, factor) ->
     return step(data, n) if table is None else step(data, KERNEL_TABLES[table], n)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CurvatureData:
     """Curvature of the full connection plus its Levi-Civita part and the
     contorsion-induced difference, at the points of a frame."""
@@ -304,7 +311,7 @@ def torsion_matrix(T) -> dict:
     points, row (a, r) of ``tau[n] @ mul_matrix(v, n).reshape(P, 4 n, n)``
     is the theta^r coefficient of the torsion operator
     tau(e_a, V)^r = V^b T^r_{ab} on its first n slots."""
-    tau = np.einsum("r,b,rabps->parbs", _ETA, _ETA, T)
+    tau = np.einsum("r,b,rabps->parbs", ETA_DIAG, ETA_DIAG, T)
     return {
         n: np.ascontiguousarray(tau[..., :n]).reshape(tau.shape[0], 16, 4 * n)
         for n in (JET_LEN, width(CONN_ORDER))
@@ -324,9 +331,9 @@ def levi_civita(c_t):
     """Unique zero-torsion metric-compatible coefficients from the structure
     coefficients: lowered form L_abc = (g_abc + g_bca - g_cab)/2 with
     g_abc = eta_bm c^m_{ac}."""
-    g = (_ETA[:, None, None, None, None] * c_t).transpose(1, 0, 2, 3, 4)      # g[a, b, c]
+    g = (ETA_DIAG[:, None, None, None, None] * c_t).transpose(1, 0, 2, 3, 4)      # g[a, b, c]
     low = 0.5 * (g + g.transpose(2, 0, 1, 3, 4) - g.transpose(1, 2, 0, 3, 4))
-    return _ETA[None, :, None, None, None] * low
+    return ETA_DIAG[None, :, None, None, None] * low
 
 
 def contorsion(T):
@@ -336,16 +343,16 @@ def contorsion(T):
     K^al_{be,rh} = -eta^{al,al} (eta_be T^be_{rh,al} + eta_rh T^rh_{be,al}
     - eta_al T^al_{be,rh}) / 2, stored as conn[be][al][rh].
     """
-    low = _ETA[:, None, None, None, None] * T    # low[x, y, z] = eta_x T^x_{yz}
+    low = ETA_DIAG[:, None, None, None, None] * T    # low[x, y, z] = eta_x T^x_{yz}
     # s[b, a, r] = low[b, r, a] + low[r, b, a] - low[a, b, r]
     s = low.transpose(0, 2, 1, 3, 4) + low.transpose(1, 2, 0, 3, 4) - low.transpose(1, 0, 2, 3, 4)
-    return (-0.5 * _ETA[None, :, None, None, None]) * s
+    return (-0.5 * ETA_DIAG[None, :, None, None, None]) * s
 
 
 def connection_biforms(conn):
     """Biforms omega_{e_a} = L_abc theta^b ^ theta^c / 2 with L the lowered
     (antisymmetric-pair) coefficients, a (4, P, 16, 5) stack."""
-    low = _ETA[None, :, None, None, None] * conn
+    low = ETA_DIAG[None, :, None, None, None] * conn
     return Multivector.from_array(bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3, 4))), CONN_ORDER)
 
 
@@ -413,7 +420,7 @@ def j_quadriform(J) -> Multivector:
     spin-Dirac identity: (1/8) sum J_{abcd} eps^{abcd} e0123 with the first
     index lowered; a (P, 16, 5) stack."""
     data = np.zeros(J.shape[-2:-1] + (16, J.shape[-1]))
-    data[..., 15, :] = np.einsum("abcd,abcd...->...", 0.125 * _ETA[:, None, None, None] * EPSILON, J)
+    data[..., 15, :] = np.einsum("abcd,abcd...->...", 0.125 * ETA_DIAG[:, None, None, None] * EPSILON, J)
     return Multivector.from_array(data, CURV_ORDER)
 
 
@@ -422,7 +429,7 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
     R = _riemann_components(geom, geom.full)
     R_lc = _riemann_components(geom, geom.lc)
 
-    low = _ETA[:, None, None, None, None, None] * R
+    low = ETA_DIAG[:, None, None, None, None, None] * R
     pairs = 0.5 * (low - low.transpose(1, 0, 2, 3, 4, 5))          # [a, b, c, d]
     biforms = Multivector.from_array(
         bivector_array(np.moveaxis(pairs, (0, 1), (2, 3))), CURV_ORDER   # [c, d]
@@ -452,7 +459,7 @@ def connection_torsion(geom: FrameGeometry, conn) -> np.ndarray:
 def lowered(conn) -> np.ndarray:
     """eta_bm conn[a][m][c], antisymmetric in (b, c) for a metric-compatible
     connection."""
-    return _ETA[None, :, None, None, None] * conn
+    return ETA_DIAG[None, :, None, None, None] * conn
 
 
 def torsion_trace(geom: FrameGeometry) -> np.ndarray:

@@ -66,7 +66,7 @@ from .cliffalg import (
     geometric_product, grade_involution, product_sum, wedge,
 )
 from .fieldspec import Scenario, ScenarioError
-from .geometry import ETA, NonFiniteFrameError
+from .geometry import ETA_DIAG, NonFiniteFrameError
 from .jets import HESS_PAIRS, JET_LEN, NVARS, ChartPoint, JetDomainError, JetOrderError, jet_einsum
 
 MARGIN = 0.05
@@ -127,7 +127,7 @@ def uniform_draws(seed: int, tag: int, lo: float, hi: float, n: int) -> np.ndarr
 # -- test fields --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunField:
     """A test field: random polynomial coefficients or scenario expressions,
     divided by its sup-norm at evaluation time, so that its largest finite
@@ -270,8 +270,11 @@ def sample_points(scenario: Scenario, points: int | None = None, seed: int | Non
 # -- check registry --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CheckDescriptor:
+    """A registered check: its name, the identity it tests, the test fields
+    it reads and the function that returns its ``(lhs, rhs)`` pairs."""
+
     name: str
     anchor: str                       # identity statement, for explain/JSON
     fields: tuple[str, ...]
@@ -465,8 +468,8 @@ def _c_levi_civita(ctx):
     "contorsion trace identity: eta^{br} K^a_{br} + eta^{sa} T^r_{rs} = 0",
 )
 def _c_contorsion_trace(ctx):
-    trace = np.einsum("b,bab...->a...", np.array(ETA), ctx.geom.K)
-    return [(trace, -np.array(ETA)[:, None, None] * geometry.torsion_trace(ctx.geom))]
+    trace = np.einsum("b,bab...->a...", ETA_DIAG, ctx.geom.K)
+    return [(trace, -ETA_DIAG[:, None, None] * geometry.torsion_trace(ctx.geom))]
 
 
 @_check(
@@ -493,7 +496,7 @@ def _c_decomposition(ctx):
 )
 def _c_curvature_traces(ctx):
     biforms = ctx.curv.biforms
-    trace = Multivector.from_array(np.einsum("a,aa...->...", np.array(ETA), biforms.data), biforms.order)
+    trace = Multivector.from_array(np.einsum("a,aa...->...", ETA_DIAG, biforms.data), biforms.order)
     return [(biforms, -biforms.swapaxes(0, 1)), (trace, None)]
 
 
@@ -578,7 +581,7 @@ def _c_torsion_trace_contraction(ctx):
     lhs = operators.frame_product_sum(geom, geom.torsion_forms, lowered, "lc")
     Q = geometry.torsion_trace(geom)
     e_f = operators.pfaffs(geom, f)                               # [b]: e_b(f)
-    rhs = jet_einsum("bp,bp->p", -np.array(ETA)[:, None, None] * Q, e_f.data[..., 0, :], e_f.order)
+    rhs = jet_einsum("bp,bp->p", -ETA_DIAG[:, None, None] * Q, e_f.data[..., 0, :], e_f.order)
     return [(lhs, operators.scalar_multivector(rhs, e_f.order))]
 
 
@@ -973,6 +976,9 @@ def _run_shards(scenario, fields, names, points, n: int) -> dict:
 
 @dataclass
 class CheckResult:
+    """One check's outcome over a run's points: residual max and mean, the
+    worst point, the verdict and the per-point errors."""
+
     name: str
     max: float | None
     mean: float | None
@@ -989,6 +995,8 @@ def _finite_or_none(x):
 
 @dataclass
 class ResidualReport:
+    """A run's report: what was run and each check's result."""
+
     scenario_digest: str
     seed: int
     points: int

@@ -47,8 +47,8 @@ torsion operator and the geometry tables are built on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,17 +138,21 @@ class JetDomainError(ValueError):
     """Raised when recip/sqrt/negative powers hit a singular input value."""
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of the coordinate chart, dimensionless chart units."""
-
+class _ChartPointFields(NamedTuple):
     x: tuple[float, float, float, float]
 
-    def __post_init__(self):
-        if len(self.x) != NVARS:
-            raise ValueError(f"chart point needs {NVARS} coordinates, got {len(self.x)}")
-        if not all(math.isfinite(c) for c in self.x):
-            raise ValueError(f"chart point has non-finite coordinates: {self.x}")
+
+class ChartPoint(_ChartPointFields):
+    """A point of the coordinate chart, dimensionless chart units."""
+
+    __slots__ = ()
+
+    def __new__(cls, x):
+        if len(x) != NVARS:
+            raise ValueError(f"chart point needs {NVARS} coordinates, got {len(x)}")
+        if not all(math.isfinite(c) for c in x):
+            raise ValueError(f"chart point has non-finite coordinates: {x}")
+        return super().__new__(cls, x)
 
 
 class Jet2:

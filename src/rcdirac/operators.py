@@ -72,18 +72,17 @@ from .cliffalg import (
     product_sum, right_expansion, sum_left_expansion, sum_right_expansion,
 )
 from .geometry import (
-    CONN_ORDER, CURV_ORDER, ETA, FRAME_ORDER, CurvatureData, FrameGeometry, expansion, per_frame, torsion_trace,
+    CONN_ORDER, CURV_ORDER, ETA_DIAG, FRAME_ORDER, CurvatureData, FrameGeometry, expansion, per_frame, torsion_trace,
 )
 from .jets import CONSTANT, JetOrderError, clear_above, derivative, jet_einsum, mul_matrix, slots, width
 
 Connection = str  # "lc" | "full"
 
 
-_ETA = np.array(ETA)
 _GRADES = np.array(GRADES)
 # product matrices of the lowered coframe theta_a = eta_a theta^a
-THETA_DOWN_LC = _ETA[:, None, None] * THETA_LC
-THETA_DOWN_WEDGE = _ETA[:, None, None] * THETA_WEDGE
+THETA_DOWN_LC = ETA_DIAG[:, None, None] * THETA_LC
+THETA_DOWN_WEDGE = ETA_DIAG[:, None, None] * THETA_WEDGE
 
 
 def _require_grade(A: Multivector, k: int, what: str):
@@ -149,7 +148,7 @@ def _combine(spec: str, X: Multivector, table: np.ndarray, order=CONN_ORDER) -> 
 
 def _eta_trace(grid: Multivector) -> Multivector:
     """eta^{ab} grid[a, b] (the metric is diagonal)."""
-    return Multivector.from_array(np.einsum("a,aa...->...", _ETA, grid.data), grid.order)
+    return Multivector.from_array(np.einsum("a,aa...->...", ETA_DIAG, grid.data), grid.order)
 
 
 def _pair_sum(grid: Multivector) -> Multivector:
@@ -325,10 +324,10 @@ def frame_wave(geom: FrameGeometry, f: Multivector, conn, trace=None) -> Multive
         raise JetOrderError("the frame wave operator needs an order-2 jet")
     order = min(f.order, FRAME_ORDER) - 2
     df = _scalar_derivs(geom, f, order + 1)                 # df[a] = e_a f
-    weight = -np.einsum("b,bab...->a...", _ETA, conn)
+    weight = -np.einsum("b,bab...->a...", ETA_DIAG, conn)
     if trace is not None:
-        weight = weight + _ETA[:, None, None] * trace
-    second = np.einsum("b,bps,bpsu->pu", _ETA, df, geom.derivations[df.shape[-1]])
+        weight = weight + ETA_DIAG[:, None, None] * trace
+    second = np.einsum("b,bps,bpsu->pu", ETA_DIAG, df, geom.derivations[df.shape[-1]])
     return scalar_multivector(clear_above(second, order) + jet_einsum("ap,ap->p", weight, df, order), order)
 
 
@@ -515,7 +514,7 @@ def lichnerowicz_rhs(
     """Four-term right side of the generalized Lichnerowicz identity:
     generalized spin Dalembertian + R psi / 4 + J psi - Theta^c spin_c psi."""
     spin1 = spin_cov_derivs(geom, psi)
-    weight = np.einsum("a,aba...->b...", _ETA, geom.full)  # eta^aa Gamma^b_aa
+    weight = np.einsum("a,aba...->b...", ETA_DIAG, geom.full)  # eta^aa Gamma^b_aa
     out = _eta_trace(spin_cov_derivs(geom, spin1)) - _combine("bpk,bp->pk", spin1, weight)
     out = out + psi.scale(curv.scalar, CURV_ORDER).scale(0.25)
     out = out + geometric_product(curv.j_form, psi)

@@ -1,7 +1,8 @@
 """Slow reference implementations of the engine's array kernels.
 
-Products loop over the 256-entry sign tables one coefficient pair at a
-time, in any ring with +, - and * (floats, ``fractions.Fraction``, ``Jet2``);
+The sign tables themselves are derived one blade pair at a time
+(``ref_sign_tables``).  Products loop over the 256-entry sign tables one
+coefficient pair at a time, in any ring with +, - and * (floats, ``fractions.Fraction``, ``Jet2``);
 geometry loops over indices with ``Jet2`` scalars.  Neither shares code with
 the array kernels.  The per-direction operator loops below are the engine's
 operators as they were before direction stacks: one frame direction, one
@@ -47,6 +48,37 @@ def at_width(data: np.ndarray, order) -> np.ndarray:
 def full_derivations(geom) -> np.ndarray:
     """The frame's derivation matrices on all 15 slots, (4, P, 15, 15)."""
     return derivation_matrices(geom.frame_vectors)
+
+
+def _mask_bits(m: int):
+    return [a for a in range(ca.N_GENERATORS) if m >> a & 1]
+
+
+def _product_sign(mi: int, mj: int) -> float:
+    """Sign of blade(mi) * blade(mj), metric factors included."""
+    inv = 0
+    for b in _mask_bits(mj):
+        higher = mi & ~((1 << (b + 1)) - 1)
+        inv += bin(higher).count("1")
+    sign = -1.0 if inv % 2 else 1.0
+    for g in _mask_bits(mi & mj):
+        sign *= ca.SIGNATURE[g]
+    return sign
+
+
+def ref_sign_tables():
+    """``PAIR_I, PAIR_J, GP_SIGN, WEDGE_SIGN, LC_SIGN`` by a loop over the
+    256 blade pairs, one sign at a time."""
+    entries = []
+    for i, mi in enumerate(ca.BLADE_MASKS):
+        for j, mj in enumerate(ca.BLADE_MASKS):
+            k = ca.MASK_TO_INDEX[mi ^ mj]
+            s = _product_sign(mi, mj)
+            w = s if (mi & mj) == 0 else 0.0
+            c = s if (mi & ~mj) == 0 else 0.0  # left mask subset of right
+            entries.append((k, i, j, s, w, c))
+    entries.sort()  # ascending k; exactly 16 pairs land on each k
+    return tuple(np.array([e[col] for e in entries]) for col in range(1, 6))
 
 
 class RefMV:

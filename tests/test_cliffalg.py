@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_bundled, rand_float_mv, rand_mv
-from reference_loops import RefMV, ref_pfaff
+from reference_loops import RefMV, ref_pfaff, ref_sign_tables
 from rcdirac import cliffalg as ca
 from rcdirac.cliffalg import (
     GradeError,
@@ -37,6 +37,15 @@ def test_anticommutation_all_pairs_exact():
             lhs = E[a] * E[b] + E[b] * E[a]
             want = Multivector.scalar(2.0 * (ETA[a] if a == b else 0.0))
             assert lhs.values().tolist() == want.values().tolist()
+
+
+def test_sign_tables_match_pair_loop():
+    # bit for bit: the same dtype, values and signs of zero
+    tables = (ca.PAIR_I, ca.PAIR_J, ca.GP_SIGN, ca.WEDGE_SIGN, ca.LC_SIGN)
+    for got, want in zip(tables, ref_sign_tables(), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape == (256,)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_generator_squares():

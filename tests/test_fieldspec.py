@@ -46,6 +46,40 @@ def test_parse_example_ast():
     assert e == BinOp("+", Pow(Coord(0), 2), Call("sin", Coord(1)))
 
 
+def test_expression_nodes_compare_hash_and_print_by_fields():
+    # a zero compares equal to a negative zero, as the float fields do
+    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+    # nodes of different types are unequal, even with equal fields
+    assert Const(1.0) != Coord(1)
+    assert Const(0.0) != Coord(0)
+    assert Neg(Coord(0)) != Call("sin", Coord(0))
+    e = parse_expr("x0^2 + sin(x1) - 3/x2")
+    same = parse_expr("x0 ^ 2 + sin( x1 ) - 3 / x2")
+    assert e == same and e is not same and hash(e) == hash(same)
+    assert len({e, same, parse_expr("x0^2")}) == 2
+    assert repr(BinOp("+", Coord(0), Const(2.0))) == (
+        "BinOp(op='+', left=Coord(index=0), right=Const(value=2.0))"
+    )
+    assert repr(Pow(Coord(3), -2)) == "Pow(base=Coord(index=3), exponent=-2)"
+
+
+def test_expression_nodes_pickle_and_are_read_only():
+    e = parse_expr("exp(-x0*x1)^3 / (2 - x3)")
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and type(copy) is type(e)
+    assert pickle.loads(pickle.dumps(Const(-0.0))).value.hex() == "-0x0.0p+0"
+    node = Const(1.0)
+    with pytest.raises(AttributeError):
+        node.value = 2.0
+    with pytest.raises(AttributeError):
+        del node.value
+    with pytest.raises(AttributeError):
+        node.other = 0
+    assert node == Const(1.0)
+    with pytest.raises(TypeError):
+        BinOp("+", Coord(0))
+
+
 def test_parse_and_eval_example():
     e = parse_expr("2*(x2 - x3)")
     v = eval_expr(e, ChartPoint((0.0, 0.0, 5.0, 1.0)))
@@ -217,6 +251,23 @@ def test_unknown_section_and_keys():
         load_scenario(MINKOWSKI_TEXT + "[sampling]\nbogus = 1\n")
     with pytest.raises(ScenarioError):
         load_scenario("e0_0 = 1\n")  # entry before a section header
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("seed = -1", "line 9: seed must be non-negative, got '-1'"),
+    ("points = 0", "line 9: points must be at least 1, got '0'"),
+    ("points = -5", "line 9: points must be at least 1, got '-5'"),
+    ("points = 2.5", "line 9: points must be an integer, got '2.5'"),
+])
+def test_bad_sampling_value_names_line_and_key(entry, message):
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        load_scenario(MINKOWSKI_TEXT + f"[sampling]\n{entry}\n")
+
+
+def test_sampling_section():
+    sc = load_scenario(MINKOWSKI_TEXT + "[sampling]\nseed = 0\npoints = 1\ntol = 1e-6\n")
+    assert sc.sampling == Sampling(seed=0, points=1, tol=1e-6)
+    assert sc.sampling.points == 1 and sc.sampling.tol == 1e-6
 
 
 def test_fields_section():

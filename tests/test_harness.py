@@ -104,7 +104,7 @@ def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
     path = tmp_path / "negative.scn"
     path.write_text(IDENTITY + "[sampling]\nseed = -1\n")
     assert cli_main(["run", str(path), "--points", "1"]) == 3
-    assert capsys.readouterr().err == "scenario error: expected non-negative integer\n"
+    assert capsys.readouterr().err == "scenario error: line 7: seed must be non-negative, got '-1'\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -169,7 +169,7 @@ def test_zero_scenario_points_is_a_scenario_error(tmp_path, capsys):
     path = tmp_path / "zero.scn"
     path.write_text(IDENTITY + "[sampling]\npoints = 0\n")
     assert cli_main(["run", str(path)]) == 3
-    assert capsys.readouterr().err == "scenario error: point count must be positive, got 0\n"
+    assert capsys.readouterr().err == "scenario error: line 7: points must be at least 1, got '0'\n"
 
 
 def test_repeated_only_name_runs_once(capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -50,6 +51,21 @@ def test_chart_point_validation():
         ChartPoint((1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
         ChartPoint((float("nan"), 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        ChartPoint((0.0, 0.0, float("-inf"), 0.0))
+
+
+def test_chart_point_hashes_and_pickles_by_coordinates():
+    p = ChartPoint((0.1, 0.2, 0.3, 0.4))
+    q = ChartPoint((0.1, 0.2, 0.3, 0.4))
+    assert p == q and hash(p) == hash(q)
+    assert {p: 1}[q] == 1
+    assert p != ChartPoint((0.1, 0.2, 0.3, 0.5))
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and type(copy) is ChartPoint and copy.x == (0.1, 0.2, 0.3, 0.4)
+    assert repr(p) == "ChartPoint(x=(0.1, 0.2, 0.3, 0.4))"
+    with pytest.raises(AttributeError):
+        p.x = (0.0, 0.0, 0.0, 0.0)
 
 
 def test_square_of_coordinate():

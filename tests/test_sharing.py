@@ -3,6 +3,7 @@ and sharing changes no residual."""
 
 import collections
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -124,6 +125,21 @@ def test_sharing_key(frames):
     assert ops.cov_derivs(g, B) is not D
     # a replaced frame starts with no shared results
     assert ops.cov_derivs(dataclasses.replace(g), A) is not D
+
+
+def test_memoized_arity_is_the_positional_parameter_count():
+    # per_frame reads a call's arity from the code object: every memoized
+    # function takes positional parameters only, so an all-positional call
+    # gives the same key as a bound one
+    wrapped = {
+        fn.__wrapped__ for mod in (geometry, ops) for fn in vars(mod).values()
+        if getattr(fn, "__code__", None) is geometry.expansion.__code__
+    }
+    assert {geometry.expansion.__wrapped__, ops.cov_derivs.__wrapped__} < wrapped
+    for fn in wrapped:
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), fn
+        assert fn.__code__.co_argcount == len(params), fn
 
 
 def test_entries_keep_their_arguments(frames):

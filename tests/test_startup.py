@@ -10,14 +10,32 @@ import rcdirac
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # the threads of the importing process, and the BLAS variable it then sees
 PROBE = "import os, rcdirac; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+# the calls of inspect.signature and the inspect.Signature objects built by
+# importing rcdirac after numpy and loading a bundled scenario
+SIGNATURE_PROBE = """
+import inspect, numpy
+calls, built = [], []
+signature, init = inspect.signature, inspect.Signature.__init__
+def counting_signature(*args, **kwargs):
+    calls.append(args)
+    return signature(*args, **kwargs)
+def counting_init(self, *args, **kwargs):
+    built.append(args)
+    init(self, *args, **kwargs)
+inspect.signature, inspect.Signature.__init__ = counting_signature, counting_init
+import rcdirac
+from rcdirac import fieldspec, harness
+fieldspec.load_scenario_file(harness.resolve_scenario_path("curved_torsion"), valid_checks=set(harness.CHECKS))
+print(len(calls), len(built))
+"""
 
 
-def _import_in_fresh_interpreter(**env) -> list[str]:
+def _import_in_fresh_interpreter(probe=PROBE, **env) -> list[str]:
     clean = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     src = str(Path(rcdirac.__file__).resolve().parents[1])
     clean["PYTHONPATH"] = os.pathsep.join([src] + ([clean["PYTHONPATH"]] if "PYTHONPATH" in clean else []))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE], env={**clean, **env}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env={**clean, **env}, capture_output=True, text=True, check=True
     )
     return out.stdout.split()
 
@@ -29,3 +47,9 @@ def test_import_starts_no_blas_thread_pool():
     # a thread count the user chose is left as given
     assert _import_in_fresh_interpreter(OPENBLAS_NUM_THREADS="2")[1] == "2"
     assert _import_in_fresh_interpreter(OMP_NUM_THREADS="2")[1] == "None"
+
+
+def test_import_and_scenario_load_build_no_signature():
+    # the classes need no generated docstring or code, and the per-frame
+    # memo builds a signature only for a call that binds keywords
+    assert _import_in_fresh_interpreter(SIGNATURE_PROBE) == ["0", "0"]
