@@ -437,14 +437,16 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
 def sum_left_expansion(a: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
     """``left_expansion`` in the layout of ``product_sum``: the stack axis
     i summed over moves into the row, (points..., 16, (i, j, s))."""
-    left = np.moveaxis(left_expansion(a, table, n), 0, -2)
+    left = left_expansion(a, table, n)
+    left = left.transpose((*range(1, left.ndim - 1), 0, -1))
     return left.reshape(left.shape[:-2] + (-1,))
 
 
 def sum_right_expansion(b: np.ndarray, n: int) -> np.ndarray:
     """``right_expansion`` in the layout of ``product_sum``,
     (points..., (i, j, s), n)."""
-    right = np.moveaxis(right_expansion(b, n), 0, -3)
+    right = right_expansion(b, n)
+    right = right.transpose((*range(1, right.ndim - 2), 0, -2, -1))
     return right.reshape(right.shape[:-3] + (-1, n))
 
 

@@ -293,52 +293,6 @@ def parse_expr(src: str) -> Expr:
     return _Parser(src).parse()
 
 
-# -- printing (for round-trip tests and diagnostics) ----------------------
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL
-    if isinstance(e, Neg):
-        return _LEVEL_UNARY
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
-
-
-def print_expr(e: Expr) -> str:
-    if isinstance(e, Const):
-        return repr(e.value) if e.value >= 0 else f"(-{repr(-e.value)})"
-    if isinstance(e, Coord):
-        return COORD_NAMES[e.index]
-    if isinstance(e, Call):
-        return f"{e.fn}({print_expr(e.arg)})"
-    if isinstance(e, Neg):
-        inner = print_expr(e.arg)
-        if _level(e.arg) < _LEVEL_UNARY:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Pow):
-        base = print_expr(e.base)
-        if _level(e.base) < _LEVEL_POW:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, BinOp):
-        lvl = _level(e)
-        left = print_expr(e.left)
-        right = print_expr(e.right)
-        if _level(e.left) < lvl:
-            left = f"({left})"
-        # right operand at the same level must be parenthesized: the grammar
-        # is left associative, so "a - b - c" rebuilds as "(a - b) - c".
-        if _level(e.right) <= lvl:
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # -- evaluation ------------------------------------------------------------
 #
 # Expressions compile once into a ``Program``: a straight-line list of jet

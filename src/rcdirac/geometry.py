@@ -227,15 +227,15 @@ def invert_tetrad(theta_mat: np.ndarray, points):
     follow from E A = 1: d_m E = -E A_m E and
     d_m d_n E = -E A_mn E + E A_m E A_n E + E A_n E A_m E.
     """
-    a = np.moveaxis(theta_mat, 2, 0)                        # (P, a, mu, 15)
+    a = theta_mat.transpose(2, 0, 1, 3)                     # (P, a, mu, 15)
     value = a[..., 0]
     det = np.linalg.det(value)
     for point, d in zip(points, det.tolist()):
         if abs(d) <= _DET_TOL:
             raise DegenerateFrameError(point, d)
     inv = np.linalg.inv(value)[:, None]                     # inv[p, 0, mu, a] = e_a^mu
-    grad = np.moveaxis(a[..., 1:5], -1, 1)                  # d_m theta, (P, 4, 4, 4)
-    hess = np.moveaxis(a[..., 5:], -1, 1)                   # d_m d_n theta, (P, 10, 4, 4)
+    grad = a[..., 1:5].transpose(0, 3, 1, 2)                # d_m theta, (P, 4, 4, 4)
+    hess = a[..., 5:].transpose(0, 3, 1, 2)                 # d_m d_n theta, (P, 10, 4, 4)
     ig = inv @ grad
     d2 = (ig[:, HESS_J] @ ig[:, HESS_I] + ig[:, HESS_I] @ ig[:, HESS_J] - inv @ hess) @ inv
     jets = np.concatenate((inv, -ig @ inv, d2), axis=1)     # (P, 15, mu, a)
@@ -257,7 +257,7 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     n = len(points)
     # the torsion is evaluated only once the tetrad has passed its checks
     stages = scenario.frame_program.stages(points)
-    theta_mat = np.ascontiguousarray(np.moveaxis(next(stages).reshape(n, 4, 4, JET_LEN), 0, 2))
+    theta_mat = np.ascontiguousarray(next(stages).reshape(n, 4, 4, JET_LEN).transpose(1, 2, 0, 3))
     _require_finite(theta_mat, "the tetrad", points)
     frame_vectors = invert_tetrad(theta_mat, points)
     _require_finite(frame_vectors, "the inverse tetrad", points)
@@ -300,8 +300,8 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
 
 def _require_finite(table: np.ndarray, what: str, points):
     """Raise for the first point at which the jet table (..., P, 15) is not finite."""
-    finite = np.isfinite(table).all(axis=tuple(range(table.ndim - 2)) + (table.ndim - 1,))
-    if not finite.all():
+    finite = np.logical_and.reduce(np.isfinite(table), axis=(*range(table.ndim - 2), -1))
+    if not np.logical_and.reduce(finite):
         raise NonFiniteFrameError(points[int(np.argmin(finite))], what)
 
 
@@ -311,7 +311,7 @@ def torsion_matrix(T) -> dict:
     points, row (a, r) of ``tau[n] @ mul_matrix(v, n).reshape(P, 4 n, n)``
     is the theta^r coefficient of the torsion operator
     tau(e_a, V)^r = V^b T^r_{ab} on its first n slots."""
-    tau = np.einsum("r,b,rabps->parbs", ETA_DIAG, ETA_DIAG, T)
+    tau = (ETA_DIAG[:, None, None, None, None] * ETA_DIAG[:, None, None] * T).transpose(3, 1, 0, 2, 4)
     return {
         n: np.ascontiguousarray(tau[..., :n]).reshape(tau.shape[0], 16, 4 * n)
         for n in (JET_LEN, width(CONN_ORDER))
@@ -363,8 +363,8 @@ def _calibrate_biforms(geom: FrameGeometry):
     half = expansion(geom, left_expansion, geom.omega_biform, "commutator", 0.5)
     theta = right_expansion(THETA.data, width(CONN_ORDER))
     resid = expanded_product(half[:, None], theta[None], CONN_ORDER).data    # [a, b]
-    resid[..., 1:5, :] += np.moveaxis(geom.full, 2, 3)
-    worst = np.abs(resid).max(axis=(0, 1, 3, 4))
+    resid[..., 1:5, :] += geom.full.swapaxes(2, 3)
+    worst = np.maximum.reduce(np.abs(resid), axis=(0, 1, 3, 4))
     for point, w in zip(geom.points, worst.tolist()):
         if not w <= _CALIBRATION_TOL:
             raise GeometryError(
@@ -389,7 +389,7 @@ def _riemann_components(geom: FrameGeometry, conn):
     - c^k_{cd} conn[k][a][b]."""
     # antisymmetrizing the half in (c, d) keeps R exactly antisymmetric
     half = (
-        np.einsum("cdab...->abcd...", _derive(geom.derivations, conn, CURV_ORDER))
+        _derive(geom.derivations, conn, CURV_ORDER).transpose(2, 3, 0, 1, 4, 5)
         + jet_einsum("cakp,dkbp->abcdp", conn, conn, CURV_ORDER)
         - 0.5 * jet_einsum("kcdp,kabp->abcdp", geom.c, conn, CURV_ORDER)
     )
@@ -407,7 +407,7 @@ def j_components(geom: FrameGeometry):
     # the K K terms share index patterns with two of the connection terms
     lc_part = full - K
     cand = (
-        np.einsum("cdab...->abcd...", _derive(geom.derivations, K, CURV_ORDER))
+        _derive(geom.derivations, K, CURV_ORDER).transpose(2, 3, 0, 1, 4, 5)
         + jet_einsum("cakp,dkbp->abcdp", lc_part, K, CURV_ORDER)
         - jet_einsum("ckdp,kabp->abcdp", lc_part, K, CURV_ORDER)
         - jet_einsum("ckbp,dakp->abcdp", full, K, CURV_ORDER)
@@ -432,7 +432,7 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
     low = ETA_DIAG[:, None, None, None, None, None] * R
     pairs = 0.5 * (low - low.transpose(1, 0, 2, 3, 4, 5))          # [a, b, c, d]
     biforms = Multivector.from_array(
-        bivector_array(np.moveaxis(pairs, (0, 1), (2, 3))), CURV_ORDER   # [c, d]
+        bivector_array(pairs.transpose(2, 3, 0, 1, 4, 5)), CURV_ORDER    # [c, d]
     )
     # sum over planes (theta^a ^ theta^b) biforms[a, b]
     contraction = blade_sum(PLANE_GP_ROWS, biforms)
@@ -453,7 +453,7 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
 def connection_torsion(geom: FrameGeometry, conn) -> np.ndarray:
     """conn[a][c][b] - conn[b][c][a] - c^c_{ab} at [c, a, b]: the torsion of
     the connection coefficients ``conn``."""
-    return np.einsum("acb...->cab...", conn) - np.einsum("bca...->cab...", conn) - geom.c
+    return conn.swapaxes(0, 1) - conn.transpose(1, 2, 0, 3, 4) - geom.c
 
 
 def lowered(conn) -> np.ndarray:

@@ -10,7 +10,8 @@ keyed by point index and merged in index order, and timing goes to stderr.
 A check runs on a batch of points at once: it receives a ``BatchContext``,
 whose frame, curvature and test fields carry a point axis (see
 ``geometry``), and returns the two sides of its identity as ``(lhs, rhs)``
-pairs, which ``point_residuals`` alone reduces to one residual per point.
+pairs, which ``point_residuals`` alone reduces to one residual per point,
+with ``np.maximum.reduce`` (the rule on numpy calls is in ``jets``).
 A shard's points run in batches of at most ``BATCH_POINTS``.  The
 per-point seam stays: ``_eval_shard`` calls ``evaluate_point`` once per
 point, looked up at call time.
@@ -163,7 +164,7 @@ def monomial_jets(point: ChartPoint) -> np.ndarray:
         e * (e - 1) * x ** np.maximum(e - 2, 0),
     ])
     m = np.arange(len(e))[:, None]
-    return factors[_SLOT_DERIVATIVE[:, None, :], m, np.arange(NVARS)].prod(axis=-1).T
+    return np.multiply.reduce(factors[_SLOT_DERIVATIVE[:, None, :], m, np.arange(NVARS)], axis=-1).T
 
 
 def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunField]:
@@ -219,7 +220,7 @@ def _sup_norm(label: str, values) -> float:
     points, or 1 when that is tiny; non-finite values stay per-point
     errors of the checks."""
     v = np.abs([data[:, 0] for data in values])
-    sup = v[np.isfinite(v)].max(initial=0.0)
+    sup = np.maximum.reduce(v[np.isfinite(v)], initial=0.0)
     if sup == 0.0:
         raise ScenarioError(
             f"test field {label} has no finite non-zero value at the sampled points"
@@ -420,8 +421,7 @@ def point_residuals(pairs) -> np.ndarray:
     worst = []
     for lhs, rhs in pairs:
         diff = _value_slots(lhs) if rhs is None else _value_slots(lhs) - _value_slots(rhs)
-        values = np.abs(diff)
-        worst.append(values.max(axis=tuple(range(values.ndim - 2)) + (values.ndim - 1,)))
+        worst.append(np.maximum.reduce(np.abs(diff), axis=(*range(diff.ndim - 2), -1)))
     return functools.reduce(np.maximum, worst)
 
 
@@ -478,7 +478,7 @@ def _c_contorsion_trace(ctx):
 )
 def _c_bianchi(ctx):
     R = ctx.curv.lc_components
-    return [(R + np.einsum("acdb...->abcd...", R) + np.einsum("adbc...->abcd...", R), None)]
+    return [(R + R.transpose(0, 3, 1, 2, 4, 5) + R.transpose(0, 2, 3, 1, 4, 5), None)]
 
 
 @_check(
@@ -990,7 +990,7 @@ class CheckResult:
 
 def _finite_or_none(x):
     """JSON has no NaN or infinity: such a value is written as null."""
-    return x if x is not None and np.isfinite(x) else None
+    return x if x is not None and math.isfinite(x) else None
 
 
 @dataclass

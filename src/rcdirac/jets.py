@@ -42,6 +42,13 @@ one ``MUL`` block per width; it reads a slice of an operand only where a
 and ``derivative`` take the result's order or width; the Clifford
 products, ``product_sum``, ``Multivector.scale``, ``operators.pfaffs``, the
 torsion operator and the geometry tables are built on them.
+
+Call overhead: a batch of few points costs mostly per-call overhead, so
+the batch path calls numpy's C entry points, ndarray ``transpose`` and
+``swapaxes`` to permute axes and ufunc ``reduce`` (``np.maximum.reduce``,
+``np.logical_and.reduce``, ...) to reduce, never ``np.moveaxis``, an
+``np.einsum`` that sums no index, or a reduction method or function
+(``.max()``, ``np.any``, ...), which run numpy's Python wrappers first.
 """
 
 from __future__ import annotations
@@ -148,6 +155,7 @@ class ChartPoint(_ChartPointFields):
     __slots__ = ()
 
     def __new__(cls, x):
+        x = tuple(float(c) for c in x)
         if len(x) != NVARS:
             raise ValueError(f"chart point needs {NVARS} coordinates, got {len(x)}")
         if not all(math.isfinite(c) for c in x):
@@ -270,7 +278,7 @@ def mul_const(a: np.ndarray, c: float) -> np.ndarray:
     gradient times b's zero slots, which is NaN where those are not finite;
     only then are these terms added."""
     out = a * c
-    if not np.isfinite(a[:5]).all():
+    if not np.logical_and.reduce(np.isfinite(a[:5]), axis=None):
         zero = a[:5] * 0.0
         out[1:] += zero[0]
         out[5:] += zero.take(1 + HESS_I, 0) + zero.take(1 + HESS_J, 0)
@@ -354,7 +362,7 @@ def derivation_matrices(frame_vectors: np.ndarray, n: int = JET_LEN) -> np.ndarr
     e_a^mu d_mu f, one order lower than f.  A derivative of an order-r jet
     has order r - 1, so its slots of degree d take only slots of degree
     <= d of e_a^mu and of d_mu f, whose slots 5-14 are zero."""
-    m = np.moveaxis(mul_matrix(frame_vectors, n), -4, -3)    # (..., P, mu, n, n)
+    m = mul_matrix(frame_vectors, n).swapaxes(-4, -3)        # (..., P, mu, n, n)
     return _PARTIALS[n] @ m.reshape(m.shape[:-3] + (NVARS * n, n))
 
 

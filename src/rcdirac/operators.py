@@ -21,8 +21,8 @@ direction axis first (``cov_derivs(geom, A)[a]`` is nabla_a A); applied to a
 stack they prepend the new axis, so ``cov_derivs(geom, cov_derivs(geom,
 A))[a, b]`` is nabla_a nabla_b A.  The same holds for ``pfaffs``,
 ``spin_cov_derivs``, ``right_rep_derivs`` and ``torsion_operators`` (one jet
-matrix, ``FrameGeometry.tau``); ``pfaff``, ``cov_deriv``, ``spin_cov_deriv``
-and ``torsion_operator`` are per-direction indexers.  A frame sum sum_a
+matrix, ``FrameGeometry.tau``); ``pfaff``, ``cov_deriv`` and
+``spin_cov_deriv`` are per-direction indexers.  A frame sum sum_a
 theta^a X[a] is one matmul with a constant-blade matrix
 (``cliffalg.blade_sum``), the pair sum eta^ab X[a, b]
 + (theta^a ^ theta^b) X[a, b] the same with theta^a theta^b, and a
@@ -87,7 +87,7 @@ THETA_DOWN_WEDGE = ETA_DIAG[:, None, None] * THETA_WEDGE
 
 def _require_grade(A: Multivector, k: int, what: str):
     # a NaN is not a grade error: it reaches the residual, which reports it
-    if np.any(np.abs(A.data[..., _GRADES != k, 0]) > 0.0):
+    if np.logical_or.reduce(np.abs(A.data[..., _GRADES != k, 0]) > 0.0, axis=None):
         raise GradeError(f"{what} must be pure grade {k}")
 
 
@@ -204,7 +204,8 @@ def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     n = width(order)
     vec = mul_matrix(V.data[..., 1:5, :], n).reshape(V.data.shape[:-2] + (4 * n, n))
     prod = geom.tau[n] @ vec                              # (..., P, (a, r), n)
-    vectors = np.moveaxis(prod.reshape(prod.shape[:-2] + (4, 4, n)), -3, 0)
+    vectors = prod.reshape(prod.shape[:-2] + (4, 4, n))
+    vectors = vectors.transpose((vectors.ndim - 3, *range(vectors.ndim - 3), -2, -1))
     data = np.zeros((4,) + prod.shape[:-2] + (N_BLADES, n))
     data[..., 1:5, :slots(order)] = vectors[..., :slots(order)]
     return Multivector.from_array(data, order)
@@ -234,11 +235,6 @@ def cov_deriv(geom: FrameGeometry, A: Multivector, a: int, conn: Connection = "f
 def spin_cov_deriv(geom: FrameGeometry, psi: Multivector, a: int) -> Multivector:
     """The direction-a item of ``spin_cov_derivs``."""
     return spin_cov_derivs(geom, psi)[a]
-
-
-def torsion_operator(geom: FrameGeometry, a: int, V: Multivector) -> Multivector:
-    """tau(e_a, V), the direction-a item of ``torsion_operators``."""
-    return torsion_operators(geom, V)[a]
 
 
 @per_frame
@@ -501,8 +497,8 @@ def spin_commutator_forms(
     # T^c_ab - Gamma^c_ab + Gamma^c_ba at [c, a, b], at the connection's width
     coeff = (
         geom.T[..., :geom.full.shape[-1]]
-        - np.einsum("acb...->cab...", geom.full)
-        + np.einsum("bca...->cab...", geom.full)
+        - geom.full.swapaxes(0, 1)
+        + geom.full.transpose(1, 2, 0, 3, 4)
     )
     expanded = curv_action - _combine("cpk,cabp->abpk", spin1, coeff)
     return lhs, bracket, expanded

@@ -27,7 +27,6 @@ from rcdirac.fieldspec import (
     eval_expr,
     load_scenario,
     parse_expr,
-    print_expr,
 )
 from rcdirac.jets import ChartPoint
 
@@ -130,6 +129,51 @@ def _random_expr(rng, depth):
         return Pow(_random_expr(rng, depth - 1), int(rng.integers(0, 4)))
     fn = ("sin", "cos", "exp", "sqrt")[rng.integers(0, 4)]
     return Call(fn, _random_expr(rng, depth - 1))
+
+
+# printing, for the round-trip test: parenthesized only where the grammar needs it
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+
+
+def _level(e: fs.Expr) -> int:
+    if isinstance(e, BinOp):
+        return _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL
+    if isinstance(e, Neg):
+        return _LEVEL_UNARY
+    if isinstance(e, Pow):
+        return _LEVEL_POW
+    return _LEVEL_ATOM
+
+
+def print_expr(e: fs.Expr) -> str:
+    if isinstance(e, Const):
+        return repr(e.value) if e.value >= 0 else f"(-{repr(-e.value)})"
+    if isinstance(e, Coord):
+        return fs.COORD_NAMES[e.index]
+    if isinstance(e, Call):
+        return f"{e.fn}({print_expr(e.arg)})"
+    if isinstance(e, Neg):
+        inner = print_expr(e.arg)
+        if _level(e.arg) < _LEVEL_UNARY:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(e, Pow):
+        base = print_expr(e.base)
+        if _level(e.base) < _LEVEL_POW:
+            base = f"({base})"
+        return f"{base}^{e.exponent}"
+    if isinstance(e, BinOp):
+        lvl = _level(e)
+        left = print_expr(e.left)
+        right = print_expr(e.right)
+        if _level(e.left) < lvl:
+            left = f"({left})"
+        # right operand at the same level must be parenthesized: the grammar
+        # is left associative, so "a - b - c" rebuilds as "(a - b) - c".
+        if _level(e.right) <= lvl:
+            right = f"({right})"
+        return f"{left} {e.op} {right}"
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def test_print_parse_round_trip():

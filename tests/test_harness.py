@@ -21,7 +21,7 @@ from rcdirac import fieldspec as fs
 from rcdirac import harness
 from rcdirac.cliffalg import GradeError, Multivector
 from rcdirac.geometry import CONN_ORDER
-from rcdirac.jets import JET_LEN, width
+from rcdirac.jets import JET_LEN, ChartPoint, width
 from rcdirac.harness import (
     CHECKS,
     BatchContext,
@@ -234,6 +234,17 @@ def test_field_generation_normalized_and_seeded():
     assert np.allclose(fields["even"].at(p).values(), again["even"].at(p).values())
     other = build_run_fields(sc, 4, pts)
     assert not np.allclose(fields["even"].at(p).values(), other["even"].at(p).values())
+
+
+@pytest.mark.parametrize("coords", [[0.5, 0.6, 0.7, 0.8], np.array([0.5, 0.6, 0.7, 0.8])], ids=["list", "array"])
+def test_chart_point_from_a_sequence_is_a_tuple_point(coords):
+    p, q = ChartPoint(coords), ChartPoint((0.5, 0.6, 0.7, 0.8))
+    assert p == q and hash(p) == hash(q) and type(p.x) is tuple
+    assert all(type(c) is float for c in p.x)
+    sc = load_bundled("curved_torsion")
+    got, want = build_run_fields(sc, 0, [p]), build_run_fields(sc, 0, [q])
+    for kind, f in want.items():
+        assert np.array_equal(got[kind].at(q).data, f.at(q).data) and got[kind].sup == f.sup
 
 
 def test_field_grade_content():

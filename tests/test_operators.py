@@ -91,14 +91,14 @@ def test_torsion_operator_examples(frames):
     for g in frames["minkowski"]:
         v = rand_mv(rng, g.point, grade=1)
         for a in range(4):
-            assert ops.torsion_operator(g, a, v).max_abs() == 0.0
+            assert ops.torsion_operators(g, v)[a].max_abs() == 0.0
     for g in frames["flat_torsion"]:
         v = rand_mv(rng, g.point, grade=1)
         with pytest.raises(GradeError):
-            ops.torsion_operator(g, 0, rand_mv(rng, g.point, grade=2))
+            ops.torsion_operators(g, rand_mv(rng, g.point, grade=2))
         # antisymmetry through the two slots: tau(e_a, theta-dual of e_a) has
         # no diagonal part: T^rho_{aa} = 0
-        got = ops.torsion_operator(g, 1, THETA[1].scale(ETA[1]))
+        got = ops.torsion_operators(g, THETA[1].scale(ETA[1]))[1]
         assert got.max_abs() <= 1e-15
 
 
@@ -190,12 +190,12 @@ def test_r5_r6_on_totally_antisymmetric_scenarios(frames):
                 resid = (
                     ops.cov_deriv(g, v, a, "full")
                     - ops.cov_deriv(g, v, a, "lc")
-                    - ops.torsion_operator(g, a, v).scale(0.5)
+                    - ops.torsion_operators(g, v)[a].scale(0.5)
                 )
                 assert resid.max_abs() <= 1e-9
             corr = sum(
                 geometric_product(
-                    THETA[a], ops.torsion_operator(g, a, v)
+                    THETA[a], ops.torsion_operators(g, v)[a]
                 ).scale(0.5)
                 for a in range(4)
             )
