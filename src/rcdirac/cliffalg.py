@@ -62,8 +62,9 @@ sum such as sum_a theta^a X[a] is one (16, 64) @ (64, w) matmul
 sum_i A[i] B[i].
 
 The Hodge dual used throughout is ``hodge(A) = reversion(A) * e0123``; with
-this convention the codifferential is a plain star-d-star sandwich on every
-grade (no grade-dependent signs).
+this convention the codifferential is a star-d-star sandwich with one
+signature sign on every grade, -I^2 with I^2 = e0123^2 = prod(SIGNATURE),
+and no grade-dependent signs (``operators.codifferential``).
 """
 
 from __future__ import annotations

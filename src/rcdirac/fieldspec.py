@@ -18,9 +18,10 @@ a comment.  Sections and keys::
                 every row a must appear; unset entries in a row are 0)
     [torsion]   T<c>_<a><b> = "expr" | number  (frame components, a < b;
                 the a > b half is implied by antisymmetry; unset entries 0)
-    [fields]    f.<name> = "expr"              (named scalar fields)
-                A.<name>.<idx> = "expr"        (multivector frame component,
-                idx 0..15 in canonical blade order; unset components 0)
+    [fields]    f.scalar = "expr"              (the scalar test field)
+                A.<kind>.<idx> = "expr"        (component idx 0..15, in blade
+                order, of a grade that kind in FIELD_KINDS fills; unset
+                components 0); any other name is an error
     [checks]    <check-name> = on | off        (default: the full suite)
     [sampling]  seed = int >= 0, points = int >= 1, tol = float >= 0
 
@@ -44,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jets
+from .cliffalg import GRADES
 from .jets import ChartPoint, Jet2, JetDomainError
 
 COORD_NAMES = ("x0", "x1", "x2", "x3")
@@ -475,6 +477,18 @@ class Sampling(NamedTuple):
     tol: float = 1e-8
 
 
+# the reserved test-field names, f.scalar and A.<kind>, and the grades the
+# field of each kind fills
+FIELD_KINDS = {
+    "scalar": (0,),
+    "vector": (1,),
+    "bivector": (2,),
+    "even": (0, 2, 4),
+    "general": (0, 1, 2, 3, 4),
+    "general2": (0, 1, 2, 3, 4),
+    "current": (1,),
+}
+
 # the torsion entries T^c_ab a frame evaluates, a < b
 TORSION_UPPER = [(c, a, b) for c in range(4) for a in range(4) for b in range(a + 1, 4)]
 
@@ -486,8 +500,7 @@ class Scenario:
     chart_box: tuple[tuple[float, float], ...]
     tetrad: tuple[tuple[Expr, ...], ...]          # theta^a_mu, rows a
     torsion: dict[tuple[int, int, int], Expr]     # (c, a, b) with a < b
-    scalar_fields: dict[str, Expr]
-    multivector_fields: dict[str, tuple[Expr, ...]]
+    fields: dict[str, tuple[Expr, ...]]           # pinned kind: 16 blade expressions
     checks: tuple[str, ...] = ()                  # empty = full suite
     sampling: Sampling = Sampling()
     digest: str = field(default="", compare=False)
@@ -604,7 +617,7 @@ def load_scenario(text: str, valid_checks=None) -> Scenario:
     box = _load_chart(sections["chart"])
     tetrad = _load_tetrad(sections["tetrad"])
     torsion = _load_torsion(sections["torsion"])
-    scalars, mvs = _load_fields(sections["fields"])
+    fields = _load_fields(sections["fields"])
     checks = _load_checks(sections["checks"], valid_checks)
     sampling = _load_sampling(sections["sampling"])
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -612,8 +625,7 @@ def load_scenario(text: str, valid_checks=None) -> Scenario:
         chart_box=box,
         tetrad=tetrad,
         torsion=torsion,
-        scalar_fields=scalars,
-        multivector_fields=mvs,
+        fields=fields,
         checks=checks,
         sampling=sampling,
         digest=digest,
@@ -682,29 +694,32 @@ def _load_torsion(entries) -> dict[tuple[int, int, int], Expr]:
     return torsion
 
 
-def _load_fields(entries):
-    scalars: dict[str, Expr] = {}
-    mv_parts: dict[str, dict[int, Expr]] = {}
+def _load_fields(entries) -> dict[str, tuple[Expr, ...]]:
+    parts: dict[str, dict[int, Expr]] = {}
     for key, (value, lineno) in entries.items():
-        m = _SCALAR_KEY.match(key)
-        if m:
-            scalars[m.group(1)] = _parse_value_expr(value, lineno)
-            continue
-        m = _MV_KEY.match(key)
-        if m:
-            idx = int(m.group(2))
-            if not 0 <= idx <= 15:
-                raise ScenarioError(f"line {lineno}: blade index {idx} outside 0..15")
-            mv_parts.setdefault(m.group(1), {})[idx] = _parse_value_expr(value, lineno)
-            continue
-        raise ScenarioError(
-            f"line {lineno}: bad [fields] key {key!r} (use f.<name> or A.<name>.<idx>)"
-        )
-    mvs = {
-        name: tuple(parts.get(i, ZERO_EXPR) for i in range(16))
-        for name, parts in mv_parts.items()
-    }
-    return scalars, mvs
+        m = _SCALAR_KEY.match(key) or _MV_KEY.match(key)
+        if not m:
+            raise ScenarioError(
+                f"line {lineno}: bad [fields] key {key!r} (use f.scalar or A.<kind>.<idx>)"
+            )
+        kind = m.group(1)
+        # f.<name> names the scalar field, A.<name> a field of another kind
+        if kind not in FIELD_KINDS or (kind == "scalar") != (m.re is _SCALAR_KEY):
+            raise ScenarioError(
+                f"line {lineno}: unknown field {key!r}; reserved names: f.scalar, "
+                + ", ".join(f"A.{k}" for k in FIELD_KINDS if k != "scalar")
+            )
+        idx = 0 if kind == "scalar" else int(m.group(2))
+        if not 0 <= idx <= 15:
+            raise ScenarioError(f"line {lineno}: blade index {idx} outside 0..15")
+        if GRADES[idx] not in FIELD_KINDS[kind]:
+            raise ScenarioError(
+                f"line {lineno}: field A.{kind} has a component at blade {idx} "
+                f"(grade {GRADES[idx]}), but this reserved name only allows "
+                f"grades {FIELD_KINDS[kind]}"
+            )
+        parts.setdefault(kind, {})[idx] = _parse_value_expr(value, lineno)
+    return {kind: tuple(p.get(i, ZERO_EXPR) for i in range(16)) for kind, p in parts.items()}
 
 
 def _load_checks(entries, valid_checks) -> tuple[str, ...]:

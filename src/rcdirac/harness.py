@@ -34,11 +34,15 @@ command line).  With one shard nothing is forked.  Shards fork on Linux
 only (``FORK_SHARDS``); on other platforms the calling process evaluates
 every point, which gives the same report.
 
-Auto-generated test fields are random degree-3 polynomials with seeded
-coefficients, normalized to unit sup-norm over the sampled points.  A
-scenario may override any of them by defining fields with the reserved
-names ``f.scalar`` and ``A.vector``, ``A.bivector``, ``A.even``,
-``A.general``, ``A.general2``, ``A.current``.
+Each test field has one representation: its jets at the sampled points,
+built in one pass for the run (``build_run_fields``) and divided once by
+the field's sup-norm over those points, so that its largest finite value
+is 1.  A generated field is a random degree-3 polynomial, with seeded
+coefficients, on each blade its kind fills.  A scenario pins a field under
+a name that ``fieldspec.FIELD_KINDS`` reserves, ``f.scalar`` or
+``A.<kind>``, checked when the scenario is loaded.  The scalar field is a
+scalar multivector, blades 1-15 exactly zero, and the checks read it as
+it is.
 
 The seeded draws (the Halton shift of the sample points and the polynomial
 coefficients) come from ``uniform_draws``: one standard-library
@@ -66,7 +70,7 @@ from .cliffalg import (
     GRADES, THETA_GP_ROWS, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
     geometric_product, grade_involution, product_sum, wedge,
 )
-from .fieldspec import Scenario, ScenarioError
+from .fieldspec import FIELD_KINDS, Scenario, ScenarioError
 from .geometry import ETA_DIAG, NonFiniteFrameError
 from .jets import HESS_PAIRS, JET_LEN, NVARS, ChartPoint, JetDomainError, JetOrderError, jet_einsum
 
@@ -90,15 +94,6 @@ for _p, (_mu, _nu) in enumerate(HESS_PAIRS):
     _SLOT_DERIVATIVE[5 + _p, _mu] += 1
     _SLOT_DERIVATIVE[5 + _p, _nu] += 1
 
-FIELD_KINDS = {
-    "scalar": (0,),
-    "vector": (1,),
-    "bivector": (2,),
-    "even": (0, 2, 4),
-    "general": (0, 1, 2, 3, 4),
-    "general2": (0, 1, 2, 3, 4),
-    "current": (1,),
-}
 # the blades a generated field of each kind fills
 _FIELD_BLADES = {
     kind: [i for i in range(16) if GRADES[i] in grades] for kind, grades in FIELD_KINDS.items()
@@ -131,15 +126,15 @@ def uniform_draws(seed: int, tag: int, lo: float, hi: float, n: int) -> np.ndarr
 @dataclass(eq=False, repr=False)
 class RunField:
     """A test field: random polynomial coefficients or scenario expressions,
-    divided by its sup-norm at evaluation time, so that its largest finite
-    value is exactly 1 (x / x == 1 in floating point, x * (1 / x) not
-    always)."""
+    and its (16, 15) jets at each of the run's points, divided once by its
+    sup-norm, so that its largest finite value is exactly 1 (x / x == 1 in
+    floating point, x * (1 / x) not always)."""
 
     kind: str
     polys: np.ndarray | None = None       # (16, 35) monomial coefficients
     exprs: tuple | None = None            # 16 expressions from the scenario
     sup: float = 1.0
-    # unscaled (16, 15) values at the run's points, filled by
+    # read-only (16, 15) values at the run's points, filled by
     # build_run_fields; a forked shard child inherits them
     values: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -147,79 +142,67 @@ class RunField:
         """The field at one of the run's chart points, (16, 15), or at a
         sequence of P of them, a point stack (P, 16, 15)."""
         if isinstance(points, ChartPoint):
-            return Multivector.from_array(self.values[points] / self.sup, 2)
-        data = np.array([self.values[p] for p in points]).reshape(-1, 16, JET_LEN)
-        return Multivector.from_array(data / self.sup, 2)
+            return Multivector.from_array(self.values[points], 2)
+        return Multivector.from_array(np.array([self.values[p] for p in points]).reshape(-1, 16, JET_LEN), 2)
 
 
-def monomial_jets(point: ChartPoint) -> np.ndarray:
-    """Jets (35, 15) of the MONOMIALS at a point, in closed form: the jet
-    slot differentiating x^mu d times takes e!/(e-d)! x^(e-d) from factor mu."""
-    x = np.array(point.x)
+def monomial_jets(points) -> np.ndarray:
+    """Jets (P, 35, 15) of the MONOMIALS at P points, in closed form: the
+    jet slot differentiating x^mu d times takes e!/(e-d)! x^(e-d) from
+    factor mu."""
+    x = np.array([p.x for p in points])[:, None, :]
     e = _EXPONENTS
-    # factors[d, m, mu]: the d-th derivative of x^mu to the power e[m, mu]
+    # factors[p, d, m, mu]: the d-th derivative of x^mu to the power e[m, mu]
     factors = np.stack([
         x ** e,
         e * x ** np.maximum(e - 1, 0),
         e * (e - 1) * x ** np.maximum(e - 2, 0),
-    ])
+    ], axis=1)
     m = np.arange(len(e))[:, None]
-    return np.multiply.reduce(factors[_SLOT_DERIVATIVE[:, None, :], m, np.arange(NVARS)], axis=-1).T
+    per_slot = factors[:, _SLOT_DERIVATIVE[:, None, :], m, np.arange(NVARS)]     # (P, 15, 35, 4)
+    return np.multiply.reduce(per_slot, axis=-1).swapaxes(1, 2)
 
 
 def build_run_fields(scenario: Scenario, seed: int, points) -> dict[str, RunField]:
-    """Assemble all test fields for a run and normalize them to unit
-    sup-norm over the sampled points."""
+    """Assemble all test fields for a run, the pinned ones from the
+    scenario, and normalize them to unit sup-norm over the sampled points."""
     # one draw of 35 coefficients per blade a kind fills, in FIELD_KINDS
-    # order; the draws are made for every kind regardless of overrides, so
+    # order; the draws are made for every kind regardless of pinning, so
     # pinning one field never reshuffles the generated ones
     n_rows = sum(map(len, _FIELD_BLADES.values()))
     draws = uniform_draws(seed, 0xF1E1D, -1.0, 1.0, n_rows * len(MONOMIALS))
     draws = draws.reshape(n_rows, len(MONOMIALS))
+    monomials = monomial_jets(points)
     fields: dict[str, RunField] = {}
-    for kind, grades in FIELD_KINDS.items():
-        blades = _FIELD_BLADES[kind]
+    for kind, blades in _FIELD_BLADES.items():
         rows, draws = draws[:len(blades)], draws[len(blades):]
-        override = None
-        if kind == "scalar" and "scalar" in scenario.scalar_fields:
-            override = (scenario.scalar_fields["scalar"],) + (fieldspec.ZERO_EXPR,) * 15
-        elif kind != "scalar" and kind in scenario.multivector_fields:
-            override = scenario.multivector_fields[kind]
-            for i, expr in enumerate(override):
-                if GRADES[i] not in grades and expr != fieldspec.ZERO_EXPR:
-                    raise ScenarioError(
-                        f"field A.{kind} has a component at blade {i} "
-                        f"(grade {GRADES[i]}), but this reserved name only "
-                        f"allows grades {grades}"
-                    )
-        if override is not None:
-            fields[kind] = RunField(kind=kind, exprs=tuple(override))
-        else:
-            polys = np.zeros((16, len(MONOMIALS)))
-            polys[blades] = rows
-            fields[kind] = RunField(kind=kind, polys=polys)
-    monomials = [monomial_jets(p) for p in points]
-    for kind, f in fields.items():
         label = "f.scalar" if kind == "scalar" else f"A.{kind}"
-        if f.exprs is None:
-            f.values = {p: f.polys @ m for p, m in zip(points, monomials)}
-        else:
+        if kind in scenario.fields:
+            f = RunField(kind=kind, exprs=scenario.fields[kind])
             try:
-                f.values = dict(zip(points, fieldspec.Program(f.exprs).evaluate(points)))
+                values = fieldspec.Program(f.exprs).evaluate(points)
             except (ArithmeticError, ValueError) as err:
                 detail = err if isinstance(err, fieldspec.ExprDomainError) else (
                     f"{type(err).__name__} at point {err.point.x}: {err}"
                 )
                 raise ScenarioError(f"test field {label}: {detail}") from err
-        f.sup = _sup_norm(label, f.values.values())
+        else:
+            f = RunField(kind=kind, polys=np.zeros((16, len(MONOMIALS))))
+            f.polys[blades] = rows
+            values = f.polys @ monomials
+        f.sup = _sup_norm(label, values)
+        values = values / f.sup
+        values.flags.writeable = False
+        f.values = dict(zip(points, values))
+        fields[kind] = f
     return fields
 
 
-def _sup_norm(label: str, values) -> float:
-    """The largest finite value of a field's (16, 15) jets at the run's
+def _sup_norm(label: str, values: np.ndarray) -> float:
+    """The largest finite value of a field's jets (P, 16, 15) at the run's
     points, or 1 when that is tiny; non-finite values stay per-point
     errors of the checks."""
-    v = np.abs([data[:, 0] for data in values])
+    v = np.abs(values[..., 0])
     sup = np.maximum.reduce(v[np.isfinite(v)], initial=0.0)
     if sup == 0.0:
         raise ScenarioError(
@@ -361,16 +344,6 @@ class BatchContext:
         if kind not in self._values:
             self._values[kind] = self.fields[kind].at(self.points)
         return self._values[kind]
-
-    def scalar_mv(self) -> Multivector:
-        """The scalar field as scalar multivectors, one object per batch so
-        that the checks share the operator results on it."""
-        if "scalar_mv" not in self._values:
-            f = self.field("scalar")
-            data = np.zeros_like(f.data)
-            data[..., 0, :] = f.data[..., 0, :]
-            self._values["scalar_mv"] = Multivector.from_array(data, f.order)
-        return self._values["scalar_mv"]
 
     def results(self, name: str) -> list:
         """One check's result at each point of the batch, in batch order: a
@@ -575,7 +548,7 @@ def _c_torsion_splits(ctx):
 )
 def _c_torsion_trace_contraction(ctx):
     geom = ctx.geom
-    f = ctx.scalar_mv()
+    f = ctx.field("scalar")
     df = operators.dirac(geom, f, "lc")
     lowered = blade_products(operators.THETA_DOWN_WEDGE, df)      # [r]: theta_r ^ df
     lhs = operators.frame_product_sum(geom, geom.torsion_forms, lowered, "lc")
@@ -592,7 +565,7 @@ def _c_torsion_trace_contraction(ctx):
 )
 def _c_scalar_laplacian(ctx):
     geom = ctx.geom
-    f = ctx.scalar_mv()
+    f = ctx.field("scalar")
     lhs = operators.codifferential(geom, operators.exterior_d(geom, f)).scale(-1.0)
     return [(lhs, operators.frame_wave(geom, f, geom.lc))]
 
@@ -711,7 +684,7 @@ def _c_delta_squared(ctx):
     fields=("scalar",),
 )
 def _c_double_contraction(ctx):
-    inner = operators.dirac_contract(ctx.geom, ctx.scalar_mv(), "full")
+    inner = operators.dirac_contract(ctx.geom, ctx.field("scalar"), "full")
     return [(operators.dirac_contract(ctx.geom, inner, "full"), None)]
 
 
@@ -722,7 +695,7 @@ def _c_double_contraction(ctx):
 )
 def _c_scalar_square_forms(ctx):
     geom = ctx.geom
-    f = ctx.scalar_mv()
+    f = ctx.field("scalar")
     direct = operators.dirac_square_direct(geom, f, "full")
     std = operators.scalar_square_standard_form(geom, f)
     conn = operators.scalar_square_connection_form(geom, f)
@@ -738,8 +711,7 @@ def _c_square_assembly(ctx):
     geom = ctx.geom
     A = ctx.field("general")
     direct = operators.dirac_square_direct(geom, A, "full")
-    plain = operators.dirac_square_assembled(geom, A, "full")
-    anti = operators.dirac_square_assembled(geom, A, "full", antisymmetrized=True)
+    plain, anti = operators.dirac_square_assemblies(geom, A, "full")
     return [(plain, direct), (anti, direct)]
 
 
@@ -1279,7 +1251,3 @@ def cli_main(argv) -> int:
 
 def main():
     sys.exit(cli_main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

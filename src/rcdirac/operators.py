@@ -11,8 +11,12 @@ the engine verifies is available in at least two independently computed
 forms.  A form that is more than one operator call is a function here:
 the ``*_rhs`` functions build the right side of the check of the same
 name, ``spin_commutator_forms`` and ``maxwell_residuals`` all the forms of
-theirs.  The harness compares the forms; nothing here reduces them to
-residuals.  Scalar fields are scalar multivectors (``scalar_multivector``).
+theirs, and ``dirac_square_assemblies`` both eta-plus-bivector assemblies
+of the square, from one grid.  The harness compares the forms; nothing here
+reduces them to residuals.  Scalar fields are scalar multivectors
+(``scalar_multivector``); the scalar forms (``frame_wave`` and the parts
+of the scalar square) read e_a f from blade 0 of ``pfaffs``, shared with
+the Dirac operators on the same field.
 
 Direction stacks: the paper builds every operator from sums over frame
 indices, and each such family is one array kernel, not a loop over a, b, c.
@@ -63,11 +67,13 @@ right-representative derivative the one-sided right action.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cliffalg import (
-    GP_TABLE, GRADES, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS,
-    THETA_PAIR_ROWS, THETA_WEDGE, THETA_WEDGE_ROWS, GradeError, Multivector,
+    GP_TABLE, GRADES, HODGE, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS,
+    SIGNATURE, THETA_PAIR_ROWS, THETA_WEDGE, THETA_WEDGE_ROWS, GradeError, Multivector,
     blade_products, blade_sum, commutator, expanded_product, geometric_product, hodge_dual, left_expansion,
     product_sum, right_expansion, sum_left_expansion, sum_right_expansion,
 )
@@ -268,11 +274,17 @@ def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     return blade_sum(THETA_WEDGE_ROWS, pfaffs(geom, A)) + frame_product_sum(geom, geom.dtheta, interior, "wedge")
 
 
+# The codifferential's sign -I^2, I^2 = (theta^0123)^2 = prod(SIGNATURE),
+# folded into its outer Hodge dual: exactly 1.0 in Lorentzian signature.
+_CODIFF_HODGE = -math.prod(SIGNATURE) * HODGE
+
+
 @per_frame
 def codifferential(geom: FrameGeometry, A: Multivector) -> Multivector:
-    """Hodge codifferential as a star-d-star sandwich (sign-free in this
-    engine's dual convention)."""
-    return hodge_dual(exterior_d(geom, hodge_dual(A)))
+    """Hodge codifferential -I^2 star d star, with I the unit pseudoscalar;
+    the dual convention needs no grade-dependent sign."""
+    d = exterior_d(geom, hodge_dual(A))
+    return Multivector.from_array(_CODIFF_HODGE @ d.data, d.order)
 
 
 # -- squares on scalars -------------------------------------------------------
@@ -283,25 +295,17 @@ def dirac_square_direct(geom: FrameGeometry, A: Multivector, conn: Connection = 
     return dirac(geom, dirac(geom, A, conn), conn)
 
 
-def dirac_square_assembled(
-    geom: FrameGeometry, A: Multivector, conn: Connection = "full", antisymmetrized: bool = False
-) -> Multivector:
-    """Square assembled from eta^{ab}[...] plus theta^a ^ theta^b (Clifford)
-    acting on the grid nabla_a nabla_b A - Gamma^c_{ab} nabla_c A; the
-    antisymmetrized flag switches the bivector half to its explicitly
-    antisymmetrized form."""
+def dirac_square_assemblies(
+    geom: FrameGeometry, A: Multivector, conn: Connection = "full"
+) -> tuple[Multivector, Multivector]:
+    """The square assembled from eta^{ab}[...] plus theta^a ^ theta^b
+    (Clifford) acting on the grid nabla_a nabla_b A - Gamma^c_{ab} nabla_c A,
+    in two forms from the one grid: plain, and with the bivector half
+    explicitly antisymmetrized."""
     cov1 = cov_derivs(geom, A, conn)
     inner = cov_derivs(geom, cov1, conn) - _combine("cpk,acbp->abpk", cov1, _conn_table(geom, conn))
-    if not antisymmetrized:
-        return _pair_sum(inner)
     half = (inner - inner.swapaxes(0, 1)).scale(0.5)
-    return _eta_trace(inner) + blade_sum(PLANE_GP_ROWS, half)
-
-
-def _scalar_derivs(geom: FrameGeometry, f: Multivector, order) -> np.ndarray:
-    """Jets (4, P, 5) of e_a f for the scalar part of f, at result order
-    ``order`` <= 1: one vector-matrix product per direction and point."""
-    return derivative(f.data[..., :1, :], geom.derivations[width(order + 1)], order)[..., 0, :]
+    return _pair_sum(inner), _eta_trace(inner) + blade_sum(PLANE_GP_ROWS, half)
 
 
 def scalar_multivector(jets: np.ndarray, order) -> Multivector:
@@ -319,7 +323,7 @@ def frame_wave(geom: FrameGeometry, f: Multivector, conn, trace=None) -> Multive
     if f.order < 2:
         raise JetOrderError("the frame wave operator needs an order-2 jet")
     order = min(f.order, FRAME_ORDER) - 2
-    df = _scalar_derivs(geom, f, order + 1)                 # df[a] = e_a f
+    df = pfaffs(geom, f).data[..., 0, :]                    # df[a] = e_a f
     weight = -np.einsum("b,bab...->a...", ETA_DIAG, conn)
     if trace is not None:
         weight = weight + ETA_DIAG[:, None, None] * trace
@@ -335,11 +339,8 @@ def scalar_wave_part(geom: FrameGeometry, f: Multivector) -> Multivector:
 
 def scalar_square_biform_part(geom: FrameGeometry, f: Multivector) -> Multivector:
     """Grade-2 part of the scalar square: -Theta^a e_a(f)."""
-    if f.order < 1:
-        raise JetOrderError("cannot differentiate an order-0 jet")
-    order = min(f.order, FRAME_ORDER) - 1
-    df = _scalar_derivs(geom, f, order)                     # df[a] = e_a f
-    return _combine("apk,ap->pk", geom.torsion_forms, -df, order)
+    df = pfaffs(geom, f)                                    # df[a] = e_a f
+    return _combine("apk,ap->pk", geom.torsion_forms, -df.data[..., 0, :], df.order)
 
 
 def _with_scalar(A: Multivector, s: Multivector) -> Multivector:

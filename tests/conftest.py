@@ -138,9 +138,6 @@ class FrameContext:
     def field(self, kind: str) -> Multivector:
         return self._fields[kind]
 
-    def scalar_mv(self) -> Multivector:
-        return self._fields["scalar"]
-
 
 def check_residual(name: str, geom, curv=None, **fields):
     """The residual of the registered check ``name`` at each point of the

@@ -319,8 +319,10 @@ def test_fields_section():
         MINKOWSKI_TEXT
         + '[fields]\nf.scalar = "x0*x1"\nA.vector.1 = "sin(x0)"\nA.vector.4 = 2\n'
     )
-    assert "scalar" in sc.scalar_fields
-    mv = sc.multivector_fields["vector"]
+    assert set(sc.fields) == {"scalar", "vector"}
+    # f.scalar fills blade 0 of the scalar kind's 16 expressions
+    assert sc.fields["scalar"] == (BinOp("*", Coord(0), Coord(1)),) + (Const(0.0),) * 15
+    mv = sc.fields["vector"]
     assert mv[1] == Call("sin", Coord(0))
     assert mv[4] == Const(2.0)
     assert mv[0] == Const(0.0)
@@ -339,8 +341,8 @@ def test_crlf_and_comments():
 
 
 def test_quoted_expression_with_hash():
-    sc = load_scenario(MINKOWSKI_TEXT + '[fields]\nf.g = "x0 + 2"  # comment\n')
-    assert sc.scalar_fields["g"] == BinOp("+", Coord(0), Const(2.0))
+    sc = load_scenario(MINKOWSKI_TEXT + '[fields]\nf.scalar = "x0 + 2"  # comment\n')
+    assert sc.fields["scalar"][0] == BinOp("+", Coord(0), Const(2.0))
 
 
 # -- compiled programs against the Jet2 tree walk -------------------------------

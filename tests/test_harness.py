@@ -188,6 +188,16 @@ def _fresh_interpreter(code: str) -> str:
     ).stdout
 
 
+def test_module_entry_point_runs_without_a_warning():
+    src = str(Path(rcdirac.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rcdirac", "list-checks"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == len(CHECKS) == 34
+
+
 def test_run_does_not_import_numpy_random():
     code = (
         "import sys, rcdirac\n"
@@ -276,11 +286,31 @@ def test_scenario_field_override():
 
 
 def test_scenario_field_override_wrong_grade_rejected():
-    sc = fs.load_scenario(IDENTITY + '[fields]\nA.vector.7 = "x0"\n')
-    pts = sample_points(sc, points=2, seed=1)
-    with pytest.raises(fs.ScenarioError) as exc:
-        build_run_fields(sc, 1, pts)
+    # rejected when the scenario is loaded, at the key's line
+    with pytest.raises(fs.ScenarioError, match="^line 7: ") as exc:
+        fs.load_scenario(IDENTITY + '[fields]\nA.vector.7 = "x0"\n')
     assert "grade" in str(exc.value)
+
+
+@pytest.mark.parametrize("key, message", [
+    ("f.phi", "unknown field 'f.phi'; reserved names: f.scalar, A.vector,"),
+    ("A.vectr.1", "unknown field 'A.vectr.1'; reserved names: f.scalar, A.vector,"),
+    ("A.scalar.0", "unknown field 'A.scalar.0'; reserved names: f.scalar, A.vector,"),
+    ("A.vector.7", "field A.vector has a component at blade 7 (grade 2)"),
+])
+def test_field_key_outside_the_reserved_names_fails_at_load(key, message, capsys, tmp_path):
+    # a field the run would not read, or a component it would drop, is a
+    # scenario error at its line, not a run on random fields
+    text = IDENTITY + '[fields]\nf.scalar = "x0"\n' + f'{key} = "x2"\n'
+    with pytest.raises(fs.ScenarioError) as exc:
+        fs.load_scenario(text)
+    assert str(exc.value).startswith(f"line 8: {message}")
+    path = tmp_path / "fields.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--points", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"scenario error: {exc.value}"]
 
 
 def test_select_checks():
@@ -648,15 +678,51 @@ def test_json_writes_non_finite_as_null():
 def test_monomial_jets_match_jet_products():
     from rcdirac.jets import ChartPoint, Jet2, seed_coordinate
 
-    p = ChartPoint((0.3, -0.7, 1.2, 0.45))
-    xs = [seed_coordinate(mu, p) for mu in range(4)]
-    got = harness.monomial_jets(p)
-    for m, exps in enumerate(harness.MONOMIALS):
-        want = Jet2.const(1.0)
-        for mu, e in enumerate(exps):
-            for _ in range(e):
-                want = want * xs[mu]
-        assert np.max(np.abs(got[m] - want.data)) <= 1e-14
+    pts = [ChartPoint((0.3, -0.7, 1.2, 0.45)), ChartPoint((-1.1, 0.0, 0.25, 2.0)), ChartPoint((0.9, 0.6, -0.4, -0.8))]
+    got = harness.monomial_jets(pts)
+    assert got.shape == (len(pts), len(harness.MONOMIALS), JET_LEN)
+    for p, jets_p in zip(pts, got):
+        xs = [seed_coordinate(mu, p) for mu in range(4)]
+        for m, exps in enumerate(harness.MONOMIALS):
+            want = Jet2.const(1.0)
+            for mu, e in enumerate(exps):
+                for _ in range(e):
+                    want = want * xs[mu]
+            assert np.max(np.abs(jets_p[m] - want.data)) <= 1e-14
+
+
+def _monomial_jets_at(point) -> np.ndarray:
+    """The jets (35, 15) of the monomials at one point, in the closed form
+    that the fields were once built with point by point."""
+    from rcdirac.jets import HESS_PAIRS, NVARS
+
+    order = np.zeros((JET_LEN, NVARS), dtype=int)     # [slot, mu]: derivatives by x^mu
+    order[1:5] = np.eye(NVARS, dtype=int)
+    for k, (mu, nu) in enumerate(HESS_PAIRS):
+        order[5 + k, mu] += 1
+        order[5 + k, nu] += 1
+    x = np.array(point.x)
+    e = np.array(harness.MONOMIALS)
+    factors = np.stack([
+        x ** e,
+        e * x ** np.maximum(e - 1, 0),
+        e * (e - 1) * x ** np.maximum(e - 2, 0),
+    ])
+    m = np.arange(len(e))[:, None]
+    return np.multiply.reduce(factors[order[:, None, :], m, np.arange(NVARS)], axis=-1).T
+
+
+def test_generated_fields_match_the_per_point_closed_form_bit_for_bit():
+    sc = load_bundled("curved_torsion")
+    pts = sample_points(sc, points=7, seed=2)
+    assert np.array_equal(harness.monomial_jets(pts), [_monomial_jets_at(p) for p in pts])
+    fields = build_run_fields(sc, 2, pts)
+    for kind, f in fields.items():
+        unscaled = [f.polys @ _monomial_jets_at(p) for p in pts]
+        assert f.sup == max(abs(v[:, 0]).max() for v in unscaled), kind
+        for p, v in zip(pts, unscaled):
+            assert np.array_equal(f.at(p).data, v / f.sup), kind
+        assert np.array_equal(f.at(pts).data, [v / f.sup for v in unscaled]), kind
 
 
 # checks whose bodies reduced residuals with Python's max, which drops a NaN

@@ -297,8 +297,7 @@ def test_square_assembly_both_variants(frames):
         for g in geoms:
             A = rand_mv(rng, g.point)
             direct = ops.dirac_square_direct(g, A, "full")
-            plain = ops.dirac_square_assembled(g, A, "full")
-            anti = ops.dirac_square_assembled(g, A, "full", antisymmetrized=True)
+            plain, anti = ops.dirac_square_assemblies(g, A, "full")
             assert (plain - direct).max_abs() <= 1e-8
             assert (anti - direct).max_abs() <= 1e-8
 
