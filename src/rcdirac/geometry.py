@@ -34,10 +34,8 @@ Multivector-valued data are direction stacks with the point axis
 innermost: the connection biforms are (4, P, 16, 5) multivectors indexed by
 a, dtheta^g and the torsion 2-forms Theta^r (4, P, 16, 5) stacks indexed
 by g and r, the coframe ``THETA`` one (4, 1, 16, 15) stack that every frame
-shares and that broadcasts over the points, the curvature biforms a
-(4, 4, P, 16, 5) grid, and the torsion operator
-tau(e_a, .) is one (16, 4 n) jet matrix per point for vector jets of width
-n, ``tau[n]`` (P, 16, 4 n), acting on the four vector coefficients.
+shares and that broadcasts over the points, and the curvature biforms a
+(4, 4, P, 16, 5) grid.
 
 Ownership: each connection-level table, dtheta and the torsion 2-forms
 included, is built once, by ``build_frame``, as a field of the frame's
@@ -70,7 +68,7 @@ ETA = SIGNATURE
 ETA_DIAG = np.array(ETA)
 ETA_DIAG.flags.writeable = False
 _DET_TOL = 1e-8
-_CALIBRATION_TOL = 1e-9
+_CALIBRATION_TOL = 1e-9    # times the largest |conn| at the point, at least 1
 
 # Jet orders: the tetrad and torsion come straight from scenario expressions,
 # connection tables hold one derivative of the tetrad and curvature two.
@@ -115,8 +113,12 @@ class NonFiniteFrameError(ValueError):
         super().__init__(f"{what} is not finite at point {point.x}")
 
 
-class GeometryError(RuntimeError):
-    """Internal consistency failure while assembling the connection."""
+class GeometryError(ValueError):
+    """The connection biforms fail to reproduce the connection at a point."""
+
+    def __init__(self, point: ChartPoint, residual: float):
+        self.point = point
+        super().__init__(f"connection biform calibration failed at {point.x}: residual {residual:.3e}")
 
 
 @dataclass(eq=False, repr=False)
@@ -133,7 +135,6 @@ class FrameGeometry:
     lc: np.ndarray               # Levi-Civita conn[a][b][c], (4, 4, 4, P, 5)
     K: np.ndarray                # contorsion conn[a][b][c], (4, 4, 4, P, 5)
     full: np.ndarray             # full connection conn[a][b][c], (4, 4, 4, P, 5)
-    tau: dict                    # {n: (P, 16, 4 n)}: tau(e_a, V)^r from V's vector jets of width n
     omega_biform: Multivector    # full-connection biforms omega_{e_a}, (4, P, 16, 5)
     lc_biform: Multivector       # Levi-Civita biforms, stack
     contorsion_biform: Multivector  # omega - lc biforms, stack
@@ -248,11 +249,11 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     connection-level object.
 
     A point whose frame cannot be built raises, naming it as the error's
-    ``point``: ``DegenerateFrameError``, ``NonFiniteFrameError``, or the
-    error of a failing frame expression.  The steps run in order at all
-    points, and the first step that fails raises for the first point it
-    fails at; dropping that point and building the rest gives each other
-    point the frame it has alone."""
+    ``point``: ``DegenerateFrameError``, ``NonFiniteFrameError``,
+    ``GeometryError``, or the error of a failing frame expression.  The
+    steps run in order at all points, and the first step that fails raises
+    for the first point it fails at; dropping that point and building the
+    rest gives each other point the frame it has alone."""
     points = (points,) if isinstance(points, ChartPoint) else tuple(points)
     n = len(points)
     # the torsion is evaluated only once the tetrad has passed its checks
@@ -276,6 +277,9 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     lc = levi_civita(c_t)
     K = contorsion(T[..., :width(CONN_ORDER)])
     full = lc + K
+    for table, what in ((c_t, "the structure coefficients"), (lc, "the Levi-Civita connection"),
+                        (K, "the contorsion"), (full, "the connection")):
+        _require_finite(table, what, points)
 
     geom = FrameGeometry(
         points=points,
@@ -287,7 +291,6 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
         lc=lc,
         K=K,
         full=full,
-        tau=torsion_matrix(T),
         omega_biform=connection_biforms(full),
         lc_biform=connection_biforms(lc),
         contorsion_biform=connection_biforms(K),
@@ -303,19 +306,6 @@ def _require_finite(table: np.ndarray, what: str, points):
     finite = np.logical_and.reduce(np.isfinite(table), axis=(*range(table.ndim - 2), -1))
     if not np.logical_and.reduce(finite):
         raise NonFiniteFrameError(points[int(np.argmin(finite))], what)
-
-
-def torsion_matrix(T) -> dict:
-    """{n: tau[p, (a, r), (b, s)] = eta_r eta_b T^r_{ab}[p, s]} for the
-    kernel widths n, s < n: with V's vector jets v (P, 4, n) at the P
-    points, row (a, r) of ``tau[n] @ mul_matrix(v, n).reshape(P, 4 n, n)``
-    is the theta^r coefficient of the torsion operator
-    tau(e_a, V)^r = V^b T^r_{ab} on its first n slots."""
-    tau = (ETA_DIAG[:, None, None, None, None] * ETA_DIAG[:, None, None] * T).transpose(3, 1, 0, 2, 4)
-    return {
-        n: np.ascontiguousarray(tau[..., :n]).reshape(tau.shape[0], 16, 4 * n)
-        for n in (JET_LEN, width(CONN_ORDER))
-    }
 
 
 def structure_coefficients(theta_mat, frame_vectors, derivations):
@@ -357,19 +347,20 @@ def connection_biforms(conn):
 
 
 def _calibrate_biforms(geom: FrameGeometry):
-    """Abort if [omega_a, theta^b]/2 fails to reproduce -conn[a][b][c] theta^c.
-    The halved expansion of the biforms is the one ``operators.cov_derivs``
+    """Raise ``GeometryError`` for the first point at which [omega_a,
+    theta^b]/2 fails to reproduce -conn[a][b][c] theta^c, to within
+    ``_CALIBRATION_TOL`` times the largest |conn| there, at least 1.  The
+    halved expansion of the biforms is the one ``operators.cov_derivs``
     applies, so it is built here, once per frame."""
     half = expansion(geom, left_expansion, geom.omega_biform, "commutator", 0.5)
     theta = right_expansion(THETA.data, width(CONN_ORDER))
     resid = expanded_product(half[:, None], theta[None], CONN_ORDER).data    # [a, b]
     resid[..., 1:5, :] += geom.full.swapaxes(2, 3)
     worst = np.maximum.reduce(np.abs(resid), axis=(0, 1, 3, 4))
-    for point, w in zip(geom.points, worst.tolist()):
-        if not w <= _CALIBRATION_TOL:
-            raise GeometryError(
-                f"connection biform calibration failed at {point.x}: residual {w:.3e}"
-            )
+    scale = np.maximum.reduce(np.abs(geom.full), axis=(0, 1, 2, 4), initial=1.0)
+    for point, w, s in zip(geom.points, worst.tolist(), scale.tolist()):
+        if not w <= _CALIBRATION_TOL * s:
+            raise GeometryError(point, w)
 
 
 def torsion_two_forms(T):

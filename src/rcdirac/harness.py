@@ -71,7 +71,7 @@ from .cliffalg import (
     geometric_product, grade_involution, product_sum, wedge,
 )
 from .fieldspec import FIELD_KINDS, Scenario, ScenarioError
-from .geometry import ETA_DIAG, NonFiniteFrameError
+from .geometry import ETA_DIAG, GeometryError, NonFiniteFrameError
 from .jets import HESS_PAIRS, JET_LEN, NVARS, ChartPoint, JetDomainError, JetOrderError, jet_einsum
 
 MARGIN = 0.05
@@ -316,8 +316,9 @@ class BatchContext:
                 if point not in points:
                     raise
                 # an OverflowError is a frame value too large for a float:
-                # it fails the check like one that overflows to infinity
-                kind = "non-finite" if isinstance(err, (NonFiniteFrameError, OverflowError)) else "error"
+                # it fails the check like one that overflows to infinity,
+                # and so does a connection its biforms do not reproduce
+                kind = "non-finite" if isinstance(err, (NonFiniteFrameError, OverflowError, GeometryError)) else "error"
                 errors[live.pop(points.index(point))] = (kind, f"{type(err).__name__}: {err}")
         self._live, self._frame_errors = live, errors
         self._points = tuple(self.all_points[k] for k in live)
@@ -376,8 +377,8 @@ class BatchContext:
 
 
 # the errors of a point whose frame cannot be built, which name it as
-# ``point``: DegenerateFrameError, NonFiniteFrameError and the
-# ArithmeticError or ValueError of a failing frame expression
+# ``point``: DegenerateFrameError, NonFiniteFrameError, GeometryError and
+# the ArithmeticError or ValueError of a failing frame expression
 _FRAME_ERRORS = (ArithmeticError, ValueError)
 # the errors a check body reports per point instead of failing the run
 _CHECK_ERRORS = (JetDomainError, JetOrderError, GradeError)

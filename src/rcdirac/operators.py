@@ -24,13 +24,14 @@ Derivatives along all four e_a are one call returning a stack with the
 direction axis first (``cov_derivs(geom, A)[a]`` is nabla_a A); applied to a
 stack they prepend the new axis, so ``cov_derivs(geom, cov_derivs(geom,
 A))[a, b]`` is nabla_a nabla_b A.  The same holds for ``pfaffs``,
-``spin_cov_derivs``, ``right_rep_derivs`` and ``torsion_operators`` (one jet
-matrix, ``FrameGeometry.tau``); ``pfaff``, ``cov_deriv`` and
-``spin_cov_deriv`` are per-direction indexers.  A frame sum sum_a
-theta^a X[a] is one matmul with a constant-blade matrix
-(``cliffalg.blade_sum``), the pair sum eta^ab X[a, b]
+``spin_cov_derivs``, ``right_rep_derivs`` and ``torsion_operators``;
+``pfaff``, ``cov_deriv`` and ``spin_cov_deriv`` are per-direction
+indexers.  A frame sum sum_a theta^a X[a] is one matmul with a
+constant-blade matrix (``cliffalg.blade_sum``), the pair sum eta^ab X[a, b]
 + (theta^a ^ theta^b) X[a, b] the same with theta^a theta^b, and a
-connection term sum_c Gamma^c_ab X[c] one ``jets.jet_einsum``.  The per-pair
+connection term sum_c Gamma^c_ab X[c], like the torsion operator
+tau(e_a, V)^r = eta_r eta_b T^r_ab V^b, one ``jets.jet_einsum`` of a
+frame table with the field's jets.  The per-pair
 corrections of the squared operators are (4, 4, P, 16, w) grids whose
 products broadcast one operand along a and the other along b, so each
 operand is expanded once.
@@ -80,7 +81,7 @@ from .cliffalg import (
 from .geometry import (
     CONN_ORDER, CURV_ORDER, ETA_DIAG, FRAME_ORDER, CurvatureData, FrameGeometry, expansion, per_frame, torsion_trace,
 )
-from .jets import CONSTANT, JetOrderError, clear_above, derivative, jet_einsum, mul_matrix, slots, width
+from .jets import CONSTANT, JetOrderError, clear_above, derivative, jet_einsum, width
 
 Connection = str  # "lc" | "full"
 
@@ -203,17 +204,20 @@ def right_rep_derivs(geom: FrameGeometry, phi: Multivector) -> Multivector:
 
 @per_frame
 def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
-    """tau(e_a, V)^rho = V^beta T^rho_{a beta} for all a, direction axis
-    first, on grade-1 arguments: one matmul with ``geom.tau``."""
+    """tau(e_a, V)^r = eta_r eta_b T^r_{ab} V^b for all a, direction axis
+    first, on grade-1 arguments: one ``jet_einsum`` of the eta-signed
+    torsion table with V's vector jets [b, k, p], k V's stack axes
+    flattened and p its point axis (one that broadcasts over the frame's
+    points if V has none)."""
     _require_grade(V, 1, "torsion operator argument")
+    vec = V.data[..., 1:5, :]
+    stack = vec.shape[:-2] if vec.ndim > 2 else (1,)
+    vec = vec.reshape(-1, stack[-1], 4, vec.shape[-1]).transpose(2, 0, 1, 3)
+    signed = ETA_DIAG[:, None, None, None, None] * ETA_DIAG[:, None, None] * geom.T
     order = min(V.order, FRAME_ORDER)
-    n = width(order)
-    vec = mul_matrix(V.data[..., 1:5, :], n).reshape(V.data.shape[:-2] + (4 * n, n))
-    prod = geom.tau[n] @ vec                              # (..., P, (a, r), n)
-    vectors = prod.reshape(prod.shape[:-2] + (4, 4, n))
-    vectors = vectors.transpose((vectors.ndim - 3, *range(vectors.ndim - 3), -2, -1))
-    data = np.zeros((4,) + prod.shape[:-2] + (N_BLADES, n))
-    data[..., 1:5, :slots(order)] = vectors[..., :slots(order)]
+    tau = jet_einsum("rabp,bkp->akpr", signed, vec, order)     # [a, k, p, r]
+    data = np.zeros((4,) + stack[:-1] + tau.shape[2:3] + (N_BLADES, tau.shape[-1]))
+    data[..., 1:5, :] = tau.reshape(data.shape[:-2] + (4, -1))
     return Multivector.from_array(data, order)
 
 

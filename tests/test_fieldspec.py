@@ -510,4 +510,4 @@ def test_program_is_not_compared_and_pickles_with_its_scenario(scenarios):
     pts = harness.sample_points(sc, points=3, seed=2)
     want = _frame_arrays(geometry.build_frame(sc, pts))
     assert _frame_arrays(geometry.build_frame(copy, pts)) == want
-    assert len(want) > 15
+    assert len(want) > 13

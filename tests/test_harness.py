@@ -18,7 +18,7 @@ import pytest
 from conftest import BUNDLED, GENERAL_TORSION_TEXT, load_bundled, shard_children
 import rcdirac
 from rcdirac import fieldspec as fs
-from rcdirac import harness
+from rcdirac import geometry, harness
 from rcdirac.cliffalg import GradeError, Multivector
 from rcdirac.geometry import CONN_ORDER
 from rcdirac.jets import JET_LEN, ChartPoint, width
@@ -662,6 +662,56 @@ def test_overflow_warns_nothing(capsys, tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
     assert rc == 1
     assert capsys.readouterr().out.count("ERROR metricity point=(") == 1
+
+
+# tests-only scenarios with the identity tetrad and non-skew torsion
+DATA = Path(__file__).parent / "data"
+
+
+def _cli_under_w_error(path) -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli_main(["run", str(path), "--points", "4"])
+
+
+def test_large_torsion_is_calibrated_to_its_scale(capsys):
+    # torsion of order 1e8: the biform calibration's residual is rounding,
+    # 7.5e-9 at one point, above an absolute 1e-9 but not 1e-9 x max|conn|
+    path = DATA / "large_torsion.scn"
+    report = run_suite(fs.load_scenario_file(path), points=4)
+    assert len(report.checks) == len(CHECKS)
+    assert not [c.name for c in report.checks if c.errors]
+    assert not report.all_passed()
+    assert _cli_under_w_error(path) == 1
+    out = capsys.readouterr()
+    assert out.out == report.to_text() and "Traceback" not in out.err
+
+
+def test_overflowing_contorsion_is_a_failing_point_error(capsys):
+    # T = 1e308 is finite, the contorsion's sums of it are not
+    path = DATA / "overflow_torsion.scn"
+    sc = fs.load_scenario_file(path)
+    pts = [p.x for p in sample_points(sc, points=4)]
+    report = run_suite(sc, points=4)
+    assert len(report.checks) == len(CHECKS)
+    for c in report.checks:
+        assert not c.passed and c.max is None, c.name
+        assert [x for x, _ in c.errors] == pts, c.name
+        assert all(msg.startswith("NonFiniteFrameError: the contorsion is not finite") for _, msg in c.errors)
+    assert _cli_under_w_error(path) == 1
+    out = capsys.readouterr()
+    assert out.out == report.to_text() and "Traceback" not in out.err
+
+
+def test_calibration_failure_is_a_failing_point_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(geometry, "_CALIBRATION_TOL", -1.0)
+    sc = load_bundled("curved_torsion")
+    pts = [p.x for p in sample_points(sc, points=3)]
+    (c,) = run_suite(sc, points=3, only=["metricity"]).checks
+    assert not c.passed and [x for x, _ in c.errors] == pts
+    assert all(msg.startswith("GeometryError: connection biform calibration failed") for _, msg in c.errors)
+    assert cli_main(["run", "curved_torsion", "--points", "3", "--only", "metricity"]) == 1
+    assert capsys.readouterr().out.count("ERROR metricity point=(") == 3
 
 
 def test_json_writes_non_finite_as_null():

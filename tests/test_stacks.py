@@ -1,5 +1,5 @@
 """Direction-stacked operators against the per-direction reference loops,
-and negative controls for the checks built on the (a, b) grids."""
+and negative controls: a perturbed ingredient that makes a check fail."""
 
 import dataclasses
 
@@ -191,6 +191,20 @@ PERTURBATIONS = {
     "spin-square-assembly": (ops, "spin_cov_derivs", _second_transposed),
     "lichnerowicz": (geometry, "torsion_two_forms", lambda fn: lambda T: fn(T).scale(0.0)),
     "spin-commutator": (ops, "spin_cov_derivs", _second_transposed),
+    # the eight checks that read exactly max=0 on curved_torsion; a table
+    # that is not metric is changed after the build, whose biform
+    # calibration would reject it
+    "metricity": (geometry, "build_frame", _frame_with(
+        lambda g: dataclasses.replace(g, full=g.lc + g.K.swapaxes(0, 1)))),
+    "torsion-recovery": (geometry, "contorsion", lambda fn: lambda T: -fn(T)),
+    "levi-civita": (geometry, "levi_civita", lambda fn: lambda c: -fn(c)),
+    # a contorsion built from skew torsion by any index slip stays traceless
+    "contorsion-trace": (geometry, "build_frame", _frame_with(lambda g: dataclasses.replace(g, K=g.full))),
+    "bianchi": (geometry, "build_frame", _frame_with(lambda g: dataclasses.replace(g, lc=g.full))),
+    "curvature-traces": (geometry, "_riemann_components", lambda fn: lambda g, conn: fn(g, conn).swapaxes(0, 2)),
+    "torsion-trace-contraction": (geometry, "build_frame", _frame_with(
+        lambda g: dataclasses.replace(g, torsion_forms=g.dtheta))),
+    "double-contraction": (ops, "dirac_contract", lambda fn: ops.dirac),
 }
 
 
