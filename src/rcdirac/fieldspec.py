@@ -29,8 +29,8 @@ Evaluation: groups of expressions compile into a ``Program``, a flat list
 of jet operations over a point axis (see "evaluation" below); a
 ``Scenario`` compiles its frame's Program once, when it is built, into
 ``frame_program``.  Its jets are those of a ``Jet2`` walk of each tree, bit
-for bit up to the sign of a zero, and it raises the walk's errors in the
-walk's order.
+for bit up to the sign of a zero, and a point fails with the walk's first
+error there: ``stages`` records every failing point in one pass.
 """
 
 from __future__ import annotations
@@ -299,7 +299,8 @@ def parse_expr(src: str) -> Expr:
 #
 # Expressions compile once into a ``Program``: a straight-line list of jet
 # operations on registers, each a slot-major (15, P) array of the jets at
-# P points (the layout of ``jets.mul_packed``).
+# P points (the layout of ``jets.mul_packed``); an operation is
+# ``kernel(registers, operand, argument, failed)`` (see ``_factors``).
 # Registers 0-3 hold the coordinates; operation k writes register 4 + k.
 # The operations follow the depth-first order of the trees, an identical
 # subtree is emitted once, and a constant operand of * and / is applied as
@@ -309,41 +310,52 @@ def parse_expr(src: str) -> Expr:
 # failing constant such as ``1/0`` fails per point.
 
 
-def _neg(r, i, _):
+def _neg(r, i, *_):
     return -r[i]
 
 
-def _add(r, i, j):
+def _add(r, i, j, *_):
     return r[i] + r[j]
 
 
-def _sub(r, i, j):
+def _sub(r, i, j, *_):
     return r[i] - r[j]
 
 
-def _mul(r, i, j):
+def _mul(r, i, j, *_):
     return jets.mul_packed(r[i], r[j])
 
 
-def _mul_const(r, i, c):
+def _mul_const(r, i, c, *_):
     return jets.mul_const(r[i], c)
 
 
-def _div_const(r, i, c):
+def _div_const(r, i, c, failed):
     # the reciprocal of a constant jet is the constant jet of 1/c
-    return jets.mul_const(r[i], jets.recip_factors(c)[0])
+    return jets.mul_const(r[i], _factors(jets.recip_factors, [c] * r[i].shape[1], failed)[0])
 
 
-def _const(r, _, c):
+def _const(r, _, c, *__):
     out = np.zeros(r[0].shape)
     out[0] = c
     return out
 
 
-def _elementary(r, i, factors):
-    a = r[i]
-    f0, f1, f2 = np.array([factors(v) for v in a[0].tolist()]).T
-    return jets.compose(a, f0, f1, f2)
+def _elementary(r, i, factors, failed):
+    return jets.compose(r[i], *_factors(factors, r[i][0].tolist(), failed))
+
+
+def _factors(factors, values, failed):
+    """Rows (3, P) of ``factors(v)`` at each point's value v: NaN at a point
+    in ``failed``, and at a point whose call fails, which enters it."""
+    rows = []
+    for k, v in enumerate(values):
+        try:
+            rows.append(_NAN3 if k in failed else factors(v))
+        except _FAILURES as err:
+            failed[k] = err
+            rows.append(_NAN3)
+    return np.array(rows).T
 
 
 # kernels of the binary operators by operand kinds; a quotient by a
@@ -353,6 +365,7 @@ _REG_CONST = {"*": _mul_const, "/": _div_const}
 
 # the errors an operation can raise: domain, overflow and math domain errors
 _FAILURES = (ArithmeticError, ValueError)
+_NAN3 = (math.nan,) * 3
 
 _MU = np.arange(jets.NVARS)
 
@@ -420,43 +433,44 @@ class Program:
             return self._emit(_REG_REG[op], left, right)
         raise TypeError(f"not an expression node: {e!r}")
 
-    def stages(self, points):
+    def stages(self, points, failed: dict):
         """Yield the jets (P, n, 15) of each group's n expressions at the P
         points, one group at a time.
 
-        At a point, the first failing operation in depth-first order raises
-        its error, a ``JetDomainError`` as ``ExprDomainError``; at several
-        points, the first failing point raises.  The error carries the
-        failing point as ``point``."""
+        A point fails at its first failing operation in depth-first order:
+        that error, the one the point gets alone, goes in ``failed`` under
+        the point's index unless one is there already, naming the point as
+        ``point``, a ``JetDomainError`` as ``ExprDomainError``.  A failed
+        point's jets are NaN."""
         x = np.array([p.x for p in points])
         seeds = np.zeros((jets.NVARS, jets.JET_LEN, len(x)))
         seeds[:, 0] = x.T
         seeds[_MU, _MU + 1] = 1.0
         regs = list(seeds)
+        errors = {}     # each point's first error of an operation
         start = 0
-        try:
-            for stop, outputs, n in self._groups:
-                for kernel, i, arg in self.ops[start:stop]:
-                    regs.append(kernel(regs, i, arg))
-                start = stop
-                out = np.zeros((len(x), n, jets.JET_LEN))
-                for k, reg in outputs:
-                    out[:, k] = regs[reg].T
-                yield out
-        except _FAILURES as err:
-            if len(points) > 1:     # the first failing point raises
-                for p in points:
-                    for _ in self.stages([p]):
-                        pass
-            if isinstance(err, JetDomainError):
-                raise ExprDomainError(points[0], str(err)) from err
-            err.point = points[0]
-            raise
+        for stop, outputs, n in self._groups:
+            for kernel, i, arg in self.ops[start:stop]:
+                regs.append(kernel(regs, i, arg, errors))
+            start = stop
+            for k, err in errors.items():
+                if k not in failed:
+                    failed[k] = ExprDomainError(points[k], str(err)) if isinstance(err, JetDomainError) else err
+                    failed[k].point = points[k]
+            out = np.zeros((len(x), n, jets.JET_LEN))
+            for k, reg in outputs:
+                out[:, k] = regs[reg].T
+            out[list(failed)] = np.nan
+            yield out
 
     def evaluate(self, points) -> np.ndarray:
-        """Jets (P, n, 15) of all n expressions at the P points; errors as
-        in ``stages``."""
-        return np.concatenate(list(self.stages(points)), axis=1)
+        """Jets (P, n, 15) of all n expressions at the P points; the first
+        failing point, if any, raises its error (see ``stages``)."""
+        failed = {}
+        out = np.concatenate(list(self.stages(points, failed)), axis=1)
+        if failed:
+            raise failed[min(failed)]
+        return out
 
 
 def eval_expr(e: Expr, p: ChartPoint) -> Jet2:

@@ -121,6 +121,15 @@ class GeometryError(ValueError):
         super().__init__(f"connection biform calibration failed at {point.x}: residual {residual:.3e}")
 
 
+class FrameErrors(ValueError):
+    """``errors`` maps the index of each point whose frame cannot be built
+    to the error it gets alone, which names it as ``point``."""
+
+    def __init__(self, errors: dict):
+        self.errors = errors
+        super().__init__(f"no frame at {len(errors)} point(s), first: {errors[min(errors)]!r}")
+
+
 @dataclass(eq=False, repr=False)
 class FrameGeometry:
     """All connection-level data of one scenario at P chart points; every
@@ -220,20 +229,20 @@ def _derive(derivations: dict, table: np.ndarray, order) -> np.ndarray:
 # -- tetrad ---------------------------------------------------------------
 
 
-def invert_tetrad(theta_mat: np.ndarray, points):
+def invert_tetrad(theta_mat: np.ndarray, points, failed: dict):
     """Inverse of the 4x4 jet matrices theta^a_mu (4, 4, P, 15) at P points:
     the frame vectors, frame_vectors[a][mu] = e_a^mu such that
     theta^a_mu e_b^mu = delta^a_b; a point with a near-singular tetrad
-    raises ``DegenerateFrameError``.  The jets of the inverse E of a matrix A
-    follow from E A = 1: d_m E = -E A_m E and
+    fails with ``DegenerateFrameError`` (see ``build_frame``).  The jets of
+    the inverse E of a matrix A follow from E A = 1: d_m E = -E A_m E and
     d_m d_n E = -E A_mn E + E A_m E A_n E + E A_n E A_m E.
     """
     a = theta_mat.transpose(2, 0, 1, 3)                     # (P, a, mu, 15)
-    value = a[..., 0]
-    det = np.linalg.det(value)
-    for point, d in zip(points, det.tolist()):
+    value = a[..., 0].copy()
+    for k, d in enumerate(np.linalg.det(value).tolist()):
         if abs(d) <= _DET_TOL:
-            raise DegenerateFrameError(point, d)
+            failed.setdefault(k, DegenerateFrameError(points[k], d))
+    value[list(failed)] = np.eye(4)     # one singular matrix would make inv raise for the stack
     inv = np.linalg.inv(value)[:, None]                     # inv[p, 0, mu, a] = e_a^mu
     grad = a[..., 1:5].transpose(0, 3, 1, 2)                # d_m theta, (P, 4, 4, 4)
     hess = a[..., 5:].transpose(0, 3, 1, 2)                 # d_m d_n theta, (P, 10, 4, 4)
@@ -248,26 +257,27 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     sequence of P points in one batch, and assemble every
     connection-level object.
 
-    A point whose frame cannot be built raises, naming it as the error's
+    The steps run in order, each at all points, and a point fails at its
+    first failing step with the error it gets alone, naming it as
     ``point``: ``DegenerateFrameError``, ``NonFiniteFrameError``,
-    ``GeometryError``, or the error of a failing frame expression.  The
-    steps run in order at all points, and the first step that fails raises
-    for the first point it fails at; dropping that point and building the
-    rest gives each other point the frame it has alone."""
+    ``GeometryError``, or the error of a failing frame expression.  One
+    ``FrameErrors`` holds every failing point's error; the other points,
+    built without them, get the frames they have alone."""
     points = (points,) if isinstance(points, ChartPoint) else tuple(points)
     n = len(points)
-    # the torsion is evaluated only once the tetrad has passed its checks
-    stages = scenario.frame_program.stages(points)
+    failed = {}     # point index -> the error of its first failing step
+    # the torsion is evaluated at the points whose tetrad passed its checks
+    stages = scenario.frame_program.stages(points, failed)
     theta_mat = np.ascontiguousarray(next(stages).reshape(n, 4, 4, JET_LEN).transpose(1, 2, 0, 3))
-    _require_finite(theta_mat, "the tetrad", points)
-    frame_vectors = invert_tetrad(theta_mat, points)
-    _require_finite(frame_vectors, "the inverse tetrad", points)
+    _require_finite(theta_mat, "the tetrad", points, failed)
+    frame_vectors = invert_tetrad(theta_mat, points, failed)
+    _require_finite(frame_vectors, "the inverse tetrad", points, failed)
 
     T = np.zeros((4, 4, 4, n, JET_LEN))
     upper = next(stages).transpose(1, 0, 2)
     T[_T_C, _T_A, _T_B] = upper
     T[_T_C, _T_B, _T_A] = -upper
-    _require_finite(T, "the torsion", points)
+    _require_finite(T, "the torsion", points, failed)
 
     # the derivative of an order-2 jet has order 1: its 5 slots take all
     # 15 slots of the jet, those of an order-1 jet's derivative its 5
@@ -279,7 +289,7 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     full = lc + K
     for table, what in ((c_t, "the structure coefficients"), (lc, "the Levi-Civita connection"),
                         (K, "the contorsion"), (full, "the connection")):
-        _require_finite(table, what, points)
+        _require_finite(table, what, points, failed)
 
     geom = FrameGeometry(
         points=points,
@@ -297,15 +307,17 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
         dtheta=Multivector.from_array(bivector_array(-c_t), CONN_ORDER),
         torsion_forms=torsion_two_forms(T),
     )
-    _calibrate_biforms(geom)
+    _calibrate_biforms(geom, failed)
+    if failed:
+        raise FrameErrors(failed)
     return geom
 
 
-def _require_finite(table: np.ndarray, what: str, points):
-    """Raise for the first point at which the jet table (..., P, 15) is not finite."""
+def _require_finite(table: np.ndarray, what: str, points, failed: dict):
+    """Fail each point at which the jet table (..., P, 15) is not finite."""
     finite = np.logical_and.reduce(np.isfinite(table), axis=(*range(table.ndim - 2), -1))
-    if not np.logical_and.reduce(finite):
-        raise NonFiniteFrameError(points[int(np.argmin(finite))], what)
+    for k in np.logical_not(finite).nonzero()[0].tolist():
+        failed.setdefault(k, NonFiniteFrameError(points[k], what))
 
 
 def structure_coefficients(theta_mat, frame_vectors, derivations):
@@ -346,8 +358,8 @@ def connection_biforms(conn):
     return Multivector.from_array(bivector_array(0.5 * (low - low.transpose(0, 2, 1, 3, 4))), CONN_ORDER)
 
 
-def _calibrate_biforms(geom: FrameGeometry):
-    """Raise ``GeometryError`` for the first point at which [omega_a,
+def _calibrate_biforms(geom: FrameGeometry, failed: dict):
+    """Fail with ``GeometryError`` each point at which [omega_a,
     theta^b]/2 fails to reproduce -conn[a][b][c] theta^c, to within
     ``_CALIBRATION_TOL`` times the largest |conn| there, at least 1.  The
     halved expansion of the biforms is the one ``operators.cov_derivs``
@@ -358,9 +370,9 @@ def _calibrate_biforms(geom: FrameGeometry):
     resid[..., 1:5, :] += geom.full.swapaxes(2, 3)
     worst = np.maximum.reduce(np.abs(resid), axis=(0, 1, 3, 4))
     scale = np.maximum.reduce(np.abs(geom.full), axis=(0, 1, 2, 4), initial=1.0)
-    for point, w, s in zip(geom.points, worst.tolist(), scale.tolist()):
+    for k, (w, s) in enumerate(zip(worst.tolist(), scale.tolist())):
         if not w <= _CALIBRATION_TOL * s:
-            raise GeometryError(point, w)
+            failed.setdefault(k, GeometryError(geom.points[k], w))
 
 
 def torsion_two_forms(T):

@@ -17,9 +17,11 @@ per-point seam stays: ``_eval_shard`` calls ``evaluate_point`` once per
 point, looked up at call time.
 The first point of a batch computes each selected check for the whole
 batch, through ``CHECKS[name].fn``; later points read their own results.
-A point whose frame cannot be built leaves the batch and gets its frame
-error at every check, and a check that raises for a batch is rerun one
-point at a time, so no point's results depend on the others in its batch.
+A batch builds its frames once; ``build_frame``'s ``FrameErrors`` names
+every point whose frame fails, each gets its error at every check, and the
+others are built once more without them.  A check that raises for a batch
+is rerun one point at a time, so no point's results depend on the others
+in its batch.
 
 ``workers`` is the most processes a run uses, the calling one included.
 The points are split into ``n = min(workers, max(1, points //
@@ -278,67 +280,41 @@ def _check(name, anchor, fields=(), note=""):
 
 
 class BatchContext:
-    """The shared state of one batch of a shard's points, each part built
-    on first use: the frames of its points in one pass, their curvature,
-    the test fields as point stacks, and each check's results at all of
-    them.
+    """The shared state of one batch of a shard's points: their frames,
+    built when the batch is made, and, on first use, their curvature, the
+    test fields as point stacks and each check's results at all of them.
 
-    A point whose frame cannot be built leaves the batch: its frame error
-    is its result for every check, and the frames, fields and check
-    residuals are those of the other points, ``points``."""
+    A point whose frame fails (``FrameErrors``) has its frame error as its
+    result for every check; the frames, fields and check residuals are
+    those of the other points, ``points``, built again without it."""
 
     def __init__(self, scenario: Scenario, fields: dict[str, RunField], points):
         self.scenario = scenario
         self.fields = fields
         self.all_points = tuple(points)
         self.index = {p: k for k, p in enumerate(self.all_points)}
-        self._live = None           # indices of the points with frames
-        self._points = None         # those points
-        self._frame_errors = None   # per point: its frame error, or None
-        self._geom = None
-        self._curv = None
+        self._frame_errors = [None] * len(self.all_points)   # per point: its error tuple, or None
         self._values: dict[str, Multivector] = {}
         self._results: dict[str, list] = {}
-
-    def _build_frames(self):
-        if self._live is not None:
-            return
-        live = list(range(len(self.all_points)))
-        errors = [None] * len(live)
-        while live:
-            points = [self.all_points[k] for k in live]
-            try:
-                self._geom = geometry.build_frame(self.scenario, points)
-                break
-            except _FRAME_ERRORS as err:
-                # the error names its point: it leaves, the rest are rebuilt
-                point = getattr(err, "point", None)
-                if point not in points:
-                    raise
+        try:
+            self.geom = geometry.build_frame(scenario, self.all_points)
+        except geometry.FrameErrors as failed:
+            for k, err in failed.errors.items():
                 # an OverflowError is a frame value too large for a float:
                 # it fails the check like one that overflows to infinity,
                 # and so does a connection its biforms do not reproduce
                 kind = "non-finite" if isinstance(err, (NonFiniteFrameError, OverflowError, GeometryError)) else "error"
-                errors[live.pop(points.index(point))] = (kind, f"{type(err).__name__}: {err}")
-        self._live, self._frame_errors = live, errors
-        self._points = tuple(self.all_points[k] for k in live)
+                self._frame_errors[k] = (kind, f"{type(err).__name__}: {err}")
+            self.geom = None
+        self._live = [k for k, err in enumerate(self._frame_errors) if err is None]
+        # the points whose frames were built, in batch order
+        self.points = tuple(self.all_points[k] for k in self._live)
+        if self.geom is None and self.points:
+            self.geom = geometry.build_frame(scenario, self.points)
 
-    @property
-    def points(self) -> tuple:
-        """The points whose frames were built, in batch order."""
-        self._build_frames()
-        return self._points
-
-    @property
-    def geom(self):
-        self._build_frames()
-        return self._geom
-
-    @property
+    @functools.cached_property
     def curv(self):
-        if self._curv is None:
-            self._curv = geometry.curvature(self.geom)
-        return self._curv
+        return geometry.curvature(self.geom)
 
     def field(self, kind: str) -> Multivector:
         """The test field at ``points``, a (P, 16, 15) stack."""
@@ -354,7 +330,6 @@ class BatchContext:
         return self._results[name]
 
     def _run_check(self, name: str) -> list:
-        self._build_frames()
         live, out = self._live, list(self._frame_errors)
         if not live:
             return out
@@ -376,10 +351,6 @@ class BatchContext:
         return out
 
 
-# the errors of a point whose frame cannot be built, which name it as
-# ``point``: DegenerateFrameError, NonFiniteFrameError, GeometryError and
-# the ArithmeticError or ValueError of a failing frame expression
-_FRAME_ERRORS = (ArithmeticError, ValueError)
 # the errors a check body reports per point instead of failing the run
 _CHECK_ERRORS = (JetDomainError, JetOrderError, GradeError)
 

@@ -479,7 +479,7 @@ def test_frame_program_is_built_once_per_scenario(monkeypatch):
     assert len(compiled) == 1 and isinstance(program, CountingProgram)
     batches = []
     evaluate = program.stages
-    monkeypatch.setattr(program, "stages", lambda points: batches.append(len(points)) or evaluate(points))
+    monkeypatch.setattr(program, "stages", lambda points, failed: batches.append(len(points)) or evaluate(points, failed))
     pts = harness.sample_points(sc, points=3, seed=2)
     for p in pts:
         geometry.build_frame(sc, p)

@@ -9,6 +9,7 @@ from rcdirac import harness
 from rcdirac.geometry import (
     CURV_ORDER,
     DegenerateFrameError,
+    FrameErrors,
     build_frame,
     contorsion,
     curvature,
@@ -72,8 +73,9 @@ def test_diagonal_tetrad_inverse_against_matrix_oracle():
 
 def test_singular_tetrad_raises():
     sc = fs.load_scenario("[tetrad]\ne0_0 = \"x0 - x0\"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n")
-    with pytest.raises(DegenerateFrameError):
+    with pytest.raises(FrameErrors) as exc:
         build_frame(sc, ChartPoint((0.3, 0.3, 0.3, 0.3)))
+    assert isinstance(exc.value.errors[0], DegenerateFrameError)
 
 
 def test_structure_coefficients_identity_frame_vanish():
