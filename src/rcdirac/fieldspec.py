@@ -650,7 +650,8 @@ def load_scenario_file(path, valid_checks=None) -> Scenario:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        # utf-8-sig drops a leading byte-order mark, which some editors write
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as err:
         raise ScenarioError(f"{path}: not valid UTF-8 ({err})") from err
     return load_scenario(text, valid_checks)

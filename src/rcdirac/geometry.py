@@ -49,7 +49,6 @@ expansions of ``expansion``, lives in the frame's one memo, ``shared``
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -162,22 +161,15 @@ class FrameGeometry:
 def per_frame(fn):
     """Share fn's result per frame: the first call for a set of arguments
     stores it, read-only, in ``geom.shared``; later calls return it.  The
-    key is fn and the arguments, defaults filled in: it holds them, and a
-    ``Multivector`` compares by identity.  A call that gives every argument
-    by position skips the binding; the signature that binds the others is
-    built on the first such call."""
-    n_params = fn.__code__.co_argcount
-    sig = None
+    key is fn and the arguments, given by position, with omitted trailing
+    ones filled from fn's defaults: it holds them, and a ``Multivector``
+    compares by identity."""
+    n_args, defaults = fn.__code__.co_argcount - 1, fn.__defaults__ or ()
 
     @functools.wraps(fn)
-    def shared(geom, *args, **kwargs):
-        nonlocal sig
-        if kwargs or len(args) + 1 != n_params:
-            if sig is None:
-                sig = inspect.signature(fn)
-            bound = sig.bind(geom, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
+    def shared(geom, *args):
+        if len(args) < n_args:
+            args += defaults[len(args) - n_args:]
         key = (fn, *args)
         out = geom.shared.get(key)
         if out is None:

@@ -8,10 +8,11 @@ with the same scenario bytes, seed and flags, at any worker count: work is
 keyed by point index and merged in index order, and timing goes to stderr.
 
 A check runs on a batch of points at once: it receives a ``BatchContext``,
-whose frame, curvature and test fields carry a point axis (see
-``geometry``), and returns the two sides of its identity as ``(lhs, rhs)``
-pairs, which ``point_residuals`` alone reduces to one residual per point,
-with ``np.maximum.reduce`` (the rule on numpy calls is in ``jets``).
+whose frame and curvature carry a point axis (see ``geometry``), then the
+test fields its ``_check`` registration declares, as point stacks, in that
+order, and returns the two sides of its identity as ``(lhs, rhs)`` pairs,
+which ``point_residuals`` alone reduces to one residual per point, with
+``np.maximum.reduce`` (the rule on numpy calls is in ``jets``).
 A shard's points run in batches of at most ``BATCH_POINTS``.  The
 per-point seam stays: ``_eval_shard`` calls ``evaluate_point`` once per
 point, looked up at call time.
@@ -272,9 +273,15 @@ CHECKS: dict[str, CheckDescriptor] = {}
 
 
 def _check(name, anchor, fields=(), note=""):
-    def deco(fn):
+    """Register ``body(ctx, *fields)`` as the check ``name``: its
+    registered ``fn(ctx)`` passes the body the test fields it declares, in
+    order, as the batch's point stacks."""
+    def deco(body):
+        def fn(ctx):
+            return body(ctx, *map(ctx.field, fields))
+
         CHECKS[name] = CheckDescriptor(name=name, anchor=anchor, fields=tuple(fields), fn=fn, note=note)
-        return fn
+        return body
 
     return deco
 
@@ -461,8 +468,7 @@ def _c_ricci_antisymmetry(ctx):
     "Dirac operator equals its contraction part plus its wedge part",
     fields=("general",),
 )
-def _c_dirac_split(ctx):
-    A = ctx.field("general")
+def _c_dirac_split(ctx, A):
     return [
         (
             operators.dirac(ctx.geom, A, conn) - operators.dirac_contract(ctx.geom, A, conn),
@@ -477,8 +483,7 @@ def _c_dirac_split(ctx):
     "wedge part of the standard Dirac operator is the exterior derivative",
     fields=("general",),
 )
-def _c_exterior_derivative(ctx):
-    A = ctx.field("general")
+def _c_exterior_derivative(ctx, A):
     return [(operators.dirac_wedge(ctx.geom, A, "lc"), operators.exterior_d(ctx.geom, A))]
 
 
@@ -487,8 +492,7 @@ def _c_exterior_derivative(ctx):
     "contraction part of the standard Dirac operator is minus the Hodge codifferential",
     fields=("general",),
 )
-def _c_codifferential(ctx):
-    A = ctx.field("general")
+def _c_codifferential(ctx, A):
     return [(operators.dirac_contract(ctx.geom, A, "lc"), -operators.codifferential(ctx.geom, A))]
 
 
@@ -497,8 +501,7 @@ def _c_codifferential(ctx):
     "torsionful contraction/wedge parts equal the standard parts minus torsion 2-form corrections",
     fields=("general",),
 )
-def _c_torsion_splits(ctx):
-    A = ctx.field("general")
+def _c_torsion_splits(ctx, A):
     geom = ctx.geom
     thetas = geom.torsion_forms
     # sum_r Theta^r ^ (theta_r _| A) and sum_r Theta^r _| (theta_r ^ A)
@@ -518,9 +521,8 @@ def _c_torsion_splits(ctx):
     "torsion 2-forms contracted on the gradient reproduce minus the eta-raised torsion trace",
     fields=("scalar",),
 )
-def _c_torsion_trace_contraction(ctx):
+def _c_torsion_trace_contraction(ctx, f):
     geom = ctx.geom
-    f = ctx.field("scalar")
     df = operators.dirac(geom, f, "lc")
     lowered = blade_products(operators.THETA_DOWN_WEDGE, df)      # [r]: theta_r ^ df
     lhs = operators.frame_product_sum(geom, geom.torsion_forms, lowered, "lc")
@@ -535,9 +537,8 @@ def _c_torsion_trace_contraction(ctx):
     "minus delta d on a scalar equals the frame Laplace-Beltrami combination",
     fields=("scalar",),
 )
-def _c_scalar_laplacian(ctx):
+def _c_scalar_laplacian(ctx, f):
     geom = ctx.geom
-    f = ctx.field("scalar")
     lhs = operators.codifferential(geom, operators.exterior_d(geom, f)).scale(-1.0)
     return [(lhs, operators.frame_wave(geom, f, geom.lc))]
 
@@ -548,9 +549,8 @@ def _c_scalar_laplacian(ctx):
     fields=("vector",),
     note=_TOT_ANTISYM_NOTE,
 )
-def _c_cov_deriv_torsion(ctx):
+def _c_cov_deriv_torsion(ctx, v):
     geom = ctx.geom
-    v = ctx.field("vector")
     return [(
         operators.cov_derivs(geom, v, "full") - operators.cov_derivs(geom, v, "lc"),
         operators.torsion_operators(geom, v).scale(0.5),
@@ -563,9 +563,8 @@ def _c_cov_deriv_torsion(ctx):
     fields=("vector",),
     note=_TOT_ANTISYM_NOTE,
 )
-def _c_dirac_torsion(ctx):
+def _c_dirac_torsion(ctx, v):
     geom = ctx.geom
-    v = ctx.field("vector")
     corr = blade_sum(THETA_GP_ROWS, operators.torsion_operators(geom, v)).scale(0.5)
     return [(operators.dirac(geom, v, "full") - operators.dirac(geom, v, "lc"), corr)]
 
@@ -575,10 +574,8 @@ def _c_dirac_torsion(ctx):
     "covariant derivatives are derivations of the geometric product",
     fields=("general", "general2"),
 )
-def _c_leibniz(ctx):
+def _c_leibniz(ctx, A, B):
     geom = ctx.geom
-    A = ctx.field("general")
-    B = ctx.field("general2")
     AB = geometric_product(A, B)
     return [
         (
@@ -594,10 +591,8 @@ def _c_leibniz(ctx):
     "the wedge part acts as an antiderivation through the grade involution",
     fields=("general", "general2"),
 )
-def _c_antiderivation(ctx):
+def _c_antiderivation(ctx, A, B):
     geom = ctx.geom
-    A = ctx.field("general")
-    B = ctx.field("general2")
     AB = wedge(A, B)
     return [
         (
@@ -613,10 +608,8 @@ def _c_antiderivation(ctx):
     "spin derivative of a Clifford multiple of a representative obeys the module rule",
     fields=("general", "even"),
 )
-def _c_spin_module(ctx):
+def _c_spin_module(ctx, C, psi):
     geom = ctx.geom
-    C = ctx.field("general")
-    psi = ctx.field("even")
     return [(
         operators.spin_cov_derivs(geom, geometric_product(C, psi))
         - geometric_product(operators.cov_derivs(geom, C, "full"), psi),
@@ -629,9 +622,8 @@ def _c_spin_module(ctx):
     "one-sided left form of the spin derivative equals the covariant form plus half the right action",
     fields=("even",),
 )
-def _c_spin_left_form(ctx):
+def _c_spin_left_form(ctx, psi):
     geom = ctx.geom
-    psi = ctx.field("even")
     return [(
         operators.spin_cov_derivs(geom, psi) - operators.cov_derivs(geom, psi, "full"),
         operators.right_actions(geom, psi),
@@ -639,14 +631,12 @@ def _c_spin_left_form(ctx):
 
 
 @_check("d-squared", "the exterior derivative squares to zero", fields=("general",))
-def _c_d_squared(ctx):
-    A = ctx.field("general")
+def _c_d_squared(ctx, A):
     return [(operators.exterior_d(ctx.geom, operators.exterior_d(ctx.geom, A)), None)]
 
 
 @_check("delta-squared", "the codifferential squares to zero", fields=("general",))
-def _c_delta_squared(ctx):
-    A = ctx.field("general")
+def _c_delta_squared(ctx, A):
     return [(operators.codifferential(ctx.geom, operators.codifferential(ctx.geom, A)), None)]
 
 
@@ -655,8 +645,8 @@ def _c_delta_squared(ctx):
     "the contraction part applied twice to a scalar vanishes",
     fields=("scalar",),
 )
-def _c_double_contraction(ctx):
-    inner = operators.dirac_contract(ctx.geom, ctx.field("scalar"), "full")
+def _c_double_contraction(ctx, f):
+    inner = operators.dirac_contract(ctx.geom, f, "full")
     return [(operators.dirac_contract(ctx.geom, inner, "full"), None)]
 
 
@@ -665,9 +655,8 @@ def _c_double_contraction(ctx):
     "standard-plus-torsion and full-connection scalar square expansions agree with the direct square",
     fields=("scalar",),
 )
-def _c_scalar_square_forms(ctx):
+def _c_scalar_square_forms(ctx, f):
     geom = ctx.geom
-    f = ctx.field("scalar")
     direct = operators.dirac_square_direct(geom, f, "full")
     std = operators.scalar_square_standard_form(geom, f)
     conn = operators.scalar_square_connection_form(geom, f)
@@ -679,9 +668,8 @@ def _c_scalar_square_forms(ctx):
     "direct square equals the eta-plus-bivector assembly, plain and antisymmetrized",
     fields=("general",),
 )
-def _c_square_assembly(ctx):
+def _c_square_assembly(ctx, A):
     geom = ctx.geom
-    A = ctx.field("general")
     direct = operators.dirac_square_direct(geom, A, "full")
     plain, anti = operators.dirac_square_assemblies(geom, A, "full")
     return [(plain, direct), (anti, direct)]
@@ -693,8 +681,8 @@ def _c_square_assembly(ctx):
     fields=("vector",),
     note=_TOT_ANTISYM_NOTE,
 )
-def _c_pair_expansion(ctx):
-    geom, v = ctx.geom, ctx.field("vector")
+def _c_pair_expansion(ctx, v):
+    geom = ctx.geom
     lhs = operators.cov_derivs(geom, operators.cov_derivs(geom, v, "full"), "full")
     return [(lhs, operators.pair_expansion_rhs(geom, v))]
 
@@ -705,8 +693,8 @@ def _c_pair_expansion(ctx):
     fields=("vector",),
     note=_TOT_ANTISYM_NOTE,
 )
-def _c_square_torsion_relation(ctx):
-    geom, v = ctx.geom, ctx.field("vector")
+def _c_square_torsion_relation(ctx, v):
+    geom = ctx.geom
     return [(operators.dirac_square_direct(geom, v, "full"), operators.square_torsion_relation_rhs(geom, v))]
 
 
@@ -716,8 +704,8 @@ def _c_square_torsion_relation(ctx):
     "plus a structure/torsion coefficient term, in both printed forms",
     fields=("even",),
 )
-def _c_spin_commutator(ctx):
-    commutator, bracket, expanded = operators.spin_commutator_forms(ctx.geom, ctx.curv, ctx.field("even"))
+def _c_spin_commutator(ctx, psi):
+    commutator, bracket, expanded = operators.spin_commutator_forms(ctx.geom, ctx.curv, psi)
     return [(commutator, bracket), (commutator, expanded)]
 
 
@@ -728,8 +716,8 @@ def _c_spin_commutator(ctx):
     fields=("even",),
     note=_COCLOSED_NOTE,
 )
-def _c_lichnerowicz(ctx):
-    geom, psi = ctx.geom, ctx.field("even")
+def _c_lichnerowicz(ctx, psi):
+    geom = ctx.geom
     return [(operators.spin_dirac_square_direct(geom, psi), operators.lichnerowicz_rhs(geom, ctx.curv, psi))]
 
 
@@ -738,8 +726,8 @@ def _c_lichnerowicz(ctx):
     "squared spin operator equals the torsionful square plus the paired right-action correction",
     fields=("general",),
 )
-def _c_spin_square_relation(ctx):
-    geom, A = ctx.geom, ctx.field("general")
+def _c_spin_square_relation(ctx, A):
+    geom = ctx.geom
     return [(operators.spin_dirac_square_direct(geom, A), operators.spin_square_relation_rhs(geom, A))]
 
 
@@ -749,8 +737,8 @@ def _c_spin_square_relation(ctx):
     fields=("vector",),
     note=_TOT_ANTISYM_NOTE,
 )
-def _c_spin_standard_square(ctx):
-    geom, v = ctx.geom, ctx.field("vector")
+def _c_spin_standard_square(ctx, v):
+    geom = ctx.geom
     return [(operators.spin_dirac_square_direct(geom, v), operators.spin_standard_square_rhs(geom, v))]
 
 
@@ -760,8 +748,8 @@ def _c_spin_standard_square(ctx):
     fields=("vector",),
     note=_TOT_ANTISYM_NOTE,
 )
-def _c_s2_levi_civita(ctx):
-    geom, v = ctx.geom, ctx.field("vector")
+def _c_s2_levi_civita(ctx, v):
+    geom = ctx.geom
     return [(operators.spin_square_right_correction(geom, v), operators.s2_levi_civita_rhs(geom, v))]
 
 
@@ -770,8 +758,8 @@ def _c_s2_levi_civita(ctx):
     "squared spin operator equals its eta-plus-bivector assembly",
     fields=("even",),
 )
-def _c_spin_square_assembly(ctx):
-    geom, psi = ctx.geom, ctx.field("even")
+def _c_spin_square_assembly(ctx, psi):
+    geom = ctx.geom
     return [(operators.spin_dirac_square_direct(geom, psi), operators.spin_square_assembly_rhs(geom, psi))]
 
 
@@ -780,8 +768,8 @@ def _c_spin_square_assembly(ctx):
     "Clifford-form and right-representative field-equation residuals coincide for arbitrary fields",
     fields=("bivector", "current"),
 )
-def _c_maxwell_equivalence(ctx):
-    return [operators.maxwell_residuals(ctx.geom, ctx.field("bivector"), ctx.field("current"))]
+def _c_maxwell_equivalence(ctx, F, J):
+    return [operators.maxwell_residuals(ctx.geom, F, J)]
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -964,6 +952,7 @@ class ResidualReport:
                     "worst_point": list(c.worst_point) if c.worst_point else None,
                     "pass": c.passed,
                     "paper_anchor": c.anchor,
+                    "errors": [{"point": list(point), "message": msg} for point, msg in c.errors],
                 }
                 for c in self.checks
             ],

@@ -347,7 +347,7 @@ def test_report_formats():
     assert blob["scenario_digest"] == sc.digest
     for entry in blob["checks"]:
         assert list(entry) == [
-            "name", "max", "mean", "worst_point", "pass", "paper_anchor",
+            "name", "max", "mean", "worst_point", "pass", "paper_anchor", "errors",
         ]
         assert entry["pass"] is True
         assert len(entry["worst_point"]) == 4
@@ -447,6 +447,15 @@ def test_cli_malformed_scenario(tmp_path, capsys):
     path.write_text("[tetrad]\ne0_0 = \n")
     rc = cli_main(["run", str(path)])
     assert rc == 3
+
+
+def test_scenario_file_with_a_byte_order_mark_loads(tmp_path):
+    path = harness.resolve_scenario_path("curved_torsion")
+    bom = tmp_path / "bom.scn"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    plain, marked = fs.load_scenario_file(path), fs.load_scenario_file(bom)
+    assert marked == plain and marked.digest == plain.digest
+    assert run_suite(marked, points=2).to_text() == run_suite(plain, points=2).to_text()
 
 
 def test_cli_unknown_check(capsys):
@@ -712,6 +721,24 @@ def test_calibration_failure_is_a_failing_point_error(capsys, monkeypatch, tmp_p
     assert all(msg.startswith("GeometryError: connection biform calibration failed") for _, msg in c.errors)
     assert cli_main(["run", "curved_torsion", "--points", "3", "--only", "metricity"]) == 1
     assert capsys.readouterr().out.count("ERROR metricity point=(") == 3
+
+
+@pytest.mark.parametrize("name", ["sqrt_tetrad", "mixed_frame_errors"])
+def test_json_errors_are_the_text_error_lines(name):
+    report = run_suite(fs.load_scenario_file(DATA / f"{name}.scn"), points=16)
+    lines = report.to_text().splitlines()
+    for entry in _strict_json(report.to_json())["checks"]:
+        got = [
+            f"ERROR {entry['name']} point=({','.join(f'{x:.6g}' for x in e['point'])}) {e['message']}"
+            for e in entry["errors"]
+        ]
+        assert got and got == [line for line in lines if line.startswith(f"ERROR {entry['name']} ")]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_json_reports_carry_no_errors(name):
+    blob = _strict_json(run_suite(load_bundled(name), points=2).to_json())
+    assert [e["errors"] for e in blob["checks"]] == [[]] * len(CHECKS)
 
 
 def test_json_writes_non_finite_as_null():

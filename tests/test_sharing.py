@@ -118,7 +118,9 @@ def test_sharing_key(frames):
     D = ops.cov_derivs(g, A)
     # the default connection is filled in before the lookup
     assert ops.cov_derivs(g, A, "full") is D
-    assert ops.cov_derivs(g, A, conn="full") is D
+    # arguments are given by position: the memo takes no keywords
+    with pytest.raises(TypeError):
+        ops.cov_derivs(g, A, conn="full")
     assert ops.cov_derivs(g, A, "lc") is not D
     # an equal but distinct argument is its own entry
     B = cliffalg.Multivector.from_array(A.data.copy(), A.order)
@@ -128,9 +130,10 @@ def test_sharing_key(frames):
 
 
 def test_memoized_arity_is_the_positional_parameter_count():
-    # per_frame reads a call's arity from the code object: every memoized
-    # function takes positional parameters only, so an all-positional call
-    # gives the same key as a bound one
+    # per_frame reads a call's arity from the code object and fills omitted
+    # trailing arguments from __defaults__: every memoized function takes
+    # positional parameters only, so a call that omits a default gives the
+    # same key as one that passes it
     wrapped = {
         fn.__wrapped__ for mod in (geometry, ops) for fn in vars(mod).values()
         if getattr(fn, "__code__", None) is geometry.expansion.__code__

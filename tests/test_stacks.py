@@ -178,6 +178,26 @@ def _frame_with(change):
     return lambda fn: lambda scenario, point: change(fn(scenario, point))
 
 
+def _plus_identity(fn):
+    """A derivative plus the field itself, which is no derivation: the
+    Leibniz and module rules fail by a product of the fields."""
+    return lambda geom, A, *rest: fn(geom, A, *rest) + A
+
+
+def _other_connection(fn):
+    """The operator of the other connection, Levi-Civita for full and full
+    for Levi-Civita."""
+    return lambda geom, A, conn: fn(geom, A, "lc" if conn == "full" else "full")
+
+
+# the exterior derivative without its dtheta ^ (theta_g _| A) term, as if
+# the frame were holonomic
+_WITHOUT_DTHETA = _frame_with(lambda g: dataclasses.replace(g, dtheta=g.dtheta.scale(0.0)))
+# an index slip in the contorsion: a connection that is not metric, and
+# whose Ricci tensor is not symmetric
+_SLIPPED_CONTORSION = _frame_with(lambda g: dataclasses.replace(g, full=g.lc + g.K.swapaxes(0, 1)))
+
+
 # check -> (module, attribute, replacement built from the original)
 PERTURBATIONS = {
     "pair-expansion": (ops, "cov_derivs", _second_transposed),
@@ -194,8 +214,7 @@ PERTURBATIONS = {
     # the eight checks that read exactly max=0 on curved_torsion; a table
     # that is not metric is changed after the build, whose biform
     # calibration would reject it
-    "metricity": (geometry, "build_frame", _frame_with(
-        lambda g: dataclasses.replace(g, full=g.lc + g.K.swapaxes(0, 1)))),
+    "metricity": (geometry, "build_frame", _SLIPPED_CONTORSION),
     "torsion-recovery": (geometry, "contorsion", lambda fn: lambda T: -fn(T)),
     "levi-civita": (geometry, "levi_civita", lambda fn: lambda c: -fn(c)),
     # a contorsion built from skew torsion by any index slip stays traceless
@@ -205,7 +224,30 @@ PERTURBATIONS = {
     "torsion-trace-contraction": (geometry, "build_frame", _frame_with(
         lambda g: dataclasses.replace(g, torsion_forms=g.dtheta))),
     "double-contraction": (ops, "dirac_contract", lambda fn: ops.dirac),
+    "curvature-decomposition": (geometry, "j_components", lambda fn: lambda g: -fn(g)),
+    "ricci-antisymmetry": (geometry, "build_frame", _SLIPPED_CONTORSION),
+    "dirac-split": (ops, "dirac_wedge", _other_connection),
+    "exterior-derivative": (geometry, "build_frame", _WITHOUT_DTHETA),
+    "codifferential": (ops, "_CODIFF_HODGE", lambda hodge: -hodge),
+    "torsion-splits": (geometry, "torsion_two_forms", lambda fn: lambda T: fn(T).scale(0.0)),
+    "scalar-laplacian": (geometry, "build_frame", _WITHOUT_DTHETA),
+    "cov-deriv-torsion": (ops, "torsion_operators", lambda fn: lambda g, V: fn(g, V).scale(0.0)),
+    "dirac-torsion": (ops, "torsion_operators", lambda fn: lambda g, V: fn(g, V).scale(0.0)),
+    "leibniz": (ops, "cov_derivs", _plus_identity),
+    "antiderivation": (harness, "grade_involution", lambda fn: lambda A: A),
+    "spin-module": (ops, "cov_derivs", _plus_identity),
+    # the right action at a quarter of the connection biform
+    "spin-left-form": (ops, "right_actions", lambda fn: lambda g, phi: fn(g, phi, 0.25)),
+    "d-squared": (geometry, "build_frame", _WITHOUT_DTHETA),
+    # a sign flip of the Hodge dual keeps delta^2 = 0: no control for it
+    "delta-squared": (geometry, "build_frame", _WITHOUT_DTHETA),
+    "scalar-square-forms": (geometry, "torsion_two_forms", lambda fn: lambda T: fn(T).scale(0.0)),
+    "maxwell-equivalence": (ops, "right_actions", lambda fn: lambda g, phi: fn(g, phi, 0.25)),
 }
+
+
+def test_every_check_has_a_negative_control():
+    assert set(PERTURBATIONS) == set(harness.CHECKS)
 
 
 @pytest.fixture(scope="module")

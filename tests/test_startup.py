@@ -51,5 +51,5 @@ def test_import_starts_no_blas_thread_pool():
 
 def test_import_and_scenario_load_build_no_signature():
     # the classes need no generated docstring or code, and the per-frame
-    # memo builds a signature only for a call that binds keywords
+    # memo binds no call through a signature
     assert _import_in_fresh_interpreter(SIGNATURE_PROBE) == ["0", "0"]
