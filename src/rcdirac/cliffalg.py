@@ -43,8 +43,8 @@ that meets an operand again may keep its expansion and run the last step
 alone, as ``operators`` does per frame.  The kernels follow the slot
 contract of ``jets``: the result has the lower operand order and stores its
 width, the matmuls run on that width, and a 15-slot operand (order 2 or
-constant) is cut to it where it meets one of lower order; so do
-``product_sum`` and scaling by a jet.  A sum or difference of operands of
+constant) is cut to it where it meets one of lower order; so does
+scaling by a jet.  A sum or difference of operands of
 different orders has the lower order's width.  Stack axes broadcast like
 numpy's, so ``geometric_product(X[:, None], Y[None])`` is the whole
 (a, b) grid of products, each operand expanded once.  The commutator has
@@ -55,11 +55,11 @@ A product with a constant blade is a 16 x 16 signed permutation of the
 other operand's rows.  These matrices are built at import time for the
 coframe theta^a (``THETA_GP``, ``THETA_WEDGE``, ``THETA_LC``), the pairs
 theta^a theta^b = eta^ab + theta^a ^ theta^b (``THETA_PAIR``), the planes
-theta^a ^ theta^b (``PLANE_GP``) and the Hodge dual (``HODGE``), so a frame
-sum such as sum_a theta^a X[a] is one (16, 64) @ (64, w) matmul
-(``blade_sum`` with a table's row form, e.g. ``THETA_GP_ROWS``).
-``product_sum`` does the same for a sum of products of two jet stacks,
-sum_i A[i] B[i].
+theta^a ^ theta^b (``PLANE_GP``) and the Hodge dual (``HODGE``).  A frame
+sum has no layout of its own: it is the stack of products, summed over
+the stack axes it runs over.  So sum_a theta^a X[a] is ``blade_sum`` with
+``THETA_GP``, the stack theta^a X[a] summed over a, and ``product_sum``
+is the kernel's stack A[i] B[i] summed over i.
 
 The Hodge dual used throughout is ``hodge(A) = reversion(A) * e0123``; with
 this convention the codifferential is a star-d-star sandwich with one
@@ -174,10 +174,6 @@ THETA_LC = _left_matrices(_dense(LC_SIGN), _THETA)             # theta^a _| A
 # values of theta^a o theta^b: column 1 + b of the matrix of theta^a o
 THETA_PAIR = _left_matrices(_GP_DENSE, THETA_GP[..., 1:5].swapaxes(1, 2))      # theta^a theta^b A
 PLANE_GP = _left_matrices(_GP_DENSE, THETA_WEDGE[..., 1:5].swapaxes(1, 2))     # (theta^a ^ theta^b) A
-# the same tables in blade_sum's row form, rows[k, (i..., j)] = L[i..., k, j]
-THETA_GP_ROWS, THETA_WEDGE_ROWS, THETA_LC_ROWS, THETA_PAIR_ROWS, PLANE_GP_ROWS = (
-    np.moveaxis(L, -2, 0).reshape(N_BLADES, -1) for L in (THETA_GP, THETA_WEDGE, THETA_LC, THETA_PAIR, PLANE_GP)
-)
 # hodge(A) = reversion(A) e0123 = HODGE @ A.data
 HODGE = _GP_DENSE[:, :, 15] * REVERSION_SIGN
 
@@ -435,46 +431,28 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
     return _product(a, b, COMMUTATOR_TABLE)
 
 
-def sum_left_expansion(a: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
-    """``left_expansion`` in the layout of ``product_sum``: the stack axis
-    i summed over moves into the row, (points..., 16, (i, j, s))."""
-    left = left_expansion(a, table, n)
-    left = left.transpose((*range(1, left.ndim - 1), 0, -1))
-    return left.reshape(left.shape[:-2] + (-1,))
-
-
-def sum_right_expansion(b: np.ndarray, n: int) -> np.ndarray:
-    """``right_expansion`` in the layout of ``product_sum``,
-    (points..., (i, j, s), n)."""
-    right = right_expansion(b, n)
-    right = right.transpose((*range(1, right.ndim - 2), 0, -2, -1))
-    return right.reshape(right.shape[:-3] + (-1, n))
-
-
 def product_sum(a: Multivector, b: Multivector, table: np.ndarray = GP_TABLE) -> Multivector:
-    """sum_i a[i] o b[i] over the leading stack axis of both operands, as
-    one matmul per point; ``table`` picks the product (GP_TABLE,
-    WEDGE_TABLE, ...).  The other stack axis, if any, is the point axis.
-    The same three steps as ``_product``, with the summed axis moved into
-    the contraction."""
-    order = min(a.order, b.order)
-    n = width(order)
-    da, db = a.data, b.data
-    if da.ndim < db.ndim:       # a point axis on one operand only
-        da = da[:, None]
-    elif db.ndim < da.ndim:
-        db = db[:, None]
-    return expanded_product(sum_left_expansion(da, table, n), sum_right_expansion(db, n), order)
+    """sum_i a[i] o b[i] over the leading stack axis of both operands: the
+    stack of products from ``_product``, summed over that axis; ``table``
+    picks the product (GP_TABLE, WEDGE_TABLE, ...).  The other stack axis,
+    if any, is the point axis."""
+    if a.data.ndim < b.data.ndim:       # a point axis on one operand only
+        a = a[:, None]
+    elif b.data.ndim < a.data.ndim:
+        b = b[:, None]
+    products = _product(a, b, table)
+    return Multivector.from_array(np.add.reduce(products.data, axis=0), products.order)
 
 
-def blade_sum(rows: np.ndarray, x: Multivector) -> Multivector:
+def blade_sum(matrices: np.ndarray, x: Multivector) -> Multivector:
     """sum_i B_i x[i], the products of constant blades B_i with the items of
-    a stack, as one matmul per point; ``rows`` is the row form of the B_i's
-    product matrices (e.g. ``THETA_GP_ROWS``), whose items are all of x's
-    stack axes but the point axis."""
-    points, n = x.data.shape[-3], x.data.shape[-1]
-    data = x.data.reshape(-1, points, N_BLADES * n).swapaxes(0, 1)
-    return Multivector.from_array(rows @ data.reshape(points, -1, n), x.order)
+    a stack, multiplied item by item and summed over the item axes;
+    ``matrices`` (i..., 16, 16) holds the product matrix of each B_i (e.g.
+    ``THETA_GP``), and the items are all of x's stack axes but the point
+    axis."""
+    items = matrices.shape[:-2]
+    products = matrices.reshape(items + (1, N_BLADES, N_BLADES)) @ x.data
+    return Multivector.from_array(np.add.reduce(products, axis=tuple(range(len(items)))), x.order)
 
 
 def blade_products(matrices: np.ndarray, x: Multivector) -> Multivector:

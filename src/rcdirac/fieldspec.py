@@ -582,7 +582,8 @@ def _parse_integer(key: str, text: str, lineno: int) -> int:
 
 
 def _parse_value_expr(value: str, lineno: int) -> Expr:
-    """Quoted string -> parsed expression; bare number -> constant."""
+    """Quoted string -> parsed expression; bare number -> constant, which
+    must be finite (the expression grammar has no spelling of nan or inf)."""
     if value.startswith('"'):
         if not (len(value) >= 2 and value.endswith('"')):
             raise ScenarioError(f"line {lineno}: unterminated string")
@@ -590,7 +591,10 @@ def _parse_value_expr(value: str, lineno: int) -> Expr:
             return parse_expr(value[1:-1])
         except (ExprSyntaxError, ExprNameError) as err:
             raise ScenarioError(f"line {lineno}: {err}") from err
-    return Const(_parse_number(value, lineno))
+    number = _parse_number(value, lineno)
+    if not math.isfinite(number):
+        raise ScenarioError(f"line {lineno}: non-finite number {value!r}")
+    return Const(number)
 
 
 def load_scenario(text: str, valid_checks=None) -> Scenario:
@@ -711,6 +715,7 @@ def _load_torsion(entries) -> dict[tuple[int, int, int], Expr]:
 
 def _load_fields(entries) -> dict[str, tuple[Expr, ...]]:
     parts: dict[str, dict[int, Expr]] = {}
+    lines: dict[tuple[str, int], int] = {}     # (kind, blade) -> the line that set it
     for key, (value, lineno) in entries.items():
         m = _SCALAR_KEY.match(key) or _MV_KEY.match(key)
         if not m:
@@ -732,6 +737,11 @@ def _load_fields(entries) -> dict[str, tuple[Expr, ...]]:
                 f"line {lineno}: field A.{kind} has a component at blade {idx} "
                 f"(grade {GRADES[idx]}), but this reserved name only allows "
                 f"grades {FIELD_KINDS[kind]}"
+            )
+        first = lines.setdefault((kind, idx), lineno)
+        if first != lineno:     # e.g. A.vector.1 and A.vector.01
+            raise ScenarioError(
+                f"line {lineno}: {key!r} sets blade {idx} of the {kind} field, already set at line {first}"
             )
         parts.setdefault(kind, {})[idx] = _parse_value_expr(value, lineno)
     return {kind: tuple(p.get(i, ZERO_EXPR) for i in range(16)) for kind, p in parts.items()}

@@ -55,7 +55,7 @@ from itertools import permutations
 import numpy as np
 
 from .cliffalg import (
-    KERNEL_TABLES, PLANE_GP_ROWS, SIGNATURE, Multivector, bivector_array, blade_sum, expanded_product, grade_project,
+    KERNEL_TABLES, PLANE_GP, SIGNATURE, Multivector, bivector_array, blade_sum, expanded_product, grade_project,
     left_expansion, right_expansion,
 )
 from .fieldspec import TORSION_UPPER, Scenario
@@ -183,8 +183,8 @@ def per_frame(fn):
 @per_frame
 def expansion(geom: FrameGeometry, step, operand: Multivector, table, factor) -> np.ndarray:
     """``step(factor * operand.data, [table,] n)`` for a product step of
-    ``cliffalg`` (``left_expansion`` and ``sum_left_expansion`` with a
-    table, ``right_expansion`` with table None), kept per frame; ``table``
+    ``cliffalg`` (``left_expansion`` with a table, ``right_expansion``
+    with table None), kept per frame; ``table``
     is a name in ``cliffalg.KERNEL_TABLES``.  It runs at the width n of
     ``CONN_ORDER``, the width of every product with a frame operand.  A
     factor that is a power of two changes no bit of a product: every term
@@ -430,7 +430,7 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
         bivector_array(pairs.transpose(2, 3, 0, 1, 4, 5)), CURV_ORDER    # [c, d]
     )
     # sum over planes (theta^a ^ theta^b) biforms[a, b]
-    contraction = blade_sum(PLANE_GP_ROWS, biforms)
+    contraction = blade_sum(PLANE_GP, biforms)
 
     J = j_components(geom)
     return CurvatureData(

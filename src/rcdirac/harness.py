@@ -70,7 +70,7 @@ import numpy as np
 
 from . import fieldspec, geometry, operators
 from .cliffalg import (
-    GRADES, THETA_GP_ROWS, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
+    GRADES, THETA_GP, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
     geometric_product, grade_involution, product_sum, wedge,
 )
 from .fieldspec import FIELD_KINDS, Scenario, ScenarioError
@@ -565,7 +565,7 @@ def _c_cov_deriv_torsion(ctx, v):
 )
 def _c_dirac_torsion(ctx, v):
     geom = ctx.geom
-    corr = blade_sum(THETA_GP_ROWS, operators.torsion_operators(geom, v)).scale(0.5)
+    corr = blade_sum(THETA_GP, operators.torsion_operators(geom, v)).scale(0.5)
     return [(operators.dirac(geom, v, "full") - operators.dirac(geom, v, "lc"), corr)]
 
 

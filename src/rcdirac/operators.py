@@ -26,9 +26,10 @@ stack they prepend the new axis, so ``cov_derivs(geom, cov_derivs(geom,
 A))[a, b]`` is nabla_a nabla_b A.  The same holds for ``pfaffs``,
 ``spin_cov_derivs``, ``right_rep_derivs`` and ``torsion_operators``;
 ``pfaff``, ``cov_deriv`` and ``spin_cov_deriv`` are per-direction
-indexers.  A frame sum sum_a theta^a X[a] is one matmul with a
-constant-blade matrix (``cliffalg.blade_sum``), the pair sum eta^ab X[a, b]
-+ (theta^a ^ theta^b) X[a, b] the same with theta^a theta^b, and a
+indexers.  A frame sum sum_a theta^a X[a] is the stack of products with
+the constant-blade matrices, summed over the direction axis
+(``cliffalg.blade_sum``), the pair sum eta^ab X[a, b] + (theta^a ^
+theta^b) X[a, b] the same with theta^a theta^b, and a
 connection term sum_c Gamma^c_ab X[c], like the torsion operator
 tau(e_a, V)^r = eta_r eta_b T^r_ab V^b, one ``jets.jet_einsum`` of a
 frame table with the field's jets.  The per-pair
@@ -73,10 +74,9 @@ import math
 import numpy as np
 
 from .cliffalg import (
-    GP_TABLE, GRADES, HODGE, N_BLADES, PLANE_GP_ROWS, THETA_GP_ROWS, THETA_LC, THETA_LC_ROWS,
-    SIGNATURE, THETA_PAIR_ROWS, THETA_WEDGE, THETA_WEDGE_ROWS, GradeError, Multivector,
-    blade_products, blade_sum, commutator, expanded_product, geometric_product, hodge_dual, left_expansion,
-    product_sum, right_expansion, sum_left_expansion, sum_right_expansion,
+    GP_TABLE, GRADES, HODGE, N_BLADES, PLANE_GP, SIGNATURE, THETA_GP, THETA_LC, THETA_PAIR, THETA_WEDGE,
+    GradeError, Multivector, blade_products, blade_sum, commutator, expanded_product, geometric_product,
+    hodge_dual, left_expansion, product_sum, right_expansion,
 )
 from .geometry import (
     CONN_ORDER, CURV_ORDER, ETA_DIAG, FRAME_ORDER, CurvatureData, FrameGeometry, expansion, per_frame, torsion_trace,
@@ -137,12 +137,14 @@ def right_actions(geom: FrameGeometry, phi: Multivector, factor=0.5) -> Multivec
 
 
 def frame_product_sum(geom: FrameGeometry, forms: Multivector, X: Multivector, table: str) -> Multivector:
-    """``product_sum`` of the kernel table named ``table``, sum_i forms[i]
-    o X[i], for a stack of frame forms (``geom.dtheta``,
-    ``geom.torsion_forms``) whose expansion comes from ``expansion``."""
+    """``cliffalg.product_sum`` of the kernel table named ``table``, sum_i
+    forms[i] o X[i], for a stack of frame forms (``geom.dtheta``,
+    ``geom.torsion_forms``) whose expansion comes from ``expansion``: the
+    stack of products, summed over the direction axis."""
     x = X.data if X.data.ndim == forms.data.ndim else X.data[:, None]    # a point axis on forms only
-    left = expansion(geom, sum_left_expansion, forms, table, 1.0)
-    return expanded_product(left, sum_right_expansion(x, _N), min(forms.order, X.order))
+    left = expansion(geom, left_expansion, forms, table, 1.0)
+    products = expanded_product(left, right_expansion(x, _N), min(forms.order, X.order))
+    return Multivector.from_array(np.add.reduce(products.data, axis=0), products.order)
 
 
 def _combine(spec: str, X: Multivector, table: np.ndarray, order=CONN_ORDER) -> Multivector:
@@ -160,7 +162,7 @@ def _eta_trace(grid: Multivector) -> Multivector:
 
 def _pair_sum(grid: Multivector) -> Multivector:
     """eta^{ab} grid[a, b] + (theta^a ^ theta^b) grid[a, b] = theta^a theta^b grid[a, b]."""
-    return blade_sum(THETA_PAIR_ROWS, grid)
+    return blade_sum(THETA_PAIR, grid)
 
 
 # -- first order -------------------------------------------------------------
@@ -250,19 +252,19 @@ def spin_cov_deriv(geom: FrameGeometry, psi: Multivector, a: int) -> Multivector
 @per_frame
 def dirac(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a nabla_a A."""
-    return blade_sum(THETA_GP_ROWS, cov_derivs(geom, A, conn))
+    return blade_sum(THETA_GP, cov_derivs(geom, A, conn))
 
 
 @per_frame
 def dirac_contract(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a _| nabla_a A."""
-    return blade_sum(THETA_LC_ROWS, cov_derivs(geom, A, conn))
+    return blade_sum(THETA_LC, cov_derivs(geom, A, conn))
 
 
 @per_frame
 def dirac_wedge(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """theta^a ^ nabla_a A."""
-    return blade_sum(THETA_WEDGE_ROWS, cov_derivs(geom, A, conn))
+    return blade_sum(THETA_WEDGE, cov_derivs(geom, A, conn))
 
 
 @per_frame
@@ -275,7 +277,7 @@ def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     theta_I), the interior product i_{e_g} being the left contraction by the
     lowered theta_g (the even dtheta^g commutes into first place)."""
     interior = blade_products(THETA_DOWN_LC, A)   # [g]: theta_g _| A
-    return blade_sum(THETA_WEDGE_ROWS, pfaffs(geom, A)) + frame_product_sum(geom, geom.dtheta, interior, "wedge")
+    return blade_sum(THETA_WEDGE, pfaffs(geom, A)) + frame_product_sum(geom, geom.dtheta, interior, "wedge")
 
 
 # The codifferential's sign -I^2, I^2 = (theta^0123)^2 = prod(SIGNATURE),
@@ -309,7 +311,7 @@ def dirac_square_assemblies(
     cov1 = cov_derivs(geom, A, conn)
     inner = cov_derivs(geom, cov1, conn) - _combine("cpk,acbp->abpk", cov1, _conn_table(geom, conn))
     half = (inner - inner.swapaxes(0, 1)).scale(0.5)
-    return _pair_sum(inner), _eta_trace(inner) + blade_sum(PLANE_GP_ROWS, half)
+    return _pair_sum(inner), _eta_trace(inner) + blade_sum(PLANE_GP, half)
 
 
 def scalar_multivector(jets: np.ndarray, order) -> Multivector:
@@ -416,7 +418,7 @@ def square_torsion_relation_rhs(geom: FrameGeometry, A: Multivector) -> Multivec
 
 @per_frame
 def spin_dirac(geom: FrameGeometry, psi: Multivector) -> Multivector:
-    return blade_sum(THETA_GP_ROWS, spin_cov_derivs(geom, psi))
+    return blade_sum(THETA_GP, spin_cov_derivs(geom, psi))
 
 
 @per_frame
@@ -535,5 +537,5 @@ def maxwell_residuals(
     _require_grade(J_e, 1, "current")
     clifford = dirac(geom, F, "full") - J_e
     spin = right_rep_derivs(geom, F) + _biform_actions(geom, "gp", geom.omega_biform, F)
-    spin = blade_sum(THETA_GP_ROWS, spin) - J_e
+    spin = blade_sum(THETA_GP, spin) - J_e
     return clifford, spin

@@ -328,6 +328,31 @@ def test_fields_section():
     assert mv[0] == Const(0.0)
 
 
+@pytest.mark.parametrize("first, second", [("A.vector.1", "A.vector.01"), ("A.general.0", "A.general.00")])
+def test_field_component_set_twice_rejected(first, second):
+    # two spellings of one blade index; an exact repeat is a duplicate key
+    text = MINKOWSKI_TEXT + f'[fields]\n{first} = "x0"\n{second} = "x1"\n'
+    with pytest.raises(ScenarioError, match=f"^line 10: '{second}' sets blade .* already set at line 9$"):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("section, entry", [
+    ("torsion", "T0_12 = nan"),
+    ("tetrad", "e0_1 = inf"),
+    ("fields", "A.vector.1 = -Infinity"),
+    ("fields", "f.scalar = 1e999"),
+])
+def test_non_finite_bare_number_rejected(section, entry):
+    value = entry.partition("= ")[2]
+    with pytest.raises(ScenarioError, match=f"^line 9: non-finite number '{value}'$"):
+        load_scenario(MINKOWSKI_TEXT + f"[{section}]\n{entry}\n")
+
+
+def test_underflowing_bare_number_loads_as_zero():
+    sc = load_scenario(MINKOWSKI_TEXT + "[torsion]\nT0_12 = 1e-400\n")
+    assert sc.torsion[(0, 1, 2)] == Const(0.0)
+
+
 def test_scenario_determinism():
     text = MINKOWSKI_TEXT + "[sampling]\nseed = 5\n"
     assert load_scenario(text) == load_scenario(text)

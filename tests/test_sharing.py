@@ -40,7 +40,7 @@ def test_check_alone_equals_full_suite(name, general_torsion):
 
 def test_full_suite_product_count(monkeypatch):
     scenario = load_bundled("curved_torsion")
-    orders, expanded = [], []
+    orders, expanded, matmuls = [], [], []
     product = cliffalg._product
 
     def counted(a, b, table):
@@ -48,29 +48,39 @@ def test_full_suite_product_count(monkeypatch):
         return product(a, b, table)
 
     monkeypatch.setattr(cliffalg, "_product", counted)
-    # the left expansions, table @ a, through each module's own binding
-    for step in ("left_expansion", "sum_left_expansion"):
-        orig = getattr(cliffalg, step)
+    # the left expansions, table @ a, and the expanded products, each
+    # through every module's own binding
+    left, last = cliffalg.left_expansion, cliffalg.expanded_product
 
-        def recorded(a, table, n, orig=orig, step=step):
-            expanded.append((step, id(table), a))
-            return orig(a, table, n)
+    def recorded(a, table, n):
+        expanded.append((id(table), a))
+        return left(a, table, n)
 
-        for module in (cliffalg, geometry, ops):
-            if getattr(module, step, None) is orig:
-                monkeypatch.setattr(module, step, recorded)
+    def matmul(left, right, order):
+        matmuls.append(order)
+        return last(left, right, order)
+
+    for module in (cliffalg, geometry, ops):
+        for name, orig, wrapper in (("left_expansion", left, recorded), ("expanded_product", last, matmul)):
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, wrapper)
     # a batch of any size makes the products of one point, each one kernel
     # call over the batch's points
     for points in (1, 5):
         orders.clear()
         expanded.clear()
+        matmuls.clear()
         pts, fields = _run_inputs(scenario, points=points)
         ctx = BatchContext(scenario, fields, pts)
         for name in CHECKS:
             ctx.results(name)
-        # 19: three products with the only use of a frame operand's
-        # expansion run the whole kernel, one of them through _product
-        assert 0 < len(orders) <= 19
+        # 21: three products with the only use of a frame operand's
+        # expansion run the whole kernel, as do the two sums of such
+        # products (Theta^c S_c and the wedge torsion-split correction)
+        assert 0 < len(orders) <= 21
+        # every product, kept expansion or not, ends in one matmul: an
+        # extra product cannot hide under the bound above
+        assert len(matmuls) == 75
         # nearly every product has an operand of order <= 1 and runs on 5
         # jet slots; only products of two order-2 fields run on all 15
         assert sum(order >= 2 for order in orders) <= 3
@@ -81,13 +91,13 @@ def test_full_suite_product_count(monkeypatch):
             "dtheta": geom.dtheta, "torsion": geom.torsion_forms,
         }
         seen = collections.Counter(
-            (step, table, name)
-            for step, table, a in expanded
+            (table, name)
+            for table, a in expanded
             for name, x in frame_operands.items()
             if _is_scaled(a, x.data)
         )
         assert seen and max(seen.values()) == 1, seen
-        names = {name for _, _, name in seen}
+        names = {name for _, name in seen}
         assert names == set(frame_operands), names
 
 
@@ -206,15 +216,15 @@ def _right_rep_derivs(geom, phi):
 def _exterior_d(geom, A):
     dtheta = cliffalg.Multivector.from_array(cliffalg.bivector_array(-geom.c), geometry.CONN_ORDER)
     interior = cliffalg.blade_products(ops.THETA_DOWN_LC, A)
-    return cliffalg.blade_sum(cliffalg.THETA_WEDGE_ROWS, ops.pfaffs(geom, A)) + cliffalg.product_sum(
+    return cliffalg.blade_sum(cliffalg.THETA_WEDGE, ops.pfaffs(geom, A)) + cliffalg.product_sum(
         dtheta, interior, cliffalg.WEDGE_TABLE
     )
 
 
 def _maxwell_residuals(geom, F, J):
-    clifford = cliffalg.blade_sum(cliffalg.THETA_GP_ROWS, _cov_derivs(geom, F, "full")) - J
+    clifford = cliffalg.blade_sum(cliffalg.THETA_GP, _cov_derivs(geom, F, "full")) - J
     spin = _right_rep_derivs(geom, F) + cliffalg.geometric_product(geom.omega_biform, F).scale(0.5)
-    return clifford, cliffalg.blade_sum(cliffalg.THETA_GP_ROWS, spin) - J
+    return clifford, cliffalg.blade_sum(cliffalg.THETA_GP, spin) - J
 
 
 def _assert_same_bits(got, want):
