@@ -173,11 +173,13 @@ Expr = Const | Coord | Neg | BinOp | Pow | Call
 
 # -- tokenizer / parser ---------------------------------------------------
 
+# Every pattern is ASCII: a Unicode digit or space is none of the grammar's.
+# A bare value may also spell nan or infinity, for its caller to reject.
+_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    rf"\s*(?:(?P<num>{_NUMBER})|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),]))", re.ASCII
 )
+_BARE_NUMBER_RE = re.compile(rf"[+-]?(?:{_NUMBER}|nan|inf|infinity)", re.ASCII | re.IGNORECASE)
 
 
 def _tokenize(src: str):
@@ -186,7 +188,7 @@ def _tokenize(src: str):
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
-            stripped = src[pos:].lstrip()
+            stripped = src[pos:].lstrip(" \t\n\r\f\v")     # the ASCII \s
             if not stripped:
                 break
             off = len(src) - len(stripped)
@@ -263,7 +265,7 @@ class _Parser:
             self.next()
             sign = -1
         kind, text, off = self.peek()
-        if kind != "num" or not re.fullmatch(r"\d+", text):
+        if kind != "num" or not re.fullmatch(r"\d+", text, re.ASCII):
             self.fail("an integer exponent")
         self.next()
         return sign * int(text)
@@ -538,13 +540,13 @@ class Scenario:
         return ZERO_EXPR if e == ZERO_EXPR else Neg(e)
 
 
-_SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
-_TETRAD_KEY = re.compile(r"^e([0-3])_([0-3])$")
-_TORSION_KEY = re.compile(r"^T([0-3])_([0-3])([0-3])$")
-_SCALAR_KEY = re.compile(r"^f\.([A-Za-z_][A-Za-z0-9_]*)$")
-_MV_KEY = re.compile(r"^A\.([A-Za-z_][A-Za-z0-9_]*)\.(\d{1,2})$")
-_CHART_KEY = re.compile(r"^x([0-3])_(min|max)$")
-_NAME_KEY = re.compile(r"^[A-Za-z0-9_-]+$")
+_SECTION_RE = re.compile(r"^\[([a-z]+)\]$", re.ASCII)
+_TETRAD_KEY = re.compile(r"^e([0-3])_([0-3])$", re.ASCII)
+_TORSION_KEY = re.compile(r"^T([0-3])_([0-3])([0-3])$", re.ASCII)
+_SCALAR_KEY = re.compile(r"^f\.([A-Za-z_][A-Za-z0-9_]*)$", re.ASCII)
+_MV_KEY = re.compile(r"^A\.([A-Za-z_][A-Za-z0-9_]*)\.(\d{1,2})$", re.ASCII)
+_CHART_KEY = re.compile(r"^x([0-3])_(min|max)$", re.ASCII)
+_NAME_KEY = re.compile(r"^[A-Za-z0-9_-]+$", re.ASCII)
 
 _SECTIONS = ("chart", "tetrad", "torsion", "fields", "checks", "sampling")
 
@@ -562,20 +564,21 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_number(text: str, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: expected a number, got {text!r}") from None
+    """A bare value: a signed number token of the grammar, or nan or
+    infinity; any other spelling that ``float`` takes is an error."""
+    if not _BARE_NUMBER_RE.fullmatch(text):
+        raise ScenarioError(f"line {lineno}: expected a number, got {text!r}")
+    return float(text)
 
 
 def _parse_integer(key: str, text: str, lineno: int) -> int:
     """A number with an integer value, such as ``20`` or ``1e3``; integer
     digits are read exactly, beyond the 53 bits of a float."""
+    number = _parse_number(text, lineno)
     try:
         return int(text)
     except ValueError:
         pass
-    number = _parse_number(text, lineno)
     if not (math.isfinite(number) and number.is_integer()):
         raise ScenarioError(f"line {lineno}: {key} must be an integer, got {text!r}")
     return int(number)

@@ -448,8 +448,7 @@ def _c_decomposition(ctx):
 )
 def _c_curvature_traces(ctx):
     biforms = ctx.curv.biforms
-    trace = Multivector.from_array(np.einsum("a,aa...->...", ETA_DIAG, biforms.data), biforms.order)
-    return [(biforms, -biforms.swapaxes(0, 1)), (trace, None)]
+    return [(biforms, -biforms.swapaxes(0, 1)), (operators.eta_trace(biforms), None)]
 
 
 @_check(

@@ -39,25 +39,26 @@ operand is expanded once.
 
 Sharing: the checks at a point compare forms built from the same
 ingredients.  Each pure operator family (``pfaffs``, ``cov_derivs``,
-``spin_cov_derivs``, ``right_rep_derivs``, ``torsion_operators`` and
-``torsion_operator_pairs``, the three Dirac parts, ``exterior_d``,
-``codifferential``, both direct squares, ``spin_dirac`` and the two
+``spin_cov_derivs``, ``right_rep_derivs``, ``torsion_operators``, the
+three Dirac parts, ``exterior_d``, ``codifferential``, both direct squares,
+``spin_dirac``, ``spin_hessian``, ``torsion_pair_terms`` and the two
 correction grids) is computed once per frame and argument, and so is each
 product expansion that several products meet: the first step of
 ``cliffalg._product`` for a frame operand (the connection biforms,
-``geom.dtheta``, ``geom.torsion_forms``), its factor 1/2 or 1/4 folded in,
-and the jet product matrices of each argument of the covariant and spin
-derivatives.  Both live, read-only, in the frame's one memo,
-``geom.shared`` (``geometry.per_frame``, ``geometry.expansion``), keyed by
-the function and its arguments, and go away with the frame; each batch of
-points builds its own frame.  Writing into a shared result raises
-``ValueError``; arithmetic on one returns new arrays.  Passing the same
-multivector object again reuses the result, so an argument must not be
-modified in place after a call.  Engine code gives every argument by
-position, which skips the binding of defaults.  An expansion that only one
-product per frame meets (the wedge and geometric products with the torsion
-forms, the halved commutator with the contorsion biforms) is not kept: that
-product runs through the plain kernel, with the same bits.
+``geom.dtheta``, ``geom.torsion_forms``), its factor 1/2 folded in (omega's
+right action is kept at 1/2 only), and the jet product matrices of each
+argument of the covariant and spin derivatives.  Both live, read-only, in
+the frame's one memo, ``geom.shared`` (``geometry.per_frame``,
+``geometry.expansion``), keyed by the function and its arguments, and go
+away with the frame; each batch of points builds its own frame.  Writing
+into a shared result raises ``ValueError``; arithmetic on one returns new
+arrays.  Passing the same multivector object again reuses the result, so
+an argument must not be modified in place after a call.  Engine code gives
+every argument by position, which skips the binding of defaults.  An
+expansion that only one product per frame meets (the wedge and geometric
+products with the torsion forms, the halved commutator with the contorsion
+biforms) is not kept: that product runs through the plain kernel, with the
+same bits.
 
 Connection selection: ``conn="lc"`` is the Levi-Civita (standard) operator
 family, ``conn="full"`` the torsionful metric-compatible one.  The covariant
@@ -126,12 +127,11 @@ def _biform_actions(geom: FrameGeometry, table: str, omega: Multivector, A: Mult
     return expanded_product(_along_directions(half, A), right, min(omega.order, A.order))
 
 
-def right_actions(geom: FrameGeometry, phi: Multivector, factor=0.5) -> Multivector:
-    """phi omega_a * factor along all e_a, direction axis first: the right
-    action of the connection biforms, whose expansion times the factor, a
-    power of two, comes from ``expansion``.  On a stack phi[b] the result
-    is the grid [a, b]."""
-    right = expansion(geom, right_expansion, geom.omega_biform, None, factor)
+def right_actions(geom: FrameGeometry, phi: Multivector) -> Multivector:
+    """phi omega_a / 2 along all e_a, direction axis first: the halved right
+    action of the connection biforms, whose halved expansion comes from
+    ``expansion``.  On a stack phi[b] the result is the grid [a, b]."""
+    right = expansion(geom, right_expansion, geom.omega_biform, None, 0.5)
     left = left_expansion(phi.data, GP_TABLE, _N)
     return expanded_product(left, _along_directions(right, phi), min(phi.order, CONN_ORDER))
 
@@ -155,7 +155,7 @@ def _combine(spec: str, X: Multivector, table: np.ndarray, order=CONN_ORDER) -> 
     return Multivector.from_array(jet_einsum(spec, X.data, table, order), order)
 
 
-def _eta_trace(grid: Multivector) -> Multivector:
+def eta_trace(grid: Multivector) -> Multivector:
     """eta^{ab} grid[a, b] (the metric is diagonal)."""
     return Multivector.from_array(np.einsum("a,aa...->...", ETA_DIAG, grid.data), grid.order)
 
@@ -221,17 +221,6 @@ def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     data = np.zeros((4,) + stack[:-1] + tau.shape[2:3] + (N_BLADES, tau.shape[-1]))
     data[..., 1:5, :] = tau.reshape(data.shape[:-2] + (4, -1))
     return Multivector.from_array(data, order)
-
-
-@per_frame
-def torsion_operator_pairs(geom: FrameGeometry, V: Multivector) -> Multivector:
-    """tau(e_a, tau(e_b, V)) for all a, b, the (a, b) grid, at order <= 1:
-    both sums it enters (``pair_expansion_rhs`` and
-    ``vector_square_torsion_correction``) have order 0, so the inner stack
-    is cut to its order-1 slots."""
-    tau = torsion_operators(geom, V)
-    order = min(tau.order, CONN_ORDER)
-    return torsion_operators(geom, Multivector.from_array(tau.data[..., :width(order)], order))
 
 
 def pfaff(geom: FrameGeometry, A: Multivector, a: int) -> Multivector:
@@ -311,7 +300,7 @@ def dirac_square_assemblies(
     cov1 = cov_derivs(geom, A, conn)
     inner = cov_derivs(geom, cov1, conn) - _combine("cpk,acbp->abpk", cov1, _conn_table(geom, conn))
     half = (inner - inner.swapaxes(0, 1)).scale(0.5)
-    return _pair_sum(inner), _eta_trace(inner) + blade_sum(PLANE_GP, half)
+    return _pair_sum(inner), eta_trace(inner) + blade_sum(PLANE_GP, half)
 
 
 def scalar_multivector(jets: np.ndarray, order) -> Multivector:
@@ -375,21 +364,33 @@ def scalar_square_connection_form(geom: FrameGeometry, f: Multivector) -> Multiv
 
 
 @per_frame
+def torsion_pair_terms(geom: FrameGeometry, A: Multivector) -> Multivector:
+    """Grid [a, b] of the torsion terms both expansions of a grade-1 field's
+    square share, D the standard derivative: tau_a(D_b A)/2 + D_a(tau_b A)/2
+    + tau_a(tau_b A)/4.  Every sum it enters has order 0, so the inner tau
+    is cut to its order-1 slots."""
+    D = cov_derivs(geom, A, "lc")
+    tau = torsion_operators(geom, A)
+    inner = Multivector.from_array(tau.data[..., :width(CONN_ORDER)], min(tau.order, CONN_ORDER))
+    return (
+        torsion_operators(geom, D).scale(0.5)
+        + cov_derivs(geom, tau, "lc").scale(0.5)
+        + torsion_operators(geom, inner).scale(0.25)
+    )
+
+
+@per_frame
 def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Grid [a, b] of the per-direction-pair correction relating the
-    torsionful square to the standard square on grade-1 fields (six tau/T
-    terms, D the standard derivative):
-    tau_a(D_b A)/2 + D_a(tau_b A)/2 - T^c_ab D_c A/2 - lc^c_ab tau_c A/2
-    - T^c_ab tau_c A/4 + tau_a(tau_b A)/4."""
+    torsionful square of a grade-1 field to the standard square:
+    ``torsion_pair_terms`` - T^c_ab D_c A/2 - lc^c_ab tau_c A/2 - T^c_ab tau_c A/4."""
     _require_grade(A, 1, "torsion square correction argument")
     D = cov_derivs(geom, A, "lc")
     tau = torsion_operators(geom, A)
     return (
-        torsion_operators(geom, D).scale(0.5)
-        + cov_derivs(geom, tau, "lc").scale(0.5)
+        torsion_pair_terms(geom, A)
         - _combine("cpk,cabp->abpk", D.scale(0.5) + tau.scale(0.25), geom.T, FRAME_ORDER)
         - _combine("cpk,acbp->abpk", tau, geom.lc).scale(0.5)
-        + torsion_operator_pairs(geom, A).scale(0.25)
     )
 
 
@@ -397,14 +398,7 @@ def pair_expansion_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
     """The second covariant derivatives nabla_a nabla_b of a grade-1 field
     expanded through the standard derivative and the torsion operator, the
     (a, b) grid."""
-    D = cov_derivs(geom, A, "lc")
-    tau = torsion_operators(geom, A)
-    return (
-        cov_derivs(geom, D, "lc")
-        + torsion_operators(geom, D).scale(0.5)
-        + cov_derivs(geom, tau, "lc").scale(0.5)
-        + torsion_operator_pairs(geom, A).scale(0.25)
-    )
+    return cov_derivs(geom, cov_derivs(geom, A, "lc"), "lc") + torsion_pair_terms(geom, A)
 
 
 def square_torsion_relation_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
@@ -433,14 +427,14 @@ def _right_correction(
     derivatives first[c] of A and the biform derivatives d_omega[a, b] of
     omega_b along e_a:
     first_b omega_a/2 + first_a omega_b/2 + A d_omega_ab/2
-    + (A omega_b) omega_a/4 - Gamma^c_ab (A omega_c)/2."""
-    a_omega = right_actions(geom, A, 1.0)              # [c]: A omega_c
+    + (A omega_b/2) omega_a/2 - Gamma^c_ab (A omega_c/2)."""
+    a_omega = right_actions(geom, A)                    # [c]: A omega_c / 2
     half = right_actions(geom, first)                   # [a, b]: first_b omega_a / 2
     return (
         half + half.swapaxes(0, 1)
         + geometric_product(A, d_omega).scale(0.5)
-        + right_actions(geom, a_omega, 0.25)
-        - _combine("cpk,acbp->abpk", a_omega, geom.full).scale(0.5)
+        + right_actions(geom, a_omega)
+        - _combine("cpk,acbp->abpk", a_omega, geom.full)
     )
 
 
@@ -483,10 +477,18 @@ def s2_levi_civita_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
     return _right_correction(geom, A, nabla, d_omega)
 
 
+@per_frame
+def spin_hessian(geom: FrameGeometry, psi: Multivector) -> Multivector:
+    """The spin Hessian S_a S_b psi - Gamma^c_ab S_c psi, the (a, b) grid:
+    its pair sum is the squared spin operator, its eta-trace the
+    generalized spin Dalembertian."""
+    spin1 = spin_cov_derivs(geom, psi)
+    return spin_cov_derivs(geom, spin1) - _combine("cpk,acbp->abpk", spin1, geom.full)
+
+
 def spin_square_assembly_rhs(geom: FrameGeometry, psi: Multivector) -> Multivector:
     """The squared spin operator as its eta / bivector assembly."""
-    spin1 = spin_cov_derivs(geom, psi)
-    return _pair_sum(spin_cov_derivs(geom, spin1) - _combine("cpk,acbp->abpk", spin1, geom.full))
+    return _pair_sum(spin_hessian(geom, psi))
 
 
 def spin_commutator_forms(
@@ -511,17 +513,12 @@ def spin_commutator_forms(
     return lhs, bracket, expanded
 
 
-def lichnerowicz_rhs(
-    geom: FrameGeometry, curv: CurvatureData, psi: Multivector
-) -> Multivector:
+def lichnerowicz_rhs(geom: FrameGeometry, curv: CurvatureData, psi: Multivector) -> Multivector:
     """Four-term right side of the generalized Lichnerowicz identity:
     generalized spin Dalembertian + R psi / 4 + J psi - Theta^c spin_c psi."""
-    spin1 = spin_cov_derivs(geom, psi)
-    weight = np.einsum("a,aba...->b...", ETA_DIAG, geom.full)  # eta^aa Gamma^b_aa
-    out = _eta_trace(spin_cov_derivs(geom, spin1)) - _combine("bpk,bp->pk", spin1, weight)
-    out = out + psi.scale(curv.scalar, CURV_ORDER).scale(0.25)
+    out = eta_trace(spin_hessian(geom, psi)) + psi.scale(curv.scalar, CURV_ORDER).scale(0.25)
     out = out + geometric_product(curv.j_form, psi)
-    return out - product_sum(geom.torsion_forms, spin1)
+    return out - product_sum(geom.torsion_forms, spin_cov_derivs(geom, psi))
 
 
 # -- Maxwell forms --------------------------------------------------------------

@@ -348,6 +348,23 @@ def test_non_finite_bare_number_rejected(section, entry):
         load_scenario(MINKOWSKI_TEXT + f"[{section}]\n{entry}\n")
 
 
+@pytest.mark.parametrize("section, entry", [
+    ("torsion", "T0_12 = 1_0"),
+    ("torsion", "T0_12 = \u0661\u0662"),              # Arabic-Indic digits
+    ("torsion", 'T0_12 = "\u0661\u0662*x0"'),
+    ("fields", "A.vector.\u0661 = 1"),
+    ("sampling", "seed = \u0664"),
+    ("sampling", "points = 1_0"),
+    ("sampling", "tol = 1_0"),
+    ("chart", "x0_max = 2_0"),
+])
+def test_number_outside_the_ascii_grammar_rejected(section, entry):
+    # Python's float and int, and a Unicode \d, take these spellings; the
+    # scenario grammar's numbers are ASCII decimal literals without "_"
+    with pytest.raises(ScenarioError, match="^line 9: "):
+        load_scenario(MINKOWSKI_TEXT + f"[{section}]\n{entry}\n")
+
+
 def test_underflowing_bare_number_loads_as_zero():
     sc = load_scenario(MINKOWSKI_TEXT + "[torsion]\nT0_12 = 1e-400\n")
     assert sc.torsion[(0, 1, 2)] == Const(0.0)

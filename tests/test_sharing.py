@@ -102,9 +102,32 @@ def test_full_suite_product_count(monkeypatch):
 
 
 def _is_scaled(a, x):
-    """a holds the values of x, or of x times a factor 1/2 or 1/4, in any
-    stack shape."""
-    return a.size == x.size and any(np.array_equal(a.ravel(), f * x.ravel()) for f in (1.0, 0.5, 0.25))
+    """a holds the values of x, or of x times a factor 1/2, in any stack
+    shape."""
+    return a.size == x.size and any(np.array_equal(a.ravel(), f * x.ravel()) for f in (1.0, 0.5))
+
+
+def test_full_suite_keeps_each_building_block_once():
+    # the checks of one batch share one spin Hessian (lichnerowicz and
+    # spin-square-assembly), one grid of torsion pair terms (pair-expansion,
+    # square-torsion-relation, spin-standard-square), and keep the right
+    # expansion of omega at the factor 1 of a covariant derivative of omega
+    # and the 1/2 of the right action only
+    scenario = load_bundled("curved_torsion")
+    pts, fields = _run_inputs(scenario)
+    ctx = BatchContext(scenario, fields, pts)
+    for name in CHECKS:
+        ctx.results(name)
+    geom = ctx.geom
+    functions = collections.Counter(key[0] for key in geom.shared)
+    assert functions[ops.spin_hessian.__wrapped__] == 1
+    assert functions[ops.torsion_pair_terms.__wrapped__] == 1
+    kept = geometry.expansion.__wrapped__
+    factors = sorted(
+        key[4] for key in geom.shared
+        if key[0] is kept and key[1] is cliffalg.right_expansion and key[2] is geom.omega_biform
+    )
+    assert factors == [0.5, 1.0]
 
 
 def test_shared_results_are_read_only(frames):

@@ -237,12 +237,12 @@ PERTURBATIONS = {
     "antiderivation": (harness, "grade_involution", lambda fn: lambda A: A),
     "spin-module": (ops, "cov_derivs", _plus_identity),
     # the right action at a quarter of the connection biform
-    "spin-left-form": (ops, "right_actions", lambda fn: lambda g, phi: fn(g, phi, 0.25)),
+    "spin-left-form": (ops, "right_actions", lambda fn: lambda g, phi: fn(g, phi).scale(0.5)),
     "d-squared": (geometry, "build_frame", _WITHOUT_DTHETA),
     # a sign flip of the Hodge dual keeps delta^2 = 0: no control for it
     "delta-squared": (geometry, "build_frame", _WITHOUT_DTHETA),
     "scalar-square-forms": (geometry, "torsion_two_forms", lambda fn: lambda T: fn(T).scale(0.0)),
-    "maxwell-equivalence": (ops, "right_actions", lambda fn: lambda g, phi: fn(g, phi, 0.25)),
+    "maxwell-equivalence": (ops, "right_actions", lambda fn: lambda g, phi: fn(g, phi).scale(0.5)),
 }
 
 
