@@ -40,7 +40,8 @@ the kernel's three steps: the left operand's expansion
 (``left_expansion``), the right operand's jet product matrices
 (``right_expansion``) and their matmul (``expanded_product``); a caller
 that meets an operand again may keep its expansion and run the last step
-alone, as ``operators`` does per frame.  The kernels follow the slot
+alone, as each frame does for its connection biforms
+(``geometry.FrameGeometry``).  The kernels follow the slot
 contract of ``jets``: the result has the lower operand order and stores its
 width, the matmuls run on that width, and a 15-slot operand (order 2 or
 constant) is cut to it where it meets one of lower order; so does
@@ -157,8 +158,6 @@ GP_TABLE = _kernel_table(_GP_DENSE)
 WEDGE_TABLE = _kernel_table(_WEDGE_DENSE)
 LC_TABLE = _kernel_table(_dense(LC_SIGN))
 COMMUTATOR_TABLE = _kernel_table(_GP_DENSE - _GP_DENSE.transpose(0, 2, 1))
-# the kernel tables by name: a name can be part of a memo key, an array cannot
-KERNEL_TABLES = {"gp": GP_TABLE, "wedge": WEDGE_TABLE, "lc": LC_TABLE, "commutator": COMMUTATOR_TABLE}
 
 
 def _left_matrices(dense: np.ndarray, values: np.ndarray) -> np.ndarray:

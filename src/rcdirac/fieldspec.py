@@ -666,6 +666,7 @@ def load_scenario_file(path, valid_checks=None) -> Scenario:
 
 def _load_chart(entries) -> tuple[tuple[float, float], ...]:
     bounds = [[0.0, 1.0] for _ in range(4)]
+    lines = [0] * 4     # the last line that sets a bound of each interval
     for key, (value, lineno) in entries.items():
         m = _CHART_KEY.match(key)
         if not m:
@@ -677,6 +678,10 @@ def _load_chart(entries) -> tuple[tuple[float, float], ...]:
         if not math.isfinite(v):
             raise ScenarioError(f"line {lineno}: non-finite chart bound")
         bounds[k][0 if side == "min" else 1] = v
+        lines[k] = lineno
+    for k, (lo, hi) in enumerate(bounds):
+        if not lo < hi:
+            raise ScenarioError(f"line {lines[k]}: empty chart interval x{k}: min {lo!r} >= max {hi!r}")
     return tuple((lo, hi) for lo, hi in bounds)
 
 

@@ -37,13 +37,18 @@ by g and r, the coframe ``THETA`` one (4, 1, 16, 15) stack that every frame
 shares and that broadcasts over the points, and the curvature biforms a
 (4, 4, P, 16, 5) grid.
 
-Ownership: each connection-level table, dtheta and the torsion 2-forms
-included, is built once, by ``build_frame``, as a field of the frame's
-``FrameGeometry``; what is the same in every frame (``THETA``, ``ETA``,
-``ETA_DIAG``, ``EPSILON``) is a module constant.  What depends on
-arguments, the operator results of ``operators`` and the product
-expansions of ``expansion``, lives in the frame's one memo, ``shared``
-(``per_frame``), and goes away with the frame.
+Ownership: a frame owns its constants, and its one memo, ``shared``
+(``per_frame``), holds operator results only.  Each connection-level
+table, dtheta and the torsion 2-forms included, is built once, by
+``build_frame``, as a field of the frame's ``FrameGeometry``, and so are
+the halved biform expansions that the covariant, spin and
+right-representative derivatives of ``operators`` apply on every call:
+the left expansions of omega / 2 through the commutator and geometric
+product tables, of omega_lc / 2 through the commutator table, and the
+right expansion of omega / 2, each read-only.  What is the same in every
+frame (``THETA``, ``ETA``, ``ETA_DIAG``, ``EPSILON``) is a module
+constant.  An operator result depends on its arguments: it lives in
+``shared`` and goes away with the frame.
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ from itertools import permutations
 import numpy as np
 
 from .cliffalg import (
-    KERNEL_TABLES, PLANE_GP, SIGNATURE, Multivector, bivector_array, blade_sum, expanded_product, grade_project,
-    left_expansion, right_expansion,
+    COMMUTATOR_TABLE, GP_TABLE, PLANE_GP, SIGNATURE, Multivector, bivector_array, blade_sum, expanded_product,
+    grade_project, left_expansion, right_expansion,
 )
 from .fieldspec import TORSION_UPPER, Scenario
 from .jets import CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, derivation_matrices, derivative, jet_einsum, width
@@ -148,6 +153,14 @@ class FrameGeometry:
     contorsion_biform: Multivector  # omega - lc biforms, stack
     dtheta: Multivector          # dtheta^g = -c^g_{bc} theta^b ^ theta^c over b < c, (4, P, 16, 5)
     torsion_forms: Multivector   # torsion 2-forms Theta^r (``torsion_two_forms``), (4, P, 16, 5)
+    # the halved biform expansions at the width of CONN_ORDER, read-only:
+    # left (4, P, 16, 80), right (4, P, 80, 5).  The factor 1/2 changes no
+    # bit of a product: every term and sum of the matmuls after it is
+    # scaled exactly, so each rounds at the same place.
+    omega_commutator_half: np.ndarray   # left_expansion(omega / 2, COMMUTATOR_TABLE)
+    lc_commutator_half: np.ndarray      # left_expansion(omega_lc / 2, COMMUTATOR_TABLE)
+    omega_gp_half: np.ndarray           # left_expansion(omega / 2, GP_TABLE)
+    omega_right_half: np.ndarray        # right_expansion(omega / 2)
     # results shared by the checks at these points (``per_frame``)
     shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -159,11 +172,11 @@ class FrameGeometry:
 
 
 def per_frame(fn):
-    """Share fn's result per frame: the first call for a set of arguments
-    stores it, read-only, in ``geom.shared``; later calls return it.  The
-    key is fn and the arguments, given by position, with omitted trailing
-    ones filled from fn's defaults: it holds them, and a ``Multivector``
-    compares by identity."""
+    """Share fn's result, a ``Multivector``, per frame: the first call for
+    a set of arguments stores it, read-only, in ``geom.shared``; later
+    calls return it.  The key is fn and the arguments, given by position,
+    with omitted trailing ones filled from fn's defaults: it holds them,
+    and a ``Multivector`` compares by identity."""
     n_args, defaults = fn.__code__.co_argcount - 1, fn.__defaults__ or ()
 
     @functools.wraps(fn)
@@ -174,24 +187,10 @@ def per_frame(fn):
         out = geom.shared.get(key)
         if out is None:
             out = geom.shared[key] = fn(geom, *args)
-            (out.data if isinstance(out, Multivector) else out).flags.writeable = False
+            out.data.flags.writeable = False
         return out
 
     return shared
-
-
-@per_frame
-def expansion(geom: FrameGeometry, step, operand: Multivector, table, factor) -> np.ndarray:
-    """``step(factor * operand.data, [table,] n)`` for a product step of
-    ``cliffalg`` (``left_expansion`` with a table, ``right_expansion``
-    with table None), kept per frame; ``table``
-    is a name in ``cliffalg.KERNEL_TABLES``.  It runs at the width n of
-    ``CONN_ORDER``, the width of every product with a frame operand.  A
-    factor that is a power of two changes no bit of a product: every term
-    and sum of the products and matmuls after it is scaled exactly, so each
-    rounds at the same place."""
-    data, n = operand.data if factor == 1.0 else operand.data * factor, width(CONN_ORDER)
-    return step(data, n) if table is None else step(data, KERNEL_TABLES[table], n)
 
 
 @dataclass(eq=False, repr=False)
@@ -283,6 +282,8 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
                         (K, "the contorsion"), (full, "the connection")):
         _require_finite(table, what, points, failed)
 
+    omega, lc_biform = connection_biforms(full), connection_biforms(lc)
+    half_omega, half_lc, n = 0.5 * omega.data, 0.5 * lc_biform.data, width(CONN_ORDER)
     geom = FrameGeometry(
         points=points,
         tetrad=theta_mat,
@@ -293,12 +294,18 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
         lc=lc,
         K=K,
         full=full,
-        omega_biform=connection_biforms(full),
-        lc_biform=connection_biforms(lc),
+        omega_biform=omega,
+        lc_biform=lc_biform,
         contorsion_biform=connection_biforms(K),
         dtheta=Multivector.from_array(bivector_array(-c_t), CONN_ORDER),
         torsion_forms=torsion_two_forms(T),
+        omega_commutator_half=left_expansion(half_omega, COMMUTATOR_TABLE, n),
+        lc_commutator_half=left_expansion(half_lc, COMMUTATOR_TABLE, n),
+        omega_gp_half=left_expansion(half_omega, GP_TABLE, n),
+        omega_right_half=right_expansion(half_omega, n),
     )
+    for half in (geom.omega_commutator_half, geom.lc_commutator_half, geom.omega_gp_half, geom.omega_right_half):
+        half.flags.writeable = False
     _calibrate_biforms(geom, failed)
     if failed:
         raise FrameErrors(failed)
@@ -353,12 +360,10 @@ def connection_biforms(conn):
 def _calibrate_biforms(geom: FrameGeometry, failed: dict):
     """Fail with ``GeometryError`` each point at which [omega_a,
     theta^b]/2 fails to reproduce -conn[a][b][c] theta^c, to within
-    ``_CALIBRATION_TOL`` times the largest |conn| there, at least 1.  The
-    halved expansion of the biforms is the one ``operators.cov_derivs``
-    applies, so it is built here, once per frame."""
-    half = expansion(geom, left_expansion, geom.omega_biform, "commutator", 0.5)
+    ``_CALIBRATION_TOL`` times the largest |conn| there, at least 1,
+    through the halved expansion that ``operators.cov_derivs`` applies."""
     theta = right_expansion(THETA.data, width(CONN_ORDER))
-    resid = expanded_product(half[:, None], theta[None], CONN_ORDER).data    # [a, b]
+    resid = expanded_product(geom.omega_commutator_half[:, None], theta[None], CONN_ORDER).data    # [a, b]
     resid[..., 1:5, :] += geom.full.swapaxes(2, 3)
     worst = np.maximum.reduce(np.abs(resid), axis=(0, 1, 3, 4))
     scale = np.maximum.reduce(np.abs(geom.full), axis=(0, 1, 2, 4), initial=1.0)
@@ -455,6 +460,12 @@ def lowered(conn) -> np.ndarray:
     """eta_bm conn[a][m][c], antisymmetric in (b, c) for a metric-compatible
     connection."""
     return ETA_DIAG[None, :, None, None, None] * conn
+
+
+def connection_trace(conn) -> np.ndarray:
+    """eta^{bb} conn^a_{bb}, the trace of a connection-like table over its
+    direction and form index: jets (4, P, w) indexed by a."""
+    return np.einsum("b,bab...->a...", ETA_DIAG, conn)
 
 
 def torsion_trace(geom: FrameGeometry) -> np.ndarray:

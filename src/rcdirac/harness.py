@@ -70,7 +70,7 @@ import numpy as np
 
 from . import fieldspec, geometry, operators
 from .cliffalg import (
-    GRADES, THETA_GP, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
+    GRADES, LC_TABLE, THETA_GP, WEDGE_TABLE, GradeError, Multivector, blade_products, blade_sum,
     geometric_product, grade_involution, product_sum, wedge,
 )
 from .fieldspec import FIELD_KINDS, Scenario, ScenarioError
@@ -420,7 +420,7 @@ def _c_levi_civita(ctx):
     "contorsion trace identity: eta^{br} K^a_{br} + eta^{sa} T^r_{rs} = 0",
 )
 def _c_contorsion_trace(ctx):
-    trace = np.einsum("b,bab...->a...", ETA_DIAG, ctx.geom.K)
+    trace = geometry.connection_trace(ctx.geom.K)
     return [(trace, -ETA_DIAG[:, None, None] * geometry.torsion_trace(ctx.geom))]
 
 
@@ -504,11 +504,8 @@ def _c_torsion_splits(ctx, A):
     geom = ctx.geom
     thetas = geom.torsion_forms
     # sum_r Theta^r ^ (theta_r _| A) and sum_r Theta^r _| (theta_r ^ A)
-    # (the wedge expansion of the torsion forms has no other use: not kept)
     wedge_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_LC, A), WEDGE_TABLE)
-    contract_corr = operators.frame_product_sum(
-        geom, thetas, blade_products(operators.THETA_DOWN_WEDGE, A), "lc"
-    )
+    contract_corr = product_sum(thetas, blade_products(operators.THETA_DOWN_WEDGE, A), LC_TABLE)
     return [
         (operators.dirac_wedge(geom, A, "full"), operators.dirac_wedge(geom, A, "lc") - wedge_corr),
         (operators.dirac_contract(geom, A, "full"), operators.dirac_contract(geom, A, "lc") - contract_corr),
@@ -524,7 +521,7 @@ def _c_torsion_trace_contraction(ctx, f):
     geom = ctx.geom
     df = operators.dirac(geom, f, "lc")
     lowered = blade_products(operators.THETA_DOWN_WEDGE, df)      # [r]: theta_r ^ df
-    lhs = operators.frame_product_sum(geom, geom.torsion_forms, lowered, "lc")
+    lhs = product_sum(geom.torsion_forms, lowered, LC_TABLE)
     Q = geometry.torsion_trace(geom)
     e_f = operators.pfaffs(geom, f)                               # [b]: e_b(f)
     rhs = jet_einsum("bp,bp->p", -ETA_DIAG[:, None, None] * Q, e_f.data[..., 0, :], e_f.order)
@@ -789,9 +786,8 @@ def evaluate_point(scenario, fields, names, point, batch: BatchContext | None = 
 
 # The most points evaluated as one batch.  A batch keeps its operator
 # results, tables and frame expansions until its last check has run, about
-# 0.95 MB per point (32-point batch of curved_torsion; 0.45 MB before the
-# expansions were kept), and batches above about 16 points run little
-# faster per point.
+# 0.6 MB per point (32-point batch of curved_torsion, by tracemalloc), and
+# batches above about 16 points run little faster per point.
 BATCH_POINTS = 32
 
 # The fewest points a forked shard is given.  Most of a batch's cost does
@@ -1018,13 +1014,13 @@ def run_suite(
     run_seed = scenario.sampling.seed if seed is None else seed
     run_tol = scenario.sampling.tol if tol is None else tol
 
-    pts = sample_points(scenario, n_points, run_seed)
-    fields = build_run_fields(scenario, run_seed, pts)
-
-    n = min(workers, max(1, len(pts) // MIN_SHARD_POINTS))
     # a value that overflows, or is not a number, is a per-point error or
-    # FAIL in the report, not a warning; forked shards inherit the state
+    # FAIL in the report, or a test field's scenario error, not a warning;
+    # forked shards inherit the state
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pts = sample_points(scenario, n_points, run_seed)
+        fields = build_run_fields(scenario, run_seed, pts)
+        n = min(workers, max(1, len(pts) // MIN_SHARD_POINTS))
         results = _run_shards(scenario, fields, names, pts, n)
 
     checks = []

@@ -37,28 +37,28 @@ corrections of the squared operators are (4, 4, P, 16, w) grids whose
 products broadcast one operand along a and the other along b, so each
 operand is expanded once.
 
-Sharing: the checks at a point compare forms built from the same
-ingredients.  Each pure operator family (``pfaffs``, ``cov_derivs``,
-``spin_cov_derivs``, ``right_rep_derivs``, ``torsion_operators``, the
-three Dirac parts, ``exterior_d``, ``codifferential``, both direct squares,
-``spin_dirac``, ``spin_hessian``, ``torsion_pair_terms`` and the two
-correction grids) is computed once per frame and argument, and so is each
-product expansion that several products meet: the first step of
-``cliffalg._product`` for a frame operand (the connection biforms,
-``geom.dtheta``, ``geom.torsion_forms``), its factor 1/2 folded in (omega's
-right action is kept at 1/2 only), and the jet product matrices of each
-argument of the covariant and spin derivatives.  Both live, read-only, in
-the frame's one memo, ``geom.shared`` (``geometry.per_frame``,
-``geometry.expansion``), keyed by the function and its arguments, and go
-away with the frame; each batch of points builds its own frame.  Writing
-into a shared result raises ``ValueError``; arithmetic on one returns new
-arrays.  Passing the same multivector object again reuses the result, so
-an argument must not be modified in place after a call.  Engine code gives
-every argument by position, which skips the binding of defaults.  An
-expansion that only one product per frame meets (the wedge and geometric
-products with the torsion forms, the halved commutator with the contorsion
-biforms) is not kept: that product runs through the plain kernel, with the
-same bits.
+Sharing: a frame owns its constants, and its memo holds operator results
+only.  The covariant, spin and right-representative derivatives are e_a
+plus half a one- or two-sided action of a connection biform, so the
+product expansions that many calls meet are the halved ones of omega and
+omega_lc: ``build_frame`` builds them once, as read-only fields of the
+frame (``omega_commutator_half``, ``lc_commutator_half``,
+``omega_gp_half``, ``omega_right_half``), and each call expands its
+argument's jets alone.  Every other product, frame sums over
+``geom.dtheta`` and ``geom.torsion_forms`` included, runs through the
+plain kernel (``cliffalg.product_sum``), with the same bits.  Each pure
+operator family (``pfaffs``, ``cov_derivs``, ``spin_cov_derivs``,
+``right_rep_derivs``, ``torsion_operators``, the three Dirac parts,
+``exterior_d``, ``codifferential``, both direct squares, ``spin_dirac``,
+``spin_hessian``, ``torsion_pair_terms`` and the two correction grids) is
+computed once per frame and argument: its result lives, read-only, in the
+frame's one memo, ``geom.shared`` (``geometry.per_frame``), keyed by the
+function and its arguments, and goes away with the frame; each batch of
+points builds its own frame.  Writing into a shared result raises
+``ValueError``; arithmetic on one returns new arrays.  Passing the same
+multivector object again reuses the result, so an argument must not be
+modified in place after a call.  Engine code gives every argument by
+position, which skips the binding of defaults.
 
 Connection selection: ``conn="lc"`` is the Levi-Civita (standard) operator
 family, ``conn="full"`` the torsionful metric-compatible one.  The covariant
@@ -75,12 +75,13 @@ import math
 import numpy as np
 
 from .cliffalg import (
-    GP_TABLE, GRADES, HODGE, N_BLADES, PLANE_GP, SIGNATURE, THETA_GP, THETA_LC, THETA_PAIR, THETA_WEDGE,
+    GP_TABLE, GRADES, HODGE, N_BLADES, PLANE_GP, SIGNATURE, THETA_GP, THETA_LC, THETA_PAIR, THETA_WEDGE, WEDGE_TABLE,
     GradeError, Multivector, blade_products, blade_sum, commutator, expanded_product, geometric_product,
     hodge_dual, left_expansion, product_sum, right_expansion,
 )
 from .geometry import (
-    CONN_ORDER, CURV_ORDER, ETA_DIAG, FRAME_ORDER, CurvatureData, FrameGeometry, expansion, per_frame, torsion_trace,
+    CONN_ORDER, CURV_ORDER, ETA_DIAG, FRAME_ORDER, CurvatureData, FrameGeometry, connection_trace, per_frame,
+    torsion_trace,
 )
 from .jets import CONSTANT, JetOrderError, clear_above, derivative, jet_einsum, width
 
@@ -99,16 +100,12 @@ def _require_grade(A: Multivector, k: int, what: str):
         raise GradeError(f"{what} must be pure grade {k}")
 
 
-def _biform(geom: FrameGeometry, conn: Connection) -> Multivector:
-    return geom.omega_biform if conn == "full" else geom.lc_biform
-
-
 def _conn_table(geom: FrameGeometry, conn: Connection):
     return geom.full if conn == "full" else geom.lc
 
 
-# The kernel width of every product with a frame operand, which has order
-# CONN_ORDER, and so of every expansion ``expansion`` keeps.
+# The kernel width of every product with a connection biform, which has
+# order CONN_ORDER, and so of the frame's halved biform expansions.
 _N = width(CONN_ORDER)
 
 
@@ -118,33 +115,19 @@ def _along_directions(x: np.ndarray, A: Multivector) -> np.ndarray:
     return x.reshape((4,) + (1,) * (A.data.ndim - 3) + x.shape[1:])
 
 
-def _biform_actions(geom: FrameGeometry, table: str, omega: Multivector, A: Multivector) -> Multivector:
-    """(omega_a o A) / 2 along all e_a, direction axis first, for a biform
-    stack omega of the frame: its halved expansion through the kernel table
-    named ``table`` and A's jet product matrices come from ``expansion``."""
-    half = expansion(geom, left_expansion, omega, table, 0.5)
-    right = expansion(geom, right_expansion, A, None, 1.0)
-    return expanded_product(_along_directions(half, A), right, min(omega.order, A.order))
+def _biform_actions(half: np.ndarray, A: Multivector) -> Multivector:
+    """(omega_a o A) / 2 along all e_a, direction axis first, from one of
+    the frame's halved left expansions of a biform stack omega."""
+    return expanded_product(_along_directions(half, A), right_expansion(A.data, _N), min(CONN_ORDER, A.order))
 
 
 def right_actions(geom: FrameGeometry, phi: Multivector) -> Multivector:
     """phi omega_a / 2 along all e_a, direction axis first: the halved right
-    action of the connection biforms, whose halved expansion comes from
-    ``expansion``.  On a stack phi[b] the result is the grid [a, b]."""
-    right = expansion(geom, right_expansion, geom.omega_biform, None, 0.5)
+    action of the connection biforms, from the frame's
+    ``omega_right_half``.  On a stack phi[b] the result is the grid
+    [a, b]."""
     left = left_expansion(phi.data, GP_TABLE, _N)
-    return expanded_product(left, _along_directions(right, phi), min(phi.order, CONN_ORDER))
-
-
-def frame_product_sum(geom: FrameGeometry, forms: Multivector, X: Multivector, table: str) -> Multivector:
-    """``cliffalg.product_sum`` of the kernel table named ``table``, sum_i
-    forms[i] o X[i], for a stack of frame forms (``geom.dtheta``,
-    ``geom.torsion_forms``) whose expansion comes from ``expansion``: the
-    stack of products, summed over the direction axis."""
-    x = X.data if X.data.ndim == forms.data.ndim else X.data[:, None]    # a point axis on forms only
-    left = expansion(geom, left_expansion, forms, table, 1.0)
-    products = expanded_product(left, right_expansion(x, _N), min(forms.order, X.order))
-    return Multivector.from_array(np.add.reduce(products.data, axis=0), products.order)
+    return expanded_product(left, _along_directions(geom.omega_right_half, phi), min(phi.order, CONN_ORDER))
 
 
 def _combine(spec: str, X: Multivector, table: np.ndarray, order=CONN_ORDER) -> Multivector:
@@ -189,13 +172,14 @@ def pfaffs(geom: FrameGeometry, A: Multivector) -> Multivector:
 def cov_derivs(geom: FrameGeometry, A: Multivector, conn: Connection = "full") -> Multivector:
     """Covariant derivatives of a Clifford field along all e_a:
     pfaff_a(A) + [omega_a, A] / 2."""
-    return pfaffs(geom, A) + _biform_actions(geom, "commutator", _biform(geom, conn), A)
+    half = geom.omega_commutator_half if conn == "full" else geom.lc_commutator_half
+    return pfaffs(geom, A) + _biform_actions(half, A)
 
 
 @per_frame
 def spin_cov_derivs(geom: FrameGeometry, psi: Multivector) -> Multivector:
     """Representative spinor derivatives: pfaff_a(psi) + omega_a psi / 2."""
-    return pfaffs(geom, psi) + _biform_actions(geom, "gp", geom.omega_biform, psi)
+    return pfaffs(geom, psi) + _biform_actions(geom.omega_gp_half, psi)
 
 
 @per_frame
@@ -266,7 +250,7 @@ def exterior_d(geom: FrameGeometry, A: Multivector) -> Multivector:
     theta_I), the interior product i_{e_g} being the left contraction by the
     lowered theta_g (the even dtheta^g commutes into first place)."""
     interior = blade_products(THETA_DOWN_LC, A)   # [g]: theta_g _| A
-    return blade_sum(THETA_WEDGE, pfaffs(geom, A)) + frame_product_sum(geom, geom.dtheta, interior, "wedge")
+    return blade_sum(THETA_WEDGE, pfaffs(geom, A)) + product_sum(geom.dtheta, interior, WEDGE_TABLE)
 
 
 # The codifferential's sign -I^2, I^2 = (theta^0123)^2 = prod(SIGNATURE),
@@ -319,7 +303,7 @@ def frame_wave(geom: FrameGeometry, f: Multivector, conn, trace=None) -> Multive
         raise JetOrderError("the frame wave operator needs an order-2 jet")
     order = min(f.order, FRAME_ORDER) - 2
     df = pfaffs(geom, f).data[..., 0, :]                    # df[a] = e_a f
-    weight = -np.einsum("b,bab...->a...", ETA_DIAG, conn)
+    weight = -connection_trace(conn)
     if trace is not None:
         weight = weight + ETA_DIAG[:, None, None] * trace
     second = np.einsum("b,bps,bpsu->pu", ETA_DIAG, df, geom.derivations[df.shape[-1]])
@@ -471,8 +455,7 @@ def s2_levi_civita_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
     _require_grade(A, 1, "right-action correction argument")
     omega = geom.omega_biform
     nabla = cov_derivs(geom, A, "lc") + torsion_operators(geom, A).scale(0.5)
-    # [K_a, omega_b] / 2 on the grid [a, b]; this expansion of the contorsion
-    # biforms has no other use, so it is not kept
+    # [K_a, omega_b] / 2 on the grid [a, b]
     d_omega = cov_derivs(geom, omega, "lc") + commutator(geom.contorsion_biform[:, None], omega).scale(0.5)
     return _right_correction(geom, A, nabla, d_omega)
 
@@ -533,6 +516,6 @@ def maxwell_residuals(
     _require_grade(F, 2, "field strength")
     _require_grade(J_e, 1, "current")
     clifford = dirac(geom, F, "full") - J_e
-    spin = right_rep_derivs(geom, F) + _biform_actions(geom, "gp", geom.omega_biform, F)
+    spin = right_rep_derivs(geom, F) + _biform_actions(geom.omega_gp_half, F)
     spin = blade_sum(THETA_GP, spin) - J_e
     return clifford, spin

@@ -365,6 +365,20 @@ def test_number_outside_the_ascii_grammar_rejected(section, entry):
         load_scenario(MINKOWSKI_TEXT + f"[{section}]\n{entry}\n")
 
 
+@pytest.mark.parametrize("entries, message", [
+    ("x1_min = 2", "line 9: empty chart interval x1: min 2.0 >= max 1.0"),
+    ("x1_min = 2\nx1_max = 1.0", "line 10: empty chart interval x1: min 2.0 >= max 1.0"),
+    ("x1_max = 1.0\nx1_min = 2", "line 10: empty chart interval x1: min 2.0 >= max 1.0"),
+    ("x3_min = 0.5\nx3_max = 0.5", "line 10: empty chart interval x3: min 0.5 >= max 0.5"),
+    ("x0_max = -1\nx2_min = 0.25", "line 9: empty chart interval x0: min 0.0 >= max -1.0"),
+    ("x1_min = 0.2\nx1_max = 1.01e-320", "line 10: empty chart interval x1: min 0.2 >= max 1.01e-320"),
+])
+def test_empty_chart_interval_rejected(entries, message):
+    # the error names the last line that sets a bound of the interval
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        load_scenario(MINKOWSKI_TEXT + f"[chart]\n{entries}\n")
+
+
 def test_underflowing_bare_number_loads_as_zero():
     sc = load_scenario(MINKOWSKI_TEXT + "[torsion]\nT0_12 = 1e-400\n")
     assert sc.torsion[(0, 1, 2)] == Const(0.0)

@@ -71,8 +71,12 @@ def test_sampling_errors():
     sc = fs.load_scenario(IDENTITY)
     with pytest.raises(ValueError):
         sample_points(sc, points=0, seed=0)
-    bad = fs.load_scenario("[chart]\nx0_min = 1\nx0_max = 1\n" + IDENTITY)
-    with pytest.raises(ValueError):
+    # an empty interval fails at load; a box set without the loader still
+    # fails at sampling
+    with pytest.raises(fs.ScenarioError, match="^line 3: empty chart interval x0"):
+        fs.load_scenario("[chart]\nx0_min = 1\nx0_max = 1\n" + IDENTITY)
+    bad = dataclasses.replace(sc, chart_box=((1.0, 1.0),) + sc.chart_box[1:])
+    with pytest.raises(ValueError, match="empty chart box interval"):
         sample_points(bad, points=3, seed=0)
 
 
@@ -681,6 +685,18 @@ def _cli_under_w_error(path) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return cli_main(["run", str(path), "--points", "4"])
+
+
+def test_test_fields_overflowing_at_a_huge_chart_bound_warn_nothing(capsys, tmp_path):
+    # near x2 = 1e308 the generated fields' monomials overflow at every
+    # point: the first field is a scenario error, exit 3, and numpy warns
+    # nothing, so -W error gives no traceback
+    path = tmp_path / "huge.scn"
+    path.write_text(IDENTITY + "[chart]\nx2_max = 1.01e308\n")
+    assert _cli_under_w_error(path) == 3
+    out = capsys.readouterr()
+    assert "scenario error: test field f.scalar has no finite non-zero value" in out.err
+    assert "Traceback" not in out.err
 
 
 def test_large_torsion_is_calibrated_to_its_scale(capsys):

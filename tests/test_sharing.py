@@ -74,17 +74,21 @@ def test_full_suite_product_count(monkeypatch):
         ctx = BatchContext(scenario, fields, pts)
         for name in CHECKS:
             ctx.results(name)
-        # 21: three products with the only use of a frame operand's
-        # expansion run the whole kernel, as do the two sums of such
-        # products (Theta^c S_c and the wedge torsion-split correction)
-        assert 0 < len(orders) <= 21
+        # 29: every product but the halved biform actions of the
+        # derivatives runs the whole kernel: the six frame sums over dtheta
+        # (exterior_d of six arguments), the four over the torsion forms,
+        # and 19 products of fields with fields, curvature forms, biform
+        # derivatives or the contorsion biforms
+        assert 0 < len(orders) <= 29
         # every product, kept expansion or not, ends in one matmul: an
         # extra product cannot hide under the bound above
         assert len(matmuls) == 75
         # nearly every product has an operand of order <= 1 and runs on 5
         # jet slots; only products of two order-2 fields run on all 15
         assert sum(order >= 2 for order in orders) <= 3
-        # each frame operand is expanded at most once per product table
+        # omega and omega_lc are expanded at most once per product table, by
+        # build_frame; dtheta, the torsion forms and the contorsion biforms
+        # run the plain kernel
         geom = ctx.geom
         frame_operands = {
             "omega": geom.omega_biform, "lc": geom.lc_biform, "contorsion": geom.contorsion_biform,
@@ -96,7 +100,7 @@ def test_full_suite_product_count(monkeypatch):
             for name, x in frame_operands.items()
             if _is_scaled(a, x.data)
         )
-        assert seen and max(seen.values()) == 1, seen
+        assert max(n for (_, name), n in seen.items() if name in ("omega", "lc")) == 1, seen
         names = {name for _, name in seen}
         assert names == set(frame_operands), names
 
@@ -109,10 +113,9 @@ def _is_scaled(a, x):
 
 def test_full_suite_keeps_each_building_block_once():
     # the checks of one batch share one spin Hessian (lichnerowicz and
-    # spin-square-assembly), one grid of torsion pair terms (pair-expansion,
-    # square-torsion-relation, spin-standard-square), and keep the right
-    # expansion of omega at the factor 1 of a covariant derivative of omega
-    # and the 1/2 of the right action only
+    # spin-square-assembly) and one grid of torsion pair terms
+    # (pair-expansion, square-torsion-relation, spin-standard-square); the
+    # memo keeps operator results only
     scenario = load_bundled("curved_torsion")
     pts, fields = _run_inputs(scenario)
     ctx = BatchContext(scenario, fields, pts)
@@ -122,12 +125,7 @@ def test_full_suite_keeps_each_building_block_once():
     functions = collections.Counter(key[0] for key in geom.shared)
     assert functions[ops.spin_hessian.__wrapped__] == 1
     assert functions[ops.torsion_pair_terms.__wrapped__] == 1
-    kept = geometry.expansion.__wrapped__
-    factors = sorted(
-        key[4] for key in geom.shared
-        if key[0] is kept and key[1] is cliffalg.right_expansion and key[2] is geom.omega_biform
-    )
-    assert factors == [0.5, 1.0]
+    assert all(isinstance(out, cliffalg.Multivector) for out in geom.shared.values())
 
 
 def test_shared_results_are_read_only(frames):
@@ -168,10 +166,10 @@ def test_memoized_arity_is_the_positional_parameter_count():
     # positional parameters only, so a call that omits a default gives the
     # same key as one that passes it
     wrapped = {
-        fn.__wrapped__ for mod in (geometry, ops) for fn in vars(mod).values()
-        if getattr(fn, "__code__", None) is geometry.expansion.__code__
+        fn.__wrapped__ for fn in vars(ops).values()
+        if getattr(fn, "__code__", None) is ops.cov_derivs.__code__
     }
-    assert {geometry.expansion.__wrapped__, ops.cov_derivs.__wrapped__} < wrapped
+    assert {ops.cov_derivs.__wrapped__, ops.spin_hessian.__wrapped__} < wrapped
     for fn in wrapped:
         params = inspect.signature(fn).parameters.values()
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), fn
@@ -294,30 +292,31 @@ def test_frame_expansions_keep_every_bit(name, points, general_torsion):
             _assert_same_bits(got, want)
 
 
-def test_expansions_are_read_only_per_frame_entries():
+def test_halved_biform_expansions_are_read_only_frame_fields():
     scenario = load_bundled("curved_torsion")
     pts, fields = _run_inputs(scenario, points=3)
     ctx = BatchContext(scenario, fields, pts)
-    for name in CHECKS:
-        ctx.results(name)
     geom = ctx.geom
-    kept = geometry.expansion.__wrapped__
-    expansions = {key[1:]: out for key, out in geom.shared.items() if key[0] is kept}
-    assert len(expansions) > 5
-    for (step, operand, table, factor), out in expansions.items():
-        # the key holds its operand
-        assert isinstance(operand, cliffalg.Multivector)
+    n = width(geometry.CONN_ORDER)
+    steps = {
+        "omega_commutator_half": (cliffalg.left_expansion, geom.omega_biform, cliffalg.COMMUTATOR_TABLE),
+        "lc_commutator_half": (cliffalg.left_expansion, geom.lc_biform, cliffalg.COMMUTATOR_TABLE),
+        "omega_gp_half": (cliffalg.left_expansion, geom.omega_biform, cliffalg.GP_TABLE),
+        "omega_right_half": (cliffalg.right_expansion, geom.omega_biform),
+    }
+    want = {name: step(0.5 * operand.data, *table, n) for name, (step, operand, *table) in steps.items()}
+    for name, (step, operand, *table) in steps.items():
+        # 1/2 is a power of two: halving before or after the step is exact
+        assert np.array_equal(want[name], 0.5 * step(operand.data, *table, n)), name
+    for check in CHECKS:
+        ctx.results(check)
+    for name, out in want.items():
+        half = getattr(geom, name)
         with pytest.raises(ValueError):
-            out.flat[0] = 0.0
-        n = width(geometry.CONN_ORDER)
-        want = step(operand.data, n) if table is None else step(operand.data, cliffalg.KERNEL_TABLES[table], n)
-        assert np.array_equal(out, factor * want, equal_nan=True)   # a power of two: exact
-    # every other shared entry is an operator result
-    assert all(isinstance(out, cliffalg.Multivector) for key, out in geom.shared.items() if key[0] is not kept)
-    # a new batch builds its own frame, which holds only the expansion its
-    # calibration built
+            half.flat[0] = 0.0
+        assert half.tobytes() == out.tobytes(), name
+    # a new batch builds its own frame, whose memo starts empty
     fresh = BatchContext(scenario, fields, pts).geom
-    ((key, out),) = fresh.shared.items()
-    assert key[0] is kept and key[2] is fresh.omega_biform and key[3:] == ("commutator", 0.5)
-    assert not any(np.shares_memory(out, old) for old in expansions.values())
+    assert fresh.shared == {}
+    assert not any(np.shares_memory(getattr(fresh, name), getattr(geom, name)) for name in steps)
     assert dataclasses.replace(geom).shared == {}

@@ -21,7 +21,7 @@ from reference_loops import (
 from rcdirac import cliffalg as ca
 from rcdirac import operators as ops
 from rcdirac.cliffalg import Multivector
-from rcdirac.geometry import CONN_ORDER, CURV_ORDER, build_frame, expansion
+from rcdirac.geometry import CONN_ORDER, CURV_ORDER, build_frame
 from rcdirac.harness import CHECKS, BatchContext, build_run_fields, sample_points
 from rcdirac.jets import CONSTANT, JET_LEN, Jet2, jet_einsum, slots, width
 
@@ -176,12 +176,6 @@ def _assert_zero_above(data, order, what):
     assert np.all(data[..., slots(order):] == 0.0), what
 
 
-def _operator_results(geom):
-    """The frame's shared operator results, every entry of its memo but
-    the product expansions, which are arrays and no multivectors."""
-    return {key: out for key, out in geom.shared.items() if key[0] is not expansion.__wrapped__}
-
-
 @pytest.mark.parametrize("name", BUNDLED + ("general_torsion",))
 def test_full_suite_results_keep_slot_contract(name, general_torsion):
     scenario = general_torsion if name == "general_torsion" else load_bundled(name)
@@ -190,8 +184,8 @@ def test_full_suite_results_keep_slot_contract(name, general_torsion):
     for check in CHECKS.values():
         check.fn(ctx)
     g, curv = ctx.geom, ctx.curv
-    assert _operator_results(g)
-    for key, out in _operator_results(g).items():
+    assert g.shared
+    for key, out in g.shared.items():
         _assert_zero_above(out.data, out.order, key[0].__name__)
     for what in ("c", "lc", "K", "full"):
         _assert_zero_above(getattr(g, what), CONN_ORDER, what)
@@ -225,8 +219,8 @@ def test_check_sides_and_shared_results_store_their_width():
                     _assert_zero_above(side.data, side.order, name)
                     sides += 1
     assert sides > len(CHECKS)
-    assert _operator_results(ctx.geom)
-    for key, out in _operator_results(ctx.geom).items():
+    assert ctx.geom.shared
+    for key, out in ctx.geom.shared.items():
         _assert_zero_above(out.data, out.order, key[0].__name__)
 
 
