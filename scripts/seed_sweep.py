@@ -21,7 +21,7 @@ def main():
     args = ap.parse_args()
 
     path = harness.resolve_scenario_path(args.scenario)
-    scenario = fieldspec.load_scenario_file(path, valid_checks=set(harness.CHECKS))
+    scenario = fieldspec.load_scenario_file(path)
     worst_overall = None
     failed = False
     for seed in range(args.seeds):

@@ -22,7 +22,8 @@ a comment.  Sections and keys::
                 A.<kind>.<idx> = "expr"        (component idx 0..15, in blade
                 order, of a grade that kind in FIELD_KINDS fills; unset
                 components 0); any other name is an error
-    [checks]    <check-name> = on | off        (default: the full suite)
+    [checks]    <check-name> = on | off        (the on entries if any, else
+                every check not set off; default: the full suite)
     [sampling]  seed = int >= 0, points = int >= 1, tol = float >= 0
 
 Evaluation: groups of expressions compile into a ``Program``, a flat list
@@ -517,7 +518,7 @@ class Scenario:
     tetrad: tuple[tuple[Expr, ...], ...]          # theta^a_mu, rows a
     torsion: dict[tuple[int, int, int], Expr]     # (c, a, b) with a < b
     fields: dict[str, tuple[Expr, ...]]           # pinned kind: 16 blade expressions
-    checks: tuple[str, ...] = ()                  # empty = full suite
+    checks: tuple[tuple[str, bool, int], ...] = ()  # [checks] as (name, on, line); see harness.select_checks
     sampling: Sampling = Sampling()
     digest: str = field(default="", compare=False)
     # the Program of a frame's two stages: the tetrad entries theta^a_mu,
@@ -600,12 +601,10 @@ def _parse_value_expr(value: str, lineno: int) -> Expr:
     return Const(number)
 
 
-def load_scenario(text: str, valid_checks=None) -> Scenario:
-    """Parse and validate a scenario file's contents.
-
-    ``valid_checks``: optional collection of known check names; when given,
-    unknown names in [checks] raise a ScenarioError listing the valid ones.
-    """
+def load_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario file's contents; the check names of
+    [checks] are validated when a run selects its checks
+    (``harness.select_checks``)."""
     sections: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _SECTIONS}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -639,7 +638,7 @@ def load_scenario(text: str, valid_checks=None) -> Scenario:
     tetrad = _load_tetrad(sections["tetrad"])
     torsion = _load_torsion(sections["torsion"])
     fields = _load_fields(sections["fields"])
-    checks = _load_checks(sections["checks"], valid_checks)
+    checks = _load_checks(sections["checks"])
     sampling = _load_sampling(sections["sampling"])
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return Scenario(
@@ -653,7 +652,7 @@ def load_scenario(text: str, valid_checks=None) -> Scenario:
     )
 
 
-def load_scenario_file(path, valid_checks=None) -> Scenario:
+def load_scenario_file(path) -> Scenario:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -661,7 +660,7 @@ def load_scenario_file(path, valid_checks=None) -> Scenario:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as err:
         raise ScenarioError(f"{path}: not valid UTF-8 ({err})") from err
-    return load_scenario(text, valid_checks)
+    return load_scenario(text)
 
 
 def _load_chart(entries) -> tuple[tuple[float, float], ...]:
@@ -682,6 +681,8 @@ def _load_chart(entries) -> tuple[tuple[float, float], ...]:
     for k, (lo, hi) in enumerate(bounds):
         if not lo < hi:
             raise ScenarioError(f"line {lines[k]}: empty chart interval x{k}: min {lo!r} >= max {hi!r}")
+        if not math.isfinite(hi - lo):
+            raise ScenarioError(f"line {lines[k]}: chart interval x{k} too wide: max - min overflows")
     return tuple((lo, hi) for lo, hi in bounds)
 
 
@@ -755,28 +756,22 @@ def _load_fields(entries) -> dict[str, tuple[Expr, ...]]:
     return {kind: tuple(p.get(i, ZERO_EXPR) for i in range(16)) for kind, p in parts.items()}
 
 
-def _load_checks(entries, valid_checks) -> tuple[str, ...]:
-    names = []
+_CHECK_FLAGS = {"on": True, "1": True, "true": True, "off": False, "0": False, "false": False}
+
+
+def _load_checks(entries) -> tuple[tuple[str, bool, int], ...]:
+    """The [checks] entries in file order, as (name, on, line)."""
+    out = []
     for key, (value, lineno) in entries.items():
         if not _NAME_KEY.match(key):
             raise ScenarioError(f"line {lineno}: bad check name {key!r}")
-        flag = value.lower()
-        if flag in ("on", "1", "true"):
-            enabled = True
-        elif flag in ("off", "0", "false"):
-            enabled = False
-        else:
+        on = _CHECK_FLAGS.get(value.lower())
+        if on is None:
             raise ScenarioError(
                 f"line {lineno}: check value must be on/off, got {value!r}"
             )
-        if valid_checks is not None and key not in valid_checks:
-            raise ScenarioError(
-                f"line {lineno}: unknown check name {key!r}; valid names: "
-                + ", ".join(sorted(valid_checks))
-            )
-        if enabled:
-            names.append(key)
-    return tuple(names)
+        out.append((key, on, lineno))
+    return tuple(out)
 
 
 def _load_sampling(entries) -> Sampling:

@@ -39,16 +39,17 @@ shares and that broadcasts over the points, and the curvature biforms a
 
 Ownership: a frame owns its constants, and its one memo, ``shared``
 (``per_frame``), holds operator results only.  Each connection-level
-table, dtheta and the torsion 2-forms included, is built once, by
-``build_frame``, as a field of the frame's ``FrameGeometry``, and so are
-the halved biform expansions that the covariant, spin and
-right-representative derivatives of ``operators`` apply on every call:
-the left expansions of omega / 2 through the commutator and geometric
-product tables, of omega_lc / 2 through the commutator table, and the
-right expansion of omega / 2, each read-only.  What is the same in every
-frame (``THETA``, ``ETA``, ``ETA_DIAG``, ``EPSILON``) is a module
-constant.  An operator result depends on its arguments: it lives in
-``shared`` and goes away with the frame.
+table, dtheta, the torsion 2-forms and the full-connection biforms omega
+included, is built once, by ``build_frame``, as a field of the frame's
+``FrameGeometry``, and so are the halved biform expansions that the
+covariant, spin and right-representative derivatives of ``operators``
+apply on every call: the left expansions of omega / 2 through the
+commutator and geometric product tables, of omega_lc / 2 through the
+commutator table, and the right expansion of omega / 2, each read-only.
+The omega_lc biforms live on only in their expansion.  What is the same
+in every frame (``THETA``, ``ETA``, ``ETA_DIAG``, ``EPSILON``) is a
+module constant.  An operator result depends on its arguments: it lives
+in ``shared`` and goes away with the frame.
 """
 
 from __future__ import annotations
@@ -149,8 +150,6 @@ class FrameGeometry:
     K: np.ndarray                # contorsion conn[a][b][c], (4, 4, 4, P, 5)
     full: np.ndarray             # full connection conn[a][b][c], (4, 4, 4, P, 5)
     omega_biform: Multivector    # full-connection biforms omega_{e_a}, (4, P, 16, 5)
-    lc_biform: Multivector       # Levi-Civita biforms, stack
-    contorsion_biform: Multivector  # omega - lc biforms, stack
     dtheta: Multivector          # dtheta^g = -c^g_{bc} theta^b ^ theta^c over b < c, (4, P, 16, 5)
     torsion_forms: Multivector   # torsion 2-forms Theta^r (``torsion_two_forms``), (4, P, 16, 5)
     # the halved biform expansions at the width of CONN_ORDER, read-only:
@@ -202,8 +201,7 @@ class CurvatureData:
     lc_components: np.ndarray    # same for Levi-Civita
     biforms: Multivector         # (4, 4, P, 16, 5) grid [c, d], plane indices lowered
     scalar: np.ndarray           # jets (P, 5), grade-0 part of the biform contraction
-    contraction_grade2: Multivector
-    contraction_grade4: Multivector
+    contraction_grade2: Multivector  # grade-2 part of the biform contraction
     j_components: np.ndarray     # J^a_{bcd} = (R - R_lc)^a_{bcd}, from contorsion
     j_form: Multivector          # grade-4 term as it enters the squared operator
 
@@ -282,8 +280,8 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
                         (K, "the contorsion"), (full, "the connection")):
         _require_finite(table, what, points, failed)
 
-    omega, lc_biform = connection_biforms(full), connection_biforms(lc)
-    half_omega, half_lc, n = 0.5 * omega.data, 0.5 * lc_biform.data, width(CONN_ORDER)
+    omega = connection_biforms(full)
+    half_omega, half_lc, n = 0.5 * omega.data, 0.5 * connection_biforms(lc).data, width(CONN_ORDER)
     geom = FrameGeometry(
         points=points,
         tetrad=theta_mat,
@@ -295,8 +293,6 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
         K=K,
         full=full,
         omega_biform=omega,
-        lc_biform=lc_biform,
-        contorsion_biform=connection_biforms(K),
         dtheta=Multivector.from_array(bivector_array(-c_t), CONN_ORDER),
         torsion_forms=torsion_two_forms(T),
         omega_commutator_half=left_expansion(half_omega, COMMUTATOR_TABLE, n),
@@ -444,7 +440,6 @@ def curvature(geom: FrameGeometry) -> CurvatureData:
         biforms=biforms,
         scalar=contraction.data[..., 0, :],
         contraction_grade2=grade_project(contraction, 2),
-        contraction_grade4=grade_project(contraction, 4),
         j_components=J,
         j_form=j_quadriform(J),
     )

@@ -972,6 +972,18 @@ class ResidualReport:
 
 
 def select_checks(scenario: Scenario, only=None):
+    """The checks a run runs: ``only`` if given, else the scenario's
+    [checks] entries that are on, if there are any, else every check that
+    [checks] does not turn off.  The section is validated first, even when
+    ``only`` is given: an unknown name, or a section that turns every check
+    off, is a ``ScenarioError`` naming its line."""
+    for name, _, lineno in scenario.checks:
+        if name not in CHECKS:
+            raise ScenarioError(f"line {lineno}: unknown check name {name!r}; valid names: {', '.join(CHECKS)}")
+    off = {name for name, enabled, _ in scenario.checks if not enabled}
+    names = [name for name, enabled, _ in scenario.checks if enabled] or [n for n in CHECKS if n not in off]
+    if not names:
+        raise ScenarioError(f"line {scenario.checks[-1][2]}: [checks] turns off every check")
     if only is not None:
         only = list(dict.fromkeys(only))    # a repeated name runs once
         unknown = [n for n in only if n not in CHECKS]
@@ -979,15 +991,7 @@ def select_checks(scenario: Scenario, only=None):
             what = f"unknown check name(s) {', '.join(unknown)}" if unknown else "no check name given"
             raise UsageError(f"{what}; valid names: {', '.join(CHECKS)}")
         return only
-    if scenario.checks:
-        unknown = [n for n in scenario.checks if n not in CHECKS]
-        if unknown:
-            raise ScenarioError(
-                f"unknown check name(s) {', '.join(unknown)}; "
-                f"valid names: {', '.join(CHECKS)}"
-            )
-        return list(scenario.checks)
-    return list(CHECKS)
+    return names
 
 
 def run_suite(
@@ -1001,6 +1005,9 @@ def run_suite(
     """Run the selected checks at the sampled points on at most ``workers``
     processes, this one included: ``min(workers, max(1, points //
     MIN_SHARD_POINTS))`` static shards, one process each."""
+    # a bad [checks] section is a scenario error before any argument's
+    # usage error, as when the section was checked at load
+    names = select_checks(scenario, only)
     if workers < 1:
         raise UsageError(f"worker count must be at least 1, got {workers}")
     if points is not None and points < 1:
@@ -1009,7 +1016,6 @@ def run_suite(
         raise UsageError(f"seed must be non-negative, got {seed}")
     if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"tolerance must be finite and non-negative, got {tol}")
-    names = select_checks(scenario, only)
     n_points = scenario.sampling.points if points is None else points
     run_seed = scenario.sampling.seed if seed is None else seed
     run_tol = scenario.sampling.tol if tol is None else tol
@@ -1172,7 +1178,7 @@ def cli_main(argv) -> int:
     only = None if args.only is None else [n.strip() for n in args.only.split(",") if n.strip()]
     try:
         path = resolve_scenario_path(args.scenario)
-        scenario = fieldspec.load_scenario_file(path, valid_checks=set(CHECKS))
+        scenario = fieldspec.load_scenario_file(path)
     except (ScenarioError, OSError) as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return 3

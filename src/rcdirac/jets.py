@@ -62,18 +62,14 @@ import numpy as np
 NVARS = 4
 JET_LEN = 15
 
-# Packed Hessian slot layout and its inverse lookup.
+# Packed Hessian slot layout, and its inverse: HESS_ROW[mu][nu] is the
+# packed slot of (mu, nu), either way round.
 HESS_PAIRS: tuple[tuple[int, int], ...] = tuple(
     (mu, nu) for mu in range(NVARS) for nu in range(mu, NVARS)
 )
-HESS_SLOT = {pair: k for k, pair in enumerate(HESS_PAIRS)}
-for (mu, nu), k in list(HESS_SLOT.items()):
-    HESS_SLOT[(nu, mu)] = k
-
-# Row gather: HESS_ROW[mu][nu] is the packed slot of (mu, nu).
-HESS_ROW = np.array(
-    [[HESS_SLOT[(mu, nu)] for nu in range(NVARS)] for mu in range(NVARS)]
-)
+HESS_ROW = np.zeros((NVARS, NVARS), dtype=np.int64)
+for _k, (_mu, _nu) in enumerate(HESS_PAIRS):
+    HESS_ROW[_mu, _nu] = HESS_ROW[_nu, _mu] = _k
 
 # Index pairs used by the bilinear Hessian product term, as flat arrays.
 HESS_I = np.array([p[0] for p in HESS_PAIRS])
@@ -197,7 +193,7 @@ class Jet2:
         return self.data[5:15]
 
     def hess_at(self, mu: int, nu: int) -> float:
-        return float(self.data[5 + HESS_SLOT[(mu, nu)]])
+        return float(self.data[5 + HESS_ROW[mu, nu]])
 
     def __repr__(self):
         return f"Jet2(value={self.value:.6g}, order={self.order})"

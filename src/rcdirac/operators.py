@@ -80,8 +80,8 @@ from .cliffalg import (
     hodge_dual, left_expansion, product_sum, right_expansion,
 )
 from .geometry import (
-    CONN_ORDER, CURV_ORDER, ETA_DIAG, FRAME_ORDER, CurvatureData, FrameGeometry, connection_trace, per_frame,
-    torsion_trace,
+    CONN_ORDER, CURV_ORDER, ETA_DIAG, FRAME_ORDER, CurvatureData, FrameGeometry, connection_biforms,
+    connection_trace, per_frame, torsion_trace,
 )
 from .jets import CONSTANT, JetOrderError, clear_above, derivative, jet_einsum, width
 
@@ -98,10 +98,6 @@ def _require_grade(A: Multivector, k: int, what: str):
     # a NaN is not a grade error: it reaches the residual, which reports it
     if np.logical_or.reduce(np.abs(A.data[..., _GRADES != k, 0]) > 0.0, axis=None):
         raise GradeError(f"{what} must be pure grade {k}")
-
-
-def _conn_table(geom: FrameGeometry, conn: Connection):
-    return geom.full if conn == "full" else geom.lc
 
 
 # The kernel width of every product with a connection biform, which has
@@ -282,7 +278,8 @@ def dirac_square_assemblies(
     in two forms from the one grid: plain, and with the bivector half
     explicitly antisymmetrized."""
     cov1 = cov_derivs(geom, A, conn)
-    inner = cov_derivs(geom, cov1, conn) - _combine("cpk,acbp->abpk", cov1, _conn_table(geom, conn))
+    table = geom.full if conn == "full" else geom.lc
+    inner = cov_derivs(geom, cov1, conn) - _combine("cpk,acbp->abpk", cov1, table)
     half = (inner - inner.swapaxes(0, 1)).scale(0.5)
     return _pair_sum(inner), eta_trace(inner) + blade_sum(PLANE_GP, half)
 
@@ -322,26 +319,18 @@ def scalar_square_biform_part(geom: FrameGeometry, f: Multivector) -> Multivecto
     return _combine("apk,ap->pk", geom.torsion_forms, -df.data[..., 0, :], df.order)
 
 
-def _with_scalar(A: Multivector, s: Multivector) -> Multivector:
-    order = min(A.order, s.order)
-    n = width(order)
-    data = A.data[..., :n].copy()
-    data[..., 0, :] = s.data[..., 0, :n]
-    return Multivector.from_array(clear_above(data, order), order)
-
-
 def scalar_square_standard_form(geom: FrameGeometry, f: Multivector) -> Multivector:
     """Scalar square of the scalar part of f, built from the standard
     (Levi-Civita) pieces plus torsion-trace and torsion-2-form
     corrections."""
-    return _with_scalar(scalar_square_biform_part(geom, f), scalar_wave_part(geom, f))
+    return scalar_square_biform_part(geom, f) + scalar_wave_part(geom, f)
 
 
 def scalar_square_connection_form(geom: FrameGeometry, f: Multivector) -> Multivector:
     """Scalar square written through the full connection contraction:
     eta^{br} e_b e_r f - eta^{br} Gamma^a_{br} e_a f
     - T^a_{br} (theta^b ^ theta^r) e_a f / 2."""
-    return _with_scalar(scalar_square_biform_part(geom, f), frame_wave(geom, f, geom.full))
+    return scalar_square_biform_part(geom, f) + frame_wave(geom, f, geom.full)
 
 
 # -- vector-level torsion correction ------------------------------------------
@@ -368,7 +357,6 @@ def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Mul
     """Grid [a, b] of the per-direction-pair correction relating the
     torsionful square of a grade-1 field to the standard square:
     ``torsion_pair_terms`` - T^c_ab D_c A/2 - lc^c_ab tau_c A/2 - T^c_ab tau_c A/4."""
-    _require_grade(A, 1, "torsion square correction argument")
     D = cov_derivs(geom, A, "lc")
     tau = torsion_operators(geom, A)
     return (
@@ -441,7 +429,6 @@ def spin_square_relation_rhs(geom: FrameGeometry, A: Multivector) -> Multivector
 def spin_standard_square_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
     """The squared spin operator as the standard square plus both
     corrections (grade-1 fields)."""
-    _require_grade(A, 1, "spin standard square argument")
     corr = spin_square_right_correction(geom, A) + vector_square_torsion_correction(geom, A)
     return dirac_square_direct(geom, A, "lc") + _pair_sum(corr)
 
@@ -452,11 +439,10 @@ def s2_levi_civita_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
     fields, totally antisymmetric torsion); the derivative of the connection
     biform keeps its contorsion-commutator correction, which has no
     vector-level torsion-operator form."""
-    _require_grade(A, 1, "right-action correction argument")
     omega = geom.omega_biform
     nabla = cov_derivs(geom, A, "lc") + torsion_operators(geom, A).scale(0.5)
     # [K_a, omega_b] / 2 on the grid [a, b]
-    d_omega = cov_derivs(geom, omega, "lc") + commutator(geom.contorsion_biform[:, None], omega).scale(0.5)
+    d_omega = cov_derivs(geom, omega, "lc") + commutator(connection_biforms(geom.K)[:, None], omega).scale(0.5)
     return _right_correction(geom, A, nabla, d_omega)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from rcdirac import cliffalg as ca
 from rcdirac import fieldspec as fs
 from rcdirac import jets
-from rcdirac.geometry import CONN_ORDER, THETA
+from rcdirac.geometry import CONN_ORDER, THETA, connection_biforms
 from rcdirac.jets import (
     JET_LEN, MUL, ChartPoint, Jet2, JetDomainError, derivation_matrices, partial, seed_coordinate, slots, width,
 )
@@ -234,7 +234,7 @@ ETA = (1.0, -1.0, -1.0, -1.0)
 
 
 def _omega(geom, conn):
-    return geom.omega_biform if conn == "full" else geom.lc_biform
+    return geom.omega_biform if conn == "full" else connection_biforms(geom.lc)
 
 
 def ref_pfaff_mv(geom, A: ca.Multivector, a: int) -> ca.Multivector:

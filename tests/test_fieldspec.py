@@ -253,19 +253,17 @@ def test_torsion_antisymmetric_completion():
 
 
 def test_checks_section():
-    sc = load_scenario(
-        MINKOWSKI_TEXT + "[checks]\nlichnerowicz = on\nbianchi = off\n",
-        valid_checks={"lichnerowicz", "bianchi"},
-    )
-    assert sc.checks == ("lichnerowicz",)
+    # the entries in file order, with their lines; a run selects from them
+    sc = load_scenario(MINKOWSKI_TEXT + "[checks]\nlichnerowicz = on\nbianchi = off\n")
+    assert sc.checks == (("lichnerowicz", True, 9), ("bianchi", False, 10))
+    assert harness.select_checks(sc) == ["lichnerowicz"]
 
 
 def test_unknown_check_name_lists_valid():
+    # the name loads; selecting the run's checks rejects it
+    sc = load_scenario(MINKOWSKI_TEXT + "[checks]\nbogus = on\n")
     with pytest.raises(ScenarioError) as exc:
-        load_scenario(
-            MINKOWSKI_TEXT + "[checks]\nbogus = on\n",
-            valid_checks={"lichnerowicz"},
-        )
+        harness.select_checks(sc)
     assert "lichnerowicz" in str(exc.value)
 
 

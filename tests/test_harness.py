@@ -323,10 +323,59 @@ def test_select_checks():
     assert select_checks(sc, only=["lichnerowicz"]) == ["lichnerowicz"]
     with pytest.raises(UsageError):
         select_checks(sc, only=["bogus"])
-    sc2 = fs.load_scenario(
-        IDENTITY + "[checks]\nmetricity = on\n", valid_checks=set(CHECKS)
-    )
+    sc2 = fs.load_scenario(IDENTITY + "[checks]\nmetricity = on\n")
     assert select_checks(sc2) == ["metricity"]
+
+
+def test_checks_section_with_only_off_entries_runs_the_rest(tmp_path, capsys):
+    # off removes a check; without an on entry every other check runs
+    text = IDENTITY + "[checks]\nbianchi = off\nlichnerowicz = off\n"
+    rest = [n for n in CHECKS if n not in ("bianchi", "lichnerowicz")]
+    assert select_checks(fs.load_scenario(text)) == rest
+    path = tmp_path / "off.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--points", "2", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == rest
+
+
+def test_checks_section_turning_every_check_off_fails_at_its_line(tmp_path, capsys):
+    # an empty selection is a scenario error, never an empty report that passes
+    text = IDENTITY + "[checks]\n" + "".join(f"{n} = off\n" for n in CHECKS)
+    last = 6 + len(CHECKS)
+    with pytest.raises(fs.ScenarioError, match=f"^line {last}: \\[checks\\] turns off every check$"):
+        select_checks(fs.load_scenario(text))
+    path = tmp_path / "all_off.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--points", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"scenario error: line {last}: ")
+
+
+def test_unknown_check_name_through_the_library_names_its_line(tmp_path, capsys):
+    text = IDENTITY + "[checks]\nmetricity = on\nbogus = off\n"
+    sc = fs.load_scenario(text)
+    message = f"^line 8: unknown check name 'bogus'; valid names: {', '.join(CHECKS)}$"
+    with pytest.raises(fs.ScenarioError, match=message):
+        run_suite(sc, points=1)
+    # the section is validated before --only wins, and before a bad argument
+    with pytest.raises(fs.ScenarioError, match=message):
+        select_checks(sc, only=["metricity"])
+    path = tmp_path / "bogus.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--workers", "0", "--only", "metricity"]) == 3
+    assert capsys.readouterr().err.startswith("scenario error: line 8: unknown check name 'bogus'")
+
+
+def test_chart_interval_whose_width_overflows_fails_at_load(tmp_path, capsys):
+    text = "[chart]\nx0_min = -1e308\nx0_max = 1e308\n" + IDENTITY
+    with pytest.raises(fs.ScenarioError, match="^line 3: chart interval x0 too wide: max - min overflows$"):
+        fs.load_scenario(text)
+    path = tmp_path / "wide.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--points", "2"]) == 3
+    assert capsys.readouterr().err.startswith("scenario error: line 3: ")
 
 
 def test_run_suite_minkowski_all_pass():

@@ -91,7 +91,8 @@ def test_full_suite_product_count(monkeypatch):
         # run the plain kernel
         geom = ctx.geom
         frame_operands = {
-            "omega": geom.omega_biform, "lc": geom.lc_biform, "contorsion": geom.contorsion_biform,
+            "omega": geom.omega_biform, "lc": geometry.connection_biforms(geom.lc),
+            "contorsion": geometry.connection_biforms(geom.K),
             "dtheta": geom.dtheta, "torsion": geom.torsion_forms,
         }
         seen = collections.Counter(
@@ -222,7 +223,7 @@ def _along(stack, A):
 # on every call, and each factor 1/2 applied to the product.
 
 def _cov_derivs(geom, A, conn):
-    biform = geom.omega_biform if conn == "full" else geom.lc_biform
+    biform = geom.omega_biform if conn == "full" else geometry.connection_biforms(geom.lc)
     return ops.pfaffs(geom, A) + cliffalg.commutator(_along(biform, A), A).scale(0.5)
 
 
@@ -300,7 +301,7 @@ def test_halved_biform_expansions_are_read_only_frame_fields():
     n = width(geometry.CONN_ORDER)
     steps = {
         "omega_commutator_half": (cliffalg.left_expansion, geom.omega_biform, cliffalg.COMMUTATOR_TABLE),
-        "lc_commutator_half": (cliffalg.left_expansion, geom.lc_biform, cliffalg.COMMUTATOR_TABLE),
+        "lc_commutator_half": (cliffalg.left_expansion, geometry.connection_biforms(geom.lc), cliffalg.COMMUTATOR_TABLE),
         "omega_gp_half": (cliffalg.left_expansion, geom.omega_biform, cliffalg.GP_TABLE),
         "omega_right_half": (cliffalg.right_expansion, geom.omega_biform),
     }

@@ -20,7 +20,7 @@ from reference_loops import (
 )
 from rcdirac import geometry, harness
 from rcdirac import operators as ops
-from rcdirac.cliffalg import Multivector, geometric_product, left_contraction, wedge
+from rcdirac.cliffalg import PLANE_GP, Multivector, blade_sum, geometric_product, grade_project, left_contraction, wedge
 from rcdirac.geometry import build_frame, curvature
 from rcdirac.jets import ChartPoint, slots
 
@@ -125,7 +125,7 @@ def test_pair_sums_match_loops(geoms):
             lambda a, b: curv.biforms[a, b] if a != b else Multivector.zero()
         )
         got = ops.scalar_multivector(curv.scalar, curv.contraction_grade2.order)
-        got = got + curv.contraction_grade2 + curv.contraction_grade4
+        got = got + curv.contraction_grade2 + grade_project(blade_sum(PLANE_GP, curv.biforms), 4)
         assert _close(got, want)
 
 
@@ -204,8 +204,7 @@ PERTURBATIONS = {
     "square-torsion-relation": (ops, "vector_square_torsion_correction", _transposed),
     "spin-square-relation": (ops, "spin_square_right_correction", _transposed),
     "spin-standard-square": (ops, "vector_square_torsion_correction", _without_tau_d),
-    "s2-levi-civita": (geometry, "build_frame", _frame_with(lambda g: dataclasses.replace(
-        g, contorsion_biform=g.contorsion_biform.scale(0.0)))),
+    "s2-levi-civita": (geometry, "build_frame", _frame_with(lambda g: dataclasses.replace(g, K=0.0 * g.K))),
     "square-assembly": (geometry, "build_frame", _frame_with(
         lambda g: dataclasses.replace(g, full=g.lc))),
     "spin-square-assembly": (ops, "spin_cov_derivs", _second_transposed),

@@ -25,7 +25,7 @@ def counting_init(self, *args, **kwargs):
 inspect.signature, inspect.Signature.__init__ = counting_signature, counting_init
 import rcdirac
 from rcdirac import fieldspec, harness
-fieldspec.load_scenario_file(harness.resolve_scenario_path("curved_torsion"), valid_checks=set(harness.CHECKS))
+fieldspec.load_scenario_file(harness.resolve_scenario_path("curved_torsion"))
 print(len(calls), len(built))
 """
 

@@ -21,7 +21,7 @@ from reference_loops import (
 from rcdirac import cliffalg as ca
 from rcdirac import operators as ops
 from rcdirac.cliffalg import Multivector
-from rcdirac.geometry import CONN_ORDER, CURV_ORDER, build_frame
+from rcdirac.geometry import CONN_ORDER, CURV_ORDER, build_frame, connection_biforms
 from rcdirac.harness import CHECKS, BatchContext, build_run_fields, sample_points
 from rcdirac.jets import CONSTANT, JET_LEN, Jet2, jet_einsum, slots, width
 
@@ -189,7 +189,7 @@ def test_full_suite_results_keep_slot_contract(name, general_torsion):
         _assert_zero_above(out.data, out.order, key[0].__name__)
     for what in ("c", "lc", "K", "full"):
         _assert_zero_above(getattr(g, what), CONN_ORDER, what)
-    for biforms in (g.omega_biform, g.lc_biform, g.contorsion_biform):
+    for biforms in (g.omega_biform, connection_biforms(g.lc), connection_biforms(g.K)):
         _assert_zero_above(biforms.data, biforms.order, "biforms")
     for table in (curv.components, curv.lc_components, curv.j_components):
         _assert_zero_above(table, CURV_ORDER, "curvature")
