@@ -274,8 +274,11 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, off = self.peek()
         if kind == "num":
+            value = float(text)
+            if math.isinf(value):
+                self.fail("a finite number")
             self.next()
-            return Const(float(text))
+            return Const(value)
         if kind == "name":
             self.next()
             if text in COORD_NAMES:
@@ -484,6 +487,9 @@ def eval_expr(e: Expr, p: ChartPoint) -> Jet2:
 # -- scenario ---------------------------------------------------------------
 
 ZERO_EXPR = Const(0.0)
+# the deepest expression tree a scenario may hold: compiling a tree
+# recurses once per level
+MAX_DEPTH = 500
 
 
 class Sampling(NamedTuple):
@@ -585,16 +591,32 @@ def _parse_integer(key: str, text: str, lineno: int) -> int:
     return int(number)
 
 
+def _depth(e: Expr) -> int:
+    """The number of nodes on the longest root-to-leaf path of the tree e,
+    counted level by level, without recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [child for node in level for child in node._values() if isinstance(child, _Node)]
+    return depth
+
+
 def _parse_value_expr(value: str, lineno: int) -> Expr:
-    """Quoted string -> parsed expression; bare number -> constant, which
-    must be finite (the expression grammar has no spelling of nan or inf)."""
+    """Quoted string -> parsed expression, at most ``MAX_DEPTH`` nodes deep;
+    bare number -> constant, which must be finite (the expression grammar
+    has no spelling of nan or inf)."""
     if value.startswith('"'):
         if not (len(value) >= 2 and value.endswith('"')):
             raise ScenarioError(f"line {lineno}: unterminated string")
         try:
-            return parse_expr(value[1:-1])
+            e = parse_expr(value[1:-1])
         except (ExprSyntaxError, ExprNameError) as err:
             raise ScenarioError(f"line {lineno}: {err}") from err
+        except RecursionError:
+            raise ScenarioError(f"line {lineno}: expression nested too deeply to parse") from None
+        if _depth(e) > MAX_DEPTH:
+            raise ScenarioError(f"line {lineno}: expression nested deeper than {MAX_DEPTH} levels")
+        return e
     number = _parse_number(value, lineno)
     if not math.isfinite(number):
         raise ScenarioError(f"line {lineno}: non-finite number {value!r}")

@@ -20,11 +20,11 @@ A frame is built at P chart points at once (``build_frame`` takes one point
 or a sequence of them).  Every table is a float64 array of jets with the
 jet slot last (the layout of ``jets``) and the point axis just before it,
 and follows the slot contract of ``jets``: it stores the ``width`` of its
-jet order.  ``tetrad``, ``frame_vectors`` and the torsion ``T`` have order
-``FRAME_ORDER`` (2): (4, 4, P, 15) and (4, 4, 4, P, 15).  The structure
+jet order.  Only ``tetrad`` and ``frame_vectors`` have order
+``FRAME_ORDER`` (2): (4, 4, P, 15).  The torsion ``T``, the structure
 coefficients, the contorsion, the Levi-Civita and full connections and the
 connection biforms have order ``CONN_ORDER`` (1), and the curvature tables
-``CURV_ORDER`` (0): connection-like tables are (4, 4, 4, P, 5), curvature
+``CURV_ORDER`` (0): T and connection-like tables are (4, 4, 4, P, 5), curvature
 components (4, 4, 4, 4, P, 5).  Products of tables are index contractions
 through ``jets.jet_einsum`` with the point axis as its batch axis, and a
 directional derivative is one matmul per point, ``e_a(f) = f @ D[a]``,
@@ -75,8 +75,9 @@ ETA_DIAG.flags.writeable = False
 _DET_TOL = 1e-8
 _CALIBRATION_TOL = 1e-9    # times the largest |conn| at the point, at least 1
 
-# Jet orders: the tetrad and torsion come straight from scenario expressions,
-# connection tables hold one derivative of the tetrad and curvature two.
+# Jet orders: the tetrad and frame vectors come straight from scenario
+# expressions, connection tables hold one derivative of the tetrad and
+# curvature two; the torsion enters only beside the connection.
 FRAME_ORDER = 2
 CONN_ORDER = 1
 CURV_ORDER = 0
@@ -145,7 +146,7 @@ class FrameGeometry:
     frame_vectors: np.ndarray    # e_a^mu, (4, 4, P, 15), rows a
     derivations: dict            # {n: (4, P, n, 5)}: e_a(f) = f @ derivations[n][a], f of width n
     c: np.ndarray                # structure coefficients c[c][a][b], (4, 4, 4, P, 5)
-    T: np.ndarray                # torsion T[c][a][b], (4, 4, 4, P, 15)
+    T: np.ndarray                # torsion T[c][a][b] at CONN_ORDER, (4, 4, 4, P, 5)
     lc: np.ndarray               # Levi-Civita conn[a][b][c], (4, 4, 4, P, 5)
     K: np.ndarray                # contorsion conn[a][b][c], (4, 4, 4, P, 5)
     full: np.ndarray             # full connection conn[a][b][c], (4, 4, 4, P, 5)
@@ -262,11 +263,13 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     frame_vectors = invert_tetrad(theta_mat, points, failed)
     _require_finite(frame_vectors, "the inverse tetrad", points, failed)
 
-    T = np.zeros((4, 4, 4, n, JET_LEN))
+    # every evaluated torsion slot is checked; T keeps those of CONN_ORDER
     upper = next(stages).transpose(1, 0, 2)
+    _require_finite(upper, "the torsion", points, failed)
+    upper = upper[..., :width(CONN_ORDER)]
+    T = np.zeros((4, 4, 4, n, width(CONN_ORDER)))
     T[_T_C, _T_A, _T_B] = upper
     T[_T_C, _T_B, _T_A] = -upper
-    _require_finite(T, "the torsion", points, failed)
 
     # the derivative of an order-2 jet has order 1: its 5 slots take all
     # 15 slots of the jet, those of an order-1 jet's derivative its 5
@@ -274,7 +277,7 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
     derivations = {JET_LEN: wide, width(CONN_ORDER): np.ascontiguousarray(wide[..., :width(CONN_ORDER), :])}
     c_t = structure_coefficients(theta_mat, frame_vectors, derivations)
     lc = levi_civita(c_t)
-    K = contorsion(T[..., :width(CONN_ORDER)])
+    K = contorsion(T)
     full = lc + K
     for table, what in ((c_t, "the structure coefficients"), (lc, "the Levi-Civita connection"),
                         (K, "the contorsion"), (full, "the connection")):
@@ -371,9 +374,8 @@ def _calibrate_biforms(geom: FrameGeometry, failed: dict):
 def torsion_two_forms(T):
     """The four torsion 2-forms Theta^rho = T^rho_{ab} theta^a ^ theta^b / 2
     of the torsion table T, as a (4, P, 16, 5) stack indexed by rho, at
-    ``CONN_ORDER``: each of their consumers pairs them with first
-    derivatives, of order 1."""
-    return Multivector.from_array(bivector_array(T[..., :width(CONN_ORDER)]), CONN_ORDER)
+    ``CONN_ORDER``."""
+    return Multivector.from_array(bivector_array(T), CONN_ORDER)
 
 
 # -- curvature -------------------------------------------------------------
@@ -465,6 +467,5 @@ def connection_trace(conn) -> np.ndarray:
 
 def torsion_trace(geom: FrameGeometry) -> np.ndarray:
     """Q_b = T^a_{ab}, the torsion trace entering scalar square formulas:
-    jets (4, P, 5) at ``CONN_ORDER``, indexed by b; it meets connection
-    tables and first derivatives only."""
-    return np.einsum("aab...->b...", geom.T[..., :width(CONN_ORDER)])
+    jets (4, P, 5) at ``CONN_ORDER``, indexed by b."""
+    return np.einsum("aab...->b...", geom.T)

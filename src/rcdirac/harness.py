@@ -401,9 +401,7 @@ def _c_metricity(ctx):
     "antisymmetrized connection minus frame structure coefficients reproduces the torsion input",
 )
 def _c_torsion_recovery(ctx):
-    recovered = geometry.connection_torsion(ctx.geom, ctx.geom.full)
-    # the input torsion at the connection's width
-    return [(recovered, ctx.geom.T[..., :recovered.shape[-1]])]
+    return [(geometry.connection_torsion(ctx.geom, ctx.geom.full), ctx.geom.T)]
 
 
 @_check(

@@ -196,7 +196,7 @@ def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
     stack = vec.shape[:-2] if vec.ndim > 2 else (1,)
     vec = vec.reshape(-1, stack[-1], 4, vec.shape[-1]).transpose(2, 0, 1, 3)
     signed = ETA_DIAG[:, None, None, None, None] * ETA_DIAG[:, None, None] * geom.T
-    order = min(V.order, FRAME_ORDER)
+    order = min(V.order, CONN_ORDER)
     tau = jet_einsum("rabp,bkp->akpr", signed, vec, order)     # [a, k, p, r]
     data = np.zeros((4,) + stack[:-1] + tau.shape[2:3] + (N_BLADES, tau.shape[-1]))
     data[..., 1:5, :] = tau.reshape(data.shape[:-2] + (4, -1))
@@ -340,15 +340,13 @@ def scalar_square_connection_form(geom: FrameGeometry, f: Multivector) -> Multiv
 def torsion_pair_terms(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Grid [a, b] of the torsion terms both expansions of a grade-1 field's
     square share, D the standard derivative: tau_a(D_b A)/2 + D_a(tau_b A)/2
-    + tau_a(tau_b A)/4.  Every sum it enters has order 0, so the inner tau
-    is cut to its order-1 slots."""
+    + tau_a(tau_b A)/4."""
     D = cov_derivs(geom, A, "lc")
     tau = torsion_operators(geom, A)
-    inner = Multivector.from_array(tau.data[..., :width(CONN_ORDER)], min(tau.order, CONN_ORDER))
     return (
         torsion_operators(geom, D).scale(0.5)
         + cov_derivs(geom, tau, "lc").scale(0.5)
-        + torsion_operators(geom, inner).scale(0.25)
+        + torsion_operators(geom, tau).scale(0.25)
     )
 
 
@@ -361,7 +359,7 @@ def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Mul
     tau = torsion_operators(geom, A)
     return (
         torsion_pair_terms(geom, A)
-        - _combine("cpk,cabp->abpk", D.scale(0.5) + tau.scale(0.25), geom.T, FRAME_ORDER)
+        - _combine("cpk,cabp->abpk", D.scale(0.5) + tau.scale(0.25), geom.T)
         - _combine("cpk,acbp->abpk", tau, geom.lc).scale(0.5)
     )
 
@@ -472,12 +470,8 @@ def spin_commutator_forms(
     lhs = spin2 - spin2.swapaxes(0, 1)
     curv_action = geometric_product(curv.biforms, psi).scale(0.5)
     bracket = curv_action + _combine("cpk,cabp->abpk", spin1, geom.c)
-    # T^c_ab - Gamma^c_ab + Gamma^c_ba at [c, a, b], at the connection's width
-    coeff = (
-        geom.T[..., :geom.full.shape[-1]]
-        - geom.full.swapaxes(0, 1)
-        + geom.full.transpose(1, 2, 0, 3, 4)
-    )
+    # T^c_ab - Gamma^c_ab + Gamma^c_ba at [c, a, b]
+    coeff = geom.T - geom.full.swapaxes(0, 1) + geom.full.transpose(1, 2, 0, 3, 4)
     expanded = curv_action - _combine("cpk,cabp->abpk", spin1, coeff)
     return lhs, bracket, expanded
 

@@ -257,15 +257,16 @@ def ref_right_rep_deriv(geom, phi, a):
 
 
 def ref_torsion_operator(geom, a, V):
-    """tau(e_a, V)^r = eta_r sum_b T^r_{ab} eta_b V_b, one Jet2 product at a time."""
+    """tau(e_a, V)^r = eta_r sum_b T^r_{ab} eta_b V_b, one Jet2 product at a
+    time, at most at the torsion table's order ``CONN_ORDER``."""
     v = full_width(V.data).reshape(ca.N_BLADES, JET_LEN)
     data = np.zeros_like(v)
     for r in range(4):
         acc = Jet2.const(0.0)
         for b in range(4):
-            acc = acc + Jet2(geom.T[r, a, b, 0]) * Jet2(v[1 + b]) * (ETA[r] * ETA[b])
+            acc = acc + Jet2(full_width(geom.T[r, a, b, 0])) * Jet2(v[1 + b]) * (ETA[r] * ETA[b])
         data[1 + r] = acc.data
-    order = min(V.order, 2)
+    order = min(V.order, CONN_ORDER)
     return ca.Multivector.from_array(at_width(data, order), order)
 
 
@@ -292,9 +293,9 @@ def ref_vector_correction(geom, A, a, b):
     out = ref_torsion_operator(geom, a, D[b]).scale(0.5)
     out = out + ref_cov_deriv(geom, tau[b], a, "lc").scale(0.5)
     for c in range(4):
-        out = out - D[c].scale(0.5 * geom.T[c][a][b])
+        out = out - D[c].scale(0.5 * geom.T[c][a][b], CONN_ORDER)
         out = out - tau[c].scale(0.5 * geom.lc[a][c][b], CONN_ORDER)
-        out = out - tau[c].scale(0.25 * geom.T[c][a][b])
+        out = out - tau[c].scale(0.25 * geom.T[c][a][b], CONN_ORDER)
     return out + ref_torsion_operator(geom, a, tau[b]).scale(0.25)
 
 

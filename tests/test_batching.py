@@ -19,6 +19,7 @@ from rcdirac.harness import (
 DATA = Path(__file__).parent / "data"
 HOSTILE = {
     "overflow_torsion": {"NonFiniteFrameError"},
+    "hessian_overflow_torsion": {"NonFiniteFrameError"},
     "sqrt_tetrad": {"ExprDomainError"},
     "mixed_frame_errors": {"ExprDomainError", "DegenerateFrameError", "NonFiniteFrameError"},
 }

@@ -638,7 +638,9 @@ def test_sup_norm_is_taken_over_finite_values():
     assert [fields["scalar"].at(p).coeffs[0].value for p in pts] == [1.0] * len(pts)
 
 
-@pytest.mark.parametrize("expr", ["0*x0", "x0 + 1e999"], ids=["zero", "infinite"])
+# the infinite field overflows at every point: a literal that overflows,
+# such as 1e999, is an error at load
+@pytest.mark.parametrize("expr", ["0*x0", "x0 + 1e308*1e308"], ids=["zero", "infinite"])
 def test_field_without_finite_nonzero_value_is_a_scenario_error(expr, capsys, tmp_path):
     text = IDENTITY + f'[fields]\nf.scalar = "{expr}"\n'
     with pytest.raises(fs.ScenarioError, match="test field f.scalar has no finite non-zero value"):
@@ -775,6 +777,23 @@ def test_overflowing_contorsion_is_a_failing_point_error(capsys):
     assert _cli_under_w_error(path) == 1
     out = capsys.readouterr()
     assert out.out == report.to_text() and "Traceback" not in out.err
+
+
+def test_torsion_hessian_overflow_is_a_failing_point_error(capsys):
+    # the torsion's value and gradient are finite, its second derivatives are
+    # not: the frame checks every evaluated slot, not only the ones it keeps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["run", str(DATA / "hessian_overflow_torsion.scn")]) == 1
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        f"FAIL {name} max=n/a mean=n/a worst=n/a" for name in CHECKS
+    ]
+    errors = [line for line in lines if line.startswith("ERROR ")]
+    assert len(errors) == 680 == len(CHECKS) * 20
+    assert all("NonFiniteFrameError: the torsion is not finite at point" in line for line in errors)
+    assert "Traceback" not in out.err
 
 
 def test_calibration_failure_is_a_failing_point_error(capsys, monkeypatch, tmp_path):

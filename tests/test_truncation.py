@@ -21,9 +21,9 @@ from reference_loops import (
 from rcdirac import cliffalg as ca
 from rcdirac import operators as ops
 from rcdirac.cliffalg import Multivector
-from rcdirac.geometry import CONN_ORDER, CURV_ORDER, build_frame, connection_biforms
+from rcdirac.geometry import CONN_ORDER, CURV_ORDER, ETA_DIAG, build_frame, connection_biforms
 from rcdirac.harness import CHECKS, BatchContext, build_run_fields, sample_points
-from rcdirac.jets import CONSTANT, JET_LEN, Jet2, jet_einsum, slots, width
+from rcdirac.jets import CONSTANT, JET_LEN, MUL, Jet2, jet_einsum, slots, width
 
 ORDERS = (0, 1, 2, CONSTANT)
 # stack shapes of the two operands; (4, 1) x (1, 4) broadcasts to a grid
@@ -152,6 +152,24 @@ def test_pfaffs_follow_slot_contract(seed, order_a, stack):
         assert _reaches(ops.pfaffs.__wrapped__(g, nan).data, order)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seeds, orders, st.sampled_from(((1,), (4, 1), (4, 4, 1))))
+def test_torsion_operators_keep_the_torsion_order(seed, order_v, stack):
+    # the torsion table stores CONN_ORDER's slots, so tau has at most that order
+    g = _frame()
+    assert g.T.shape[-1] == width(CONN_ORDER)
+    rng = np.random.default_rng(seed)
+    v = _mv(rng, stack, order_v)
+    v.data[..., np.array(ca.GRADES) != 1, :] = 0.0
+    order = min(order_v, CONN_ORDER)
+    got = ops.torsion_operators.__wrapped__(g, v)
+    assert got.order == order and got.data.shape[:-1] == (4,) + v.data.shape[:-1]
+    signed = ETA_DIAG[:, None, None, None, None] * ETA_DIAG[:, None, None] * full_width(g.T)
+    want = np.zeros(got.data.shape[:-1] + (JET_LEN,))
+    want[..., 1:5, :] = np.einsum("rabpS,...pbT,STU->a...prU", signed, full_width(v.data[..., 1:5, :]), MUL)
+    _assert_contract(got.data, want, order)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.sampled_from(SPECS), orders, orders)
 def test_jet_einsum_follows_slot_contract(seed, spec, order_x, order_y):
@@ -187,7 +205,7 @@ def test_full_suite_results_keep_slot_contract(name, general_torsion):
     assert g.shared
     for key, out in g.shared.items():
         _assert_zero_above(out.data, out.order, key[0].__name__)
-    for what in ("c", "lc", "K", "full"):
+    for what in ("c", "T", "lc", "K", "full"):
         _assert_zero_above(getattr(g, what), CONN_ORDER, what)
     for biforms in (g.omega_biform, connection_biforms(g.lc), connection_biforms(g.K)):
         _assert_zero_above(biforms.data, biforms.order, "biforms")
