@@ -10,6 +10,10 @@ Expression grammar (whitespace-insensitive, left associative)::
     atom   := number | x0..x3 | fn '(' expr ')' | '(' expr ')'
     fn     := sin | cos | exp | sqrt
 
+``parse_expr`` reads an expression in one loop, without recursion, into a
+tree of at most ``MAX_DEPTH`` (100) nodes on any root-to-leaf path, the
+leaf counted; parentheses build no node, so they nest at no cost.
+
 Scenario files are UTF-8, LF or CRLF, one assignment per line, ``#`` starts
 a comment.  Sections and keys::
 
@@ -77,6 +81,11 @@ class ExprDomainError(ValueError):
     def __init__(self, point: ChartPoint, detail: str):
         self.point = point
         super().__init__(f"domain error at point {point.x}: {detail}")
+
+
+class ExprDepthError(ValueError):
+    def __init__(self):
+        super().__init__(f"expression nested deeper than {MAX_DEPTH} levels")
 
 
 class ScenarioError(ValueError):
@@ -182,6 +191,15 @@ _TOKEN_RE = re.compile(
 )
 _BARE_NUMBER_RE = re.compile(rf"[+-]?(?:{_NUMBER}|nan|inf|infinity)", re.ASCII | re.IGNORECASE)
 
+# the deepest expression tree, in nodes on its longest root-to-leaf path,
+# the leaf counted.  Each operation on a tree recurses once per level, and
+# the Python frames of one level are: repr 4, == 3, hash and pickle 2, and
+# ``Program._compile`` 1 (CPython 3.11).  So at 100 levels every one of
+# them needs at most 400 frames, within the default recursion limit of
+# 1000 even for a caller already 500 frames deep.  The deepest expression
+# of a shipped scenario is 6 levels.
+MAX_DEPTH = 100
+
 
 def _tokenize(src: str):
     tokens = []
@@ -202,103 +220,97 @@ def _tokenize(src: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected: str):
-        kind, text, off = self.peek()
-        found = "end of input" if kind == "end" else repr(text)
-        raise ExprSyntaxError(off, expected, found)
-
-    def expect_op(self, op: str):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == op:
-            return self.next()
-        self.fail(f"'{op}'")
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.peek()[0] != "end":
-            self.fail("an operator or end of input")
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
-            e = BinOp(op, e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.next()[1]
-            e = BinOp(op, e, self.unary())
-        return e
-
-    def unary(self) -> Expr:
-        if self.peek()[:2] == ("op", "-"):
-            self.next()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        e = self.atom()
-        while self.peek()[:2] == ("op", "^"):
-            self.next()
-            e = Pow(e, self.integer())
-        return e
-
-    def integer(self) -> int:
-        sign = 1
-        if self.peek()[:2] == ("op", "-"):
-            self.next()
-            sign = -1
-        kind, text, off = self.peek()
-        if kind != "num" or not re.fullmatch(r"\d+", text, re.ASCII):
-            self.fail("an integer exponent")
-        self.next()
-        return sign * int(text)
-
-    def atom(self) -> Expr:
-        kind, text, off = self.peek()
-        if kind == "num":
-            value = float(text)
-            if math.isinf(value):
-                self.fail("a finite number")
-            self.next()
-            return Const(value)
-        if kind == "name":
-            self.next()
-            if text in COORD_NAMES:
-                return Coord(COORD_NAMES.index(text))
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
-            raise ExprNameError(off, text)
-        if kind == "op" and text == "(":
-            self.next()
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        self.fail("a number, coordinate, function or '('")
+# the binding strength of an operator waiting on the operator stack: unary
+# minus (``Neg``) binds tighter than * and /, which bind tighter than + and
+# -; an open parenthesis or a function name (0) waits for its ")"
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, Neg: 3}
 
 
 def parse_expr(src: str) -> Expr:
-    return _Parser(src).parse()
+    """The tree of the expression src, at most ``MAX_DEPTH`` nodes deep.
+
+    One operator-precedence loop over the tokens (Dijkstra's shunting
+    yard), without recursion.  ``operands`` holds the trees built so far
+    with their depths; ``operators`` holds the unary minus signs, binary
+    operators, open parentheses and function names that wait for an
+    operand.  When an operand is complete, the next token applies every
+    waiting operator that binds at least as tightly as it does; "^" binds
+    tightest and applies to the operand before it at once.  A node is built
+    where a recursive-descent parser of the grammar would build it, and one
+    more than ``MAX_DEPTH`` deep raises ``ExprDepthError``; parentheses
+    build no node."""
+    tokens = _tokenize(src)
+    operands = []       # (node, depth)
+    operators = []      # Neg, a binary operator, "(" or a function name
+    k, want_operand = 0, True
+
+    def fail(expected: str):
+        kind, text, off = tokens[k]
+        raise ExprSyntaxError(off, expected, "end of input" if kind == "end" else repr(text))
+
+    def build(node, *depths):
+        depth = 1 + max(depths, default=0)
+        if depth > MAX_DEPTH:
+            raise ExprDepthError()
+        operands.append((node, depth))
+
+    while True:
+        kind, text, off = tokens[k]
+        if want_operand:
+            if text in ("-", "("):
+                operators.append(Neg if text == "-" else "(")
+            elif kind == "num":
+                value = float(text)
+                if math.isinf(value):
+                    fail("a finite number")
+                build(Const(value))
+                want_operand = False
+            elif text in COORD_NAMES:
+                build(Coord(COORD_NAMES.index(text)))
+                want_operand = False
+            elif text in FUNCTIONS:
+                k += 1
+                if tokens[k][1] != "(":
+                    fail("'('")
+                operators.append(text)
+            elif kind == "name":
+                raise ExprNameError(off, text)
+            else:
+                fail("a number, coordinate, function or '('")
+        elif text == "^":
+            k, sign = k + 1, 1
+            if tokens[k][1] == "-":
+                k, sign = k + 1, -1
+            kind, digits, _ = tokens[k]
+            if kind != "num" or not digits.isdigit():
+                fail("an integer exponent")
+            base, depth = operands.pop()
+            build(Pow(base, sign * int(digits)), depth)
+        else:
+            # the operand before this token is complete
+            while operators and _BINDING.get(operators[-1], 0) >= _BINDING.get(text, 1):
+                op = operators.pop()
+                right, depth = operands.pop()
+                if op is Neg:
+                    build(Neg(right), depth)
+                else:
+                    left, left_depth = operands.pop()
+                    build(BinOp(op, left, right), left_depth, depth)
+            if text in _BINDING:
+                operators.append(text)
+                want_operand = True
+            elif text == ")" and operators:
+                bracket = operators.pop()
+                if bracket != "(":
+                    arg, depth = operands.pop()
+                    build(Call(bracket, arg), depth)
+            elif operators:
+                fail("')'")
+            elif kind != "end":
+                fail("an operator or end of input")
+            else:
+                return operands.pop()[0]
+        k += 1
 
 
 # -- evaluation ------------------------------------------------------------
@@ -487,9 +499,6 @@ def eval_expr(e: Expr, p: ChartPoint) -> Jet2:
 # -- scenario ---------------------------------------------------------------
 
 ZERO_EXPR = Const(0.0)
-# the deepest expression tree a scenario may hold: compiling a tree
-# recurses once per level
-MAX_DEPTH = 500
 
 
 class Sampling(NamedTuple):
@@ -591,31 +600,18 @@ def _parse_integer(key: str, text: str, lineno: int) -> int:
     return int(number)
 
 
-def _depth(e: Expr) -> int:
-    """The number of nodes on the longest root-to-leaf path of the tree e,
-    counted level by level, without recursion."""
-    depth, level = 0, [e]
-    while level:
-        depth += 1
-        level = [child for node in level for child in node._values() if isinstance(child, _Node)]
-    return depth
-
-
 def _parse_value_expr(value: str, lineno: int) -> Expr:
     """Quoted string -> parsed expression, at most ``MAX_DEPTH`` nodes deep;
     bare number -> constant, which must be finite (the expression grammar
-    has no spelling of nan or inf)."""
+    has no spelling of nan or inf).  A syntax, name or depth error is a
+    ``ScenarioError`` naming the line."""
     if value.startswith('"'):
         if not (len(value) >= 2 and value.endswith('"')):
             raise ScenarioError(f"line {lineno}: unterminated string")
         try:
             e = parse_expr(value[1:-1])
-        except (ExprSyntaxError, ExprNameError) as err:
+        except (ExprSyntaxError, ExprNameError, ExprDepthError) as err:
             raise ScenarioError(f"line {lineno}: {err}") from err
-        except RecursionError:
-            raise ScenarioError(f"line {lineno}: expression nested too deeply to parse") from None
-        if _depth(e) > MAX_DEPTH:
-            raise ScenarioError(f"line {lineno}: expression nested deeper than {MAX_DEPTH} levels")
         return e
     number = _parse_number(value, lineno)
     if not math.isfinite(number):

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -411,25 +412,75 @@ def test_overflowing_arithmetic_and_underflowing_literals_load():
     assert sc.torsion[(0, 1, 3)] == BinOp("+", Const(0.0), Coord(0))
 
 
-@pytest.mark.parametrize("expr, message", [
-    ("-" * 3000 + "x0", "expression nested too deeply to parse"),
-    ("(" * 400 + "x0" + ")" * 400, "expression nested too deeply to parse"),
-    ("+".join(["x0"] * 3000), f"expression nested deeper than {fs.MAX_DEPTH} levels"),
-    ("+".join(["x0"] * (fs.MAX_DEPTH + 1)), f"expression nested deeper than {fs.MAX_DEPTH} levels"),
-    ("-" * fs.MAX_DEPTH + "x0", f"expression nested deeper than {fs.MAX_DEPTH} levels"),
+def tree_depth(e: fs.Expr) -> int:
+    """The number of nodes on the longest root-to-leaf path of the tree e,
+    counted level by level, without recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [child for node in level for child in node.__reduce__()[1] if isinstance(child, fs.Expr)]
+    return depth
+
+
+def at_stack_depth(frames: int, fn):
+    """fn() called with ``frames`` Python frames on the stack below it."""
+    def down(n):
+        return fn() if n == 0 else down(n - 1)
+
+    below, frame = 0, sys._getframe()
+    while frame is not None:
+        below, frame = below + 1, frame.f_back
+    return down(frames - below - 1)
+
+
+TOO_DEEP = f"expression nested deeper than {fs.MAX_DEPTH} levels"
+
+
+@pytest.mark.parametrize("expr", [
+    "-" * 3000 + "x0",
+    # parentheses build no node, and hide none
+    "(" * 400 + "+".join(["x0"] * (fs.MAX_DEPTH + 1)) + ")" * 400,
+    "+".join(["x0"] * 3000),
+    "+".join(["x0"] * (fs.MAX_DEPTH + 1)),
+    "-" * fs.MAX_DEPTH + "x0",
 ])
 @pytest.mark.parametrize("key", ["T0_12", "A.vector.1"])
-def test_deep_nesting_rejected_at_its_line(expr, message, key):
+def test_deep_nesting_rejected_at_its_line(expr, key):
     section = "torsion" if key.startswith("T") else "fields"
-    with pytest.raises(ScenarioError, match=f"^line 9: {message}$"):
+    with pytest.raises(ScenarioError, match=f"^line 9: {TOO_DEEP}$"):
         load_scenario(MINKOWSKI_TEXT + f'[{section}]\n{key} = "{expr}"\n')
+    with pytest.raises(fs.ExprDepthError, match=f"^{TOO_DEEP}$"):
+        parse_expr(expr)
+
+
+def test_parser_does_not_recurse():
+    # nesting costs no Python frame: all three parse with 900 frames
+    # below the parser, 100 short of the default recursion limit
+    sum_at_limit = "+".join(["x0"] * fs.MAX_DEPTH)
+    parens, minuses, total = at_stack_depth(900, lambda: (
+        parse_expr("(" * 10_000 + "x1" + ")" * 10_000),
+        parse_expr("-" * (fs.MAX_DEPTH - 1) + "x0"),
+        parse_expr(sum_at_limit),
+    ))
+    assert parens == Coord(1)
+    assert tree_depth(minuses) == tree_depth(total) == fs.MAX_DEPTH
+    assert total == parse_expr(sum_at_limit)
 
 
 def test_expression_at_the_depth_limit_loads_and_runs():
-    # a left-deep sum of MAX_DEPTH terms is MAX_DEPTH nodes deep
-    src = "+".join(["x0"] * fs.MAX_DEPTH)
-    sc = load_scenario(MINKOWSKI_TEXT + f'[torsion]\nT0_12 = "{src}"\n')
-    assert fs._depth(sc.torsion[(0, 1, 2)]) == fs.MAX_DEPTH
+    # a left-deep sum of MAX_DEPTH terms is MAX_DEPTH nodes deep; every
+    # operation on the scenario that holds it works 500 frames deep
+    text = MINKOWSKI_TEXT + f'[torsion]\nT0_12 = "{"+".join(["x0"] * fs.MAX_DEPTH)}"\n'
+    sc = load_scenario(text)
+    e = sc.torsion[(0, 1, 2)]
+    assert tree_depth(e) == fs.MAX_DEPTH
+
+    def use():
+        again = load_scenario(text)
+        copy = pickle.loads(pickle.dumps(again))
+        return again == sc, copy == sc, hash(again.torsion[(0, 1, 2)]) == hash(e), repr(again) == repr(sc)
+
+    assert at_stack_depth(500, use) == (True, True, True, True)
     (c,) = harness.run_suite(sc, points=2, only=["torsion-recovery"]).checks
     assert c.passed and not c.errors
 
