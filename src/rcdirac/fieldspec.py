@@ -284,8 +284,12 @@ def parse_expr(src: str) -> Expr:
             kind, digits, _ = tokens[k]
             if kind != "num" or not digits.isdigit():
                 fail("an integer exponent")
+            try:
+                exponent = sign * int(digits)
+            except ValueError:      # more digits than int() converts
+                fail("an integer exponent")
             base, depth = operands.pop()
-            build(Pow(base, sign * int(digits)), depth)
+            build(Pow(base, exponent), depth)
         else:
             # the operand before this token is complete
             while operators and _BINDING.get(operators[-1], 0) >= _BINDING.get(text, 1):

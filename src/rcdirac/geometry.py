@@ -45,11 +45,13 @@ included, is built once, by ``build_frame``, as a field of the frame's
 covariant, spin and right-representative derivatives of ``operators``
 apply on every call: the left expansions of omega / 2 through the
 commutator and geometric product tables, of omega_lc / 2 through the
-commutator table, and the right expansion of omega / 2, each read-only.
-The omega_lc biforms live on only in their expansion.  What is the same
-in every frame (``THETA``, ``ETA``, ``ETA_DIAG``, ``EPSILON``) is a
-module constant.  An operator result depends on its arguments: it lives
-in ``shared`` and goes away with the frame.
+commutator table, and the right expansion of omega / 2; so is the
+commutator expansion of the torsion biforms beta (``torsion_commutator``),
+the torsion operator on every grade.  Each is read-only.  The omega_lc
+and beta biforms live on only in their expansions.  What is the same in
+every frame (``THETA``, ``ETA``, ``ETA_DIAG``, ``EPSILON``) is a module
+constant.  An operator result depends on its arguments: it lives in
+``shared`` and goes away with the frame.
 """
 
 from __future__ import annotations
@@ -161,6 +163,8 @@ class FrameGeometry:
     lc_commutator_half: np.ndarray      # left_expansion(omega_lc / 2, COMMUTATOR_TABLE)
     omega_gp_half: np.ndarray           # left_expansion(omega / 2, GP_TABLE)
     omega_right_half: np.ndarray        # right_expansion(omega / 2)
+    # the torsion operator [beta_a, .], beta the connection biforms of T^b_ac / 2 at [a, b, c]
+    torsion_commutator: np.ndarray      # left_expansion(beta, COMMUTATOR_TABLE), (4, P, 16, 80)
     # results shared by the checks at these points (``per_frame``)
     shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -285,6 +289,7 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
 
     omega = connection_biforms(full)
     half_omega, half_lc, n = 0.5 * omega.data, 0.5 * connection_biforms(lc).data, width(CONN_ORDER)
+    beta = connection_biforms(0.5 * T.transpose(1, 0, 2, 3, 4)).data    # from T: K's biforms on skew T only
     geom = FrameGeometry(
         points=points,
         tetrad=theta_mat,
@@ -302,8 +307,10 @@ def build_frame(scenario: Scenario, points) -> FrameGeometry:
         lc_commutator_half=left_expansion(half_lc, COMMUTATOR_TABLE, n),
         omega_gp_half=left_expansion(half_omega, GP_TABLE, n),
         omega_right_half=right_expansion(half_omega, n),
+        torsion_commutator=left_expansion(beta, COMMUTATOR_TABLE, n),
     )
-    for half in (geom.omega_commutator_half, geom.lc_commutator_half, geom.omega_gp_half, geom.omega_right_half):
+    for half in (geom.omega_commutator_half, geom.lc_commutator_half, geom.omega_gp_half, geom.omega_right_half,
+                 geom.torsion_commutator):
         half.flags.writeable = False
     _calibrate_biforms(geom, failed)
     if failed:

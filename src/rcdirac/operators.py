@@ -30,8 +30,7 @@ indexers.  A frame sum sum_a theta^a X[a] is the stack of products with
 the constant-blade matrices, summed over the direction axis
 (``cliffalg.blade_sum``), the pair sum eta^ab X[a, b] + (theta^a ^
 theta^b) X[a, b] the same with theta^a theta^b, and a
-connection term sum_c Gamma^c_ab X[c], like the torsion operator
-tau(e_a, V)^r = eta_r eta_b T^r_ab V^b, one ``jets.jet_einsum`` of a
+connection term sum_c Gamma^c_ab X[c] is one ``jets.jet_einsum`` of a
 frame table with the field's jets.  The per-pair
 corrections of the squared operators are (4, 4, P, 16, w) grids whose
 products broadcast one operand along a and the other along b, so each
@@ -39,15 +38,16 @@ operand is expanded once.
 
 Sharing: a frame owns its constants, and its memo holds operator results
 only.  The covariant, spin and right-representative derivatives are e_a
-plus half a one- or two-sided action of a connection biform, so the
+plus half a one- or two-sided action of a connection biform, and the
+torsion operator is the commutator with the torsion biforms beta, so the
 product expansions that many calls meet are the halved ones of omega and
-omega_lc: ``build_frame`` builds them once, as read-only fields of the
-frame (``omega_commutator_half``, ``lc_commutator_half``,
-``omega_gp_half``, ``omega_right_half``), and each call expands its
-argument's jets alone.  Every other product, frame sums over
-``geom.dtheta`` and ``geom.torsion_forms`` included, runs through the
-plain kernel (``cliffalg.product_sum``), with the same bits.  Each pure
-operator family (``pfaffs``, ``cov_derivs``, ``spin_cov_derivs``,
+omega_lc and that of beta: ``build_frame`` builds them once, as read-only
+fields of the frame (``omega_commutator_half``, ``lc_commutator_half``,
+``omega_gp_half``, ``omega_right_half``, ``torsion_commutator``), and
+each call expands its argument's jets alone.  Every other product, frame
+sums over ``geom.dtheta`` and ``geom.torsion_forms`` included, runs
+through the plain kernel (``cliffalg.product_sum``), with the same bits.
+Each pure operator family (``pfaffs``, ``cov_derivs``, ``spin_cov_derivs``,
 ``right_rep_derivs``, ``torsion_operators``, the three Dirac parts,
 ``exterior_d``, ``codifferential``, both direct squares, ``spin_dirac``,
 ``spin_hessian``, ``torsion_pair_terms`` and the two correction grids) is
@@ -76,12 +76,12 @@ import numpy as np
 
 from .cliffalg import (
     GP_TABLE, GRADES, HODGE, N_BLADES, PLANE_GP, SIGNATURE, THETA_GP, THETA_LC, THETA_PAIR, THETA_WEDGE, WEDGE_TABLE,
-    GradeError, Multivector, blade_products, blade_sum, commutator, expanded_product, geometric_product,
-    hodge_dual, left_expansion, product_sum, right_expansion,
+    GradeError, Multivector, blade_products, blade_sum, expanded_product, geometric_product, hodge_dual,
+    left_expansion, product_sum, right_expansion,
 )
 from .geometry import (
-    CONN_ORDER, CURV_ORDER, ETA_DIAG, FRAME_ORDER, CurvatureData, FrameGeometry, connection_biforms,
-    connection_trace, per_frame, torsion_trace,
+    CONN_ORDER, CURV_ORDER, ETA_DIAG, FRAME_ORDER, CurvatureData, FrameGeometry, connection_trace, per_frame,
+    torsion_trace,
 )
 from .jets import CONSTANT, JetOrderError, clear_above, derivative, jet_einsum, width
 
@@ -111,10 +111,11 @@ def _along_directions(x: np.ndarray, A: Multivector) -> np.ndarray:
     return x.reshape((4,) + (1,) * (A.data.ndim - 3) + x.shape[1:])
 
 
-def _biform_actions(half: np.ndarray, A: Multivector) -> Multivector:
-    """(omega_a o A) / 2 along all e_a, direction axis first, from one of
-    the frame's halved left expansions of a biform stack omega."""
-    return expanded_product(_along_directions(half, A), right_expansion(A.data, _N), min(CONN_ORDER, A.order))
+def _biform_actions(left: np.ndarray, A: Multivector) -> Multivector:
+    """omega_a o A along all e_a, direction axis first, from one of the
+    frame's left expansions of a biform stack omega (a halved one gives
+    (omega_a o A) / 2)."""
+    return expanded_product(_along_directions(left, A), right_expansion(A.data, _N), min(CONN_ORDER, A.order))
 
 
 def right_actions(geom: FrameGeometry, phi: Multivector) -> Multivector:
@@ -186,21 +187,12 @@ def right_rep_derivs(geom: FrameGeometry, phi: Multivector) -> Multivector:
 
 @per_frame
 def torsion_operators(geom: FrameGeometry, V: Multivector) -> Multivector:
-    """tau(e_a, V)^r = eta_r eta_b T^r_{ab} V^b for all a, direction axis
-    first, on grade-1 arguments: one ``jet_einsum`` of the eta-signed
-    torsion table with V's vector jets [b, k, p], k V's stack axes
-    flattened and p its point axis (one that broadcasts over the frame's
-    points if V has none)."""
-    _require_grade(V, 1, "torsion operator argument")
-    vec = V.data[..., 1:5, :]
-    stack = vec.shape[:-2] if vec.ndim > 2 else (1,)
-    vec = vec.reshape(-1, stack[-1], 4, vec.shape[-1]).transpose(2, 0, 1, 3)
-    signed = ETA_DIAG[:, None, None, None, None] * ETA_DIAG[:, None, None] * geom.T
-    order = min(V.order, CONN_ORDER)
-    tau = jet_einsum("rabp,bkp->akpr", signed, vec, order)     # [a, k, p, r]
-    data = np.zeros((4,) + stack[:-1] + tau.shape[2:3] + (N_BLADES, tau.shape[-1]))
-    data[..., 1:5, :] = tau.reshape(data.shape[:-2] + (4, -1))
-    return Multivector.from_array(data, order)
+    """The torsion operators tau_a(V) = [beta_a, V] for all a, direction
+    axis first, on any grade, from the frame's ``torsion_commutator``: the
+    commutator with the torsion biforms is a derivation, and on a vector
+    it is tau(e_a, V)^r = eta_r eta_b T^r_{ab} V^b when the torsion is
+    totally antisymmetric."""
+    return _biform_actions(geom.torsion_commutator, V)
 
 
 def pfaff(geom: FrameGeometry, A: Multivector, a: int) -> Multivector:
@@ -333,13 +325,13 @@ def scalar_square_connection_form(geom: FrameGeometry, f: Multivector) -> Multiv
     return scalar_square_biform_part(geom, f) + frame_wave(geom, f, geom.full)
 
 
-# -- vector-level torsion correction ------------------------------------------
+# -- torsion correction --------------------------------------------------------
 
 
 @per_frame
 def torsion_pair_terms(geom: FrameGeometry, A: Multivector) -> Multivector:
-    """Grid [a, b] of the torsion terms both expansions of a grade-1 field's
-    square share, D the standard derivative: tau_a(D_b A)/2 + D_a(tau_b A)/2
+    """Grid [a, b] of the torsion terms both expansions of a field's square
+    share, D the standard derivative: tau_a(D_b A)/2 + D_a(tau_b A)/2
     + tau_a(tau_b A)/4."""
     D = cov_derivs(geom, A, "lc")
     tau = torsion_operators(geom, A)
@@ -353,7 +345,7 @@ def torsion_pair_terms(geom: FrameGeometry, A: Multivector) -> Multivector:
 @per_frame
 def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Multivector:
     """Grid [a, b] of the per-direction-pair correction relating the
-    torsionful square of a grade-1 field to the standard square:
+    torsionful square of a field to the standard square:
     ``torsion_pair_terms`` - T^c_ab D_c A/2 - lc^c_ab tau_c A/2 - T^c_ab tau_c A/4."""
     D = cov_derivs(geom, A, "lc")
     tau = torsion_operators(geom, A)
@@ -365,15 +357,15 @@ def vector_square_torsion_correction(geom: FrameGeometry, A: Multivector) -> Mul
 
 
 def pair_expansion_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
-    """The second covariant derivatives nabla_a nabla_b of a grade-1 field
+    """The second covariant derivatives nabla_a nabla_b of a field
     expanded through the standard derivative and the torsion operator, the
     (a, b) grid."""
     return cov_derivs(geom, cov_derivs(geom, A, "lc"), "lc") + torsion_pair_terms(geom, A)
 
 
 def square_torsion_relation_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
-    """The torsionful square of a grade-1 field as the standard square plus
-    the paired torsion correction."""
+    """The torsionful square of a field as the standard square plus the
+    paired torsion correction."""
     return dirac_square_direct(geom, A, "lc") + _pair_sum(vector_square_torsion_correction(geom, A))
 
 
@@ -426,21 +418,17 @@ def spin_square_relation_rhs(geom: FrameGeometry, A: Multivector) -> Multivector
 
 def spin_standard_square_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
     """The squared spin operator as the standard square plus both
-    corrections (grade-1 fields)."""
+    corrections."""
     corr = spin_square_right_correction(geom, A) + vector_square_torsion_correction(geom, A)
     return dirac_square_direct(geom, A, "lc") + _pair_sum(corr)
 
 
 def s2_levi_civita_rhs(geom: FrameGeometry, A: Multivector) -> Multivector:
     """The right-action correction ``spin_square_right_correction`` rewritten
-    through the standard derivative and the torsion operator (grade-1
-    fields, totally antisymmetric torsion); the derivative of the connection
-    biform keeps its contorsion-commutator correction, which has no
-    vector-level torsion-operator form."""
-    omega = geom.omega_biform
+    through the standard derivative and the torsion operator, on the field
+    and on the connection biforms (totally antisymmetric torsion)."""
     nabla = cov_derivs(geom, A, "lc") + torsion_operators(geom, A).scale(0.5)
-    # [K_a, omega_b] / 2 on the grid [a, b]
-    d_omega = cov_derivs(geom, omega, "lc") + commutator(connection_biforms(geom.K)[:, None], omega).scale(0.5)
+    d_omega = cov_derivs(geom, geom.omega_biform, "lc") + torsion_operators(geom, geom.omega_biform).scale(0.5)
     return _right_correction(geom, A, nabla, d_omega)
 
 

@@ -270,6 +270,30 @@ def ref_torsion_operator(geom, a, V):
     return ca.Multivector.from_array(at_width(data, order), order)
 
 
+# the geometric-product signs of the blade pairs whose left (right) blade is
+# a bivector: a product with a bivector skips the pairs of its zero blades
+_BIVECTOR = np.array(ca.GRADES) == 2
+_GP_SIGN_BIVECTOR_LEFT = np.where(_BIVECTOR[ca.PAIR_I], ca.GP_SIGN, 0.0)
+_GP_SIGN_BIVECTOR_RIGHT = np.where(_BIVECTOR[ca.PAIR_J], ca.GP_SIGN, 0.0)
+
+
+def ref_torsion_commutator(geom, a, A):
+    """[beta_a, A] with the torsion biform beta_a = sum_{b<c} L_abc theta^b
+    ^ theta^c, L_abc = (eta_b T^b_ac - eta_c T^c_ab) / 4, built one index at
+    a time and multiplied by the coefficient-pair loop, at most at the
+    torsion table's order ``CONN_ORDER``."""
+    T = _jets_at_point(geom.T)
+    coeffs = [Jet2.const(0.0)] * ca.N_BLADES
+    for b in range(4):
+        for c in range(b + 1, 4):
+            k, _ = pair_blade(b, c)
+            coeffs[k] = (T[b][a][c] * ETA[b] - T[c][a][b] * ETA[c]) * 0.25
+    beta, V = RefMV(coeffs), RefMV.of(A)
+    commutator = beta.product(V, _GP_SIGN_BIVECTOR_LEFT) - V.product(beta, _GP_SIGN_BIVECTOR_RIGHT)
+    order = min(A.order, CONN_ORDER)
+    return ca.Multivector.from_array(at_width(commutator.data(), order), order)
+
+
 def ref_frame_sum(geom, product, stack):
     """sum_a product(theta^a, stack[a])."""
     return sum(product(THETA[a], stack[a]) for a in range(4))
@@ -286,17 +310,23 @@ def ref_pair_sum(term_fn):
     return out
 
 
-def ref_vector_correction(geom, A, a, b):
-    """Torsion correction of the squared operator on a vector, pair (a, b)."""
+def ref_vector_correction(geom, A):
+    """The torsion correction of the squared operator on a vector, with the
+    torsion operator [beta_a, .], as a function of the pair (a, b); the
+    first derivatives D_c A and tau_c A are shared by the pairs."""
     D = [ref_cov_deriv(geom, A, c, "lc") for c in range(4)]
-    tau = [ref_torsion_operator(geom, c, A) for c in range(4)]
-    out = ref_torsion_operator(geom, a, D[b]).scale(0.5)
-    out = out + ref_cov_deriv(geom, tau[b], a, "lc").scale(0.5)
-    for c in range(4):
-        out = out - D[c].scale(0.5 * geom.T[c][a][b], CONN_ORDER)
-        out = out - tau[c].scale(0.5 * geom.lc[a][c][b], CONN_ORDER)
-        out = out - tau[c].scale(0.25 * geom.T[c][a][b], CONN_ORDER)
-    return out + ref_torsion_operator(geom, a, tau[b]).scale(0.25)
+    tau = [ref_torsion_commutator(geom, c, A) for c in range(4)]
+
+    def pair(a, b):
+        out = ref_torsion_commutator(geom, a, D[b]).scale(0.5)
+        out = out + ref_cov_deriv(geom, tau[b], a, "lc").scale(0.5)
+        for c in range(4):
+            out = out - D[c].scale(0.5 * geom.T[c][a][b], CONN_ORDER)
+            out = out - tau[c].scale(0.5 * geom.lc[a][c][b], CONN_ORDER)
+            out = out - tau[c].scale(0.25 * geom.T[c][a][b], CONN_ORDER)
+        return out + ref_torsion_commutator(geom, a, tau[b]).scale(0.25)
+
+    return pair
 
 
 def ref_right_correction(geom, A, a, b):

@@ -101,6 +101,18 @@ def test_overflowing_literal_is_a_syntax_error():
     assert parse_expr("1e-400") == Const(0.0)
 
 
+def test_exponent_past_int_conversion_is_a_syntax_error():
+    # 5000 digits are more than int() converts: an error at the exponent,
+    # and one at its line when a scenario loads it
+    digits = "1" * 5000
+    for src, offset in (("x0^" + digits, 3), ("x0 ^ -" + digits, 6)):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expr(src)
+        assert (exc.value.offset, exc.value.expected) == (offset, "an integer exponent")
+    with pytest.raises(ScenarioError, match="^line 2: syntax error at offset 3: expected an integer exponent"):
+        load_scenario(f'[tetrad]\ne0_0 = "x0^{digits}"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n')
+
+
 def test_unknown_identifier():
     with pytest.raises(ExprNameError) as exc:
         parse_expr("x0 + y1")

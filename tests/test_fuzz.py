@@ -46,6 +46,8 @@ LONG_SUM = "x0+" * 3000
 MINUSES = "-" * 3000
 PARENS = "(" * 400 + "x0" + ")" * 400
 QUOTED_SUM = '"' + "+".join(["x0"] * 3000) + '"'
+# an exponent of more digits than int() converts
+LONG_EXPONENT = "^" + "1" * 5000
 PALETTE = (
     "1e400", '"1e400"', "1e308", "1e-400", "nan", "inf", "0", "-1", "x0", "x4", "sin(", "sqrt(", "(", ")", "^",
     "^-2", "-", "+", "*", "/", '"', "=", "#", "[", "]", "\n", " ", LONG_SUM, MINUSES, PARENS, QUOTED_SUM,
@@ -79,7 +81,7 @@ def _mutate(text: str, changes) -> str:
 
 
 def test_tokens_rebuild_every_file():
-    assert len(CORPUS) == 10
+    assert len(CORPUS) == 11
     for text in TEXTS.values():
         assert "".join(_TOKEN.findall(text)) == text
 
@@ -89,13 +91,14 @@ def test_tokens_rebuild_every_file():
 @given(st.sampled_from(CORPUS), st.lists(edits, min_size=1, max_size=2))
 # each defect class once, whatever the draws: assignment line 12 of
 # curved_torsion is T0_12 = "0.3*x1/(1 + 0.25*x2)", whose value tokens but
-# spaces are '"', '0.3', '*', 'x1', ...; line 13 of generic_torsion is
+# spaces are '"', '0.3', '*', 'x1', '/', ...; line 13 of generic_torsion is
 # T1_12 = 0.15
 @example(CURVED, [("replace", 12, 1, "1e400")])
 @example(CURVED, [("insert", 12, 1, LONG_SUM)])
 @example(CURVED, [("insert", 12, 1, MINUSES)])
 @example(CURVED, [("replace", 12, 3, PARENS)])
 @example(GENERIC, [("replace", 13, 0, QUOTED_SUM)])
+@example(CURVED, [("insert", 12, 4, LONG_EXPONENT)])
 def test_mutated_scenarios_fail_only_as_scenario_errors(name, changes):
     text = _mutate(TEXTS[name], changes)
     try:

@@ -1,11 +1,13 @@
-"""Integration by parts: the Dirac operator against the metric's volume form.
+"""Integration by parts: the Dirac operators against the metric's volume form.
 
 For Clifford fields A and B, with V^a = <~A theta^a B>_0,
 
     <(dA)~ B>_0 + <~A dB>_0 = d_mu V^mu + V^mu d_mu log|det theta| + Q_b V^b,
 
 where d is the Dirac operator, V^mu = e_a^mu V^a and Q_b = T^a_ab is the
-torsion trace; the Levi-Civita operator has no Q term.  The right side
+torsion trace; the Levi-Civita operator has no Q term.  The same holds for
+the spin-Dirac operator, with A = psi even and B = psi theta^0 odd, whose
+V^a is the Dirac current of psi.  The right side
 reads only the tetrad's jets and the torsion trace, not the connection
 tables the 34 checks compare the operator with, so an error those tables
 share shows here."""
@@ -18,6 +20,7 @@ from conftest import BUNDLED, load_bundled
 
 from rcdirac import fieldspec, geometry, harness, jets, operators
 from rcdirac.cliffalg import THETA_GP, blade_products, geometric_product, reversion
+from rcdirac.geometry import THETA
 
 GENERIC_PATH = Path(__file__).parent.parent / "perfbench" / "data" / "generic_torsion.scn"
 
@@ -27,14 +30,29 @@ def _scalar_part(x, y):
     return geometric_product(reversion(x), y).data[..., 0, :]
 
 
-def green_sides(scenario, conn, trace=True, log_det_scale=1.0):
-    """The two sides of the identity at 6 points, seed 3, and the torsion
+def dirac(conn):
+    """The Dirac operator of a connection, as a function of (geom, X)."""
+    return lambda geom, X: operators.dirac(geom, X, conn)
+
+
+def general_fields(run_fields, points):
+    return run_fields["general"].at(points), run_fields["general2"].at(points)
+
+
+def spinor_and_current(run_fields, points):
+    """psi, the even field, and psi theta^0."""
+    psi = run_fields["even"].at(points)
+    return psi, geometric_product(psi, THETA[0])
+
+
+def green_sides(scenario, op, fields=general_fields, trace=True, log_det_scale=1.0):
+    """The two sides of the identity for the operator op(geom, X) on the
+    fields A, B that ``fields`` picks, at 6 points, seed 3, and the torsion
     term of the right side, (P,) each."""
     points = harness.sample_points(scenario, points=6, seed=3)
-    fields = harness.build_run_fields(scenario, 3, points)
     geom = geometry.build_frame(scenario, points)
-    A, B = fields["general"].at(points), fields["general2"].at(points)
-    lhs = _scalar_part(operators.dirac(geom, A, conn), B) + _scalar_part(A, operators.dirac(geom, B, conn))
+    A, B = fields(harness.build_run_fields(scenario, 3, points), points)
+    lhs = _scalar_part(op(geom, A), B) + _scalar_part(A, op(geom, B))
     V = _scalar_part(A, blade_products(THETA_GP, B))          # V^a, (4, P, 15)
     e, theta = geom.frame_vectors, geom.tetrad                 # [a][mu], (4, 4, P, 15)
     V_up = np.einsum("apj,ampjk->mpk", V, jets.mul_matrix(e))  # V^mu
@@ -58,19 +76,36 @@ def loaded():
 @pytest.mark.parametrize("conn", ["full", "lc"])
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_dirac_operator_integrates_by_parts(loaded, name, conn):
-    lhs, rhs, _ = green_sides(loaded[name], conn, trace=conn == "full")
+    lhs, rhs, _ = green_sides(loaded[name], dirac(conn), trace=conn == "full")
     assert np.abs(lhs).max() > 1.0
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
 def test_torsion_trace_term_is_needed_and_tested(loaded):
     # generic torsion has a trace: without Q_b V^b the identity fails
-    lhs, rhs, torsion_term = green_sides(loaded["generic_torsion"], "full", trace=False)
+    lhs, rhs, torsion_term = green_sides(loaded["generic_torsion"], dirac("full"), trace=False)
     assert np.abs(torsion_term).max() > 0.1
     assert np.abs(lhs - rhs).max() > 0.1
 
 
 def test_volume_form_is_tested(loaded):
     # a volume form off by 1% breaks the identity
-    lhs, rhs, _ = green_sides(loaded["generic_torsion"], "full", log_det_scale=1.01)
+    lhs, rhs, _ = green_sides(loaded["generic_torsion"], dirac("full"), log_det_scale=1.01)
+    assert np.abs(lhs - rhs).max() > 1e-3
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_spin_dirac_operator_integrates_by_parts(loaded, name):
+    lhs, rhs, _ = green_sides(loaded[name], operators.spin_dirac, spinor_and_current)
+    assert np.abs(lhs).max() > 1.0
+    assert np.abs(lhs - rhs).max() < 1e-13
+
+
+def test_spin_dirac_needs_the_torsion_trace_and_volume_form(loaded):
+    # the two negative controls above, for the spin-Dirac operator
+    scenario = loaded["generic_torsion"]
+    lhs, rhs, torsion_term = green_sides(scenario, operators.spin_dirac, spinor_and_current, trace=False)
+    assert np.abs(torsion_term).max() > 0.1
+    assert np.abs(lhs - rhs).max() > 0.1
+    lhs, rhs, _ = green_sides(scenario, operators.spin_dirac, spinor_and_current, log_det_scale=1.01)
     assert np.abs(lhs - rhs).max() > 1e-3

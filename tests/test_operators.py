@@ -94,8 +94,14 @@ def test_torsion_operator_examples(frames):
             assert ops.torsion_operators(g, v)[a].max_abs() == 0.0
     for g in frames["flat_torsion"]:
         v = rand_mv(rng, g.point, grade=1)
-        with pytest.raises(GradeError):
-            ops.torsion_operators(g, rand_mv(rng, g.point, grade=2))
+        # on every grade the torsion operator is a derivation of the
+        # geometric product: tau_a(v B) = tau_a(v) B + v tau_a(B)
+        B = rand_mv(rng, g.point, grade=2)
+        tau_vb = ops.torsion_operators(g, geometric_product(v, B))
+        tau_v, tau_b = ops.torsion_operators(g, v), ops.torsion_operators(g, B)
+        leibniz = geometric_product(tau_v, B) + geometric_product(v, tau_b)
+        assert (tau_vb - leibniz).max_abs() <= 1e-14
+        assert tau_b.max_abs() > 1e-3
         # antisymmetry through the two slots: tau(e_a, theta-dual of e_a) has
         # no diagonal part: T^rho_{aa} = 0
         got = ops.torsion_operators(g, THETA[1].scale(ETA[1]))[1]
@@ -278,14 +284,14 @@ def test_wave_part_plus_biform_part_is_standard_form(frames):
 
 def test_scalar_form_rejects_nothing_but_scalars():
     # the scalar forms take a scalar field; grade gating happens in callers.  The
-    # direct square on a non-scalar is still fine (general multivector),
-    # so only the torsion-operator path raises.
+    # direct square on a non-scalar is fine (general multivector), and so is
+    # the torsion-operator path, which is a commutator on every grade: with
+    # no torsion its correction vanishes on a bivector
     sc = fs.load_scenario(IDENTITY)
     p = ChartPoint((0.4, 0.2, 0.8, 0.6))
     g = build_frame(sc, p)
     rng = np.random.default_rng(13)
-    with pytest.raises(GradeError):
-        ops.vector_square_torsion_correction(g, rand_mv(rng, p, grade=2))
+    assert ops.vector_square_torsion_correction(g, rand_mv(rng, p, grade=2)).max_abs() == 0.0
 
 
 # -- second-order relations -------------------------------------------------------

@@ -74,25 +74,29 @@ def test_full_suite_product_count(monkeypatch):
         ctx = BatchContext(scenario, fields, pts)
         for name in CHECKS:
             ctx.results(name)
-        # 29: every product but the halved biform actions of the
-        # derivatives runs the whole kernel: the six frame sums over dtheta
-        # (exterior_d of six arguments), the four over the torsion forms,
-        # and 19 products of fields with fields, curvature forms, biform
-        # derivatives or the contorsion biforms
-        assert 0 < len(orders) <= 29
+        # 28: every product but the biform actions of the derivatives and
+        # of the torsion operator runs the whole kernel: the six frame sums
+        # over dtheta (exterior_d of six arguments), the four over the
+        # torsion forms, and 18 products of fields with fields, curvature
+        # forms or biform derivatives
+        assert 0 < len(orders) <= 28
         # every product, kept expansion or not, ends in one matmul: an
-        # extra product cannot hide under the bound above
-        assert len(matmuls) == 75
+        # extra product cannot hide under the bound above.  The torsion
+        # operator's four calls per batch (tau of the field, of its
+        # standard derivatives, of tau itself and of omega) each end in one
+        assert len(matmuls) == 78
         # nearly every product has an operand of order <= 1 and runs on 5
         # jet slots; only products of two order-2 fields run on all 15
         assert sum(order >= 2 for order in orders) <= 3
-        # omega and omega_lc are expanded at most once per product table, by
-        # build_frame; dtheta, the torsion forms and the contorsion biforms
-        # run the plain kernel
+        # omega, omega_lc and the torsion biforms beta are expanded at most
+        # once per product table, by build_frame; dtheta and the torsion
+        # forms run the plain kernel.  On this skew torsion the contorsion
+        # biforms are beta bit for bit, so no second commutator expansion
+        # of them runs either
         geom = ctx.geom
         frame_operands = {
             "omega": geom.omega_biform, "lc": geometry.connection_biforms(geom.lc),
-            "contorsion": geometry.connection_biforms(geom.K),
+            "beta": geometry.connection_biforms(0.5 * geom.T.transpose(1, 0, 2, 3, 4)),
             "dtheta": geom.dtheta, "torsion": geom.torsion_forms,
         }
         seen = collections.Counter(
@@ -101,7 +105,7 @@ def test_full_suite_product_count(monkeypatch):
             for name, x in frame_operands.items()
             if _is_scaled(a, x.data)
         )
-        assert max(n for (_, name), n in seen.items() if name in ("omega", "lc")) == 1, seen
+        assert max(n for (_, name), n in seen.items() if name in ("omega", "lc", "beta")) == 1, seen
         names = {name for _, name in seen}
         assert names == set(frame_operands), names
 
@@ -304,6 +308,11 @@ def test_halved_biform_expansions_are_read_only_frame_fields():
         "lc_commutator_half": (cliffalg.left_expansion, geometry.connection_biforms(geom.lc), cliffalg.COMMUTATOR_TABLE),
         "omega_gp_half": (cliffalg.left_expansion, geom.omega_biform, cliffalg.GP_TABLE),
         "omega_right_half": (cliffalg.right_expansion, geom.omega_biform),
+        # beta, the connection biforms of T^b_ac / 2, is half those of T^b_ac
+        "torsion_commutator": (
+            cliffalg.left_expansion, geometry.connection_biforms(geom.T.transpose(1, 0, 2, 3, 4)),
+            cliffalg.COMMUTATOR_TABLE,
+        ),
     }
     want = {name: step(0.5 * operand.data, *table, n) for name, (step, operand, *table) in steps.items()}
     for name, (step, operand, *table) in steps.items():
