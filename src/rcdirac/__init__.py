@@ -25,13 +25,11 @@ if "numpy" not in sys.modules and not _BLAS_THREAD_VARS & os.environ.keys():
 
 from .cliffalg import (
     Multivector,
-    commutator,
     geometric_product,
     grade_involution,
     grade_project,
     hodge_dual,
     left_contraction,
-    reversion,
     wedge,
 )
 from .fieldspec import Scenario, load_scenario, load_scenario_file, parse_expr
@@ -49,7 +47,6 @@ __all__ = [
     "Scenario",
     "build_frame",
     "cli_main",
-    "commutator",
     "curvature",
     "geometric_product",
     "grade_involution",
@@ -59,7 +56,6 @@ __all__ = [
     "load_scenario",
     "load_scenario_file",
     "parse_expr",
-    "reversion",
     "run_suite",
     "sample_points",
     "seed_coordinate",

@@ -22,15 +22,18 @@ the left mask is a subset of the right mask).
 
 Scalar ring and stacks
 ----------------------
-Coefficients are order-2 jets (``jets.Jet2``); a plain number is a jet with
-zero derivatives.  A multivector stores them as one float64 array ``data``
-of shape (..., 16, w), blade by jet slot, with one jet ``order`` for the
-whole array, and stores ``w = jets.width(order)`` slots: 15 at order 2 and
-for constants, 5 below.  Leading axes, when present, are stack axes: a
-(4, 16, w) multivector holds one item per frame direction, a (4, 4, 16, w)
-one per direction pair, and indexing (``X[a]``, ``grid[a, b]``) picks
-items.  Constant coefficients give the order ``jets.CONSTANT``, which no
-derivative uses up.
+Coefficients are order-2 jets in the slot layout of ``jets``; a plain
+number is a jet with zero derivatives.  A multivector stores them as one
+float64 array ``data`` of shape (..., 16, w), blade by jet slot, with one
+jet ``order`` for the whole array, and stores ``w = jets.width(order)``
+slots: 15 at order 2 and for constants, 5 below.  The engine builds every
+multivector from such an array (``Multivector.from_array``); the list of
+16 numbers or ``jets.Jet2`` values that ``Multivector(...)`` takes serves
+the micro-benchmarks of ``perfbench`` and the tests.  Leading axes, when
+present, are stack axes: a (4, 16, w) multivector holds one item per frame
+direction, a (4, 4, 16, w) one per direction pair, and indexing (``X[a]``,
+``grid[a, b]``) picks items.  Constant coefficients give the order
+``jets.CONSTANT``, which no derivative uses up.
 
 Each product type is one kernel: its sign table, rearranged so that row
 (k, j) holds the signs of the left blades paired with right blade j in
@@ -49,8 +52,8 @@ scaling by a jet.  A sum or difference of operands of
 different orders has the lower order's width.  Stack axes broadcast like
 numpy's, so ``geometric_product(X[:, None], Y[None])`` is the whole
 (a, b) grid of products, each operand expanded once.  The commutator has
-its own table, GP[k, i, j] - GP[k, j, i], so blades that commute cancel
-exactly instead of leaving rounding residue.
+its own table, ``COMMUTATOR_TABLE`` = GP[k, i, j] - GP[k, j, i], so blades
+that commute cancel exactly instead of leaving rounding residue.
 
 A product with a constant blade is a 16 x 16 signed permutation of the
 other operand's rows.  These matrices are built at import time for the
@@ -62,10 +65,11 @@ the stack axes it runs over.  So sum_a theta^a X[a] is ``blade_sum`` with
 ``THETA_GP``, the stack theta^a X[a] summed over a, and ``product_sum``
 is the kernel's stack A[i] B[i] summed over i.
 
-The Hodge dual used throughout is ``hodge(A) = reversion(A) * e0123``; with
-this convention the codifferential is a star-d-star sandwich with one
-signature sign on every grade, -I^2 with I^2 = e0123^2 = prod(SIGNATURE),
-and no grade-dependent signs (``operators.codifferential``).
+The Hodge dual used throughout is ``hodge(A) = rev(A) e0123``, rev the
+reversion (``REVERSION_SIGN``); with this convention the codifferential is
+a star-d-star sandwich with one signature sign on every grade, -I^2 with
+I^2 = e0123^2 = prod(SIGNATURE), and no grade-dependent signs
+(``operators.codifferential``).
 """
 
 from __future__ import annotations
@@ -173,7 +177,7 @@ THETA_LC = _left_matrices(_dense(LC_SIGN), _THETA)             # theta^a _| A
 # values of theta^a o theta^b: column 1 + b of the matrix of theta^a o
 THETA_PAIR = _left_matrices(_GP_DENSE, THETA_GP[..., 1:5].swapaxes(1, 2))      # theta^a theta^b A
 PLANE_GP = _left_matrices(_GP_DENSE, THETA_WEDGE[..., 1:5].swapaxes(1, 2))     # (theta^a ^ theta^b) A
-# hodge(A) = reversion(A) e0123 = HODGE @ A.data
+# hodge(A) = rev(A) e0123 = HODGE @ A.data
 HODGE = _GP_DENSE[:, :, 15] * REVERSION_SIGN
 
 
@@ -218,35 +222,6 @@ class Multivector:
         mv.order = order
         return mv
 
-    @classmethod
-    def zero(cls) -> "Multivector":
-        return cls.from_array(np.zeros((N_BLADES, JET_LEN)), CONSTANT)
-
-    @classmethod
-    def scalar(cls, value) -> "Multivector":
-        return cls.blade((), value)
-
-    @classmethod
-    def basis(cls, a: int) -> "Multivector":
-        """The coframe one-form e_a."""
-        return cls.blade((a,))
-
-    @classmethod
-    def blade(cls, indices, coeff=1.0) -> "Multivector":
-        """Blade e_{i1} ^ ... ^ e_{ik} for strictly increasing indices."""
-        mask = 0
-        for a in indices:
-            if a < mask.bit_length():    # not above every index before it
-                raise ValueError(f"blade indices must be strictly increasing: {indices}")
-            mask |= 1 << a
-        c = [0.0] * N_BLADES
-        c[MASK_TO_INDEX[mask]] = coeff
-        return cls(c)
-
-    @classmethod
-    def pseudoscalar(cls) -> "Multivector":
-        return cls.blade(range(N_GENERATORS))
-
     # -- structure queries ------------------------------------------------
 
     @property
@@ -258,10 +233,6 @@ class Multivector:
     def is_numeric(self) -> bool:
         """True when every coefficient is a constant."""
         return self.order == CONSTANT
-
-    def values(self) -> np.ndarray:
-        """Coefficient values (jets collapsed to their value part)."""
-        return self.data[..., 0].copy()
 
     def max_abs(self):
         """Largest coefficient value at each point, (P,): a NaN-propagating
@@ -287,7 +258,7 @@ class Multivector:
     def __repr__(self):
         if self.data.ndim > 2:
             return f"Multivector(stack of shape {self.data.shape[:-2]})"
-        vals = self.values()
+        vals = self.data[..., 0]
         parts = [
             f"{vals[i]:+.4g}*{BLADE_NAMES[i]}"
             for i in range(N_BLADES)
@@ -333,16 +304,6 @@ class Multivector:
         order = min(self.order, order)
         n = width(order)
         return Multivector.from_array(clear_above(self.data[..., :n] @ mul_matrix(jet, n), order), order)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return geometric_product(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, Multivector):
-            return NotImplemented
-        return self.scale(other)
 
 
 def _linear(op, a: Multivector, b: Multivector) -> Multivector:
@@ -425,11 +386,6 @@ def left_contraction(a: Multivector, b: Multivector) -> Multivector:
     return _product(a, b, LC_TABLE)
 
 
-def commutator(a: Multivector, b: Multivector) -> Multivector:
-    """Half-free bracket [a, b] = ab - ba."""
-    return _product(a, b, COMMUTATOR_TABLE)
-
-
 def product_sum(a: Multivector, b: Multivector, table: np.ndarray = GP_TABLE) -> Multivector:
     """sum_i a[i] o b[i] over the leading stack axis of both operands: the
     stack of products from ``_product``, summed over that axis; ``table``
@@ -463,10 +419,6 @@ def blade_products(matrices: np.ndarray, x: Multivector) -> Multivector:
     return Multivector.from_array(matrices.reshape(shape) @ x.data, x.order)
 
 
-def reversion(a: Multivector) -> Multivector:
-    return Multivector.from_array(a.data * REVERSION_SIGN[:, None], a.order)
-
-
 def grade_involution(a: Multivector) -> Multivector:
     return Multivector.from_array(a.data * INVOLUTION_SIGN[:, None], a.order)
 
@@ -480,7 +432,7 @@ def grade_project(a: Multivector, k: int) -> Multivector:
 
 
 def hodge_dual(a: Multivector) -> Multivector:
-    """Dual through the unit pseudoscalar: reversion(a) * e0123."""
+    """Dual through the unit pseudoscalar: rev(a) e0123."""
     return Multivector.from_array(HODGE @ a.data, a.order)
 
 

@@ -33,9 +33,10 @@ a comment.  Sections and keys::
 Evaluation: groups of expressions compile into a ``Program``, a flat list
 of jet operations over a point axis (see "evaluation" below); a
 ``Scenario`` compiles its frame's Program once, when it is built, into
-``frame_program``.  Its jets are those of a ``Jet2`` walk of each tree, bit
-for bit up to the sign of a zero, and a point fails with the walk's first
-error there: ``stages`` records every failing point in one pass.
+``frame_program``.  Its jets are those of a ``Jet2`` walk of each tree
+(the oracle ``ref_eval`` in ``tests/reference_loops.py``), bit for bit up
+to the sign of a zero, and a point fails with the walk's first error there:
+``stages`` records every failing point in one pass.
 """
 
 from __future__ import annotations
@@ -286,7 +287,8 @@ def parse_expr(src: str) -> Expr:
                 fail("an integer exponent")
             try:
                 exponent = sign * int(digits)
-            except ValueError:      # more digits than int() converts
+                float(exponent)     # the jets take powers in floats
+            except (ValueError, OverflowError):    # more digits than int() or float() holds
                 fail("an integer exponent")
             base, depth = operands.pop()
             build(Pow(base, exponent), depth)

@@ -63,8 +63,8 @@ from itertools import permutations
 import numpy as np
 
 from .cliffalg import (
-    COMMUTATOR_TABLE, GP_TABLE, PLANE_GP, SIGNATURE, Multivector, bivector_array, blade_sum, expanded_product,
-    grade_project, left_expansion, right_expansion,
+    COMMUTATOR_TABLE, GP_TABLE, N_BLADES, PLANE_GP, SIGNATURE, Multivector, bivector_array, blade_sum,
+    expanded_product, grade_project, left_expansion, right_expansion,
 )
 from .fieldspec import TORSION_UPPER, Scenario
 from .jets import CONSTANT, HESS_I, HESS_J, JET_LEN, ChartPoint, derivation_matrices, derivative, jet_einsum, width
@@ -100,8 +100,9 @@ for perm in permutations(range(4)):
 _T_C, _T_A, _T_B = np.array(TORSION_UPPER).T
 
 # The coframe theta^a as a direction stack of constant one-forms, with a
-# point axis of length 1 that broadcasts against any frame's points.
-THETA = Multivector.from_array(np.stack([Multivector.basis(a).data[None] for a in range(4)]), CONSTANT)
+# point axis of length 1 that broadcasts against any frame's points: rows
+# 1-4 of the identity as blade values, every other jet slot zero.
+THETA = Multivector.from_array(np.eye(N_BLADES)[1:5, None, :, None] * np.eye(1, JET_LEN), CONSTANT)
 THETA.data.flags.writeable = False  # shared by every frame
 
 

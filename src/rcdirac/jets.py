@@ -25,9 +25,11 @@ one bilinear table, ``MUL``: the jet product is
 ``(a * b)[u] = sum_{s,t} a[s] b[t] MUL[s, t, u]``, so ``a @ mul_matrix(b)``
 multiplies any stack of jets ``a`` by the jet ``b``, and ``jet_einsum``
 contracts jet tables over named indices, item by item along a batch axis
-such as the point axis.  ``Jet2`` stays the scalar jet
-type; the expression programs of ``fieldspec`` evaluate on stacks of packed
-jets with ``mul_packed``, ``mul_const`` and ``compose``.
+such as the point axis.  The expression programs of ``fieldspec``
+evaluate on stacks of packed jets with ``mul_packed``, ``mul_const`` and
+``compose``.  ``Jet2`` is one jet over the same slots, which no run path
+uses: the micro-benchmarks and the tracer of ``perfbench`` are built on it,
+and so is the tree-walk oracle of ``tests/reference_loops.py``.
 
 Slot contract: a jet of order r is defined by its slots of degree <= r,
 ``slots(r)`` of them: slot 0 at order 0, slots 0-4 at order 1, all 15 at

@@ -17,6 +17,10 @@ single point, and their multivectors are single (16, w) ones, which
 broadcast against the engine's (1, 16, w) point stacks.  They compute on
 all 15 jet slots: ``full_width`` pads a narrower jet array with zeros, and
 ``at_width`` cuts a result to the width of its order.
+
+The engine builds no multivector coefficient by coefficient, so the
+builders ``blade``, ``basis``, ``scalar``, ``zero`` and ``pseudoscalar``
+live here, with ``commutator`` and ``reversion``, which no operator calls.
 """
 
 from __future__ import annotations
@@ -28,8 +32,53 @@ from rcdirac import fieldspec as fs
 from rcdirac import jets
 from rcdirac.geometry import CONN_ORDER, THETA, connection_biforms
 from rcdirac.jets import (
-    JET_LEN, MUL, ChartPoint, Jet2, JetDomainError, derivation_matrices, partial, seed_coordinate, slots, width,
+    CONSTANT, JET_LEN, MUL, ChartPoint, Jet2, JetDomainError, derivation_matrices, partial, seed_coordinate, slots,
+    width,
 )
+
+
+# -- builders and brackets ------------------------------------------------------
+
+
+def blade(indices, coeff=1.0) -> ca.Multivector:
+    """Blade e_{i1} ^ ... ^ e_{ik} for strictly increasing indices."""
+    mask = 0
+    for a in indices:
+        if a < mask.bit_length():    # not above every index before it
+            raise ValueError(f"blade indices must be strictly increasing: {indices}")
+        mask |= 1 << a
+    c = [0.0] * ca.N_BLADES
+    c[ca.MASK_TO_INDEX[mask]] = coeff
+    return ca.Multivector(c)
+
+
+def basis(a: int) -> ca.Multivector:
+    """The coframe one-form e_a."""
+    return blade((a,))
+
+
+def scalar(value) -> ca.Multivector:
+    return blade((), value)
+
+
+def zero() -> ca.Multivector:
+    return ca.Multivector.from_array(np.zeros((ca.N_BLADES, JET_LEN)), CONSTANT)
+
+
+def pseudoscalar() -> ca.Multivector:
+    return blade(range(ca.N_GENERATORS))
+
+
+def commutator(a: ca.Multivector, b: ca.Multivector) -> ca.Multivector:
+    """Half-free bracket [a, b] = ab - ba, through the commutator table."""
+    return ca._product(a, b, ca.COMMUTATOR_TABLE)
+
+
+def reversion(a: ca.Multivector) -> ca.Multivector:
+    return ca.Multivector.from_array(a.data * ca.REVERSION_SIGN[:, None], a.order)
+
+
+# -- sign tables and coefficient loops --------------------------------------------------
 
 
 def full_width(data: np.ndarray) -> np.ndarray:
@@ -155,10 +204,10 @@ def ref_exterior_d(geom, A: RefMV) -> RefMV:
         for pos, gen in enumerate(bits):
             term = dtheta[gen]
             if bits[:pos]:
-                prefix = RefMV(ca.Multivector.blade(bits[:pos]).values())
+                prefix = RefMV(blade(bits[:pos]).data[..., 0])
                 term = prefix.product(term, ca.WEDGE_SIGN)
             if bits[pos + 1:]:
-                suffix = RefMV(ca.Multivector.blade(bits[pos + 1:]).values())
+                suffix = RefMV(blade(bits[pos + 1:]).data[..., 0])
                 term = term.product(suffix, ca.WEDGE_SIGN)
             sign = 1.0 if pos % 2 == 0 else -1.0
             out = [x + sign * coeff * y for x, y in zip(out, term.coeffs)]
@@ -239,13 +288,13 @@ def _omega(geom, conn):
 
 def ref_pfaff_mv(geom, A: ca.Multivector, a: int) -> ca.Multivector:
     if A.is_numeric():
-        return ca.Multivector.zero()
+        return zero()
     order = min(A.order - 1, 2)
     return ca.Multivector.from_array(at_width(full_width(A.data) @ full_derivations(geom)[a], order), order)
 
 
 def ref_cov_deriv(geom, A, a, conn="full"):
-    return ref_pfaff_mv(geom, A, a) + ca.commutator(_omega(geom, conn)[a], A).scale(0.5)
+    return ref_pfaff_mv(geom, A, a) + commutator(_omega(geom, conn)[a], A).scale(0.5)
 
 
 def ref_spin_cov_deriv(geom, psi, a):
@@ -289,9 +338,9 @@ def ref_torsion_commutator(geom, a, A):
             k, _ = pair_blade(b, c)
             coeffs[k] = (T[b][a][c] * ETA[b] - T[c][a][b] * ETA[c]) * 0.25
     beta, V = RefMV(coeffs), RefMV.of(A)
-    commutator = beta.product(V, _GP_SIGN_BIVECTOR_LEFT) - V.product(beta, _GP_SIGN_BIVECTOR_RIGHT)
+    bracket = beta.product(V, _GP_SIGN_BIVECTOR_LEFT) - V.product(beta, _GP_SIGN_BIVECTOR_RIGHT)
     order = min(A.order, CONN_ORDER)
-    return ca.Multivector.from_array(at_width(commutator.data(), order), order)
+    return ca.Multivector.from_array(at_width(bracket.data(), order), order)
 
 
 def ref_frame_sum(geom, product, stack):
@@ -305,7 +354,7 @@ def ref_pair_sum(term_fn):
     for a in range(4):
         for b in range(4):
             if a != b:
-                plane = ca.wedge(ca.Multivector.basis(a), ca.Multivector.basis(b))
+                plane = ca.wedge(basis(a), basis(b))
                 out = out + ca.geometric_product(plane, term_fn(a, b))
     return out
 
@@ -334,7 +383,7 @@ def ref_right_correction(geom, A, a, b):
     omega = geom.omega_biform
     cov1 = [ref_cov_deriv(geom, A, c) for c in range(4)]
     a_omega = [ca.geometric_product(A, omega[c]) for c in range(4)]
-    d_omega = ref_pfaff_mv(geom, omega[b], a) + ca.commutator(omega[a], omega[b]).scale(0.5)
+    d_omega = ref_pfaff_mv(geom, omega[b], a) + commutator(omega[a], omega[b]).scale(0.5)
     out = ca.geometric_product(cov1[b], omega[a]).scale(0.5)
     out = out + ca.geometric_product(cov1[a], omega[b]).scale(0.5)
     out = out + ca.geometric_product(A, d_omega).scale(0.5)

@@ -242,7 +242,7 @@ def test_torsion_two_forms(frames):
     thetas = g.torsion_forms
     assert np.array_equal(torsion_two_forms(g.T).data, thetas.data)
     idx, _ = pair_blade(0, 1)
-    vals = thetas[2, 0].values()
+    vals = thetas[2, 0].data[..., 0]
     assert vals[idx] == 0.3
     vals[idx] = 0.0
     assert np.all(vals == 0.0)
@@ -300,7 +300,7 @@ def test_quadriform_zero_without_torsion(frames):
 def test_quadriform_is_pure_grade4(frames):
     for g in frames["curved_torsion"]:
         curv = curvature(g)
-        vals = curv.j_form[0].values()
+        vals = curv.j_form[0].data[..., 0]
         assert vals[15] != 0.0
         for i in range(15):
             assert vals[i] == 0.0

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import BUNDLED, load_bundled
+from reference_loops import reversion
 
 from rcdirac import fieldspec, geometry, harness, jets, operators
-from rcdirac.cliffalg import THETA_GP, blade_products, geometric_product, reversion
+from rcdirac.cliffalg import THETA_GP, blade_products, geometric_product
 from rcdirac.geometry import THETA
 
 GENERIC_PATH = Path(__file__).parent.parent / "perfbench" / "data" / "generic_torsion.scn"

@@ -245,9 +245,9 @@ def test_field_generation_normalized_and_seeded():
     assert sup == pytest.approx(1.0, rel=1e-12)
     again = build_run_fields(sc, 3, pts)
     p = pts[0]
-    assert np.allclose(fields["even"].at(p).values(), again["even"].at(p).values())
+    assert np.allclose(fields["even"].at(p).data[..., 0], again["even"].at(p).data[..., 0])
     other = build_run_fields(sc, 4, pts)
-    assert not np.allclose(fields["even"].at(p).values(), other["even"].at(p).values())
+    assert not np.allclose(fields["even"].at(p).data[..., 0], other["even"].at(p).data[..., 0])
 
 
 @pytest.mark.parametrize("coords", [[0.5, 0.6, 0.7, 0.8], np.array([0.5, 0.6, 0.7, 0.8])], ids=["list", "array"])
@@ -267,10 +267,10 @@ def test_field_grade_content():
     fields = build_run_fields(sc, 5, pts)
     from rcdirac.cliffalg import GRADES
 
-    vals = fields["vector"].at(pts[0]).values()
+    vals = fields["vector"].at(pts[0]).data[..., 0]
     for i, v in enumerate(vals):
         assert (v == 0.0) or GRADES[i] == 1
-    vals = fields["even"].at(pts[0]).values()
+    vals = fields["even"].at(pts[0]).data[..., 0]
     for i, v in enumerate(vals):
         assert (v == 0.0) or GRADES[i] % 2 == 0
 
@@ -285,7 +285,7 @@ def test_scenario_field_override():
     # pinning one field must not reshuffle the generated ones
     plain = build_run_fields(fs.load_scenario(IDENTITY), 1, pts)
     assert np.allclose(
-        fields["general"].at(pts[0]).values(), plain["general"].at(pts[0]).values()
+        fields["general"].at(pts[0]).data[..., 0], plain["general"].at(pts[0]).data[..., 0]
     )
 
 

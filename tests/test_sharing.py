@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import BUNDLED, load_bundled, rand_mv
+from reference_loops import commutator
 from rcdirac import cliffalg, geometry
 from rcdirac import operators as ops
 from rcdirac.geometry import build_frame
@@ -228,7 +229,7 @@ def _along(stack, A):
 
 def _cov_derivs(geom, A, conn):
     biform = geom.omega_biform if conn == "full" else geometry.connection_biforms(geom.lc)
-    return ops.pfaffs(geom, A) + cliffalg.commutator(_along(biform, A), A).scale(0.5)
+    return ops.pfaffs(geom, A) + commutator(_along(biform, A), A).scale(0.5)
 
 
 def _spin_cov_derivs(geom, psi):

@@ -18,6 +18,7 @@ from reference_loops import (
     ref_torsion_commutator,
     ref_torsion_operator,
     ref_vector_correction,
+    zero,
 )
 from rcdirac import geometry, harness
 from rcdirac import operators as ops
@@ -132,7 +133,7 @@ def test_pair_sums_match_loops(geoms):
         # the curvature contraction is the plane half of a pair sum
         curv = curvature(g)
         want = ref_pair_sum(
-            lambda a, b: curv.biforms[a, b] if a != b else Multivector.zero()
+            lambda a, b: curv.biforms[a, b] if a != b else zero()
         )
         got = ops.scalar_multivector(curv.scalar, curv.contraction_grade2.order)
         got = got + curv.contraction_grade2 + grade_project(blade_sum(PLANE_GP, curv.biforms), 4)
