@@ -25,6 +25,7 @@ import io
 import json
 import platform
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,9 @@ CASES = {
     "curved_diag-p10": ("curved_diag", 10),
     "curved_torsion-p10": ("curved_torsion", 10),
     "generic_torsion": ("perfbench/data/generic_torsion.scn", None),
+    "curved_torsion-p100": ("curved_torsion", 100),
+    # every tests/data scenario: reports with FAIL verdicts or per-point errors
+    **{p.stem: (f"tests/data/{p.name}", None) for p in sorted((ROOT / "tests" / "data").glob("*.scn"))},
 }
 
 ABS_TOL = 1e-12
@@ -49,12 +53,14 @@ REL_TOL = 1e-9
 
 
 def run_case(name: str) -> dict:
-    """The record of one case, from the engine imported here."""
+    """The record of one case, from the engine imported here; a warning
+    is an error, so a case that warns fails."""
     scenario, points = CASES[name]
     arg = str(ROOT / scenario) if scenario.endswith(".scn") else scenario
     argv = ["run", arg, "--format", "json"] + ([] if points is None else ["--points", str(points)])
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = harness.cli_main(argv)
     return {
         "scenario": scenario,

@@ -58,6 +58,17 @@ COORD_NAMES = ("x0", "x1", "x2", "x3")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
 
+# a token longer than this is quoted by its first QUOTE_LIMIT characters
+# and its length, so an error line stays short
+QUOTE_LIMIT = 40
+
+
+def _quote(token: str) -> str:
+    if len(token) <= QUOTE_LIMIT:
+        return repr(token)
+    return f"{token[:QUOTE_LIMIT]!r}... ({len(token)} characters)"
+
+
 class ExprSyntaxError(ValueError):
     def __init__(self, offset: int, expected: str, found: str):
         self.offset = offset
@@ -247,7 +258,7 @@ def parse_expr(src: str) -> Expr:
 
     def fail(expected: str):
         kind, text, off = tokens[k]
-        raise ExprSyntaxError(off, expected, "end of input" if kind == "end" else repr(text))
+        raise ExprSyntaxError(off, expected, "end of input" if kind == "end" else _quote(text))
 
     def build(node, *depths):
         depth = 1 + max(depths, default=0)

@@ -110,6 +110,8 @@ def test_exponent_past_int_conversion_is_a_syntax_error():
             with pytest.raises(ExprSyntaxError) as exc:
                 parse_expr(src)
             assert (exc.value.offset, exc.value.expected) == (offset, "an integer exponent")
+            # the error quotes the first 40 digits and the token's length
+            assert exc.value.found == f"'{'1' * 40}'... ({len(digits)} characters)"
         with pytest.raises(ScenarioError, match="^line 2: syntax error at offset 3: expected an integer exponent"):
             load_scenario(f'[tetrad]\ne0_0 = "x0^{digits}"\ne1_1 = 1\ne2_2 = 1\ne3_3 = 1\n')
 

@@ -111,24 +111,6 @@ def test_negative_seed_is_a_scenario_error(tmp_path, capsys):
     assert capsys.readouterr().err == "scenario error: line 7: seed must be non-negative, got '-1'\n"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--points", "0"], "point count must be at least 1, got 0"),
-    (["--seed", "-1"], "seed must be non-negative, got -1"),
-    (["--tol", "inf"], "tolerance must be finite and non-negative, got inf"),
-    (["--tol", "nan"], "tolerance must be finite and non-negative, got nan"),
-    (["--tol=-1e-8"], "tolerance must be finite and non-negative, got -1e-08"),
-    (["--only", ","], "no check name given; valid names: " + ", ".join(CHECKS)),
-    (["--only="], "no check name given; valid names: " + ", ".join(CHECKS)),
-    (["--tol", "-1e-8"], "tolerance must be finite and non-negative, got -1e-08"),
-    (["--tol", "-1E+3"], "tolerance must be finite and non-negative, got -1000.0"),
-])
-def test_bad_command_line_value_is_a_usage_error(capsys, argv, message):
-    assert cli_main(["run", "curved_torsion", "--points", "2", "--format", "json", *argv]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == f"usage error: {message}\n"
-
-
 @pytest.mark.parametrize("kwargs", [{"points": 0}, {"seed": -1}, {"tol": float("inf")}, {"tol": float("nan")},
                                     {"tol": -1.0}, {"only": []}])
 def test_run_suite_rejects_bad_arguments(kwargs):
@@ -466,42 +448,6 @@ def test_all_points_singular_yields_failure():
     assert "max=n/a" in report.to_text()
 
 
-# -- CLI ------------------------------------------------------------------------
-
-
-def test_cli_run_bundled_ok(capsys):
-    rc = cli_main(["run", "minkowski", "--points", "2", "--only", "metricity,bianchi"])
-    out = capsys.readouterr()
-    assert rc == 0
-    assert out.out.startswith("PASS metricity")
-    assert "wall time" in out.err
-
-
-def test_cli_run_json(capsys):
-    rc = cli_main(
-        ["run", "flat_torsion", "--points", "2", "--only", "lichnerowicz",
-         "--format", "json"]
-    )
-    out = capsys.readouterr()
-    assert rc == 0
-    blob = json.loads(out.out)
-    assert blob["checks"][0]["name"] == "lichnerowicz"
-    assert blob["checks"][0]["pass"] is True
-
-
-def test_cli_missing_scenario(capsys):
-    rc = cli_main(["run", "missing.scn"])
-    assert rc == 3
-    assert "scenario" in capsys.readouterr().err
-
-
-def test_cli_malformed_scenario(tmp_path, capsys):
-    path = tmp_path / "broken.scn"
-    path.write_text("[tetrad]\ne0_0 = \n")
-    rc = cli_main(["run", str(path)])
-    assert rc == 3
-
-
 def test_scenario_file_with_a_byte_order_mark_loads(tmp_path):
     path = harness.resolve_scenario_path("curved_torsion")
     bom = tmp_path / "bom.scn"
@@ -509,49 +455,6 @@ def test_scenario_file_with_a_byte_order_mark_loads(tmp_path):
     plain, marked = fs.load_scenario_file(path), fs.load_scenario_file(bom)
     assert marked == plain and marked.digest == plain.digest
     assert run_suite(marked, points=2).to_text() == run_suite(plain, points=2).to_text()
-
-
-def test_cli_unknown_check(capsys):
-    rc = cli_main(["run", "minkowski", "--only", "bogus"])
-    assert rc == 2
-    assert "bogus" in capsys.readouterr().err
-
-
-def test_cli_usage_error(capsys):
-    rc = cli_main(["run"])  # missing scenario argument
-    assert rc == 2
-    capsys.readouterr()
-    rc = cli_main([])
-    assert rc == 2
-    capsys.readouterr()
-
-
-def test_cli_failing_check_exits_one(tmp_path, capsys):
-    path = tmp_path / "general.scn"
-    path.write_text(GENERAL_TORSION_TEXT + "[checks]\nlichnerowicz = on\n")
-    rc = cli_main(["run", str(path), "--points", "2"])
-    out = capsys.readouterr()
-    assert rc == 1
-    assert out.out.startswith("FAIL lichnerowicz")
-
-
-def test_cli_list_checks(capsys):
-    rc = cli_main(["list-checks"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    for name in CHECKS:
-        assert name in out
-
-
-def test_cli_explain(capsys):
-    rc = cli_main(["explain", "lichnerowicz"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "generalized Dalembertian" in out
-    assert "\norder:    needs jets of order 2\n" in out
-    rc = cli_main(["explain", "bogus"])
-    assert rc == 2
-    capsys.readouterr()
 
 
 def test_bundled_names():
