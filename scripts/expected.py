@@ -42,6 +42,11 @@ CASES = {
     "flat_torsion-p10": ("flat_torsion", 10),
     "curved_diag-p10": ("curved_diag", 10),
     "curved_torsion-p10": ("curved_torsion", 10),
+    # 33 points run as two batches, of 16 and 17 points
+    "minkowski-p33": ("minkowski", 33),
+    "flat_torsion-p33": ("flat_torsion", 33),
+    "curved_diag-p33": ("curved_diag", 33),
+    "curved_torsion-p33": ("curved_torsion", 33),
     "generic_torsion": ("perfbench/data/generic_torsion.scn", None),
     "curved_torsion-p100": ("curved_torsion", 100),
     # every tests/data scenario: reports with FAIL verdicts or per-point errors

@@ -1161,7 +1161,7 @@ def cli_main(argv) -> int:
         desc = CHECKS.get(args.check)
         if desc is None:
             print(
-                f"unknown check {args.check!r}; valid names: {', '.join(CHECKS)}",
+                f"usage error: unknown check {args.check!r}; valid names: {', '.join(CHECKS)}",
                 file=sys.stderr,
             )
             return 2

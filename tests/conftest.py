@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rcdirac
 from rcdirac import fieldspec, geometry, harness
 from rcdirac.cliffalg import GRADES, Multivector
 from rcdirac.jets import ChartPoint, Jet2, seed_coordinate
@@ -36,6 +40,17 @@ T0_12 = 0.07
 seed = 9
 points = 4
 """
+
+
+def fresh_python(*argv: str, env=None, cwd=None) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter that imports rcdirac from this
+    checkout (its ``src`` first on PYTHONPATH), with ``env`` laid over this
+    process's environment; a variable given as None is unset."""
+    merged = {**os.environ, **(env or {})}
+    src = str(Path(rcdirac.__file__).resolve().parents[1])
+    merged["PYTHONPATH"] = os.pathsep.join(filter(None, [src, merged.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env={k: v for k, v in merged.items() if v is not None},
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
 
 
 def load_bundled(name: str) -> fieldspec.Scenario:

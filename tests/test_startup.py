@@ -1,11 +1,8 @@
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import rcdirac
+from conftest import fresh_python
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # the threads of the importing process, and the BLAS variable it then sees
@@ -31,13 +28,9 @@ print(len(calls), len(built))
 
 
 def _import_in_fresh_interpreter(probe=PROBE, **env) -> list[str]:
-    clean = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    src = str(Path(rcdirac.__file__).resolve().parents[1])
-    clean["PYTHONPATH"] = os.pathsep.join([src] + ([clean["PYTHONPATH"]] if "PYTHONPATH" in clean else []))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env={**clean, **env}, capture_output=True, text=True, check=True
-    )
-    return out.stdout.split()
+    proc = fresh_python("-c", probe, env={**dict.fromkeys(BLAS_THREAD_VARS), **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task (Linux)")

@@ -68,15 +68,3 @@ def test_skew_torsion_identities_fail_on_generic_torsion():
     residuals = _residuals("generic_torsion")
     assert min(residuals.values()) > 1e-2, residuals
 
-
-def test_skew_not_coclosed_report():
-    # the four-term Lichnerowicz identity and the symmetric torsionful Ricci
-    # tensor need co-closed torsion; every other check holds
-    report = harness.run_suite(_scenario("skew_not_coclosed"), points=10)
-    failing = {c.name: c.max for c in report.checks if not c.passed}
-    assert set(failing) == {"ricci-antisymmetry", "lichnerowicz"}
-    assert failing["ricci-antisymmetry"] == pytest.approx(0.510, abs=5e-4)
-    assert failing["lichnerowicz"] == pytest.approx(0.158, abs=5e-4)
-    assert len(report.checks) == len(harness.CHECKS)
-    assert not any(c.errors for c in report.checks)
-    assert harness.cli_main(["run", str(SKEW_NOT_COCLOSED), "--points", "10"]) == 1
