@@ -57,8 +57,9 @@ ABS_TOL = 1e-12
 REL_TOL = 1e-9
 
 
-def run_case(name: str) -> dict:
-    """The record of one case, from the engine imported here; a warning
+def run_json(name: str, *extra: str) -> tuple[int, str]:
+    """The exit code and the JSON report text of one case, run with the
+    arguments ``extra`` appended, from the engine imported here; a warning
     is an error, so a case that warns fails."""
     scenario, points = CASES[name]
     arg = str(ROOT / scenario) if scenario.endswith(".scn") else scenario
@@ -66,14 +67,20 @@ def run_case(name: str) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = harness.cli_main(argv)
+        code = harness.cli_main(argv + list(extra))
+    return code, out.getvalue()
+
+
+def record(name: str, code: int, text: str) -> dict:
+    """The record of one case from its exit code and JSON report text."""
+    scenario, points = CASES[name]
     return {
         "scenario": scenario,
         "points": points,
         "numpy": np.__version__,
         "machine": platform.machine(),
         "exit": code,
-        "report": json.loads(out.getvalue()),
+        "report": json.loads(text),
     }
 
 
@@ -124,13 +131,13 @@ def main() -> int:
     args = ap.parse_args()
     failed = 0
     for name in CASES:
-        record = run_case(name)
+        fresh = record(name, *run_json(name))
         if args.write:
             EXPECTED_DIR.mkdir(parents=True, exist_ok=True)
-            path(name).write_text(json.dumps(record, indent=1) + "\n")
+            path(name).write_text(json.dumps(fresh, indent=1) + "\n")
             print(f"wrote {path(name).relative_to(ROOT)}")
             continue
-        diffs = differences(load(name), record)
+        diffs = differences(load(name), fresh)
         print(f"{name}: {'ok' if not diffs else f'{len(diffs)} difference(s)'}")
         for line in diffs:
             print(f"  {line}")

@@ -1088,14 +1088,6 @@ def resolve_scenario_path(name: str):
     )
 
 
-def bundled_scenario_names():
-    out = []
-    for entry in (resources.files("rcdirac") / "scenarios").iterdir():
-        if entry.name.endswith(".scn"):
-            out.append(entry.name[:-4])
-    return sorted(out)
-
-
 def _build_parser():
     import argparse
 

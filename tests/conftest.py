@@ -10,7 +10,8 @@ from rcdirac import fieldspec, geometry, harness
 from rcdirac.cliffalg import GRADES, Multivector
 from rcdirac.jets import ChartPoint, Jet2, seed_coordinate
 
-BUNDLED = ("minkowski", "flat_torsion", "curved_diag", "curved_torsion")
+# the scenarios the package ships, by name
+BUNDLED = tuple(sorted(p.stem for p in (Path(rcdirac.__file__).parent / "scenarios").glob("*.scn")))
 
 # Torsion with a non-vanishing trace: exercises the trace terms that totally
 # antisymmetric torsion kills.  Only the identities valid for arbitrary

@@ -63,7 +63,7 @@ def usage(id, *args, message):
 # or bytes, or None for a command without one.  stderr is its one line, or
 # a pattern that matches all of it.  Without a predicate, stdout is empty.
 ROWS = [
-    ("run_bundled_ok", "minkowski", ["--points", "2", "--only", "metricity,bianchi"], 0, WALL,
+    ("run_text", "minkowski", ["--points", "2", "--only", "metricity,bianchi"], 0, WALL,
      verdicts("PASS", ["metricity", "bianchi"])),
     ("run_json", "flat_torsion", ["--points", "2", "--only", "lichnerowicz", "--format", "json"], 0, WALL,
      lambda out: [(c["name"], c["pass"]) for c in json.loads(out)["checks"]] == [("lichnerowicz", True)]),

@@ -330,11 +330,6 @@ def test_scenario_file_with_a_byte_order_mark_loads(tmp_path):
     assert run_suite(marked, points=2).to_text() == run_suite(plain, points=2).to_text()
 
 
-def test_bundled_names():
-    names = harness.bundled_scenario_names()
-    assert names == ["curved_diag", "curved_torsion", "flat_torsion", "minkowski"]
-
-
 # -- non-finite values ------------------------------------------------------------
 
 
